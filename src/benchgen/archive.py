@@ -8,7 +8,9 @@ Layout of a campaign directory:
     instances/         <id>.inst canonical text + <id>.json sidecar
     records/evals.jsonl  one JSON object per evaluation
     tuner.log          one line per evaluation
-    history.json       solution history (negative tables)
+    history.json       solution history (negative tables), written when
+                       the campaign ends; resume rebuilds the history from
+                       the sidecars of the recorded instances instead
     reports/           outputs of the report subcommand
 """
 
@@ -21,7 +23,7 @@ from typing import Any, Iterator, Mapping
 from .errors import ArchiveError
 from .gensolve import CandidateInstance, SolutionHistory
 from .runner import SolverRecord
-from .valuetext import parse_values
+from .valuetext import canonical_key, parse_values, values_from_jsonable, values_to_jsonable
 
 
 class CampaignArchive:
@@ -72,7 +74,7 @@ class CampaignArchive:
             "id": instance.id,
             "config_id": instance.config_id,
             "sequence": instance.sequence,
-            "decision_values": _to_jsonable(instance.decision_values),
+            "decision_values": values_to_jsonable(instance.decision_values),
         }
         stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
 
@@ -117,6 +119,29 @@ class CampaignArchive:
                 if line.strip():
                     yield json.loads(line)
 
+    def drop_torn_record(self) -> None:
+        """Cut an unterminated last line of evals.jsonl that does not parse.
+
+        A crash in the middle of ``add_evaluation`` leaves such a line; the
+        evaluation it began was never recorded. An unterminated line that
+        parses gets its newline back. A bad line anywhere else is left for
+        ``evaluations`` to reject.
+        """
+        if not self._evals_path.exists():
+            return
+        data = self._evals_path.read_bytes()
+        if not data or data.endswith(b"\n"):
+            return
+        cut = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[cut:])
+        except ValueError:
+            with open(self._evals_path, "r+b") as fh:
+                fh.truncate(cut)
+        else:
+            with open(self._evals_path, "ab") as fh:
+                fh.write(b"\n")
+
     def evaluation_count(self) -> int:
         return sum(1 for _ in self.evaluations())
 
@@ -137,8 +162,19 @@ class CampaignArchive:
         history.save(self.root / "history.json")
 
     def load_history(self) -> SolutionHistory:
-        path = self.root / "history.json"
-        return SolutionHistory.load(path) if path.exists() else SolutionHistory()
+        """The solution history of the recorded evaluations, from their sidecars.
+
+        ``history.json`` is not read: it is only written when a campaign
+        ends, so after a crash it lags the records. A sidecar is complete
+        before its evaluation is recorded.
+        """
+        history = SolutionHistory()
+        for entry in self.evaluations():
+            if entry.get("instance_id"):
+                sidecar = self.instance_sidecar(entry["instance_id"])
+                decision = values_from_jsonable(sidecar["decision_values"])
+                history.add(sidecar["config_id"], canonical_key(decision))
+        return history
 
     @property
     def reports_dir(self) -> Path:
@@ -146,14 +182,3 @@ class CampaignArchive:
         path.mkdir(exist_ok=True)
         return path
 
-
-def _to_jsonable(values: Mapping[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for k, v in values.items():
-        if isinstance(v, set):
-            out[k] = {"__set__": sorted(v)}
-        elif isinstance(v, list) and any(isinstance(e, set) for e in v):
-            out[k] = {"__sets__": [sorted(e) for e in v]}
-        else:
-            out[k] = v
-    return out

@@ -145,6 +145,7 @@ def run_campaign(
     replay: dict[tuple[str, int], dict[str, Any]] = {}
     if resume and (out_dir / "config.json").exists():
         archive = CampaignArchive.open(out_dir)
+        archive.drop_torn_record()
         occurrence: dict[str, int] = {}
         for entry in archive.evaluations():
             cid = entry["config_id"]
@@ -218,13 +219,13 @@ def run_campaign(
                 "time": result.oracle.time,
                 "infeasible": result.oracle.infeasible,
             }
-        archive.add_evaluation(record)
         if result.instance is not None:
+            # Before the record, so a recorded instance has a whole sidecar.
             archive.annotate_instance(
                 result.instance.id,
                 {"penalty": _json_penalty(result.penalty), "status": result.status.value},
             )
-        archive.save_history(history)
+        archive.add_evaluation(record)
 
     report = run_tuning(space, evaluator, tuner_config, log=log_sink)
     archive.save_history(history)

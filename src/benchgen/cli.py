@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import tempfile
 from pathlib import Path
 
 from .archive import CampaignArchive
@@ -186,16 +187,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         first = CampaignArchive.open(next(iter(combined.sources.values())))
         problem_name = first.meta["problem"]
     problem = get_problem(problem_name)
-    limits = EvaluationLimits(mem_limit=parse_mem_limit(args.mem_limit))
-    result = evaluate_combined(
-        combined,
-        solvers,
-        problem,
-        t_max=args.t_max,
-        limits=limits,
-        seed=args.seed,
-        out_dir=args.out,
-    )
+    with tempfile.TemporaryDirectory(prefix="benchgen-evaluate-") as scratch:
+        # External runs keep their files under --out, or in a directory removed here.
+        workdir = str(Path(args.out) / "runs") if args.out else scratch
+        limits = EvaluationLimits(mem_limit=parse_mem_limit(args.mem_limit), workdir=workdir)
+        result = evaluate_combined(
+            combined,
+            solvers,
+            problem,
+            t_max=args.t_max,
+            limits=limits,
+            seed=args.seed,
+            out_dir=args.out,
+        )
     print("Borda ranking (complete scoring):")
     for name, total in result.ranking():
         flags = result.flagged.get(name, 0)

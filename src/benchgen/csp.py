@@ -6,14 +6,26 @@ is not excluded is returned. Constraints carry an exact check (run once
 the whole scope is assigned) and an optional pruning predicate that may
 refute a partial assignment early; pruning never changes which solution
 is found first, only how fast the search gets there.
+
+Because solutions come out in lex order (of the assignment vector, which
+is declaration order with ascending values), a caller that excludes each
+solution it takes can hand back the last one as a cursor: the search then
+resumes strictly after that vector instead of re-walking every excluded
+leaf before it. The exclusion set is still checked at every leaf, so a
+cursor never lets an excluded solution through; it only skips assignments
+that are at or before the cursor. The caller must ensure every solution
+at or before the cursor is excluded (true when the cursor is the last
+solution taken from a search over the same exclusions), so that resuming
+finds exactly what a full scan would.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 Assignment = list  # list[int | None], indexed by CSP variable position
 
@@ -54,6 +66,8 @@ class BacktrackResult:
     status: SolveStatus
     values: dict[str, Any] | None = None
     key: str | None = None
+    # The solution's assignment vector, a cursor for the next search.
+    assignment: tuple[int, ...] | None = None
     nodes: int = 0
     elapsed: float = 0.0
 
@@ -62,11 +76,14 @@ def backtrack_solve(
     csp: GroundedCsp,
     exclusions: frozenset[str] | set[str],
     time_limit: float,
+    after: Sequence[int] | None = None,
 ) -> BacktrackResult:
     """Depth-first search for the first non-excluded solution.
 
-    Returns UNSAT when the tree is exhausted and TIMEOUT when the deadline
-    passes (a zero limit times out immediately).
+    With ``after`` the search starts strictly after that assignment vector
+    in lex order; with None it scans from the first assignment. Returns
+    UNSAT when the tree is exhausted and TIMEOUT when the deadline passes
+    (a zero limit times out immediately).
     """
     start = time.monotonic()
     deadline = start + time_limit
@@ -102,9 +119,11 @@ def backtrack_solve(
                 return False
         return True
 
-    def search(idx: int) -> BacktrackResult | None:
+    def search(idx: int, on_cursor: bool) -> BacktrackResult | None:
         nonlocal nodes
         if idx == n:
+            if on_cursor:
+                return None  # the cursor itself, taken before
             decoded = csp.decode(assignment)
             key = csp.key_of(decoded)
             if key in exclusions:
@@ -113,10 +132,16 @@ def backtrack_solve(
                 SolveStatus.SOLUTION,
                 values=decoded,
                 key=key,
+                assignment=tuple(assignment),
                 nodes=nodes,
                 elapsed=time.monotonic() - start,
             )
-        for value in csp.variables[idx].domain:
+        domain = csp.variables[idx].domain
+        first = None
+        if on_cursor:
+            first = after[idx]
+            domain = domain[bisect_left(domain, first) :]
+        for value in domain:
             nodes += 1
             if time.monotonic() >= deadline:
                 return BacktrackResult(
@@ -124,7 +149,7 @@ def backtrack_solve(
                 )
             assignment[idx] = value
             if consistent(idx):
-                result = search(idx + 1)
+                result = search(idx + 1, on_cursor and value == first)
                 if result is not None:
                     return result
             assignment[idx] = None
@@ -134,13 +159,17 @@ def backtrack_solve(
         # Degenerate model with no variables: single empty solution.
         decoded = csp.decode(assignment)
         key = csp.key_of(decoded)
-        if key in exclusions:
+        if after is not None or key in exclusions:
             return BacktrackResult(SolveStatus.UNSAT, elapsed=time.monotonic() - start)
         return BacktrackResult(
-            SolveStatus.SOLUTION, values=decoded, key=key, elapsed=time.monotonic() - start
+            SolveStatus.SOLUTION,
+            values=decoded,
+            key=key,
+            assignment=(),
+            elapsed=time.monotonic() - start,
         )
 
-    result = search(0)
+    result = search(0, after is not None)
     if result is not None:
         return result
     return BacktrackResult(SolveStatus.UNSAT, nodes=nodes, elapsed=time.monotonic() - start)

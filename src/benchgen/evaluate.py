@@ -275,6 +275,7 @@ def _evaluate_graded(
             policy.effective_oracle_budget,
             mem_limit=limits.mem_limit,
             seed=derive_seed(seed, instance.id, "oracle"),
+            workdir=limits.workdir,
         )
         effective = effective_graded_record(record, oracle_result)
     penalty = graded_penalty(effective, policy)

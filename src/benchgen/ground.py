@@ -5,7 +5,9 @@ and sets one 0/1 membership variable per universe element (ascending, so
 value-order search tries the empty set first). Each model constraint is
 compiled to an exact check plus an interval-based pruning predicate that
 refutes partial assignments early; pruning is best effort and gives up
-(no refutation) on anything it cannot bound.
+(no refutation) on anything it cannot bound. Interval bounds are plain
+ints; a bound becomes a Fraction only where a division is evaluated, so
+pruning stays exact without paying for rationals elsewhere.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class _Layout:
         return range(self.iv.lower, self.iv.upper + 1)
 
 
-Interval = tuple[Fraction, Fraction]
+Bound = int | Fraction
+Interval = tuple[Bound, Bound]
 
 
 class _GiveUp(Exception):
@@ -90,17 +93,15 @@ def _partial_env(
     params: Mapping[str, int], layouts: Sequence[_Layout], assignment: Sequence[int | None]
 ) -> dict[str, Any]:
     """Descriptors for interval evaluation: intervals and partial sets."""
-    env: dict[str, Any] = {
-        name: (Fraction(v), Fraction(v)) for name, v in params.items()
-    }
+    env: dict[str, Any] = {name: (v, v) for name, v in params.items()}
     for lay in layouts:
         iv = lay.iv
         if iv.kind == "int":
-            lo, hi = Fraction(iv.lower), Fraction(iv.upper)
+            lo, hi = iv.lower, iv.upper
 
             def cell(idx: int) -> Interval:
                 v = assignment[idx]
-                return (Fraction(v), Fraction(v)) if v is not None else (lo, hi)
+                return (v, v) if v is not None else (lo, hi)
 
             if iv.length is None:
                 env[iv.name] = cell(lay.start)
@@ -131,8 +132,7 @@ def _partial_env(
 
 def _ieval(expr: ex.Expr, env: Mapping[str, Any]) -> Any:
     if isinstance(expr, ex.IntLit):
-        f = Fraction(expr.value)
-        return (f, f)
+        return (expr.value, expr.value)
     if isinstance(expr, ex.Name):
         if expr.name not in env:
             raise _GiveUp
@@ -156,11 +156,9 @@ def _ieval(expr: ex.Expr, env: Mapping[str, Any]) -> Any:
     if isinstance(expr, ex.Card):
         arg = _ieval(expr.arg, env)
         if isinstance(arg, _SetDesc):
-            return (Fraction(len(arg.definite)), Fraction(len(arg.possible)))
+            return (len(arg.definite), len(arg.possible))
         if isinstance(arg, list) and all(isinstance(e, _SetDesc) for e in arg):
-            return [
-                (Fraction(len(e.definite)), Fraction(len(e.possible))) for e in arg
-            ]
+            return [(len(e.definite), len(e.possible)) for e in arg]
         raise _GiveUp
     if isinstance(expr, ex.Sum):
         arr = _ieval(expr.arg, env)
@@ -189,13 +187,13 @@ def _ieval(expr: ex.Expr, env: Mapping[str, Any]) -> Any:
             return (min(products), max(products))
         if c <= 0 <= d:
             raise _GiveUp
-        quotients = (a / c, a / d, b / c, b / d)
+        quotients = (Fraction(a) / c, Fraction(a) / d, Fraction(b) / c, Fraction(b) / d)
         return (min(quotients), max(quotients))
     raise _GiveUp
 
 
 def _is_interval(v: Any) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], Fraction)
+    return isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], (int, Fraction))
 
 
 def _numeric(v: Any) -> Interval:

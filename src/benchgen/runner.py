@@ -18,7 +18,7 @@ from .errors import CheckError, ValidationError
 from .external import make_run_dir, run_external_command, validate_command_template
 from .problems import Problem
 from .solvers import builtin_exists, run_builtin
-from .valuetext import format_values
+from .valuetext import format_values, values_from_jsonable, values_to_jsonable
 
 
 class Status(Enum):
@@ -86,7 +86,7 @@ class SolverRecord:
             "time": self.time,
             "objective": self.objective,
             "optimal_claimed": self.optimal_claimed,
-            "solution": _jsonable_values(self.solution),
+            "solution": values_to_jsonable(self.solution),
             "time_to_best": self.time_to_best,
             "trace": [[t, o] for t, o in self.trace],
             "solution_ok": self.solution_ok,
@@ -101,40 +101,12 @@ class SolverRecord:
             time=data["time"],
             objective=data["objective"],
             optimal_claimed=data["optimal_claimed"],
-            solution=_values_from_jsonable(data["solution"]),
+            solution=values_from_jsonable(data["solution"]),
             time_to_best=data["time_to_best"],
             trace=[(t, o) for t, o in data["trace"]],
             solution_ok=data["solution_ok"],
             note=data.get("note", ""),
         )
-
-
-def _jsonable_values(values: Mapping[str, Any] | None) -> dict[str, Any] | None:
-    if values is None:
-        return None
-    out: dict[str, Any] = {}
-    for k, v in values.items():
-        if isinstance(v, set):
-            out[k] = {"__set__": sorted(v)}
-        elif isinstance(v, list) and any(isinstance(e, set) for e in v):
-            out[k] = {"__sets__": [sorted(e) for e in v]}
-        else:
-            out[k] = v
-    return out
-
-
-def _values_from_jsonable(data: Mapping[str, Any] | None) -> dict[str, Any] | None:
-    if data is None:
-        return None
-    out: dict[str, Any] = {}
-    for k, v in data.items():
-        if isinstance(v, dict) and "__set__" in v:
-            out[k] = set(v["__set__"])
-        elif isinstance(v, dict) and "__sets__" in v:
-            out[k] = [set(e) for e in v["__sets__"]]
-        else:
-            out[k] = v
-    return out
 
 
 @dataclass(frozen=True)
@@ -256,12 +228,17 @@ def oracle_optimum(
     budget: float,
     mem_limit: int | None = None,
     seed: int = 0,
+    workdir: str | Path | None = None,
 ) -> OracleResult:
-    """Establish the true optimum with a long-budget complete solver run."""
+    """Establish the true optimum with a long-budget complete solver run.
+
+    ``workdir`` is where an external oracle's run directory goes, as in
+    ``run_solver``.
+    """
     if budget <= 0:
         return OracleResult(None, False, 0.0)
     start = time.monotonic()
-    record = run_solver(oracle, problem, instance_values, budget, mem_limit, seed)
+    record = run_solver(oracle, problem, instance_values, budget, mem_limit, seed, workdir)
     elapsed = time.monotonic() - start
     if record.status is Status.UNSAT:
         return OracleResult(None, True, elapsed, infeasible=True)

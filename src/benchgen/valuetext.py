@@ -39,6 +39,37 @@ def canonical_key(values: Mapping[str, Any]) -> str:
     return ";".join(f"{name}={format_value(values[name])}" for name in sorted(values))
 
 
+def values_to_jsonable(values: Mapping[str, Any] | None) -> dict[str, Any] | None:
+    """JSON form of a value map: a set becomes ``{"__set__": [...]}`` and an
+    array of sets ``{"__sets__": [[...], ...]}``, both ascending."""
+    if values is None:
+        return None
+    out: dict[str, Any] = {}
+    for k, v in values.items():
+        if isinstance(v, set):
+            out[k] = {"__set__": sorted(v)}
+        elif isinstance(v, list) and any(isinstance(e, set) for e in v):
+            out[k] = {"__sets__": [sorted(e) for e in v]}
+        else:
+            out[k] = v
+    return out
+
+
+def values_from_jsonable(data: Mapping[str, Any] | None) -> dict[str, Any] | None:
+    """Inverse of ``values_to_jsonable``."""
+    if data is None:
+        return None
+    out: dict[str, Any] = {}
+    for k, v in data.items():
+        if isinstance(v, dict) and "__set__" in v:
+            out[k] = set(v["__set__"])
+        elif isinstance(v, dict) and "__sets__" in v:
+            out[k] = [set(e) for e in v["__sets__"]]
+        else:
+            out[k] = v
+    return out
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text

@@ -10,6 +10,7 @@ from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPoli
 from benchgen.problems import get_problem
 from benchgen.runner import SolverAdapter
 from benchgen.tuner import TunerConfig
+from benchgen.valuetext import canonical_key
 
 KNAPSACK = get_problem("knapsack")
 SPACE_TEXT = "cap_t: 1..50"
@@ -141,3 +142,56 @@ def test_campaign_refuses_unintended_overwrite(tmp_path, generator_model_text):
     run(tmp_path / "camp", budget=12, model_text=generator_model_text)
     with pytest.raises(ArchiveError):
         run(tmp_path / "camp", budget=12, model_text=generator_model_text)
+
+
+def test_resume_with_stale_history_keeps_instance_ids_unique(tmp_path, generator_model_text):
+    # A crash between recording an evaluation and rewriting history.json
+    # left the history one entry behind the records.
+    out = tmp_path / "camp"
+    run(out, budget=60, model_text=generator_model_text)
+    archive = CampaignArchive.open(out)
+    last = [e for e in archive.evaluations() if e["instance_id"]][-1]
+    sidecar = archive.instance_sidecar(last["instance_id"])
+    key = canonical_key(sidecar["decision_values"])  # no sets in this model
+    history = json.loads((out / "history.json").read_text())
+    history[last["config_id"]].remove(key)
+    (out / "history.json").write_text(json.dumps(history))
+    before = {p.name: p.stat().st_mtime_ns for p in (out / "instances").glob("*.inst")}
+
+    run(out, budget=200, resume=True, model_text=generator_model_text)
+    ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
+    assert len(ids) > len(before)
+    assert len(set(ids)) == len(ids)
+    after = {p.name: p.stat().st_mtime_ns for p in (out / "instances").glob("*.inst")}
+    assert {name: after[name] for name in before} == before
+
+
+def test_resume_drops_torn_final_record(tmp_path, generator_model_text):
+    fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
+    run(tmp_path / "steps", budget=18, model_text=generator_model_text)
+    evals = tmp_path / "steps" / "records" / "evals.jsonl"
+    complete = evals.read_text()
+    # A crash in the middle of appending a record.
+    evals.write_text(complete + complete.splitlines()[-1][:25])
+    resumed = run(tmp_path / "steps", budget=30, resume=True, model_text=generator_model_text)
+    assert resumed.archive.log_text() == fresh.archive.log_text()
+    assert evals.read_text() == (tmp_path / "full" / "records" / "evals.jsonl").read_text()
+
+
+def test_resume_keeps_unterminated_whole_record(tmp_path, generator_model_text):
+    fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
+    run(tmp_path / "steps", budget=18, model_text=generator_model_text)
+    evals = tmp_path / "steps" / "records" / "evals.jsonl"
+    evals.write_text(evals.read_text().rstrip("\n"))
+    run(tmp_path / "steps", budget=30, resume=True, model_text=generator_model_text)
+    assert evals.read_text() == (tmp_path / "full" / "records" / "evals.jsonl").read_text()
+
+
+def test_resume_still_rejects_corrupt_middle_record(tmp_path, generator_model_text):
+    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    evals = tmp_path / "camp" / "records" / "evals.jsonl"
+    lines = evals.read_text().splitlines(keepends=True)
+    lines[3] = lines[3][:25] + "\n"
+    evals.write_text("".join(lines))
+    with pytest.raises(json.JSONDecodeError):
+        run(tmp_path / "camp", budget=30, resume=True, model_text=generator_model_text)

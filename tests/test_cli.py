@@ -1,6 +1,8 @@
 """CLI subcommands driven end to end on a tiny campaign."""
 
 import json
+import sys
+import tempfile
 
 import pytest
 
@@ -121,3 +123,28 @@ def test_check_detects_planted_corruption(workspace, capsys):
 
     assert main(["check", str(out)]) == 1
     assert "FAILED re-verification" in capsys.readouterr().out
+
+
+def test_evaluate_leaves_no_run_directories_in_tmp(workspace, capsys, monkeypatch):
+    ini = workspace / "campaign.ini"
+    unsat = f'{sys.executable} -c "print(\'=====UNSATISFIABLE=====\')"'
+    ini.write_text(
+        ini.read_text() + f"\n[solver.ext]\ncommand = {unsat} {{model}} {{instance}} {{time_limit_ms}}\n"
+    )
+    out = workspace / "camp"
+    assert main(["tune", str(ini), "--out", str(out), "--budget", "30"]) == 0
+    combined = workspace / "combined.json"
+    assert main(["combine", str(out), "--k", "3", "--seed", "3", "--out", str(combined)]) == 0
+    tmp = workspace / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    evaluate = ["evaluate", str(combined), "--solvers", "ext,band", "--config", str(ini),
+                "--t-max", "30", "--mem-limit", "none"]
+
+    assert main(evaluate) == 0
+    assert list(tmp.iterdir()) == []
+
+    assert main(evaluate + ["--out", str(workspace / "eval")]) == 0
+    assert list(tmp.iterdir()) == []
+    assert list((workspace / "eval" / "runs").glob("run_*"))
+    capsys.readouterr()

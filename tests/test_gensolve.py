@@ -1,9 +1,13 @@
 """Backtracking search, solution histories, and generator solving."""
 
 import itertools
+import sys
+import threading
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from benchgen.csp import (
     CspConstraint,
@@ -21,7 +25,7 @@ from benchgen.gensolve import (
     solve_generator,
 )
 from benchgen.ground import ground
-from benchgen.model import check_assignment, parse_model
+from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import make_configuration, parse_space, sample_uniform
 from benchgen.valuetext import canonical_key
 
@@ -226,3 +230,137 @@ def test_grounding_variable_order_is_declaration_order():
     model = parse_model(space, "var b : int 1..2\nvar a : int 1..2")
     csp = ground(model, make_configuration(space, {"n": 1}))
     assert [v.name for v in csp.variables] == ["b", "a"]
+
+
+# -- lex cursor: resuming after the last solution changes no result ---------------
+CURSOR_SPACE = parse_space("n: 1..2; k: 0..4")
+
+# Constraint templates over x (int), a[n] (int array) and s (set); {c} is a constant.
+CONSTRAINT_TEMPLATES = (
+    "sum(a) >= {c}",
+    "sum(a) <= {c}",
+    "alldifferent(a)",
+    "x in s",
+    "x + a[1] != {c}",
+    "|s| <= {c}",
+    "sum(a) / n = x",  # reaches the Fraction path of interval pruning
+    "x * 2 - k < {c}",
+    "max(a) >= x and min(a) <= {c}",
+)
+
+
+@st.composite
+def cursor_models(draw):
+    x_lo = draw(st.integers(-1, 1))
+    x_hi = x_lo + draw(st.integers(0, 2))
+    a_hi = draw(st.integers(0, 2))
+    lines = [
+        f"var x : int {x_lo}..{x_hi}",
+        f"var a[n] : int 0..{a_hi}",
+        "var s : set of 1..2",
+    ]
+    templates = draw(st.lists(st.sampled_from(CONSTRAINT_TEMPLATES), max_size=3))
+    for template in templates:
+        lines.append("constraint " + template.format(c=draw(st.integers(0, 4))))
+    config = {"n": draw(st.integers(1, 2)), "k": draw(st.integers(0, 4))}
+    return "\n".join(lines), config
+
+
+def solution_sequence(model, config, history, with_cursor, stop=None):
+    """Solve and record until UNSAT (or ``stop`` solutions); outcomes in order."""
+    seen = []
+    while stop is None or len(seen) < stop:
+        result = solve_generator(model, config, history, 5.0, 5.0)
+        if result.outcome is not GenOutcome.SOLUTION:
+            seen.append(result.outcome)
+            break
+        instance = result.instance
+        seen.append((instance.sequence, instance.exclusion_key))
+        if with_cursor:
+            record_solution(history, config.id, instance)
+        else:
+            history.add(config.id, instance.exclusion_key)
+    return seen
+
+
+def brute_force_keys(model, config):
+    """Canonical keys of every assignment the exact checker accepts."""
+    names, options = [], []
+    for iv in instantiate(model, config):
+        universe = range(iv.lower, iv.upper + 1)
+        if iv.kind == "int":
+            cell = list(universe)
+        else:
+            cell = [set(c) for r in range(len(universe) + 1)
+                    for c in itertools.combinations(universe, r)]
+        names.append(iv.name)
+        options.append(cell if iv.length is None
+                       else [list(p) for p in itertools.product(cell, repeat=iv.length)])
+    keys = set()
+    for combo in itertools.product(*options):
+        values = dict(zip(names, combo))
+        if check_assignment(model, config, values):
+            keys.add(canonical_key(values))
+    return keys
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cursor_models())
+def test_cursor_resume_matches_exclusion_scan(case):
+    model_text, values = case
+    model = parse_model(CURSOR_SPACE, model_text)
+    config = make_configuration(CURSOR_SPACE, values)
+    scanned = solution_sequence(model, config, SolutionHistory(), with_cursor=False)
+    resumed = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+    assert resumed == scanned
+    assert scanned[-1] is GenOutcome.UNSAT
+    # Integer-interval pruning never refutes a solution.
+    assert {key for _, key in scanned[:-1]} == brute_force_keys(model, config)
+
+
+def test_loaded_history_continues_the_same_sequence(tmp_path):
+    model = parse_model(
+        CURSOR_SPACE,
+        "var x : int 0..2\nvar a[n] : int 0..2\nvar s : set of 1..2\n"
+        "constraint sum(a) / n = x\nconstraint x in s",
+    )
+    config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
+    full = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+
+    history = SolutionHistory()
+    head = solution_sequence(model, config, history, with_cursor=True, stop=4)
+    history.save(tmp_path / "history.json")
+    reloaded = SolutionHistory.load(tmp_path / "history.json")
+    assert reloaded.cursor_for(config.id) is None
+    tail = solution_sequence(model, config, reloaded, with_cursor=True)
+    assert head + tail == full
+    assert len(full) > 5 and full[-1] is GenOutcome.UNSAT
+
+
+def test_shared_history_keeps_each_configuration_sequence_under_threads():
+    model = parse_model(
+        CURSOR_SPACE, "var x : int 0..2\nvar a[n] : int 0..2\nconstraint sum(a) >= x"
+    )
+    configs = [make_configuration(CURSOR_SPACE, {"n": n, "k": k}) for n in (1, 2) for k in range(4)]
+    expected = {
+        c.id: solution_sequence(model, c, SolutionHistory(), with_cursor=False) for c in configs
+    }
+    shared = SolutionHistory()
+    got = {}
+
+    def work(config):
+        got[config.id] = solution_sequence(model, config, shared, with_cursor=True)
+
+    threads = [threading.Thread(target=work, args=(c,)) for c in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected

@@ -229,3 +229,11 @@ def test_run_log_written_per_external_run(tmp_path):
     logs = list(tmp_path.glob("run_*/run.log"))
     assert len(logs) == 1
     assert "objective = 0" in logs[0].read_text()
+
+
+def test_external_oracle_runs_in_the_given_workdir(tmp_path):
+    oracle = script_adapter("o", "print('=====UNSATISFIABLE=====')")
+    instance = {"weight": [1], "value": [1], "capacity": 1}
+    result = oracle_optimum(KNAPSACK, instance, oracle, budget=5.0, workdir=tmp_path)
+    assert result.infeasible
+    assert len(list(tmp_path.glob("run_*"))) == 1
