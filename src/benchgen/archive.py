@@ -22,7 +22,6 @@ from typing import Any, Iterator, Mapping
 
 from .errors import ArchiveError
 from .gensolve import CandidateInstance, SolutionHistory
-from .runner import SolverRecord
 from .valuetext import canonical_key, parse_values, values_from_jsonable, values_to_jsonable
 
 
@@ -144,9 +143,6 @@ class CampaignArchive:
 
     def evaluation_count(self) -> int:
         return sum(1 for _ in self.evaluations())
-
-    def solver_record(self, entry: Mapping[str, Any], solver: str) -> SolverRecord:
-        return SolverRecord.from_jsonable(entry["records"][solver])
 
     # -- logs and history ----------------------------------------------------
 

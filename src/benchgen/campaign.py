@@ -246,10 +246,5 @@ def graded_instance_ids(archive: CampaignArchive) -> list[str]:
 
 
 def discriminating_entries(archive: CampaignArchive) -> list[dict[str, Any]]:
-    """Evaluations whose penalty is negative (discriminating instances)."""
-    return [
-        e
-        for e in archive.evaluations()
-        if isinstance(e["penalty"], (int, float)) and e["penalty"] < 0
-        and e["status"] == RunStatus.DIS_FOUND.value
-    ]
+    """Evaluations classified dis-found (their penalty is negative)."""
+    return [e for e in archive.evaluations() if e["status"] == RunStatus.DIS_FOUND.value]

@@ -27,7 +27,7 @@ from .report import (
     status_frequencies,
     write_reports,
 )
-from .runner import SolverAdapter, Status, check_solution
+from .runner import SolverAdapter, SolverRecord, Status, check_solution
 from .tuner import TunerConfig
 
 
@@ -36,9 +36,12 @@ def parse_mem_limit(text: str) -> int | None:
     if not text or text.lower() == "none":
         return None
     multipliers = {"k": 1024, "m": 1024**2, "g": 1024**3}
-    if text[-1].lower() in multipliers:
-        return int(float(text[:-1]) * multipliers[text[-1].lower()])
-    return int(text)
+    try:
+        if text[-1].lower() in multipliers:
+            return int(float(text[:-1]) * multipliers[text[-1].lower()])
+        return int(text)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"bad memory limit {text!r}; use e.g. 8G, 512M or none") from None
 
 
 def _read_config(path: str | Path) -> configparser.ConfigParser:
@@ -242,8 +245,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         for name, raw in entry.get("records", {}).items():
             if raw.get("solution") is None or entry.get("instance_id") is None:
                 continue
-            from .runner import SolverRecord
-
             record = SolverRecord.from_jsonable(raw)
             values = archive.instance_values(entry["instance_id"])
             assert record.solution is not None

@@ -174,18 +174,3 @@ def backtrack_solve(
         return result
     return BacktrackResult(SolveStatus.UNSAT, nodes=nodes, elapsed=time.monotonic() - start)
 
-
-def enumerate_solutions(
-    csp: GroundedCsp, limit: int = 1_000_000, time_limit: float = 60.0
-) -> list[dict[str, Any]]:
-    """Exhaust the search tree via repeated solve-and-exclude (test helper)."""
-    found: list[dict[str, Any]] = []
-    keys: set[str] = set()
-    while len(found) < limit:
-        res = backtrack_solve(csp, keys, time_limit)
-        if res.status is not SolveStatus.SOLUTION:
-            break
-        assert res.values is not None and res.key is not None
-        found.append(res.values)
-        keys.add(res.key)
-    return found

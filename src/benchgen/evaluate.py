@@ -1,10 +1,13 @@
 """Penalty computation for one configuration evaluation.
 
-The tuner minimises the penalty: infeasible or untranslatable generator
-configurations score plus infinity (immediate discard), a generator search
-timeout scores 1, an uninteresting instance 0, a graded instance -1, and a
+Each evaluation is classified once, by ``runner.classify_run``; the
+penalty the tuner minimises is a function of that status alone (plus the
+pair scores and the generator outcome it names). Infeasible or
+untranslatable generator configurations score plus infinity (immediate
+discard), a generator search timeout scores 1, a graded instance -1, a
 discriminating instance the negated ratio of the pair scores (a fixed
-large-negative sentinel when the base solver scored zero).
+large-negative sentinel when the base solver scored zero), and every
+other status 0.
 """
 
 from __future__ import annotations
@@ -162,16 +165,47 @@ def effective_graded_record(record: SolverRecord, oracle: OracleResult) -> Solve
     )
 
 
+def status_penalty(
+    status: RunStatus,
+    scores: tuple[float, float] | None = None,
+    outcome: GenOutcome = GenOutcome.SOLUTION,
+) -> float:
+    """The penalty owed for a classified evaluation.
+
+    ``scores`` are the discriminating pair scores (needed for ``dis-found``)
+    and ``outcome`` the generator outcome (needed for ``generator-unsolved``).
+    """
+    if status is RunStatus.GENERATOR_UNSOLVED:
+        penalty = generator_penalty(outcome)
+        assert penalty is not None, "generator-unsolved needs a failed generator outcome"
+        return penalty
+    if status is RunStatus.GRADED:
+        return GRADED_PENALTY
+    if status is RunStatus.DIS_FOUND:
+        assert scores is not None, "dis-found needs the pair scores"
+        score_f, score_b = scores
+        return LARGE_NEGATIVE if score_b == 0.0 else -score_f / score_b
+    return 0.0
+
+
+def _classify(
+    policy: Policy, records: list[SolverRecord], scores: tuple[float, float] | None = None
+) -> RunStatus:
+    """Status of a generated instance from the policy's solver records."""
+    return classify_run(
+        GenOutcome.SOLUTION.value,
+        records,
+        campaign="graded" if isinstance(policy, GradedPolicy) else "discriminating",
+        t_min=policy.t_min,
+        t_max=policy.t_max,
+        types=policy.types,
+        scores=scores,
+    )
+
+
 def graded_penalty(record: SolverRecord, policy: GradedPolicy) -> float:
-    """Gradedness gates on the (effective) record: band, then type, else -1."""
-    if record.status is Status.ERROR or record.solution_ok is False:
-        return 0.0
-    if record.status is Status.TIMEOUT or record.time < policy.t_min:
-        return 0.0
-    kind = "UNSAT" if record.status is Status.UNSAT else "SAT"
-    if kind not in policy.types:
-        return 0.0
-    return GRADED_PENALTY
+    """Penalty of the (effective) record: -1 when graded, else 0."""
+    return status_penalty(_classify(policy, [record]))
 
 
 def discriminating_scores(
@@ -187,20 +221,9 @@ def discriminating_scores(
 def discriminating_penalty(
     favoured: SolverRecord, base: SolverRecord, policy: DiscriminatingPolicy
 ) -> float:
-    """Negated score ratio, gated on favoured success and base non-triviality."""
-    if favoured.status in (Status.TIMEOUT, Status.ERROR) or favoured.solution_ok is False:
-        return 0.0
-    kind = "UNSAT" if favoured.status is Status.UNSAT else "SAT"
-    if kind not in policy.types:
-        return 0.0
-    if base.time < policy.t_min:
-        return 0.0
-    score_f, score_b = discriminating_scores(favoured, base, policy.problem.kind)
-    if score_f == 0.0:
-        return 0.0
-    if score_b == 0.0:
-        return LARGE_NEGATIVE
-    return -score_f / score_b
+    """Penalty of the pair: the negated score ratio when dis-found, else 0."""
+    scores = discriminating_scores(favoured, base, policy.problem.kind)
+    return status_penalty(_classify(policy, [favoured, base], scores), scores)
 
 
 def evaluate_configuration(
@@ -219,9 +242,9 @@ def evaluate_configuration(
     regenerate it.
     """
     gen = solve_generator(model, config, history, limits.translate_limit, limits.solve_limit)
-    failure = generator_penalty(gen.outcome)
-    if failure is not None:
-        return EvaluationResult(failure, RunStatus.GENERATOR_UNSOLVED, gen.outcome)
+    if gen.outcome is not GenOutcome.SOLUTION:
+        unsolved = RunStatus.GENERATOR_UNSOLVED
+        return EvaluationResult(status_penalty(unsolved, outcome=gen.outcome), unsolved, gen.outcome)
     instance = gen.instance
     assert instance is not None
     record_solution(history, config.id, instance)
@@ -278,17 +301,9 @@ def _evaluate_graded(
             workdir=limits.workdir,
         )
         effective = effective_graded_record(record, oracle_result)
-    penalty = graded_penalty(effective, policy)
-    status = classify_run(
-        outcome.value,
-        [effective],
-        campaign="graded",
-        t_min=policy.t_min,
-        t_max=policy.t_max,
-        types=policy.types,
-    )
+    status = _classify(policy, [effective])
     return EvaluationResult(
-        penalty,
+        status_penalty(status),
         status,
         outcome,
         instance=instance,
@@ -320,19 +335,10 @@ def _evaluate_discriminating(
         limits,
         derive_seed(seed, instance.id, policy.base.name),
     )
-    penalty = discriminating_penalty(favoured, base, policy)
     scores = discriminating_scores(favoured, base, policy.problem.kind)
-    status = classify_run(
-        outcome.value,
-        [favoured, base],
-        campaign="discriminating",
-        t_min=policy.t_min,
-        t_max=policy.t_max,
-        types=policy.types,
-        scores=scores,
-    )
+    status = _classify(policy, [favoured, base], scores)
     return EvaluationResult(
-        penalty,
+        status_penalty(status, scores),
         status,
         outcome,
         instance=instance,

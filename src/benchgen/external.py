@@ -17,11 +17,11 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .errors import ParseError, ValidationError
+from .solvers import SolverOutcome
 from .valuetext import parse_values
 
 SOLUTION_SEP = "-" * 10
@@ -37,17 +37,6 @@ def validate_command_template(template: str) -> None:
     missing = [p for p in REQUIRED_PLACEHOLDERS if p not in template]
     if missing:
         raise ValidationError(f"command template missing placeholders: {missing}")
-
-
-@dataclass
-class ExternalResult:
-    status: str  # "sat" | "unsat" | "timeout" | "error"
-    time: float
-    objective: int | None = None
-    optimal: bool = False
-    solution: dict[str, Any] | None = None
-    trace: list[tuple[float, int]] = field(default_factory=list)
-    note: str = ""
 
 
 def _parse_blocks(
@@ -117,7 +106,7 @@ def run_external_command(
     mem_limit: int | None = None,
     limiter_prefix: str | None = None,
     log_path: str | Path | None = None,
-) -> ExternalResult:
+) -> SolverOutcome:
     """Spawn the command, enforce the deadline, and parse its output.
 
     Never raises: failures map to an ``error`` result. The clock starts at
@@ -132,7 +121,7 @@ def run_external_command(
             seed=seed,
         )
     except (KeyError, IndexError) as err:
-        return ExternalResult("error", 0.0, note=f"bad command template: {err!r}")
+        return SolverOutcome("error", 0.0, note=f"bad command template: {err!r}")
     argv = shlex.split(command)
     if limiter_prefix:
         prefix = limiter_prefix.format(
@@ -153,7 +142,7 @@ def run_external_command(
             preexec_fn=None if limiter_prefix else _mem_preexec(mem_limit),
         )
     except OSError as err:
-        return ExternalResult("error", time.monotonic() - start, note=f"spawn failed: {err}")
+        return SolverOutcome("error", time.monotonic() - start, note=f"spawn failed: {err}")
 
     def pump() -> None:
         assert proc.stdout is not None
@@ -190,7 +179,7 @@ def run_external_command(
     trace = [(stamp, obj) for stamp, obj, _, _ in blocks if obj is not None]
 
     if killed:
-        result = ExternalResult("timeout", elapsed, trace=trace)
+        result = SolverOutcome("timeout", elapsed, trace=trace)
         if blocks:
             stamp, obj, payload, note = blocks[-1]
             result.objective = obj
@@ -198,19 +187,19 @@ def run_external_command(
             result.note = note or ""
         return result
     if proc.returncode != 0:
-        return ExternalResult(
+        return SolverOutcome(
             "error", elapsed, trace=trace, note=f"exit code {proc.returncode}"
         )
     if unsat:
-        return ExternalResult("unsat", elapsed, optimal=False)
+        return SolverOutcome("unsat", elapsed, optimal=False)
     if blocks:
         stamp, obj, payload, note = blocks[-1]
         if payload is None:
-            return ExternalResult("error", elapsed, trace=trace, note=note or "bad block")
-        return ExternalResult(
+            return SolverOutcome("error", elapsed, trace=trace, note=note or "bad block")
+        return SolverOutcome(
             "sat", elapsed, objective=obj, optimal=complete, solution=payload, trace=trace
         )
-    return ExternalResult("error", elapsed, note="no parseable solver output")
+    return SolverOutcome("error", elapsed, note="no parseable solver output")
 
 
 def make_run_dir(base: str | Path | None = None) -> Path:

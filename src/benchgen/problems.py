@@ -9,7 +9,7 @@ a selection of value at least ``target`` and can therefore be infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .errors import CheckError
 
@@ -134,23 +134,6 @@ class KnapsackDecisionProblem(Problem):
         if total_weight > data.capacity or total_value < target:
             return CheckOutcome(False, None)
         return CheckOutcome(True, None)
-
-
-def iter_selections(data: KnapsackData) -> Iterator[list[int]]:
-    """All take vectors within copy bounds (exhaustive; small instances only)."""
-    counts = [c + 1 for c in data.copies]
-    take = [0] * data.n_items
-    while True:
-        yield list(take)
-        i = 0
-        while i < data.n_items:
-            take[i] += 1
-            if take[i] < counts[i]:
-                break
-            take[i] = 0
-            i += 1
-        else:
-            return
 
 
 PROBLEMS: dict[str, Problem] = {

@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 
 from .archive import CampaignArchive
 from .campaign import discriminating_entries, graded_instance_ids
-from .errors import ArchiveError
+from .errors import ArchiveError, ValidationError
 from .evaluate import EvaluationLimits
 from .problems import Problem
 from .runner import RunStatus, SolverAdapter, SolverRecord, derive_seed, run_solver, verify_record
@@ -88,6 +88,8 @@ def build_combined_set(
     stable across platforms. A campaign with zero graded instances
     contributes nothing and triggers an EmptyArchive warning.
     """
+    if k < 0:
+        raise ValidationError(f"k must be non-negative, got {k}")
     rng = Random(seed)
     selections: dict[str, list[str]] = {}
     sources: dict[str, str] = {}

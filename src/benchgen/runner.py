@@ -143,44 +143,34 @@ def run_solver(
         outcome = run_builtin(
             adapter.builtin, problem, instance_values, time_limit, seed, mem_limit
         )
-        return SolverRecord(
-            solver=adapter.name,
-            status=Status(outcome.status),
-            time=outcome.time,
-            objective=outcome.objective,
-            optimal_claimed=outcome.optimal,
-            solution=outcome.solution,
-            trace=list(outcome.trace),
-            note=outcome.note,
+    else:
+        run_dir = make_run_dir(workdir)
+        model_path = run_dir / "problem.model"
+        instance_path = run_dir / "instance.inst"
+        model_path.write_text(problem.describe())
+        instance_path.write_text(
+            instance_text if instance_text is not None else format_values(dict(instance_values))
         )
-
-    run_dir = make_run_dir(workdir)
-    model_path = run_dir / "problem.model"
-    instance_path = run_dir / "instance.inst"
-    model_path.write_text(problem.describe())
-    instance_path.write_text(
-        instance_text if instance_text is not None else format_values(dict(instance_values))
-    )
-    assert adapter.command is not None
-    result = run_external_command(
-        adapter.command,
-        str(model_path),
-        str(instance_path),
-        time_limit,
-        seed=seed,
-        mem_limit=mem_limit,
-        limiter_prefix=limiter_prefix,
-        log_path=run_dir / "run.log",
-    )
+        assert adapter.command is not None
+        outcome = run_external_command(
+            adapter.command,
+            str(model_path),
+            str(instance_path),
+            time_limit,
+            seed=seed,
+            mem_limit=mem_limit,
+            limiter_prefix=limiter_prefix,
+            log_path=run_dir / "run.log",
+        )
     return SolverRecord(
         solver=adapter.name,
-        status=Status(result.status),
-        time=result.time,
-        objective=result.objective,
-        optimal_claimed=result.optimal,
-        solution=result.solution,
-        trace=list(result.trace),
-        note=result.note,
+        status=Status(outcome.status),
+        time=outcome.time,
+        objective=outcome.objective,
+        optimal_claimed=outcome.optimal,
+        solution=outcome.solution,
+        trace=list(outcome.trace),
+        note=outcome.note,
     )
 
 

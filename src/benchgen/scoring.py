@@ -140,14 +140,10 @@ def borda_complete(
                 raise MissingRecord(f"no record for solver {s!r} on instance {i!r}")
     totals = {s: 0.0 for s in solvers}
     cells = {(s, i): 0.0 for s in solvers for i in instances}
-    for i in instances:
-        for s in solvers:
-            for t in solvers:
-                if s == t:
-                    continue
-                pair = minizinc_score(records[(s, i)], records[(t, i)])
-                totals[s] += pair.score_a
-                cells[(s, i)] += pair.score_a
+    for row in pair_rows(records, solvers, instances):
+        solver, instance, score = row["solver"], row["instance"], row["score"]
+        totals[solver] += score
+        cells[(solver, instance)] += score
     return BordaTable(list(solvers), list(instances), totals, cells)
 
 

@@ -30,7 +30,9 @@ _WORD = 64  # rough bytes per tracked allocation unit
 
 
 @dataclass
-class BuiltinOutcome:
+class SolverOutcome:
+    """Raw outcome of one solver run, builtin or external (see ``external``)."""
+
     status: str  # "sat" | "unsat" | "timeout" | "error"
     time: float
     objective: int | None = None
@@ -40,13 +42,13 @@ class BuiltinOutcome:
     note: str = ""
 
 
-def _knapsack_or_error(problem: Problem, instance: Mapping[str, Any]) -> KnapsackData | BuiltinOutcome:
+def _knapsack_or_error(problem: Problem, instance: Mapping[str, Any]) -> KnapsackData | SolverOutcome:
     if problem.name not in ("knapsack", "knapsack_decision"):
-        return BuiltinOutcome("error", 0.0, note=f"unsupported problem {problem.name}")
+        return SolverOutcome("error", 0.0, note=f"unsupported problem {problem.name}")
     try:
         return parse_knapsack(instance)
     except CheckError as err:
-        return BuiltinOutcome("error", 0.0, note=str(err))
+        return SolverOutcome("error", 0.0, note=str(err))
 
 
 def solve_exact(
@@ -55,17 +57,17 @@ def solve_exact(
     time_limit: float,
     seed: int = 0,
     mem_limit: int | None = None,
-) -> BuiltinOutcome:
+) -> SolverOutcome:
     """Branch and bound over item counts, best-density order, fractional bound."""
     del seed
     start = time.monotonic()
     deadline = start + time_limit
     data = _knapsack_or_error(problem, instance)
-    if isinstance(data, BuiltinOutcome):
+    if isinstance(data, SolverOutcome):
         return data
     target = instance.get("target") if problem.kind == "decision" else None
     if problem.kind == "decision" and not isinstance(target, int):
-        return BuiltinOutcome("error", time.monotonic() - start, note="missing target")
+        return SolverOutcome("error", time.monotonic() - start, note="missing target")
 
     n = data.n_items
     order = sorted(
@@ -134,24 +136,24 @@ def solve_exact(
     try:
         search(0, data.capacity, 0)
     except MemoryError:
-        return BuiltinOutcome("error", time.monotonic() - start, note="memory cap exceeded")
+        return SolverOutcome("error", time.monotonic() - start, note="memory cap exceeded")
     elapsed = time.monotonic() - start
 
     if problem.kind == "decision":
         assert target is not None
         if best_take is not None and best_value >= target:
-            return BuiltinOutcome(
+            return SolverOutcome(
                 "sat", elapsed, objective=None, optimal=False,
                 solution={"take": best_take}, trace=trace,
             )
         if timed_out:
-            return BuiltinOutcome("timeout", elapsed)
-        return BuiltinOutcome("unsat", elapsed)
+            return SolverOutcome("timeout", elapsed)
+        return SolverOutcome("unsat", elapsed)
 
     if best_take is None:
         # Zero take is always feasible, so this only happens on instant timeout.
-        return BuiltinOutcome("timeout", elapsed)
-    return BuiltinOutcome(
+        return SolverOutcome("timeout", elapsed)
+    return SolverOutcome(
         "sat",
         elapsed,
         objective=best_value,
@@ -168,16 +170,16 @@ def solve_hillclimb(
     seed: int = 0,
     mem_limit: int | None = None,
     max_iterations: int = 200_000,
-) -> BuiltinOutcome:
+) -> SolverOutcome:
     """Random restarts plus single-item moves, accepting strict improvements."""
     start = time.monotonic()
     deadline = start + time_limit
     data = _knapsack_or_error(problem, instance)
-    if isinstance(data, BuiltinOutcome):
+    if isinstance(data, SolverOutcome):
         return data
     target = instance.get("target") if problem.kind == "decision" else None
     if problem.kind == "decision" and not isinstance(target, int):
-        return BuiltinOutcome("error", time.monotonic() - start, note="missing target")
+        return SolverOutcome("error", time.monotonic() - start, note="missing target")
 
     rng = Random(seed)
     n = data.n_items
@@ -207,7 +209,7 @@ def solve_hillclimb(
         if iterations % 64 == 0 and time.monotonic() >= deadline:
             break
         if mem_limit is not None and (iterations + len(trace)) * _WORD > mem_limit:
-            return BuiltinOutcome("error", time.monotonic() - start, note="memory cap exceeded")
+            return SolverOutcome("error", time.monotonic() - start, note="memory cap exceeded")
         if value > best_value:
             best_value = value
             best_take = list(take)
@@ -235,11 +237,11 @@ def solve_hillclimb(
     elapsed = time.monotonic() - start
     if problem.kind == "decision":
         if best_take is not None and target is not None and best_value >= target:
-            return BuiltinOutcome("sat", elapsed, solution={"take": best_take}, trace=trace)
-        return BuiltinOutcome("timeout", elapsed, trace=trace)
+            return SolverOutcome("sat", elapsed, solution={"take": best_take}, trace=trace)
+        return SolverOutcome("timeout", elapsed, trace=trace)
     if best_take is None:
-        return BuiltinOutcome("timeout", elapsed)
-    return BuiltinOutcome(
+        return SolverOutcome("timeout", elapsed)
+    return SolverOutcome(
         "sat", elapsed, objective=best_value, optimal=False,
         solution={"take": best_take}, trace=trace,
     )
@@ -251,7 +253,7 @@ def solve_synthetic(
     instance: Mapping[str, Any],
     time_limit: float,
     seed: int = 0,
-) -> BuiltinOutcome:
+) -> SolverOutcome:
     """Report success after a programmed virtual latency (never sleeps).
 
     Latency beyond the limit becomes a timeout with the limit as the
@@ -265,19 +267,19 @@ def solve_synthetic(
         arrays = {k: v for k, v in instance.items() if isinstance(v, list) and all(isinstance(e, int) for e in v)}
         latency = float(evaluate_numeric(latency_expr, {**scalars, **arrays}))
     except (ParseError, EvalError) as err:
-        return BuiltinOutcome("error", 0.0, note=f"latency expression: {err}")
+        return SolverOutcome("error", 0.0, note=f"latency expression: {err}")
     if latency < 0:
         latency = 0.0
     if latency > time_limit:
-        return BuiltinOutcome("timeout", time_limit)
+        return SolverOutcome("timeout", time_limit)
     try:
         trivial = problem.trivial_solution(instance)
     except CheckError:
         trivial = None  # instance is not of this problem's shape; report bare success
     if trivial is None:
-        return BuiltinOutcome("sat", latency, optimal=True)
+        return SolverOutcome("sat", latency, optimal=True)
     payload, objective = trivial
-    return BuiltinOutcome(
+    return SolverOutcome(
         "sat", latency, objective=objective, optimal=True,
         solution=payload, trace=[(latency, objective)] if objective is not None else [],
     )
@@ -288,19 +290,19 @@ def solve_buggy(
     instance: Mapping[str, Any],
     time_limit: float,
     seed: int = 0,
-) -> BuiltinOutcome:
+) -> SolverOutcome:
     """Always returns a wrong answer: infeasible payload or misreported objective."""
     del time_limit, seed
     start = time.monotonic()
     data = _knapsack_or_error(problem, instance)
-    if isinstance(data, BuiltinOutcome):
+    if isinstance(data, SolverOutcome):
         return data
     take = list(data.copies)
     total_weight = sum(t * w for t, w in zip(take, data.weight))
     objective = sum(t * v for t, v in zip(take, data.value))
     if total_weight <= data.capacity:
         objective += 1  # feasible by luck: misreport the objective instead
-    return BuiltinOutcome(
+    return SolverOutcome(
         "sat", time.monotonic() - start, objective=objective, optimal=True,
         solution={"take": take},
     )
@@ -313,7 +315,7 @@ def run_builtin(
     time_limit: float,
     seed: int = 0,
     mem_limit: int | None = None,
-) -> BuiltinOutcome:
+) -> SolverOutcome:
     """Dispatch a builtin solver id, ``synthetic:EXPR`` carrying its latency."""
     if solver_id == "exact":
         return solve_exact(problem, instance, time_limit, seed, mem_limit)
@@ -323,7 +325,7 @@ def run_builtin(
         return solve_synthetic(solver_id.split(":", 1)[1], problem, instance, time_limit, seed)
     if solver_id == "buggy":
         return solve_buggy(problem, instance, time_limit, seed)
-    return BuiltinOutcome("error", 0.0, note=f"unknown builtin solver {solver_id!r}")
+    return SolverOutcome("error", 0.0, note=f"unknown builtin solver {solver_id!r}")
 
 
 def builtin_exists(solver_id: str) -> bool:

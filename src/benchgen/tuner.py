@@ -18,7 +18,7 @@ from typing import Callable, Protocol, Sequence
 
 from scipy import stats as _sstats
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, ValidationError
 from .runner import RunStatus
 from .space import (
     GeneratorConfiguration,
@@ -46,11 +46,11 @@ class TunerConfig:
 
     def __post_init__(self) -> None:
         if self.total_budget < 0:
-            raise ValueError("total_budget must be non-negative")
+            raise ValidationError("total_budget must be non-negative")
         if not (0 < self.elimination_alpha < 1):
-            raise ValueError("elimination_alpha must be in (0, 1)")
+            raise ValidationError("elimination_alpha must be in (0, 1)")
         if self.min_survivors < 1 or self.instances_per_step < 1:
-            raise ValueError("min_survivors and instances_per_step must be positive")
+            raise ValidationError("min_survivors and instances_per_step must be positive")
 
     @property
     def race_size(self) -> int:
@@ -95,6 +95,12 @@ def _block_ranks(row: Sequence[float]) -> list[float]:
     return ranks
 
 
+def _rank_sums(matrix: Sequence[Sequence[float]]) -> tuple[list[list[float]], list[float]]:
+    """Within-block ranks of every row, and the rank sum of every column."""
+    rank_rows = [_block_ranks(row) for row in matrix]
+    return rank_rows, [sum(r[j] for r in rank_rows) for j in range(len(matrix[0]))]
+
+
 def friedman_eliminate(
     matrix: Sequence[Sequence[float]], alpha: float
 ) -> FriedmanResult:
@@ -115,8 +121,7 @@ def friedman_eliminate(
     if any(len(row) != k for row in matrix):
         raise DegenerateInput("ragged penalty matrix")
 
-    rank_rows = [_block_ranks(row) for row in matrix]
-    rank_sums = [sum(r[j] for r in rank_rows) for j in range(k)]
+    rank_rows, rank_sums = _rank_sums(matrix)
     a_sq = sum(v * v for r in rank_rows for v in r)
 
     tie_term = 0.0
@@ -160,6 +165,10 @@ class RaceState:
     blocks: int = 0
     evaluations_used: int = 0
 
+    def penalty_matrix(self) -> list[list[float]]:
+        """Penalties of the alive configurations, one row per block."""
+        return [[self.penalties[c.id][b] for c in self.alive] for b in range(self.blocks)]
+
 
 @dataclass(frozen=True)
 class EvalLogEntry:
@@ -197,11 +206,7 @@ def _rank_survivors(state: RaceState) -> list[GeneratorConfiguration]:
     alive = state.alive
     if state.blocks == 0 or len(alive) <= 1:
         return list(alive)
-    matrix = [
-        [state.penalties[c.id][b] for c in alive] for b in range(state.blocks)
-    ]
-    rank_rows = [_block_ranks(row) for row in matrix]
-    sums = [sum(r[j] for r in rank_rows) for j in range(len(alive))]
+    _, sums = _rank_sums(state.penalty_matrix())
     order = sorted(range(len(alive)), key=lambda j: (sums[j], j))
     return [alive[j] for j in order]
 
@@ -270,11 +275,7 @@ def race(
             len(state.alive) > config.min_survivors
             and state.blocks >= max(config.first_test_after, 2)
         ):
-            matrix = [
-                [state.penalties[c.id][b] for c in state.alive]
-                for b in range(state.blocks)
-            ]
-            result = friedman_eliminate(matrix, config.elimination_alpha)
+            result = friedman_eliminate(state.penalty_matrix(), config.elimination_alpha)
             if result.eliminated:
                 ranked = sorted(
                     range(len(state.alive)),

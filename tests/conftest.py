@@ -1,11 +1,48 @@
-"""Shared helpers: fabricated archives and naive scoring references."""
+"""Shared helpers: fabricated archives, naive scoring references and
+exhaustive enumerations used as test oracles."""
 
 from pathlib import Path
+from typing import Any, Iterator
 
 import pytest
 
 from benchgen.archive import CampaignArchive
+from benchgen.csp import GroundedCsp, SolveStatus, backtrack_solve
 from benchgen.gensolve import CandidateInstance
+from benchgen.problems import KnapsackData
+
+
+def enumerate_solutions(
+    csp: GroundedCsp, limit: int = 1_000_000, time_limit: float = 60.0
+) -> list[dict[str, Any]]:
+    """Exhaust the search tree via repeated solve-and-exclude."""
+    found: list[dict[str, Any]] = []
+    keys: set[str] = set()
+    while len(found) < limit:
+        res = backtrack_solve(csp, keys, time_limit)
+        if res.status is not SolveStatus.SOLUTION:
+            break
+        assert res.values is not None and res.key is not None
+        found.append(res.values)
+        keys.add(res.key)
+    return found
+
+
+def iter_selections(data: KnapsackData) -> Iterator[list[int]]:
+    """All take vectors within copy bounds (exhaustive; small instances only)."""
+    counts = [c + 1 for c in data.copies]
+    take = [0] * data.n_items
+    while True:
+        yield list(take)
+        i = 0
+        while i < data.n_items:
+            take[i] += 1
+            if take[i] < counts[i]:
+                break
+            take[i] = 0
+            i += 1
+        else:
+            return
 
 
 def fabricate_graded_archive(

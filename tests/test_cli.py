@@ -8,7 +8,7 @@ import pytest
 
 from benchgen.cli import main, parse_mem_limit
 
-from conftest import GENERATOR_MODEL
+from conftest import GENERATOR_MODEL, fabricate_graded_archive
 
 
 @pytest.fixture
@@ -103,6 +103,24 @@ def test_missing_config_is_reported(tmp_path, capsys):
     code = main(["tune", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["combine", "{graded}", "--k", "-1", "--out", "{ws}/combined.json"],
+        ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--budget", "-1"],
+        ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--mem-limit", "lots"],
+    ],
+    ids=["combine-negative-k", "tune-negative-budget", "tune-bad-mem-limit"],
+)
+def test_bad_input_is_reported_not_raised(workspace, capsys, argv):
+    graded = fabricate_graded_archive(
+        workspace / "graded", "band", [{"status": "graded"}] * 3
+    )
+    argv = [a.format(ws=workspace, graded=graded.root) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_detects_planted_corruption(workspace, capsys):

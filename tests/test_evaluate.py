@@ -1,5 +1,6 @@
 """Penalty wiring: generator outcomes, gradedness gates, discrimination ratios."""
 
+import itertools
 import math
 from random import Random
 
@@ -13,6 +14,7 @@ from benchgen.evaluate import (
     EvaluationLimits,
     GradedPolicy,
     discriminating_penalty,
+    discriminating_scores,
     effective_graded_record,
     evaluate_configuration,
     graded_penalty,
@@ -259,3 +261,69 @@ def test_penalty_domain_invariant_fuzz():
         assert (d.penalty < 0.0 and not math.isinf(d.penalty)) == (
             d.status is RunStatus.DIS_FOUND
         )
+
+
+# The penalty gates as they stood before the penalty was derived from the
+# run status, kept verbatim as the reference the derivation must reproduce.
+
+
+def _gated_graded_penalty(record, policy):
+    if record.status is Status.ERROR or record.solution_ok is False:
+        return 0.0
+    if record.status is Status.TIMEOUT or record.time < policy.t_min:
+        return 0.0
+    kind = "UNSAT" if record.status is Status.UNSAT else "SAT"
+    if kind not in policy.types:
+        return 0.0
+    return -1.0
+
+
+def _gated_discriminating_penalty(favoured, base, policy):
+    if favoured.status in (Status.TIMEOUT, Status.ERROR) or favoured.solution_ok is False:
+        return 0.0
+    kind = "UNSAT" if favoured.status is Status.UNSAT else "SAT"
+    if kind not in policy.types:
+        return 0.0
+    if base.time < policy.t_min:
+        return 0.0
+    score_f, score_b = discriminating_scores(favoured, base, policy.problem.kind)
+    if score_f == 0.0:
+        return 0.0
+    if score_b == 0.0:
+        return LARGE_NEGATIVE
+    return -score_f / score_b
+
+
+def _verdict_records():
+    """Every status, times around t_min = 10 and t_max = 100, a solution
+    present or absent, and every verification outcome."""
+    out = []
+    times = (0.0, 9.5, 10.0, 10.5, 99.5, 100.0, 100.5)
+    for status, t, has_solution, ok in itertools.product(
+        Status, times, (False, True), (None, True, False)
+    ):
+        objective = 3 + int(t) % 3 if has_solution else None
+        out.append(SolverRecord(
+            "s", status, t,
+            objective=objective,
+            optimal_claimed=status is Status.SAT and t < 100.0,
+            solution={"take": [1]} if has_solution else None,
+            solution_ok=ok,
+        ))
+    return out
+
+
+VERDICT_TYPES = (frozenset({"SAT"}), frozenset({"UNSAT"}), frozenset({"SAT", "UNSAT"}))
+
+
+def test_derived_penalties_match_the_gates_bit_for_bit():
+    records = _verdict_records()
+    for types in VERDICT_TYPES:
+        graded = graded_policy(t_min=10.0, t_max=100.0, types=types)
+        for rec in records:
+            assert repr(graded_penalty(rec, graded)) == repr(_gated_graded_penalty(rec, graded)), rec
+        dis = dis_policy(t_min=10.0, t_max=100.0, types=types)
+        for favoured, base in itertools.product(records, records):
+            got = discriminating_penalty(favoured, base, dis)
+            want = _gated_discriminating_penalty(favoured, base, dis)
+            assert repr(got) == repr(want), (favoured, base, types)

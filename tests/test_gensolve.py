@@ -15,7 +15,6 @@ from benchgen.csp import (
     GroundedCsp,
     SolveStatus,
     backtrack_solve,
-    enumerate_solutions,
 )
 from benchgen.errors import ModelError
 from benchgen.gensolve import (
@@ -28,6 +27,7 @@ from benchgen.ground import ground
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import make_configuration, parse_space, sample_uniform
 from benchgen.valuetext import canonical_key
+from conftest import enumerate_solutions
 
 
 def simple_csp(n_vars=2, domain=(1, 2), constraints=()):

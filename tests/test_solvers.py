@@ -2,13 +2,14 @@
 
 from random import Random
 
-from benchgen.problems import get_problem, iter_selections, parse_knapsack
+from benchgen.problems import get_problem, parse_knapsack
 from benchgen.solvers import (
     solve_buggy,
     solve_exact,
     solve_hillclimb,
     solve_synthetic,
 )
+from conftest import iter_selections
 
 KNAPSACK = get_problem("knapsack")
 DECISION = get_problem("knapsack_decision")
