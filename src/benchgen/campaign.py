@@ -19,6 +19,7 @@ from .errors import ArchiveError
 from .evaluate import (
     DiscriminatingPolicy,
     EvaluationLimits,
+    EvaluationResult,
     GradedPolicy,
     Policy,
     evaluate_configuration,
@@ -164,12 +165,10 @@ def run_campaign(
 
     seen: dict[str, int] = {}
     eval_seq = len(replay)
-    # Results parked by worker threads, archived by the ordered log sink.
-    pending: dict[tuple[str, int], Any] = {}
-    state_lock = threading.Lock()
+    seen_lock = threading.Lock()  # evaluators run on pool threads when workers > 1
 
     def evaluator(config: GeneratorConfiguration, block: int):
-        with state_lock:
+        with seen_lock:
             occ = seen.get(config.id, 0)
             seen[config.id] = occ + 1
         cached = replay.get((config.id, occ))
@@ -178,25 +177,20 @@ def run_campaign(
             return _ReplayResult(
                 penalty=cached["penalty"], status=RunStatus(cached["status"]), instance=ref
             )
-        result = evaluate_configuration(
+        return evaluate_configuration(
             model, config, history, policy, limits, seed=tuner_config.seed
         )
-        with state_lock:
-            pending[(config.id, block)] = (config, result)
-        return result
 
     if resume:
         # Replay regenerates the identical prefix, so start the log afresh.
         (out_dir / "tuner.log").write_text("")
 
-    def log_sink(entry: EvalLogEntry) -> None:
+    def log_sink(entry: EvalLogEntry, result: EvaluationResult | _ReplayResult) -> None:
+        """Archive one evaluation; the tuner calls this in evaluation order."""
         nonlocal eval_seq
         archive.append_log(entry.format_line())
-        with state_lock:
-            parked = pending.pop((entry.config_id, entry.step - 1), None)
-        if parked is None:
-            return  # replayed evaluation, already archived
-        config, result = parked
+        if isinstance(result, _ReplayResult):
+            return  # already archived
         if result.instance is not None:
             archive.add_instance(result.instance)
         eval_seq += 1
@@ -204,7 +198,7 @@ def run_campaign(
             "seq": eval_seq,
             "block": entry.step - 1,
             "config_id": entry.config_id,
-            "assignment": dict(config.assignment),
+            "assignment": dict(entry.config.assignment),
             "instance_id": result.instance.id if result.instance else None,
             "penalty": result.penalty,
             "status": result.status.value,

@@ -27,7 +27,7 @@ from .report import (
     status_frequencies,
     write_reports,
 )
-from .runner import SolverAdapter, SolverRecord, Status, check_solution
+from .runner import SolverAdapter, SolverRecord, verify_record
 from .tuner import TunerConfig
 
 
@@ -38,10 +38,14 @@ def parse_mem_limit(text: str) -> int | None:
     multipliers = {"k": 1024, "m": 1024**2, "g": 1024**3}
     try:
         if text[-1].lower() in multipliers:
-            return int(float(text[:-1]) * multipliers[text[-1].lower()])
-        return int(text)
+            limit = int(float(text[:-1]) * multipliers[text[-1].lower()])
+        else:
+            limit = int(text)
     except (ValueError, OverflowError):
-        raise ValidationError(f"bad memory limit {text!r}; use e.g. 8G, 512M or none") from None
+        limit = 0  # malformed: rejected below with the non-positive ones
+    if limit <= 0:
+        raise ValidationError(f"bad memory limit {text!r}; use e.g. 8G, 512M or none")
+    return limit
 
 
 def _read_config(path: str | Path) -> configparser.ConfigParser:
@@ -237,32 +241,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     archive = CampaignArchive.open(args.archive)
-    policy_meta = archive.meta
-    problem = get_problem(policy_meta["problem"])
+    problem = get_problem(archive.meta["problem"])
     checked = 0
     failures = 0
     for entry in archive.evaluations():
         for name, raw in entry.get("records", {}).items():
             if raw.get("solution") is None or entry.get("instance_id") is None:
                 continue
-            record = SolverRecord.from_jsonable(raw)
             values = archive.instance_values(entry["instance_id"])
-            assert record.solution is not None
-            try:
-                feasible, objective = check_solution(problem, values, record.solution)
-            except BenchgenError as err:
-                feasible, objective = False, None
-                print(f"{entry['instance_id']} {name}: check error: {err}")
+            record = verify_record(problem, values, SolverRecord.from_jsonable(raw))
             checked += 1
-            ok = feasible and (
-                problem.kind == "decision"
-                or record.objective is None
-                or record.status is not Status.SAT
-                or objective == record.objective
-            )
-            if not ok:
+            if not record.solution_ok:
                 failures += 1
-                print(f"{entry['instance_id']} {name}: FAILED re-verification")
+                print(f"{entry['instance_id']} {name}: FAILED re-verification ({record.note})")
     print(f"re-checked {checked} archived solutions, {failures} failures")
     return 1 if failures else 0
 

@@ -155,20 +155,6 @@ def backtrack_solve(
             assignment[idx] = None
         return None
 
-    if n == 0:
-        # Degenerate model with no variables: single empty solution.
-        decoded = csp.decode(assignment)
-        key = csp.key_of(decoded)
-        if after is not None or key in exclusions:
-            return BacktrackResult(SolveStatus.UNSAT, elapsed=time.monotonic() - start)
-        return BacktrackResult(
-            SolveStatus.SOLUTION,
-            values=decoded,
-            key=key,
-            assignment=(),
-            elapsed=time.monotonic() - start,
-        )
-
     result = search(0, after is not None)
     if result is not None:
         return result

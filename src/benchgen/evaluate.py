@@ -57,6 +57,10 @@ class EvaluationLimits:
     workdir: str | None = None
     limiter_prefix: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.mem_limit is not None and self.mem_limit <= 0:
+            raise ValidationError(f"memory limit must be positive, got {self.mem_limit}")
+
 
 def _check_band(t_min: float, t_max: float) -> None:
     if not (0 < t_min < t_max):

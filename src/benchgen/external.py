@@ -32,6 +32,11 @@ KILL_GRACE_SECONDS = 2.0
 
 REQUIRED_PLACEHOLDERS = ("{model}", "{instance}", "{time_limit_ms}")
 
+# Limiter prefix used when none is configured: caps the address space
+# (RLIMIT_AS, in KB for ulimit) and execs the command. A cap the system
+# refuses is skipped, so the command still runs.
+MEM_LIMITER = "sh -c 'ulimit -v $(({mem_limit_bytes} / 1024)) 2>/dev/null; exec \"$@\"' sh"
+
 
 def validate_command_template(template: str) -> None:
     missing = [p for p in REQUIRED_PLACEHOLDERS if p not in template]
@@ -82,21 +87,6 @@ def _parse_blocks(
     return blocks, complete, unsat
 
 
-def _mem_preexec(mem_limit: int | None):
-    if mem_limit is None:
-        return None
-
-    def apply_limits() -> None:
-        try:
-            import resource
-
-            resource.setrlimit(resource.RLIMIT_AS, (mem_limit, mem_limit))
-        except Exception:
-            pass
-
-    return apply_limits
-
-
 def run_external_command(
     template: str,
     model_path: str,
@@ -112,6 +102,8 @@ def run_external_command(
     Never raises: failures map to an ``error`` result. The clock starts at
     spawn, so translation overhead inside the command is included. With
     ``log_path`` set, the timestamped stdout is written there afterwards.
+    ``mem_limit`` is applied by ``limiter_prefix``, or by ``MEM_LIMITER``
+    when no prefix is set.
     """
     try:
         command = template.format(
@@ -123,6 +115,8 @@ def run_external_command(
     except (KeyError, IndexError) as err:
         return SolverOutcome("error", 0.0, note=f"bad command template: {err!r}")
     argv = shlex.split(command)
+    if not limiter_prefix and mem_limit is not None:
+        limiter_prefix = MEM_LIMITER
     if limiter_prefix:
         prefix = limiter_prefix.format(
             mem_limit_bytes=mem_limit or 0,
@@ -139,7 +133,6 @@ def run_external_command(
             stderr=subprocess.DEVNULL,
             text=True,
             start_new_session=True,
-            preexec_fn=None if limiter_prefix else _mem_preexec(mem_limit),
         )
     except OSError as err:
         return SolverOutcome("error", time.monotonic() - start, note=f"spawn failed: {err}")

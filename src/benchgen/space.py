@@ -214,29 +214,19 @@ def initial_spread(space: ParameterSpace) -> dict[str, float]:
 def update_sampling_model(
     model: SamplingModel | None,
     elites: Sequence[GeneratorConfiguration],
-    iteration: int,
     *,
-    space: ParameterSpace | None = None,
+    space: ParameterSpace,
     decay: float = SPREAD_DECAY,
-    floor: float = SPREAD_FLOOR,
 ) -> SamplingModel:
     """Rebuild the model around the elites and decay the spread once.
 
     With no prior model the spread starts at half the parameter range (the
-    decay is applied to it as this counts as one update). ``iteration`` is
-    accepted for logging symmetry with the tuner; the schedule itself is
-    purely geometric.
+    decay is applied to it as this counts as one update).
     """
-    del iteration
     if not elites:
         raise ValidationError("cannot update a sampling model from zero elites")
-    if model is None:
-        if space is None:
-            raise ValidationError("space required when updating without a prior model")
-        spread = initial_spread(space)
-    else:
-        spread = dict(model.spread)
-    new_spread = {name: max(s * decay, floor) for name, s in spread.items()}
+    spread = initial_spread(space) if model is None else model.spread
+    new_spread = {name: max(s * decay, SPREAD_FLOOR) for name, s in spread.items()}
     centers = tuple(dict(e.assignment) for e in elites)
     return SamplingModel(centers=centers, spread=new_spread)
 

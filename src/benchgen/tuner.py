@@ -11,6 +11,7 @@ best. Survivors seed the sampling model for the next iteration.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
@@ -23,6 +24,7 @@ from .runner import RunStatus
 from .space import (
     GeneratorConfiguration,
     ParameterSpace,
+    SPREAD_DECAY,
     SamplingModel,
     dedupe_configurations,
     sample_from_model,
@@ -41,7 +43,7 @@ class TunerConfig:
     seed: int = 0
     first_test_after: int = 5
     race_slices: int = 5  # per-race budget = total_budget / race_slices
-    spread_decay: float = 0.8
+    spread_decay: float = SPREAD_DECAY
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -163,7 +165,11 @@ class RaceState:
     alive: list[GeneratorConfiguration]
     penalties: dict[str, list[float]] = field(default_factory=dict)
     blocks: int = 0
-    evaluations_used: int = 0
+    log: list[EvalLogEntry] = field(default_factory=list)
+
+    @property
+    def evaluations_used(self) -> int:
+        return len(self.log)
 
     def penalty_matrix(self) -> list[list[float]]:
         """Penalties of the alive configurations, one row per block."""
@@ -174,10 +180,14 @@ class RaceState:
 class EvalLogEntry:
     iteration: int
     step: int
-    config_id: str
+    config: GeneratorConfiguration
     penalty: float
     status: RunStatus
     instance_id: str | None = None
+
+    @property
+    def config_id(self) -> str:
+        return self.config.id
 
     def format_line(self) -> str:
         pen = "inf" if math.isinf(self.penalty) else repr(self.penalty)
@@ -192,10 +202,20 @@ class EvalLogEntry:
 class TunerReport:
     elites: list[GeneratorConfiguration]
     log: list[EvalLogEntry]
-    status_counts: dict[str, int]
-    evaluations_used: int
     iterations: int
-    configurations: dict[str, GeneratorConfiguration] = field(default_factory=dict)
+
+    @property
+    def evaluations_used(self) -> int:
+        return len(self.log)
+
+    @property
+    def status_counts(self) -> dict[str, int]:
+        return dict(Counter(entry.status.value for entry in self.log))
+
+    @property
+    def configurations(self) -> dict[str, GeneratorConfiguration]:
+        """Every evaluated configuration by id."""
+        return {entry.config_id: entry.config for entry in self.log}
 
     def count(self, status: RunStatus) -> int:
         return self.status_counts.get(status.value, 0)
@@ -215,30 +235,23 @@ def race(
     configs: Sequence[GeneratorConfiguration],
     evaluator: Evaluator,
     race_budget: int,
-    state: RaceState | None = None,
     *,
     config: TunerConfig = TunerConfig(),
     iteration: int = 1,
-    log: Callable[[EvalLogEntry], None] | None = None,
-    budget_left: int | None = None,
+    log: Callable[[EvalLogEntry, EvaluationLike], None] | None = None,
 ) -> tuple[list[GeneratorConfiguration], RaceState]:
     """Race a candidate set until few survive or the race budget is spent.
 
     Returns the survivors ranked best-first together with the final state.
     Infinite penalties remove a configuration before any statistical test;
-    Friedman elimination never cuts below ``min_survivors``.
+    Friedman elimination never cuts below ``min_survivors``. ``log`` is
+    called with each log entry and its result, in evaluation order.
     """
-    if state is None:
-        state = RaceState(alive=list(configs))
-        for c in configs:
-            state.penalties.setdefault(c.id, [])
-    remaining = race_budget if budget_left is None else min(race_budget, budget_left)
+    state = RaceState(alive=list(configs), penalties={c.id: [] for c in configs})
 
     while state.alive:
         cost = len(state.alive) * config.instances_per_step
-        if state.evaluations_used + cost > remaining:
-            break
-        if len(state.alive) <= config.min_survivors and state.blocks >= 1:
+        if state.evaluations_used + cost > race_budget:
             break
         for _ in range(config.instances_per_step):
             block_index = state.blocks
@@ -252,19 +265,18 @@ def race(
                 results = [evaluator(c, block_index) for c in alive_snapshot]
             survivors: list[GeneratorConfiguration] = []
             for cfg, result in zip(alive_snapshot, results):
-                state.evaluations_used += 1
+                entry = EvalLogEntry(
+                    iteration,
+                    block_index + 1,
+                    cfg,
+                    result.penalty,
+                    result.status,
+                    getattr(getattr(result, "instance", None), "id", None),
+                )
+                state.log.append(entry)
                 if log is not None:
-                    log(
-                        EvalLogEntry(
-                            iteration,
-                            block_index + 1,
-                            cfg.id,
-                            result.penalty,
-                            result.status,
-                            getattr(getattr(result, "instance", None), "id", None),
-                        )
-                    )
-                state.penalties.setdefault(cfg.id, []).append(result.penalty)
+                    log(entry, result)
+                state.penalties[cfg.id].append(result.penalty)
                 if math.isinf(result.penalty) and result.penalty > 0:
                     continue  # discarded immediately, before any test
                 survivors.append(cfg)
@@ -297,34 +309,25 @@ def run_tuning(
     space: ParameterSpace,
     evaluator: Evaluator,
     config: TunerConfig,
-    log: Callable[[EvalLogEntry], None] | None = None,
+    log: Callable[[EvalLogEntry, EvaluationLike], None] | None = None,
 ) -> TunerReport:
     """Iterate sample -> race -> model update until the budget is spent.
 
     The first iteration samples uniformly; later ones draw from the elite
     sampling model. Elites re-enter the next race unchanged. Deterministic
-    given the seed and a deterministic evaluator.
+    given the seed and a deterministic evaluator. ``log`` is passed to
+    every race.
     """
     rng = Random(config.seed)
     log_entries: list[EvalLogEntry] = []
-    status_counts: dict[str, int] = {}
-    seen_configs: dict[str, GeneratorConfiguration] = {}
-
-    def sink(entry: EvalLogEntry) -> None:
-        log_entries.append(entry)
-        status_counts[entry.status.value] = status_counts.get(entry.status.value, 0) + 1
-        if log is not None:
-            log(entry)
-
     per_race = max(config.total_budget // config.race_slices, 1)
-    used = 0
     iteration = 0
     elites: list[GeneratorConfiguration] = []
     model: SamplingModel | None = None
 
-    while used < config.total_budget:
+    while len(log_entries) < config.total_budget:
         iteration += 1
-        budget_left = config.total_budget - used
+        budget_left = config.total_budget - len(log_entries)
 
         candidates = list(elites)
         attempts = 0
@@ -343,37 +346,18 @@ def run_tuning(
         if race_budget < block_cost:
             # Not enough budget left for even one complete block.
             break
-        for c in candidates:
-            seen_configs.setdefault(c.id, c)
 
         survivors, state = race(
-            candidates,
-            evaluator,
-            race_budget,
-            config=config,
-            iteration=iteration,
-            log=sink,
-            budget_left=budget_left,
+            candidates, evaluator, race_budget, config=config, iteration=iteration, log=log
         )
-        used += state.evaluations_used
+        log_entries += state.log
         if survivors:
             elites = survivors[: config.min_survivors]
             model = update_sampling_model(
-                model,
-                elites,
-                iteration,
-                space=space,
-                decay=config.spread_decay,
+                model, elites, space=space, decay=config.spread_decay
             )
         else:
             elites = []
             model = None
 
-    return TunerReport(
-        elites=elites,
-        log=log_entries,
-        status_counts=status_counts,
-        evaluations_used=used,
-        iterations=iteration,
-        configurations=seen_configs,
-    )
+    return TunerReport(elites=elites, log=log_entries, iterations=iteration)

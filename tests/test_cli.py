@@ -111,8 +111,16 @@ def test_missing_config_is_reported(tmp_path, capsys):
         ["combine", "{graded}", "--k", "-1", "--out", "{ws}/combined.json"],
         ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--budget", "-1"],
         ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--mem-limit", "lots"],
+        ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--mem-limit=-1G"],
+        ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--mem-limit", "0"],
     ],
-    ids=["combine-negative-k", "tune-negative-budget", "tune-bad-mem-limit"],
+    ids=[
+        "combine-negative-k",
+        "tune-negative-budget",
+        "tune-bad-mem-limit",
+        "tune-negative-mem-limit",
+        "tune-zero-mem-limit",
+    ],
 )
 def test_bad_input_is_reported_not_raised(workspace, capsys, argv):
     graded = fabricate_graded_archive(
@@ -141,6 +149,20 @@ def test_check_detects_planted_corruption(workspace, capsys):
 
     assert main(["check", str(out)]) == 1
     assert "FAILED re-verification" in capsys.readouterr().out
+
+
+def test_check_compares_the_objective_of_a_timed_out_answer(tmp_path, capsys):
+    archive = fabricate_graded_archive(tmp_path / "camp", "band", [{"status": "too-difficult"}])
+    evals_path = archive.root / "records" / "evals.jsonl"
+    (entry,) = [json.loads(l) for l in evals_path.read_text().splitlines()]
+    # A feasible answer (item 1: weight 2, value 3) reported with a wrong objective.
+    entry["records"]["band"].update(status="timeout", solution={"take": [1, 0, 0]}, objective=99)
+    evals_path.write_text(json.dumps(entry) + "\n")
+
+    assert main(["check", str(archive.root)]) == 1
+    out = capsys.readouterr().out
+    assert "objective mismatch: reported 99, recomputed 3" in out
+    assert "re-checked 1 archived solutions, 1 failures" in out
 
 
 def test_evaluate_leaves_no_run_directories_in_tmp(workspace, capsys, monkeypatch):

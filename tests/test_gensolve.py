@@ -364,3 +364,20 @@ def test_shared_history_keeps_each_configuration_sequence_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == expected
+
+
+def test_zero_length_array_has_one_empty_solution():
+    space = parse_space("n: 0..2")
+    model = parse_model(space, "var w[n] : int 1..9")
+    config = make_configuration(space, {"n": 0})
+    first = solve_generator(model, config, SolutionHistory(), 5.0, 5.0)
+    assert first.outcome is GenOutcome.SOLUTION
+    assert first.instance.decision_values == {"w": []}
+    for with_cursor in (False, True):
+        sequence = solution_sequence(model, config, SolutionHistory(), with_cursor)
+        assert sequence == [(0, first.instance.exclusion_key), GenOutcome.UNSAT]
+    csp = ground(model, config)
+    found = backtrack_solve(csp, frozenset(), 5.0)
+    assert (found.status, found.assignment, found.nodes) == (SolveStatus.SOLUTION, (), 0)
+    resumed = backtrack_solve(csp, frozenset(), 5.0, after=found.assignment)
+    assert (resumed.status, resumed.nodes) == (SolveStatus.UNSAT, 0)

@@ -45,6 +45,8 @@ def test_worker_pool_matches_single_threaded_run(tmp_path):
     threaded = run(tmp_path / "threaded", 3)
     assert serial.archive.log_text() == threaded.archive.log_text()
     assert graded_instance_ids(serial.archive) == graded_instance_ids(threaded.archive)
+    evals = "records/evals.jsonl"
+    assert (tmp_path / "serial" / evals).read_bytes() == (tmp_path / "threaded" / evals).read_bytes()
 
 
 def test_half_unsat_generator_region(tmp_path):

@@ -1,10 +1,14 @@
 """Solver adapters, external execution, classification, and the oracle path."""
 
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import benchgen
 from benchgen.errors import ValidationError
 from benchgen.problems import get_problem
 from benchgen.runner import (
@@ -213,6 +217,46 @@ def test_limiter_prefix_wraps_command(tmp_path):
         limiter_prefix="env BENCH_CAP_MB={mem_limit_mb}",
     )
     assert record.status is Status.SAT
+
+
+def cap_reporting_adapter(tmp_path):
+    script = tmp_path / "cap.sh"
+    script.write_text(
+        'echo "% cap $(ulimit -v)"\n'
+        "echo 'take = [0]'; echo 'objective = 0'; echo ----------\n"
+    )
+    return SolverAdapter(name="cap", command=f"sh {script}" + TRAIL)
+
+
+def test_default_memory_cap_reaches_the_command(tmp_path):
+    mem_limit = 512 * 1024 * 1024
+    record = run_solver(
+        cap_reporting_adapter(tmp_path), KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
+        5.0, workdir=tmp_path / "runs", mem_limit=mem_limit,
+    )
+    assert record.status is Status.SAT
+    (log,) = (tmp_path / "runs").glob("run_*/run.log")
+    assert f"% cap {mem_limit // 1024}\n" in log.read_text()
+
+
+def test_refused_memory_cap_still_runs_the_command(tmp_path):
+    # Under a hard limit of 4 GB, an 8 GB cap is refused; the run goes on.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from benchgen.problems import get_problem\n"
+        "from benchgen.runner import SolverAdapter, run_solver\n"
+        f"adapter = SolverAdapter(name='cap', command={cap_reporting_adapter(tmp_path).command!r})\n"
+        "record = run_solver(adapter, get_problem('knapsack'),\n"
+        "                    {'weight': [1], 'value': [1], 'capacity': 1}, 5.0,\n"
+        f"                    workdir={str(tmp_path / 'runs')!r}, mem_limit=8 << 30)\n"
+        "print(record.status.value)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(benchgen.__file__).parents[1])}
+    done = subprocess.run([PY, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.stdout.split() == ["sat"], done.stderr
+    (log,) = (tmp_path / "runs").glob("run_*/run.log")
+    assert f"% cap {4 << 20}\n" in log.read_text()
 
 
 def test_zero_time_limit_yields_timeout_record():

@@ -114,7 +114,7 @@ def test_sample_from_model_clamps_to_bounds():
 def test_update_model_unanimous_elites():
     space = parse_space("p: 1..9")
     elites = [make_configuration(space, {"p": 4}) for _ in range(3)]
-    model = update_sampling_model(None, elites, 1, space=space)
+    model = update_sampling_model(None, elites, space=space)
     assert all(c["p"] == 4 for c in model.centers)
 
 
@@ -124,16 +124,16 @@ def test_update_model_spread_decay_closed_form():
     elites = [make_configuration(space, {"p": 10})]
     model = None
     for i in range(3):
-        model = update_sampling_model(model, elites, i + 1, space=space)
+        model = update_sampling_model(model, elites, space=space)
     assert math.isclose(model.spread["p"], 10 * 0.8**3)
 
 
 def test_update_model_spread_floor():
     space = parse_space("p: 1..3")  # initial spread already at the floor of 1
     elites = [make_configuration(space, {"p": 2})]
-    model = update_sampling_model(None, elites, 1, space=space)
+    model = update_sampling_model(None, elites, space=space)
     for i in range(10):
-        model = update_sampling_model(model, elites, i + 2, space=space)
+        model = update_sampling_model(model, elites, space=space)
         assert model.spread["p"] == 1.0
 
 
@@ -144,7 +144,7 @@ def test_update_model_never_increases_spread():
     previous = initial_spread(space)
     for i in range(8):
         elites = [sample_uniform(space, rng) for _ in range(3)]
-        model = update_sampling_model(model, elites, i + 1, space=space)
+        model = update_sampling_model(model, elites, space=space)
         for name in space.names:
             assert model.spread[name] <= previous[name]
         previous = dict(model.spread)
@@ -181,7 +181,7 @@ def test_sampling_respects_bounds_fuzz():
         space = parse_space("; ".join(parts))
         draw_rng = Random(rng.randint(0, 10**9))
         configs = [sample_uniform(space, draw_rng) for _ in range(5)]
-        model = update_sampling_model(None, configs[:2], 1, space=space)
+        model = update_sampling_model(None, configs[:2], space=space)
         configs += [sample_from_model(space, model, draw_rng) for _ in range(5)]
         for config in configs:
             for spec in space.params:
