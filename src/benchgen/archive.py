@@ -17,6 +17,7 @@ Layout of a campaign directory:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -40,7 +41,7 @@ class CampaignArchive:
         (archive.root / "instances").mkdir(exist_ok=True)
         (archive.root / "records").mkdir(exist_ok=True)
         (archive.root / "reports").mkdir(exist_ok=True)
-        (archive.root / "config.json").write_text(json.dumps(dict(meta), indent=2))
+        archive.write_meta(meta)
         (archive.root / "space.txt").write_text(space_text)
         (archive.root / "generator.model").write_text(model_text)
         return archive
@@ -55,6 +56,13 @@ class CampaignArchive:
     @property
     def meta(self) -> dict[str, Any]:
         return json.loads((self.root / "config.json").read_text())
+
+    def write_meta(self, meta: Mapping[str, Any]) -> None:
+        """Replace config.json through a temporary file and a rename, so a
+        crash leaves either the old or the new metadata whole."""
+        tmp = self.root / "config.json.tmp"
+        tmp.write_text(json.dumps(dict(meta), indent=2))
+        os.replace(tmp, self.root / "config.json")
 
     @property
     def space_text(self) -> str:

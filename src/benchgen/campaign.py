@@ -7,7 +7,6 @@ interrupted campaign can be resumed by replaying the recorded evaluations.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -146,6 +145,19 @@ def run_campaign(
     replay: dict[tuple[str, int], dict[str, Any]] = {}
     if resume and (out_dir / "config.json").exists():
         archive = CampaignArchive.open(out_dir)
+        # Replay only reproduces the recorded prefix under the same inputs.
+        if archive.space_text != space_text:
+            raise ArchiveError(f"cannot resume {out_dir}: the space differs from its space.txt")
+        if archive.model_text != model_text:
+            raise ArchiveError(
+                f"cannot resume {out_dir}: the model differs from its generator.model"
+            )
+        recorded_seed = archive.meta.get("seed")
+        if recorded_seed != tuner_config.seed:
+            raise ArchiveError(
+                f"cannot resume {out_dir}: seed {tuner_config.seed} differs from "
+                f"the recorded seed {recorded_seed}"
+            )
         archive.drop_torn_record()
         occurrence: dict[str, int] = {}
         for entry in archive.evaluations():
@@ -154,7 +166,7 @@ def run_campaign(
             occurrence[cid] = occurrence.get(cid, 0) + 1
         history = archive.load_history()
         # Keep the recorded settings in step with this invocation.
-        (out_dir / "config.json").write_text(json.dumps(meta, indent=2))
+        archive.write_meta(meta)
     else:
         if (out_dir / "records" / "evals.jsonl").exists():
             raise ArchiveError(

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Protocol, Sequence
 
-from scipy import stats as _sstats
-
 from .errors import DegenerateInput, ValidationError
 from .runner import RunStatus
 from .space import (
@@ -53,6 +51,8 @@ class TunerConfig:
             raise ValidationError("elimination_alpha must be in (0, 1)")
         if self.min_survivors < 1 or self.instances_per_step < 1:
             raise ValidationError("min_survivors and instances_per_step must be positive")
+        if self.workers < 1:
+            raise ValidationError("workers must be positive")
 
     @property
     def race_size(self) -> int:
@@ -103,6 +103,76 @@ def _rank_sums(matrix: Sequence[Sequence[float]]) -> tuple[list[list[float]], li
     return rank_rows, [sum(r[j] for r in rank_rows) for j in range(len(matrix[0]))]
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail Q(x | df) of the chi-square distribution, integer df >= 1.
+
+    Abramowitz & Stegun 26.4.4/26.4.5: for even df a finite Poisson sum,
+    exp(-x/2) * sum_{i < df/2} (x/2)^i / i!; for odd df
+    erfc(sqrt(x/2)) + sqrt(2/pi) exp(-x/2) * sum_{r=1}^{(df-1)/2} x^(r-1/2) / (2r-1)!!.
+    Every term is positive, so there is no cancellation. exp(-x/2) is
+    folded into the first term, so a huge x underflows to 0, never to nan.
+    """
+    if x <= 0:
+        return 1.0
+    half = x / 2
+    if df % 2 == 0:
+        term = tail = math.exp(-half)
+        for i in range(1, df // 2):
+            term *= half / i
+            tail += term
+    else:
+        term = math.sqrt(2 / math.pi) * math.exp(-half) * math.sqrt(x)
+        tail = math.erfc(math.sqrt(half))
+        for r in range(1, (df + 1) // 2):
+            tail += term
+            term *= x / (2 * r + 1)
+    return min(tail, 1.0)
+
+
+def _t_central(t: float, df: int) -> float:
+    """A(t | df) = P(|T| <= t) of Student's t, for t >= 0 and integer df >= 1.
+
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df), finite
+    series in cos^2(theta) with theta = atan(t / sqrt(df)):
+    even df: sin(theta) (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ... up to cos^(df-2));
+    odd df: (2/pi) (theta + sin(theta) cos(theta) (1 + 2/3 cos^2 + ... up to
+    cos^(df-3))), just 2 theta / pi for df = 1.
+    """
+    theta = math.atan(t / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    cos2 = cos * cos
+    odd = df % 2
+    term = series = 0.0 if df == 1 else 1.0
+    for r in range(1, (df - odd) // 2):
+        term *= cos2 * (2 * r - 1 + odd) / (2 * r + odd)
+        series += term
+    if not odd:
+        return sin * series
+    return 2 / math.pi * (theta + sin * cos * series)
+
+
+def _t_ppf(q: float, df: int) -> float:
+    """Quantile of Student's t with integer df >= 1, for q in [0.5, 1].
+
+    Inverts P(T <= t) = (1 + A(t | df)) / 2 by bisection, until the
+    midpoint equals one of the two ends.
+    """
+    if q >= 1:
+        return math.inf
+    target = 2 * q - 1
+    lo, hi = 0.0, 1.0
+    while _t_central(hi, df) < target:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            return mid
+        if _t_central(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def friedman_eliminate(
     matrix: Sequence[Sequence[float]], alpha: float
 ) -> FriedmanResult:
@@ -140,7 +210,7 @@ def friedman_eliminate(
         statistic = 0.0
     else:
         statistic = numerator / denominator
-    p_value = float(_sstats.chi2.sf(statistic, k - 1)) if statistic > 0 else 1.0
+    p_value = _chi2_sf(statistic, k - 1) if statistic > 0 else 1.0
     significant = p_value < alpha
 
     eliminated: set[int] = set()
@@ -148,9 +218,7 @@ def friedman_eliminate(
     if significant:
         df = (n - 1) * (k - 1)
         spread = max(n * a_sq - sum(rs * rs for rs in rank_sums), 0.0)
-        critical_difference = float(
-            _sstats.t.ppf(1 - alpha / 2, df) * math.sqrt(2.0 * spread / df)
-        )
+        critical_difference = _t_ppf(1 - alpha / 2, df) * math.sqrt(2.0 * spread / df)
         best = min(rank_sums)
         eliminated = {
             j for j, rs in enumerate(rank_sums) if rs - best > critical_difference

@@ -1,11 +1,13 @@
 """End-to-end campaign runs: archiving, determinism, resume-by-replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from benchgen.archive import CampaignArchive
 from benchgen.campaign import graded_instance_ids, policy_from_meta, run_campaign
+from benchgen.errors import ArchiveError
 from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
 from benchgen.runner import SolverAdapter
@@ -27,10 +29,10 @@ def banded_policy():
     )
 
 
-def run(out, budget=30, seed=11, resume=False, model_text=None):
+def run(out, budget=30, seed=11, resume=False, model_text=None, space_text=SPACE_TEXT):
     return run_campaign(
         out,
-        SPACE_TEXT,
+        space_text,
         model_text or (
             "var capacity : int 1..50\n"
             "var weight[2] : int 1..9\n"
@@ -195,3 +197,54 @@ def test_resume_still_rejects_corrupt_middle_record(tmp_path, generator_model_te
     evals.write_text("".join(lines))
     with pytest.raises(json.JSONDecodeError):
         run(tmp_path / "camp", budget=30, resume=True, model_text=generator_model_text)
+
+
+def archive_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_resume_rejects_a_changed_space(tmp_path, generator_model_text):
+    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    before = archive_files(tmp_path / "camp")
+    with pytest.raises(ArchiveError, match="space"):
+        run(tmp_path / "camp", resume=True, model_text=generator_model_text, space_text="cap_t: 20..29")
+    assert archive_files(tmp_path / "camp") == before
+
+
+def test_resume_rejects_a_changed_model(tmp_path, generator_model_text):
+    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    before = archive_files(tmp_path / "camp")
+    heavier = generator_model_text.replace("weight[2] : int 1..9", "weight[2] : int 20..29")
+    with pytest.raises(ArchiveError, match="model"):
+        run(tmp_path / "camp", resume=True, model_text=heavier)
+    assert archive_files(tmp_path / "camp") == before
+
+
+def test_resume_rejects_a_changed_seed(tmp_path, generator_model_text):
+    run(tmp_path / "camp", budget=18, seed=11, model_text=generator_model_text)
+    before = archive_files(tmp_path / "camp")
+    with pytest.raises(ArchiveError, match="seed"):
+        run(tmp_path / "camp", seed=12, resume=True, model_text=generator_model_text)
+    assert archive_files(tmp_path / "camp") == before
+
+
+def test_resume_crash_while_writing_config_keeps_the_old_one(
+    tmp_path, generator_model_text, monkeypatch
+):
+    out = tmp_path / "camp"
+    run(out, budget=18, model_text=generator_model_text)
+    old = (out / "config.json").read_text()
+
+    def torn_write(path, data, *args, **kwargs):
+        with open(path, "w") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            run(out, budget=30, resume=True, model_text=generator_model_text)
+    assert (out / "config.json").read_text() == old
+
+    run(out, budget=30, resume=True, model_text=generator_model_text)
+    assert CampaignArchive.open(out).meta["total_budget"] == 30

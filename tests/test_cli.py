@@ -1,11 +1,15 @@
 """CLI subcommands driven end to end on a tiny campaign."""
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
+import benchgen
 from benchgen.cli import main, parse_mem_limit
 
 from conftest import GENERATOR_MODEL, fabricate_graded_archive
@@ -99,6 +103,16 @@ def test_tune_resume_flag(workspace, capsys):
     assert len(lines) == 24
 
 
+def test_tune_resume_with_another_seed_is_reported(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "resume"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    capsys.readouterr()
+    assert main(["tune", config, "--out", str(out), "--budget", "24", "--seed", "12", "--resume"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot resume")
+    assert len((out / "tuner.log").read_text().splitlines()) == 12
+
+
 def test_missing_config_is_reported(tmp_path, capsys):
     code = main(["tune", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "x")])
     assert code == 2
@@ -113,6 +127,8 @@ def test_missing_config_is_reported(tmp_path, capsys):
         ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--mem-limit", "lots"],
         ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--mem-limit=-1G"],
         ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--mem-limit", "0"],
+        ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--workers", "0"],
+        ["tune", "{ws}/campaign.ini", "--out", "{ws}/camp", "--workers=-1"],
     ],
     ids=[
         "combine-negative-k",
@@ -120,6 +136,8 @@ def test_missing_config_is_reported(tmp_path, capsys):
         "tune-bad-mem-limit",
         "tune-negative-mem-limit",
         "tune-zero-mem-limit",
+        "tune-zero-workers",
+        "tune-negative-workers",
     ],
 )
 def test_bad_input_is_reported_not_raised(workspace, capsys, argv):
@@ -188,3 +206,27 @@ def test_evaluate_leaves_no_run_directories_in_tmp(workspace, capsys, monkeypatc
     assert list(tmp.iterdir()) == []
     assert list((workspace / "eval" / "runs").glob("run_*"))
     capsys.readouterr()
+
+
+NO_SCIPY_QUICK_START = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import benchgen.cli
+heavy = sorted(m for m, mod in sys.modules.items() if mod and m.split(".")[0] in ("scipy", "numpy"))
+assert not heavy, heavy
+ws = sys.argv[1]
+assert benchgen.cli.main(["tune", ws + "/campaign.ini", "--out", ws + "/camp", "--budget", "24"]) == 0
+assert benchgen.cli.main(["report", ws + "/camp"]) == 0
+assert benchgen.cli.main(["check", ws + "/camp"]) == 0
+"""
+
+
+def test_quick_start_runs_without_scipy(workspace):
+    src = str(Path(benchgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_QUICK_START, str(workspace)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert (workspace / "camp" / "reports" / "status_frequencies.csv").exists()

@@ -11,6 +11,8 @@ from benchgen.runner import RunStatus
 from benchgen.space import parse_space
 from benchgen.tuner import (
     TunerConfig,
+    _chi2_sf,
+    _t_ppf,
     friedman_eliminate,
     race,
     run_tuning,
@@ -118,6 +120,29 @@ def test_duplicating_blocks_never_uneliminates():
         once = friedman_eliminate(matrix, 0.05)
         twice = friedman_eliminate(matrix * 2, 0.05)
         assert once.eliminated <= twice.eliminated
+
+
+# -- chi-square tail and Student-t quantile against scipy ---------------------
+
+
+def test_chi2_sf_matches_scipy_over_a_grid():
+    # x from 0 to 150 in steps of 1/4, then far into the tail (p near 0);
+    # df 1 is the k = 2 case.
+    xs = [i / 4 for i in range(601)] + [1e-9, 300.0, 600.0, 1000.0]
+    for df in range(1, 61):
+        for x, ref in zip(xs, stats.chi2.sf(xs, df)):
+            if ref > 1e-300:
+                assert _chi2_sf(x, df) == pytest.approx(float(ref), rel=1e-12, abs=0), (x, df)
+
+
+def test_t_ppf_matches_scipy_over_a_grid():
+    # Every df up to 100 (df 1 is k = 2 with two blocks), then both parities
+    # up to 2000; the series has df/2 terms, so a dense top end is slow.
+    dfs = list(range(1, 101)) + list(range(101, 2001, 49)) + [1999, 2000]
+    for alpha in (0.01, 0.05, 0.1, 0.2):
+        for df, ref in zip(dfs, stats.t.ppf(1 - alpha / 2, dfs)):
+            got = _t_ppf(1 - alpha / 2, df)
+            assert got == pytest.approx(float(ref), rel=1e-12, abs=0), (alpha, df)
 
 
 # -- racing --------------------------------------------------------------------
