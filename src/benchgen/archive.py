@@ -5,13 +5,17 @@ Layout of a campaign directory:
     config.json          campaign metadata (kind, problem, solvers, limits, seed)
     space.txt          parameter-space text
     generator.model    generator model text
-    instances/         <id>.inst canonical text + <id>.json sidecar
+    instances/         <id>.inst canonical text, one file per instance
     records/evals.jsonl  one JSON object per evaluation
     tuner.log          one line per evaluation
     history.json       solution history (negative tables), written when
-                       the campaign ends; resume rebuilds the history from
-                       the sidecars of the recorded instances instead
+                       the campaign ends; resume rebuilds the history
+                       from evals.jsonl and the .inst files instead
     reports/           outputs of the report subcommand
+
+An instance's decision values are its .inst values minus the parameter
+names of space.txt; everything else about it is in its evaluation record.
+Older archives also hold an <id>.json sidecar per instance, which is ignored.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Any, Iterator, Mapping
 
 from .errors import ArchiveError
 from .gensolve import CandidateInstance, SolutionHistory
-from .valuetext import canonical_key, parse_values, values_from_jsonable, values_to_jsonable
+from .space import parse_space
+from .valuetext import canonical_key, parse_values
 
 
 class CampaignArchive:
@@ -75,17 +80,14 @@ class CampaignArchive:
     # -- instances ---------------------------------------------------------
 
     def add_instance(self, instance: CandidateInstance) -> None:
-        stem = self.root / "instances" / instance.id
-        stem.with_suffix(".inst").write_text(instance.canonical_text)
-        sidecar = {
-            "id": instance.id,
-            "config_id": instance.config_id,
-            "sequence": instance.sequence,
-            "decision_values": values_to_jsonable(instance.decision_values),
-        }
-        stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+        """Write ``<id>.inst``; it is whole before its evaluation is recorded."""
+        (self.root / "instances" / f"{instance.id}.inst").write_text(instance.canonical_text)
 
     def annotate_instance(self, instance_id: str, extra: Mapping[str, Any]) -> None:
+        """Merge ``extra`` into an older archive's ``<id>.json`` sidecar.
+
+        Nothing calls this; it stays while perfbench/tracing.py wraps it by name.
+        """
         path = self.root / "instances" / f"{instance_id}.json"
         if not path.exists():
             raise ArchiveError(f"unknown instance {instance_id}")
@@ -103,7 +105,24 @@ class CampaignArchive:
         return (self.root / "instances" / f"{instance_id}.inst").read_text()
 
     def instance_sidecar(self, instance_id: str) -> dict[str, Any]:
-        return json.loads((self.root / "instances" / f"{instance_id}.json").read_text())
+        """A recorded instance's id, config, sequence and decision values, and
+        its evaluation's penalty and status."""
+        entry = next((e for e in self.evaluations() if e.get("instance_id") == instance_id), None)
+        if entry is None:
+            raise ArchiveError(f"unknown instance {instance_id}")
+        config_id, space_names = entry["config_id"], parse_space(self.space_text).names
+        return {
+            "id": instance_id,
+            "config_id": config_id,
+            "sequence": int(instance_id[len(config_id) + 1:]),
+            "decision_values": self._decision_values(instance_id, space_names),
+            "penalty": entry["penalty"],
+            "status": entry["status"],
+        }
+
+    def _decision_values(self, instance_id: str, space_names: tuple[str, ...]) -> dict[str, Any]:
+        values = self.instance_values(instance_id)
+        return {name: v for name, v in values.items() if name not in space_names}
 
     def instance_ids(self) -> list[str]:
         return sorted(p.stem for p in (self.root / "instances").glob("*.inst"))
@@ -166,18 +185,18 @@ class CampaignArchive:
         history.save(self.root / "history.json")
 
     def load_history(self) -> SolutionHistory:
-        """The solution history of the recorded evaluations, from their sidecars.
+        """The solution history of the recorded evaluations, from their ``.inst``.
 
         ``history.json`` is not read: it is only written when a campaign
-        ends, so after a crash it lags the records. A sidecar is complete
-        before its evaluation is recorded.
+        ends, so after a crash it lags the records. An ``.inst`` is whole
+        before its evaluation is recorded; one without a record is ignored.
         """
+        space_names = parse_space(self.space_text).names
         history = SolutionHistory()
         for entry in self.evaluations():
             if entry.get("instance_id"):
-                sidecar = self.instance_sidecar(entry["instance_id"])
-                decision = values_from_jsonable(sidecar["decision_values"])
-                history.add(sidecar["config_id"], canonical_key(decision))
+                decision = self._decision_values(entry["instance_id"], space_names)
+                history.add(entry["config_id"], canonical_key(decision))
         return history
 
     @property

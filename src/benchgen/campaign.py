@@ -7,7 +7,7 @@ interrupted campaign can be resumed by replaying the recorded evaluations.
 
 from __future__ import annotations
 
-import math
+import json
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -152,12 +152,14 @@ def run_campaign(
             raise ArchiveError(
                 f"cannot resume {out_dir}: the model differs from its generator.model"
             )
-        recorded_seed = archive.meta.get("seed")
-        if recorded_seed != tuner_config.seed:
-            raise ArchiveError(
-                f"cannot resume {out_dir}: seed {tuner_config.seed} differs from "
-                f"the recorded seed {recorded_seed}"
-            )
+        recorded, wanted = archive.meta, json.loads(json.dumps(meta))
+        differs = "; ".join(
+            f"{key} {wanted.get(key)!r} differs from the recorded {recorded.get(key)!r}"
+            for key in sorted((recorded.keys() | wanted.keys()) - {"total_budget"})
+            if recorded.get(key) != wanted.get(key)
+        )
+        if differs:
+            raise ArchiveError(f"cannot resume {out_dir}: {differs} (only the budget may change)")
         archive.drop_torn_record()
         occurrence: dict[str, int] = {}
         for entry in archive.evaluations():
@@ -165,8 +167,7 @@ def run_campaign(
             replay[(cid, occurrence.get(cid, 0))] = entry
             occurrence[cid] = occurrence.get(cid, 0) + 1
         history = archive.load_history()
-        # Keep the recorded settings in step with this invocation.
-        archive.write_meta(meta)
+        archive.write_meta(meta)  # the new budget
     else:
         if (out_dir / "records" / "evals.jsonl").exists():
             raise ArchiveError(
@@ -204,6 +205,7 @@ def run_campaign(
         if isinstance(result, _ReplayResult):
             return  # already archived
         if result.instance is not None:
+            # Before the record, so a recorded instance has its whole .inst.
             archive.add_instance(result.instance)
         eval_seq += 1
         record: dict[str, Any] = {
@@ -225,21 +227,11 @@ def run_campaign(
                 "time": result.oracle.time,
                 "infeasible": result.oracle.infeasible,
             }
-        if result.instance is not None:
-            # Before the record, so a recorded instance has a whole sidecar.
-            archive.annotate_instance(
-                result.instance.id,
-                {"penalty": _json_penalty(result.penalty), "status": result.status.value},
-            )
         archive.add_evaluation(record)
 
     report = run_tuning(space, evaluator, tuner_config, log=log_sink)
     archive.save_history(history)
     return CampaignResult(archive=archive, report=report)
-
-
-def _json_penalty(penalty: float) -> float | str:
-    return "inf" if math.isinf(penalty) and penalty > 0 else penalty
 
 
 def graded_instance_ids(archive: CampaignArchive) -> list[str]:

@@ -129,48 +129,70 @@ def _chi2_sf(x: float, df: int) -> float:
     return min(tail, 1.0)
 
 
-def _t_central(t: float, df: int) -> float:
-    """A(t | df) = P(|T| <= t) of Student's t, for t >= 0 and integer df >= 1.
+def _t_tail(t: float, df: int) -> float:
+    """P(|T| > t) = 1 - A(t | df) of Student's t, for t >= 0 and integer df >= 1.
 
-    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df), finite
-    series in cos^2(theta) with theta = atan(t / sqrt(df)):
-    even df: sin(theta) (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ... up to cos^(df-2));
-    odd df: (2/pi) (theta + sin(theta) cos(theta) (1 + 2/3 cos^2 + ... up to
-    cos^(df-3))), just 2 theta / pi for df = 1.
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df): with
+    c = cos^2(theta), theta = atan(t / sqrt(df)), A = sin(theta) S for even
+    df and (2/pi) (theta + sin(theta) cos(theta) S) for odd df, where S holds
+    the first df // 2 terms of a series in c whose full sum makes A = 1. So
+    1 - A is the same factor times the rest of that series, whose terms are
+    positive and shrink like c^j. The rest converges slowly for c near 1,
+    where 1 - A is large, so it is summed only when 1 - A < 2^-10; above
+    that, subtracting from 1 loses at most 10 bits. sin and cos come from t
+    and sqrt(df), not from theta, which rounds near pi/2.
     """
-    theta = math.atan(t / math.sqrt(df))
-    sin, cos = math.sin(theta), math.cos(theta)
-    cos2 = cos * cos
+    root = math.sqrt(df)
+    r = math.hypot(t, root)
+    sin, cos = t / r, root / r
+    c = cos * cos
     odd = df % 2
-    term = series = 0.0 if df == 1 else 1.0
-    for r in range(1, (df - odd) // 2):
-        term *= cos2 * (2 * r - 1 + odd) / (2 * r + odd)
-        series += term
-    if not odd:
-        return sin * series
-    return 2 / math.pi * (theta + sin * cos * series)
+    term, head = 1.0, 0.0
+    for j in range(df // 2):
+        head += term
+        term *= c * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if odd:
+        factor = 2 / math.pi * sin * cos
+        tail = 1 - 2 / math.pi * math.atan(t / root) - factor * head
+    else:
+        factor = sin
+        tail = 1 - factor * head
+    if tail >= 2**-10:
+        return tail
+    rest, j = 0.0, df // 2
+    while rest + term != rest:
+        rest += term
+        term *= c * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        j += 1
+    return factor * rest
 
 
-def _t_ppf(q: float, df: int) -> float:
-    """Quantile of Student's t with integer df >= 1, for q in [0.5, 1].
+def _t_two_sided(alpha: float, df: int) -> float:
+    """The t with P(|T| > t) = alpha for Student's t with integer df >= 1.
 
-    Inverts P(T <= t) = (1 + A(t | df)) / 2 by bisection, until the
-    midpoint equals one of the two ends.
+    Bisects on ``_t_tail`` until the midpoint equals one of the two ends.
     """
-    if q >= 1:
-        return math.inf
-    target = 2 * q - 1
     lo, hi = 0.0, 1.0
-    while _t_central(hi, df) < target:
+    while _t_tail(hi, df) > alpha:
         lo, hi = hi, 2 * hi
     while True:
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
             return mid
-        if _t_central(mid, df) < target:
+        if _t_tail(mid, df) > alpha:
             lo = mid
         else:
             hi = mid
+
+
+def _t_ppf(q: float, df: int) -> float:
+    """Quantile of Student's t with integer df >= 1, for q in [0.5, 1].
+
+    For such q, 1 - q is exact, so the two-sided tail 2 (1 - q) is too.
+    """
+    if q >= 1:
+        return math.inf
+    return _t_two_sided(2 * (1 - q), df)
 
 
 def friedman_eliminate(
@@ -218,7 +240,7 @@ def friedman_eliminate(
     if significant:
         df = (n - 1) * (k - 1)
         spread = max(n * a_sq - sum(rs * rs for rs in rank_sums), 0.0)
-        critical_difference = _t_ppf(1 - alpha / 2, df) * math.sqrt(2.0 * spread / df)
+        critical_difference = _t_two_sided(alpha, df) * math.sqrt(2.0 * spread / df)
         best = min(rank_sums)
         eliminated = {
             j for j, rs in enumerate(rank_sums) if rs - best > critical_difference

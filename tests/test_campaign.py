@@ -1,6 +1,7 @@
 """End-to-end campaign runs: archiving, determinism, resume-by-replay."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPoli
 from benchgen.problems import get_problem
 from benchgen.runner import SolverAdapter
 from benchgen.tuner import TunerConfig
-from benchgen.valuetext import canonical_key
+from benchgen.valuetext import canonical_key, values_to_jsonable
 
 KNAPSACK = get_problem("knapsack")
 SPACE_TEXT = "cap_t: 1..50"
@@ -248,3 +249,118 @@ def test_resume_crash_while_writing_config_keeps_the_old_one(
 
     run(out, budget=30, resume=True, model_text=generator_model_text)
     assert CampaignArchive.open(out).meta["total_budget"] == 30
+
+
+def resume_with(out, model_text, policy=None, limits=FAST_LIMITS):
+    return run_campaign(
+        out,
+        SPACE_TEXT,
+        model_text,
+        policy or banded_policy(),
+        TunerConfig(total_budget=30, first_race_size=6, seed=11),
+        limits,
+        resume=True,
+    )
+
+
+def test_resume_rejects_a_changed_t_max(tmp_path, generator_model_text):
+    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    before = archive_files(tmp_path / "camp")
+    with pytest.raises(ArchiveError, match="t_max"):
+        resume_with(tmp_path / "camp", generator_model_text, policy=replace(banded_policy(), t_max=3.0))
+    assert archive_files(tmp_path / "camp") == before
+
+
+def test_resume_rejects_a_changed_solver(tmp_path, generator_model_text):
+    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    before = archive_files(tmp_path / "camp")
+    slower = SolverAdapter(name="band", builtin="synthetic:capacity / 5")
+    with pytest.raises(ArchiveError, match="solver"):
+        resume_with(tmp_path / "camp", generator_model_text, policy=replace(banded_policy(), solver=slower))
+    assert archive_files(tmp_path / "camp") == before
+
+
+def test_resume_rejects_a_changed_solve_limit(tmp_path, generator_model_text):
+    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    before = archive_files(tmp_path / "camp")
+    with pytest.raises(ArchiveError, match="limits"):
+        resume_with(tmp_path / "camp", generator_model_text, limits=replace(FAST_LIMITS, solve_limit=6.0))
+    assert archive_files(tmp_path / "camp") == before
+
+
+def test_instances_hold_one_inst_per_recorded_instance(tmp_path, generator_model_text):
+    out = tmp_path / "camp"
+    archive = run(out, budget=60, model_text=generator_model_text).archive
+    recorded = [e for e in archive.evaluations() if e["instance_id"]]
+    assert sorted(p.name for p in (out / "instances").iterdir()) == sorted(
+        f"{e['instance_id']}.inst" for e in recorded
+    )
+    # The sidecar view is derived from the record and the .inst.
+    for entry in recorded[:5]:
+        iid = entry["instance_id"]
+        values = archive.instance_values(iid)
+        del values["cap_t"]
+        assert archive.instance_sidecar(iid) == {
+            "id": iid,
+            "config_id": entry["config_id"],
+            "sequence": int(iid.rsplit("-", 1)[1]),
+            "decision_values": values,
+            "penalty": entry["penalty"],
+            "status": entry["status"],
+        }
+    with pytest.raises(ArchiveError):
+        archive.instance_sidecar("nosuchconfig-0000")
+
+
+def test_resume_ignores_sidecars_of_older_archives(tmp_path, generator_model_text):
+    fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
+    out = tmp_path / "steps"
+    archive = run(out, budget=18, model_text=generator_model_text).archive
+    # The per-instance .json that archives carried before they kept one file
+    # per instance, annotated with the evaluation's penalty and status.
+    for entry in archive.evaluations():
+        if entry["instance_id"]:
+            iid, cid = entry["instance_id"], entry["config_id"]
+            values = archive.instance_values(iid)
+            del values["cap_t"]
+            sidecar = {
+                "id": iid,
+                "config_id": cid,
+                "sequence": int(iid[len(cid) + 1:]),
+                "decision_values": values_to_jsonable(values),
+                "penalty": entry["penalty"],
+                "status": entry["status"],
+            }
+            (out / "instances" / f"{iid}.json").write_text(json.dumps(sidecar, indent=2))
+    sidecars = {p.name: p.read_bytes() for p in (out / "instances").glob("*.json")}
+    assert sidecars
+
+    run(out, budget=30, resume=True, model_text=generator_model_text)
+    assert (out / "tuner.log").read_bytes() == (tmp_path / "full" / "tuner.log").read_bytes()
+    evals = "records/evals.jsonl"
+    assert (out / evals).read_bytes() == (tmp_path / "full" / evals).read_bytes()
+    assert {p.name: p.read_bytes() for p in (out / "instances").glob("*.json")} == sidecars
+    assert fresh.report.evaluations_used == CampaignArchive.open(out).evaluation_count()
+
+
+def test_resume_rewrites_an_orphan_instance(tmp_path, generator_model_text):
+    run(tmp_path / "full", budget=30, model_text=generator_model_text)
+    out = tmp_path / "steps"
+    run(out, budget=18, model_text=generator_model_text)
+    # A crash after add_instance and before add_evaluation: the last
+    # instance's .inst is whole, but its record was never appended.
+    evals = out / "records" / "evals.jsonl"
+    lines = evals.read_text().splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if json.loads(line)["instance_id"])
+    orphan = json.loads(lines[last])["instance_id"]
+    evals.write_text("".join(lines[:last]))
+    orphan_path = out / "instances" / f"{orphan}.inst"
+    orphan_text = orphan_path.read_bytes()
+
+    archive = run(out, budget=30, resume=True, model_text=generator_model_text).archive
+    assert orphan_path.read_bytes() == orphan_text
+    assert orphan_path.read_bytes() == (tmp_path / "full" / "instances" / f"{orphan}.inst").read_bytes()
+    assert evals.read_bytes() == (tmp_path / "full" / "records" / "evals.jsonl").read_bytes()
+    ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
+    assert orphan in ids
+    assert len(set(ids)) == len(ids)

@@ -113,6 +113,16 @@ def test_tune_resume_with_another_seed_is_reported(workspace, capsys):
     assert len((out / "tuner.log").read_text().splitlines()) == 12
 
 
+def test_tune_resume_with_another_t_max_is_reported(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "resume"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    capsys.readouterr()
+    assert main(["tune", config, "--out", str(out), "--budget", "24", "--t-max", "3", "--resume"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot resume")
+    assert len((out / "tuner.log").read_text().splitlines()) == 12
+
+
 def test_missing_config_is_reported(tmp_path, capsys):
     code = main(["tune", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "x")])
     assert code == 2

@@ -2,13 +2,15 @@
 
 import itertools
 import sys
+import tempfile
 import threading
 from random import Random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from benchgen.archive import CampaignArchive
 from benchgen.csp import (
     CspConstraint,
     CspVariable,
@@ -250,7 +252,7 @@ CONSTRAINT_TEMPLATES = (
 
 
 @st.composite
-def cursor_models(draw):
+def cursor_models(draw, set_array=False):
     x_lo = draw(st.integers(-1, 1))
     x_hi = x_lo + draw(st.integers(0, 2))
     a_hi = draw(st.integers(0, 2))
@@ -259,6 +261,8 @@ def cursor_models(draw):
         f"var a[n] : int 0..{a_hi}",
         "var s : set of 1..2",
     ]
+    if set_array:
+        lines.append("var t[n] : set of 1..2")
     templates = draw(st.lists(st.sampled_from(CONSTRAINT_TEMPLATES), max_size=3))
     for template in templates:
         lines.append("constraint " + template.format(c=draw(st.integers(0, 4))))
@@ -317,6 +321,35 @@ def test_cursor_resume_matches_exclusion_scan(case):
     assert scanned[-1] is GenOutcome.UNSAT
     # Integer-interval pruning never refutes a solution.
     assert {key for _, key in scanned[:-1]} == brute_force_keys(model, config)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cursor_models(set_array=True))
+@example(("var x : int 0..0\nvar a[n] : int 0..1\nvar s : set of 1..2\nvar t[n] : set of 1..2",
+          {"n": 1, "k": 0}))
+def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
+    # Resume rebuilds each negative table from the archived .inst files:
+    # their values minus the parameter names are the decision values. The
+    # first 48 solutions of each case (lex order: empty sets come first).
+    model_text, values = case
+    model = parse_model(CURSOR_SPACE, model_text)
+    config = make_configuration(CURSOR_SPACE, values)
+    history = SolutionHistory()
+    with tempfile.TemporaryDirectory() as root:
+        archive = CampaignArchive.create(root, {}, "n: 1..2; k: 0..4", model_text)
+        keys = {}
+        while len(keys) < 48 and (result := solve_generator(model, config, history, 5.0, 5.0)).instance:
+            instance = result.instance
+            record_solution(history, config.id, instance)
+            archive.add_instance(instance)
+            archive.add_evaluation({"config_id": config.id, "instance_id": instance.id})
+            keys[instance.id] = instance.exclusion_key
+        for iid, key in keys.items():
+            decision = {k: v for k, v in archive.instance_values(iid).items()
+                        if k not in CURSOR_SPACE.names}
+            assert canonical_key(decision) == key
+        assert archive.load_history().keys_for(config.id) == frozenset(keys.values())
 
 
 def test_loaded_history_continues_the_same_sequence(tmp_path):

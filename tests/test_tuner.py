@@ -13,6 +13,7 @@ from benchgen.tuner import (
     TunerConfig,
     _chi2_sf,
     _t_ppf,
+    _t_two_sided,
     friedman_eliminate,
     race,
     run_tuning,
@@ -142,6 +143,16 @@ def test_t_ppf_matches_scipy_over_a_grid():
     for alpha in (0.01, 0.05, 0.1, 0.2):
         for df, ref in zip(dfs, stats.t.ppf(1 - alpha / 2, dfs)):
             got = _t_ppf(1 - alpha / 2, df)
+            assert got == pytest.approx(float(ref), rel=1e-12, abs=0), (alpha, df)
+
+
+def test_t_two_sided_keeps_its_accuracy_in_the_far_tail():
+    # Bisecting on 2q - 1 with q = 1 - alpha/2 lost relative accuracy like
+    # 1e-16 / alpha: 4e-5 at alpha = 2e-12 with df 1.
+    dfs = list(range(1, 101))
+    for alpha in (1e-12, 1e-10, 1e-8, 1e-6):
+        for df, ref in zip(dfs, stats.t.isf(alpha / 2, dfs)):
+            got = _t_two_sided(alpha, df)
             assert got == pytest.approx(float(ref), rel=1e-12, abs=0), (alpha, df)
 
 
