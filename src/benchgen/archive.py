@@ -101,9 +101,6 @@ class CampaignArchive:
             raise ArchiveError(f"unknown instance {instance_id}")
         return parse_values(path.read_text())
 
-    def instance_text(self, instance_id: str) -> str:
-        return (self.root / "instances" / f"{instance_id}.inst").read_text()
-
     def instance_sidecar(self, instance_id: str) -> dict[str, Any]:
         """A recorded instance's id, config, sequence and decision values, and
         its evaluation's penalty and status."""

@@ -25,6 +25,7 @@ from .gensolve import (
 from .model import GeneratorModel
 from .problems import Problem
 from .runner import (
+    EvaluationLimits,
     OracleResult,
     RunStatus,
     SolverAdapter,
@@ -45,21 +46,6 @@ GENERATOR_TIMEOUT_PENALTY = 1.0
 GRADED_PENALTY = -1.0
 # Rank-based tuning only needs this to sit below every finite ratio.
 LARGE_NEGATIVE = -1e6
-
-
-@dataclass(frozen=True)
-class EvaluationLimits:
-    """Resource limits shared by every evaluation of a campaign."""
-
-    translate_limit: float = 300.0
-    solve_limit: float = 600.0
-    mem_limit: int | None = 8 * 1024**3
-    workdir: str | None = None
-    limiter_prefix: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.mem_limit is not None and self.mem_limit <= 0:
-            raise ValidationError(f"memory limit must be positive, got {self.mem_limit}")
 
 
 def _check_band(t_min: float, t_max: float) -> None:
@@ -266,17 +252,7 @@ def _run_and_verify(
     limits: EvaluationLimits,
     seed: int,
 ) -> SolverRecord:
-    record = run_solver(
-        adapter,
-        problem,
-        instance.values,
-        time_limit,
-        mem_limit=limits.mem_limit,
-        seed=seed,
-        workdir=limits.workdir,
-        limiter_prefix=limits.limiter_prefix,
-        instance_text=instance.canonical_text,
-    )
+    record = run_solver(adapter, problem, instance.values, time_limit, limits, seed)
     return verify_record(problem, instance.values, record)
 
 
@@ -300,9 +276,8 @@ def _evaluate_graded(
             instance.values,
             policy.oracle,
             policy.effective_oracle_budget,
-            mem_limit=limits.mem_limit,
-            seed=derive_seed(seed, instance.id, "oracle"),
-            workdir=limits.workdir,
+            limits,
+            derive_seed(seed, instance.id, "oracle"),
         )
         effective = effective_graded_record(record, oracle_result)
     status = _classify(policy, [effective])

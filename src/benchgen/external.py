@@ -6,6 +6,10 @@ the MiniZinc text convention: each solution block ends with a line of ten
 dashes, a completed search prints ten equals signs, and infeasibility is
 reported as ``=====UNSATISFIABLE=====``. A line ``objective = <int>``
 inside a block reports that solution's objective.
+
+The memory cap reaches the command through a limiter prefix: the
+configured one, or ``MEM_LIMITER``. ``run_dir`` gives each run its
+working directory, kept under a base directory or removed after the run.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import subprocess
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import ParseError, ValidationError
 from .solvers import SolverOutcome
@@ -139,8 +144,9 @@ def run_external_command(
 
     def pump() -> None:
         assert proc.stdout is not None
-        for line in proc.stdout:
-            timed_lines.append((time.monotonic() - start, line))
+        with proc.stdout:
+            for line in proc.stdout:
+                timed_lines.append((time.monotonic() - start, line))
 
     reader = threading.Thread(target=pump, daemon=True)
     reader.start()
@@ -195,8 +201,16 @@ def run_external_command(
     return SolverOutcome("error", elapsed, note="no parseable solver output")
 
 
-def make_run_dir(base: str | Path | None = None) -> Path:
-    """Fresh working directory for one external run."""
-    if base is not None:
+@contextmanager
+def run_dir(base: str | Path | None = None) -> Iterator[Path]:
+    """Fresh working directory for one external run.
+
+    Under ``base`` the directory is kept. Without ``base`` it is a temporary
+    directory, removed when the run ends; a failed removal is ignored.
+    """
+    if base is None:
+        with tempfile.TemporaryDirectory(prefix="run_", ignore_cleanup_errors=True) as tmp:
+            yield Path(tmp)
+    else:
         Path(base).mkdir(parents=True, exist_ok=True)
-    return Path(tempfile.mkdtemp(prefix="run_", dir=str(base) if base else None))
+        yield Path(tempfile.mkdtemp(prefix="run_", dir=base))

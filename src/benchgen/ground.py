@@ -255,13 +255,12 @@ def ground(
     model: GeneratorModel,
     config: GeneratorConfiguration,
     deadline: float | None = None,
-    max_cells: int = MAX_CSP_CELLS,
 ) -> GroundedCsp:
     """Flatten the model for one configuration into a GroundedCsp.
 
     Raises ModelError for ill-defined shapes and TranslateTimeout when the
     monotonic ``deadline`` passes during grounding or the flattened size
-    exceeds ``max_cells`` domain cells.
+    exceeds ``MAX_CSP_CELLS`` domain cells.
     """
 
     def check_deadline() -> None:
@@ -277,7 +276,7 @@ def ground(
         width = max(iv.upper - iv.lower + 1, 0)
         count = iv.length if iv.length is not None else 1
         total_cells += (width if iv.kind == "int" else 2 * width) * count
-        if total_cells > max_cells:
+        if total_cells > MAX_CSP_CELLS:
             raise TranslateTimeout
 
     layouts: list[_Layout] = []

@@ -67,11 +67,6 @@ class GeneratorModel:
     space: ParameterSpace
     decision_vars: tuple[DecisionVar, ...]
     constraints: tuple[ex.Expr, ...]
-    source_text: str = ""
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.decision_vars)
 
 
 def parse_model(space: ParameterSpace, text: str) -> GeneratorModel:
@@ -123,7 +118,6 @@ def parse_model(space: ParameterSpace, text: str) -> GeneratorModel:
         space=space,
         decision_vars=tuple(decision_vars),
         constraints=tuple(constraints),
-        source_text=text,
     )
 
 

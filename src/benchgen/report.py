@@ -13,7 +13,7 @@ import csv
 import json
 import statistics
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
 from typing import Any, Mapping, Sequence
@@ -212,8 +212,11 @@ def evaluate_combined(
     Solutions are re-checked; answers failing verification are flagged and
     score as unsolved. Per-run failures become error records and never
     abort the evaluation. With ``out_dir`` set, records and score tables
-    are written there.
+    are written there, and external runs keep their files in its ``runs``
+    directory unless ``limits.workdir`` names another.
     """
+    if out_dir is not None and limits.workdir is None:
+        limits = replace(limits, workdir=str(Path(out_dir) / "runs"))
     archives = {label: CampaignArchive.open(path) for label, path in combined.sources.items()}
     values_by_id: dict[str, dict[str, Any]] = {}
     source_of: dict[str, list[str]] = {}
@@ -231,14 +234,7 @@ def evaluate_combined(
     for adapter in solvers:
         for iid in instance_ids:
             record = run_solver(
-                adapter,
-                problem,
-                values_by_id[iid],
-                t_max,
-                mem_limit=limits.mem_limit,
-                seed=derive_seed(seed, adapter.name, iid),
-                workdir=limits.workdir,
-                limiter_prefix=limits.limiter_prefix,
+                adapter, problem, values_by_id[iid], t_max, limits, derive_seed(seed, adapter.name, iid)
             )
             record = verify_record(problem, values_by_id[iid], record)
             if record.solution is not None:

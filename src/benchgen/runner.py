@@ -1,7 +1,11 @@
 """Running solvers on candidate instances and classifying the outcome.
 
 A SolverAdapter names either a builtin toy solver or an external command
-template. ``run_solver`` never raises; every failure becomes a record with
+template. Every run, the oracle's included, takes its memory cap, run
+directory and limiter prefix from one ``EvaluationLimits``. An external
+run keeps its files in a fresh ``run_*`` directory under
+``EvaluationLimits.workdir``, or in a temporary directory removed when the
+run ends. ``run_solver`` never raises; every failure becomes a record with
 an error status so campaign loops stay total.
 """
 
@@ -11,11 +15,10 @@ import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import CheckError, ValidationError
-from .external import make_run_dir, run_external_command, validate_command_template
+from .external import run_dir, run_external_command, validate_command_template
 from .problems import Problem
 from .solvers import builtin_exists, run_builtin
 from .valuetext import format_values, values_from_jsonable, values_to_jsonable
@@ -42,6 +45,27 @@ class RunStatus(Enum):
     BASE_TOO_EASY = "base-too-easy"
     FAVOURED_TIMEOUT = "favoured-timeout"
     ZERO_SCORES = "zero-scores"
+
+
+@dataclass(frozen=True)
+class EvaluationLimits:
+    """Resource limits shared by every solver run of a campaign or evaluation.
+
+    ``mem_limit`` caps every run in bytes (None: no cap). ``workdir`` is
+    where external runs keep their files (None: a temporary directory per
+    run). ``limiter_prefix`` replaces ``external.MEM_LIMITER`` as the
+    command prefix that applies the cap to external runs.
+    """
+
+    translate_limit: float = 300.0
+    solve_limit: float = 600.0
+    mem_limit: int | None = 8 * 1024**3
+    workdir: str | None = None
+    limiter_prefix: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.mem_limit is not None and self.mem_limit <= 0:
+            raise ValidationError(f"memory limit must be positive, got {self.mem_limit}")
 
 
 @dataclass(frozen=True)
@@ -130,38 +154,33 @@ def run_solver(
     problem: Problem,
     instance_values: Mapping[str, Any],
     time_limit: float,
-    mem_limit: int | None = None,
+    limits: EvaluationLimits = EvaluationLimits(),
     seed: int = 0,
-    workdir: str | Path | None = None,
-    limiter_prefix: str | None = None,
-    instance_text: str | None = None,
 ) -> SolverRecord:
-    """Run one solver on one instance under wall-clock and memory limits."""
+    """Run one solver on one instance under a wall-clock limit and ``limits``."""
     if time_limit <= 0:
         return SolverRecord(adapter.name, Status.TIMEOUT, 0.0, note="non-positive time limit")
     if adapter.builtin is not None:
         outcome = run_builtin(
-            adapter.builtin, problem, instance_values, time_limit, seed, mem_limit
+            adapter.builtin, problem, instance_values, time_limit, seed, limits.mem_limit
         )
     else:
-        run_dir = make_run_dir(workdir)
-        model_path = run_dir / "problem.model"
-        instance_path = run_dir / "instance.inst"
-        model_path.write_text(problem.describe())
-        instance_path.write_text(
-            instance_text if instance_text is not None else format_values(dict(instance_values))
-        )
         assert adapter.command is not None
-        outcome = run_external_command(
-            adapter.command,
-            str(model_path),
-            str(instance_path),
-            time_limit,
-            seed=seed,
-            mem_limit=mem_limit,
-            limiter_prefix=limiter_prefix,
-            log_path=run_dir / "run.log",
-        )
+        with run_dir(limits.workdir) as directory:
+            model_path = directory / "problem.model"
+            instance_path = directory / "instance.inst"
+            model_path.write_text(problem.describe())
+            instance_path.write_text(format_values(dict(instance_values)))
+            outcome = run_external_command(
+                adapter.command,
+                str(model_path),
+                str(instance_path),
+                time_limit,
+                seed=seed,
+                mem_limit=limits.mem_limit,
+                limiter_prefix=limits.limiter_prefix,
+                log_path=directory / "run.log",
+            )
     return SolverRecord(
         solver=adapter.name,
         status=Status(outcome.status),
@@ -216,19 +235,14 @@ def oracle_optimum(
     instance_values: Mapping[str, Any],
     oracle: SolverAdapter,
     budget: float,
-    mem_limit: int | None = None,
+    limits: EvaluationLimits = EvaluationLimits(),
     seed: int = 0,
-    workdir: str | Path | None = None,
 ) -> OracleResult:
-    """Establish the true optimum with a long-budget complete solver run.
-
-    ``workdir`` is where an external oracle's run directory goes, as in
-    ``run_solver``.
-    """
+    """Establish the true optimum with a long-budget complete solver run."""
     if budget <= 0:
         return OracleResult(None, False, 0.0)
     start = time.monotonic()
-    record = run_solver(oracle, problem, instance_values, budget, mem_limit, seed, workdir)
+    record = run_solver(oracle, problem, instance_values, budget, limits, seed)
     elapsed = time.monotonic() - start
     if record.status is Status.UNSAT:
         return OracleResult(None, True, elapsed, infeasible=True)

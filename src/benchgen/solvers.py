@@ -27,6 +27,7 @@ from .expressions import evaluate_numeric
 from .problems import KnapsackData, Problem, parse_knapsack
 
 _WORD = 64  # rough bytes per tracked allocation unit
+HILLCLIMB_MAX_ITERATIONS = 200_000
 
 
 @dataclass
@@ -169,7 +170,6 @@ def solve_hillclimb(
     time_limit: float,
     seed: int = 0,
     mem_limit: int | None = None,
-    max_iterations: int = 200_000,
 ) -> SolverOutcome:
     """Random restarts plus single-item moves, accepting strict improvements."""
     start = time.monotonic()
@@ -204,7 +204,7 @@ def solve_hillclimb(
 
     take, weight, value = greedy_random_fill()
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < HILLCLIMB_MAX_ITERATIONS:
         iterations += 1
         if iterations % 64 == 0 and time.monotonic() >= deadline:
             break

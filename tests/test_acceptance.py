@@ -464,7 +464,7 @@ def test_acceptance_resource_enforcement(tmp_path):
         start = time.monotonic()
         record = run_solver(
             adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-            time_limit, workdir=tmp_path, seed=trial,
+            time_limit, EvaluationLimits(mem_limit=None, workdir=tmp_path), seed=trial,
         )
         wall = time.monotonic() - start
         assert record.status is Status.TIMEOUT, f"trial {trial}: {record.status}"

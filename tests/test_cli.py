@@ -218,6 +218,25 @@ def test_evaluate_leaves_no_run_directories_in_tmp(workspace, capsys, monkeypatc
     capsys.readouterr()
 
 
+def test_evaluate_passes_the_memory_cap_to_external_runs(workspace, capsys):
+    script = workspace / "cap.sh"
+    script.write_text('echo "% cap $(ulimit -v)"\necho =====UNSATISFIABLE=====\n')
+    ini = workspace / "campaign.ini"
+    command = f"sh {script} {{model}} {{instance}} {{time_limit_ms}}"
+    ini.write_text(ini.read_text() + f"\n[solver.cap]\ncommand = {command}\n")
+    graded = fabricate_graded_archive(workspace / "graded", "band", [{"status": "graded"}] * 3)
+    combined = workspace / "combined.json"
+    assert main(["combine", str(graded.root), "--k", "3", "--seed", "3", "--out", str(combined)]) == 0
+    out = workspace / "eval"
+    assert main(["evaluate", str(combined), "--solvers", "cap", "--config", str(ini),
+                 "--t-max", "30", "--mem-limit", "512M", "--out", str(out)]) == 0
+    logs = list((out / "runs").glob("run_*/run.log"))
+    assert len(logs) == 3
+    for log in logs:
+        assert "% cap 524288\n" in log.read_text()
+    capsys.readouterr()
+
+
 NO_SCIPY_QUICK_START = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now fails

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from random import Random
 
 import pytest
@@ -206,6 +207,31 @@ def test_evaluate_configuration_graded_path_records_instance():
     assert result.instance is not None
     assert history.count(config.id) == 1
     assert result.records["syn"].time == pytest.approx(3.0)
+
+
+def test_every_run_of_an_evaluation_takes_the_limiter_prefix(tmp_path):
+    # A local-search solver and its oracle both run under the configured prefix.
+    unsat = f'{sys.executable} -c "print(\'=====UNSATISFIABLE=====\')"'
+    unsat += " {model} {instance} {time_limit_ms}"
+    policy = GradedPolicy(
+        problem=KNAPSACK,
+        solver=SolverAdapter(name="ls", kind="local_search", command=unsat),
+        oracle=SolverAdapter(name="oracle", command=unsat),
+        t_min=1.0,
+        t_max=5.0,
+    )
+    limits = EvaluationLimits(
+        translate_limit=5.0, solve_limit=5.0,
+        limiter_prefix="env BENCH_MARK=1", workdir=str(tmp_path / "runs"),
+    )
+    config = make_configuration(SPACE, {"cap_t": 30})
+    model = parse_model(SPACE, MODEL)
+    result = evaluate_configuration(model, config, SolutionHistory(), policy, limits)
+    assert result.oracle is not None and result.oracle.infeasible
+    logs = list((tmp_path / "runs").glob("run_*/run.log"))
+    assert len(logs) == 2
+    for log in logs:
+        assert log.read_text().startswith("# env BENCH_MARK=1 ")
 
 
 def test_evaluate_configuration_never_regenerates_instances():

@@ -126,7 +126,7 @@ def test_external_memory_limit_kills_process(tmp_path):
     adapter = SolverAdapter(name="hog", command=template)
     record = run_solver(
         adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-        time_limit=10.0, mem_limit=64 * 1024 * 1024, workdir=tmp_path,
+        time_limit=10.0, limits=EvaluationLimits(mem_limit=64 * 1024 * 1024, workdir=tmp_path),
     )
     assert record.status is Status.ERROR
 

@@ -1,6 +1,8 @@
 """Combined sets, frequency/time tables, cross-solver evaluation, exports."""
 
 import json
+import sys
+import tempfile
 
 import pytest
 
@@ -184,6 +186,21 @@ def test_evaluate_combined_flags_buggy_solver(tmp_path):
     assert result.flagged["exact"] == 0
     assert (tmp_path / "out" / "borda.json").exists()
     assert (tmp_path / "out" / "pair_scores.csv").exists()
+
+
+def test_evaluate_combined_keeps_external_runs_under_out_dir(tmp_path, monkeypatch):
+    archive = fabricate_graded_archive(tmp_path / "a", "s1", graded_rows(3))
+    combined = build_combined_set([archive], k=3, seed=1)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    unsat = f'{sys.executable} -c "print(\'=====UNSATISFIABLE=====\')"'
+    unsat += " {model} {instance} {time_limit_ms}"
+    out = tmp_path / "out"
+    solvers = [SolverAdapter(name="ext", command=unsat)]
+    evaluate_combined(combined, solvers, KNAPSACK, t_max=5.0, out_dir=out)
+    assert len(list((out / "runs").glob("run_*/run.log"))) == 3
+    assert list(tmp.iterdir()) == []
 
 
 def test_export_roundtrips(tmp_path):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import benchgen
 from benchgen.errors import ValidationError
 from benchgen.problems import get_problem
 from benchgen.runner import (
+    EvaluationLimits,
     RunStatus,
     SolverAdapter,
     SolverRecord,
@@ -57,7 +59,7 @@ def test_builtin_trivial_instance_sat_quickly():
 def test_external_unsat_marker(tmp_path):
     adapter = script_adapter("u", "print('=====UNSATISFIABLE=====')")
     record = run_solver(adapter, DECISION, {"weight": [1], "value": [1], "capacity": 0, "target": 5},
-                        5.0, workdir=tmp_path)
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     assert record.status is Status.UNSAT
     assert record.objective is None and record.solution is None
 
@@ -69,7 +71,7 @@ def test_external_solution_block_parsed(tmp_path):
     )
     adapter = script_adapter("s", body)
     record = run_solver(adapter, KNAPSACK, {"weight": [1, 1], "value": [7, 1], "capacity": 1},
-                        5.0, workdir=tmp_path)
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     assert record.status is Status.SAT
     assert record.objective == 7
     assert record.optimal_claimed
@@ -87,7 +89,7 @@ def test_external_improvement_trace_timestamps(tmp_path):
     )
     adapter = script_adapter("t", body)
     record = run_solver(adapter, KNAPSACK, {"weight": [1, 1], "value": [7, 1], "capacity": 1},
-                        5.0, workdir=tmp_path)
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     assert record.status is Status.SAT
     assert [o for _, o in record.trace] == [0, 7]
     assert record.trace[1][0] >= record.trace[0][0] + 0.15
@@ -97,7 +99,7 @@ def test_external_sleeper_killed_within_grace(tmp_path):
     adapter = script_adapter("sleeper", "import time; time.sleep(30)")
     start = time.monotonic()
     record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-                        0.4, workdir=tmp_path)
+                        0.4, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     wall = time.monotonic() - start
     assert record.status is Status.TIMEOUT
     assert record.time >= 0.4
@@ -107,14 +109,14 @@ def test_external_sleeper_killed_within_grace(tmp_path):
 def test_external_nonzero_exit_is_error(tmp_path):
     adapter = script_adapter("boom", "import sys; sys.exit(3)")
     record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-                        5.0, workdir=tmp_path)
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     assert record.status is Status.ERROR
 
 
 def test_external_garbage_output_is_error(tmp_path):
     adapter = script_adapter("noise", "print('hello world')")
     record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-                        5.0, workdir=tmp_path)
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     assert record.status is Status.ERROR
 
 
@@ -122,7 +124,7 @@ def test_time_includes_process_startup(tmp_path):
     body = "print('take = [0]'); print('objective = 0'); print('-' * 10)"
     adapter = script_adapter("slowstart", body)
     record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-                        5.0, workdir=tmp_path)
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     assert record.time > 0.0  # interpreter startup counts, per the total-time rule
 
 
@@ -146,6 +148,23 @@ def test_oracle_marks_infeasible_instances():
     instance = {"weight": [1], "value": [1], "capacity": 1, "target": 10}
     result = oracle_optimum(DECISION, instance, oracle, budget=10.0)
     assert result.proved and result.infeasible and result.optimum is None
+
+
+def test_run_without_a_workdir_leaves_no_run_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    body = "print('take = [0]'); print('objective = 0'); print('-' * 10)"
+    record = run_solver(script_adapter("s", body), KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
+                        5.0)
+    assert record.status is Status.SAT
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_without_a_workdir_leaves_no_run_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    oracle = script_adapter("o", "print('=====UNSATISFIABLE=====')")
+    result = oracle_optimum(KNAPSACK, {"weight": [1], "value": [1], "capacity": 1}, oracle, budget=5.0)
+    assert result.infeasible
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_measure_time_to_best():
@@ -213,8 +232,10 @@ def test_limiter_prefix_wraps_command(tmp_path):
     adapter = SolverAdapter(name="wrapped", command=f'{PY} -c "{body}"' + TRAIL)
     record = run_solver(
         adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-        5.0, workdir=tmp_path, mem_limit=256 * 1024 * 1024,
-        limiter_prefix="env BENCH_CAP_MB={mem_limit_mb}",
+        5.0, EvaluationLimits(
+            mem_limit=256 * 1024 * 1024, workdir=tmp_path,
+            limiter_prefix="env BENCH_CAP_MB={mem_limit_mb}",
+        ),
     )
     assert record.status is Status.SAT
 
@@ -232,7 +253,7 @@ def test_default_memory_cap_reaches_the_command(tmp_path):
     mem_limit = 512 * 1024 * 1024
     record = run_solver(
         cap_reporting_adapter(tmp_path), KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-        5.0, workdir=tmp_path / "runs", mem_limit=mem_limit,
+        5.0, EvaluationLimits(mem_limit=mem_limit, workdir=tmp_path / "runs"),
     )
     assert record.status is Status.SAT
     (log,) = (tmp_path / "runs").glob("run_*/run.log")
@@ -245,11 +266,11 @@ def test_refused_memory_cap_still_runs_the_command(tmp_path):
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
         "from benchgen.problems import get_problem\n"
-        "from benchgen.runner import SolverAdapter, run_solver\n"
+        "from benchgen.runner import EvaluationLimits, SolverAdapter, run_solver\n"
         f"adapter = SolverAdapter(name='cap', command={cap_reporting_adapter(tmp_path).command!r})\n"
         "record = run_solver(adapter, get_problem('knapsack'),\n"
         "                    {'weight': [1], 'value': [1], 'capacity': 1}, 5.0,\n"
-        f"                    workdir={str(tmp_path / 'runs')!r}, mem_limit=8 << 30)\n"
+        f"                    EvaluationLimits(workdir={str(tmp_path / 'runs')!r}, mem_limit=8 << 30))\n"
         "print(record.status.value)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(benchgen.__file__).parents[1])}
@@ -269,7 +290,7 @@ def test_run_log_written_per_external_run(tmp_path):
     body = "print('take = [0]'); print('objective = 0'); print('-' * 10)"
     adapter = script_adapter("logged", body)
     run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
-               5.0, workdir=tmp_path)
+               5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
     logs = list(tmp_path.glob("run_*/run.log"))
     assert len(logs) == 1
     assert "objective = 0" in logs[0].read_text()
@@ -278,6 +299,8 @@ def test_run_log_written_per_external_run(tmp_path):
 def test_external_oracle_runs_in_the_given_workdir(tmp_path):
     oracle = script_adapter("o", "print('=====UNSATISFIABLE=====')")
     instance = {"weight": [1], "value": [1], "capacity": 1}
-    result = oracle_optimum(KNAPSACK, instance, oracle, budget=5.0, workdir=tmp_path)
+    result = oracle_optimum(
+        KNAPSACK, instance, oracle, budget=5.0, limits=EvaluationLimits(mem_limit=None, workdir=tmp_path)
+    )
     assert result.infeasible
     assert len(list(tmp_path.glob("run_*"))) == 1
