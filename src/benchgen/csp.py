@@ -25,6 +25,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 Assignment = list  # list[int | None], indexed by CSP variable position
@@ -60,6 +61,30 @@ class GroundedCsp:
     # Canonical key of decoded values, for the exclusion table.
     key_of: Callable[[dict[str, Any]], str] = field(default=lambda v: repr(sorted(v.items())))
 
+    @cached_property
+    def search_index(self) -> tuple[list, list, bool]:
+        """What ``backtrack_solve`` runs once variable i is assigned, built
+        on the first search (variables and constraints must not change
+        after): ``by_max[i]``, the exact checks whose scope ends at i;
+        ``by_member[i]``, the pruning predicates whose scope holds i
+        before its end; and whether every constraint with an empty scope
+        holds."""
+        n = len(self.variables)
+        by_max: list[list[CspConstraint]] = [[] for _ in range(n)]
+        by_member: list[list[CspConstraint]] = [[] for _ in range(n)]
+        nullary_ok = True
+        for c in self.constraints:
+            if not c.scope:
+                nullary_ok = nullary_ok and c.check([None] * n)
+                continue
+            last = max(c.scope)
+            by_max[last].append(c)
+            if c.prune is not None:
+                for v in c.scope:
+                    if v != last:
+                        by_member[v].append(c)
+        return by_max, by_member, nullary_ok
+
 
 @dataclass(frozen=True)
 class BacktrackResult:
@@ -88,19 +113,7 @@ def backtrack_solve(
     start = time.monotonic()
     deadline = start + time_limit
     n = len(csp.variables)
-
-    by_max: list[list[CspConstraint]] = [[] for _ in range(n)]
-    by_member: list[list[CspConstraint]] = [[] for _ in range(n)]
-    nullary_ok = True
-    for c in csp.constraints:
-        if not c.scope:
-            nullary_ok = nullary_ok and c.check([None] * n)
-            continue
-        by_max[max(c.scope)].append(c)
-        if c.prune is not None:
-            for v in c.scope:
-                if v != max(c.scope):
-                    by_member[v].append(c)
+    by_max, by_member, nullary_ok = csp.search_index
 
     if time.monotonic() >= deadline:
         return BacktrackResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
@@ -112,7 +125,7 @@ def backtrack_solve(
 
     def consistent(idx: int) -> bool:
         for c in by_member[idx]:
-            if c.prune is not None and c.prune(assignment):
+            if c.prune(assignment):
                 return False
         for c in by_max[idx]:
             if not c.check(assignment):

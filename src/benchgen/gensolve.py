@@ -6,7 +6,10 @@ the configuration's solution set is exhausted. Solutions come out in lex
 order, so the history also keeps each configuration's last solution as a
 search cursor: the next solve resumes right after it instead of skipping
 every excluded solution again. A history without a cursor for a
-configuration (fresh, or loaded from disk) scans from the start.
+configuration (fresh, or loaded from disk) scans from the start. Like the
+cursors, and likewise not saved, the history keeps a bounded LRU of
+grounded CSPs by configuration id, so a configuration evaluated again is
+not grounded again.
 """
 
 from __future__ import annotations
@@ -14,16 +17,21 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
-from .csp import SolveStatus, backtrack_solve
+from .csp import GroundedCsp, SolveStatus, backtrack_solve
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
 from .space import GeneratorConfiguration
 from .valuetext import canonical_key, format_values
+
+
+# How many grounded CSPs a history keeps, least recently used dropped first.
+CSP_CACHE_SIZE = 128
 
 
 class GenOutcome(Enum):
@@ -70,8 +78,10 @@ class SolutionHistory:
     Invariant: every solution at or before a configuration's cursor is in
     its table. It holds because a cursor only ever moves to a solution
     found by a search over (a subset of) the same table from the previous
-    cursor, and tables only grow. Cursors are not saved: a loaded history
-    starts without them.
+    cursor, and tables only grow. The history also keeps an LRU of
+    grounded CSPs, one per configuration id with the model it was grounded
+    from, bounded by ``CSP_CACHE_SIZE``. Neither cursors nor CSPs are
+    saved: a loaded history starts without them.
     """
 
     def __init__(self, tables: Mapping[str, set[str]] | None = None):
@@ -79,6 +89,7 @@ class SolutionHistory:
             k: set(v) for k, v in (tables or {}).items()
         }
         self._cursors: dict[str, tuple[int, ...]] = {}
+        self._csps: OrderedDict[str, tuple[GeneratorModel, GroundedCsp]] = OrderedDict()
         self._lock = threading.Lock()
 
     def keys_for(self, config_id: str) -> frozenset[str]:
@@ -92,6 +103,22 @@ class SolutionHistory:
     def cursor_for(self, config_id: str) -> tuple[int, ...] | None:
         with self._lock:
             return self._cursors.get(config_id)
+
+    def csp_for(self, config_id: str, model: GeneratorModel) -> GroundedCsp | None:
+        """The kept grounding of ``config_id``, if it was grounded from ``model``."""
+        with self._lock:
+            kept = self._csps.get(config_id)
+            if kept is None or kept[0] is not model:
+                return None
+            self._csps.move_to_end(config_id)
+            return kept[1]
+
+    def keep_csp(self, config_id: str, model: GeneratorModel, csp: GroundedCsp) -> None:
+        with self._lock:
+            self._csps[config_id] = (model, csp)
+            self._csps.move_to_end(config_id)
+            if len(self._csps) > CSP_CACHE_SIZE:
+                self._csps.popitem(last=False)
 
     def add(self, config_id: str, key: str, cursor: tuple[int, ...] | None = None) -> None:
         """Exclude ``key``; ``cursor`` is its assignment vector when it was
@@ -135,14 +162,19 @@ def solve_generator(
 
     Grounding runs under ``translate_limit``, search under ``solve_limit``;
     the two timeout outcomes are distinguished so the tuner can penalise
-    them differently. Solutions already in the history are skipped; the
-    search resumes after the configuration's cursor when it has one.
+    them differently. A configuration whose grounding from ``model`` the
+    history still keeps is not grounded again, so it cannot time out in
+    translation. Solutions already in the history are skipped; the search
+    resumes after the configuration's cursor when it has one.
     """
     start = time.monotonic()
-    try:
-        csp = ground(model, config, deadline=start + translate_limit)
-    except TranslateTimeout:
-        return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT, time.monotonic() - start)
+    csp = history.csp_for(config.id, model)
+    if csp is None:
+        try:
+            csp = ground(model, config, deadline=start + translate_limit)
+        except TranslateTimeout:
+            return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT, time.monotonic() - start)
+        history.keep_csp(config.id, model, csp)
 
     cursor = history.cursor_for(config.id)
     exclusions = history.keys_for(config.id)

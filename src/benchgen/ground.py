@@ -5,9 +5,16 @@ and sets one 0/1 membership variable per universe element (ascending, so
 value-order search tries the empty set first). Each model constraint is
 compiled to an exact check plus an interval-based pruning predicate that
 refutes partial assignments early; pruning is best effort and gives up
-(no refutation) on anything it cannot bound. Interval bounds are plain
-ints; a bound becomes a Fraction only where a division is evaluated, so
-pruning stays exact without paying for rationals elsewhere.
+(no refutation) on anything it cannot bound. The pruning predicate is
+compiled once per grounding into closures over the assignment vector:
+each name is resolved when the closure is built (a parameter to a
+constant interval, a decision variable to a reader of its slots), and a
+subexpression whose shape can never be bounded is dropped then, so the
+search pays only for the interval arithmetic. The exact check evaluates
+the constraint with ``expressions.evaluate``, the reference semantics.
+Interval bounds are plain ints; a bound becomes a Fraction only where a
+division is evaluated, so pruning stays exact without paying for
+rationals elsewhere.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from . import expressions as ex
 from .csp import CspConstraint, CspVariable, GroundedCsp
@@ -54,10 +61,25 @@ class _GiveUp(Exception):
     """Raised when interval evaluation cannot bound a subexpression."""
 
 
+# A set's bounds under a partial assignment: how many members are certain,
+# and every value that may still be a member.
+_SetBounds = tuple[int, Collection[int]]
+Reader = Callable[[Sequence[int | None]], Any]
+
+
 @dataclass(frozen=True)
-class _SetDesc:
-    definite: frozenset[int]
-    possible: frozenset[int]
+class _Term:
+    """A compiled subexpression of a known shape.
+
+    ``kind`` is "num" (``read`` gives an Interval), "set" (``read`` gives
+    _SetBounds), or "num[]"/"set[]" (``items`` reads each element). A
+    decision int array also has ``cells``: its slots and element bounds.
+    """
+
+    kind: str
+    read: Reader | None = None
+    items: tuple[Reader, ...] = ()
+    cells: tuple[range, int, int] | None = None
 
 
 def _value_env(
@@ -89,166 +111,261 @@ def _value_env(
     return env
 
 
-def _partial_env(
-    params: Mapping[str, int], layouts: Sequence[_Layout], assignment: Sequence[int | None]
-) -> dict[str, Any]:
-    """Descriptors for interval evaluation: intervals and partial sets."""
-    env: dict[str, Any] = {name: (v, v) for name, v in params.items()}
+def _cell(index: int, lo: int, hi: int) -> Reader:
+    unset = (lo, hi)
+
+    def read(x: Sequence[int | None]) -> Interval:
+        v = x[index]
+        return unset if v is None else (v, v)
+
+    return read
+
+
+def _set_cell(offset: int, universe: range) -> Reader:
+    end = offset + len(universe)
+
+    def read(x: Sequence[int | None]) -> _SetBounds:
+        bits = x[offset:end]  # 1 member, 0 not, None open
+        return bits.count(1), [u for u, bit in zip(universe, bits) if bit != 0]
+
+    return read
+
+
+def _terms(params: Mapping[str, int], layouts: Sequence[_Layout]) -> dict[str, _Term]:
+    """What each name reads: a parameter is a constant interval, a decision
+    variable reads its slots of the assignment vector."""
+    terms = {name: _constant(v) for name, v in params.items()}
     for lay in layouts:
         iv = lay.iv
         if iv.kind == "int":
-            lo, hi = iv.lower, iv.upper
-
-            def cell(idx: int) -> Interval:
-                v = assignment[idx]
-                return (v, v) if v is not None else (lo, hi)
-
             if iv.length is None:
-                env[iv.name] = cell(lay.start)
+                terms[iv.name] = _Term("num", _cell(lay.start, iv.lower, iv.upper))
             else:
-                env[iv.name] = [cell(lay.start + i) for i in range(iv.length)]
+                slots = range(lay.start, lay.start + iv.length)
+                terms[iv.name] = _Term(
+                    "num[]",
+                    items=tuple(_cell(i, iv.lower, iv.upper) for i in slots),
+                    cells=(slots, iv.lower, iv.upper),
+                )
+        elif iv.length is None:
+            terms[iv.name] = _Term("set", _set_cell(lay.start, lay.universe))
         else:
-            universe = list(lay.universe)
-            width = len(universe)
-
-            def one_desc(offset: int) -> _SetDesc:
-                definite = set()
-                possible = set()
-                for j, u in enumerate(universe):
-                    bit = assignment[offset + j]
-                    if bit == 1:
-                        definite.add(u)
-                        possible.add(u)
-                    elif bit is None:
-                        possible.add(u)
-                return _SetDesc(frozenset(definite), frozenset(possible))
-
-            if iv.length is None:
-                env[iv.name] = one_desc(lay.start)
-            else:
-                env[iv.name] = [one_desc(lay.start + i * width) for i in range(iv.length)]
-    return env
+            width = len(lay.universe)
+            terms[iv.name] = _Term(
+                "set[]",
+                items=tuple(
+                    _set_cell(lay.start + i * width, lay.universe) for i in range(iv.length)
+                ),
+            )
+    return terms
 
 
-def _ieval(expr: ex.Expr, env: Mapping[str, Any]) -> Any:
+def _constant(v: Bound) -> _Term:
+    interval = (v, v)
+    return _Term("num", lambda x: interval)
+
+
+def _scalar(term: _Term, kind: str) -> Reader:
+    if term.kind != kind:
+        raise _GiveUp
+    assert term.read is not None
+    return term.read
+
+
+def _items(term: _Term, kind: str) -> tuple[Reader, ...]:
+    """Element readers of an array whose elements are all ``kind`` (an
+    empty array qualifies)."""
+    if term.kind not in ("num[]", "set[]") or (term.items and term.kind != kind + "[]"):
+        raise _GiveUp
+    return term.items
+
+
+def _hull_num(values: list[Interval]) -> Interval:
+    return (min(v[0] for v in values), max(v[1] for v in values))
+
+
+def _hull_set(values: list[_SetBounds]) -> _SetBounds:
+    return 0, frozenset().union(*(possible for _, possible in values))
+
+
+def _compile(expr: ex.Expr, terms: Mapping[str, _Term]) -> _Term:
+    """Interval reader of a subexpression.
+
+    Raises _GiveUp when the subexpression can never be bounded; a reader
+    raises _GiveUp when it cannot bound the subexpression under a given
+    partial assignment.
+    """
     if isinstance(expr, ex.IntLit):
-        return (expr.value, expr.value)
+        return _constant(expr.value)
     if isinstance(expr, ex.Name):
-        if expr.name not in env:
+        if expr.name not in terms:
             raise _GiveUp
-        return env[expr.name]
+        return terms[expr.name]
     if isinstance(expr, ex.Index):
-        base = _ieval(expr.base, env)
-        if not isinstance(base, list):
+        base = _compile(expr.base, terms)
+        if base.kind not in ("num[]", "set[]") or not base.items:
             raise _GiveUp
-        idx = _ieval(expr.index, env)
-        if not _is_interval(idx):
-            raise _GiveUp
-        lo, hi = idx
-        if lo == hi and lo.denominator == 1:
-            i = int(lo)
-            if not (1 <= i <= len(base)):
-                raise _GiveUp
-            return base[i - 1]
-        if not base:
-            raise _GiveUp
-        return _hull(base)
+        items = base.items
+        index = _scalar(_compile(expr.index, terms), "num")
+        hull = _hull_num if base.kind == "num[]" else _hull_set
+
+        def read_index(x: Sequence[int | None]) -> Any:
+            lo, hi = index(x)
+            if lo == hi and lo.denominator == 1:
+                i = int(lo)
+                if not 1 <= i <= len(items):
+                    raise _GiveUp
+                return items[i - 1](x)
+            return hull([r(x) for r in items])
+
+        return _Term(base.kind[:-2], read_index)
     if isinstance(expr, ex.Card):
-        arg = _ieval(expr.arg, env)
-        if isinstance(arg, _SetDesc):
-            return (len(arg.definite), len(arg.possible))
-        if isinstance(arg, list) and all(isinstance(e, _SetDesc) for e in arg):
-            return [(len(e.definite), len(e.possible)) for e in arg]
-        raise _GiveUp
+        arg = _compile(expr.arg, terms)
+
+        def card(r: Reader) -> Reader:
+            def read_card(x: Sequence[int | None]) -> Interval:
+                definite, possible = r(x)
+                return (definite, len(possible))
+
+            return read_card
+
+        if arg.kind == "set":
+            return _Term("num", card(arg.read))
+        return _Term("num[]", items=tuple(card(r) for r in _items(arg, "set")))
     if isinstance(expr, ex.Sum):
-        arr = _ieval(expr.arg, env)
-        if not isinstance(arr, list) or not all(_is_interval(e) for e in arr):
-            raise _GiveUp
-        return (sum(e[0] for e in arr), sum(e[1] for e in arr))
+        arg = _compile(expr.arg, terms)
+        items = _items(arg, "num")
+        if arg.cells is not None:
+            slots, lo0, hi0 = arg.cells
+
+            def read_sum(x: Sequence[int | None]) -> Interval:
+                lo = hi = 0
+                for i in slots:
+                    v = x[i]
+                    if v is None:
+                        lo += lo0
+                        hi += hi0
+                    else:
+                        lo += v
+                        hi += v
+                return (lo, hi)
+
+            return _Term("num", read_sum)
+
+        def read_sum_items(x: Sequence[int | None]) -> Interval:
+            values = [r(x) for r in items]
+            return (sum(v[0] for v in values), sum(v[1] for v in values))
+
+        return _Term("num", read_sum_items)
     if isinstance(expr, (ex.MinOf, ex.MaxOf)):
-        arr = _ieval(expr.arg, env)
-        if not isinstance(arr, list) or not arr or not all(_is_interval(e) for e in arr):
+        items = _items(_compile(expr.arg, terms), "num")
+        if not items:
             raise _GiveUp
-        if isinstance(expr, ex.MinOf):
-            return (min(e[0] for e in arr), min(e[1] for e in arr))
-        return (max(e[0] for e in arr), max(e[1] for e in arr))
+        pick = min if isinstance(expr, ex.MinOf) else max
+        return _Term("num", lambda x: _pick_bounds(pick, [r(x) for r in items]))
     if isinstance(expr, ex.Neg):
-        lo, hi = _numeric(_ieval(expr.arg, env))
-        return (-hi, -lo)
+        arg_read = _scalar(_compile(expr.arg, terms), "num")
+
+        def read_neg(x: Sequence[int | None]) -> Interval:
+            lo, hi = arg_read(x)
+            return (-hi, -lo)
+
+        return _Term("num", read_neg)
     if isinstance(expr, ex.BinOp):
-        a, b = _numeric(_ieval(expr.left, env))
-        c, d = _numeric(_ieval(expr.right, env))
-        if expr.op == "+":
-            return (a + c, b + d)
-        if expr.op == "-":
-            return (a - d, b - c)
-        if expr.op == "*":
-            products = (a * c, a * d, b * c, b * d)
-            return (min(products), max(products))
-        if c <= 0 <= d:
-            raise _GiveUp
-        quotients = (Fraction(a) / c, Fraction(a) / d, Fraction(b) / c, Fraction(b) / d)
-        return (min(quotients), max(quotients))
+        left = _scalar(_compile(expr.left, terms), "num")
+        right = _scalar(_compile(expr.right, terms), "num")
+        combine = _ARITHMETIC[expr.op]
+        return _Term("num", lambda x: combine(*left(x), *right(x)))
     raise _GiveUp
 
 
-def _is_interval(v: Any) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], (int, Fraction))
+def _pick_bounds(pick: Callable, values: list[Interval]) -> Interval:
+    return (pick(v[0] for v in values), pick(v[1] for v in values))
 
 
-def _numeric(v: Any) -> Interval:
-    if not _is_interval(v):
+def _divide(a: Bound, b: Bound, c: Bound, d: Bound) -> Interval:
+    if c <= 0 <= d:
         raise _GiveUp
-    return v
+    quotients = (Fraction(a) / c, Fraction(a) / d, Fraction(b) / c, Fraction(b) / d)
+    return (min(quotients), max(quotients))
 
 
-def _hull(items: list) -> Any:
-    if all(_is_interval(e) for e in items):
-        return (min(e[0] for e in items), max(e[1] for e in items))
-    if all(isinstance(e, _SetDesc) for e in items):
-        possible: frozenset[int] = frozenset()
-        for e in items:
-            possible |= e.possible
-        return _SetDesc(frozenset(), possible)
-    raise _GiveUp
+def _multiply(a: Bound, b: Bound, c: Bound, d: Bound) -> Interval:
+    products = (a * c, a * d, b * c, b * d)
+    return (min(products), max(products))
 
 
-def _violated(expr: ex.Expr, env: Mapping[str, Any]) -> bool:
-    """True when the partial assignment already refutes the constraint."""
-    try:
-        if isinstance(expr, ex.And):
-            return _violated(expr.left, env) or _violated(expr.right, env)
-        if isinstance(expr, ex.Compare):
-            a, b = _numeric(_ieval(expr.left, env))
-            c, d = _numeric(_ieval(expr.right, env))
-            if expr.op == "=":
-                return b < c or d < a
-            if expr.op == "!=":
-                return a == b == c == d
-            if expr.op == "<":
-                return a >= d
-            if expr.op == "<=":
-                return a > d
-            if expr.op == ">":
-                return b <= c
-            return b < c  # >=
-        if isinstance(expr, ex.InSet):
-            a, b = _numeric(_ieval(expr.item, env))
-            container = _ieval(expr.container, env)
-            if not isinstance(container, _SetDesc):
-                raise _GiveUp
+# [a, b] op [c, d] for each arithmetic operator.
+_ARITHMETIC: dict[str, Callable[[Bound, Bound, Bound, Bound], Interval]] = {
+    "+": lambda a, b, c, d: (a + c, b + d),
+    "-": lambda a, b, c, d: (a - d, b - c),
+    "*": _multiply,
+    "/": _divide,
+}
+
+# Whether [a, b] op [c, d] can no longer hold, for each comparison.
+_REFUTES: dict[str, Callable[[Bound, Bound, Bound, Bound], bool]] = {
+    "=": lambda a, b, c, d: b < c or d < a,
+    "!=": lambda a, b, c, d: a == b == c == d,
+    "<": lambda a, b, c, d: a >= d,
+    "<=": lambda a, b, c, d: a > d,
+    ">": lambda a, b, c, d: b <= c,
+    ">=": lambda a, b, c, d: b < c,
+}
+
+
+def _atom(expr: ex.Expr, terms: Mapping[str, _Term]) -> Callable[[Sequence[int | None]], bool]:
+    if isinstance(expr, ex.Compare):
+        left = _scalar(_compile(expr.left, terms), "num")
+        right = _scalar(_compile(expr.right, terms), "num")
+        refutes = _REFUTES[expr.op]
+        return lambda x: refutes(*left(x), *right(x))
+    if isinstance(expr, ex.InSet):
+        item = _scalar(_compile(expr.item, terms), "num")
+        container = _scalar(_compile(expr.container, terms), "set")
+
+        def refutes_in(x: Sequence[int | None]) -> bool:
+            a, b = item(x)
+            _, possible = container(x)
             if a == b:
-                return a.denominator != 1 or int(a) not in container.possible
-            return not any(a <= p <= b for p in container.possible)
-        if isinstance(expr, ex.AllDifferent):
-            arr = _ieval(expr.arg, env)
-            if not isinstance(arr, list) or not all(_is_interval(e) for e in arr):
-                raise _GiveUp
-            fixed = [e[0] for e in arr if e[0] == e[1]]
+                return a.denominator != 1 or int(a) not in possible
+            return not any(a <= p <= b for p in possible)
+
+        return refutes_in
+    if isinstance(expr, ex.AllDifferent):
+        items = _items(_compile(expr.arg, terms), "num")
+
+        def refutes_alldifferent(x: Sequence[int | None]) -> bool:
+            fixed = [lo for lo, hi in (r(x) for r in items) if lo == hi]
             return len(set(fixed)) != len(fixed)
-        raise _GiveUp
+
+        return refutes_alldifferent
+    raise _GiveUp
+
+
+def _pruner(
+    expr: ex.Expr, terms: Mapping[str, _Term]
+) -> Callable[[Sequence[int | None]], bool] | None:
+    """True when the partial assignment already refutes the constraint;
+    None when no partial assignment ever can. Each conjunct gives up (no
+    refutation) on its own."""
+    if isinstance(expr, ex.And):
+        left, right = _pruner(expr.left, terms), _pruner(expr.right, terms)
+        if left is None or right is None:
+            return left or right
+        return lambda x: left(x) or right(x)
+    try:
+        refutes = _atom(expr, terms)
     except _GiveUp:
-        return False
+        return None
+
+    def prune(x: Sequence[int | None]) -> bool:
+        try:
+            return refutes(x)
+        except _GiveUp:
+            return False
+
+    return prune
 
 
 def ground(
@@ -306,6 +423,7 @@ def ground(
         layouts.append(_Layout(iv, start, count))
 
     by_name = {lay.iv.name: lay for lay in layouts}
+    terms = _terms(params, layouts)
 
     constraints: list[CspConstraint] = []
     for cexpr in model.constraints:
@@ -325,17 +443,11 @@ def ground(
 
             return check
 
-        def make_prune(cx: ex.Expr, ref: list[_Layout]):
-            def prune(assignment: Sequence[int | None]) -> bool:
-                return _violated(cx, _partial_env(params, ref, assignment))
-
-            return prune
-
         constraints.append(
             CspConstraint(
                 scope=scope,
                 check=make_check(cexpr, referenced),
-                prune=make_prune(cexpr, referenced) if scope else None,
+                prune=_pruner(cexpr, terms) if scope else None,
                 label=str(cexpr),
             )
         )

@@ -166,21 +166,26 @@ def run_solver(
         )
     else:
         assert adapter.command is not None
-        with run_dir(limits.workdir) as directory:
-            model_path = directory / "problem.model"
-            instance_path = directory / "instance.inst"
-            model_path.write_text(problem.describe())
-            instance_path.write_text(format_values(dict(instance_values)))
-            outcome = run_external_command(
-                adapter.command,
-                str(model_path),
-                str(instance_path),
-                time_limit,
-                seed=seed,
-                mem_limit=limits.mem_limit,
-                limiter_prefix=limits.limiter_prefix,
-                log_path=directory / "run.log",
-            )
+        try:
+            with run_dir(limits.workdir) as directory:
+                model_path = directory / "problem.model"
+                instance_path = directory / "instance.inst"
+                model_path.write_text(problem.describe())
+                instance_path.write_text(format_values(dict(instance_values)))
+                outcome = run_external_command(
+                    adapter.command,
+                    str(model_path),
+                    str(instance_path),
+                    time_limit,
+                    seed=seed,
+                    mem_limit=limits.mem_limit,
+                    limiter_prefix=limits.limiter_prefix,
+                    log_path=directory / "run.log",
+                )
+        except OSError as err:
+            # run_external_command reports its own OSErrors, so this one came
+            # from making the directory or writing its two files; it names the path.
+            return SolverRecord(adapter.name, Status.ERROR, 0.0, note=f"run directory: {err}")
     return SolverRecord(
         solver=adapter.name,
         status=Status(outcome.status),

@@ -19,15 +19,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Any, Mapping
 
 from .errors import CheckError, EvalError, ParseError
-from .expressions import evaluate_numeric
+from .expressions import Expr, evaluate_numeric, parse_expression
 from .problems import KnapsackData, Problem, parse_knapsack
 
 _WORD = 64  # rough bytes per tracked allocation unit
 HILLCLIMB_MAX_ITERATIONS = 200_000
+# Distinct synthetic latency expressions kept parsed.
+LATENCY_CACHE_SIZE = 64
 
 
 @dataclass
@@ -247,6 +250,12 @@ def solve_hillclimb(
     )
 
 
+@lru_cache(maxsize=LATENCY_CACHE_SIZE)
+def _latency(text: str) -> Expr:
+    """Parsed latency expression; a ParseError is raised again on every call."""
+    return parse_expression(text)
+
+
 def solve_synthetic(
     latency_expr: str,
     problem: Problem,
@@ -265,7 +274,7 @@ def solve_synthetic(
     try:
         scalars = {k: v for k, v in instance.items() if isinstance(v, int) and not isinstance(v, bool)}
         arrays = {k: v for k, v in instance.items() if isinstance(v, list) and all(isinstance(e, int) for e in v)}
-        latency = float(evaluate_numeric(latency_expr, {**scalars, **arrays}))
+        latency = float(evaluate_numeric(_latency(latency_expr), {**scalars, **arrays}))
     except (ParseError, EvalError) as err:
         return SolverOutcome("error", 0.0, note=f"latency expression: {err}")
     if latency < 0:

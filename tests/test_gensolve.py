@@ -1,5 +1,6 @@
 """Backtracking search, solution histories, and generator solving."""
 
+import hashlib
 import itertools
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from benchgen import gensolve
 from benchgen.archive import CampaignArchive
 from benchgen.csp import (
     CspConstraint,
@@ -414,3 +416,153 @@ def test_zero_length_array_has_one_empty_solution():
     assert (found.status, found.assignment, found.nodes) == (SolveStatus.SOLUTION, (), 0)
     resumed = backtrack_solve(csp, frozenset(), 5.0, after=found.assignment)
     assert (resumed.status, resumed.nodes) == (SolveStatus.UNSAT, 0)
+
+
+# -- the generator's work: pruning and grounding ------------------------------
+SYNTH_SPACE = parse_space("cap_t: 1..100\nn: 2..8")
+SYNTH_MODEL_TEXT = (
+    "var capacity : int 1..100\n"
+    "var weight[n] : int 1..9\n"
+    "var value[n] : int 1..9\n"
+    "constraint capacity = cap_t\n"
+    "constraint sum(weight) >= capacity\n"
+)
+
+
+def _resumed(first, step):
+    """Nodes of 30 cursor-resumed solves: the first search, then one step
+    per solution and one more each time value[n - 1] moves."""
+    return [first] + ([step] * 8 + [step + 1]) * 3 + [step] * 2
+
+
+# Recorded before pruning was compiled to closures, when each prune walked
+# the expression tree: (cap_t, n) -> first key, sha256 of the keys in order
+# (an outcome value in place of a key), nodes of each search.
+SYNTH_SEQUENCES = {
+    (1, 2): ("capacity=1;value=[1, 1];weight=[1, 1]",
+             "8823ee667d8edc1796f9085d045ff3459d003486d87af7c97169dcaa738649c4",
+             _resumed(5, 6)),
+    (40, 5): ("capacity=40;value=[1, 1, 1, 1, 1];weight=[4, 9, 9, 9, 9]",
+              "9355263a8ec82a2b6adf118492368621599ec8db3fe605a37f9f2a3896f056fc",
+              _resumed(85, 12)),
+    (63, 7): ("capacity=63;value=[1, 1, 1, 1, 1, 1, 1];weight=[9, 9, 9, 9, 9, 9, 9]",
+              "44fb78d2e6444804dce2e4e69e0ebb348f177c16583c2a313e7bad9c4ac944b2",
+              _resumed(133, 16)),
+    (72, 8): ("capacity=72;value=[1, 1, 1, 1, 1, 1, 1, 1];weight=[9, 9, 9, 9, 9, 9, 9, 9]",
+              "5cca99183609c097a7416c2f20c3dbd7b9de0ce21cd7e2abeafd8fd71200bc16",
+              _resumed(152, 18)),
+    (73, 8): ("unsat",
+              "af3a14c11c198ad9e92ed4a8f341a59e2602c0e1088144f05f0a6607d3cac3c1",
+              [100]),
+}
+
+
+@pytest.mark.parametrize("cap_t, n", sorted(SYNTH_SEQUENCES))
+def test_pruning_refutes_what_it_did_on_the_benchmark_model(monkeypatch, cap_t, n):
+    # The number of nodes of each search pins what pruning refutes: one
+    # refutation more or fewer changes it.
+    nodes = []
+    solve = gensolve.backtrack_solve
+
+    def counting(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        nodes.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(gensolve, "backtrack_solve", counting)
+    model = parse_model(SYNTH_SPACE, SYNTH_MODEL_TEXT)
+    config = make_configuration(SYNTH_SPACE, {"cap_t": cap_t, "n": n})
+    history = SolutionHistory()
+    keys = []
+    while len(keys) < 30:
+        result = solve_generator(model, config, history, 5.0, 5.0)
+        if result.instance is None:
+            keys.append(result.outcome.value)
+            break
+        keys.append(result.instance.exclusion_key)
+        record_solution(history, config.id, result.instance)
+    first, digest, expected_nodes = SYNTH_SEQUENCES[(cap_t, n)]
+    assert keys[0] == first
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
+    assert nodes == expected_nodes
+
+
+def test_history_grounds_each_configuration_once(monkeypatch):
+    grounded = []
+    real_ground = gensolve.ground
+
+    def counting(model, config, deadline=None):
+        grounded.append(config.id)
+        return real_ground(model, config, deadline)
+
+    monkeypatch.setattr(gensolve, "ground", counting)
+    model = parse_model(SYNTH_SPACE, SYNTH_MODEL_TEXT)
+    config = make_configuration(SYNTH_SPACE, {"cap_t": 20, "n": 3})
+    history = SolutionHistory()
+    for _ in range(5):
+        result = solve_generator(model, config, history, 5.0, 5.0)
+        record_solution(history, config.id, result.instance)
+    assert grounded == [config.id]
+    # A kept grounding cannot time out in translation.
+    assert solve_generator(model, config, history, 0.0, 5.0).outcome is GenOutcome.SOLUTION
+
+    # An equal model that is another object is grounded again.
+    other = parse_model(SYNTH_SPACE, SYNTH_MODEL_TEXT)
+    assert other == model and other is not model
+    result = solve_generator(other, config, history, 5.0, 5.0)
+    assert result.outcome is GenOutcome.SOLUTION
+    assert grounded == [config.id] * 2
+
+    # A fresh history keeps nothing, so a zero translate limit times out.
+    assert solve_generator(model, config, SolutionHistory(), 0.0, 5.0).outcome is (
+        GenOutcome.TRANSLATE_TIMEOUT
+    )
+
+
+def test_history_drops_the_least_recently_solved_grounding(monkeypatch):
+    grounded = []
+    real_ground = gensolve.ground
+
+    def counting(model, config, deadline=None):
+        grounded.append(config["cap_t"])
+        return real_ground(model, config, deadline)
+
+    monkeypatch.setattr(gensolve, "ground", counting)
+    monkeypatch.setattr(gensolve, "CSP_CACHE_SIZE", 2)
+    model = parse_model(SYNTH_SPACE, SYNTH_MODEL_TEXT)
+    history = SolutionHistory()
+    for cap_t in (1, 2, 1, 3, 1, 2):
+        config = make_configuration(SYNTH_SPACE, {"cap_t": cap_t, "n": 2})
+        result = solve_generator(model, config, history, 5.0, 5.0)
+        record_solution(history, config.id, result.instance)
+    # 3 drops 2 (1 was solved more recently); 2 comes back and drops 3.
+    assert grounded == [1, 2, 3, 2]
+
+
+def test_one_grounding_serves_concurrent_searches():
+    # Compiled pruning holds no state, so threads may search one CSP at once.
+    model = parse_model(
+        CURSOR_SPACE,
+        "var x : int 0..2\nvar a[n] : int 0..2\nvar s : set of 1..2\n"
+        "constraint sum(a) >= x\nconstraint x in s",
+    )
+    csp = ground(model, make_configuration(CURSOR_SPACE, {"n": 2, "k": 0}))
+    expected = enumerate_solutions(ground(model, make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})))
+    got = []
+
+    def work():
+        got.append(enumerate_solutions(csp))
+
+    threads = [threading.Thread(target=work) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(expected) > 10
+    assert got == [expected] * len(threads)

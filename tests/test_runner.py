@@ -167,6 +167,16 @@ def test_oracle_without_a_workdir_leaves_no_run_directory(tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unmakeable_run_directory_is_an_error_record(tmp_path):
+    not_a_dir = tmp_path / "taken"
+    not_a_dir.write_text("")
+    body = "print('take = [0]'); print('objective = 0'); print('-' * 10)"
+    record = run_solver(script_adapter("s", body), KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
+                        5.0, EvaluationLimits(mem_limit=None, workdir=not_a_dir))
+    assert record.status is Status.ERROR
+    assert record.note.startswith("run directory:") and str(not_a_dir) in record.note
+
+
 def test_measure_time_to_best():
     assert measure_time_to_best([(1.0, 10), (4.0, 7), (9.0, 7)], 7) == 4.0
     assert measure_time_to_best([(1.0, 10)], 7) is None

@@ -2,8 +2,11 @@
 
 from random import Random
 
+from benchgen import solvers
+from benchgen.expressions import parse_expression
 from benchgen.problems import get_problem, parse_knapsack
 from benchgen.solvers import (
+    run_builtin,
     solve_buggy,
     solve_exact,
     solve_hillclimb,
@@ -127,6 +130,28 @@ def test_synthetic_latency_monotone_in_parameter():
 def test_synthetic_bad_expression_is_error():
     outcome = solve_synthetic("nope +", KNAPSACK, {"weight": [1], "value": [1], "capacity": 1}, 1.0)
     assert outcome.status == "error"
+
+
+def test_malformed_latency_is_an_error_on_every_run():
+    instance = {"weight": [1], "value": [1], "capacity": 1}
+    for _ in range(2):
+        outcome = run_builtin("synthetic:capacity /", KNAPSACK, instance, 1.0)
+        assert outcome.status == "error"
+        assert outcome.note.startswith("latency expression:")
+
+
+def test_latency_expression_is_parsed_once(monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_expression(text)
+
+    monkeypatch.setattr(solvers, "parse_expression", counting)
+    instance = {"weight": [1], "value": [1], "capacity": 6}
+    times = [run_builtin("synthetic:capacity / 3 + 1", KNAPSACK, instance, 10.0).time for _ in range(3)]
+    assert times == [3.0] * 3
+    assert parsed == ["capacity / 3 + 1"]
 
 
 def test_buggy_solver_always_fails_verification():
