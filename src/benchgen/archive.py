@@ -16,15 +16,30 @@ Layout of a campaign directory:
 An instance's decision values are its .inst values minus the parameter
 names of space.txt; everything else about it is in its evaluation record.
 Older archives also hold an <id>.json sidecar per instance, which is ignored.
+
+A campaign's per-evaluation writes (``add_instance``, ``add_evaluation``,
+``append_log``) go, in evaluation order, to one writer process that
+``open_writer`` starts (see ``archivewriter``); each evaluation's writes are
+handed over once its record is sent, and ``close_writer`` waits until they
+are all on disk. The writer applies them in order, so an ``.inst`` is whole
+before its record, and it applies everything it was handed even if the
+campaign crashes. If a write fails, the writer stops there, so no later
+record lands, and the campaign gets an ``ArchiveError`` naming the path at
+its next write or at ``close_writer``. With no writer open, each call
+writes at once in the calling process.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from . import archivewriter
 from .errors import ArchiveError
 from .gensolve import CandidateInstance, SolutionHistory
 from .space import parse_space
@@ -34,6 +49,7 @@ from .valuetext import canonical_key, parse_values
 class CampaignArchive:
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._writer: subprocess.Popen | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -42,13 +58,16 @@ class CampaignArchive:
         cls, root: str | Path, meta: Mapping[str, Any], space_text: str, model_text: str
     ) -> "CampaignArchive":
         archive = cls(root)
-        archive.root.mkdir(parents=True, exist_ok=True)
-        (archive.root / "instances").mkdir(exist_ok=True)
-        (archive.root / "records").mkdir(exist_ok=True)
-        (archive.root / "reports").mkdir(exist_ok=True)
-        archive.write_meta(meta)
-        (archive.root / "space.txt").write_text(space_text)
-        (archive.root / "generator.model").write_text(model_text)
+        try:
+            archive.root.mkdir(parents=True, exist_ok=True)
+            (archive.root / "instances").mkdir(exist_ok=True)
+            (archive.root / "records").mkdir(exist_ok=True)
+            (archive.root / "reports").mkdir(exist_ok=True)
+            archive.write_meta(meta)
+            (archive.root / "space.txt").write_text(space_text)
+            (archive.root / "generator.model").write_text(model_text)
+        except OSError as exc:
+            raise ArchiveError(f"cannot create a campaign archive at {root}: {exc}") from exc
         return archive
 
     @classmethod
@@ -57,6 +76,55 @@ class CampaignArchive:
         if not (archive.root / "config.json").exists():
             raise ArchiveError(f"{root} is not a campaign archive (no config.json)")
         return archive
+
+    def open_writer(self) -> None:
+        """Start the writer process; per-evaluation writes go to it until
+        ``close_writer``.
+
+        The writer keeps this process's stdout, so whoever reads that to its
+        end also waits until every write is applied, after a crash too.
+        """
+        try:
+            self._writer = subprocess.Popen(
+                [sys.executable, "-I", "-S", archivewriter.__file__, str(self.root)],
+                stdin=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        except OSError as exc:
+            raise ArchiveError(f"cannot start the archive writer for {self.root}: {exc}") from exc
+
+    def close_writer(self) -> None:
+        """Wait until the writer has applied every write handed to it.
+
+        Raises ``ArchiveError`` if a write failed. Does nothing when no
+        writer is open.
+        """
+        writer, self._writer = self._writer, None
+        if writer is None:
+            return
+        _, err = writer.communicate()
+        if writer.returncode:
+            reason = err.decode().strip() or f"exit status {writer.returncode}"
+            raise ArchiveError(f"archive writer for {self.root} stopped: {reason}")
+
+    def _write(self, name: str, text: str, handover: bool = False) -> None:
+        """Write ``text`` to ``name`` through the writer, or at once if none
+        is open. ``handover`` passes everything buffered on to the writer."""
+        data = archivewriter.frame(name, text.encode())
+        if self._writer is None:
+            try:
+                archivewriter.apply(str(self.root), io.BytesIO(data))
+            except OSError as exc:
+                raise ArchiveError(archivewriter.failure(exc)) from exc
+            return
+        try:
+            self._writer.stdin.write(data)
+            if handover:
+                self._writer.stdin.flush()
+        except BrokenPipeError:
+            self.close_writer()  # raises the writer's own reason
+            raise ArchiveError(f"archive writer for {self.root} stopped") from None
 
     @property
     def meta(self) -> dict[str, Any]:
@@ -81,7 +149,7 @@ class CampaignArchive:
 
     def add_instance(self, instance: CandidateInstance) -> None:
         """Write ``<id>.inst``; it is whole before its evaluation is recorded."""
-        (self.root / "instances" / f"{instance.id}.inst").write_text(instance.canonical_text)
+        self._write(f"instances/{instance.id}.inst", instance.canonical_text)
 
     def annotate_instance(self, instance_id: str, extra: Mapping[str, Any]) -> None:
         """Merge ``extra`` into an older archive's ``<id>.json`` sidecar.
@@ -131,8 +199,9 @@ class CampaignArchive:
         return self.root / "records" / "evals.jsonl"
 
     def add_evaluation(self, entry: Mapping[str, Any]) -> None:
-        with open(self._evals_path, "a") as fh:
-            fh.write(json.dumps(dict(entry)) + "\n")
+        """Append the record; it ends an evaluation's writes, so it hands
+        them over to the writer."""
+        self._write("records/evals.jsonl", json.dumps(dict(entry)) + "\n", handover=True)
 
     def evaluations(self) -> Iterator[dict[str, Any]]:
         if not self._evals_path.exists():
@@ -171,8 +240,7 @@ class CampaignArchive:
     # -- logs and history ----------------------------------------------------
 
     def append_log(self, line: str) -> None:
-        with open(self.root / "tuner.log", "a") as fh:
-            fh.write(line + "\n")
+        self._write("tuner.log", line + "\n")
 
     def log_text(self) -> str:
         path = self.root / "tuner.log"

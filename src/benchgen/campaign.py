@@ -229,7 +229,11 @@ def run_campaign(
             }
         archive.add_evaluation(record)
 
-    report = run_tuning(space, evaluator, tuner_config, log=log_sink)
+    archive.open_writer()
+    try:
+        report = run_tuning(space, evaluator, tuner_config, log=log_sink)
+    finally:
+        archive.close_writer()
     archive.save_history(history)
     return CampaignResult(archive=archive, report=report)
 

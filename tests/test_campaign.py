@@ -1,11 +1,20 @@
 """End-to-end campaign runs: archiving, determinism, resume-by-replay."""
 
+import io
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import benchgen
+from benchgen import archivewriter, campaign
 from benchgen.archive import CampaignArchive
 from benchgen.campaign import graded_instance_ids, policy_from_meta, run_campaign
 from benchgen.errors import ArchiveError
@@ -364,3 +373,171 @@ def test_resume_rewrites_an_orphan_instance(tmp_path, generator_model_text):
     ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
     assert orphan in ids
     assert len(set(ids)) == len(ids)
+
+
+EVALS = "records/evals.jsonl"
+
+
+def records_of(root):
+    return (root / EVALS).read_bytes().splitlines(keepends=True)
+
+
+def test_failed_write_stops_the_records_and_resume_completes(tmp_path, generator_model_text):
+    full = tmp_path / "full"
+    run(full, budget=30, model_text=generator_model_text)
+    records = records_of(full)
+    with_instance = [i for i, line in enumerate(records) if json.loads(line)["instance_id"]]
+    blocked_at = with_instance[5]
+    out = tmp_path / "steps"
+    # A directory where the writer must create a future instance's .inst.
+    obstacle = out / "instances" / f"{json.loads(records[blocked_at])['instance_id']}.inst"
+    obstacle.mkdir(parents=True)
+
+    with pytest.raises(ArchiveError, match=re.escape(str(obstacle))):
+        run(out, budget=30, model_text=generator_model_text)
+    # The writer stopped at the failed .inst: no record of it or after it landed.
+    assert records_of(out) == records[:blocked_at]
+
+    obstacle.rmdir()
+    run(out, budget=30, resume=True, model_text=generator_model_text)
+    assert (out / "tuner.log").read_bytes() == (full / "tuner.log").read_bytes()
+    assert (out / EVALS).read_bytes() == (full / EVALS).read_bytes()
+
+
+def test_a_failed_write_without_a_writer_is_an_archive_error(tmp_path):
+    archive = CampaignArchive.create(tmp_path / "camp", {}, SPACE_TEXT, "")
+    (archive.root / "tuner.log").mkdir()
+    with pytest.raises(ArchiveError, match=re.escape(str(archive.root / "tuner.log"))):
+        archive.append_log("line")
+
+
+def test_writer_drops_a_torn_last_frame(tmp_path):
+    (tmp_path / "records").mkdir()
+    whole = archivewriter.frame("records/evals.jsonl", b'{"seq": 1}\n')
+    torn = archivewriter.frame("records/evals.jsonl", b'{"seq": 2}\n')[:-3]
+    archivewriter.apply(str(tmp_path), io.BytesIO(whole + torn))
+    assert (tmp_path / EVALS).read_bytes() == b'{"seq": 1}\n'
+
+
+CRASHING_CAMPAIGN = """
+import sys, time
+import benchgen.campaign
+from test_campaign import run
+
+evaluate = benchgen.campaign.evaluate_configuration
+
+def slow(*args, **kwargs):
+    time.sleep(0.02)  # keeps the campaign running until it is killed
+    return evaluate(*args, **kwargs)
+
+benchgen.campaign.evaluate_configuration = slow
+run(sys.argv[1], budget=60, model_text=sys.argv[2])
+"""
+
+
+def test_killed_campaign_keeps_whole_instances_and_resumes(tmp_path, generator_model_text):
+    full = tmp_path / "full"
+    run(full, budget=60, model_text=generator_model_text)
+    out = tmp_path / "steps"
+    src = str(Path(benchgen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    # The archive writer inherits the campaign's stdout, so reading it to EOF
+    # waits for both processes.
+    with subprocess.Popen(
+        [sys.executable, "-c", CRASHING_CAMPAIGN, str(out), generator_model_text],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+    ) as child:
+        deadline = time.monotonic() + 60
+        while not (out / EVALS).exists() or len(records_of(out)) < 10:
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        child.send_signal(signal.SIGKILL)
+        child.communicate(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+
+    recorded = records_of(out)
+    assert 10 <= len(recorded) < len(records_of(full))
+    assert recorded == records_of(full)[:len(recorded)]
+    for line in recorded:
+        iid = json.loads(line)["instance_id"]
+        if iid:
+            inst = f"instances/{iid}.inst"
+            assert (out / inst).read_bytes() == (full / inst).read_bytes()
+
+    run(out, budget=60, resume=True, model_text=generator_model_text)
+    assert (out / "tuner.log").read_bytes() == (full / "tuner.log").read_bytes()
+    assert (out / EVALS).read_bytes() == (full / EVALS).read_bytes()
+
+
+@pytest.fixture
+def archive_calls(monkeypatch):
+    """Count the calls of the campaign's per-evaluation archive writes and
+    keep every writer process started."""
+    calls = {"add_instance": 0, "add_evaluation": 0, "append_log": 0}
+    for name in calls:
+        method = getattr(CampaignArchive, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(CampaignArchive, name, counted)
+    writers = calls["writers"] = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            writers.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return calls
+
+
+def test_evaluator_that_raises_leaves_its_evaluations_and_no_writer(
+    tmp_path, generator_model_text, monkeypatch, archive_calls
+):
+    full = tmp_path / "full"
+    run(full, budget=30, model_text=generator_model_text)
+    evaluate, made = campaign.evaluate_configuration, []
+
+    def failing(*args, **kwargs):
+        if len(made) == 14:
+            raise RuntimeError("evaluator failed")
+        made.append(evaluate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(campaign, "evaluate_configuration", failing)
+    archive_calls["add_evaluation"] = 0
+    out = tmp_path / "steps"
+    with pytest.raises(RuntimeError, match="evaluator failed"):
+        run(out, budget=30, model_text=generator_model_text)
+
+    logged = archive_calls["add_evaluation"]
+    assert 0 < logged <= 14
+    assert records_of(out) == records_of(full)[:logged]
+    log = (full / "tuner.log").read_bytes().splitlines(keepends=True)
+    assert (out / "tuner.log").read_bytes() == b"".join(log[:logged])
+    assert all(writer.returncode == 0 for writer in archive_calls["writers"])
+
+
+def test_campaign_calls_each_archive_write_once_per_evaluation(
+    tmp_path, generator_model_text, archive_calls
+):
+    out = tmp_path / "camp"
+    archive = run(out, budget=30, model_text=generator_model_text).archive
+    evaluations = list(archive.evaluations())
+    assert archive_calls["add_evaluation"] == len(evaluations)
+    assert archive_calls["append_log"] == len(evaluations)
+    assert archive_calls["add_instance"] == len(archive.instance_ids()) == sum(
+        1 for e in evaluations if e["instance_id"]
+    )
+
+    # A resumed campaign archives only its new evaluations.
+    for name in ("add_instance", "add_evaluation", "append_log"):
+        archive_calls[name] = 0
+    run(out, budget=60, resume=True, model_text=generator_model_text)
+    new = list(archive.evaluations())[len(evaluations):]
+    assert new and archive_calls["add_evaluation"] == len(new)
+    assert archive_calls["add_instance"] == sum(1 for e in new if e["instance_id"])
+    assert archive_calls["append_log"] == len(evaluations) + len(new)
+    assert len(archive_calls["writers"]) == 2

@@ -129,6 +129,14 @@ def test_missing_config_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_tune_into_a_regular_file_is_reported(workspace, capsys):
+    out = workspace / "taken"
+    out.write_text("not a directory\n")
+    assert main(["tune", str(workspace / "campaign.ini"), "--out", str(out), "--budget", "12"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create a campaign archive at {out}")
+    assert out.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
