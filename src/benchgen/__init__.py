@@ -4,128 +4,119 @@ Tunes a parameterised instance generator with iterated racing so that the
 generated instances are graded (inside a difficulty band for one solver)
 or discriminating (easy for a favoured solver, hard for a base solver),
 then scores, ranks and reports solver performance on the generated sets.
+
+``import benchgen`` loads no submodule: each public name below is imported
+from its module on first access, so a command that only reads an archive
+never pays for the generator stack.
 """
 
-from .errors import (
-    ArchiveError,
-    BenchgenError,
-    CheckError,
-    DegenerateInput,
-    EvalError,
-    MissingRecord,
-    ModelError,
-    ParseError,
-    ValidationError,
-)
-from .evaluate import (
-    DiscriminatingPolicy,
-    EvaluationLimits,
-    GradedPolicy,
-    LARGE_NEGATIVE,
-    PLUS_INFINITY,
-    discriminating_penalty,
-    evaluate_configuration,
-    graded_penalty,
-)
-from .gensolve import (
-    CandidateInstance,
-    GenOutcome,
-    GeneratorSolveResult,
-    SolutionHistory,
-    record_solution,
-    solve_generator,
-)
-from .model import GeneratorModel, check_assignment, parse_model
-from .problems import get_problem
-from .runner import (
-    OracleResult,
-    RunStatus,
-    SolverAdapter,
-    SolverRecord,
-    Status,
-    check_solution,
-    classify_run,
-    measure_time_to_best,
-    oracle_optimum,
-    run_solver,
-)
-from .scoring import (
-    BordaTable,
-    ComparableRecord,
-    PairScore,
-    borda_complete,
-    is_better,
-    minizinc_score,
-)
-from .space import (
-    GeneratorConfiguration,
-    ParameterSpace,
-    ParameterSpec,
-    SamplingModel,
-    parse_space,
-    sample_from_model,
-    sample_uniform,
-    update_sampling_model,
-)
-from .tuner import TunerConfig, TunerReport, friedman_eliminate, race, run_tuning
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArchiveError",
-    "BenchgenError",
-    "BordaTable",
-    "CandidateInstance",
-    "CheckError",
-    "ComparableRecord",
-    "DegenerateInput",
-    "DiscriminatingPolicy",
-    "EvalError",
-    "EvaluationLimits",
-    "GenOutcome",
-    "GeneratorConfiguration",
-    "GeneratorModel",
-    "GeneratorSolveResult",
-    "GradedPolicy",
-    "LARGE_NEGATIVE",
-    "MissingRecord",
-    "ModelError",
-    "OracleResult",
-    "PLUS_INFINITY",
-    "PairScore",
-    "ParameterSpace",
-    "ParameterSpec",
-    "ParseError",
-    "RunStatus",
-    "SamplingModel",
-    "SolutionHistory",
-    "SolverAdapter",
-    "SolverRecord",
-    "Status",
-    "TunerConfig",
-    "TunerReport",
-    "ValidationError",
-    "borda_complete",
-    "check_assignment",
-    "check_solution",
-    "classify_run",
-    "discriminating_penalty",
-    "evaluate_configuration",
-    "friedman_eliminate",
-    "get_problem",
-    "graded_penalty",
-    "is_better",
-    "measure_time_to_best",
-    "minizinc_score",
-    "oracle_optimum",
-    "parse_model",
-    "parse_space",
-    "race",
-    "record_solution",
-    "run_solver",
-    "run_tuning",
-    "sample_from_model",
-    "sample_uniform",
-    "solve_generator",
-    "update_sampling_model",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "ArchiveError",
+            "BenchgenError",
+            "CheckError",
+            "DegenerateInput",
+            "EvalError",
+            "MissingRecord",
+            "ModelError",
+            "ParseError",
+            "ValidationError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(
+        (
+            "DiscriminatingPolicy",
+            "GradedPolicy",
+            "LARGE_NEGATIVE",
+            "PLUS_INFINITY",
+            "discriminating_penalty",
+            "evaluate_configuration",
+            "graded_penalty",
+        ),
+        "evaluate",
+    ),
+    **dict.fromkeys(
+        (
+            "CandidateInstance",
+            "GenOutcome",
+            "GeneratorSolveResult",
+            "SolutionHistory",
+            "record_solution",
+            "solve_generator",
+        ),
+        "gensolve",
+    ),
+    **dict.fromkeys(("GeneratorModel", "check_assignment", "parse_model"), "model"),
+    "get_problem": "problems",
+    **dict.fromkeys(
+        (
+            "EvaluationLimits",
+            "OracleResult",
+            "RunStatus",
+            "SolverAdapter",
+            "SolverRecord",
+            "Status",
+            "check_solution",
+            "classify_run",
+            "measure_time_to_best",
+            "oracle_optimum",
+            "run_solver",
+        ),
+        "runner",
+    ),
+    **dict.fromkeys(
+        (
+            "BordaTable",
+            "ComparableRecord",
+            "PairScore",
+            "borda_complete",
+            "is_better",
+            "minizinc_score",
+        ),
+        "scoring",
+    ),
+    **dict.fromkeys(
+        (
+            "GeneratorConfiguration",
+            "ParameterSpace",
+            "ParameterSpec",
+            "SamplingModel",
+            "parse_space",
+            "sample_from_model",
+            "sample_uniform",
+            "update_sampling_model",
+        ),
+        "space",
+    ),
+    **dict.fromkeys(
+        ("TunerConfig", "TunerReport", "friedman_eliminate", "race", "run_tuning"), "tuner"
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import a public name, or a submodule, on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as err:
+            if err.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

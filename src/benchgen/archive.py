@@ -34,16 +34,19 @@ from __future__ import annotations
 import io
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from . import archivewriter
 from .errors import ArchiveError
-from .gensolve import CandidateInstance, SolutionHistory
-from .space import parse_space
+from .runner import RunStatus
 from .valuetext import canonical_key, parse_values
+
+if TYPE_CHECKING:
+    import subprocess
+
+    from .gensolve import CandidateInstance, SolutionHistory
 
 
 class CampaignArchive:
@@ -84,6 +87,8 @@ class CampaignArchive:
         The writer keeps this process's stdout, so whoever reads that to its
         end also waits until every write is applied, after a crash too.
         """
+        import subprocess
+
         try:
             self._writer = subprocess.Popen(
                 [sys.executable, "-I", "-S", archivewriter.__file__, str(self.root)],
@@ -175,7 +180,7 @@ class CampaignArchive:
         entry = next((e for e in self.evaluations() if e.get("instance_id") == instance_id), None)
         if entry is None:
             raise ArchiveError(f"unknown instance {instance_id}")
-        config_id, space_names = entry["config_id"], parse_space(self.space_text).names
+        config_id, space_names = entry["config_id"], self._space_names()
         return {
             "id": instance_id,
             "config_id": config_id,
@@ -184,6 +189,11 @@ class CampaignArchive:
             "penalty": entry["penalty"],
             "status": entry["status"],
         }
+
+    def _space_names(self) -> tuple[str, ...]:
+        from .space import parse_space
+
+        return parse_space(self.space_text).names
 
     def _decision_values(self, instance_id: str, space_names: tuple[str, ...]) -> dict[str, Any]:
         values = self.instance_values(instance_id)
@@ -256,7 +266,9 @@ class CampaignArchive:
         ends, so after a crash it lags the records. An ``.inst`` is whole
         before its evaluation is recorded; one without a record is ignored.
         """
-        space_names = parse_space(self.space_text).names
+        from .gensolve import SolutionHistory
+
+        space_names = self._space_names()
         history = SolutionHistory()
         for entry in self.evaluations():
             if entry.get("instance_id"):
@@ -270,3 +282,16 @@ class CampaignArchive:
         path.mkdir(exist_ok=True)
         return path
 
+
+def graded_instance_ids(archive: CampaignArchive) -> list[str]:
+    """Instance ids classified graded, in archive order."""
+    out = []
+    for entry in archive.evaluations():
+        if entry["status"] == RunStatus.GRADED.value and entry.get("instance_id"):
+            out.append(entry["instance_id"])
+    return out
+
+
+def discriminating_entries(archive: CampaignArchive) -> list[dict[str, Any]]:
+    """Evaluations classified dis-found (their penalty is negative)."""
+    return [e for e in archive.evaluations() if e["status"] == RunStatus.DIS_FOUND.value]

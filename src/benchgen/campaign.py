@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from .archive import CampaignArchive
+# Re-exported: callers also import the two archive queries from here.
+from .archive import CampaignArchive, discriminating_entries, graded_instance_ids
 from .errors import ArchiveError
 from .evaluate import (
     DiscriminatingPolicy,
@@ -237,16 +238,3 @@ def run_campaign(
     archive.save_history(history)
     return CampaignResult(archive=archive, report=report)
 
-
-def graded_instance_ids(archive: CampaignArchive) -> list[str]:
-    """Instance ids classified graded, in archive order."""
-    out = []
-    for entry in archive.evaluations():
-        if entry["status"] == RunStatus.GRADED.value and entry.get("instance_id"):
-            out.append(entry["instance_id"])
-    return out
-
-
-def discriminating_entries(archive: CampaignArchive) -> list[dict[str, Any]]:
-    """Evaluations classified dis-found (their penalty is negative)."""
-    return [e for e in archive.evaluations() if e["status"] == RunStatus.DIS_FOUND.value]

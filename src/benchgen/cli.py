@@ -4,30 +4,50 @@ Subcommands: tune (run a graded or discriminating campaign), combine
 (sample graded archives into one benchmark set), evaluate (run solvers on
 a combined set and rank them), report (export campaign tables), check
 (re-verify archived solutions).
+
+Each subcommand usually runs in a process of its own, where importing
+every layer costs more than the work of ``report`` or ``check``. So each
+``cmd_*`` imports only the layer it runs: ``report``, ``combine`` and
+``check`` read archives without loading the generator stack. The back ends ``run_campaign``, ``write_reports``,
+``build_combined_set`` and ``evaluate_combined`` resolve as attributes of
+this module on first access, and the commands call them through the
+module, so a wrapper set on ``benchgen.cli`` sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .archive import CampaignArchive
-from .campaign import run_campaign
 from .errors import BenchgenError, ValidationError
-from .evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPolicy
 from .problems import get_problem
-from .report import (
-    CombinedSet,
-    build_combined_set,
-    discrimination_report,
-    evaluate_combined,
-    status_frequencies,
-    write_reports,
-)
-from .runner import SolverAdapter, SolverRecord, verify_record
-from .tuner import TunerConfig
+
+if TYPE_CHECKING:
+    from .runner import SolverAdapter
+
+# Back-end name -> the module that defines it.
+_BACK_ENDS = {
+    "run_campaign": "campaign",
+    "write_reports": "report",
+    "build_combined_set": "report",
+    "evaluate_combined": "report",
+}
+
+
+def __getattr__(name: str):
+    module = _BACK_ENDS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]  # the commands call their back ends through this
 
 
 def parse_mem_limit(text: str) -> int | None:
@@ -57,6 +77,8 @@ def _read_config(path: str | Path) -> configparser.ConfigParser:
 
 
 def load_adapters(config: configparser.ConfigParser) -> dict[str, SolverAdapter]:
+    from .runner import SolverAdapter
+
     adapters: dict[str, SolverAdapter] = {}
     for section in config.sections():
         if not section.startswith("solver."):
@@ -70,6 +92,8 @@ def load_adapters(config: configparser.ConfigParser) -> dict[str, SolverAdapter]
 
 
 def _adapter(adapters: dict[str, SolverAdapter], name: str) -> SolverAdapter:
+    from .runner import SolverAdapter
+
     if name in adapters:
         return adapters[name]
     # Bare builtin ids are accepted without a [solver.*] section.
@@ -85,6 +109,10 @@ def _types(text: str) -> frozenset[str]:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    from .evaluate import DiscriminatingPolicy, GradedPolicy
+    from .runner import EvaluationLimits
+    from .tuner import TunerConfig
+
     config = _read_config(args.config)
     if not config.has_section("space"):
         raise ValidationError("config needs a [space] section")
@@ -152,7 +180,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         mem_limit=parse_mem_limit(opt(args.mem_limit, "mem_limit", "8G")),
     )
 
-    result = run_campaign(
+    result = _cli.run_campaign(
         args.out,
         space_text,
         model_text,
@@ -173,8 +201,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
+    from .archive import CampaignArchive
+
     archives = [CampaignArchive.open(p) for p in args.archives]
-    combined = build_combined_set(archives, args.k, args.seed)
+    combined = _cli.build_combined_set(archives, args.k, args.seed)
     combined.save(args.out)
     for label, ids in combined.selections.items():
         print(f"{label}: {len(ids)} instances")
@@ -183,7 +213,13 @@ def cmd_combine(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .archive import CampaignArchive
+    from .report import CombinedSet
+    from .runner import EvaluationLimits
+
     combined = CombinedSet.load(args.combined)
+    if not combined.sources:
+        raise ValidationError(f"combined set {args.combined} names no source archive")
     adapters: dict[str, SolverAdapter] = {}
     if args.config:
         adapters = load_adapters(_read_config(args.config))
@@ -193,7 +229,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         first = CampaignArchive.open(next(iter(combined.sources.values())))
         problem_name = first.meta["problem"]
     problem = get_problem(problem_name)
-    result = evaluate_combined(
+    result = _cli.evaluate_combined(
         combined,
         solvers,
         problem,
@@ -213,8 +249,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .archive import CampaignArchive
+    from .report import discrimination_report, status_frequencies
+
     archive = CampaignArchive.open(args.archive)
-    written = write_reports(archive)
+    written = _cli.write_reports(archive)
     freq = status_frequencies(archive)
     total = sum(count for count, _ in freq.values())
     print(f"evaluations: {total}")
@@ -235,6 +274,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .archive import CampaignArchive
+    from .runner import SolverRecord, verify_record
+
     archive = CampaignArchive.open(args.archive)
     problem = get_problem(archive.meta["problem"])
     checked = 0

@@ -18,12 +18,18 @@ from pathlib import Path
 from random import Random
 from typing import Any, Mapping, Sequence
 
-from .archive import CampaignArchive
-from .campaign import discriminating_entries, graded_instance_ids
+from .archive import CampaignArchive, discriminating_entries, graded_instance_ids
 from .errors import ArchiveError, ValidationError
-from .evaluate import EvaluationLimits
 from .problems import Problem
-from .runner import RunStatus, SolverAdapter, SolverRecord, derive_seed, run_solver, verify_record
+from .runner import (
+    EvaluationLimits,
+    RunStatus,
+    SolverAdapter,
+    SolverRecord,
+    derive_seed,
+    run_solver,
+    verify_record,
+)
 from .scoring import (
     BordaTable,
     borda_complete,
@@ -71,11 +77,23 @@ class CombinedSet:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_jsonable(), indent=2))
+        try:
+            Path(path).write_text(json.dumps(self.to_jsonable(), indent=2))
+        except OSError as exc:
+            raise ArchiveError(f"cannot write the combined set {path}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "CombinedSet":
-        return cls.from_jsonable(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ArchiveError(f"cannot read the combined set {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ArchiveError(f"combined set {path} is not JSON: {exc}") from exc
+        keys = ("selections", "sources", "seed", "k")
+        if not isinstance(data, dict) or not all(key in data for key in keys):
+            raise ArchiveError(f"{path} is not a combined set: it needs {', '.join(keys)}")
+        return cls.from_jsonable(data)
 
 
 def build_combined_set(

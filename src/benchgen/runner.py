@@ -7,21 +7,43 @@ run keeps its files in a fresh ``run_*`` directory under
 ``EvaluationLimits.workdir``, or in a temporary directory removed when the
 run ends. ``run_solver`` never raises; every failure becomes a record with
 an error status so campaign loops stay total.
+
+Records, statuses and checks are needed by every command, solvers only by
+those that run one. So the builtin solvers (``solvers``, with the
+expression language) load when a builtin adapter is first validated or
+run, and the external runner (``external``, with ``subprocess``) when a
+command adapter is. ``run_builtin`` and ``run_external_command`` resolve
+as attributes of this module on first access, and ``run_solver`` calls
+them through the module, so a wrapper set on ``benchgen.runner`` sees
+every run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
 from .errors import CheckError, ValidationError
-from .external import run_dir, run_external_command, validate_command_template
 from .problems import Problem
-from .solvers import builtin_exists, run_builtin
 from .valuetext import format_values, values_from_jsonable, values_to_jsonable
+
+
+def __getattr__(name: str):
+    if name == "run_builtin":
+        from .solvers import run_builtin as value
+    elif name == "run_external_command":
+        from .external import run_external_command as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+_runner = sys.modules[__name__]  # run_solver calls the back ends through this
 
 
 class Status(Enum):
@@ -82,9 +104,14 @@ class SolverAdapter:
             raise ValidationError(f"unknown solver kind {self.kind!r}")
         if (self.builtin is None) == (self.command is None):
             raise ValidationError("adapter needs exactly one of builtin id or command template")
-        if self.builtin is not None and not builtin_exists(self.builtin):
-            raise ValidationError(f"unknown builtin solver {self.builtin!r}")
+        if self.builtin is not None:
+            from .solvers import builtin_exists
+
+            if not builtin_exists(self.builtin):
+                raise ValidationError(f"unknown builtin solver {self.builtin!r}")
         if self.command is not None:
+            from .external import validate_command_template
+
             validate_command_template(self.command)
 
 
@@ -161,18 +188,20 @@ def run_solver(
     if time_limit <= 0:
         return SolverRecord(adapter.name, Status.TIMEOUT, 0.0, note="non-positive time limit")
     if adapter.builtin is not None:
-        outcome = run_builtin(
+        outcome = _runner.run_builtin(
             adapter.builtin, problem, instance_values, time_limit, seed, limits.mem_limit
         )
     else:
         assert adapter.command is not None
+        from .external import run_dir
+
         try:
             with run_dir(limits.workdir) as directory:
                 model_path = directory / "problem.model"
                 instance_path = directory / "instance.inst"
                 model_path.write_text(problem.describe())
                 instance_path.write_text(format_values(dict(instance_values)))
-                outcome = run_external_command(
+                outcome = _runner.run_external_command(
                     adapter.command,
                     str(model_path),
                     str(instance_path),

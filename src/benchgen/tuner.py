@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Protocol, Sequence
@@ -347,6 +346,8 @@ def race(
             block_index = state.blocks
             alive_snapshot = list(state.alive)
             if config.workers > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
                     results = list(
                         pool.map(lambda c: evaluator(c, block_index), alive_snapshot)

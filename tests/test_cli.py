@@ -138,6 +138,32 @@ def test_tune_into_a_regular_file_is_reported(workspace, capsys):
 
 
 @pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "cannot read the combined set {path}"),
+        ("{not json", "combined set {path} is not JSON"),
+        ('{"selections": {}, "sources": {}, "seed": 0}', "{path} is not a combined set"),
+        ('{"selections": {}, "sources": {}, "seed": 0, "k": 5}', "combined set {path} names no source"),
+    ],
+    ids=["missing", "not-json", "lacks-k", "no-sources"],
+)
+def test_bad_combined_set_is_reported(workspace, capsys, content, reason):
+    path = workspace / "combined.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["evaluate", str(path), "--solvers", "exact"]) == 2
+    assert capsys.readouterr().err.startswith("error: " + reason.format(path=path))
+
+
+def test_combine_into_an_unwritable_path_is_reported(workspace, capsys):
+    graded = fabricate_graded_archive(workspace / "graded", "band", [{"status": "graded"}] * 3)
+    out = workspace / "absent" / "combined.json"
+    assert main(["combine", str(graded.root), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write the combined set {out}")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["combine", "{graded}", "--k", "-1", "--out", "{ws}/combined.json"],
