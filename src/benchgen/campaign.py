@@ -102,17 +102,12 @@ class CampaignResult:
 
 
 @dataclass
-class _ReplayInstanceRef:
-    id: str
-
-
-@dataclass
 class _ReplayResult:
     """Evaluation outcome reconstructed from the archive during resume."""
 
     penalty: float
     status: RunStatus
-    instance: Any = None
+    instance_id: str | None
 
 
 def run_campaign(
@@ -177,9 +172,19 @@ def run_campaign(
         archive = CampaignArchive.create(out_dir, meta, space_text, model_text)
         history = SolutionHistory()
 
+    # In-process solvers share the interpreter lock, so a pool only slows them
+    # and inflates their recorded times; only external runs overlap.
+    solvers = (
+        (policy.solver, policy.oracle)
+        if isinstance(policy, GradedPolicy)
+        else (policy.favoured, policy.base)
+    )
+    if not all(s is None or s.command is not None for s in solvers):
+        tuner_config = replace(tuner_config, workers=1)
+
     seen: dict[str, int] = {}
     eval_seq = len(replay)
-    seen_lock = threading.Lock()  # evaluators run on pool threads when workers > 1
+    seen_lock = threading.Lock()  # external runs evaluate on pool threads when workers > 1
 
     def evaluator(config: GeneratorConfiguration, block: int):
         with seen_lock:
@@ -187,9 +192,8 @@ def run_campaign(
             seen[config.id] = occ + 1
         cached = replay.get((config.id, occ))
         if cached is not None:
-            ref = _ReplayInstanceRef(cached["instance_id"]) if cached.get("instance_id") else None
             return _ReplayResult(
-                penalty=cached["penalty"], status=RunStatus(cached["status"]), instance=ref
+                cached["penalty"], RunStatus(cached["status"]), cached.get("instance_id")
             )
         return evaluate_configuration(
             model, config, history, policy, limits, seed=tuner_config.seed
@@ -214,7 +218,7 @@ def run_campaign(
             "block": entry.step - 1,
             "config_id": entry.config_id,
             "assignment": dict(entry.config.assignment),
-            "instance_id": result.instance.id if result.instance else None,
+            "instance_id": result.instance_id,
             "penalty": result.penalty,
             "status": result.status.value,
             "generator_outcome": result.generator_outcome.value,

@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--favoured", default=None)
     tune.add_argument("--base", default=None)
     tune.add_argument("--seed", type=int, default=None)
-    tune.add_argument("--workers", type=int, default=None)
+    tune.add_argument(
+        "--workers", type=int, default=None, help="parallel runs when all solvers are external"
+    )
     tune.add_argument("--mem-limit", dest="mem_limit", default=None, help="e.g. 8G")
     tune.add_argument("--resume", action="store_true", help="resume from an existing archive")
     tune.set_defaults(func=cmd_tune)

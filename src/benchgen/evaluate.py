@@ -117,6 +117,10 @@ class EvaluationResult:
     scores: tuple[float, float] | None = None
     oracle: OracleResult | None = None
 
+    @property
+    def instance_id(self) -> str | None:
+        return self.instance.id if self.instance is not None else None
+
 
 def generator_penalty(outcome: GenOutcome) -> float | None:
     """Penalty owed to the tuner by the generator outcome alone.

@@ -67,15 +67,6 @@ class CombinedSet:
             "selections": self.selections,
         }
 
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any]) -> "CombinedSet":
-        return cls(
-            selections={k: list(v) for k, v in data["selections"].items()},
-            sources=dict(data["sources"]),
-            seed=data["seed"],
-            k=data["k"],
-        )
-
     def save(self, path: str | Path) -> None:
         try:
             Path(path).write_text(json.dumps(self.to_jsonable(), indent=2))
@@ -93,7 +84,23 @@ class CombinedSet:
         keys = ("selections", "sources", "seed", "k")
         if not isinstance(data, dict) or not all(key in data for key in keys):
             raise ArchiveError(f"{path} is not a combined set: it needs {', '.join(keys)}")
-        return cls.from_jsonable(data)
+        selections, sources = data["selections"], data["sources"]
+        if not isinstance(selections, dict) or not all(
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            for ids in selections.values()
+        ):
+            why = "selections must map each label to a list of instance ids"
+        elif not isinstance(sources, dict) or not all(
+            isinstance(source, str) for source in sources.values()
+        ):
+            why = "sources must map each label to an archive path"
+        elif unsourced := [label for label in selections if label not in sources]:
+            why = f"selection {unsourced[0]!r} has no source"
+        elif not all(type(data[key]) is int for key in ("seed", "k")):
+            why = "seed and k must be integers"
+        else:
+            return cls(selections, sources, data["seed"], data["k"])
+        raise ArchiveError(f"{path} is not a combined set: {why}")
 
 
 def build_combined_set(

@@ -216,7 +216,6 @@ def update_sampling_model(
     elites: Sequence[GeneratorConfiguration],
     *,
     space: ParameterSpace,
-    decay: float = SPREAD_DECAY,
 ) -> SamplingModel:
     """Rebuild the model around the elites and decay the spread once.
 
@@ -226,7 +225,7 @@ def update_sampling_model(
     if not elites:
         raise ValidationError("cannot update a sampling model from zero elites")
     spread = initial_spread(space) if model is None else model.spread
-    new_spread = {name: max(s * decay, SPREAD_FLOOR) for name, s in spread.items()}
+    new_spread = {name: max(s * SPREAD_DECAY, SPREAD_FLOOR) for name, s in spread.items()}
     centers = tuple(dict(e.assignment) for e in elites)
     return SamplingModel(centers=centers, spread=new_spread)
 

@@ -21,7 +21,6 @@ from .runner import RunStatus
 from .space import (
     GeneratorConfiguration,
     ParameterSpace,
-    SPREAD_DECAY,
     SamplingModel,
     dedupe_configurations,
     sample_from_model,
@@ -30,26 +29,24 @@ from .space import (
 )
 
 
+# Fixed racing settings: survivors kept per race (and elites passed on),
+# the Friedman test level, and the number of races the budget is split into.
+MIN_SURVIVORS = 2
+ELIMINATION_ALPHA = 0.05
+RACE_SLICES = 5  # per-race budget = total_budget / RACE_SLICES
+
+
 @dataclass(frozen=True)
 class TunerConfig:
     total_budget: int = 2000
     first_race_size: int | None = None  # default: max(6, ceil(budget / 40))
-    min_survivors: int = 2
-    elimination_alpha: float = 0.05
-    instances_per_step: int = 1
     seed: int = 0
     first_test_after: int = 5
-    race_slices: int = 5  # per-race budget = total_budget / race_slices
-    spread_decay: float = SPREAD_DECAY
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.total_budget < 0:
             raise ValidationError("total_budget must be non-negative")
-        if not (0 < self.elimination_alpha < 1):
-            raise ValidationError("elimination_alpha must be in (0, 1)")
-        if self.min_survivors < 1 or self.instances_per_step < 1:
-            raise ValidationError("min_survivors and instances_per_step must be positive")
         if self.workers < 1:
             raise ValidationError("workers must be positive")
 
@@ -63,6 +60,7 @@ class TunerConfig:
 class EvaluationLike(Protocol):
     penalty: float
     status: RunStatus
+    instance_id: str | None
 
 
 class Evaluator(Protocol):
@@ -306,9 +304,6 @@ class TunerReport:
         """Every evaluated configuration by id."""
         return {entry.config_id: entry.config for entry in self.log}
 
-    def count(self, status: RunStatus) -> int:
-        return self.status_counts.get(status.value, 0)
-
 
 def _rank_survivors(state: RaceState) -> list[GeneratorConfiguration]:
     """Order alive configurations by mean within-block rank (best first)."""
@@ -333,64 +328,52 @@ def race(
 
     Returns the survivors ranked best-first together with the final state.
     Infinite penalties remove a configuration before any statistical test;
-    Friedman elimination never cuts below ``min_survivors``. ``log`` is
+    Friedman elimination never cuts below ``MIN_SURVIVORS``. ``log`` is
     called with each log entry and its result, in evaluation order.
     """
     state = RaceState(alive=list(configs), penalties={c.id: [] for c in configs})
 
     while state.alive:
-        cost = len(state.alive) * config.instances_per_step
-        if state.evaluations_used + cost > race_budget:
+        if state.evaluations_used + len(state.alive) > race_budget:
             break
-        for _ in range(config.instances_per_step):
-            block_index = state.blocks
-            alive_snapshot = list(state.alive)
-            if config.workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
+        block_index = state.blocks
+        alive = list(state.alive)
+        if config.workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    results = list(
-                        pool.map(lambda c: evaluator(c, block_index), alive_snapshot)
-                    )
-            else:
-                results = [evaluator(c, block_index) for c in alive_snapshot]
-            survivors: list[GeneratorConfiguration] = []
-            for cfg, result in zip(alive_snapshot, results):
-                entry = EvalLogEntry(
-                    iteration,
-                    block_index + 1,
-                    cfg,
-                    result.penalty,
-                    result.status,
-                    getattr(getattr(result, "instance", None), "id", None),
-                )
-                state.log.append(entry)
-                if log is not None:
-                    log(entry, result)
-                state.penalties[cfg.id].append(result.penalty)
-                if math.isinf(result.penalty) and result.penalty > 0:
-                    continue  # discarded immediately, before any test
-                survivors.append(cfg)
-            state.alive = survivors
-            state.blocks += 1
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                results = list(pool.map(lambda c: evaluator(c, block_index), alive))
+        else:
+            results = [evaluator(c, block_index) for c in alive]
+        survivors: list[GeneratorConfiguration] = []
+        for cfg, result in zip(alive, results):
+            entry = EvalLogEntry(
+                iteration, block_index + 1, cfg, result.penalty, result.status, result.instance_id
+            )
+            state.log.append(entry)
+            if log is not None:
+                log(entry, result)
+            state.penalties[cfg.id].append(result.penalty)
+            if math.isinf(result.penalty) and result.penalty > 0:
+                continue  # discarded immediately, before any test
+            survivors.append(cfg)
+        state.alive = survivors
+        state.blocks += 1
 
-        if (
-            len(state.alive) > config.min_survivors
-            and state.blocks >= max(config.first_test_after, 2)
-        ):
-            result = friedman_eliminate(state.penalty_matrix(), config.elimination_alpha)
+        if len(state.alive) > MIN_SURVIVORS and state.blocks >= max(config.first_test_after, 2):
+            result = friedman_eliminate(state.penalty_matrix(), ELIMINATION_ALPHA)
             if result.eliminated:
                 ranked = sorted(
                     range(len(state.alive)),
                     key=lambda j: (result.rank_sums[j], j),
                 )
-                keep = set(ranked[: config.min_survivors])
+                keep = set(ranked[:MIN_SURVIVORS])
                 state.alive = [
                     c
                     for j, c in enumerate(state.alive)
                     if j not in result.eliminated or j in keep
                 ]
-        if len(state.alive) <= config.min_survivors:
+        if len(state.alive) <= MIN_SURVIVORS:
             break
 
     return _rank_survivors(state), state
@@ -411,7 +394,7 @@ def run_tuning(
     """
     rng = Random(config.seed)
     log_entries: list[EvalLogEntry] = []
-    per_race = max(config.total_budget // config.race_slices, 1)
+    per_race = max(config.total_budget // RACE_SLICES, 1)
     iteration = 0
     elites: list[GeneratorConfiguration] = []
     model: SamplingModel | None = None
@@ -432,9 +415,8 @@ def run_tuning(
             candidates = dedupe_configurations(candidates)
         if not candidates:
             break
-        block_cost = len(candidates) * config.instances_per_step
-        race_budget = min(max(per_race, block_cost), budget_left)
-        if race_budget < block_cost:
+        race_budget = min(max(per_race, len(candidates)), budget_left)
+        if race_budget < len(candidates):
             # Not enough budget left for even one complete block.
             break
 
@@ -443,10 +425,8 @@ def run_tuning(
         )
         log_entries += state.log
         if survivors:
-            elites = survivors[: config.min_survivors]
-            model = update_sampling_model(
-                model, elites, space=space, decay=config.spread_decay
-            )
+            elites = survivors[:MIN_SURVIVORS]
+            model = update_sampling_model(model, elites, space=space)
         else:
             elites = []
             model = None

@@ -1,17 +1,23 @@
-"""The benchmark's traced call sites exist in benchgen.
+"""The benchmark's traced call sites and tuner settings exist in benchgen.
 
 perfbench/tracing.py wraps benchgen functions by module and attribute
 name. A refactor that renames such a function, or stops calling it through
-that name, would leave its layer untraced; this test fails instead. It
-reads perfbench/ and changes nothing there.
+that name, would leave its layer untraced; this test fails instead. In the
+same way, a TunerConfig field that perfbench/worker.py sets must not be cut.
+These tests read perfbench/ and change nothing there.
 """
 
+import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from benchgen.tuner import TunerConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def call_sites():
@@ -28,3 +34,17 @@ def test_traced_call_site_resolves_to_a_callable(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_bench_worker_sets_only_tuner_config_fields():
+    worker = PERFBENCH / "worker.py"
+    calls = [
+        node
+        for node in ast.walk(ast.parse(worker.read_text(), str(worker)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TunerConfig"
+    ]
+    assert calls
+    fields = {field.name for field in dataclasses.fields(TunerConfig)}
+    for call in calls:
+        assert not call.args
+        assert {keyword.arg for keyword in call.keywords} <= fields

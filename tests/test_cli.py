@@ -144,8 +144,27 @@ def test_tune_into_a_regular_file_is_reported(workspace, capsys):
         ("{not json", "combined set {path} is not JSON"),
         ('{"selections": {}, "sources": {}, "seed": 0}', "{path} is not a combined set"),
         ('{"selections": {}, "sources": {}, "seed": 0, "k": 5}', "combined set {path} names no source"),
+        (
+            '{"selections": ["a"], "sources": {}, "seed": 0, "k": 5}',
+            "{path} is not a combined set: selections must map each label to a list",
+        ),
+        (
+            '{"selections": {"a": ["i1"]}, "sources": {"b": "camp"}, "seed": 0, "k": 5}',
+            "{path} is not a combined set: selection 'a' has no source",
+        ),
+        (
+            '{"selections": {"a": ["i1"]}, "sources": {"a": 1}, "seed": 0, "k": 5}',
+            "{path} is not a combined set: sources must map each label to an archive path",
+        ),
+        (
+            '{"selections": {"a": ["i1"]}, "sources": {"a": "camp"}, "seed": 0, "k": "5"}',
+            "{path} is not a combined set: seed and k must be integers",
+        ),
     ],
-    ids=["missing", "not-json", "lacks-k", "no-sources"],
+    ids=[
+        "missing", "not-json", "lacks-k", "no-sources",
+        "list-selections", "unsourced-label", "non-string-source", "string-k",
+    ],
 )
 def test_bad_combined_set_is_reported(workspace, capsys, content, reason):
     path = workspace / "combined.json"

@@ -100,6 +100,16 @@ def test_tune_loads_neither_reports_nor_the_external_runner_nor_a_pool(tuned):
     assert not {"benchgen.report", "benchgen.external", "concurrent.futures"} & modules
 
 
+def test_tune_with_a_builtin_solver_builds_no_pool_at_any_workers(tuned, tmp_path):
+    camp, _ = tuned
+    pooled = tmp_path / "camp"
+    result = run_commands(["tune", str(camp.parent / "campaign.ini"), "--out", str(pooled), "--workers", "3"])
+    assert result["codes"] == [0]
+    assert "concurrent.futures" not in result["modules"]
+    for name in ("tuner.log", "records/evals.jsonl"):
+        assert (pooled / name).read_bytes() == (camp / name).read_bytes()
+
+
 def test_archive_commands_load_no_generator_stack(tuned, tmp_path):
     camp, _ = tuned
     result = run_commands(

@@ -2,9 +2,11 @@
 
 import json
 import math
+import threading
 
 import pytest
 
+from benchgen import campaign
 from benchgen.campaign import graded_instance_ids, run_campaign
 from benchgen.evaluate import EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
@@ -47,6 +49,41 @@ def test_worker_pool_matches_single_threaded_run(tmp_path):
     assert graded_instance_ids(serial.archive) == graded_instance_ids(threaded.archive)
     evals = "records/evals.jsonl"
     assert (tmp_path / "serial" / evals).read_bytes() == (tmp_path / "threaded" / evals).read_bytes()
+
+
+def test_external_solver_campaign_runs_on_the_pool(tmp_path, monkeypatch):
+    script = tmp_path / "solver.sh"
+    script.write_text("printf 'take = [0, 0]\\nobjective = 0\\n----------\\n'\n")
+    policy = GradedPolicy(
+        problem=KNAPSACK,
+        solver=SolverAdapter(name="empty", command=f"sh {script} {{model}} {{instance}} {{time_limit_ms}}"),
+        # Far below and above any process start-up, so no status depends on overlap.
+        t_min=0.0001,
+        t_max=60.0,
+    )
+    on_main_thread = []
+    evaluate = campaign.evaluate_configuration
+
+    def recording(*args, **kwargs):
+        on_main_thread.append(threading.current_thread() is threading.main_thread())
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "evaluate_configuration", recording)
+
+    def run(out, workers):
+        on_main_thread.clear()
+        run_campaign(
+            out, SPACE_TEXT, MODEL_TEXT, policy,
+            TunerConfig(total_budget=24, first_race_size=6, seed=8, workers=workers),
+            FAST_LIMITS,
+        )
+        return set(on_main_thread)
+
+    assert run(tmp_path / "serial", 1) == {True}
+    assert run(tmp_path / "pooled", 2) == {False}
+    log = (tmp_path / "serial" / "tuner.log").read_text()
+    assert "status=graded" in log
+    assert (tmp_path / "pooled" / "tuner.log").read_text() == log
 
 
 def test_half_unsat_generator_region(tmp_path):
@@ -95,21 +132,6 @@ def test_graded_times_match_programmed_latency(tmp_path):
     graded = graded_instance_ids(result.archive)
     expected = sorted(result.archive.instance_values(iid)["capacity"] / 10 for iid in graded)
     assert sorted(summary.times) == pytest.approx(expected)
-
-
-def test_instances_per_step_multiplies_block_evaluations(tmp_path):
-    result = run_campaign(
-        tmp_path / "camp", SPACE_TEXT, MODEL_TEXT, banded_policy(),
-        TunerConfig(total_budget=24, first_race_size=6, seed=4, instances_per_step=2),
-        FAST_LIMITS,
-    )
-    assert result.report.evaluations_used <= 24
-    # Two evaluations of each configuration per step produce distinct instances.
-    by_config: dict[str, set[str]] = {}
-    for entry in result.archive.evaluations():
-        if entry["instance_id"]:
-            by_config.setdefault(entry["config_id"], set()).add(entry["instance_id"])
-    assert any(len(ids) >= 2 for ids in by_config.values())
 
 
 def test_default_race_size_scales_with_budget():

@@ -163,6 +163,7 @@ def test_t_two_sided_keeps_its_accuracy_in_the_far_tail():
 class StubResult:
     penalty: float
     status: RunStatus = RunStatus.GRADED
+    instance_id: str | None = None
 
 
 def make_configs(space_text, n, seed=0):
@@ -187,7 +188,7 @@ def test_race_dominant_config_survives_and_ranks_first():
 
     survivors, state = race(
         configs, evaluator, race_budget=25,
-        config=TunerConfig(total_budget=25, min_survivors=2, first_test_after=2),
+        config=TunerConfig(total_budget=25, first_test_after=2),
     )
     assert survivors[0].id == winner
     assert any(c.id == winner for c in state.alive)
@@ -201,7 +202,7 @@ def test_race_identical_penalties_no_elimination():
 
     survivors, state = race(
         configs, evaluator, race_budget=40,
-        config=TunerConfig(total_budget=40, min_survivors=2, first_test_after=2),
+        config=TunerConfig(total_budget=40, first_test_after=2),
     )
     assert len(survivors) == 4  # statistic 0, nothing eliminated
 
@@ -216,7 +217,7 @@ def test_race_plus_infinity_discards_immediately():
 
     survivors, state = race(
         configs, evaluator, race_budget=12,
-        config=TunerConfig(total_budget=12, min_survivors=2, first_test_after=5),
+        config=TunerConfig(total_budget=12, first_test_after=5),
     )
     assert all(c.id != doomed for c in survivors)
     assert len(state.penalties[doomed]) == 1  # evaluated once, then dropped
@@ -231,7 +232,7 @@ def test_race_keeps_at_least_min_survivors():
 
     survivors, state = race(
         configs, evaluator, race_budget=120,
-        config=TunerConfig(total_budget=120, min_survivors=2, first_test_after=2),
+        config=TunerConfig(total_budget=120, first_test_after=2),
     )
     assert len(survivors) >= 2
     assert survivors[0].id == configs[0].id
