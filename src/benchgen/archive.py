@@ -8,9 +8,9 @@ Layout of a campaign directory:
     instances/         <id>.inst canonical text, one file per instance
     records/evals.jsonl  one JSON object per evaluation
     tuner.log          one line per evaluation
-    history.json       solution history (negative tables), written when
-                       the campaign ends; resume rebuilds the history
-                       from evals.jsonl and the .inst files instead
+    history.json       solution count per configuration, written when the
+                       campaign ends and never read; resume counts the
+                       recorded instances in evals.jsonl instead
     reports/           outputs of the report subcommand
 
 An instance's decision values are its .inst values minus the parameter
@@ -35,13 +35,14 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from . import archivewriter
 from .errors import ArchiveError
 from .runner import RunStatus
-from .valuetext import canonical_key, parse_values
+from .valuetext import parse_values
 
 if TYPE_CHECKING:
     import subprocess
@@ -260,21 +261,19 @@ class CampaignArchive:
         history.save(self.root / "history.json")
 
     def load_history(self) -> SolutionHistory:
-        """The solution history of the recorded evaluations, from their ``.inst``.
+        """The solution history of the recorded evaluations: per
+        configuration, how many of its records name an instance.
 
         ``history.json`` is not read: it is only written when a campaign
-        ends, so after a crash it lags the records. An ``.inst`` is whole
-        before its evaluation is recorded; one without a record is ignored.
+        ends, so after a crash it lags the records. The history has no
+        cursors, so each configuration's next solve steps past its counted
+        solutions first.
         """
         from .gensolve import SolutionHistory
 
-        space_names = self._space_names()
-        history = SolutionHistory()
-        for entry in self.evaluations():
-            if entry.get("instance_id"):
-                decision = self._decision_values(entry["instance_id"], space_names)
-                history.add(entry["config_id"], canonical_key(decision))
-        return history
+        return SolutionHistory(
+            Counter(e["config_id"] for e in self.evaluations() if e.get("instance_id"))
+        )
 
     @property
     def reports_dir(self) -> Path:

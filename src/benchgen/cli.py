@@ -121,7 +121,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if model_rel is None:
         raise ValidationError("config needs [generator] model = <path>")
     model_path = Path(args.config).parent / model_rel
-    model_text = model_path.read_text()
+    try:
+        model_text = model_path.read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read generator model {model_path}: {exc.strerror}") from None
 
     camp = config["campaign"] if config.has_section("campaign") else {}
     adapters = load_adapters(config)
@@ -131,12 +134,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
             return flag_value
         return camp.get(key, fallback)
 
+    def number(kind, flag_value, key, fallback):
+        value = opt(flag_value, key, fallback)
+        try:
+            return None if value is None else kind(value)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(f"[campaign] {key} must be {what}, got {value!r}") from None
+
     kind = camp.get("kind", "graded")
     if args.favoured or args.base:
         kind = "discriminating"
     problem = get_problem(opt(None, "problem", "knapsack"))
-    t_min = float(opt(args.t_min, "t_min", 10.0))
-    t_max = float(opt(args.t_max, "t_max", 1200.0))
+    t_min = number(float, args.t_min, "t_min", 10.0)
+    t_max = number(float, args.t_max, "t_max", 1200.0)
     types = _types(opt(args.types, "types", "sat,unsat"))
 
     if kind == "graded":
@@ -151,7 +162,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             t_max=t_max,
             types=types,
             oracle=_adapter(adapters, oracle_name) if oracle_name else None,
-            oracle_budget=float(camp["oracle_budget"]) if "oracle_budget" in camp else None,
+            oracle_budget=number(float, None, "oracle_budget", None),
         )
     elif kind == "discriminating":
         favoured = opt(args.favoured, "favoured", None)
@@ -170,13 +181,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise ValidationError(f"unknown campaign kind {kind!r}")
 
     tuner_config = TunerConfig(
-        total_budget=int(opt(args.budget, "budget", 2000)),
-        seed=int(opt(args.seed, "seed", 0)),
-        workers=int(opt(args.workers, "workers", 1)),
+        total_budget=number(int, args.budget, "budget", 2000),
+        seed=number(int, args.seed, "seed", 0),
+        workers=number(int, args.workers, "workers", 1),
     )
     limits = EvaluationLimits(
-        translate_limit=float(camp.get("translate_limit", 300.0)),
-        solve_limit=float(camp.get("solve_limit", 600.0)),
+        translate_limit=number(float, None, "translate_limit", 300.0),
+        solve_limit=number(float, None, "solve_limit", 600.0),
         mem_limit=parse_mem_limit(opt(args.mem_limit, "mem_limit", "8G")),
     )
 

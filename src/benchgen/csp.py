@@ -1,22 +1,16 @@
 """Finite-domain CSP representation and chronological backtracking search.
 
 The search contract is fixed: variables are assigned in declaration order,
-values ascending, and the first satisfying assignment whose canonical key
-is not excluded is returned. Constraints carry an exact check (run once
-the whole scope is assigned) and an optional pruning predicate that may
-refute a partial assignment early; pruning never changes which solution
-is found first, only how fast the search gets there.
+values ascending, and the first satisfying assignment is returned.
+Constraints carry an exact check (run once the whole scope is assigned)
+and an optional pruning predicate that may refute a partial assignment
+early; pruning never changes which solution is found first, only how fast
+the search gets there.
 
-Because solutions come out in lex order (of the assignment vector, which
-is declaration order with ascending values), a caller that excludes each
-solution it takes can hand back the last one as a cursor: the search then
-resumes strictly after that vector instead of re-walking every excluded
-leaf before it. The exclusion set is still checked at every leaf, so a
-cursor never lets an excluded solution through; it only skips assignments
-that are at or before the cursor. The caller must ensure every solution
-at or before the cursor is excluded (true when the cursor is the last
-solution taken from a search over the same exclusions), so that resuming
-finds exactly what a full scan would.
+Solutions therefore come out in lex order of the assignment vector
+(declaration order, ascending values). A search given a solution's vector
+as its cursor returns the next solution strictly after it, so a caller can
+take every solution, each exactly once, by passing back the last one.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ class CspConstraint:
     check: Callable[[Assignment], bool]
     # Returns True when the partial assignment is already inconsistent.
     prune: Callable[[Assignment], bool] | None = None
-    label: str = ""
 
 
 @dataclass
@@ -58,8 +51,6 @@ class GroundedCsp:
     constraints: list[CspConstraint]
     # Rebuilds structured decision values from a full assignment vector.
     decode: Callable[[Assignment], dict[str, Any]] = field(default=lambda a: {})
-    # Canonical key of decoded values, for the exclusion table.
-    key_of: Callable[[dict[str, Any]], str] = field(default=lambda v: repr(sorted(v.items())))
 
     @cached_property
     def search_index(self) -> tuple[list, list, bool]:
@@ -90,7 +81,6 @@ class GroundedCsp:
 class BacktrackResult:
     status: SolveStatus
     values: dict[str, Any] | None = None
-    key: str | None = None
     # The solution's assignment vector, a cursor for the next search.
     assignment: tuple[int, ...] | None = None
     nodes: int = 0
@@ -99,16 +89,15 @@ class BacktrackResult:
 
 def backtrack_solve(
     csp: GroundedCsp,
-    exclusions: frozenset[str] | set[str],
     time_limit: float,
     after: Sequence[int] | None = None,
 ) -> BacktrackResult:
-    """Depth-first search for the first non-excluded solution.
+    """Depth-first search for the first solution.
 
     With ``after`` the search starts strictly after that assignment vector
     in lex order; with None it scans from the first assignment. Returns
     UNSAT when the tree is exhausted and TIMEOUT when the deadline passes
-    (a zero limit times out immediately).
+    (a limit of zero or less times out at once).
     """
     start = time.monotonic()
     deadline = start + time_limit
@@ -137,14 +126,9 @@ def backtrack_solve(
         if idx == n:
             if on_cursor:
                 return None  # the cursor itself, taken before
-            decoded = csp.decode(assignment)
-            key = csp.key_of(decoded)
-            if key in exclusions:
-                return None
             return BacktrackResult(
                 SolveStatus.SOLUTION,
-                values=decoded,
-                key=key,
+                values=csp.decode(assignment),
                 assignment=tuple(assignment),
                 nodes=nodes,
                 elapsed=time.monotonic() - start,

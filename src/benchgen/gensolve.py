@@ -1,15 +1,16 @@
 """Solving generator instances and keeping their solution histories.
 
-Each configuration keeps a negative table of previously generated solutions
-so that re-evaluating it always yields a fresh candidate instance, until
+Re-evaluating a configuration must yield a fresh candidate instance, until
 the configuration's solution set is exhausted. Solutions come out in lex
-order, so the history also keeps each configuration's last solution as a
-search cursor: the next solve resumes right after it instead of skipping
-every excluded solution again. A history without a cursor for a
-configuration (fresh, or loaded from disk) scans from the start. Like the
-cursors, and likewise not saved, the history keeps a bounded LRU of
-grounded CSPs by configuration id, so a configuration evaluated again is
-not grounded again.
+order and distinct solutions decode to distinct instances, so a history
+needs only how many solutions each configuration has taken and, as a
+search cursor, the assignment vector of the last one: the next solve
+resumes right after it. A history without a cursor for a configuration
+(loaded from disk, or rebuilt from the records on resume) catches up by
+stepping past the solutions it has counted, one cursor search after
+another. Like the cursors, and likewise not saved, the history keeps a
+bounded LRU of grounded CSPs by configuration id, so a configuration
+evaluated again is not grounded again.
 """
 
 from __future__ import annotations
@@ -73,32 +74,27 @@ class GeneratorSolveResult:
 
 
 class SolutionHistory:
-    """Append-only negative tables and lex cursors, one per configuration id.
+    """Solution counts and lex cursors, one per configuration id.
 
-    Invariant: every solution at or before a configuration's cursor is in
-    its table. It holds because a cursor only ever moves to a solution
-    found by a search over (a subset of) the same table from the previous
-    cursor, and tables only grow. The history also keeps an LRU of
-    grounded CSPs, one per configuration id with the model it was grounded
-    from, bounded by ``CSP_CACHE_SIZE``. Neither cursors nor CSPs are
-    saved: a loaded history starts without them.
+    Invariant: a configuration's kept cursor is the assignment vector of
+    its count-th solution in lex order. It holds because ``add`` counts a
+    solution only when its cursor lies after the kept one, and
+    ``solve_generator`` finds each solution from the previous one. The
+    history also keeps an LRU of grounded CSPs, one per configuration id
+    with the model it was grounded from, bounded by ``CSP_CACHE_SIZE``.
+    Only the counts are saved: a loaded history starts without cursors or
+    CSPs.
     """
 
-    def __init__(self, tables: Mapping[str, set[str]] | None = None):
-        self._tables: dict[str, set[str]] = {
-            k: set(v) for k, v in (tables or {}).items()
-        }
+    def __init__(self, counts: Mapping[str, int] | None = None):
+        self._counts: dict[str, int] = dict(counts or {})
         self._cursors: dict[str, tuple[int, ...]] = {}
         self._csps: OrderedDict[str, tuple[GeneratorModel, GroundedCsp]] = OrderedDict()
         self._lock = threading.Lock()
 
-    def keys_for(self, config_id: str) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._tables.get(config_id, ()))
-
     def count(self, config_id: str) -> int:
         with self._lock:
-            return len(self._tables.get(config_id, ()))
+            return self._counts.get(config_id, 0)
 
     def cursor_for(self, config_id: str) -> tuple[int, ...] | None:
         with self._lock:
@@ -120,34 +116,39 @@ class SolutionHistory:
             if len(self._csps) > CSP_CACHE_SIZE:
                 self._csps.popitem(last=False)
 
-    def add(self, config_id: str, key: str, cursor: tuple[int, ...] | None = None) -> None:
-        """Exclude ``key``; ``cursor`` is its assignment vector when it was
-        found by ``solve_generator`` against this history.
+    def add(self, config_id: str, cursor: tuple[int, ...] | None = None) -> None:
+        """Count one solution and keep ``cursor``, its assignment vector.
+
+        A cursor at or before the kept one is a solution counted already
+        and changes nothing; ``None`` counts one and drops the kept cursor.
         """
         with self._lock:
-            self._tables.setdefault(config_id, set()).add(key)
             old = self._cursors.get(config_id)
-            if cursor is not None and (old is None or cursor > old):
+            if cursor is not None and old is not None and cursor <= old:
+                return
+            self._counts[config_id] = self._counts.get(config_id, 0) + 1
+            if cursor is None:
+                self._cursors.pop(config_id, None)
+            else:
                 self._cursors[config_id] = cursor
 
-    def to_jsonable(self) -> dict[str, list[str]]:
+    def to_jsonable(self) -> dict[str, int]:
         with self._lock:
-            return {k: sorted(v) for k, v in self._tables.items()}
+            return dict(self._counts)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_jsonable(), indent=0, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "SolutionHistory":
-        data = json.loads(Path(path).read_text())
-        return cls({k: set(v) for k, v in data.items()})
+        return cls(json.loads(Path(path).read_text()))
 
 
 def record_solution(
     history: SolutionHistory, config_id: str, instance: CandidateInstance
 ) -> SolutionHistory:
-    """Add the instance's canonical encoding to the negative table (idempotent)."""
-    history.add(config_id, instance.exclusion_key, instance.cursor)
+    """Count the instance and make it the configuration's cursor (idempotent)."""
+    history.add(config_id, instance.cursor)
     return history
 
 
@@ -164,8 +165,10 @@ def solve_generator(
     the two timeout outcomes are distinguished so the tuner can penalise
     them differently. A configuration whose grounding from ``model`` the
     history still keeps is not grounded again, so it cannot time out in
-    translation. Solutions already in the history are skipped; the search
-    resumes after the configuration's cursor when it has one.
+    translation. The search resumes after the configuration's cursor;
+    without one it first steps past the solutions the history has counted.
+    The first search and any catch-up share ``solve_limit``, which starts
+    once the configuration is grounded.
     """
     start = time.monotonic()
     csp = history.csp_for(config.id, model)
@@ -176,9 +179,14 @@ def solve_generator(
             return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT, time.monotonic() - start)
         history.keep_csp(config.id, model, csp)
 
+    deadline = time.monotonic() + solve_limit
     cursor = history.cursor_for(config.id)
-    exclusions = history.keys_for(config.id)
-    result = backtrack_solve(csp, exclusions, solve_limit, after=cursor)
+    sequence = history.count(config.id)
+    behind = sequence if cursor is None else 0
+    result = backtrack_solve(csp, deadline - time.monotonic(), after=cursor)
+    while behind and result.status is SolveStatus.SOLUTION:
+        behind -= 1
+        result = backtrack_solve(csp, deadline - time.monotonic(), after=result.assignment)
     elapsed = time.monotonic() - start
     if result.status is SolveStatus.TIMEOUT:
         return GeneratorSolveResult(GenOutcome.SOLVE_TIMEOUT, elapsed)
@@ -189,7 +197,7 @@ def solve_generator(
         values={**dict(config.assignment), **result.values},
         decision_values=dict(result.values),
         config_id=config.id,
-        sequence=history.count(config.id),
+        sequence=sequence,
         cursor=result.assignment,
     )
     return GeneratorSolveResult(GenOutcome.SOLUTION, elapsed, instance)

@@ -29,7 +29,6 @@ from .csp import CspConstraint, CspVariable, GroundedCsp
 from .errors import EvalError
 from .model import GeneratorModel, InstantiatedVar, instantiate
 from .space import GeneratorConfiguration
-from .valuetext import canonical_key
 
 
 class TranslateTimeout(Exception):
@@ -448,7 +447,6 @@ def ground(
                 scope=scope,
                 check=make_check(cexpr, referenced),
                 prune=_pruner(cexpr, terms) if scope else None,
-                label=str(cexpr),
             )
         )
 
@@ -460,5 +458,4 @@ def ground(
         variables=variables,
         constraints=constraints,
         decode=decode,
-        key_of=canonical_key,
     )

@@ -35,7 +35,7 @@ def format_values(values: Mapping[str, Any]) -> str:
 
 
 def canonical_key(values: Mapping[str, Any]) -> str:
-    """Single-line canonical encoding, used for solution-history exclusion."""
+    """Single-line canonical encoding: equal values, equal key."""
     return ";".join(f"{name}={format_value(values[name])}" for name in sorted(values))
 
 

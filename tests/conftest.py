@@ -15,16 +15,16 @@ from benchgen.problems import KnapsackData
 def enumerate_solutions(
     csp: GroundedCsp, limit: int = 1_000_000, time_limit: float = 60.0
 ) -> list[dict[str, Any]]:
-    """Exhaust the search tree via repeated solve-and-exclude."""
+    """Exhaust the search tree via repeated solve-and-resume from the cursor."""
     found: list[dict[str, Any]] = []
-    keys: set[str] = set()
+    cursor = None
     while len(found) < limit:
-        res = backtrack_solve(csp, keys, time_limit)
+        res = backtrack_solve(csp, time_limit, after=cursor)
         if res.status is not SolveStatus.SOLUTION:
             break
-        assert res.values is not None and res.key is not None
+        assert res.values is not None and res.assignment is not None
         found.append(res.values)
-        keys.add(res.key)
+        cursor = res.assignment
     return found
 
 

@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps benchgen functions by module and attribute
 name. A refactor that renames such a function, or stops calling it through
 that name, would leave its layer untraced; this test fails instead. In the
-same way, a TunerConfig field that perfbench/worker.py sets must not be cut.
+same way, a TunerConfig field that perfbench/worker.py sets, and a
+BacktrackResult field that the traced search reads, must not be cut.
 These tests read perfbench/ and change nothing there.
 """
 
@@ -48,3 +49,19 @@ def test_bench_worker_sets_only_tuner_config_fields():
     for call in calls:
         assert not call.args
         assert {keyword.arg for keyword in call.keywords} <= fields
+
+
+def test_traced_search_reads_only_backtrack_result_fields():
+    from benchgen.csp import BacktrackResult
+
+    tree = ast.parse(TRACING.read_text(), str(TRACING))
+    (nodes,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_nodes"]
+    read = {
+        node.attr
+        for node in ast.walk(nodes)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "result"
+    }
+    assert read
+    assert read <= {field.name for field in dataclasses.fields(BacktrackResult)}

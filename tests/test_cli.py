@@ -123,10 +123,54 @@ def test_tune_resume_with_another_t_max_is_reported(workspace, capsys):
     assert len((out / "tuner.log").read_text().splitlines()) == 12
 
 
+def test_resume_needs_no_inst_but_check_reports_a_missing_one(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "24"]) == 0
+    entries = [json.loads(line) for line in (out / "records" / "evals.jsonl").read_text().splitlines()]
+    gone = next(e["instance_id"] for e in entries if e["instance_id"] and any(
+        r.get("solution") is not None for r in e["records"].values()))
+    (out / "instances" / f"{gone}.inst").unlink()
+    capsys.readouterr()
+    # Resume counts the recorded instances from evals.jsonl alone.
+    assert main(["tune", config, "--out", str(out), "--budget", "36", "--resume"]) == 0
+    capsys.readouterr()
+    assert main(["check", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown instance {gone}")
+
+
 def test_missing_config_is_reported(tmp_path, capsys):
     code = main(["tune", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_generator_model_is_reported(workspace, capsys):
+    config = workspace / "campaign.ini"
+    config.write_text(config.read_text().replace("model: knapsack.gen", "model: absent.gen"))
+    assert main(["tune", str(config), "--out", str(workspace / "camp")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read generator model {workspace / 'absent.gen'}"
+    )
+    assert not (workspace / "camp").exists()
+
+
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("budget = 30", "budget = abc", "[campaign] budget must be an integer, got 'abc'"),
+        ("translate_limit = 5", "translate_limit = fast",
+         "[campaign] translate_limit must be a number, got 'fast'"),
+    ],
+    ids=["budget", "translate-limit"],
+)
+def test_non_numeric_campaign_value_is_reported(workspace, capsys, line, bad, message):
+    config = workspace / "campaign.ini"
+    assert line in config.read_text()
+    config.write_text(config.read_text().replace(line, bad))
+    assert main(["tune", str(config), "--out", str(workspace / "camp")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (workspace / "camp").exists()
 
 
 def test_tune_into_a_regular_file_is_reported(workspace, capsys):

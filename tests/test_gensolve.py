@@ -5,6 +5,7 @@ import itertools
 import sys
 import tempfile
 import threading
+import time
 from random import Random
 
 import pytest
@@ -40,12 +41,11 @@ def simple_csp(n_vars=2, domain=(1, 2), constraints=()):
         variables=variables,
         constraints=list(constraints),
         decode=lambda a: {f"v{i}": a[i] for i in range(n_vars)},
-        key_of=canonical_key,
     )
 
 
 def test_first_solution_ordering_contract():
-    result = backtrack_solve(simple_csp(), frozenset(), 10.0)
+    result = backtrack_solve(simple_csp(), 10.0)
     assert result.status is SolveStatus.SOLUTION
     assert result.values == {"v0": 1, "v1": 1}
 
@@ -53,19 +53,19 @@ def test_first_solution_ordering_contract():
 def test_exclusion_advances_in_lex_order():
     csp = simple_csp()
     seen = []
-    keys: set[str] = set()
+    cursor = None
     for _ in range(5):
-        result = backtrack_solve(csp, keys, 10.0)
+        result = backtrack_solve(csp, 10.0, after=cursor)
         if result.status is not SolveStatus.SOLUTION:
             seen.append("unsat")
             break
         seen.append((result.values["v0"], result.values["v1"]))
-        keys.add(result.key)
+        cursor = result.assignment
     assert seen == [(1, 1), (1, 2), (2, 1), (2, 2), "unsat"]
 
 
 def test_zero_time_limit_times_out():
-    result = backtrack_solve(simple_csp(), frozenset(), 0.0)
+    result = backtrack_solve(simple_csp(), 0.0)
     assert result.status is SolveStatus.TIMEOUT
 
 
@@ -84,7 +84,6 @@ def test_six_queens_has_four_solutions():
         variables=variables,
         constraints=constraints,
         decode=lambda a: {"q": list(a)},
-        key_of=canonical_key,
     )
     solutions = enumerate_solutions(csp)
 
@@ -142,7 +141,7 @@ def test_history_roundtrip_preserves_exclusions(tmp_path):
     history.save(tmp_path / "history.json")
 
     reloaded = SolutionHistory.load(tmp_path / "history.json")
-    assert reloaded.keys_for(config.id) == history.keys_for(config.id)
+    assert reloaded.count(config.id) == history.count(config.id) == 1
     again = solve_generator(model, config, reloaded, 5.0, 5.0)
     assert again.instance.decision_values != first.instance.decision_values
 
@@ -285,7 +284,7 @@ def solution_sequence(model, config, history, with_cursor, stop=None):
         if with_cursor:
             record_solution(history, config.id, instance)
         else:
-            history.add(config.id, instance.exclusion_key)
+            history.add(config.id)
     return seen
 
 
@@ -321,8 +320,10 @@ def test_cursor_resume_matches_exclusion_scan(case):
     resumed = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
     assert resumed == scanned
     assert scanned[-1] is GenOutcome.UNSAT
-    # Integer-interval pruning never refutes a solution.
-    assert {key for _, key in scanned[:-1]} == brute_force_keys(model, config)
+    # Integer-interval pruning never refutes a solution, and none repeats.
+    brute = brute_force_keys(model, config)
+    assert {key for _, key in scanned[:-1]} == brute
+    assert len(scanned) - 1 == len(brute)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -331,9 +332,9 @@ def test_cursor_resume_matches_exclusion_scan(case):
 @example(("var x : int 0..0\nvar a[n] : int 0..1\nvar s : set of 1..2\nvar t[n] : set of 1..2",
           {"n": 1, "k": 0}))
 def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
-    # Resume rebuilds each negative table from the archived .inst files:
-    # their values minus the parameter names are the decision values. The
-    # first 48 solutions of each case (lex order: empty sets come first).
+    # An archived .inst holds the decision values: its values minus the
+    # parameter names. Resume counts the recorded instances. The first 48
+    # solutions of each case (lex order: empty sets come first).
     model_text, values = case
     model = parse_model(CURSOR_SPACE, model_text)
     config = make_configuration(CURSOR_SPACE, values)
@@ -351,7 +352,7 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
             decision = {k: v for k, v in archive.instance_values(iid).items()
                         if k not in CURSOR_SPACE.names}
             assert canonical_key(decision) == key
-        assert archive.load_history().keys_for(config.id) == frozenset(keys.values())
+        assert archive.load_history().count(config.id) == len(keys)
 
 
 def test_loaded_history_continues_the_same_sequence(tmp_path):
@@ -371,6 +372,83 @@ def test_loaded_history_continues_the_same_sequence(tmp_path):
     tail = solution_sequence(model, config, reloaded, with_cursor=True)
     assert head + tail == full
     assert len(full) > 5 and full[-1] is GenOutcome.UNSAT
+
+
+RESUME_MODEL_TEXT = (
+    "var x : int 0..2\nvar a[n] : int 0..2\nvar s : set of 1..2\n"
+    "constraint sum(a) / n = x\nconstraint x in s"
+)
+
+
+def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
+    model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
+    config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
+    other = make_configuration(CURSOR_SPACE, {"n": 1, "k": 0})
+    full = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+    assert len(full) > 5
+    for k in range(len(full)):
+        archive = CampaignArchive.create(tmp_path / str(k), {}, "n: 1..2; k: 0..4", RESUME_MODEL_TEXT)
+        history = SolutionHistory()
+        for _ in range(k):
+            instance = solve_generator(model, config, history, 5.0, 5.0).instance
+            record_solution(history, config.id, instance)
+            archive.add_instance(instance)
+            archive.add_evaluation({"config_id": config.id, "instance_id": instance.id})
+            # Records without an instance, and another configuration's, count nothing.
+            archive.add_evaluation({"config_id": config.id, "instance_id": None})
+            archive.add_evaluation({"config_id": other.id, "instance_id": f"{other.id}-0000"})
+        loaded = archive.load_history()
+        assert loaded.count(config.id) == k and loaded.cursor_for(config.id) is None
+        assert full[:k] + solution_sequence(model, config, loaded, with_cursor=True) == full
+
+
+def test_catch_up_that_times_out_records_nothing():
+    model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
+    config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
+    full = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+    history = SolutionHistory({config.id: 3})
+    assert solve_generator(model, config, history, 5.0, 0.0).outcome is GenOutcome.SOLVE_TIMEOUT
+    assert (history.count(config.id), history.cursor_for(config.id)) == (3, None)
+    result = solve_generator(model, config, history, 5.0, 5.0)
+    assert (result.instance.sequence, result.instance.exclusion_key) == full[3]
+
+
+def test_recording_an_earlier_instance_changes_nothing():
+    model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
+    config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
+    history = SolutionHistory()
+    taken = []
+    for _ in range(2):
+        taken.append(solve_generator(model, config, history, 5.0, 5.0).instance)
+        record_solution(history, config.id, taken[-1])
+    record_solution(history, config.id, taken[0])
+    assert history.count(config.id) == 2
+    assert history.cursor_for(config.id) == taken[1].cursor
+
+
+def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
+    real_ground, real_solve = gensolve.ground, gensolve.backtrack_solve
+    limits = []
+
+    def slow_ground(model, config, deadline=None):
+        time.sleep(0.3)
+        return real_ground(model, config, deadline)
+
+    def recording(csp, time_limit, after=None):
+        limits.append(time_limit)
+        return real_solve(csp, time_limit, after=after)
+
+    monkeypatch.setattr(gensolve, "ground", slow_ground)
+    monkeypatch.setattr(gensolve, "backtrack_solve", recording)
+    model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
+    config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
+    history = SolutionHistory({config.id: 3})
+    result = solve_generator(model, config, history, 5.0, 1.0)
+    assert result.outcome is GenOutcome.SOLUTION and result.instance.sequence == 3
+    # The first search and the three catch-up steps share one deadline.
+    assert len(limits) == 4
+    assert 0.9 < limits[0] <= 1.0
+    assert limits == sorted(limits, reverse=True)
 
 
 def test_shared_history_keeps_each_configuration_sequence_under_threads():
@@ -412,9 +490,9 @@ def test_zero_length_array_has_one_empty_solution():
         sequence = solution_sequence(model, config, SolutionHistory(), with_cursor)
         assert sequence == [(0, first.instance.exclusion_key), GenOutcome.UNSAT]
     csp = ground(model, config)
-    found = backtrack_solve(csp, frozenset(), 5.0)
+    found = backtrack_solve(csp, 5.0)
     assert (found.status, found.assignment, found.nodes) == (SolveStatus.SOLUTION, (), 0)
-    resumed = backtrack_solve(csp, frozenset(), 5.0, after=found.assignment)
+    resumed = backtrack_solve(csp, 5.0, after=found.assignment)
     assert (resumed.status, resumed.nodes) == (SolveStatus.UNSAT, 0)
 
 
