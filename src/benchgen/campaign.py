@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -27,6 +26,7 @@ from .evaluate import (
 from .gensolve import SolutionHistory
 from .model import parse_model
 from .problems import get_problem
+from .records import Record, replace
 from .runner import RunStatus, SolverAdapter
 from .space import GeneratorConfiguration, parse_space
 from .tuner import EvalLogEntry, TunerConfig, TunerReport, run_tuning
@@ -95,14 +95,12 @@ def policy_from_meta(meta: dict[str, Any]) -> Policy:
     )
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(Record):
     archive: CampaignArchive
     report: TunerReport
 
 
-@dataclass
-class _ReplayResult:
+class _ReplayResult(Record):
     """Evaluation outcome reconstructed from the archive during resume."""
 
     penalty: float
@@ -162,6 +160,13 @@ def run_campaign(
             cid = entry["config_id"]
             replay[(cid, occurrence.get(cid, 0))] = entry
             occurrence[cid] = occurrence.get(cid, 0) + 1
+        if tuner_config.total_budget < len(replay):
+            # A replay cut short would rewrite tuner.log and config.json
+            # without the records beyond the budget.
+            raise ArchiveError(
+                f"cannot resume {out_dir}: budget {tuner_config.total_budget} "
+                f"is below the {len(replay)} recorded evaluations"
+            )
         history = archive.load_history()
         archive.write_meta(meta)  # the new budget
     else:

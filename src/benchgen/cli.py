@@ -70,7 +70,13 @@ def parse_mem_limit(text: str) -> int | None:
 def _read_config(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keep parameter-name case
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        for section in parser.sections():
+            parser.items(section)  # interpolates every value, so a bad one fails here
+    except (configparser.Error, UnicodeDecodeError) as err:
+        reason = " ".join(str(err).split())
+        raise ValidationError(f"cannot parse config file {path}: {reason}") from None
     if not read:
         raise ValidationError(f"cannot read config file {path}")
     return parser

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Any, Callable, Sequence
+
+from .records import Record, field
 
 Assignment = list  # list[int | None], indexed by CSP variable position
 
@@ -31,22 +32,19 @@ class SolveStatus(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class CspVariable:
+class CspVariable(Record, frozen=True):
     name: str
     domain: tuple[int, ...]  # ascending
 
 
-@dataclass(frozen=True)
-class CspConstraint:
+class CspConstraint(Record, frozen=True):
     scope: tuple[int, ...]  # CSP variable indices, ascending
     check: Callable[[Assignment], bool]
     # Returns True when the partial assignment is already inconsistent.
     prune: Callable[[Assignment], bool] | None = None
 
 
-@dataclass
-class GroundedCsp:
+class GroundedCsp(Record):
     variables: list[CspVariable]
     constraints: list[CspConstraint]
     # Rebuilds structured decision values from a full assignment vector.
@@ -77,8 +75,7 @@ class GroundedCsp:
         return by_max, by_member, nullary_ok
 
 
-@dataclass(frozen=True)
-class BacktrackResult:
+class BacktrackResult(Record, frozen=True):
     status: SolveStatus
     values: dict[str, Any] | None = None
     # The solution's assignment vector, a cursor for the next search.

@@ -13,7 +13,6 @@ other status 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from .errors import ValidationError
 from .gensolve import (
     CandidateInstance,
@@ -24,6 +23,7 @@ from .gensolve import (
 )
 from .model import GeneratorModel
 from .problems import Problem
+from .records import Record, field, replace
 from .runner import (
     EvaluationLimits,
     OracleResult,
@@ -53,8 +53,7 @@ def _check_band(t_min: float, t_max: float) -> None:
         raise ValidationError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
 
 
-@dataclass(frozen=True)
-class GradedPolicy:
+class GradedPolicy(Record, frozen=True):
     """Band-of-difficulty acceptance for a single solver."""
 
     problem: Problem
@@ -85,8 +84,7 @@ class GradedPolicy:
         return self.oracle_budget if self.oracle_budget is not None else 3 * self.t_max
 
 
-@dataclass(frozen=True)
-class DiscriminatingPolicy:
+class DiscriminatingPolicy(Record, frozen=True):
     """Favoured solver should excel where the base solver struggles."""
 
     problem: Problem
@@ -107,8 +105,7 @@ class DiscriminatingPolicy:
 Policy = GradedPolicy | DiscriminatingPolicy
 
 
-@dataclass
-class EvaluationResult:
+class EvaluationResult(Record):
     penalty: float
     status: RunStatus
     generator_outcome: GenOutcome

@@ -10,11 +10,11 @@ are 1-indexed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Union
 
 from .errors import EvalError, ParseError
+from .records import Record
 
 Value = Union[int, Fraction, list, set, bool]
 
@@ -53,74 +53,61 @@ def tokenize(text: str) -> list[tuple[str, str]]:
 # are the same operator.
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record, frozen=True):
     value: int
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record, frozen=True):
     name: str
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(Record, frozen=True):
     base: "Expr"
     index: "Expr"
 
 
-@dataclass(frozen=True)
-class Card:
+class Card(Record, frozen=True):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record, frozen=True):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class MinOf:
+class MinOf(Record, frozen=True):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class MaxOf:
+class MaxOf(Record, frozen=True):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record, frozen=True):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record, frozen=True):
     op: str  # + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Record, frozen=True):
     op: str  # = != < <= > >=
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class InSet:
+class InSet(Record, frozen=True):
     item: "Expr"
     container: "Expr"
 
 
-@dataclass(frozen=True)
-class AllDifferent:
+class AllDifferent(Record, frozen=True):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record, frozen=True):
     left: "Expr"
     right: "Expr"
 

@@ -19,7 +19,6 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
@@ -27,6 +26,7 @@ from typing import Any, Mapping
 from .csp import GroundedCsp, SolveStatus, backtrack_solve
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
+from .records import Record, field
 from .space import GeneratorConfiguration
 from .valuetext import canonical_key, format_values
 
@@ -42,8 +42,7 @@ class GenOutcome(Enum):
     SOLVE_TIMEOUT = "solve_timeout"
 
 
-@dataclass(frozen=True)
-class CandidateInstance:
+class CandidateInstance(Record, frozen=True):
     """Concrete instance data: parameter values plus solved decision values."""
 
     values: dict[str, Any]
@@ -51,7 +50,7 @@ class CandidateInstance:
     config_id: str
     sequence: int
     # Assignment vector of the grounded CSP: the history's cursor once recorded.
-    cursor: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    cursor: tuple[int, ...] | None = field(default=None, hidden=True)
 
     @property
     def id(self) -> str:
@@ -66,8 +65,7 @@ class CandidateInstance:
         return canonical_key(self.decision_values)
 
 
-@dataclass(frozen=True)
-class GeneratorSolveResult:
+class GeneratorSolveResult(Record, frozen=True):
     outcome: GenOutcome
     elapsed: float
     instance: CandidateInstance | None = None

@@ -20,7 +20,6 @@ rationals elsewhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Collection, Mapping, Sequence
 
@@ -28,6 +27,7 @@ from . import expressions as ex
 from .csp import CspConstraint, CspVariable, GroundedCsp
 from .errors import EvalError
 from .model import GeneratorModel, InstantiatedVar, instantiate
+from .records import Record
 from .space import GeneratorConfiguration
 
 
@@ -41,8 +41,7 @@ class TranslateTimeout(Exception):
 MAX_CSP_CELLS = 2_000_000
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record, frozen=True):
     iv: InstantiatedVar
     start: int
     count: int
@@ -66,8 +65,7 @@ _SetBounds = tuple[int, Collection[int]]
 Reader = Callable[[Sequence[int | None]], Any]
 
 
-@dataclass(frozen=True)
-class _Term:
+class _Term(Record, frozen=True):
     """A compiled subexpression of a known shape.
 
     ``kind`` is "num" (``read`` gives an Interval), "set" (``read`` gives

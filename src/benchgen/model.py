@@ -16,12 +16,12 @@ model produces candidate-instance data. The text format is line based:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
 from . import expressions as ex
 from .errors import EvalError, ModelError, ParseError, ValidationError
+from .records import Record
 from .space import GeneratorConfiguration, ParameterSpace
 
 _VAR_RE = re.compile(
@@ -30,8 +30,7 @@ _VAR_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class DecisionVar:
+class DecisionVar(Record, frozen=True):
     """One declared decision variable.
 
     ``kind`` is "int" or "set"; a non-None ``shape`` makes it an array of
@@ -51,8 +50,7 @@ class DecisionVar:
         return "int_array" if self.shape is not None else "int"
 
 
-@dataclass(frozen=True)
-class InstantiatedVar:
+class InstantiatedVar(Record, frozen=True):
     """A decision variable with shapes and bounds resolved for one config."""
 
     name: str
@@ -62,8 +60,7 @@ class InstantiatedVar:
     length: int | None  # None for scalars / single sets
 
 
-@dataclass(frozen=True)
-class GeneratorModel:
+class GeneratorModel(Record, frozen=True):
     space: ParameterSpace
     decision_vars: tuple[DecisionVar, ...]
     constraints: tuple[ex.Expr, ...]

@@ -8,22 +8,20 @@ a selection of value at least ``target`` and can therefore be infeasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import CheckError
+from .records import Record
 
 MAX_ITEMS = 20
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(Record, frozen=True):
     feasible: bool
     objective: int | None
 
 
-@dataclass(frozen=True)
-class KnapsackData:
+class KnapsackData(Record, frozen=True):
     weight: list[int]
     value: list[int]
     copies: list[int]

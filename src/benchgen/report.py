@@ -13,7 +13,6 @@ import csv
 import json
 import statistics
 import warnings
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
 from typing import Any, Mapping, Sequence
@@ -21,6 +20,7 @@ from typing import Any, Mapping, Sequence
 from .archive import CampaignArchive, discriminating_entries, graded_instance_ids
 from .errors import ArchiveError, ValidationError
 from .problems import Problem
+from .records import Record, field, replace
 from .runner import (
     EvaluationLimits,
     RunStatus,
@@ -44,8 +44,7 @@ class EmptyArchive(Warning):
     """A graded campaign contributed zero instances to a combined set."""
 
 
-@dataclass
-class CombinedSet:
+class CombinedSet(Record):
     selections: dict[str, list[str]]  # source label -> instance ids
     sources: dict[str, str]  # source label -> archive path
     seed: int
@@ -155,8 +154,7 @@ def status_frequencies(archive: CampaignArchive) -> dict[str, tuple[int, float]]
     return {status: (n, n / total) for status, n in sorted(counts.items())}
 
 
-@dataclass
-class TimeSummary:
+class TimeSummary(Record):
     solver: str
     times: list[float]
 
@@ -202,8 +200,7 @@ def time_distribution(archive: CampaignArchive) -> dict[str, TimeSummary]:
     return {name: TimeSummary(name, times) for name, times in sorted(series.items())}
 
 
-@dataclass
-class CombinedEvaluation:
+class CombinedEvaluation(Record):
     borda: BordaTable
     records: dict[tuple[str, str], SolverRecord]
     flagged: dict[str, int]  # solver -> count of failed-verification answers
@@ -240,6 +237,8 @@ def evaluate_combined(
     are written there, and external runs keep their files in its ``runs``
     directory unless ``limits.workdir`` names another.
     """
+    if not t_max > 0:
+        raise ValidationError(f"t_max must be positive, got {t_max}")
     if out_dir is not None and limits.workdir is None:
         limits = replace(limits, workdir=str(Path(out_dir) / "runs"))
     archives = {label: CampaignArchive.open(path) for label, path in combined.sources.items()}
@@ -299,8 +298,7 @@ def evaluate_combined(
     return result
 
 
-@dataclass
-class DiscriminationReport:
+class DiscriminationReport(Record):
     count: int
     favoured_scores: list[float]
     penalties: list[float]

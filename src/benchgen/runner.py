@@ -20,15 +20,14 @@ every run.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
-from .errors import CheckError, ValidationError
+from .errors import CheckError, ParseError, ValidationError
 from .problems import Problem
+from .records import Record, field, replace
 from .valuetext import format_values, values_from_jsonable, values_to_jsonable
 
 
@@ -69,8 +68,7 @@ class RunStatus(Enum):
     ZERO_SCORES = "zero-scores"
 
 
-@dataclass(frozen=True)
-class EvaluationLimits:
+class EvaluationLimits(Record, frozen=True):
     """Resource limits shared by every solver run of a campaign or evaluation.
 
     ``mem_limit`` caps every run in bytes (None: no cap). ``workdir`` is
@@ -90,8 +88,7 @@ class EvaluationLimits:
             raise ValidationError(f"memory limit must be positive, got {self.mem_limit}")
 
 
-@dataclass(frozen=True)
-class SolverAdapter:
+class SolverAdapter(Record, frozen=True):
     """A named solver: builtin toy solver id or external command template."""
 
     name: str
@@ -107,7 +104,11 @@ class SolverAdapter:
         if self.builtin is not None:
             from .solvers import builtin_exists
 
-            if not builtin_exists(self.builtin):
+            try:
+                known = builtin_exists(self.builtin)
+            except ParseError as err:
+                raise ValidationError(f"builtin solver {self.builtin!r}: latency expression: {err}") from None
+            if not known:
                 raise ValidationError(f"unknown builtin solver {self.builtin!r}")
         if self.command is not None:
             from .external import validate_command_template
@@ -115,8 +116,7 @@ class SolverAdapter:
             validate_command_template(self.command)
 
 
-@dataclass
-class SolverRecord:
+class SolverRecord(Record):
     """Outcome of one solver run on one instance."""
 
     solver: str
@@ -160,8 +160,7 @@ class SolverRecord:
         )
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record, frozen=True):
     """Optimum established by a long-budget complete solver run."""
 
     optimum: int | None
@@ -172,6 +171,8 @@ class OracleResult:
 
 def derive_seed(*parts: Any) -> int:
     """Stable 63-bit seed from arbitrary labelled parts."""
+    import hashlib  # here, so commands that never derive a seed skip OpenSSL's set-up
+
     text = "|".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 

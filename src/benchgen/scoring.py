@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingRecord, ValidationError
+from .records import Record
 from .runner import SolverRecord, Status
 
 KINDS = ("decision", "minimise", "maximise")
 
 
-@dataclass(frozen=True)
-class ComparableRecord:
+class ComparableRecord(Record, frozen=True):
     """The four facts scoring needs about one solver-on-instance run."""
 
     solved: bool
@@ -40,14 +39,12 @@ class ComparableRecord:
             raise ValidationError("decision records carry no quality")
 
 
-@dataclass(frozen=True)
-class PairScore:
+class PairScore(Record, frozen=True):
     score_a: float
     score_b: float
 
 
-@dataclass
-class BordaTable:
+class BordaTable(Record):
     solvers: list[str]
     instances: list[str]
     totals: dict[str, float]

@@ -17,7 +17,6 @@ is exceeded.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -26,6 +25,7 @@ from typing import Any, Mapping
 from .errors import CheckError, EvalError, ParseError
 from .expressions import Expr, evaluate_numeric, parse_expression
 from .problems import KnapsackData, Problem, parse_knapsack
+from .records import Record, field
 
 _WORD = 64  # rough bytes per tracked allocation unit
 HILLCLIMB_MAX_ITERATIONS = 200_000
@@ -33,8 +33,7 @@ HILLCLIMB_MAX_ITERATIONS = 200_000
 LATENCY_CACHE_SIZE = 64
 
 
-@dataclass
-class SolverOutcome:
+class SolverOutcome(Record):
     """Raw outcome of one solver run, builtin or external (see ``external``)."""
 
     status: str  # "sat" | "unsat" | "timeout" | "error"
@@ -338,4 +337,9 @@ def run_builtin(
 
 
 def builtin_exists(solver_id: str) -> bool:
-    return solver_id in ("exact", "hillclimb", "buggy") or solver_id.startswith("synthetic:")
+    """Whether ``solver_id`` names a builtin solver. A ``synthetic:`` id
+    whose latency expression does not parse raises its ParseError."""
+    if solver_id.startswith("synthetic:"):
+        _latency(solver_id.split(":", 1)[1])
+        return True
+    return solver_id in ("exact", "hillclimb", "buggy")

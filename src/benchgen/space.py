@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
+from .records import Record, field
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _ENTRY_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*$")
@@ -25,8 +25,7 @@ SPREAD_DECAY = 0.8
 SPREAD_FLOOR = 1.0
 
 
-@dataclass(frozen=True)
-class ParameterSpec:
+class ParameterSpec(Record, frozen=True):
     """One bounded integer parameter: ``lower`` and ``upper`` are inclusive."""
 
     name: str
@@ -46,8 +45,7 @@ class ParameterSpec:
         return self.upper - self.lower + 1
 
 
-@dataclass(frozen=True)
-class ParameterSpace:
+class ParameterSpace(Record, frozen=True):
     """Ordered, non-empty collection of parameter specs with unique names."""
 
     params: tuple[ParameterSpec, ...]
@@ -78,8 +76,7 @@ class ParameterSpace:
         return "\n".join(f"{p.name}: {p.lower}..{p.upper}" for p in self.params)
 
 
-@dataclass(frozen=True)
-class GeneratorConfiguration:
+class GeneratorConfiguration(Record, frozen=True):
     """One concrete assignment to every parameter of a space.
 
     The id is a digest of the assignment, so configurations with identical
@@ -119,8 +116,7 @@ def make_configuration(space: ParameterSpace, assignment: Mapping[str, int]) -> 
     return GeneratorConfiguration(assignment=dict(assignment))
 
 
-@dataclass(frozen=True)
-class SamplingModel:
+class SamplingModel(Record, frozen=True):
     """Distribution used to sample configurations after the first race.
 
     ``centers`` holds the parameter vectors of the elites; each sampled

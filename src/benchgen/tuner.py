@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Protocol, Sequence
 
 from .errors import DegenerateInput, ValidationError
+from .records import Record, field
 from .runner import RunStatus
 from .space import (
     GeneratorConfiguration,
@@ -36,8 +36,7 @@ ELIMINATION_ALPHA = 0.05
 RACE_SLICES = 5  # per-race budget = total_budget / RACE_SLICES
 
 
-@dataclass(frozen=True)
-class TunerConfig:
+class TunerConfig(Record, frozen=True):
     total_budget: int = 2000
     first_race_size: int | None = None  # default: max(6, ceil(budget / 40))
     seed: int = 0
@@ -67,8 +66,7 @@ class Evaluator(Protocol):
     def __call__(self, config: GeneratorConfiguration, block: int) -> EvaluationLike: ...
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
+class FriedmanResult(Record, frozen=True):
     statistic: float
     p_value: float
     significant: bool
@@ -247,8 +245,7 @@ def friedman_eliminate(
     )
 
 
-@dataclass
-class RaceState:
+class RaceState(Record):
     alive: list[GeneratorConfiguration]
     penalties: dict[str, list[float]] = field(default_factory=dict)
     blocks: int = 0
@@ -263,8 +260,7 @@ class RaceState:
         return [[self.penalties[c.id][b] for c in self.alive] for b in range(self.blocks)]
 
 
-@dataclass(frozen=True)
-class EvalLogEntry:
+class EvalLogEntry(Record, frozen=True):
     iteration: int
     step: int
     config: GeneratorConfiguration
@@ -285,8 +281,7 @@ class EvalLogEntry:
         )
 
 
-@dataclass
-class TunerReport:
+class TunerReport(Record):
     elites: list[GeneratorConfiguration]
     log: list[EvalLogEntry]
     iterations: int

@@ -9,12 +9,12 @@ These tests read perfbench/ and change nothing there.
 """
 
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
+from benchgen.records import field_names
 from benchgen.tuner import TunerConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,7 +45,7 @@ def test_bench_worker_sets_only_tuner_config_fields():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TunerConfig"
     ]
     assert calls
-    fields = {field.name for field in dataclasses.fields(TunerConfig)}
+    fields = set(field_names(TunerConfig))
     for call in calls:
         assert not call.args
         assert {keyword.arg for keyword in call.keywords} <= fields
@@ -64,4 +64,4 @@ def test_traced_search_reads_only_backtrack_result_fields():
         and node.value.id == "result"
     }
     assert read
-    assert read <= {field.name for field in dataclasses.fields(BacktrackResult)}
+    assert read <= set(field_names(BacktrackResult))

@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from benchgen.campaign import graded_instance_ids, policy_from_meta, run_campaig
 from benchgen.errors import ArchiveError
 from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
+from benchgen.records import replace
 from benchgen.runner import SolverAdapter
 from benchgen.tuner import TunerConfig
 from benchgen.valuetext import values_to_jsonable

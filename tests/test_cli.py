@@ -123,6 +123,25 @@ def test_tune_resume_with_another_t_max_is_reported(workspace, capsys):
     assert len((out / "tuner.log").read_text().splitlines()) == 12
 
 
+def files_of(root: Path) -> dict:
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_resume_with_a_budget_below_the_records_is_reported_and_changes_nothing(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "resume"
+    assert main(["tune", config, "--out", str(out), "--budget", "30"]) == 0
+    recorded = len((out / "records" / "evals.jsonl").read_text().splitlines())
+    assert recorded == 30
+    before = files_of(out)
+    capsys.readouterr()
+    assert main(["tune", config, "--out", str(out), "--budget", "10", "--resume"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot resume {out}: budget 10 is below the 30 recorded evaluations\n"
+    )
+    assert files_of(out) == before
+
+
 def test_resume_needs_no_inst_but_check_reports_a_missing_one(workspace, capsys):
     config = str(workspace / "campaign.ini")
     out = workspace / "camp"
@@ -171,6 +190,62 @@ def test_non_numeric_campaign_value_is_reported(workspace, capsys, line, bad, me
     assert main(["tune", str(config), "--out", str(workspace / "camp")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (workspace / "camp").exists()
+
+
+def combined_set(workspace: Path) -> Path:
+    graded = fabricate_graded_archive(workspace / "graded", "band", [{"status": "graded"}] * 3)
+    path = workspace / "combined.json"
+    assert main(["combine", str(graded.root), "--k", "3", "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[campaign]\nbudget = 3\nbudget = 4\n",
+        "budget = 3\n",
+        "[solver.x]\ncommand = run 50%\n",
+        b"[campaign]\nbudget = \xff\n",
+    ],
+    ids=["repeated-key", "no-section-header", "bad-interpolation", "not-utf-8"],
+)
+@pytest.mark.parametrize("command", ["tune", "evaluate"])
+def test_config_file_that_does_not_parse_is_reported(workspace, capsys, command, text):
+    bad = workspace / "bad.ini"
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if command == "tune":
+        argv = ["tune", str(bad), "--out", str(workspace / "camp")]
+    else:
+        argv = ["evaluate", str(combined_set(workspace)), "--solvers", "exact", "--config", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse config file {bad}: ")
+    assert len(err.splitlines()) == 1
+    assert not (workspace / "camp").exists()
+
+
+def test_malformed_synthetic_latency_is_reported_before_the_campaign(workspace, capsys):
+    config = workspace / "campaign.ini"
+    line = "builtin = synthetic:capacity / 10"
+    assert line in config.read_text()
+    config.write_text(config.read_text().replace(line, "builtin = synthetic:capacity /"))
+    assert main(["tune", str(config), "--out", str(workspace / "camp")]) == 2
+    assert capsys.readouterr().err == (
+        "error: builtin solver 'synthetic:capacity /': latency expression: unexpected end of expression\n"
+    )
+    assert not (workspace / "camp").exists()
+
+
+@pytest.mark.parametrize("t_max", ["-1", "0", "nan"])
+def test_evaluate_with_a_t_max_that_is_not_positive_is_reported(workspace, capsys, t_max):
+    combined = combined_set(workspace)
+    capsys.readouterr()
+    out = workspace / "eval"
+    argv = ["evaluate", str(combined), "--solvers", "exact", f"--t-max={t_max}", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: t_max must be positive, got {float(t_max)}\n"
+    assert not out.exists()
 
 
 def test_tune_into_a_regular_file_is_reported(workspace, capsys):

@@ -123,6 +123,22 @@ def test_archive_commands_load_no_generator_stack(tuned, tmp_path):
     assert not GENERATOR_STACK & modules
 
 
+def test_no_command_loads_dataclasses_or_inspect(tuned, tmp_path):
+    camp, tune_modules = tuned
+    combined = tmp_path / "combined.json"
+    result = run_commands(
+        ["report", str(camp)],
+        ["combine", str(camp), "--k", "3", "--out", str(combined)],
+        ["check", str(camp)],
+        ["evaluate", str(combined), "--solvers", "band", "--config", str(camp.parent / "campaign.ini"),
+         "--t-max", "5", "--mem-limit", "none"],
+    )
+    assert result["codes"] == [0, 0, 0, 0]
+    for modules in (tune_modules, set(result["modules"])):
+        assert "benchgen.records" in modules
+        assert not {"dataclasses", "inspect"} & modules
+
+
 # Floats have no __module__; the module that defines each such name.
 DEFINED_IN = {"LARGE_NEGATIVE": "benchgen.evaluate", "PLUS_INFINITY": "benchgen.evaluate"}
 
