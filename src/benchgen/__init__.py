@@ -48,7 +48,6 @@ _EXPORTS = {
             "GenOutcome",
             "GeneratorSolveResult",
             "SolutionHistory",
-            "record_solution",
             "solve_generator",
         ),
         "gensolve",
@@ -63,7 +62,6 @@ _EXPORTS = {
             "SolverAdapter",
             "SolverRecord",
             "Status",
-            "check_solution",
             "classify_run",
             "measure_time_to_best",
             "oracle_optimum",

@@ -175,31 +175,6 @@ class CampaignArchive:
             raise ArchiveError(f"unknown instance {instance_id}")
         return parse_values(path.read_text())
 
-    def instance_sidecar(self, instance_id: str) -> dict[str, Any]:
-        """A recorded instance's id, config, sequence and decision values, and
-        its evaluation's penalty and status."""
-        entry = next((e for e in self.evaluations() if e.get("instance_id") == instance_id), None)
-        if entry is None:
-            raise ArchiveError(f"unknown instance {instance_id}")
-        config_id, space_names = entry["config_id"], self._space_names()
-        return {
-            "id": instance_id,
-            "config_id": config_id,
-            "sequence": int(instance_id[len(config_id) + 1:]),
-            "decision_values": self._decision_values(instance_id, space_names),
-            "penalty": entry["penalty"],
-            "status": entry["status"],
-        }
-
-    def _space_names(self) -> tuple[str, ...]:
-        from .space import parse_space
-
-        return parse_space(self.space_text).names
-
-    def _decision_values(self, instance_id: str, space_names: tuple[str, ...]) -> dict[str, Any]:
-        values = self.instance_values(instance_id)
-        return {name: v for name, v in values.items() if name not in space_names}
-
     def instance_ids(self) -> list[str]:
         return sorted(p.stem for p in (self.root / "instances").glob("*.inst"))
 

@@ -16,7 +16,6 @@ from typing import Any
 from .archive import CampaignArchive, discriminating_entries, graded_instance_ids
 from .errors import ArchiveError
 from .evaluate import (
-    DiscriminatingPolicy,
     EvaluationLimits,
     EvaluationResult,
     GradedPolicy,
@@ -25,7 +24,6 @@ from .evaluate import (
 )
 from .gensolve import SolutionHistory
 from .model import parse_model
-from .problems import get_problem
 from .records import Record, replace
 from .runner import RunStatus, SolverAdapter
 from .space import GeneratorConfiguration, parse_space
@@ -39,15 +37,6 @@ def adapter_to_jsonable(adapter: SolverAdapter) -> dict[str, Any]:
         "builtin": adapter.builtin,
         "command": adapter.command,
     }
-
-
-def adapter_from_jsonable(data: dict[str, Any]) -> SolverAdapter:
-    return SolverAdapter(
-        name=data["name"],
-        kind=data.get("kind", "complete"),
-        builtin=data.get("builtin"),
-        command=data.get("command"),
-    )
 
 
 def policy_meta(policy: Policy) -> dict[str, Any]:
@@ -71,28 +60,6 @@ def policy_meta(policy: Policy) -> dict[str, Any]:
         "t_max": policy.t_max,
         "types": sorted(policy.types),
     }
-
-
-def policy_from_meta(meta: dict[str, Any]) -> Policy:
-    problem = get_problem(meta["problem"])
-    if meta["campaign"] == "graded":
-        return GradedPolicy(
-            problem=problem,
-            solver=adapter_from_jsonable(meta["solver"]),
-            t_min=meta["t_min"],
-            t_max=meta["t_max"],
-            types=frozenset(meta["types"]),
-            oracle=adapter_from_jsonable(meta["oracle"]) if meta.get("oracle") else None,
-            oracle_budget=meta.get("oracle_budget"),
-        )
-    return DiscriminatingPolicy(
-        problem=problem,
-        favoured=adapter_from_jsonable(meta["favoured"]),
-        base=adapter_from_jsonable(meta["base"]),
-        t_min=meta["t_min"],
-        t_max=meta["t_max"],
-        types=frozenset(meta["types"]),
-    )
 
 
 class CampaignResult(Record):

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import BenchgenError, ValidationError
+from .errors import ArchiveError, BenchgenError, ValidationError
 from .problems import get_problem
 
 if TYPE_CHECKING:
@@ -243,8 +243,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     solvers = [_adapter(adapters, name.strip()) for name in args.solvers.split(",")]
     problem_name = args.problem
     if problem_name is None:
-        first = CampaignArchive.open(next(iter(combined.sources.values())))
-        problem_name = first.meta["problem"]
+        problems = {CampaignArchive.open(p).meta["problem"] for p in combined.sources.values()}
+        if len(problems) > 1:
+            raise ArchiveError(
+                f"combined set {args.combined} mixes the problems {', '.join(sorted(problems))}"
+                "; name one with --problem"
+            )
+        (problem_name,) = problems
     problem = get_problem(problem_name)
     result = _cli.evaluate_combined(
         combined,

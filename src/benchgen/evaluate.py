@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import math
 from .errors import ValidationError
-from .gensolve import (
-    CandidateInstance,
-    GenOutcome,
-    SolutionHistory,
-    record_solution,
-    solve_generator,
-)
+from .gensolve import CandidateInstance, GenOutcome, SolutionHistory, solve_generator
 from .model import GeneratorModel
 from .problems import Problem
 from .records import Record, field, replace
@@ -188,7 +182,6 @@ def _classify(
         records,
         campaign="graded" if isinstance(policy, GradedPolicy) else "discriminating",
         t_min=policy.t_min,
-        t_max=policy.t_max,
         types=policy.types,
         scores=scores,
     )
@@ -228,9 +221,9 @@ def evaluate_configuration(
     """One full evaluation: generate an instance, run the policy, score it.
 
     All failures map to penalties and statuses; nothing raises. The fresh
-    instance (when one exists) is recorded into the history before any
-    solver runs, so a later evaluation of the same configuration cannot
-    regenerate it.
+    instance (when one exists) is in the history once ``solve_generator``
+    returns, before any solver runs, so a later evaluation of the same
+    configuration cannot regenerate it.
     """
     gen = solve_generator(model, config, history, limits.translate_limit, limits.solve_limit)
     if gen.outcome is not GenOutcome.SOLUTION:
@@ -238,7 +231,6 @@ def evaluate_configuration(
         return EvaluationResult(status_penalty(unsolved, outcome=gen.outcome), unsolved, gen.outcome)
     instance = gen.instance
     assert instance is not None
-    record_solution(history, config.id, instance)
 
     if isinstance(policy, GradedPolicy):
         return _evaluate_graded(instance, policy, limits, seed, gen.outcome)

@@ -5,12 +5,13 @@ the configuration's solution set is exhausted. Solutions come out in lex
 order and distinct solutions decode to distinct instances, so a history
 needs only how many solutions each configuration has taken and, as a
 search cursor, the assignment vector of the last one: the next solve
-resumes right after it. A history without a cursor for a configuration
-(loaded from disk, or rebuilt from the records on resume) catches up by
-stepping past the solutions it has counted, one cursor search after
-another. Like the cursors, and likewise not saved, the history keeps a
-bounded LRU of grounded CSPs by configuration id, so a configuration
-evaluated again is not grounded again.
+resumes right after it. ``solve_generator`` counts each solution it
+returns. A history without a cursor for a configuration (rebuilt from the
+records on resume) catches up by stepping past the solutions it has
+counted, one cursor search after another. Like the cursors, and likewise
+not saved, the history keeps a bounded LRU of grounded CSPs by
+configuration id, so a configuration evaluated again is not grounded
+again.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Mapping
 from .csp import GroundedCsp, SolveStatus, backtrack_solve
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
-from .records import Record, field
+from .records import Record
 from .space import GeneratorConfiguration
 from .valuetext import canonical_key, format_values
 
@@ -49,8 +50,6 @@ class CandidateInstance(Record, frozen=True):
     decision_values: dict[str, Any]
     config_id: str
     sequence: int
-    # Assignment vector of the grounded CSP: the history's cursor once recorded.
-    cursor: tuple[int, ...] | None = field(default=None, hidden=True)
 
     @property
     def id(self) -> str:
@@ -80,8 +79,8 @@ class SolutionHistory:
     ``solve_generator`` finds each solution from the previous one. The
     history also keeps an LRU of grounded CSPs, one per configuration id
     with the model it was grounded from, bounded by ``CSP_CACHE_SIZE``.
-    Only the counts are saved: a loaded history starts without cursors or
-    CSPs.
+    Only the counts are saved; a history built from counts starts without
+    cursors or CSPs.
     """
 
     def __init__(self, counts: Mapping[str, int] | None = None):
@@ -114,21 +113,18 @@ class SolutionHistory:
             if len(self._csps) > CSP_CACHE_SIZE:
                 self._csps.popitem(last=False)
 
-    def add(self, config_id: str, cursor: tuple[int, ...] | None = None) -> None:
+    def add(self, config_id: str, cursor: tuple[int, ...]) -> None:
         """Count one solution and keep ``cursor``, its assignment vector.
 
         A cursor at or before the kept one is a solution counted already
-        and changes nothing; ``None`` counts one and drops the kept cursor.
+        and changes nothing.
         """
         with self._lock:
             old = self._cursors.get(config_id)
-            if cursor is not None and old is not None and cursor <= old:
+            if old is not None and cursor <= old:
                 return
             self._counts[config_id] = self._counts.get(config_id, 0) + 1
-            if cursor is None:
-                self._cursors.pop(config_id, None)
-            else:
-                self._cursors[config_id] = cursor
+            self._cursors[config_id] = cursor
 
     def to_jsonable(self) -> dict[str, int]:
         with self._lock:
@@ -136,18 +132,6 @@ class SolutionHistory:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_jsonable(), indent=0, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SolutionHistory":
-        return cls(json.loads(Path(path).read_text()))
-
-
-def record_solution(
-    history: SolutionHistory, config_id: str, instance: CandidateInstance
-) -> SolutionHistory:
-    """Count the instance and make it the configuration's cursor (idempotent)."""
-    history.add(config_id, instance.cursor)
-    return history
 
 
 def solve_generator(
@@ -166,7 +150,8 @@ def solve_generator(
     translation. The search resumes after the configuration's cursor;
     without one it first steps past the solutions the history has counted.
     The first search and any catch-up share ``solve_limit``, which starts
-    once the configuration is grounded.
+    once the configuration is grounded. The solution returned is counted in
+    the history, and its assignment vector becomes the cursor.
     """
     start = time.monotonic()
     csp = history.csp_for(config.id, model)
@@ -191,11 +176,11 @@ def solve_generator(
     if result.status is SolveStatus.UNSAT:
         return GeneratorSolveResult(GenOutcome.UNSAT, elapsed)
     assert result.values is not None
+    history.add(config.id, result.assignment)
     instance = CandidateInstance(
         values={**dict(config.assignment), **result.values},
         decision_values=dict(result.values),
         config_id=config.id,
         sequence=sequence,
-        cursor=result.assignment,
     )
     return GeneratorSolveResult(GenOutcome.SOLUTION, elapsed, instance)

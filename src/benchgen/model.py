@@ -43,12 +43,6 @@ class DecisionVar(Record, frozen=True):
     upper: ex.Expr
     shape: ex.Expr | None = None
 
-    @property
-    def spec_kind(self) -> str:
-        if self.kind == "set":
-            return "int_set"
-        return "int_array" if self.shape is not None else "int"
-
 
 class InstantiatedVar(Record, frozen=True):
     """A decision variable with shapes and bounds resolved for one config."""

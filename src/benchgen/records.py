@@ -27,22 +27,18 @@ R = TypeVar("R", bound="Record")
 
 
 class _Field:
-    __slots__ = ("default", "factory", "hidden")
+    __slots__ = ("default", "factory")
 
-    def __init__(self, default: Any, factory: Callable[[], Any] | None, hidden: bool):
+    def __init__(self, default: Any, factory: Callable[[], Any] | None):
         self.default = default
         self.factory = factory
-        self.hidden = hidden
 
 
-def field(
-    *, default: Any = _MISSING, default_factory: Callable[[], Any] | None = None, hidden: bool = False
-) -> Any:
-    """A field default made afresh for each instance by ``default_factory``,
-    or a ``hidden`` field, which takes no part in ``==``, hash or repr."""
+def field(*, default: Any = _MISSING, default_factory: Callable[[], Any] | None = None) -> Any:
+    """A field default made afresh for each instance by ``default_factory``."""
     if default is not _MISSING and default_factory is not None:
         raise ValueError("a field takes a default or a default_factory, not both")
-    return _Field(default, default_factory, hidden)
+    return _Field(default, default_factory)
 
 
 def _getter(names: tuple[str, ...]) -> Callable[[Any], tuple]:
@@ -65,7 +61,6 @@ class Record:
     """Base of benchgen's record types; see the module docstring."""
 
     _fields: tuple[str, ...] = ()  # every field, in order
-    _shown: tuple[str, ...] = ()  # the fields that ==, hash and repr see
     _required = 0  # the first fields, which have no default
     _template: dict[str, Any] = {}  # field -> default, _MISSING if none
     _factories: dict[str, Callable[[], Any]] = {}
@@ -73,13 +68,10 @@ class Record:
     def __init_subclass__(cls, frozen: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         template = dict(cls._template)
-        shown = list(cls._shown)
         factories = dict(cls._factories)
         for name in cls.__dict__.get("__annotations__", {}):
             value = cls.__dict__.get(name, _MISSING)
-            hidden = False
             if isinstance(value, _Field):
-                hidden = value.hidden
                 if value.factory is not None:
                     factories[name] = value.factory
                 value = value.default
@@ -88,19 +80,16 @@ class Record:
                 else:
                     setattr(cls, name, value)
             template[name] = value
-            if not hidden and name not in shown:
-                shown.append(name)
         fields = tuple(template)
         optional = [name in factories or template[name] is not _MISSING for name in fields]
         required = optional.index(True) if True in optional else len(fields)
         if not all(optional[required:]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
         cls._fields = fields
-        cls._shown = tuple(shown)
         cls._required = required
         cls._template = template
         cls._factories = factories
-        cls._key = staticmethod(_getter(cls._shown))
+        cls._key = staticmethod(_getter(fields))
         if frozen:
             cls.__setattr__ = _frozen
             cls.__delattr__ = _frozen
@@ -142,7 +131,7 @@ class Record:
 
     def __repr__(self) -> str:
         cls = type(self)
-        items = ", ".join(f"{name}={value!r}" for name, value in zip(cls._shown, cls._key(self)))
+        items = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, cls._key(self)))
         return f"{cls.__qualname__}({items})"
 
 

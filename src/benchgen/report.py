@@ -110,17 +110,26 @@ def build_combined_set(
     Selection is without replacement over the sorted graded ids of each
     archive, driven by one seeded Mersenne Twister, so the result is
     stable across platforms. A campaign with zero graded instances
-    contributes nothing and triggers an EmptyArchive warning.
+    contributes nothing and triggers an EmptyArchive warning. Every source
+    must be a campaign on the same problem.
     """
     if k < 0:
         raise ValidationError(f"k must be non-negative, got {k}")
     rng = Random(seed)
     selections: dict[str, list[str]] = {}
     sources: dict[str, str] = {}
+    problems: dict[str, Path] = {}  # problem -> the first archive of it
     for archive in archives:
         meta = archive.meta
         if meta.get("campaign") != "graded":
             raise ArchiveError(f"{archive.root} is not a graded campaign archive")
+        problems.setdefault(meta["problem"], archive.root)
+        if len(problems) > 1:
+            (one, root), (other, _) = problems.items()
+            raise ArchiveError(
+                f"cannot combine {root} ({one}) with {archive.root} ({other}): "
+                "a combined set holds instances of one problem"
+            )
         label = meta["solver"]["name"]
         suffix = 2
         base_label = label
@@ -205,7 +214,6 @@ class CombinedEvaluation(Record):
     records: dict[tuple[str, str], SolverRecord]
     flagged: dict[str, int]  # solver -> count of failed-verification answers
     answered: dict[str, int]  # solver -> count of records carrying a payload
-    source_of: dict[str, list[str]] = field(default_factory=dict)
     solver_kinds: dict[str, str] = field(default_factory=dict)
 
     def ranking(self) -> list[tuple[str, float]]:
@@ -231,22 +239,25 @@ def evaluate_combined(
 ) -> CombinedEvaluation:
     """Run every solver on every combined instance and rank them.
 
-    Solutions are re-checked; answers failing verification are flagged and
-    score as unsolved. Per-run failures become error records and never
-    abort the evaluation. With ``out_dir`` set, records and score tables
-    are written there, and external runs keep their files in its ``runs``
-    directory unless ``limits.workdir`` names another.
+    Each solver is named once. Solutions are re-checked; answers failing
+    verification are flagged and score as unsolved. Per-run failures
+    become error records and never abort the evaluation. With ``out_dir``
+    set, records and score tables are written there, and external runs
+    keep their files in its ``runs`` directory unless ``limits.workdir``
+    names another.
     """
     if not t_max > 0:
         raise ValidationError(f"t_max must be positive, got {t_max}")
+    solver_names = [s.name for s in solvers]
+    twice = [name for name in solver_names if solver_names.count(name) > 1]
+    if twice:
+        raise ValidationError(f"solver {twice[0]!r} is named more than once")
     if out_dir is not None and limits.workdir is None:
         limits = replace(limits, workdir=str(Path(out_dir) / "runs"))
     archives = {label: CampaignArchive.open(path) for label, path in combined.sources.items()}
     values_by_id: dict[str, dict[str, Any]] = {}
-    source_of: dict[str, list[str]] = {}
     for label, ids in combined.selections.items():
         for iid in ids:
-            source_of.setdefault(iid, []).append(label)
             if iid not in values_by_id:
                 values_by_id[iid] = archives[label].instance_values(iid)
 
@@ -268,14 +279,12 @@ def evaluate_combined(
             records[(adapter.name, iid)] = record
             comparables[(adapter.name, iid)] = comparable_from_record(record, problem.kind)
 
-    solver_names = [s.name for s in solvers]
     table = borda_complete(comparables, solver_names, instance_ids)
     result = CombinedEvaluation(
         borda=table,
         records=records,
         flagged=flagged,
         answered=answered,
-        source_of=source_of,
         solver_kinds={s.name: s.kind for s in solvers},
     )
 

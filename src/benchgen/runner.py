@@ -228,18 +228,6 @@ def run_solver(
     )
 
 
-def check_solution(
-    problem: Problem, instance_values: Mapping[str, Any], solution: Mapping[str, Any]
-) -> tuple[bool, int | None]:
-    """Re-check a payload against the problem; returns (feasible, objective).
-
-    The objective is recomputed independently of whatever the solver
-    reported; callers compare the two and flag mismatches.
-    """
-    outcome = problem.check(instance_values, solution)
-    return outcome.feasible, outcome.objective
-
-
 def verify_record(
     problem: Problem, instance_values: Mapping[str, Any], record: SolverRecord
 ) -> SolverRecord:
@@ -247,22 +235,23 @@ def verify_record(
     if record.solution is None:
         return record
     try:
-        feasible, objective = check_solution(problem, instance_values, record.solution)
+        outcome = problem.check(instance_values, record.solution)
     except CheckError as err:
         return replace(record, solution_ok=False, note=f"check failed: {err}")
-    if not feasible:
+    if not outcome.feasible:
         return replace(record, solution_ok=False, note="infeasible solution returned")
     if (
         problem.kind != "decision"
         and record.objective is not None
-        and objective != record.objective
+        and outcome.objective != record.objective
     ):
         return replace(
             record,
             solution_ok=False,
-            note=f"objective mismatch: reported {record.objective}, recomputed {objective}",
+            note=f"objective mismatch: reported {record.objective}, recomputed {outcome.objective}",
         )
-    return replace(record, solution_ok=True, objective=objective if problem.kind != "decision" else None)
+    objective = outcome.objective if problem.kind != "decision" else None
+    return replace(record, solution_ok=True, objective=objective)
 
 
 def oracle_optimum(
@@ -318,7 +307,6 @@ def classify_run(
     *,
     campaign: str,
     t_min: float,
-    t_max: float,
     types: frozenset[str] | set[str] = frozenset(("SAT", "UNSAT")),
     scores: tuple[float, float] | None = None,
 ) -> RunStatus:
@@ -328,9 +316,9 @@ def classify_run(
     "unsat", "translate_timeout", "solve_timeout"). For graded campaigns
     ``records`` holds the single solver record (already adjusted to its
     effective time for local search); for discriminating campaigns it is
-    (favoured, base) and ``scores`` the already-computed pair scores.
+    (favoured, base) and ``scores`` the already-computed pair scores. The
+    band needs only ``t_min``: a run that reaches ``t_max`` is a timeout.
     """
-    del t_max
     if generator_outcome != "solution":
         return RunStatus.GENERATOR_UNSOLVED
 

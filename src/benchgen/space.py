@@ -72,9 +72,6 @@ class ParameterSpace(Record, frozen=True):
     def __contains__(self, name: str) -> bool:
         return any(p.name == name for p in self.params)
 
-    def to_text(self) -> str:
-        return "\n".join(f"{p.name}: {p.lower}..{p.upper}" for p in self.params)
-
 
 class GeneratorConfiguration(Record, frozen=True):
     """One concrete assignment to every parameter of a space.
@@ -134,11 +131,6 @@ class SamplingModel(Record, frozen=True):
         for name, s in self.spread.items():
             if s <= 0:
                 raise ValidationError(f"spread for {name} must be positive, got {s}")
-
-    @classmethod
-    def single(cls, center: Mapping[str, float], spread: Mapping[str, float]) -> "SamplingModel":
-        """Convenience constructor for a one-center model (tests, probes)."""
-        return cls(centers=({k: v for k, v in center.items()},), spread=dict(spread))
 
 
 def parse_space(text: str) -> ParameterSpace:

@@ -3,9 +3,10 @@
 Each iteration races a candidate set: every alive configuration is
 evaluated once per block (a fresh instance each time, thanks to the
 solution history), infinite penalties drop a configuration immediately,
-and from ``first_test_after`` blocks onward a Friedman test eliminates
-configurations whose rank sums fall a critical difference behind the
-best. Survivors seed the sampling model for the next iteration.
+and from ``first_test_after`` blocks onward a Friedman test at the fixed
+level ``ELIMINATION_ALPHA`` eliminates configurations whose rank sums fall
+a critical difference behind the best. Survivors seed the sampling model
+for the next iteration.
 """
 
 from __future__ import annotations
@@ -130,12 +131,11 @@ def _t_tail(t: float, df: int) -> float:
     Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df): with
     c = cos^2(theta), theta = atan(t / sqrt(df)), A = sin(theta) S for even
     df and (2/pi) (theta + sin(theta) cos(theta) S) for odd df, where S holds
-    the first df // 2 terms of a series in c whose full sum makes A = 1. So
-    1 - A is the same factor times the rest of that series, whose terms are
-    positive and shrink like c^j. The rest converges slowly for c near 1,
-    where 1 - A is large, so it is summed only when 1 - A < 2^-10; above
-    that, subtracting from 1 loses at most 10 bits. sin and cos come from t
-    and sqrt(df), not from theta, which rounds near pi/2.
+    the first df // 2 terms of a series in c whose full sum makes A = 1.
+    Subtracting A from 1 loses at most 10 bits while the tail is at least
+    2^-10, which covers every level the tuner tests at; smaller tails are
+    only known to be small. sin and cos come from t and sqrt(df), not from
+    theta, which rounds near pi/2.
     """
     root = math.sqrt(df)
     r = math.hypot(t, root)
@@ -147,19 +147,8 @@ def _t_tail(t: float, df: int) -> float:
         head += term
         term *= c * (2 * j + 1 + odd) / (2 * j + 2 + odd)
     if odd:
-        factor = 2 / math.pi * sin * cos
-        tail = 1 - 2 / math.pi * math.atan(t / root) - factor * head
-    else:
-        factor = sin
-        tail = 1 - factor * head
-    if tail >= 2**-10:
-        return tail
-    rest, j = 0.0, df // 2
-    while rest + term != rest:
-        rest += term
-        term *= c * (2 * j + 1 + odd) / (2 * j + 2 + odd)
-        j += 1
-    return factor * rest
+        return 1 - 2 / math.pi * math.atan(t / root) - 2 / math.pi * sin * cos * head
+    return 1 - sin * head
 
 
 def _t_two_sided(alpha: float, df: int) -> float:
@@ -180,25 +169,13 @@ def _t_two_sided(alpha: float, df: int) -> float:
             hi = mid
 
 
-def _t_ppf(q: float, df: int) -> float:
-    """Quantile of Student's t with integer df >= 1, for q in [0.5, 1].
-
-    For such q, 1 - q is exact, so the two-sided tail 2 (1 - q) is too.
-    """
-    if q >= 1:
-        return math.inf
-    return _t_two_sided(2 * (1 - q), df)
-
-
-def friedman_eliminate(
-    matrix: Sequence[Sequence[float]], alpha: float
-) -> FriedmanResult:
+def friedman_eliminate(matrix: Sequence[Sequence[float]]) -> FriedmanResult:
     """Friedman test over blocks x configurations, plus post-hoc elimination.
 
-    The tie-corrected chi-square statistic is tested at ``alpha`` with k-1
-    degrees of freedom; when significant, any column whose rank sum
+    The tie-corrected chi-square statistic is tested at ``ELIMINATION_ALPHA``
+    with k-1 degrees of freedom; when significant, any column whose rank sum
     exceeds the best by more than the Conover critical difference
-    t(1 - alpha/2, (n-1)(k-1)) * sqrt(2 (n*A - sum R^2) / ((n-1)(k-1)))
+    t(1 - ELIMINATION_ALPHA/2, (n-1)(k-1)) * sqrt(2 (n*A - sum R^2) / ((n-1)(k-1)))
     is eliminated (A being the sum of all squared ranks).
     """
     n = len(matrix)
@@ -228,14 +205,14 @@ def friedman_eliminate(
     else:
         statistic = numerator / denominator
     p_value = _chi2_sf(statistic, k - 1) if statistic > 0 else 1.0
-    significant = p_value < alpha
+    significant = p_value < ELIMINATION_ALPHA
 
     eliminated: set[int] = set()
     critical_difference: float | None = None
     if significant:
         df = (n - 1) * (k - 1)
         spread = max(n * a_sq - sum(rs * rs for rs in rank_sums), 0.0)
-        critical_difference = _t_two_sided(alpha, df) * math.sqrt(2.0 * spread / df)
+        critical_difference = _t_two_sided(ELIMINATION_ALPHA, df) * math.sqrt(2.0 * spread / df)
         best = min(rank_sums)
         eliminated = {
             j for j, rs in enumerate(rank_sums) if rs - best > critical_difference
@@ -294,11 +271,6 @@ class TunerReport(Record):
     def status_counts(self) -> dict[str, int]:
         return dict(Counter(entry.status.value for entry in self.log))
 
-    @property
-    def configurations(self) -> dict[str, GeneratorConfiguration]:
-        """Every evaluated configuration by id."""
-        return {entry.config_id: entry.config for entry in self.log}
-
 
 def _rank_survivors(state: RaceState) -> list[GeneratorConfiguration]:
     """Order alive configurations by mean within-block rank (best first)."""
@@ -356,7 +328,7 @@ def race(
         state.blocks += 1
 
         if len(state.alive) > MIN_SURVIVORS and state.blocks >= max(config.first_test_after, 2):
-            result = friedman_eliminate(state.penalty_matrix(), ELIMINATION_ALPHA)
+            result = friedman_eliminate(state.penalty_matrix())
             if result.eliminated:
                 ranked = sorted(
                     range(len(state.alive)),

@@ -89,7 +89,7 @@ def test_acceptance_algorithm_truth_tables():
             expected is None and generator_penalty(outcome) is None
         )
         if expected is not None:
-            status = classify_run(outcome.value, [], campaign="graded", t_min=10, t_max=100)
+            status = classify_run(outcome.value, [], campaign="graded", t_min=10)
             assert status is RunStatus.GENERATOR_UNSOLVED
         checked += 1
 
@@ -121,7 +121,7 @@ def test_acceptance_algorithm_truth_tables():
         )
         assert graded_penalty(record, policy) == expected_penalty
         status = classify_run(
-            "solution", [record], campaign="graded", t_min=10.0, t_max=100.0, types=types
+            "solution", [record], campaign="graded", t_min=10.0, types=types
         )
         assert status is expected_status, (record.status, types)
         checked += 1
@@ -173,7 +173,7 @@ def test_acceptance_algorithm_truth_tables():
         )
         status = classify_run(
             "solution", [favoured, base], campaign="discriminating",
-            t_min=10.0, t_max=100.0, types=types,
+            t_min=10.0, types=types,
             scores=discriminating_scores(favoured, base, KNAPSACK.kind),
         )
         assert status is expected_status, (favoured.status, base.status, types)
@@ -228,7 +228,7 @@ def test_acceptance_friedman_correctness():
             [float(rng.randint(0, 3)) if tie_prone else rng.uniform(-10, 10) for _ in range(k)]
             for _ in range(n)
         ]
-        result = friedman_eliminate(matrix, 0.05)
+        result = friedman_eliminate(matrix)
         assert abs(result.statistic - reference_statistic(matrix)) <= 1e-9
         columns = [[matrix[i][j] for i in range(n)] for j in range(k)]
         try:
@@ -240,14 +240,14 @@ def test_acceptance_friedman_correctness():
     for _ in range(200):
         n, k = rng.randint(3, 10), rng.randint(3, 5)
         matrix = [[rng.uniform(-5, 5) for _ in range(k)] for _ in range(n)]
-        base = friedman_eliminate(matrix, 0.05)
+        base = friedman_eliminate(matrix)
         transformed = [
             [row_offset + row_scale * (v**3 + v) for v in row]
             for row, row_offset, row_scale in (
                 (row, rng.uniform(-9, 9), rng.uniform(0.05, 7.0)) for row in matrix
             )
         ]
-        after = friedman_eliminate(transformed, 0.05)
+        after = friedman_eliminate(transformed)
         assert abs(after.statistic - base.statistic) <= 1e-9
         assert after.eliminated == base.eliminated
     ok("Friedman correctness (200 reference + 200 rank-invariance cases)")
@@ -390,7 +390,7 @@ def test_acceptance_local_search_gradedness():
         if effective.time_to_best is not None:
             assert effective.time_to_best <= record.time + 1e-6
         status = classify_run(
-            "solution", [effective], campaign="graded", t_min=t_min, t_max=t_max
+            "solution", [effective], campaign="graded", t_min=t_min
         )
         if effective.status is Status.SAT:
             in_band = t_min <= effective.time

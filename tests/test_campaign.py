@@ -15,7 +15,7 @@ import pytest
 import benchgen
 from benchgen import archivewriter, campaign
 from benchgen.archive import CampaignArchive
-from benchgen.campaign import graded_instance_ids, policy_from_meta, run_campaign
+from benchgen.campaign import graded_instance_ids, policy_meta, run_campaign
 from benchgen.errors import ArchiveError
 from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
@@ -75,9 +75,6 @@ def test_campaign_archives_instances_with_sidecars(tmp_path, generator_model_tex
     for iid in ids[:5]:
         values = archive.instance_values(iid)
         assert "capacity" in values and "weight" in values
-        sidecar = archive.instance_sidecar(iid)
-        assert sidecar["id"] == iid
-        assert "status" in sidecar  # annotated after evaluation
 
 
 def test_campaign_penalties_match_statuses(tmp_path, generator_model_text):
@@ -122,11 +119,10 @@ def test_campaign_graded_instances_live_in_band(tmp_path, generator_model_text):
 
 def test_policy_meta_roundtrip():
     graded = banded_policy()
-    meta = json.loads(json.dumps(__import__("benchgen.campaign", fromlist=["policy_meta"]).policy_meta(graded)))
-    back = policy_from_meta(meta)
-    assert isinstance(back, GradedPolicy)
-    assert back.solver.builtin == graded.solver.builtin
-    assert back.t_min == graded.t_min
+    meta = json.loads(json.dumps(policy_meta(graded)))
+    assert meta["campaign"] == "graded" and meta["problem"] == "knapsack"
+    assert meta["solver"]["builtin"] == graded.solver.builtin
+    assert meta["t_min"] == graded.t_min
 
     dis = DiscriminatingPolicy(
         problem=KNAPSACK,
@@ -135,10 +131,9 @@ def test_policy_meta_roundtrip():
         t_min=1.0,
         t_max=4.0,
     )
-    meta = json.loads(json.dumps(__import__("benchgen.campaign", fromlist=["policy_meta"]).policy_meta(dis)))
-    back = policy_from_meta(meta)
-    assert isinstance(back, DiscriminatingPolicy)
-    assert back.favoured.name == "f" and back.base.name == "b"
+    meta = json.loads(json.dumps(policy_meta(dis)))
+    assert meta["campaign"] == "discriminating"
+    assert meta["favoured"]["name"] == "f" and meta["base"]["name"] == "b"
 
 
 def test_campaign_archive_open_rejects_non_archive(tmp_path):
@@ -302,21 +297,8 @@ def test_instances_hold_one_inst_per_recorded_instance(tmp_path, generator_model
     assert sorted(p.name for p in (out / "instances").iterdir()) == sorted(
         f"{e['instance_id']}.inst" for e in recorded
     )
-    # The sidecar view is derived from the record and the .inst.
-    for entry in recorded[:5]:
-        iid = entry["instance_id"]
-        values = archive.instance_values(iid)
-        del values["cap_t"]
-        assert archive.instance_sidecar(iid) == {
-            "id": iid,
-            "config_id": entry["config_id"],
-            "sequence": int(iid.rsplit("-", 1)[1]),
-            "decision_values": values,
-            "penalty": entry["penalty"],
-            "status": entry["status"],
-        }
     with pytest.raises(ArchiveError):
-        archive.instance_sidecar("nosuchconfig-0000")
+        archive.instance_values("nosuchconfig-0000")
 
 
 def test_resume_ignores_sidecars_of_older_archives(tmp_path, generator_model_text):

@@ -248,6 +248,39 @@ def test_evaluate_with_a_t_max_that_is_not_positive_is_reported(workspace, capsy
     assert not out.exists()
 
 
+def test_evaluate_with_a_solver_named_twice_is_reported(workspace, capsys):
+    combined = combined_set(workspace)
+    capsys.readouterr()
+    out = workspace / "eval"
+    argv = ["evaluate", str(combined), "--solvers", "exact,exact", "--config",
+            str(workspace / "campaign.ini"), "--t-max", "30", "--mem-limit", "none", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: solver 'exact' is named more than once\n"
+    assert not out.exists()
+
+
+def test_evaluate_of_a_set_of_two_problems_needs_the_problem_named(workspace, capsys):
+    knapsack = fabricate_graded_archive(workspace / "a", "band", [{"status": "graded"}] * 3)
+    decision = fabricate_graded_archive(
+        workspace / "b", "exact", [{"status": "graded"}] * 3, problem="knapsack_decision"
+    )
+    path = workspace / "combined.json"
+    path.write_text(json.dumps({
+        "selections": {"band": [], "exact": []},
+        "sources": {"band": str(knapsack.root), "exact": str(decision.root)},
+        "seed": 0,
+        "k": 5,
+    }))
+    out = workspace / "eval"
+    assert main(["evaluate", str(path), "--solvers", "exact", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: combined set {path} mixes the problems knapsack, knapsack_decision"
+        "; name one with --problem\n"
+    )
+    assert not out.exists()
+    assert main(["evaluate", str(path), "--solvers", "exact", "--problem", "knapsack"]) == 0
+
+
 def test_tune_into_a_regular_file_is_reported(workspace, capsys):
     out = workspace / "taken"
     out.write_text("not a directory\n")

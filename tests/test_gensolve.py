@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import sys
 import tempfile
 import threading
@@ -22,12 +23,7 @@ from benchgen.csp import (
     backtrack_solve,
 )
 from benchgen.errors import ModelError
-from benchgen.gensolve import (
-    GenOutcome,
-    SolutionHistory,
-    record_solution,
-    solve_generator,
-)
+from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
 from benchgen.ground import ground
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import make_configuration, parse_space, sample_uniform
@@ -115,20 +111,8 @@ def test_history_exhausts_two_solution_model():
         result = solve_generator(model, config, history, 5.0, 5.0)
         assert result.outcome is GenOutcome.SOLUTION
         assert result.instance.decision_values == expected
-        record_solution(history, config.id, result.instance)
     result = solve_generator(model, config, history, 5.0, 5.0)
     assert result.outcome is GenOutcome.UNSAT
-
-
-def test_record_solution_idempotent():
-    space = parse_space("n: 1..1")
-    model = parse_model(space, "var x : int 1..2")
-    config = make_configuration(space, {"n": 1})
-    history = SolutionHistory()
-    result = solve_generator(model, config, history, 5.0, 5.0)
-    record_solution(history, config.id, result.instance)
-    record_solution(history, config.id, result.instance)
-    assert history.count(config.id) == 1
 
 
 def test_history_roundtrip_preserves_exclusions(tmp_path):
@@ -137,10 +121,9 @@ def test_history_roundtrip_preserves_exclusions(tmp_path):
     config = make_configuration(space, {"n": 1})
     history = SolutionHistory()
     first = solve_generator(model, config, history, 5.0, 5.0)
-    record_solution(history, config.id, first.instance)
     history.save(tmp_path / "history.json")
 
-    reloaded = SolutionHistory.load(tmp_path / "history.json")
+    reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
     assert reloaded.count(config.id) == history.count(config.id) == 1
     again = solve_generator(model, config, reloaded, 5.0, 5.0)
     assert again.instance.decision_values != first.instance.decision_values
@@ -198,7 +181,6 @@ def test_solutions_satisfy_checker_fuzz():
             if result.outcome is not GenOutcome.SOLUTION:
                 break
             assert check_assignment(model, config, result.instance.decision_values)
-            record_solution(history, config.id, result.instance)
 
 
 def test_small_model_exhaustion_yields_all_distinct():
@@ -212,7 +194,6 @@ def test_small_model_exhaustion_yields_all_distinct():
         result = solve_generator(model, config, history, 5.0, 5.0)
         assert result.outcome is GenOutcome.SOLUTION
         seen.add(result.instance.exclusion_key)
-        record_solution(history, config.id, result.instance)
     assert len(seen) == total
     assert solve_generator(model, config, history, 5.0, 5.0).outcome is GenOutcome.UNSAT
 
@@ -272,19 +253,18 @@ def cursor_models(draw, set_array=False):
 
 
 def solution_sequence(model, config, history, with_cursor, stop=None):
-    """Solve and record until UNSAT (or ``stop`` solutions); outcomes in order."""
+    """Solve until UNSAT (or ``stop`` solutions); outcomes in order. Without
+    ``with_cursor`` each solve starts from a history of the counts alone."""
     seen = []
     while stop is None or len(seen) < stop:
+        if not with_cursor:
+            history = SolutionHistory({config.id: history.count(config.id)})
         result = solve_generator(model, config, history, 5.0, 5.0)
         if result.outcome is not GenOutcome.SOLUTION:
             seen.append(result.outcome)
             break
         instance = result.instance
         seen.append((instance.sequence, instance.exclusion_key))
-        if with_cursor:
-            record_solution(history, config.id, instance)
-        else:
-            history.add(config.id)
     return seen
 
 
@@ -344,7 +324,6 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
         keys = {}
         while len(keys) < 48 and (result := solve_generator(model, config, history, 5.0, 5.0)).instance:
             instance = result.instance
-            record_solution(history, config.id, instance)
             archive.add_instance(instance)
             archive.add_evaluation({"config_id": config.id, "instance_id": instance.id})
             keys[instance.id] = instance.exclusion_key
@@ -367,7 +346,7 @@ def test_loaded_history_continues_the_same_sequence(tmp_path):
     history = SolutionHistory()
     head = solution_sequence(model, config, history, with_cursor=True, stop=4)
     history.save(tmp_path / "history.json")
-    reloaded = SolutionHistory.load(tmp_path / "history.json")
+    reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
     assert reloaded.cursor_for(config.id) is None
     tail = solution_sequence(model, config, reloaded, with_cursor=True)
     assert head + tail == full
@@ -391,7 +370,6 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
         history = SolutionHistory()
         for _ in range(k):
             instance = solve_generator(model, config, history, 5.0, 5.0).instance
-            record_solution(history, config.id, instance)
             archive.add_instance(instance)
             archive.add_evaluation({"config_id": config.id, "instance_id": instance.id})
             # Records without an instance, and another configuration's, count nothing.
@@ -417,13 +395,15 @@ def test_recording_an_earlier_instance_changes_nothing():
     model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
     history = SolutionHistory()
-    taken = []
+    cursors = []
     for _ in range(2):
-        taken.append(solve_generator(model, config, history, 5.0, 5.0).instance)
-        record_solution(history, config.id, taken[-1])
-    record_solution(history, config.id, taken[0])
+        solve_generator(model, config, history, 5.0, 5.0)
+        cursors.append(history.cursor_for(config.id))
+    # The earlier solution again, then the kept one again: both counted already.
+    history.add(config.id, cursors[0])
+    history.add(config.id, cursors[1])
     assert history.count(config.id) == 2
-    assert history.cursor_for(config.id) == taken[1].cursor
+    assert history.cursor_for(config.id) == cursors[1]
 
 
 def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
@@ -558,7 +538,6 @@ def test_pruning_refutes_what_it_did_on_the_benchmark_model(monkeypatch, cap_t, 
             keys.append(result.outcome.value)
             break
         keys.append(result.instance.exclusion_key)
-        record_solution(history, config.id, result.instance)
     first, digest, expected_nodes = SYNTH_SEQUENCES[(cap_t, n)]
     assert keys[0] == first
     assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
@@ -578,8 +557,7 @@ def test_history_grounds_each_configuration_once(monkeypatch):
     config = make_configuration(SYNTH_SPACE, {"cap_t": 20, "n": 3})
     history = SolutionHistory()
     for _ in range(5):
-        result = solve_generator(model, config, history, 5.0, 5.0)
-        record_solution(history, config.id, result.instance)
+        solve_generator(model, config, history, 5.0, 5.0)
     assert grounded == [config.id]
     # A kept grounding cannot time out in translation.
     assert solve_generator(model, config, history, 0.0, 5.0).outcome is GenOutcome.SOLUTION
@@ -611,8 +589,7 @@ def test_history_drops_the_least_recently_solved_grounding(monkeypatch):
     history = SolutionHistory()
     for cap_t in (1, 2, 1, 3, 1, 2):
         config = make_configuration(SYNTH_SPACE, {"cap_t": cap_t, "n": 2})
-        result = solve_generator(model, config, history, 5.0, 5.0)
-        record_solution(history, config.id, result.instance)
+        solve_generator(model, config, history, 5.0, 5.0)
     # 3 drops 2 (1 was solved more recently); 2 comes back and drops 3.
     assert grounded == [1, 2, 3, 2]
 

@@ -24,7 +24,6 @@ def test_parse_model_shapes_and_kinds():
     (var,) = model.decision_vars
     assert var.name == "succ"
     assert var.kind == "set"
-    assert var.spec_kind == "int_set"
     assert len(model.constraints) == 1
 
 

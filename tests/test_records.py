@@ -3,9 +3,8 @@
 For every record class in benchgen, a twin is built here with
 ``dataclasses.make_dataclass`` from the class's source: the same fields in
 the same order, the same defaults and default factories, the same frozen
-flag, and the record's own ``__post_init__``. A hidden field becomes a
-field with ``compare=False, repr=False``. Both are then driven with the same
-arguments, and must agree on everything ``@dataclass`` promised.
+flag, and the record's own ``__post_init__``. Both are then driven with the
+same arguments, and must agree on everything ``@dataclass`` promised.
 """
 
 import ast
@@ -44,8 +43,6 @@ def _twin(cls: type, node: ast.ClassDef, namespace: dict) -> type:
         options = {}
         if _is_field_call(stmt.value):
             given_kw = {kw.arg: kw.value for kw in stmt.value.keywords}
-            if ast.literal_eval(given_kw.pop("hidden", ast.Constant(False))):
-                options.update(compare=False, repr=False)
             if "default_factory" in given_kw:
                 factory = given_kw.pop("default_factory")
                 options["default_factory"] = eval(ast.unparse(factory), namespace)
@@ -237,16 +234,6 @@ def test_replace_runs_post_init_again():
         replace(config, not_a_field=1)
 
 
-def test_hidden_field_is_kept_but_neither_compared_nor_shown():
-    from benchgen.gensolve import CandidateInstance
-
-    a = CandidateInstance({"x": 1}, {}, "g1", 1, cursor=(1, 2))
-    b = CandidateInstance({"x": 1}, {}, "g1", 1, cursor=(3,))
-    assert a == b and a.cursor == (1, 2)
-    assert "cursor" not in repr(a)
-    assert replace(a, sequence=2).cursor == (1, 2)
-
-
 def test_class_definition_is_checked_as_under_dataclass():
     with pytest.raises(TypeError):
 
@@ -260,8 +247,8 @@ def test_class_definition_is_checked_as_under_dataclass():
     class Point(Record, frozen=True):
         x: int
         y: int = 0
-        seen: list = field(default_factory=list, hidden=True)
+        seen: tuple = field(default_factory=tuple)
 
     assert field_names(Point) == ("x", "y", "seen")
-    assert repr(Point(1)).endswith("<locals>.Point(x=1, y=0)")
-    assert Point(1) == Point(1, 0, [5]) and {Point(1): 1}[Point(1, seen=[2])] == 1
+    assert repr(Point(1)).endswith("<locals>.Point(x=1, y=0, seen=())")
+    assert Point(1) == Point(1, 0, ()) != Point(1, 0, (5,)) and {Point(1): 1}[Point(1, seen=())] == 1

@@ -6,6 +6,7 @@ import tempfile
 
 import pytest
 
+from benchgen.errors import ArchiveError
 from benchgen.evaluate import EvaluationLimits
 from benchgen.problems import get_problem
 from benchgen.report import (
@@ -62,6 +63,15 @@ def test_combined_set_warns_on_empty_campaign(tmp_path):
     with pytest.warns(EmptyArchive):
         combined = build_combined_set([archive], k=50, seed=4)
     assert combined.selections["s1"] == []
+
+
+def test_combined_set_rejects_sources_of_two_problems(tmp_path):
+    knapsack = fabricate_graded_archive(tmp_path / "a", "s1", graded_rows(3))
+    decision = fabricate_graded_archive(
+        tmp_path / "b", "s2", graded_rows(3), problem="knapsack_decision"
+    )
+    with pytest.raises(ArchiveError, match=r"a \(knapsack\) with .*b \(knapsack_decision\)"):
+        build_combined_set([knapsack, decision], k=5, seed=4)
 
 
 def test_combined_set_deterministic_and_roundtrips(tmp_path):

@@ -190,24 +190,24 @@ def make_record(status, t, solution_ok=None, solution=None):
 
 def test_classify_generator_failures():
     for outcome in ("unsat", "translate_timeout", "solve_timeout"):
-        status = classify_run(outcome, [], campaign="graded", t_min=10, t_max=100)
+        status = classify_run(outcome, [], campaign="graded", t_min=10)
         assert status is RunStatus.GENERATOR_UNSOLVED
 
 
 def test_classify_graded_bands():
     assert classify_run("solution", [make_record(Status.SAT, 3.0)],
-                        campaign="graded", t_min=10, t_max=1200) is RunStatus.TOO_EASY_SAT
+                        campaign="graded", t_min=10) is RunStatus.TOO_EASY_SAT
     assert classify_run("solution", [make_record(Status.UNSAT, 3.0)],
-                        campaign="graded", t_min=10, t_max=1200) is RunStatus.TOO_EASY_UNSAT
+                        campaign="graded", t_min=10) is RunStatus.TOO_EASY_UNSAT
     assert classify_run("solution", [make_record(Status.SAT, 120.0)],
-                        campaign="graded", t_min=10, t_max=1200) is RunStatus.GRADED
+                        campaign="graded", t_min=10) is RunStatus.GRADED
     assert classify_run("solution", [make_record(Status.TIMEOUT, 1200.0)],
-                        campaign="graded", t_min=10, t_max=1200) is RunStatus.TOO_DIFFICULT
+                        campaign="graded", t_min=10) is RunStatus.TOO_DIFFICULT
     assert classify_run("solution", [make_record(Status.ERROR, 1.0)],
-                        campaign="graded", t_min=10, t_max=1200) is RunStatus.OTHERS
+                        campaign="graded", t_min=10) is RunStatus.OTHERS
     mismatch = make_record(Status.SAT, 120.0, solution_ok=False)
     assert classify_run("solution", [mismatch],
-                        campaign="graded", t_min=10, t_max=1200) is RunStatus.OTHERS
+                        campaign="graded", t_min=10) is RunStatus.OTHERS
 
 
 def test_classification_partitions_fuzzed_runs():
@@ -226,7 +226,7 @@ def test_classification_partitions_fuzzed_runs():
         for record in records:
             for types in (frozenset({"SAT"}), frozenset({"SAT", "UNSAT"})):
                 status = classify_run(outcome, [record], campaign="graded",
-                                      t_min=10, t_max=100, types=types)
+                                      t_min=10, types=types)
                 assert isinstance(status, RunStatus)
                 statuses.add(status)
     graded_statuses = {

@@ -59,7 +59,9 @@ def test_parse_space_malformed(text):
 
 def test_space_roundtrip_preserves_order():
     space = parse_space("zz: 1..2; aa: 3..4; mm: 5..6")
-    assert parse_space(space.to_text()).names == ("zz", "aa", "mm")
+    text = "\n".join(f"{p.name}: {p.lower}..{p.upper}" for p in space.params)
+    assert parse_space(text) == space
+    assert space.names == ("zz", "aa", "mm")
 
 
 def test_sample_uniform_singleton_domain():
@@ -89,7 +91,7 @@ def test_sample_uniform_deterministic():
 
 def test_sample_from_model_vanishing_spread_collapses_to_center():
     space = parse_space("p: 1..5")
-    model = SamplingModel.single({"p": 3}, {"p": 1e-12})
+    model = SamplingModel(centers=({"p": 3},), spread={"p": 1e-12})
     rng = Random(5)
     values = [sample_from_model(space, model, rng)["p"] for _ in range(200)]
     assert set(values) == {3}
@@ -97,7 +99,7 @@ def test_sample_from_model_vanishing_spread_collapses_to_center():
 
 def test_sample_from_model_wide_spread_covers_domain():
     space = parse_space("p: 1..5")
-    model = SamplingModel.single({"p": 1}, {"p": 100.0})
+    model = SamplingModel(centers=({"p": 1},), spread={"p": 100.0})
     rng = Random(11)
     values = {sample_from_model(space, model, rng)["p"] for _ in range(10_000)}
     assert values == {1, 2, 3, 4, 5}
@@ -105,7 +107,7 @@ def test_sample_from_model_wide_spread_covers_domain():
 
 def test_sample_from_model_clamps_to_bounds():
     space = parse_space("p: 1..5")
-    model = SamplingModel.single({"p": 5.4}, {"p": 2.0})
+    model = SamplingModel(centers=({"p": 5.4},), spread={"p": 2.0})
     rng = Random(3)
     for _ in range(500):
         assert 1 <= sample_from_model(space, model, rng)["p"] <= 5

@@ -1,5 +1,6 @@
 """Friedman elimination, racing behaviour, and the tuning loop."""
 
+import hashlib
 from dataclasses import dataclass
 from random import Random
 
@@ -10,9 +11,9 @@ from benchgen.errors import DegenerateInput
 from benchgen.runner import RunStatus
 from benchgen.space import parse_space
 from benchgen.tuner import (
+    ELIMINATION_ALPHA,
     TunerConfig,
     _chi2_sf,
-    _t_ppf,
     _t_two_sided,
     friedman_eliminate,
     race,
@@ -53,7 +54,7 @@ def test_statistic_matches_reference_and_scipy():
             [rng.randint(0, 4) if tie_prone else rng.random() for _ in range(k)]
             for _ in range(n)
         ]
-        result = friedman_eliminate(matrix, 0.05)
+        result = friedman_eliminate(matrix)
         assert result.statistic == pytest.approx(reference_statistic(matrix), abs=1e-9)
         columns = [[matrix[i][j] for i in range(n)] for j in range(k)]
         try:
@@ -67,7 +68,7 @@ def test_statistic_matches_reference_and_scipy():
 def test_dominant_column_eliminates_worst():
     # Column 0 ranks first in all 10 blocks over 4 columns.
     matrix = [[0.0, 1.0 + i % 2, 2.0, 3.0] for i in range(10)]
-    result = friedman_eliminate(matrix, 0.05)
+    result = friedman_eliminate(matrix)
     assert result.significant
     assert 3 in result.eliminated
     assert 0 not in result.eliminated
@@ -75,7 +76,7 @@ def test_dominant_column_eliminates_worst():
 
 def test_all_equal_matrix_statistic_zero():
     matrix = [[1.0, 1.0, 1.0]] * 5
-    result = friedman_eliminate(matrix, 0.05)
+    result = friedman_eliminate(matrix)
     assert result.statistic == 0.0
     assert not result.significant
     assert result.eliminated == set()
@@ -83,18 +84,18 @@ def test_all_equal_matrix_statistic_zero():
 
 def test_two_by_two_alternating_not_significant():
     matrix = [[1.0, 2.0], [2.0, 1.0]]
-    result = friedman_eliminate(matrix, 0.05)
+    result = friedman_eliminate(matrix)
     assert result.statistic == 0.0
     assert result.eliminated == set()
 
 
 def test_degenerate_inputs_rejected():
     with pytest.raises(DegenerateInput):
-        friedman_eliminate([[1.0, 2.0]], 0.05)
+        friedman_eliminate([[1.0, 2.0]])
     with pytest.raises(DegenerateInput):
-        friedman_eliminate([[1.0], [2.0]], 0.05)
+        friedman_eliminate([[1.0], [2.0]])
     with pytest.raises(DegenerateInput):
-        friedman_eliminate([[1.0, 2.0], [1.0]], 0.05)
+        friedman_eliminate([[1.0, 2.0], [1.0]])
 
 
 def test_rank_invariance_under_monotone_transforms():
@@ -102,13 +103,13 @@ def test_rank_invariance_under_monotone_transforms():
     for _ in range(200):
         n, k = rng.randint(3, 10), rng.randint(3, 5)
         matrix = [[rng.uniform(-5, 5) for _ in range(k)] for _ in range(n)]
-        result = friedman_eliminate(matrix, 0.05)
+        result = friedman_eliminate(matrix)
         transformed = []
         for row in matrix:
             scale = rng.uniform(0.1, 4.0)
             offset = rng.uniform(-10, 10)
             transformed.append([offset + scale * (v**3 + 2 * v) for v in row])
-        result_t = friedman_eliminate(transformed, 0.05)
+        result_t = friedman_eliminate(transformed)
         assert result_t.statistic == pytest.approx(result.statistic, abs=1e-9)
         assert result_t.eliminated == result.eliminated
 
@@ -118,8 +119,8 @@ def test_duplicating_blocks_never_uneliminates():
     for _ in range(50):
         n, k = rng.randint(5, 8), rng.randint(3, 5)
         matrix = [[rng.random() for _ in range(k)] for _ in range(n)]
-        once = friedman_eliminate(matrix, 0.05)
-        twice = friedman_eliminate(matrix * 2, 0.05)
+        once = friedman_eliminate(matrix)
+        twice = friedman_eliminate(matrix * 2)
         assert once.eliminated <= twice.eliminated
 
 
@@ -142,18 +143,20 @@ def test_t_ppf_matches_scipy_over_a_grid():
     dfs = list(range(1, 101)) + list(range(101, 2001, 49)) + [1999, 2000]
     for alpha in (0.01, 0.05, 0.1, 0.2):
         for df, ref in zip(dfs, stats.t.ppf(1 - alpha / 2, dfs)):
-            got = _t_ppf(1 - alpha / 2, df)
-            assert got == pytest.approx(float(ref), rel=1e-12, abs=0), (alpha, df)
-
-
-def test_t_two_sided_keeps_its_accuracy_in_the_far_tail():
-    # Bisecting on 2q - 1 with q = 1 - alpha/2 lost relative accuracy like
-    # 1e-16 / alpha: 4e-5 at alpha = 2e-12 with df 1.
-    dfs = list(range(1, 101))
-    for alpha in (1e-12, 1e-10, 1e-8, 1e-6):
-        for df, ref in zip(dfs, stats.t.isf(alpha / 2, dfs)):
             got = _t_two_sided(alpha, df)
             assert got == pytest.approx(float(ref), rel=1e-12, abs=0), (alpha, df)
+
+
+def test_elimination_threshold_is_pinned():
+    # Digest of repr(_t_two_sided(ELIMINATION_ALPHA, df)) for df 1..4000, one
+    # per line, as computed when _t_tail still summed the far tail below
+    # 2^-10; the tuner's level never reaches that tail, so nothing moves.
+    digest = hashlib.sha256()
+    for df in range(1, 4001):
+        digest.update(repr(_t_two_sided(ELIMINATION_ALPHA, df)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "46db88338554da0f4ae0d6ed92785a437a66f8cdb2cf13e427d7f00bca6bf4ee"
+    )
 
 
 # -- racing --------------------------------------------------------------------
@@ -277,8 +280,7 @@ def test_run_tuning_concentrates_near_optimum():
     )
     per_iteration: dict[int, list[int]] = {}
     for entry in report.log:
-        config = report.configurations[entry.config_id]
-        per_iteration.setdefault(entry.iteration, []).append(abs(config["p"] - p_star))
+        per_iteration.setdefault(entry.iteration, []).append(abs(entry.config["p"] - p_star))
     iterations = sorted(per_iteration)
     assert len(iterations) >= 3
     means = [sum(per_iteration[i]) / len(per_iteration[i]) for i in iterations]
