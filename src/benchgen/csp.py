@@ -1,11 +1,13 @@
 """Finite-domain CSP representation and chronological backtracking search.
 
 The search contract is fixed: variables are assigned in declaration order,
-values ascending, and the first satisfying assignment is returned.
-Constraints carry an exact check (run once the whole scope is assigned)
-and an optional pruning predicate that may refute a partial assignment
-early; pruning never changes which solution is found first, only how fast
-the search gets there.
+values ascending, and the first satisfying assignment is returned. Each
+constraint is one predicate that says whether an assignment refutes it,
+asked each time a variable of its scope is assigned. Before the scope's
+last variable is assigned it may refute the partial assignment early or
+not at all; from then on its verdict is exact. Early refutation never
+changes which solution is found first, only how fast the search gets
+there.
 
 Solutions therefore come out in lex order of the assignment vector
 (declaration order, ascending values). A search given a solution's vector
@@ -39,9 +41,9 @@ class CspVariable(Record, frozen=True):
 
 class CspConstraint(Record, frozen=True):
     scope: tuple[int, ...]  # CSP variable indices, ascending
-    check: Callable[[Assignment], bool]
-    # Returns True when the partial assignment is already inconsistent.
-    prune: Callable[[Assignment], bool] | None = None
+    # True when the assignment refutes the constraint: exactly once the
+    # scope's last variable is assigned, at best effort before.
+    refutes: Callable[[Assignment], bool]
 
 
 class GroundedCsp(Record):
@@ -51,28 +53,20 @@ class GroundedCsp(Record):
     decode: Callable[[Assignment], dict[str, Any]] = field(default=lambda a: {})
 
     @cached_property
-    def search_index(self) -> tuple[list, list, bool]:
-        """What ``backtrack_solve`` runs once variable i is assigned, built
+    def search_index(self) -> tuple[list, bool]:
+        """What ``backtrack_solve`` asks once variable i is assigned, built
         on the first search (variables and constraints must not change
-        after): ``by_max[i]``, the exact checks whose scope ends at i;
-        ``by_member[i]``, the pruning predicates whose scope holds i
-        before its end; and whether every constraint with an empty scope
-        holds."""
+        after): ``by_member[i]``, the constraints whose scope holds i; and
+        whether no constraint with an empty scope is refuted."""
         n = len(self.variables)
-        by_max: list[list[CspConstraint]] = [[] for _ in range(n)]
         by_member: list[list[CspConstraint]] = [[] for _ in range(n)]
         nullary_ok = True
         for c in self.constraints:
+            for v in c.scope:
+                by_member[v].append(c)
             if not c.scope:
-                nullary_ok = nullary_ok and c.check([None] * n)
-                continue
-            last = max(c.scope)
-            by_max[last].append(c)
-            if c.prune is not None:
-                for v in c.scope:
-                    if v != last:
-                        by_member[v].append(c)
-        return by_max, by_member, nullary_ok
+                nullary_ok = nullary_ok and not c.refutes([None] * n)
+        return by_member, nullary_ok
 
 
 class BacktrackResult(Record, frozen=True):
@@ -99,7 +93,7 @@ def backtrack_solve(
     start = time.monotonic()
     deadline = start + time_limit
     n = len(csp.variables)
-    by_max, by_member, nullary_ok = csp.search_index
+    by_member, nullary_ok = csp.search_index
 
     if time.monotonic() >= deadline:
         return BacktrackResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
@@ -111,10 +105,7 @@ def backtrack_solve(
 
     def consistent(idx: int) -> bool:
         for c in by_member[idx]:
-            if c.prune(assignment):
-                return False
-        for c in by_max[idx]:
-            if not c.check(assignment):
+            if c.refutes(assignment):
                 return False
         return True
 

@@ -3,18 +3,20 @@
 Integer variables become one CSP variable each, arrays one per element,
 and sets one 0/1 membership variable per universe element (ascending, so
 value-order search tries the empty set first). Each model constraint is
-compiled to an exact check plus an interval-based pruning predicate that
-refutes partial assignments early; pruning is best effort and gives up
-(no refutation) on anything it cannot bound. The pruning predicate is
-compiled once per grounding into closures over the assignment vector:
-each name is resolved when the closure is built (a parameter to a
-constant interval, a decision variable to a reader of its slots), and a
-subexpression whose shape can never be bounded is dropped then, so the
-search pays only for the interval arithmetic. The exact check evaluates
-the constraint with ``expressions.evaluate``, the reference semantics.
-Interval bounds are plain ints; a bound becomes a Fraction only where a
-division is evaluated, so pruning stays exact without paying for
-rationals elsewhere.
+compiled, once per grounding, to one predicate over the assignment
+vector that says whether the assignment refutes it. Each name is
+resolved when the predicate is built (a parameter to a constant
+interval, a decision variable to a reader of its slots), so the search
+pays only for interval arithmetic. While the constraint's scope is
+incomplete the predicate is best effort: it refutes only what the
+interval bounds rule out, and a conjunct it cannot bound refutes
+nothing. Once the last slot of the scope is assigned every bound is a
+point and the verdict is exact, the one ``expressions.evaluate`` gives:
+a conjunct that still cannot be bounded (an index out of range or not
+an integer, a division by zero, arithmetic on a comparison) is one that
+evaluation rejects, and it counts as violated. Interval bounds are plain
+ints; a bound becomes a Fraction only where a division is evaluated, so
+the verdicts stay exact without paying for rationals elsewhere.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Any, Callable, Collection, Mapping, Sequence
 
 from . import expressions as ex
 from .csp import CspConstraint, CspVariable, GroundedCsp
-from .errors import EvalError
 from .model import GeneratorModel, InstantiatedVar, instantiate
 from .records import Record
 from .space import GeneratorConfiguration
@@ -79,32 +80,21 @@ class _Term(Record, frozen=True):
     cells: tuple[range, int, int] | None = None
 
 
-def _value_env(
-    params: Mapping[str, int], layouts: Sequence[_Layout], assignment: Sequence[int | None]
-) -> dict[str, Any]:
-    env: dict[str, Any] = dict(params)
+def _value_env(layouts: Sequence[_Layout], assignment: Sequence[int | None]) -> dict[str, Any]:
+    """The decision values of a full assignment, by variable name."""
+    env: dict[str, Any] = {}
     for lay in layouts:
         iv = lay.iv
         if iv.kind == "int":
-            if iv.length is None:
-                env[iv.name] = assignment[lay.start]
-            else:
-                env[iv.name] = list(assignment[lay.start : lay.start + iv.length])
+            cells = list(assignment[lay.start : lay.start + lay.count])
         else:
-            universe = list(lay.universe)
-            width = len(universe)
-
-            def one_set(offset: int) -> set[int]:
-                return {
-                    universe[j]
-                    for j in range(width)
-                    if assignment[offset + j] == 1
-                }
-
-            if iv.length is None:
-                env[iv.name] = one_set(lay.start)
-            else:
-                env[iv.name] = [one_set(lay.start + i * width) for i in range(iv.length)]
+            width = len(lay.universe)
+            offsets = [lay.start + i * width for i in range(1 if iv.length is None else iv.length)]
+            cells = [
+                {u for u, bit in zip(lay.universe, assignment[o : o + width]) if bit == 1}
+                for o in offsets
+            ]
+        env[iv.name] = cells[0] if iv.length is None else cells
     return env
 
 
@@ -208,12 +198,11 @@ def _compile(expr: ex.Expr, terms: Mapping[str, _Term]) -> _Term:
 
         def read_index(x: Sequence[int | None]) -> Any:
             lo, hi = index(x)
-            if lo == hi and lo.denominator == 1:
-                i = int(lo)
-                if not 1 <= i <= len(items):
-                    raise _GiveUp
-                return items[i - 1](x)
-            return hull([r(x) for r in items])
+            if lo != hi:
+                return hull([r(x) for r in items])
+            if lo.denominator != 1 or not 1 <= lo <= len(items):
+                raise _GiveUp
+            return items[int(lo) - 1](x)
 
         return _Term(base.kind[:-2], read_index)
     if isinstance(expr, ex.Card):
@@ -337,32 +326,47 @@ def _atom(expr: ex.Expr, terms: Mapping[str, _Term]) -> Callable[[Sequence[int |
             return len(set(fixed)) != len(fixed)
 
         return refutes_alldifferent
-    raise _GiveUp
+    # A bare value holds when it is a nonzero number, a non-empty set or a
+    # non-empty array.
+    value = _compile(expr, terms)
+    read = value.read
+    if value.kind == "num":
+        return lambda x: read(x) == (0, 0)
+    if value.kind == "set":
+        return lambda x: not read(x)[1]
+    empty = not value.items
+    return lambda x: empty
 
 
-def _pruner(
-    expr: ex.Expr, terms: Mapping[str, _Term]
-) -> Callable[[Sequence[int | None]], bool] | None:
-    """True when the partial assignment already refutes the constraint;
-    None when no partial assignment ever can. Each conjunct gives up (no
-    refutation) on its own."""
+def _refuter(
+    expr: ex.Expr, terms: Mapping[str, _Term], last: int | None
+) -> Callable[[Sequence[int | None]], bool]:
+    """Whether an assignment refutes the constraint, where ``last`` is the
+    last slot of its scope (None for an empty scope).
+
+    Until slot ``last`` is assigned a conjunct that cannot be bounded
+    refutes nothing; from then on it is violated, as evaluation would
+    reject it. Each conjunct is decided on its own.
+    """
     if isinstance(expr, ex.And):
-        left, right = _pruner(expr.left, terms), _pruner(expr.right, terms)
-        if left is None or right is None:
-            return left or right
+        left, right = _refuter(expr.left, terms, last), _refuter(expr.right, terms, last)
         return lambda x: left(x) or right(x)
+
+    def complete(x: Sequence[int | None]) -> bool:
+        return last is None or x[last] is not None
+
     try:
-        refutes = _atom(expr, terms)
+        atom = _atom(expr, terms)
     except _GiveUp:
-        return None
+        return complete
 
-    def prune(x: Sequence[int | None]) -> bool:
+    def refutes(x: Sequence[int | None]) -> bool:
         try:
-            return refutes(x)
+            return atom(x)
         except _GiveUp:
-            return False
+            return complete(x)
 
-    return prune
+    return refutes
 
 
 def ground(
@@ -429,28 +433,12 @@ def ground(
         scope = tuple(
             sorted(idx for lay in referenced for idx in range(lay.start, lay.start + lay.count))
         )
-
-        def make_check(cx: ex.Expr, ref: list[_Layout]):
-            def check(assignment: Sequence[int | None]) -> bool:
-                env = _value_env(params, ref, assignment)
-                try:
-                    return bool(ex.evaluate(cx, env))
-                except EvalError:
-                    return False
-
-            return check
-
         constraints.append(
-            CspConstraint(
-                scope=scope,
-                check=make_check(cexpr, referenced),
-                prune=_pruner(cexpr, terms) if scope else None,
-            )
+            CspConstraint(scope, _refuter(cexpr, terms, scope[-1] if scope else None))
         )
 
     def decode(assignment: Sequence[int | None]) -> dict[str, Any]:
-        env = _value_env({}, layouts, assignment)
-        return env
+        return _value_env(layouts, assignment)
 
     return GroundedCsp(
         variables=variables,

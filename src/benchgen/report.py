@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 from .archive import CampaignArchive, discriminating_entries, graded_instance_ids
 from .errors import ArchiveError, ValidationError
 from .problems import Problem
-from .records import Record, field, replace
+from .records import Record, replace
 from .runner import (
     EvaluationLimits,
     RunStatus,
@@ -167,24 +167,6 @@ class TimeSummary(Record):
     solver: str
     times: list[float]
 
-    @property
-    def quartiles(self) -> tuple[float, float, float]:
-        if not self.times:
-            raise ArchiveError("no times to summarise")
-        if len(self.times) == 1:
-            t = self.times[0]
-            return (t, t, t)
-        q = statistics.quantiles(self.times, n=4, method="inclusive")
-        return (q[0], q[1], q[2])
-
-    @property
-    def minimum(self) -> float:
-        return min(self.times)
-
-    @property
-    def maximum(self) -> float:
-        return max(self.times)
-
 
 def _effective_time(record: SolverRecord, solver_kind: str) -> float:
     if solver_kind == "local_search" and record.time_to_best is not None:
@@ -214,18 +196,9 @@ class CombinedEvaluation(Record):
     records: dict[tuple[str, str], SolverRecord]
     flagged: dict[str, int]  # solver -> count of failed-verification answers
     answered: dict[str, int]  # solver -> count of records carrying a payload
-    solver_kinds: dict[str, str] = field(default_factory=dict)
 
     def ranking(self) -> list[tuple[str, float]]:
         return self.borda.ranking()
-
-    def time_summaries(self) -> dict[str, TimeSummary]:
-        """Per-solver solving times over the combined set."""
-        series: dict[str, list[float]] = {}
-        for (solver, _), record in sorted(self.records.items()):
-            kind = self.solver_kinds.get(solver, "complete")
-            series.setdefault(solver, []).append(_effective_time(record, kind))
-        return {name: TimeSummary(name, times) for name, times in series.items()}
 
 
 def evaluate_combined(
@@ -285,7 +258,6 @@ def evaluate_combined(
         records=records,
         flagged=flagged,
         answered=answered,
-        solver_kinds={s.name: s.kind for s in solvers},
     )
 
     if out_dir is not None:

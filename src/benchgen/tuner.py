@@ -143,9 +143,9 @@ def _t_tail(t: float, df: int) -> float:
     c = cos * cos
     odd = df % 2
     term, head = 1.0, 0.0
-    for j in range(df // 2):
+    for a in range(1 + odd, 2 * (df // 2) + 1 + odd, 2):
         head += term
-        term *= c * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        term *= c * a / (a + 1)
     if odd:
         return 1 - 2 / math.pi * math.atan(t / root) - 2 / math.pi * sin * cos * head
     return 1 - sin * head

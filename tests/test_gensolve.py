@@ -22,7 +22,7 @@ from benchgen.csp import (
     SolveStatus,
     backtrack_solve,
 )
-from benchgen.errors import ModelError
+from benchgen.errors import EvalError, ModelError
 from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
 from benchgen.ground import ground
 from benchgen.model import check_assignment, instantiate, parse_model
@@ -72,10 +72,10 @@ def test_six_queens_has_four_solutions():
     for i in range(n):
         for j in range(i + 1, n):
             def make(i=i, j=j):
-                def check(a):
-                    return a[i] != a[j] and abs(a[i] - a[j]) != j - i
-                return check
-            constraints.append(CspConstraint(scope=(i, j), check=make()))
+                def refutes(a):
+                    return a[j] is not None and (a[i] == a[j] or abs(a[i] - a[j]) == j - i)
+                return refutes
+            constraints.append(CspConstraint(scope=(i, j), refutes=make()))
     csp = GroundedCsp(
         variables=variables,
         constraints=constraints,
@@ -232,9 +232,24 @@ CONSTRAINT_TEMPLATES = (
     "max(a) >= x and min(a) <= {c}",
 )
 
+# Templates that evaluation rejects for some values (an index out of range
+# or not an integer, a division by zero, arithmetic on a comparison), bare
+# values, constraints over parameters alone, and t[n] (an array of sets).
+ERROR_TEMPLATES = (
+    "a[x] >= {c}",
+    "a[k / 2] = x",
+    "x / (x - {c}) >= 0",
+    "(x < 1) = 1",
+    "x",
+    "k - {c}",
+    "k >= {c}",
+    "card(t[1]) = {c}",
+    "x in t[x]",
+)
+
 
 @st.composite
-def cursor_models(draw, set_array=False):
+def cursor_models(draw, set_array=False, error_paths=False):
     x_lo = draw(st.integers(-1, 1))
     x_hi = x_lo + draw(st.integers(0, 2))
     a_hi = draw(st.integers(0, 2))
@@ -245,7 +260,15 @@ def cursor_models(draw, set_array=False):
     ]
     if set_array:
         lines.append("var t[n] : set of 1..2")
-    templates = draw(st.lists(st.sampled_from(CONSTRAINT_TEMPLATES), max_size=3))
+    if error_paths:
+        # A universe of one keeps the exclusion scan, quadratic in the
+        # number of solutions, short.
+        lines.append("var t[n] : set of 1..1")
+        templates = [draw(st.sampled_from(ERROR_TEMPLATES))]
+        either = st.sampled_from(CONSTRAINT_TEMPLATES + ERROR_TEMPLATES)
+        templates += draw(st.lists(either, max_size=2))
+    else:
+        templates = draw(st.lists(st.sampled_from(CONSTRAINT_TEMPLATES), max_size=3))
     for template in templates:
         lines.append("constraint " + template.format(c=draw(st.integers(0, 4))))
     config = {"n": draw(st.integers(1, 2)), "k": draw(st.integers(0, 4))}
@@ -284,7 +307,11 @@ def brute_force_keys(model, config):
     keys = set()
     for combo in itertools.product(*options):
         values = dict(zip(names, combo))
-        if check_assignment(model, config, values):
+        try:
+            holds = check_assignment(model, config, values)
+        except EvalError:  # a constraint evaluation rejects is violated
+            holds = False
+        if holds:
             keys.add(canonical_key(values))
     return keys
 
@@ -304,6 +331,15 @@ def test_cursor_resume_matches_exclusion_scan(case):
     brute = brute_force_keys(model, config)
     assert {key for _, key in scanned[:-1]} == brute
     assert len(scanned) - 1 == len(brute)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cursor_models(error_paths=True))
+def test_cursor_resume_matches_exclusion_scan_on_error_paths(case):
+    # A constraint that evaluation rejects is violated once its scope is
+    # complete, and refutes nothing before.
+    test_cursor_resume_matches_exclusion_scan.hypothesis.inner_test(case)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

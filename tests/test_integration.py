@@ -225,7 +225,6 @@ def test_combined_evaluation_time_summaries(tmp_path):
         SolverAdapter(name="one", builtin="synthetic:1"),
     ]
     outcome = evaluate_combined(combined, solvers, KNAPSACK, t_max=30.0, limits=FAST_LIMITS)
-    summaries = outcome.time_summaries()
-    n = len(combined.all_instance_ids())
-    assert summaries["three"].times == [3.0] * n
-    assert summaries["one"].times == [1.0] * n
+    ids = combined.all_instance_ids()
+    assert [outcome.records[("three", iid)].time for iid in ids] == [3.0] * len(ids)
+    assert [outcome.records[("one", iid)].time for iid in ids] == [1.0] * len(ids)

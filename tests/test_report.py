@@ -101,15 +101,13 @@ def test_time_distribution_quartiles(tmp_path):
     rows = [{"status": "graded", "time": t} for t in (10.0, 20.0, 30.0, 40.0)]
     archive = fabricate_graded_archive(tmp_path / "a", "s1", rows)
     summary = time_distribution(archive)["s1"]
-    q1, median, q3 = summary.quartiles
-    assert median == 25.0
-    assert summary.minimum == 10.0 and summary.maximum == 40.0
+    assert summary.times == [10.0, 20.0, 30.0, 40.0]
 
 
 def test_time_distribution_single_instance(tmp_path):
     archive = fabricate_graded_archive(tmp_path / "a", "s1", [{"status": "graded", "time": 33.0}])
     summary = time_distribution(archive)["s1"]
-    assert summary.quartiles == (33.0, 33.0, 33.0)
+    assert summary.times == [33.0]
 
 
 def test_time_distribution_local_search_uses_time_to_best(tmp_path):
