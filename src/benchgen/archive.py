@@ -228,10 +228,6 @@ class CampaignArchive:
     def append_log(self, line: str) -> None:
         self._write("tuner.log", line + "\n")
 
-    def log_text(self) -> str:
-        path = self.root / "tuner.log"
-        return path.read_text() if path.exists() else ""
-
     def save_history(self, history: SolutionHistory) -> None:
         history.save(self.root / "history.json")
 

@@ -194,7 +194,7 @@ def run_campaign(
             "penalty": result.penalty,
             "status": result.status.value,
             "generator_outcome": result.generator_outcome.value,
-            "records": {name: rec.to_jsonable() for name, rec in result.records.items()},
+            "records": {name: rec.to_jsonable(name) for name, rec in result.records.items()},
             "scores": list(result.scores) if result.scores else None,
         }
         if result.oracle is not None:

@@ -5,7 +5,8 @@ Commands are given as templates with ``{model}``, ``{instance}``,
 the MiniZinc text convention: each solution block ends with a line of ten
 dashes, a completed search prints ten equals signs, and infeasibility is
 reported as ``=====UNSATISFIABLE=====``. A line ``objective = <int>``
-inside a block reports that solution's objective.
+inside a block reports that solution's objective. ``run_external_command``
+turns that output into the ``runner.SolverRecord`` of the run.
 
 The memory cap reaches the command through a limiter prefix: the
 configured one, or ``MEM_LIMITER``. ``run_dir`` gives each run its
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .errors import ParseError, ValidationError
-from .solvers import SolverOutcome
+from .runner import SolverRecord, Status
 from .valuetext import parse_values
 
 SOLUTION_SEP = "-" * 10
@@ -101,14 +102,16 @@ def run_external_command(
     mem_limit: int | None = None,
     limiter_prefix: str | None = None,
     log_path: str | Path | None = None,
-) -> SolverOutcome:
+) -> SolverRecord:
     """Spawn the command, enforce the deadline, and parse its output.
 
-    Never raises: failures map to an ``error`` result. The clock starts at
-    spawn, so translation overhead inside the command is included. With
-    ``log_path`` set, the timestamped stdout is written there afterwards.
-    ``mem_limit`` is applied by ``limiter_prefix``, or by ``MEM_LIMITER``
-    when no prefix is set.
+    Never raises: failures map to a record with ``Status.ERROR``. A run
+    killed at the limit is a ``Status.TIMEOUT`` record that keeps the last
+    block it printed, so that answer can still be verified and scored. The
+    clock starts at spawn, so translation overhead inside the command is
+    included. With ``log_path`` set, the timestamped stdout is written there
+    afterwards. ``mem_limit`` is applied by ``limiter_prefix``, or by
+    ``MEM_LIMITER`` when no prefix is set.
     """
     try:
         command = template.format(
@@ -118,7 +121,7 @@ def run_external_command(
             seed=seed,
         )
     except (KeyError, IndexError) as err:
-        return SolverOutcome("error", 0.0, note=f"bad command template: {err!r}")
+        return SolverRecord(Status.ERROR, 0.0, note=f"bad command template: {err!r}")
     argv = shlex.split(command)
     if not limiter_prefix and mem_limit is not None:
         limiter_prefix = MEM_LIMITER
@@ -140,7 +143,7 @@ def run_external_command(
             start_new_session=True,
         )
     except OSError as err:
-        return SolverOutcome("error", time.monotonic() - start, note=f"spawn failed: {err}")
+        return SolverRecord(Status.ERROR, time.monotonic() - start, note=f"spawn failed: {err}")
 
     def pump() -> None:
         assert proc.stdout is not None
@@ -176,29 +179,22 @@ def run_external_command(
 
     blocks, complete, unsat = _parse_blocks(timed_lines)
     trace = [(stamp, obj) for stamp, obj, _, _ in blocks if obj is not None]
+    # The last block is the run's answer; its payload is None if unparseable.
+    _, objective, solution, note = blocks[-1] if blocks else (None, None, None, None)
 
     if killed:
-        result = SolverOutcome("timeout", elapsed, trace=trace)
-        if blocks:
-            stamp, obj, payload, note = blocks[-1]
-            result.objective = obj
-            result.solution = payload
-            result.note = note or ""
-        return result
+        return SolverRecord(
+            Status.TIMEOUT, elapsed, objective, solution=solution, trace=trace, note=note or ""
+        )
     if proc.returncode != 0:
-        return SolverOutcome(
-            "error", elapsed, trace=trace, note=f"exit code {proc.returncode}"
-        )
+        return SolverRecord(Status.ERROR, elapsed, trace=trace, note=f"exit code {proc.returncode}")
     if unsat:
-        return SolverOutcome("unsat", elapsed, optimal=False)
+        return SolverRecord(Status.UNSAT, elapsed)
+    if solution is not None:
+        return SolverRecord(Status.SAT, elapsed, objective, complete, solution, trace=trace)
     if blocks:
-        stamp, obj, payload, note = blocks[-1]
-        if payload is None:
-            return SolverOutcome("error", elapsed, trace=trace, note=note or "bad block")
-        return SolverOutcome(
-            "sat", elapsed, objective=obj, optimal=complete, solution=payload, trace=trace
-        )
-    return SolverOutcome("error", elapsed, note="no parseable solver output")
+        return SolverRecord(Status.ERROR, elapsed, trace=trace, note=note or "bad block")
+    return SolverRecord(Status.ERROR, elapsed, note="no parseable solver output")
 
 
 @contextmanager

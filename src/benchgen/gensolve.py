@@ -29,7 +29,7 @@ from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
 from .records import Record
 from .space import GeneratorConfiguration
-from .valuetext import canonical_key, format_values
+from .valuetext import format_values
 
 
 # How many grounded CSPs a history keeps, least recently used dropped first.
@@ -58,10 +58,6 @@ class CandidateInstance(Record, frozen=True):
     @property
     def canonical_text(self) -> str:
         return format_values(self.values)
-
-    @property
-    def exclusion_key(self) -> str:
-        return canonical_key(self.decision_values)
 
 
 class GeneratorSolveResult(Record, frozen=True):

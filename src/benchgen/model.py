@@ -168,8 +168,9 @@ def check_assignment(
     """Re-check a full assignment against the instantiated model.
 
     True iff every value conforms to its declared shape and domain and all
-    constraints hold under (config, values). Raises EvalError on type
-    mismatches inside constraint evaluation.
+    constraints hold under (config, values). A constraint that cannot be
+    evaluated counts as violated, as in the generator search. Raises
+    EvalError when a decision variable is missing.
     """
     instantiated = instantiate(model, config)
     missing = [iv.name for iv in instantiated if iv.name not in values]
@@ -181,4 +182,7 @@ def check_assignment(
     env: dict[str, Any] = dict(config.assignment)
     for iv in instantiated:
         env[iv.name] = values[iv.name]
-    return all(bool(ex.evaluate(c, env)) for c in model.constraints)
+    try:
+        return all(bool(ex.evaluate(c, env)) for c in model.constraints)
+    except EvalError:
+        return False

@@ -267,7 +267,7 @@ def evaluate_combined(
             for (sname, iid), record in sorted(records.items()):
                 fh.write(
                     json.dumps(
-                        {"solver": sname, "instance": iid, "record": record.to_jsonable()}
+                        {"solver": sname, "instance": iid, "record": record.to_jsonable(sname)}
                     )
                     + "\n"
                 )

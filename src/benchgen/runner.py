@@ -5,7 +5,9 @@ template. Every run, the oracle's included, takes its memory cap, run
 directory and limiter prefix from one ``EvaluationLimits``. An external
 run keeps its files in a fresh ``run_*`` directory under
 ``EvaluationLimits.workdir``, or in a temporary directory removed when the
-run ends. ``run_solver`` never raises; every failure becomes a record with
+run ends. ``run_solver`` returns the ``SolverRecord`` that the builtin
+solver or the external runner built, and that record is what is verified,
+scored and archived. It never raises; every failure becomes a record with
 an error status so campaign loops stay total.
 
 Records, statuses and checks are needed by every command, solvers only by
@@ -117,9 +119,14 @@ class SolverAdapter(Record, frozen=True):
 
 
 class SolverRecord(Record):
-    """Outcome of one solver run on one instance."""
+    """Outcome of one solver run on one instance.
 
-    solver: str
+    The builtin solvers and the external runner build it; ``verify_record``
+    sets ``solution_ok``. It does not name its solver: its holders key it by
+    that name, and ``to_jsonable`` writes the name into the archive form as
+    its first key, which ``from_jsonable`` does not read.
+    """
+
     status: Status
     time: float
     objective: int | None = None
@@ -130,9 +137,9 @@ class SolverRecord(Record):
     solution_ok: bool | None = None  # set by the checking step; None = unchecked
     note: str = ""
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self, solver: str) -> dict[str, Any]:
         return {
-            "solver": self.solver,
+            "solver": solver,
             "status": self.status.value,
             "time": self.time,
             "objective": self.objective,
@@ -147,7 +154,6 @@ class SolverRecord(Record):
     @classmethod
     def from_jsonable(cls, data: Mapping[str, Any]) -> "SolverRecord":
         return cls(
-            solver=data["solver"],
             status=Status(data["status"]),
             time=data["time"],
             objective=data["objective"],
@@ -187,45 +193,34 @@ def run_solver(
 ) -> SolverRecord:
     """Run one solver on one instance under a wall-clock limit and ``limits``."""
     if time_limit <= 0:
-        return SolverRecord(adapter.name, Status.TIMEOUT, 0.0, note="non-positive time limit")
+        return SolverRecord(Status.TIMEOUT, 0.0, note="non-positive time limit")
     if adapter.builtin is not None:
-        outcome = _runner.run_builtin(
+        return _runner.run_builtin(
             adapter.builtin, problem, instance_values, time_limit, seed, limits.mem_limit
         )
-    else:
-        assert adapter.command is not None
-        from .external import run_dir
+    assert adapter.command is not None
+    from .external import run_dir
 
-        try:
-            with run_dir(limits.workdir) as directory:
-                model_path = directory / "problem.model"
-                instance_path = directory / "instance.inst"
-                model_path.write_text(problem.describe())
-                instance_path.write_text(format_values(dict(instance_values)))
-                outcome = _runner.run_external_command(
-                    adapter.command,
-                    str(model_path),
-                    str(instance_path),
-                    time_limit,
-                    seed=seed,
-                    mem_limit=limits.mem_limit,
-                    limiter_prefix=limits.limiter_prefix,
-                    log_path=directory / "run.log",
-                )
-        except OSError as err:
-            # run_external_command reports its own OSErrors, so this one came
-            # from making the directory or writing its two files; it names the path.
-            return SolverRecord(adapter.name, Status.ERROR, 0.0, note=f"run directory: {err}")
-    return SolverRecord(
-        solver=adapter.name,
-        status=Status(outcome.status),
-        time=outcome.time,
-        objective=outcome.objective,
-        optimal_claimed=outcome.optimal,
-        solution=outcome.solution,
-        trace=list(outcome.trace),
-        note=outcome.note,
-    )
+    try:
+        with run_dir(limits.workdir) as directory:
+            model_path = directory / "problem.model"
+            instance_path = directory / "instance.inst"
+            model_path.write_text(problem.describe())
+            instance_path.write_text(format_values(dict(instance_values)))
+            return _runner.run_external_command(
+                adapter.command,
+                str(model_path),
+                str(instance_path),
+                time_limit,
+                seed=seed,
+                mem_limit=limits.mem_limit,
+                limiter_prefix=limits.limiter_prefix,
+                log_path=directory / "run.log",
+            )
+    except OSError as err:
+        # run_external_command reports its own OSErrors, so this one came
+        # from making the directory or writing its two files; it names the path.
+        return SolverRecord(Status.ERROR, 0.0, note=f"run directory: {err}")
 
 
 def verify_record(

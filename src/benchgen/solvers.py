@@ -11,7 +11,9 @@ Four kinds are registered:
 
 All run under a wall-clock deadline; the exact and hillclimb solvers also
 keep a rough allocation estimate and abort with an error once a memory cap
-is exceeded.
+is exceeded. Each returns the ``runner.SolverRecord`` of its run, not yet
+verified (``runner.verify_record`` sets ``solution_ok``); the record does
+not name its solver, its holders key it by that name.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Any, Mapping
 from .errors import CheckError, EvalError, ParseError
 from .expressions import Expr, evaluate_numeric, parse_expression
 from .problems import KnapsackData, Problem, parse_knapsack
-from .records import Record, field
+from .runner import SolverRecord, Status
 
 _WORD = 64  # rough bytes per tracked allocation unit
 HILLCLIMB_MAX_ITERATIONS = 200_000
@@ -33,25 +35,13 @@ HILLCLIMB_MAX_ITERATIONS = 200_000
 LATENCY_CACHE_SIZE = 64
 
 
-class SolverOutcome(Record):
-    """Raw outcome of one solver run, builtin or external (see ``external``)."""
-
-    status: str  # "sat" | "unsat" | "timeout" | "error"
-    time: float
-    objective: int | None = None
-    optimal: bool = False
-    solution: dict[str, Any] | None = None
-    trace: list[tuple[float, int]] = field(default_factory=list)
-    note: str = ""
-
-
-def _knapsack_or_error(problem: Problem, instance: Mapping[str, Any]) -> KnapsackData | SolverOutcome:
+def _knapsack_or_error(problem: Problem, instance: Mapping[str, Any]) -> KnapsackData | SolverRecord:
     if problem.name not in ("knapsack", "knapsack_decision"):
-        return SolverOutcome("error", 0.0, note=f"unsupported problem {problem.name}")
+        return SolverRecord(Status.ERROR, 0.0, note=f"unsupported problem {problem.name}")
     try:
         return parse_knapsack(instance)
     except CheckError as err:
-        return SolverOutcome("error", 0.0, note=str(err))
+        return SolverRecord(Status.ERROR, 0.0, note=str(err))
 
 
 def solve_exact(
@@ -60,17 +50,17 @@ def solve_exact(
     time_limit: float,
     seed: int = 0,
     mem_limit: int | None = None,
-) -> SolverOutcome:
+) -> SolverRecord:
     """Branch and bound over item counts, best-density order, fractional bound."""
     del seed
     start = time.monotonic()
     deadline = start + time_limit
     data = _knapsack_or_error(problem, instance)
-    if isinstance(data, SolverOutcome):
+    if isinstance(data, SolverRecord):
         return data
     target = instance.get("target") if problem.kind == "decision" else None
     if problem.kind == "decision" and not isinstance(target, int):
-        return SolverOutcome("error", time.monotonic() - start, note="missing target")
+        return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
 
     n = data.n_items
     order = sorted(
@@ -139,28 +129,25 @@ def solve_exact(
     try:
         search(0, data.capacity, 0)
     except MemoryError:
-        return SolverOutcome("error", time.monotonic() - start, note="memory cap exceeded")
+        return SolverRecord(Status.ERROR, time.monotonic() - start, note="memory cap exceeded")
     elapsed = time.monotonic() - start
 
     if problem.kind == "decision":
         assert target is not None
         if best_take is not None and best_value >= target:
-            return SolverOutcome(
-                "sat", elapsed, objective=None, optimal=False,
-                solution={"take": best_take}, trace=trace,
-            )
+            return SolverRecord(Status.SAT, elapsed, solution={"take": best_take}, trace=trace)
         if timed_out:
-            return SolverOutcome("timeout", elapsed)
-        return SolverOutcome("unsat", elapsed)
+            return SolverRecord(Status.TIMEOUT, elapsed)
+        return SolverRecord(Status.UNSAT, elapsed)
 
     if best_take is None:
         # Zero take is always feasible, so this only happens on instant timeout.
-        return SolverOutcome("timeout", elapsed)
-    return SolverOutcome(
-        "sat",
+        return SolverRecord(Status.TIMEOUT, elapsed)
+    return SolverRecord(
+        Status.SAT,
         elapsed,
         objective=best_value,
-        optimal=not timed_out,
+        optimal_claimed=not timed_out,
         solution={"take": best_take},
         trace=trace,
     )
@@ -172,16 +159,16 @@ def solve_hillclimb(
     time_limit: float,
     seed: int = 0,
     mem_limit: int | None = None,
-) -> SolverOutcome:
+) -> SolverRecord:
     """Random restarts plus single-item moves, accepting strict improvements."""
     start = time.monotonic()
     deadline = start + time_limit
     data = _knapsack_or_error(problem, instance)
-    if isinstance(data, SolverOutcome):
+    if isinstance(data, SolverRecord):
         return data
     target = instance.get("target") if problem.kind == "decision" else None
     if problem.kind == "decision" and not isinstance(target, int):
-        return SolverOutcome("error", time.monotonic() - start, note="missing target")
+        return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
 
     rng = Random(seed)
     n = data.n_items
@@ -211,7 +198,7 @@ def solve_hillclimb(
         if iterations % 64 == 0 and time.monotonic() >= deadline:
             break
         if mem_limit is not None and (iterations + len(trace)) * _WORD > mem_limit:
-            return SolverOutcome("error", time.monotonic() - start, note="memory cap exceeded")
+            return SolverRecord(Status.ERROR, time.monotonic() - start, note="memory cap exceeded")
         if value > best_value:
             best_value = value
             best_take = list(take)
@@ -239,14 +226,11 @@ def solve_hillclimb(
     elapsed = time.monotonic() - start
     if problem.kind == "decision":
         if best_take is not None and target is not None and best_value >= target:
-            return SolverOutcome("sat", elapsed, solution={"take": best_take}, trace=trace)
-        return SolverOutcome("timeout", elapsed, trace=trace)
+            return SolverRecord(Status.SAT, elapsed, solution={"take": best_take}, trace=trace)
+        return SolverRecord(Status.TIMEOUT, elapsed, trace=trace)
     if best_take is None:
-        return SolverOutcome("timeout", elapsed)
-    return SolverOutcome(
-        "sat", elapsed, objective=best_value, optimal=False,
-        solution={"take": best_take}, trace=trace,
-    )
+        return SolverRecord(Status.TIMEOUT, elapsed)
+    return SolverRecord(Status.SAT, elapsed, objective=best_value, solution={"take": best_take}, trace=trace)
 
 
 @lru_cache(maxsize=LATENCY_CACHE_SIZE)
@@ -261,7 +245,7 @@ def solve_synthetic(
     instance: Mapping[str, Any],
     time_limit: float,
     seed: int = 0,
-) -> SolverOutcome:
+) -> SolverRecord:
     """Report success after a programmed virtual latency (never sleeps).
 
     Latency beyond the limit becomes a timeout with the limit as the
@@ -275,20 +259,20 @@ def solve_synthetic(
         arrays = {k: v for k, v in instance.items() if isinstance(v, list) and all(isinstance(e, int) for e in v)}
         latency = float(evaluate_numeric(_latency(latency_expr), {**scalars, **arrays}))
     except (ParseError, EvalError) as err:
-        return SolverOutcome("error", 0.0, note=f"latency expression: {err}")
+        return SolverRecord(Status.ERROR, 0.0, note=f"latency expression: {err}")
     if latency < 0:
         latency = 0.0
     if latency > time_limit:
-        return SolverOutcome("timeout", time_limit)
+        return SolverRecord(Status.TIMEOUT, time_limit)
     try:
         trivial = problem.trivial_solution(instance)
     except CheckError:
         trivial = None  # instance is not of this problem's shape; report bare success
     if trivial is None:
-        return SolverOutcome("sat", latency, optimal=True)
+        return SolverRecord(Status.SAT, latency, optimal_claimed=True)
     payload, objective = trivial
-    return SolverOutcome(
-        "sat", latency, objective=objective, optimal=True,
+    return SolverRecord(
+        Status.SAT, latency, objective=objective, optimal_claimed=True,
         solution=payload, trace=[(latency, objective)] if objective is not None else [],
     )
 
@@ -298,20 +282,20 @@ def solve_buggy(
     instance: Mapping[str, Any],
     time_limit: float,
     seed: int = 0,
-) -> SolverOutcome:
+) -> SolverRecord:
     """Always returns a wrong answer: infeasible payload or misreported objective."""
     del time_limit, seed
     start = time.monotonic()
     data = _knapsack_or_error(problem, instance)
-    if isinstance(data, SolverOutcome):
+    if isinstance(data, SolverRecord):
         return data
     take = list(data.copies)
     total_weight = sum(t * w for t, w in zip(take, data.weight))
     objective = sum(t * v for t, v in zip(take, data.value))
     if total_weight <= data.capacity:
         objective += 1  # feasible by luck: misreport the objective instead
-    return SolverOutcome(
-        "sat", time.monotonic() - start, objective=objective, optimal=True,
+    return SolverRecord(
+        Status.SAT, time.monotonic() - start, objective=objective, optimal_claimed=True,
         solution={"take": take},
     )
 
@@ -323,7 +307,7 @@ def run_builtin(
     time_limit: float,
     seed: int = 0,
     mem_limit: int | None = None,
-) -> SolverOutcome:
+) -> SolverRecord:
     """Dispatch a builtin solver id, ``synthetic:EXPR`` carrying its latency."""
     if solver_id == "exact":
         return solve_exact(problem, instance, time_limit, seed, mem_limit)
@@ -333,7 +317,7 @@ def run_builtin(
         return solve_synthetic(solver_id.split(":", 1)[1], problem, instance, time_limit, seed)
     if solver_id == "buggy":
         return solve_buggy(problem, instance, time_limit, seed)
-    return SolverOutcome("error", 0.0, note=f"unknown builtin solver {solver_id!r}")
+    return SolverRecord(Status.ERROR, 0.0, note=f"unknown builtin solver {solver_id!r}")
 
 
 def builtin_exists(solver_id: str) -> bool:

@@ -34,11 +34,6 @@ def format_values(values: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def canonical_key(values: Mapping[str, Any]) -> str:
-    """Single-line canonical encoding: equal values, equal key."""
-    return ";".join(f"{name}={format_value(values[name])}" for name in sorted(values))
-
-
 def values_to_jsonable(values: Mapping[str, Any] | None) -> dict[str, Any] | None:
     """JSON form of a value map: a set becomes ``{"__set__": [...]}`` and an
     array of sets ``{"__sets__": [[...], ...]}``, both ascending."""

@@ -10,6 +10,16 @@ from benchgen.archive import CampaignArchive
 from benchgen.csp import GroundedCsp, SolveStatus, backtrack_solve
 from benchgen.gensolve import CandidateInstance
 from benchgen.problems import KnapsackData
+from benchgen.valuetext import format_value
+
+
+def exclusion_key(values: dict[str, Any]) -> str:
+    """One-line key of a decision-value map: equal values, equal key."""
+    return ";".join(f"{name}={format_value(values[name])}" for name in sorted(values))
+
+
+def tuner_log(archive: CampaignArchive) -> str:
+    return (archive.root / "tuner.log").read_text()
 
 
 def enumerate_solutions(

@@ -43,7 +43,7 @@ from benchgen.scoring import ComparableRecord, borda_complete, comparable_from_r
 from benchgen.space import make_configuration, parse_space
 from benchgen.tuner import TunerConfig, friedman_eliminate
 
-from conftest import naive_borda_totals
+from conftest import exclusion_key, naive_borda_totals, tuner_log
 from test_tuner import reference_statistic
 
 KNAPSACK = get_problem("knapsack")
@@ -58,15 +58,15 @@ def ok(name):
 
 
 def sat_record(t):
-    return SolverRecord("s", Status.SAT, t, objective=0, solution={"take": [0]}, solution_ok=True)
+    return SolverRecord(Status.SAT, t, objective=0, solution={"take": [0]}, solution_ok=True)
 
 
 def unsat_record(t):
-    return SolverRecord("s", Status.UNSAT, t)
+    return SolverRecord(Status.UNSAT, t)
 
 
 def timeout_record(t):
-    return SolverRecord("s", Status.TIMEOUT, t)
+    return SolverRecord(Status.TIMEOUT, t)
 
 
 BOTH = frozenset({"SAT", "UNSAT"})
@@ -273,7 +273,7 @@ def test_acceptance_generator_exhaustion():
     for _ in range(total):
         result = evaluate_configuration(model, config, history, policy, FAST_LIMITS)
         assert result.instance is not None
-        seen.add(result.instance.exclusion_key)
+        seen.add(exclusion_key(result.instance.decision_values))
     assert len(seen) == total
     final = evaluate_configuration(model, config, history, policy, FAST_LIMITS)
     assert final.penalty == PLUS_INFINITY
@@ -323,7 +323,7 @@ def test_acceptance_closed_loop_graded(tmp_path):
             in_band += 1
     assert in_band / len(graded_ids) >= 0.9
     second = campaign(tmp_path / "b")
-    assert second.archive.log_text() == result.archive.log_text()
+    assert tuner_log(second.archive) == tuner_log(result.archive)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"graded campaign took {elapsed:.1f}s"
     ok(

@@ -24,6 +24,8 @@ from benchgen.runner import SolverAdapter
 from benchgen.tuner import TunerConfig
 from benchgen.valuetext import values_to_jsonable
 
+from conftest import tuner_log
+
 KNAPSACK = get_problem("knapsack")
 SPACE_TEXT = "cap_t: 1..50"
 FAST_LIMITS = EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None)
@@ -64,7 +66,7 @@ def test_campaign_writes_archive_layout(tmp_path, generator_model_text):
     assert (root / "records" / "evals.jsonl").exists()
     assert result.report.evaluations_used > 0
     assert result.archive.evaluation_count() == result.report.evaluations_used
-    assert len(result.archive.log_text().strip().splitlines()) == result.report.evaluations_used
+    assert len(tuner_log(result.archive).strip().splitlines()) == result.report.evaluations_used
 
 
 def test_campaign_archives_instances_with_sidecars(tmp_path, generator_model_text):
@@ -91,7 +93,7 @@ def test_campaign_penalties_match_statuses(tmp_path, generator_model_text):
 def test_campaign_deterministic_across_runs(tmp_path, generator_model_text):
     a = run(tmp_path / "a", model_text=generator_model_text)
     b = run(tmp_path / "b", model_text=generator_model_text)
-    assert a.archive.log_text() == b.archive.log_text()
+    assert tuner_log(a.archive) == tuner_log(b.archive)
     evals_a = [json.dumps(e) for e in a.archive.evaluations()]
     evals_b = [json.dumps(e) for e in b.archive.evaluations()]
     assert evals_a == evals_b
@@ -101,7 +103,7 @@ def test_campaign_resume_replays_then_continues(tmp_path, generator_model_text):
     fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
     partial = run(tmp_path / "steps", budget=18, model_text=generator_model_text)
     resumed = run(tmp_path / "steps", budget=30, resume=True, model_text=generator_model_text)
-    assert resumed.archive.log_text() == fresh.archive.log_text()
+    assert tuner_log(resumed.archive) == tuner_log(fresh.archive)
     assert resumed.report.evaluations_used == fresh.report.evaluations_used
     assert partial.report.evaluations_used < fresh.report.evaluations_used
     assert graded_instance_ids(resumed.archive) == graded_instance_ids(fresh.archive)
@@ -179,7 +181,7 @@ def test_resume_drops_torn_final_record(tmp_path, generator_model_text):
     # A crash in the middle of appending a record.
     evals.write_text(complete + complete.splitlines()[-1][:25])
     resumed = run(tmp_path / "steps", budget=30, resume=True, model_text=generator_model_text)
-    assert resumed.archive.log_text() == fresh.archive.log_text()
+    assert tuner_log(resumed.archive) == tuner_log(fresh.archive)
     assert evals.read_text() == (tmp_path / "full" / "records" / "evals.jsonl").read_text()
 
 

@@ -26,13 +26,15 @@ from benchgen.problems import get_problem
 from benchgen.runner import OracleResult, RunStatus, SolverAdapter, SolverRecord, Status
 from benchgen.space import make_configuration, parse_space
 
+from conftest import exclusion_key
+
 KNAPSACK = get_problem("knapsack")
 FAST_LIMITS = EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None)
 
 
 def record(status, t, *, solution_ok=None, objective=None, optimal=False, trace=(), solution=None):
     return SolverRecord(
-        "s", status, t,
+        status, t,
         objective=objective, optimal_claimed=optimal,
         solution=solution, trace=list(trace), solution_ok=solution_ok,
     )
@@ -243,8 +245,8 @@ def test_evaluate_configuration_never_regenerates_instances():
     for _ in range(6):
         result = evaluate_configuration(model, config, history, policy, FAST_LIMITS)
         assert result.instance is not None
-        assert result.instance.exclusion_key not in seen
-        seen.add(result.instance.exclusion_key)
+        assert exclusion_key(result.instance.decision_values) not in seen
+        seen.add(exclusion_key(result.instance.decision_values))
 
 
 def test_evaluate_configuration_discriminating_scores_and_status():
@@ -330,7 +332,7 @@ def _verdict_records():
     ):
         objective = 3 + int(t) % 3 if has_solution else None
         out.append(SolverRecord(
-            "s", status, t,
+            status, t,
             objective=objective,
             optimal_claimed=status is Status.SAT and t < 100.0,
             solution={"take": [1]} if has_solution else None,

@@ -22,13 +22,12 @@ from benchgen.csp import (
     SolveStatus,
     backtrack_solve,
 )
-from benchgen.errors import EvalError, ModelError
+from benchgen.errors import ModelError
 from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
 from benchgen.ground import ground
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import make_configuration, parse_space, sample_uniform
-from benchgen.valuetext import canonical_key
-from conftest import enumerate_solutions
+from conftest import enumerate_solutions, exclusion_key
 
 
 def simple_csp(n_vars=2, domain=(1, 2), constraints=()):
@@ -193,7 +192,7 @@ def test_small_model_exhaustion_yields_all_distinct():
     for _ in range(total):
         result = solve_generator(model, config, history, 5.0, 5.0)
         assert result.outcome is GenOutcome.SOLUTION
-        seen.add(result.instance.exclusion_key)
+        seen.add(exclusion_key(result.instance.decision_values))
     assert len(seen) == total
     assert solve_generator(model, config, history, 5.0, 5.0).outcome is GenOutcome.UNSAT
 
@@ -287,7 +286,7 @@ def solution_sequence(model, config, history, with_cursor, stop=None):
             seen.append(result.outcome)
             break
         instance = result.instance
-        seen.append((instance.sequence, instance.exclusion_key))
+        seen.append((instance.sequence, exclusion_key(instance.decision_values)))
     return seen
 
 
@@ -307,12 +306,8 @@ def brute_force_keys(model, config):
     keys = set()
     for combo in itertools.product(*options):
         values = dict(zip(names, combo))
-        try:
-            holds = check_assignment(model, config, values)
-        except EvalError:  # a constraint evaluation rejects is violated
-            holds = False
-        if holds:
-            keys.add(canonical_key(values))
+        if check_assignment(model, config, values):
+            keys.add(exclusion_key(values))
     return keys
 
 
@@ -362,11 +357,11 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
             instance = result.instance
             archive.add_instance(instance)
             archive.add_evaluation({"config_id": config.id, "instance_id": instance.id})
-            keys[instance.id] = instance.exclusion_key
+            keys[instance.id] = exclusion_key(instance.decision_values)
         for iid, key in keys.items():
             decision = {k: v for k, v in archive.instance_values(iid).items()
                         if k not in CURSOR_SPACE.names}
-            assert canonical_key(decision) == key
+            assert exclusion_key(decision) == key
         assert archive.load_history().count(config.id) == len(keys)
 
 
@@ -424,7 +419,7 @@ def test_catch_up_that_times_out_records_nothing():
     assert solve_generator(model, config, history, 5.0, 0.0).outcome is GenOutcome.SOLVE_TIMEOUT
     assert (history.count(config.id), history.cursor_for(config.id)) == (3, None)
     result = solve_generator(model, config, history, 5.0, 5.0)
-    assert (result.instance.sequence, result.instance.exclusion_key) == full[3]
+    assert (result.instance.sequence, exclusion_key(result.instance.decision_values)) == full[3]
 
 
 def test_recording_an_earlier_instance_changes_nothing():
@@ -504,7 +499,7 @@ def test_zero_length_array_has_one_empty_solution():
     assert first.instance.decision_values == {"w": []}
     for with_cursor in (False, True):
         sequence = solution_sequence(model, config, SolutionHistory(), with_cursor)
-        assert sequence == [(0, first.instance.exclusion_key), GenOutcome.UNSAT]
+        assert sequence == [(0, exclusion_key(first.instance.decision_values)), GenOutcome.UNSAT]
     csp = ground(model, config)
     found = backtrack_solve(csp, 5.0)
     assert (found.status, found.assignment, found.nodes) == (SolveStatus.SOLUTION, (), 0)
@@ -573,7 +568,7 @@ def test_pruning_refutes_what_it_did_on_the_benchmark_model(monkeypatch, cap_t, 
         if result.instance is None:
             keys.append(result.outcome.value)
             break
-        keys.append(result.instance.exclusion_key)
+        keys.append(exclusion_key(result.instance.decision_values))
     first, digest, expected_nodes = SYNTH_SEQUENCES[(cap_t, n)]
     assert keys[0] == first
     assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest

@@ -14,6 +14,8 @@ from benchgen.report import status_frequencies, time_distribution
 from benchgen.runner import SolverAdapter, Status, run_solver
 from benchgen.tuner import TunerConfig
 
+from conftest import tuner_log
+
 KNAPSACK = get_problem("knapsack")
 FAST_LIMITS = EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None)
 SPACE_TEXT = "cap_t: 1..50"
@@ -45,7 +47,7 @@ def test_worker_pool_matches_single_threaded_run(tmp_path):
 
     serial = run(tmp_path / "serial", 1)
     threaded = run(tmp_path / "threaded", 3)
-    assert serial.archive.log_text() == threaded.archive.log_text()
+    assert tuner_log(serial.archive) == tuner_log(threaded.archive)
     assert graded_instance_ids(serial.archive) == graded_instance_ids(threaded.archive)
     evals = "records/evals.jsonl"
     assert (tmp_path / "serial" / evals).read_bytes() == (tmp_path / "threaded" / evals).read_bytes()
@@ -118,7 +120,7 @@ def test_infinite_penalty_roundtrips_through_archive(tmp_path):
         FAST_LIMITS,
         resume=True,
     )
-    assert resumed.archive.log_text() == result.archive.log_text()
+    assert tuner_log(resumed.archive) == tuner_log(result.archive)
 
 
 def test_graded_times_match_programmed_latency(tmp_path):

@@ -86,6 +86,15 @@ def test_check_assignment_missing_variable_raises():
         check_assignment(model, config, {})
 
 
+def test_check_assignment_counts_an_unevaluable_constraint_violated():
+    space = parse_space("n: 1..1")
+    model = parse_model(space, "var x : int 0..1\nvar a[n] : int 0..1\nconstraint a[x] >= 0")
+    config = make_configuration(space, {"n": 1})
+    # Arrays index from 1, so a[0] is out of range.
+    assert check_assignment(model, config, {"x": 0, "a": [0]}) is False
+    assert check_assignment(model, config, {"x": 1, "a": [0]}) is True
+
+
 def test_division_is_exact_rational():
     # sum(xs)/n = d holds exactly when sum(xs) = d * n, no truncation.
     expr = parse_expression("sum(xs) / n = d")

@@ -24,6 +24,7 @@ from benchgen.runner import (
     run_solver,
     verify_record,
 )
+from benchgen.scoring import comparable_from_record
 
 KNAPSACK = get_problem("knapsack")
 DECISION = get_problem("knapsack_decision")
@@ -106,6 +107,29 @@ def test_external_sleeper_killed_within_grace(tmp_path):
     assert wall < 0.4 + 2.0
 
 
+def test_killed_run_keeps_the_block_it_printed(tmp_path):
+    body = (
+        "import time; "
+        "print('take = [1, 0]'); print('objective = 7'); print('-' * 10, flush=True); "
+        "time.sleep(30)"
+    )
+    adapter = script_adapter("late", body)
+    instance = {"weight": [1, 1], "value": [7, 1], "capacity": 1}
+    record = run_solver(adapter, KNAPSACK, instance, 0.5, EvaluationLimits(mem_limit=None, workdir=tmp_path))
+    assert record.status is Status.TIMEOUT
+    assert record.time >= 0.5
+    assert record.solution == {"take": [1, 0]}
+    assert record.objective == 7
+    assert [o for _, o in record.trace] == [7]
+    assert not record.optimal_claimed
+    checked = verify_record(KNAPSACK, instance, record)
+    assert checked.solution_ok is True
+    assert checked.objective == 7
+    comparable = comparable_from_record(checked, KNAPSACK.kind)
+    assert comparable.solved and not comparable.optimal
+    assert comparable.quality == 7
+
+
 def test_external_nonzero_exit_is_error(tmp_path):
     adapter = script_adapter("boom", "import sys; sys.exit(3)")
     record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
@@ -185,7 +209,7 @@ def test_measure_time_to_best():
 
 
 def make_record(status, t, solution_ok=None, solution=None):
-    return SolverRecord("s", status, t, solution=solution, solution_ok=solution_ok)
+    return SolverRecord(status, t, solution=solution, solution_ok=solution_ok)
 
 
 def test_classify_generator_failures():

@@ -5,6 +5,7 @@ from random import Random
 from benchgen import solvers
 from benchgen.expressions import parse_expression
 from benchgen.problems import get_problem, parse_knapsack
+from benchgen.runner import Status
 from benchgen.solvers import (
     run_builtin,
     solve_buggy,
@@ -45,8 +46,8 @@ def test_exact_matches_brute_force_on_fuzzed_instances():
     for _ in range(40):
         instance = random_instance(rng)
         outcome = solve_exact(KNAPSACK, instance, 10.0)
-        assert outcome.status == "sat"
-        assert outcome.optimal
+        assert outcome.status is Status.SAT
+        assert outcome.optimal_claimed
         assert outcome.objective == brute_force_optimum(instance)
         check = KNAPSACK.check(instance, outcome.solution)
         assert check.feasible and check.objective == outcome.objective
@@ -55,12 +56,12 @@ def test_exact_matches_brute_force_on_fuzzed_instances():
 def test_exact_decision_sat_and_unsat():
     instance = {"weight": [2, 3], "value": [4, 5], "capacity": 5, "target": 9}
     outcome = solve_exact(DECISION, instance, 10.0)
-    assert outcome.status == "sat"
+    assert outcome.status is Status.SAT
     assert DECISION.check(instance, outcome.solution).feasible
 
     impossible = dict(instance, target=100)
     outcome = solve_exact(DECISION, impossible, 10.0)
-    assert outcome.status == "unsat"
+    assert outcome.status is Status.UNSAT
     assert outcome.solution is None
 
 
@@ -72,7 +73,7 @@ def test_exact_memory_cap_aborts_with_error():
         "capacity": 12,
     }
     outcome = solve_exact(KNAPSACK, instance, 10.0, mem_limit=128)
-    assert outcome.status == "error"
+    assert outcome.status is Status.ERROR
     assert "memory" in outcome.note
 
 
@@ -82,8 +83,8 @@ def test_hillclimb_reaches_optimum_on_small_instances():
         instance = random_instance(rng, n_max=4)
         optimum = brute_force_optimum(instance)
         outcome = solve_hillclimb(KNAPSACK, instance, 2.0, seed=trial)
-        assert outcome.status == "sat"
-        assert not outcome.optimal
+        assert outcome.status is Status.SAT
+        assert not outcome.optimal_claimed
         assert outcome.objective <= optimum
         check = KNAPSACK.check(instance, outcome.solution)
         assert check.feasible and check.objective == outcome.objective
@@ -108,13 +109,13 @@ def test_hillclimb_trace_is_strictly_improving_and_timestamped():
 def test_synthetic_latency_below_and_above_limit():
     instance = {"weight": [1], "value": [1], "capacity": 4}
     fast = solve_synthetic("capacity / 2", KNAPSACK, instance, time_limit=10.0)
-    assert fast.status == "sat"
+    assert fast.status is Status.SAT
     assert fast.time == 2.0
-    assert fast.optimal
+    assert fast.optimal_claimed
     assert KNAPSACK.check(instance, fast.solution).feasible
 
     slow = solve_synthetic("capacity * 10", KNAPSACK, instance, time_limit=10.0)
-    assert slow.status == "timeout"
+    assert slow.status is Status.TIMEOUT
     assert slow.time >= 10.0
 
 
@@ -129,14 +130,14 @@ def test_synthetic_latency_monotone_in_parameter():
 
 def test_synthetic_bad_expression_is_error():
     outcome = solve_synthetic("nope +", KNAPSACK, {"weight": [1], "value": [1], "capacity": 1}, 1.0)
-    assert outcome.status == "error"
+    assert outcome.status is Status.ERROR
 
 
 def test_malformed_latency_is_an_error_on_every_run():
     instance = {"weight": [1], "value": [1], "capacity": 1}
     for _ in range(2):
         outcome = run_builtin("synthetic:capacity /", KNAPSACK, instance, 1.0)
-        assert outcome.status == "error"
+        assert outcome.status is Status.ERROR
         assert outcome.note.startswith("latency expression:")
 
 
@@ -159,7 +160,7 @@ def test_buggy_solver_always_fails_verification():
     for _ in range(30):
         instance = random_instance(rng)
         outcome = solve_buggy(KNAPSACK, instance, 10.0)
-        assert outcome.status == "sat"
+        assert outcome.status is Status.SAT
         check = KNAPSACK.check(instance, outcome.solution)
         wrong = (not check.feasible) or check.objective != outcome.objective
         assert wrong, "buggy solver produced a verifiable answer"

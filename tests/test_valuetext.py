@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from benchgen.errors import ParseError
-from benchgen.valuetext import canonical_key, format_values, parse_values
+from benchgen.valuetext import format_values, parse_values
 
 
 def test_format_sorts_names_and_sets():
@@ -40,10 +40,6 @@ def test_roundtrip_fuzz():
         text = format_values(values)
         assert parse_values(text) == values
         assert format_values(parse_values(text)) == text
-
-
-def test_canonical_key_ignores_insertion_order():
-    assert canonical_key({"a": 1, "b": {2, 1}}) == canonical_key({"b": {1, 2}, "a": 1})
 
 
 def test_parse_rejects_malformed():
