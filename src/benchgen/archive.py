@@ -236,9 +236,9 @@ class CampaignArchive:
         configuration, how many of its records name an instance.
 
         ``history.json`` is not read: it is only written when a campaign
-        ends, so after a crash it lags the records. The history has no
-        cursors, so each configuration's next solve steps past its counted
-        solutions first.
+        ends, so after a crash it lags the records. The history keeps no
+        searches, so each configuration's next solve starts a fresh search
+        that steps past its counted solutions first.
         """
         from .gensolve import SolutionHistory
 

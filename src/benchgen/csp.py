@@ -10,18 +10,19 @@ changes which solution is found first, only how fast the search gets
 there.
 
 Solutions therefore come out in lex order of the assignment vector
-(declaration order, ascending values). A search given a solution's vector
-as its cursor returns the next solution strictly after it, so a caller can
-take every solution, each exactly once, by passing back the last one.
+(declaration order, ascending values). A ``Search`` is one depth-first
+walk of the tree, suspended between calls: each ``backtrack_solve`` on it
+continues where the last one stopped, at a solution or at its deadline,
+so successive calls return every solution, each exactly once. The walk is
+a loop over explicit per-level state (Knuth, TAOCP 4B, 7.2.2, Algorithm
+B), so its depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from enum import Enum
-from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .records import Record, field
 
@@ -52,96 +53,81 @@ class GroundedCsp(Record):
     # Rebuilds structured decision values from a full assignment vector.
     decode: Callable[[Assignment], dict[str, Any]] = field(default=lambda a: {})
 
-    @cached_property
-    def search_index(self) -> tuple[list, bool]:
-        """What ``backtrack_solve`` asks once variable i is assigned, built
-        on the first search (variables and constraints must not change
-        after): ``by_member[i]``, the constraints whose scope holds i; and
-        whether no constraint with an empty scope is refuted."""
-        n = len(self.variables)
-        by_member: list[list[CspConstraint]] = [[] for _ in range(n)]
-        nullary_ok = True
-        for c in self.constraints:
+
+class Search:
+    """One depth-first search of ``csp``, kept between solves.
+
+    ``assignment`` holds the values of levels ``0..depth``; ``tried[i]``
+    counts the values of level i's domain tried so far, so the next one is
+    ``domains[i][tried[i]]``. ``depth`` is -1 once the tree is exhausted.
+    ``found`` counts the solutions returned. Only one thread may step a
+    search at a time; the CSP itself holds no search state.
+    """
+
+    def __init__(self, csp: GroundedCsp):
+        n = len(csp.variables)
+        self.csp = csp
+        self.domains = [v.domain for v in csp.variables]
+        # checks[i]: the predicates to ask once level i is assigned.
+        self.checks: list[list[Callable[[Assignment], bool]]] = [[] for _ in range(n)]
+        for c in csp.constraints:
             for v in c.scope:
-                by_member[v].append(c)
-            if not c.scope:
-                nullary_ok = nullary_ok and not c.refutes([None] * n)
-        return by_member, nullary_ok
+                self.checks[v].append(c.refutes)
+        self.assignment: Assignment = [None] * n
+        self.tried = [0] * n
+        nullary_ok = not any(c.refutes(self.assignment) for c in csp.constraints if not c.scope)
+        self.depth = 0 if nullary_ok else -1
+        self.found = 0
 
 
 class BacktrackResult(Record, frozen=True):
     status: SolveStatus
     values: dict[str, Any] | None = None
-    # The solution's assignment vector, a cursor for the next search.
-    assignment: tuple[int, ...] | None = None
     nodes: int = 0
     elapsed: float = 0.0
 
 
-def backtrack_solve(
-    csp: GroundedCsp,
-    time_limit: float,
-    after: Sequence[int] | None = None,
-) -> BacktrackResult:
-    """Depth-first search for the first solution.
+def backtrack_solve(search: Search, time_limit: float) -> BacktrackResult:
+    """Continue ``search`` to its next solution.
 
-    With ``after`` the search starts strictly after that assignment vector
-    in lex order; with None it scans from the first assignment. Returns
-    UNSAT when the tree is exhausted and TIMEOUT when the deadline passes
-    (a limit of zero or less times out at once).
+    Returns UNSAT when the tree is exhausted and TIMEOUT when the deadline
+    passes (a limit of zero or less times out at once). Either way the
+    search keeps its place: the next call continues from there.
     """
-    start = time.monotonic()
+    monotonic = time.monotonic
+    start = monotonic()
+    if time_limit <= 0:
+        return BacktrackResult(SolveStatus.TIMEOUT, None, 0, monotonic() - start)
     deadline = start + time_limit
-    n = len(csp.variables)
-    by_member, nullary_ok = csp.search_index
-
-    if time.monotonic() >= deadline:
-        return BacktrackResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
-    if not nullary_ok:
-        return BacktrackResult(SolveStatus.UNSAT, elapsed=time.monotonic() - start)
-
-    assignment: Assignment = [None] * n
+    domains, checks = search.domains, search.checks
+    assignment, tried = search.assignment, search.tried
+    n = len(domains)
+    depth = search.depth
     nodes = 0
-
-    def consistent(idx: int) -> bool:
-        for c in by_member[idx]:
-            if c.refutes(assignment):
-                return False
-        return True
-
-    def search(idx: int, on_cursor: bool) -> BacktrackResult | None:
-        nonlocal nodes
-        if idx == n:
-            if on_cursor:
-                return None  # the cursor itself, taken before
-            return BacktrackResult(
-                SolveStatus.SOLUTION,
-                values=csp.decode(assignment),
-                assignment=tuple(assignment),
-                nodes=nodes,
-                elapsed=time.monotonic() - start,
-            )
-        domain = csp.variables[idx].domain
-        first = None
-        if on_cursor:
-            first = after[idx]
-            domain = domain[bisect_left(domain, first) :]
-        for value in domain:
+    while 0 <= depth < n:
+        domain, level_checks = domains[depth], checks[depth]
+        for k in range(tried[depth], len(domain)):
             nodes += 1
-            if time.monotonic() >= deadline:
-                return BacktrackResult(
-                    SolveStatus.TIMEOUT, nodes=nodes, elapsed=time.monotonic() - start
-                )
-            assignment[idx] = value
-            if consistent(idx):
-                result = search(idx + 1, on_cursor and value == first)
-                if result is not None:
-                    return result
-            assignment[idx] = None
-        return None
-
-    result = search(0, after is not None)
-    if result is not None:
-        return result
-    return BacktrackResult(SolveStatus.UNSAT, nodes=nodes, elapsed=time.monotonic() - start)
-
+            if monotonic() >= deadline:
+                tried[depth], search.depth = k, depth
+                return BacktrackResult(SolveStatus.TIMEOUT, None, nodes, monotonic() - start)
+            assignment[depth] = domain[k]
+            for refutes in level_checks:
+                if refutes(assignment):
+                    break
+            else:
+                tried[depth] = k + 1
+                depth += 1
+                break
+        else:
+            tried[depth] = 0
+            assignment[depth] = None
+            depth -= 1
+    if depth < 0:
+        search.depth = -1
+        return BacktrackResult(SolveStatus.UNSAT, None, nodes, monotonic() - start)
+    # A solution: suspend at the last level, whose next value comes next.
+    search.depth = n - 1
+    search.found += 1
+    values = search.csp.decode(assignment)
+    return BacktrackResult(SolveStatus.SOLUTION, values, nodes, monotonic() - start)

@@ -3,15 +3,14 @@
 Re-evaluating a configuration must yield a fresh candidate instance, until
 the configuration's solution set is exhausted. Solutions come out in lex
 order and distinct solutions decode to distinct instances, so a history
-needs only how many solutions each configuration has taken and, as a
-search cursor, the assignment vector of the last one: the next solve
-resumes right after it. ``solve_generator`` counts each solution it
-returns. A history without a cursor for a configuration (rebuilt from the
-records on resume) catches up by stepping past the solutions it has
-counted, one cursor search after another. Like the cursors, and likewise
-not saved, the history keeps a bounded LRU of grounded CSPs by
-configuration id, so a configuration evaluated again is not grounded
-again.
+needs only how many solutions each configuration has taken: the next
+instance is the search's next solution. ``solve_generator`` counts each
+solution it returns. Not saved, the history also keeps the suspended
+searches of the configurations solved last, in a bounded LRU, so a
+configuration evaluated again is neither grounded nor searched from the
+root again. A configuration without a kept search (new, pushed out, or
+rebuilt from the records on resume) gets a fresh one, which steps past
+the counted solutions first.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
-from .csp import GroundedCsp, SolveStatus, backtrack_solve
+from .csp import Search, SolveStatus, backtrack_solve
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
 from .records import Record
@@ -32,7 +31,7 @@ from .space import GeneratorConfiguration
 from .valuetext import format_values
 
 
-# How many grounded CSPs a history keeps, least recently used dropped first.
+# How many suspended searches a history keeps, least recently used dropped first.
 CSP_CACHE_SIZE = 128
 
 
@@ -67,60 +66,44 @@ class GeneratorSolveResult(Record, frozen=True):
 
 
 class SolutionHistory:
-    """Solution counts and lex cursors, one per configuration id.
+    """Solution counts and suspended searches, one per configuration id.
 
-    Invariant: a configuration's kept cursor is the assignment vector of
-    its count-th solution in lex order. It holds because ``add`` counts a
-    solution only when its cursor lies after the kept one, and
-    ``solve_generator`` finds each solution from the previous one. The
-    history also keeps an LRU of grounded CSPs, one per configuration id
+    The count is how many solutions of the configuration have been taken.
+    The history also keeps an LRU of searches, one per configuration id
     with the model it was grounded from, bounded by ``CSP_CACHE_SIZE``.
     Only the counts are saved; a history built from counts starts without
-    cursors or CSPs.
+    searches.
     """
 
     def __init__(self, counts: Mapping[str, int] | None = None):
         self._counts: dict[str, int] = dict(counts or {})
-        self._cursors: dict[str, tuple[int, ...]] = {}
-        self._csps: OrderedDict[str, tuple[GeneratorModel, GroundedCsp]] = OrderedDict()
+        self._searches: OrderedDict[str, tuple[GeneratorModel, Search]] = OrderedDict()
         self._lock = threading.Lock()
 
     def count(self, config_id: str) -> int:
         with self._lock:
             return self._counts.get(config_id, 0)
 
-    def cursor_for(self, config_id: str) -> tuple[int, ...] | None:
-        with self._lock:
-            return self._cursors.get(config_id)
+    def take_search(self, config_id: str, model: GeneratorModel) -> Search | None:
+        """The kept search of ``config_id``, if it was grounded from ``model``.
 
-    def csp_for(self, config_id: str, model: GeneratorModel) -> GroundedCsp | None:
-        """The kept grounding of ``config_id``, if it was grounded from ``model``."""
-        with self._lock:
-            kept = self._csps.get(config_id)
-            if kept is None or kept[0] is not model:
-                return None
-            self._csps.move_to_end(config_id)
-            return kept[1]
-
-    def keep_csp(self, config_id: str, model: GeneratorModel, csp: GroundedCsp) -> None:
-        with self._lock:
-            self._csps[config_id] = (model, csp)
-            self._csps.move_to_end(config_id)
-            if len(self._csps) > CSP_CACHE_SIZE:
-                self._csps.popitem(last=False)
-
-    def add(self, config_id: str, cursor: tuple[int, ...]) -> None:
-        """Count one solution and keep ``cursor``, its assignment vector.
-
-        A cursor at or before the kept one is a solution counted already
-        and changes nothing.
+        The search leaves the history until ``keep_search`` puts it back, so
+        no two threads step it at once.
         """
         with self._lock:
-            old = self._cursors.get(config_id)
-            if old is not None and cursor <= old:
-                return
+            kept = self._searches.pop(config_id, None)
+            return kept[1] if kept is not None and kept[0] is model else None
+
+    def keep_search(self, config_id: str, model: GeneratorModel, search: Search) -> None:
+        with self._lock:
+            self._searches[config_id] = (model, search)
+            if len(self._searches) > CSP_CACHE_SIZE:
+                self._searches.popitem(last=False)
+
+    def add(self, config_id: str) -> None:
+        """Count one solution of ``config_id``."""
+        with self._lock:
             self._counts[config_id] = self._counts.get(config_id, 0) + 1
-            self._cursors[config_id] = cursor
 
     def to_jsonable(self) -> dict[str, int]:
         with self._lock:
@@ -141,38 +124,37 @@ def solve_generator(
 
     Grounding runs under ``translate_limit``, search under ``solve_limit``;
     the two timeout outcomes are distinguished so the tuner can penalise
-    them differently. A configuration whose grounding from ``model`` the
+    them differently. A configuration whose search from ``model`` the
     history still keeps is not grounded again, so it cannot time out in
-    translation. The search resumes after the configuration's cursor;
-    without one it first steps past the solutions the history has counted.
-    The first search and any catch-up share ``solve_limit``, which starts
-    once the configuration is grounded. The solution returned is counted in
-    the history, and its assignment vector becomes the cursor.
+    translation. The search continues until it has found one solution more
+    than the history has counted: a kept search returns its next solution,
+    a fresh one first steps past the counted ones. All of that shares
+    ``solve_limit``, which starts once the configuration is grounded. The
+    search is kept whatever the outcome, so a timeout keeps its place; the
+    solution returned is counted in the history.
     """
     start = time.monotonic()
-    csp = history.csp_for(config.id, model)
-    if csp is None:
+    search = history.take_search(config.id, model)
+    if search is None:
         try:
             csp = ground(model, config, deadline=start + translate_limit)
         except TranslateTimeout:
             return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT, time.monotonic() - start)
-        history.keep_csp(config.id, model, csp)
+        search = Search(csp)
 
     deadline = time.monotonic() + solve_limit
-    cursor = history.cursor_for(config.id)
     sequence = history.count(config.id)
-    behind = sequence if cursor is None else 0
-    result = backtrack_solve(csp, deadline - time.monotonic(), after=cursor)
-    while behind and result.status is SolveStatus.SOLUTION:
-        behind -= 1
-        result = backtrack_solve(csp, deadline - time.monotonic(), after=result.assignment)
+    result = backtrack_solve(search, deadline - time.monotonic())
+    while result.status is SolveStatus.SOLUTION and search.found <= sequence:
+        result = backtrack_solve(search, deadline - time.monotonic())
+    history.keep_search(config.id, model, search)
     elapsed = time.monotonic() - start
     if result.status is SolveStatus.TIMEOUT:
         return GeneratorSolveResult(GenOutcome.SOLVE_TIMEOUT, elapsed)
     if result.status is SolveStatus.UNSAT:
         return GeneratorSolveResult(GenOutcome.UNSAT, elapsed)
     assert result.values is not None
-    history.add(config.id, result.assignment)
+    history.add(config.id)
     instance = CandidateInstance(
         values={**dict(config.assignment), **result.values},
         decision_values=dict(result.values),

@@ -96,23 +96,6 @@ def config_id(assignment: Mapping[str, int]) -> str:
     return "g" + hashlib.sha1(body.encode()).hexdigest()[:10]
 
 
-def make_configuration(space: ParameterSpace, assignment: Mapping[str, int]) -> GeneratorConfiguration:
-    """Validate an assignment against the space and wrap it."""
-    missing = [n for n in space.names if n not in assignment]
-    if missing:
-        raise ValidationError(f"assignment missing parameters: {missing}")
-    extra = [n for n in assignment if n not in space]
-    if extra:
-        raise ValidationError(f"assignment has unknown parameters: {extra}")
-    for spec in space.params:
-        v = assignment[spec.name]
-        if not (spec.lower <= v <= spec.upper):
-            raise ValidationError(
-                f"parameter {spec.name}={v} outside [{spec.lower}, {spec.upper}]"
-            )
-    return GeneratorConfiguration(assignment=dict(assignment))
-
-
 class SamplingModel(Record, frozen=True):
     """Distribution used to sample configurations after the first race.
 

@@ -7,15 +7,34 @@ from typing import Any, Iterator
 import pytest
 
 from benchgen.archive import CampaignArchive
-from benchgen.csp import GroundedCsp, SolveStatus, backtrack_solve
+from benchgen.csp import GroundedCsp, Search, SolveStatus, backtrack_solve
+from benchgen.errors import ValidationError
 from benchgen.gensolve import CandidateInstance
 from benchgen.problems import KnapsackData
+from benchgen.space import GeneratorConfiguration, ParameterSpace
 from benchgen.valuetext import format_value
 
 
 def exclusion_key(values: dict[str, Any]) -> str:
     """One-line key of a decision-value map: equal values, equal key."""
     return ";".join(f"{name}={format_value(values[name])}" for name in sorted(values))
+
+
+def make_configuration(space: ParameterSpace, assignment: dict[str, int]) -> GeneratorConfiguration:
+    """Validate an assignment against the space and wrap it."""
+    missing = [n for n in space.names if n not in assignment]
+    if missing:
+        raise ValidationError(f"assignment missing parameters: {missing}")
+    extra = [n for n in assignment if n not in space]
+    if extra:
+        raise ValidationError(f"assignment has unknown parameters: {extra}")
+    for spec in space.params:
+        v = assignment[spec.name]
+        if not (spec.lower <= v <= spec.upper):
+            raise ValidationError(
+                f"parameter {spec.name}={v} outside [{spec.lower}, {spec.upper}]"
+            )
+    return GeneratorConfiguration(assignment=dict(assignment))
 
 
 def tuner_log(archive: CampaignArchive) -> str:
@@ -25,16 +44,15 @@ def tuner_log(archive: CampaignArchive) -> str:
 def enumerate_solutions(
     csp: GroundedCsp, limit: int = 1_000_000, time_limit: float = 60.0
 ) -> list[dict[str, Any]]:
-    """Exhaust the search tree via repeated solve-and-resume from the cursor."""
+    """Exhaust the search tree by stepping one search from solution to solution."""
     found: list[dict[str, Any]] = []
-    cursor = None
+    search = Search(csp)
     while len(found) < limit:
-        res = backtrack_solve(csp, time_limit, after=cursor)
+        res = backtrack_solve(search, time_limit)
         if res.status is not SolveStatus.SOLUTION:
             break
-        assert res.values is not None and res.assignment is not None
+        assert res.values is not None
         found.append(res.values)
-        cursor = res.assignment
     return found
 
 

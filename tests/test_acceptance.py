@@ -40,10 +40,10 @@ from benchgen.runner import (
     verify_record,
 )
 from benchgen.scoring import ComparableRecord, borda_complete, comparable_from_record, minizinc_score
-from benchgen.space import make_configuration, parse_space
+from benchgen.space import parse_space
 from benchgen.tuner import TunerConfig, friedman_eliminate
 
-from conftest import exclusion_key, naive_borda_totals, tuner_log
+from conftest import exclusion_key, make_configuration, naive_borda_totals, tuner_log
 from test_tuner import reference_statistic
 
 KNAPSACK = get_problem("knapsack")

@@ -103,6 +103,43 @@ def test_tune_resume_flag(workspace, capsys):
     assert len(lines) == 24
 
 
+DEEP_MODEL_CONFIG = """
+[space]
+n: 1100..1200
+
+[generator]
+model: deep.gen
+
+[campaign]
+kind = graded
+problem = knapsack
+solver = one
+t_min = 0.5
+t_max = 5
+budget = 12
+seed = 11
+translate_limit = 30
+solve_limit = 30
+mem_limit = none
+
+[solver.one]
+builtin = synthetic:1
+"""
+
+
+def test_tune_on_a_model_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # Over 1,100 CSP variables: one search level each, more than the
+    # interpreter's default recursion limit of 1,000 frames.
+    (tmp_path / "deep.gen").write_text("var a[n] : int 0..1\nconstraint sum(a) >= 0\n")
+    (tmp_path / "campaign.ini").write_text(DEEP_MODEL_CONFIG)
+    out = tmp_path / "camp"
+    assert main(["tune", str(tmp_path / "campaign.ini"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = (out / "records" / "evals.jsonl").read_text().splitlines()
+    assert len(records) == 12
+    assert all(json.loads(r)["generator_outcome"] == "solution" for r in records)
+
+
 def test_tune_resume_with_another_seed_is_reported(workspace, capsys):
     config = str(workspace / "campaign.ini")
     out = workspace / "resume"

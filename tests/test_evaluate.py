@@ -24,9 +24,9 @@ from benchgen.gensolve import GenOutcome, SolutionHistory
 from benchgen.model import parse_model
 from benchgen.problems import get_problem
 from benchgen.runner import OracleResult, RunStatus, SolverAdapter, SolverRecord, Status
-from benchgen.space import make_configuration, parse_space
+from benchgen.space import parse_space
 
-from conftest import exclusion_key
+from conftest import exclusion_key, make_configuration
 
 KNAPSACK = get_problem("knapsack")
 FAST_LIMITS = EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None)

@@ -8,17 +8,21 @@ import tempfile
 import threading
 import time
 from random import Random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from benchgen import csp as csp_module
 from benchgen import gensolve
 from benchgen.archive import CampaignArchive
 from benchgen.csp import (
     CspConstraint,
     CspVariable,
     GroundedCsp,
+    Search,
     SolveStatus,
     backtrack_solve,
 )
@@ -26,8 +30,8 @@ from benchgen.errors import ModelError
 from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
 from benchgen.ground import ground
 from benchgen.model import check_assignment, instantiate, parse_model
-from benchgen.space import make_configuration, parse_space, sample_uniform
-from conftest import enumerate_solutions, exclusion_key
+from benchgen.space import parse_space, sample_uniform
+from conftest import enumerate_solutions, exclusion_key, make_configuration
 
 
 def simple_csp(n_vars=2, domain=(1, 2), constraints=()):
@@ -40,32 +44,29 @@ def simple_csp(n_vars=2, domain=(1, 2), constraints=()):
 
 
 def test_first_solution_ordering_contract():
-    result = backtrack_solve(simple_csp(), 10.0)
+    result = backtrack_solve(Search(simple_csp()), 10.0)
     assert result.status is SolveStatus.SOLUTION
     assert result.values == {"v0": 1, "v1": 1}
 
 
 def test_exclusion_advances_in_lex_order():
-    csp = simple_csp()
+    search = Search(simple_csp())
     seen = []
-    cursor = None
     for _ in range(5):
-        result = backtrack_solve(csp, 10.0, after=cursor)
+        result = backtrack_solve(search, 10.0)
         if result.status is not SolveStatus.SOLUTION:
             seen.append("unsat")
             break
         seen.append((result.values["v0"], result.values["v1"]))
-        cursor = result.assignment
     assert seen == [(1, 1), (1, 2), (2, 1), (2, 2), "unsat"]
 
 
 def test_zero_time_limit_times_out():
-    result = backtrack_solve(simple_csp(), 0.0)
+    result = backtrack_solve(Search(simple_csp()), 0.0)
     assert result.status is SolveStatus.TIMEOUT
 
 
-def test_six_queens_has_four_solutions():
-    n = 6
+def queens_csp(n):
     variables = [CspVariable(f"q{i}", tuple(range(n))) for i in range(n)]
     constraints = []
     for i in range(n):
@@ -75,12 +76,16 @@ def test_six_queens_has_four_solutions():
                     return a[j] is not None and (a[i] == a[j] or abs(a[i] - a[j]) == j - i)
                 return refutes
             constraints.append(CspConstraint(scope=(i, j), refutes=make()))
-    csp = GroundedCsp(
+    return GroundedCsp(
         variables=variables,
         constraints=constraints,
         decode=lambda a: {"q": list(a)},
     )
-    solutions = enumerate_solutions(csp)
+
+
+def test_six_queens_has_four_solutions():
+    n = 6
+    solutions = enumerate_solutions(queens_csp(n))
 
     def brute_ok(p):
         return all(
@@ -90,6 +95,38 @@ def test_six_queens_has_four_solutions():
     brute = [list(p) for p in itertools.permutations(range(n)) if brute_ok(p)]
     assert len(brute) == 4
     assert sorted(s["q"] for s in solutions) == sorted(brute)
+
+
+def test_search_that_times_out_mid_tree_continues_where_it_stopped(monkeypatch):
+    # A clock that ticks once per reading times each solve out after a few
+    # nodes, anywhere in the tree; continued, the search returns the same
+    # solutions in the same order.
+    expected = enumerate_solutions(queens_csp(6))
+    ticks = itertools.count()
+    monkeypatch.setattr(csp_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    for limit in (3, 4, 10):
+        search = Search(queens_csp(6))
+        solutions, timeouts = [], 0
+        while (result := backtrack_solve(search, limit)).status is not SolveStatus.UNSAT:
+            if result.status is SolveStatus.SOLUTION:
+                solutions.append(result.values)
+            else:
+                timeouts += 1
+        assert solutions == expected
+        assert timeouts > 10
+        assert search.found == len(expected)
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # 1,500 CSP variables, one per element of the set's universe: more
+    # search levels than the interpreter's default limit of 1,000 frames.
+    space = parse_space("n: 1..1")
+    model = parse_model(space, "var s : set of 1..1500\nconstraint |s| >= 1")
+    config = make_configuration(space, {"n": 1})
+    history = SolutionHistory()
+    got = [solve_generator(model, config, history, 30.0, 30.0).instance.decision_values
+           for _ in range(3)]
+    assert got == [{"s": {1500}}, {"s": {1499}}, {"s": {1499, 1500}}]
 
 
 def test_contradictory_constraints_unsat():
@@ -215,7 +252,7 @@ def test_grounding_variable_order_is_declaration_order():
     assert [v.name for v in csp.variables] == ["b", "a"]
 
 
-# -- lex cursor: resuming after the last solution changes no result ---------------
+# -- continued searches: however a search resumes, the sequence is the same --
 CURSOR_SPACE = parse_space("n: 1..2; k: 0..4")
 
 # Constraint templates over x (int), a[n] (int array) and s (set); {c} is a constant.
@@ -274,20 +311,29 @@ def cursor_models(draw, set_array=False, error_paths=False):
     return "\n".join(lines), config
 
 
-def solution_sequence(model, config, history, with_cursor, stop=None):
-    """Solve until UNSAT (or ``stop`` solutions); outcomes in order. Without
-    ``with_cursor`` each solve starts from a history of the counts alone."""
-    seen = []
-    while stop is None or len(seen) < stop:
-        if not with_cursor:
+def outcomes(model, config, history, mode="kept"):
+    """Solve until UNSAT, yielding each outcome. In mode "counts" each solve
+    starts from a history of the counts alone; in mode "timeouts" each one
+    follows a zero-limit solve, which times out and counts nothing."""
+    while True:
+        if mode == "counts":
             history = SolutionHistory({config.id: history.count(config.id)})
+        elif mode == "timeouts":
+            count = history.count(config.id)
+            timed_out = solve_generator(model, config, history, 5.0, 0.0)
+            assert timed_out.outcome is GenOutcome.SOLVE_TIMEOUT
+            assert history.count(config.id) == count
         result = solve_generator(model, config, history, 5.0, 5.0)
         if result.outcome is not GenOutcome.SOLUTION:
-            seen.append(result.outcome)
-            break
+            yield result.outcome
+            return
         instance = result.instance
-        seen.append((instance.sequence, exclusion_key(instance.decision_values)))
-    return seen
+        yield (instance.sequence, exclusion_key(instance.decision_values))
+
+
+def solution_sequence(model, config, history, mode="kept", stop=None):
+    """The outcomes of solving until UNSAT, or of the first ``stop`` solves."""
+    return list(itertools.islice(outcomes(model, config, history, mode), stop))
 
 
 def brute_force_keys(model, config):
@@ -318,9 +364,20 @@ def test_cursor_resume_matches_exclusion_scan(case):
     model_text, values = case
     model = parse_model(CURSOR_SPACE, model_text)
     config = make_configuration(CURSOR_SPACE, values)
-    scanned = solution_sequence(model, config, SolutionHistory(), with_cursor=False)
-    resumed = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+    scanned = solution_sequence(model, config, SolutionHistory(), mode="counts")
+    resumed = solution_sequence(model, config, SolutionHistory())
     assert resumed == scanned
+    assert solution_sequence(model, config, SolutionHistory(), mode="timeouts") == resumed
+    # Two configurations in turn through a history that keeps one search:
+    # each solve finds the other's search kept, so it starts afresh.
+    other = make_configuration(CURSOR_SPACE, {**values, "n": 3 - values["n"]})
+    shared = SolutionHistory()
+    with mock.patch.object(gensolve, "CSP_CACHE_SIZE", 1):
+        turns = list(itertools.zip_longest(outcomes(model, config, shared), outcomes(model, other, shared)))
+    assert [mine for mine, _ in turns if mine is not None] == resumed
+    assert [theirs for _, theirs in turns if theirs is not None] == (
+        solution_sequence(model, other, SolutionHistory())
+    )
     assert scanned[-1] is GenOutcome.UNSAT
     # Integer-interval pruning never refutes a solution, and none repeats.
     brute = brute_force_keys(model, config)
@@ -372,14 +429,13 @@ def test_loaded_history_continues_the_same_sequence(tmp_path):
         "constraint sum(a) / n = x\nconstraint x in s",
     )
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
-    full = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+    full = solution_sequence(model, config, SolutionHistory())
 
     history = SolutionHistory()
-    head = solution_sequence(model, config, history, with_cursor=True, stop=4)
+    head = solution_sequence(model, config, history, stop=4)
     history.save(tmp_path / "history.json")
     reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
-    assert reloaded.cursor_for(config.id) is None
-    tail = solution_sequence(model, config, reloaded, with_cursor=True)
+    tail = solution_sequence(model, config, reloaded)
     assert head + tail == full
     assert len(full) > 5 and full[-1] is GenOutcome.UNSAT
 
@@ -394,7 +450,7 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
     model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
     other = make_configuration(CURSOR_SPACE, {"n": 1, "k": 0})
-    full = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+    full = solution_sequence(model, config, SolutionHistory())
     assert len(full) > 5
     for k in range(len(full)):
         archive = CampaignArchive.create(tmp_path / str(k), {}, "n: 1..2; k: 0..4", RESUME_MODEL_TEXT)
@@ -407,34 +463,19 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
             archive.add_evaluation({"config_id": config.id, "instance_id": None})
             archive.add_evaluation({"config_id": other.id, "instance_id": f"{other.id}-0000"})
         loaded = archive.load_history()
-        assert loaded.count(config.id) == k and loaded.cursor_for(config.id) is None
-        assert full[:k] + solution_sequence(model, config, loaded, with_cursor=True) == full
+        assert loaded.count(config.id) == k
+        assert full[:k] + solution_sequence(model, config, loaded) == full
 
 
 def test_catch_up_that_times_out_records_nothing():
     model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
-    full = solution_sequence(model, config, SolutionHistory(), with_cursor=True)
+    full = solution_sequence(model, config, SolutionHistory())
     history = SolutionHistory({config.id: 3})
     assert solve_generator(model, config, history, 5.0, 0.0).outcome is GenOutcome.SOLVE_TIMEOUT
-    assert (history.count(config.id), history.cursor_for(config.id)) == (3, None)
+    assert history.count(config.id) == 3
     result = solve_generator(model, config, history, 5.0, 5.0)
     assert (result.instance.sequence, exclusion_key(result.instance.decision_values)) == full[3]
-
-
-def test_recording_an_earlier_instance_changes_nothing():
-    model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
-    config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
-    history = SolutionHistory()
-    cursors = []
-    for _ in range(2):
-        solve_generator(model, config, history, 5.0, 5.0)
-        cursors.append(history.cursor_for(config.id))
-    # The earlier solution again, then the kept one again: both counted already.
-    history.add(config.id, cursors[0])
-    history.add(config.id, cursors[1])
-    assert history.count(config.id) == 2
-    assert history.cursor_for(config.id) == cursors[1]
 
 
 def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
@@ -445,9 +486,9 @@ def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
         time.sleep(0.3)
         return real_ground(model, config, deadline)
 
-    def recording(csp, time_limit, after=None):
+    def recording(search, time_limit):
         limits.append(time_limit)
-        return real_solve(csp, time_limit, after=after)
+        return real_solve(search, time_limit)
 
     monkeypatch.setattr(gensolve, "ground", slow_ground)
     monkeypatch.setattr(gensolve, "backtrack_solve", recording)
@@ -468,13 +509,13 @@ def test_shared_history_keeps_each_configuration_sequence_under_threads():
     )
     configs = [make_configuration(CURSOR_SPACE, {"n": n, "k": k}) for n in (1, 2) for k in range(4)]
     expected = {
-        c.id: solution_sequence(model, c, SolutionHistory(), with_cursor=False) for c in configs
+        c.id: solution_sequence(model, c, SolutionHistory(), mode="counts") for c in configs
     }
     shared = SolutionHistory()
     got = {}
 
     def work(config):
-        got[config.id] = solution_sequence(model, config, shared, with_cursor=True)
+        got[config.id] = solution_sequence(model, config, shared)
 
     threads = [threading.Thread(target=work, args=(c,)) for c in configs]
     interval = sys.getswitchinterval()
@@ -497,13 +538,13 @@ def test_zero_length_array_has_one_empty_solution():
     first = solve_generator(model, config, SolutionHistory(), 5.0, 5.0)
     assert first.outcome is GenOutcome.SOLUTION
     assert first.instance.decision_values == {"w": []}
-    for with_cursor in (False, True):
-        sequence = solution_sequence(model, config, SolutionHistory(), with_cursor)
+    for mode in ("counts", "kept"):
+        sequence = solution_sequence(model, config, SolutionHistory(), mode)
         assert sequence == [(0, exclusion_key(first.instance.decision_values)), GenOutcome.UNSAT]
-    csp = ground(model, config)
-    found = backtrack_solve(csp, 5.0)
-    assert (found.status, found.assignment, found.nodes) == (SolveStatus.SOLUTION, (), 0)
-    resumed = backtrack_solve(csp, 5.0, after=found.assignment)
+    search = Search(ground(model, config))
+    found = backtrack_solve(search, 5.0)
+    assert (found.status, search.assignment, found.nodes) == (SolveStatus.SOLUTION, [], 0)
+    resumed = backtrack_solve(search, 5.0)
     assert (resumed.status, resumed.nodes) == (SolveStatus.UNSAT, 0)
 
 
@@ -519,8 +560,8 @@ SYNTH_MODEL_TEXT = (
 
 
 def _resumed(first, step):
-    """Nodes of 30 cursor-resumed solves: the first search, then one step
-    per solution and one more each time value[n - 1] moves."""
+    """Nodes of 30 solves of one kept search: the first search, then
+    ``step`` per solution and one more each time value[n - 1] moves."""
     return [first] + ([step] * 8 + [step + 1]) * 3 + [step] * 2
 
 
@@ -530,20 +571,42 @@ def _resumed(first, step):
 SYNTH_SEQUENCES = {
     (1, 2): ("capacity=1;value=[1, 1];weight=[1, 1]",
              "8823ee667d8edc1796f9085d045ff3459d003486d87af7c97169dcaa738649c4",
-             _resumed(5, 6)),
+             _resumed(5, 1)),
     (40, 5): ("capacity=40;value=[1, 1, 1, 1, 1];weight=[4, 9, 9, 9, 9]",
               "9355263a8ec82a2b6adf118492368621599ec8db3fe605a37f9f2a3896f056fc",
-              _resumed(85, 12)),
+              _resumed(85, 1)),
     (63, 7): ("capacity=63;value=[1, 1, 1, 1, 1, 1, 1];weight=[9, 9, 9, 9, 9, 9, 9]",
               "44fb78d2e6444804dce2e4e69e0ebb348f177c16583c2a313e7bad9c4ac944b2",
-              _resumed(133, 16)),
+              _resumed(133, 1)),
     (72, 8): ("capacity=72;value=[1, 1, 1, 1, 1, 1, 1, 1];weight=[9, 9, 9, 9, 9, 9, 9, 9]",
               "5cca99183609c097a7416c2f20c3dbd7b9de0ce21cd7e2abeafd8fd71200bc16",
-              _resumed(152, 18)),
+              _resumed(152, 1)),
     (73, 8): ("unsat",
               "af3a14c11c198ad9e92ed4a8f341a59e2602c0e1088144f05f0a6607d3cac3c1",
               [100]),
 }
+
+
+# Nodes of each configuration's first search: what pruning alone refutes,
+# which no later search of the configuration changes.
+FIRST_SEARCH_NODES = {(1, 2): 5, (40, 5): 85, (63, 7): 133, (72, 8): 152, (73, 8): 100}
+
+
+@pytest.mark.parametrize("cap_t, n", sorted(SYNTH_SEQUENCES))
+def test_first_search_refutes_what_it_did_on_the_benchmark_model(monkeypatch, cap_t, n):
+    nodes = []
+    solve = gensolve.backtrack_solve
+
+    def counting(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        nodes.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(gensolve, "backtrack_solve", counting)
+    model = parse_model(SYNTH_SPACE, SYNTH_MODEL_TEXT)
+    config = make_configuration(SYNTH_SPACE, {"cap_t": cap_t, "n": n})
+    solve_generator(model, config, SolutionHistory(), 5.0, 5.0)
+    assert nodes == [FIRST_SEARCH_NODES[(cap_t, n)]]
 
 
 @pytest.mark.parametrize("cap_t, n", sorted(SYNTH_SEQUENCES))

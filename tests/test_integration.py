@@ -183,7 +183,8 @@ def test_oracle_graded_campaign_with_local_search(tmp_path):
 def test_oversized_model_is_translate_failure():
     from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
     from benchgen.model import parse_model
-    from benchgen.space import make_configuration, parse_space
+    from benchgen.space import parse_space
+    from conftest import make_configuration
 
     space = parse_space("n: 1..1000000000")
     model = parse_model(space, "var huge[n] : int 1..1000000")

@@ -5,7 +5,8 @@ import pytest
 from benchgen.errors import EvalError, ModelError, ParseError, ValidationError
 from benchgen.expressions import evaluate, parse_expression
 from benchgen.model import check_assignment, instantiate, parse_model
-from benchgen.space import make_configuration, parse_space
+from benchgen.space import parse_space
+from conftest import make_configuration
 
 SUCCESSORS_SPACE = parse_space("n_tasks_t: 1..60; s_density: 1..5")
 SUCCESSORS_MODEL = """

@@ -13,12 +13,12 @@ from benchgen.space import (
     ParameterSpec,
     SamplingModel,
     initial_spread,
-    make_configuration,
     parse_space,
     sample_from_model,
     sample_uniform,
     update_sampling_model,
 )
+from conftest import make_configuration
 
 
 def test_parse_space_two_params():
