@@ -271,24 +271,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .archive import CampaignArchive
-    from .report import discrimination_report, status_frequencies
+    import statistics
 
-    archive = CampaignArchive.open(args.archive)
-    written = _cli.write_reports(archive)
-    freq = status_frequencies(archive)
-    total = sum(count for count, _ in freq.values())
-    print(f"evaluations: {total}")
-    for status, (count, fraction) in freq.items():
+    from .archive import CampaignArchive
+
+    written = _cli.write_reports(CampaignArchive.open(args.archive))
+    tables = {path.name: rows for path, rows in written.items()}
+    statuses = tables["status_frequencies.csv"]
+    print(f"evaluations: {sum(count for _, count, _ in statuses)}")
+    for status, count, fraction in statuses:
         print(f"  {status}: {count} ({fraction:.1%})")
-    if archive.meta.get("campaign") == "discriminating":
-        rep = discrimination_report(archive)
-        print(f"discriminating instances: {rep.count}")
-        if rep.favoured_scores:
-            summary = rep.score_summary()
+    if "discrimination.csv" in tables:
+        scores = sorted(score for _, score, _ in tables["discrimination.csv"])
+        print(f"discriminating instances: {len(scores)}")
+        if scores:
             print(
                 "favoured-score distribution: "
-                f"min {summary['min']:.3f}, median {summary['median']:.3f}, max {summary['max']:.3f}"
+                f"min {scores[0]:.3f}, median {statistics.median(scores):.3f}, max {scores[-1]:.3f}"
             )
     for path in written:
         print(f"wrote {path}")

@@ -1,23 +1,25 @@
 """Post-campaign analysis and plot-ready exports.
 
-Everything here is a pure function of archives (plus a seed): status
-frequency tables, solving-time distributions of graded instances,
-combined-set construction and cross-solver Borda evaluation, and
-discriminating-power summaries. Exports are CSV/JSON only; rendering is
-left to downstream tooling.
+Everything here is a pure function of archives (plus a seed): the report
+tables of a campaign (status frequencies, solving times of graded
+instances, discriminating instances), combined-set construction and
+cross-solver Borda evaluation. Each table is a list of rows. One
+``write_table`` writes every CSV export, and one ``read_table`` reads any
+of them back, parsing each cell by its column; the Borda table is JSON.
+Rendering is left to downstream tooling.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import statistics
 import warnings
+from collections import Counter
 from pathlib import Path
 from random import Random
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
-from .archive import CampaignArchive, discriminating_entries, graded_instance_ids
+from .archive import CampaignArchive, graded_instance_ids
 from .errors import ArchiveError, ValidationError
 from .problems import Problem
 from .records import Record, replace
@@ -30,14 +32,7 @@ from .runner import (
     run_solver,
     verify_record,
 )
-from .scoring import (
-    BordaTable,
-    borda_complete,
-    comparable_from_record,
-    pair_rows,
-    write_borda_json,
-    write_score_csv,
-)
+from .scoring import BordaTable, borda_complete, comparable_from_record, pair_rows
 
 
 class EmptyArchive(Warning):
@@ -151,46 +146,6 @@ def build_combined_set(
     return CombinedSet(selections=selections, sources=sources, seed=seed, k=k)
 
 
-def status_frequencies(archive: CampaignArchive) -> dict[str, tuple[int, float]]:
-    """Counts and fractions per run status over the whole evaluation log."""
-    counts: dict[str, int] = {}
-    total = 0
-    for entry in archive.evaluations():
-        counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-        total += 1
-    if total == 0:
-        return {}
-    return {status: (n, n / total) for status, n in sorted(counts.items())}
-
-
-class TimeSummary(Record):
-    solver: str
-    times: list[float]
-
-
-def _effective_time(record: SolverRecord, solver_kind: str) -> float:
-    if solver_kind == "local_search" and record.time_to_best is not None:
-        return record.time_to_best
-    return record.time
-
-
-def time_distribution(archive: CampaignArchive) -> dict[str, TimeSummary]:
-    """Solving times of graded instances, per solver (time-to-best for local search)."""
-    meta = archive.meta
-    kinds: dict[str, str] = {}
-    if meta.get("campaign") == "graded":
-        kinds[meta["solver"]["name"]] = meta["solver"].get("kind", "complete")
-    series: dict[str, list[float]] = {}
-    for entry in archive.evaluations():
-        if entry["status"] != RunStatus.GRADED.value:
-            continue
-        for name, raw in entry.get("records", {}).items():
-            record = SolverRecord.from_jsonable(raw)
-            t = _effective_time(record, kinds.get(name, "complete"))
-            series.setdefault(name, []).append(t)
-    return {name: TimeSummary(name, times) for name, times in sorted(series.items())}
-
-
 class CombinedEvaluation(Record):
     borda: BordaTable
     records: dict[tuple[str, str], SolverRecord]
@@ -271,7 +226,8 @@ def evaluate_combined(
                     )
                     + "\n"
                 )
-        write_score_csv(out / "pair_scores.csv", pair_rows(comparables, solver_names, instance_ids))
+        rows = pair_rows(comparables, solver_names, instance_ids)
+        write_table(out / "pair_scores.csv", TABLES["pair_scores.csv"], rows)
         write_borda_json(out / "borda.json", table)
         (out / "flags.json").write_text(
             json.dumps({"flagged": flagged, "answered": answered}, indent=2)
@@ -279,114 +235,110 @@ def evaluate_combined(
     return result
 
 
-class DiscriminationReport(Record):
-    count: int
-    favoured_scores: list[float]
-    penalties: list[float]
-    instance_ids: list[str]
+def report_tables(archive: CampaignArchive) -> dict[str, list[tuple]]:
+    """The rows of every report table that applies to this campaign, by file name.
 
-    def score_summary(self) -> dict[str, float]:
-        if not self.favoured_scores:
-            return {}
-        xs = sorted(self.favoured_scores)
-        mid = statistics.median(xs)
-        return {"min": xs[0], "median": mid, "max": xs[-1]}
-
-
-def discrimination_report(archive: CampaignArchive) -> DiscriminationReport:
-    """Count discriminating instances and collect the winner's score distribution."""
+    ``status_frequencies.csv`` counts each run status over the whole
+    evaluation log. ``graded_times.csv`` holds each solver's time on each
+    graded instance, grouped by solver in archive order (time-to-best for a
+    local-search solver that reports one). ``discrimination.csv`` has one
+    row per dis-found evaluation of a discriminating campaign. The metadata
+    and the records are each read once.
+    """
     meta = archive.meta
-    if meta.get("campaign") != "discriminating":
-        raise ArchiveError(f"{archive.root} is not a discriminating campaign archive")
-    entries = discriminating_entries(archive)
-    scores = [e["scores"][0] for e in entries if e.get("scores")]
-    return DiscriminationReport(
-        count=len(entries),
-        favoured_scores=scores,
-        penalties=[e["penalty"] for e in entries],
-        instance_ids=[e["instance_id"] for e in entries if e.get("instance_id")],
-    )
-
-
-# -- CSV/JSON export and re-import --------------------------------------------
-
-
-def write_status_csv(path: str | Path, table: Mapping[str, tuple[int, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["status", "count", "fraction"])
-        for status, (count, fraction) in table.items():
-            writer.writerow([status, count, repr(fraction)])
-
-
-def read_status_csv(path: str | Path) -> dict[str, tuple[int, float]]:
-    out: dict[str, tuple[int, float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["status"]] = (int(row["count"]), float(row["fraction"]))
-    return out
-
-
-def write_times_csv(path: str | Path, summaries: Mapping[str, TimeSummary]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "time"])
-        for name, summary in summaries.items():
-            for t in summary.times:
-                writer.writerow([name, repr(t)])
-
-
-def read_times_csv(path: str | Path) -> dict[str, TimeSummary]:
-    series: dict[str, list[float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            series.setdefault(row["solver"], []).append(float(row["time"]))
-    return {name: TimeSummary(name, times) for name, times in series.items()}
-
-
-def write_discrimination_csv(path: str | Path, report: DiscriminationReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "favoured_score", "penalty"])
-        for iid, score, pen in zip(
-            report.instance_ids, report.favoured_scores, report.penalties
-        ):
-            writer.writerow([iid, repr(score), repr(pen)])
-
-
-def read_discrimination_csv(path: str | Path) -> DiscriminationReport:
-    ids: list[str] = []
-    scores: list[float] = []
-    penalties: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ids.append(row["instance"])
-            scores.append(float(row["favoured_score"]))
-            penalties.append(float(row["penalty"]))
-    return DiscriminationReport(
-        count=len(ids), favoured_scores=scores, penalties=penalties, instance_ids=ids
-    )
-
-
-def write_reports(archive: CampaignArchive) -> list[Path]:
-    """Write every report that applies to this campaign into reports/."""
-    out = archive.reports_dir
-    written: list[Path] = []
-
-    freq = status_frequencies(archive)
-    path = out / "status_frequencies.csv"
-    write_status_csv(path, freq)
-    written.append(path)
-
-    times = time_distribution(archive)
+    campaign = meta.get("campaign")
+    entries = list(archive.evaluations())
+    counts = Counter(entry["status"] for entry in entries)
+    tables = {
+        "status_frequencies.csv": [
+            (status, n, n / len(entries)) for status, n in sorted(counts.items())
+        ]
+    }
+    local_search = None
+    if campaign == "graded" and meta["solver"].get("kind") == "local_search":
+        local_search = meta["solver"]["name"]
+    times = []
+    for entry in entries:
+        if entry["status"] == RunStatus.GRADED.value:
+            for name, raw in entry.get("records", {}).items():
+                best = raw.get("time_to_best") if name == local_search else None
+                times.append((name, raw["time"] if best is None else best))
     if times:
-        path = out / "graded_times.csv"
-        write_times_csv(path, times)
-        written.append(path)
+        tables["graded_times.csv"] = sorted(times, key=lambda row: row[0])
+    if campaign == "discriminating":
+        tables["discrimination.csv"] = [
+            (entry["instance_id"], entry["scores"][0], entry["penalty"])
+            for entry in entries
+            if entry["status"] == RunStatus.DIS_FOUND.value
+        ]
+    return tables
 
-    if archive.meta.get("campaign") == "discriminating":
-        report = discrimination_report(archive)
-        path = out / "discrimination.csv"
-        write_discrimination_csv(path, report)
-        written.append(path)
+
+# -- export and re-import -----------------------------------------------------
+
+# Each report table's columns, by file name.
+TABLES = {
+    "status_frequencies.csv": ("status", "count", "fraction"),
+    "graded_times.csv": ("solver", "time"),
+    "discrimination.csv": ("instance", "favoured_score", "penalty"),
+    "pair_scores.csv": ("solver", "instance", "opponent", "score"),
+}
+
+# The type each column's cells read back as; a column not named here is text.
+COLUMN_TYPES = {
+    "count": int,
+    "fraction": float,
+    "time": float,
+    "favoured_score": float,
+    "penalty": float,
+    "score": float,
+}
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a header line and one CSV line per row; a float is written as its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path: str | Path) -> tuple[tuple[str, ...], list[tuple]]:
+    """A table as ``write_table`` wrote it: its header and its rows, each
+    cell parsed by its column's type in ``COLUMN_TYPES`` (text otherwise)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        types = [COLUMN_TYPES.get(column, str) for column in header]
+        return header, [tuple(kind(cell) for kind, cell in zip(types, row)) for row in reader]
+
+
+def write_borda_json(path: str | Path, table: BordaTable) -> None:
+    data = {
+        "solvers": table.solvers,
+        "instances": table.instances,
+        "totals": table.totals,
+        "cells": [
+            {"solver": s, "instance": i, "score": v} for (s, i), v in sorted(table.cells.items())
+        ],
+    }
+    Path(path).write_text(json.dumps(data, indent=2))
+
+
+def read_borda_json(path: str | Path) -> BordaTable:
+    data = json.loads(Path(path).read_text())
+    cells = {(c["solver"], c["instance"]): c["score"] for c in data["cells"]}
+    return BordaTable(data["solvers"], data["instances"], data["totals"], cells)
+
+
+def write_reports(archive: CampaignArchive) -> dict[Path, list[tuple]]:
+    """Write every report table that applies to this campaign into reports/.
+
+    Returns each written path with the rows written there.
+    """
+    out = archive.reports_dir
+    written: dict[Path, list[tuple]] = {}
+    for name, rows in report_tables(archive).items():
+        write_table(out / name, TABLES[name], rows)
+        written[out / name] = rows
     return written

@@ -3,16 +3,14 @@
 ``is_better`` decides strict superiority from solved/optimal/quality
 facts; ``minizinc_score`` turns a pair of records into a (0..1, 0..1)
 score whose components sum to one when anybody scored, and to zero when
-both failed; ``borda_complete`` accumulates the scores over every ordered
-solver pair and every instance.
+both failed; ``pair_rows`` lists the score of every ordered solver pair on
+every instance, and ``borda_complete`` accumulates them. This module is
+arithmetic only: ``report`` writes its rows and tables to files.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MissingRecord, ValidationError
 from .records import Record
@@ -137,8 +135,7 @@ def borda_complete(
                 raise MissingRecord(f"no record for solver {s!r} on instance {i!r}")
     totals = {s: 0.0 for s in solvers}
     cells = {(s, i): 0.0 for s in solvers for i in instances}
-    for row in pair_rows(records, solvers, instances):
-        solver, instance, score = row["solver"], row["instance"], row["score"]
+    for solver, instance, _, score in pair_rows(records, solvers, instances):
         totals[solver] += score
         cells[(solver, instance)] += score
     return BordaTable(list(solvers), list(instances), totals, cells)
@@ -148,55 +145,13 @@ def pair_rows(
     records: Mapping[tuple[str, str], ComparableRecord],
     solvers: Sequence[str],
     instances: Sequence[str],
-) -> list[dict[str, object]]:
-    """Flat (solver, instance, opponent, score) rows for CSV export."""
-    rows: list[dict[str, object]] = []
-    for i in instances:
-        for s in solvers:
-            for t in solvers:
-                if s == t:
-                    continue
-                pair = minizinc_score(records[(s, i)], records[(t, i)])
-                rows.append(
-                    {"solver": s, "instance": i, "opponent": t, "score": pair.score_a}
-                )
-    return rows
-
-
-def write_score_csv(path: str | Path, rows: Iterable[Mapping[str, object]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["solver", "instance", "opponent", "score"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def read_score_csv(path: str | Path) -> list[dict[str, object]]:
-    with open(path, newline="") as fh:
-        return [
-            {
-                "solver": row["solver"],
-                "instance": row["instance"],
-                "opponent": row["opponent"],
-                "score": float(row["score"]),
-            }
-            for row in csv.DictReader(fh)
-        ]
-
-
-def write_borda_json(path: str | Path, table: BordaTable) -> None:
-    data = {
-        "solvers": table.solvers,
-        "instances": table.instances,
-        "totals": table.totals,
-        "cells": [
-            {"solver": s, "instance": i, "score": v} for (s, i), v in sorted(table.cells.items())
-        ],
-    }
-    Path(path).write_text(json.dumps(data, indent=2))
-
-
-def read_borda_json(path: str | Path) -> BordaTable:
-    data = json.loads(Path(path).read_text())
-    cells = {(c["solver"], c["instance"]): c["score"] for c in data["cells"]}
-    return BordaTable(data["solvers"], data["instances"], data["totals"], cells)
+) -> list[tuple[str, str, str, float]]:
+    """One (solver, instance, opponent, score) row per ordered solver pair on
+    each instance: the rows of ``pair_scores.csv``."""
+    return [
+        (s, i, t, minizinc_score(records[(s, i)], records[(t, i)]).score_a)
+        for i in instances
+        for s in solvers
+        for t in solvers
+        if s != t
+    ]

@@ -97,7 +97,7 @@ def test_plain_import_loads_no_submodule_and_submodules_still_resolve():
 def test_tune_loads_neither_reports_nor_the_external_runner_nor_a_pool(tuned):
     _, modules = tuned
     assert "benchgen.campaign" in modules
-    assert not {"benchgen.report", "benchgen.external", "concurrent.futures"} & modules
+    assert not {"benchgen.report", "benchgen.external", "concurrent.futures", "csv"} & modules
 
 
 def test_tune_with_a_builtin_solver_builds_no_pool_at_any_workers(tuned, tmp_path):

@@ -10,7 +10,7 @@ from benchgen import campaign
 from benchgen.campaign import graded_instance_ids, run_campaign
 from benchgen.evaluate import EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
-from benchgen.report import status_frequencies, time_distribution
+from benchgen.report import report_tables
 from benchgen.runner import SolverAdapter, Status, run_solver
 from benchgen.tuner import TunerConfig
 
@@ -96,7 +96,7 @@ def test_half_unsat_generator_region(tmp_path):
         TunerConfig(total_budget=60, first_race_size=60, seed=21),
         FAST_LIMITS,
     )
-    table = status_frequencies(result.archive)
+    table = {s: (n, f) for s, n, f in report_tables(result.archive)["status_frequencies.csv"]}
     count, fraction = table["generator-unsolved"]
     assert abs(fraction - 0.5) <= 0.1, f"generator-unsolved fraction {fraction}"
 
@@ -129,11 +129,11 @@ def test_graded_times_match_programmed_latency(tmp_path):
         TunerConfig(total_budget=60, first_race_size=6, seed=14),
         FAST_LIMITS,
     )
-    summary = time_distribution(result.archive).get("band")
-    assert summary is not None and summary.times
+    times = [t for name, t in report_tables(result.archive).get("graded_times.csv", []) if name == "band"]
+    assert times
     graded = graded_instance_ids(result.archive)
     expected = sorted(result.archive.instance_values(iid)["capacity"] / 10 for iid in graded)
-    assert sorted(summary.times) == pytest.approx(expected)
+    assert sorted(times) == pytest.approx(expected)
 
 
 def test_default_race_size_scales_with_budget():

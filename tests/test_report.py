@@ -6,23 +6,19 @@ import tempfile
 
 import pytest
 
+from benchgen.cli import main
 from benchgen.errors import ArchiveError
 from benchgen.evaluate import EvaluationLimits
 from benchgen.problems import get_problem
 from benchgen.report import (
+    TABLES,
     CombinedSet,
     EmptyArchive,
     build_combined_set,
-    discrimination_report,
     evaluate_combined,
-    read_discrimination_csv,
-    read_status_csv,
-    read_times_csv,
-    status_frequencies,
-    time_distribution,
-    write_discrimination_csv,
-    write_status_csv,
-    write_times_csv,
+    read_table,
+    report_tables,
+    write_reports,
 )
 from benchgen.runner import SolverAdapter
 from benchgen.scoring import comparable_from_record
@@ -87,27 +83,26 @@ def test_combined_set_deterministic_and_roundtrips(tmp_path):
 def test_status_frequencies_fractions(tmp_path):
     rows = graded_rows(4, n_other=6)
     archive = fabricate_graded_archive(tmp_path / "a", "s1", rows)
-    table = status_frequencies(archive)
+    table = {s: (n, f) for s, n, f in report_tables(archive)["status_frequencies.csv"]}
     assert table["graded"] == (4, 0.4)
     assert sum(f for _, f in table.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_status_frequencies_empty_archive(tmp_path):
     archive = fabricate_graded_archive(tmp_path / "a", "s1", [])
-    assert status_frequencies(archive) == {}
+    assert report_tables(archive)["status_frequencies.csv"] == []
 
 
 def test_time_distribution_quartiles(tmp_path):
     rows = [{"status": "graded", "time": t} for t in (10.0, 20.0, 30.0, 40.0)]
     archive = fabricate_graded_archive(tmp_path / "a", "s1", rows)
-    summary = time_distribution(archive)["s1"]
-    assert summary.times == [10.0, 20.0, 30.0, 40.0]
+    times = report_tables(archive)["graded_times.csv"]
+    assert times == [("s1", 10.0), ("s1", 20.0), ("s1", 30.0), ("s1", 40.0)]
 
 
 def test_time_distribution_single_instance(tmp_path):
     archive = fabricate_graded_archive(tmp_path / "a", "s1", [{"status": "graded", "time": 33.0}])
-    summary = time_distribution(archive)["s1"]
-    assert summary.times == [33.0]
+    assert report_tables(archive)["graded_times.csv"] == [("s1", 33.0)]
 
 
 def test_time_distribution_local_search_uses_time_to_best(tmp_path):
@@ -115,7 +110,7 @@ def test_time_distribution_local_search_uses_time_to_best(tmp_path):
     archive = fabricate_graded_archive(
         tmp_path / "a", "ls", rows, solver_kind="local_search"
     )
-    assert time_distribution(archive)["ls"].times == [42.0]
+    assert report_tables(archive)["graded_times.csv"] == [("ls", 42.0)]
 
 
 def test_discrimination_report_counts_and_scores(tmp_path):
@@ -129,9 +124,9 @@ def test_discrimination_report_counts_and_scores(tmp_path):
     meta = archive.meta
     meta["campaign"] = "discriminating"
     (archive.root / "config.json").write_text(json.dumps(meta))
-    report = discrimination_report(archive)
-    assert report.count == 2
-    assert report.favoured_scores == [0.8, 1.0]
+    rows = report_tables(archive)["discrimination.csv"]
+    assert len(rows) == 2
+    assert [score for _, score, _ in rows] == [0.8, 1.0]
 
 
 def test_discrimination_report_empty(tmp_path):
@@ -141,8 +136,8 @@ def test_discrimination_report_empty(tmp_path):
     meta = archive.meta
     meta["campaign"] = "discriminating"
     (archive.root / "config.json").write_text(json.dumps(meta))
-    report = discrimination_report(archive)
-    assert report.count == 0 and report.favoured_scores == []
+    rows = report_tables(archive)["discrimination.csv"]
+    assert rows == []
 
 
 def test_evaluate_combined_fast_solver_sweeps(tmp_path):
@@ -213,14 +208,10 @@ def test_evaluate_combined_keeps_external_runs_under_out_dir(tmp_path, monkeypat
 
 def test_export_roundtrips(tmp_path):
     archive = fabricate_graded_archive(tmp_path / "a", "s1", graded_rows(7, n_other=3))
-    freq = status_frequencies(archive)
-    write_status_csv(tmp_path / "freq.csv", freq)
-    assert read_status_csv(tmp_path / "freq.csv") == freq
-
-    times = time_distribution(archive)
-    write_times_csv(tmp_path / "times.csv", times)
-    back = read_times_csv(tmp_path / "times.csv")
-    assert {k: v.times for k, v in back.items()} == {k: v.times for k, v in times.items()}
+    written = write_reports(archive)
+    assert [path.name for path in written] == ["status_frequencies.csv", "graded_times.csv"]
+    for path, rows in written.items():
+        assert read_table(path) == (TABLES[path.name], rows)
 
     entries = [
         {"status": "dis-found", "penalty": -4.0, "scores": [0.8, 0.2]},
@@ -230,9 +221,167 @@ def test_export_roundtrips(tmp_path):
     meta = dis_archive.meta
     meta["campaign"] = "discriminating"
     (dis_archive.root / "config.json").write_text(json.dumps(meta))
-    report = discrimination_report(dis_archive)
-    write_discrimination_csv(tmp_path / "dis.csv", report)
-    back = read_discrimination_csv(tmp_path / "dis.csv")
-    assert back.favoured_scores == report.favoured_scores
-    assert back.penalties == report.penalties
-    assert back.instance_ids == report.instance_ids
+    written = write_reports(dis_archive)
+    assert [path.name for path in written] == ["status_frequencies.csv", "discrimination.csv"]
+    for path, rows in written.items():
+        assert read_table(path) == (TABLES[path.name], rows)
+
+
+PINNED_GRADED = {
+    "status_frequencies.csv": (
+        "status,count,fraction\r\n"
+        "generator-unsolved,1,0.14285714285714285\r\n"
+        "graded,3,0.42857142857142855\r\n"
+        "too-difficult,1,0.14285714285714285\r\n"
+        "too-easy-SAT,2,0.2857142857142857\r\n"
+    ),
+    "graded_times.csv": "solver,time\r\nband,20.5\r\nband,33.333333333333336\r\nband,7.0\r\n",
+}
+
+PINNED_DISCRIMINATING = {
+    "status_frequencies.csv": (
+        "status,count,fraction\r\nbase-too-easy,1,0.2\r\ndis-found,3,0.6\r\nzero-scores,1,0.2\r\n"
+    ),
+    "discrimination.csv": (
+        "instance,favoured_score,penalty\r\n"
+        "gfake0000-0000,0.8,-4.0\r\n"
+        "gfake0002-0000,1.0,-1000000.0\r\n"
+        "gfake0003-0000,0.7142857142857143,-2.5\r\n"
+    ),
+}
+
+PINNED_EVALUATION = {
+    "pair_scores.csv": (
+        "solver,instance,opponent,score\r\n"
+        "quick,gfake0000-0000,slow,0.9523809523809523\r\n"
+        "quick,gfake0000-0000,never,1.0\r\n"
+        "slow,gfake0000-0000,quick,0.047619047619047616\r\n"
+        "slow,gfake0000-0000,never,1.0\r\n"
+        "never,gfake0000-0000,quick,0.0\r\n"
+        "never,gfake0000-0000,slow,0.0\r\n"
+        "quick,gfake0001-0000,slow,0.96\r\n"
+        "quick,gfake0001-0000,never,1.0\r\n"
+        "slow,gfake0001-0000,quick,0.04\r\n"
+        "slow,gfake0001-0000,never,1.0\r\n"
+        "never,gfake0001-0000,quick,0.0\r\n"
+        "never,gfake0001-0000,slow,0.0\r\n"
+    ),
+    "borda.json": """{
+  "solvers": [
+    "quick",
+    "slow",
+    "never"
+  ],
+  "instances": [
+    "gfake0000-0000",
+    "gfake0001-0000"
+  ],
+  "totals": {
+    "quick": 3.9123809523809525,
+    "slow": 2.0876190476190475,
+    "never": 0.0
+  },
+  "cells": [
+    {
+      "solver": "never",
+      "instance": "gfake0000-0000",
+      "score": 0.0
+    },
+    {
+      "solver": "never",
+      "instance": "gfake0001-0000",
+      "score": 0.0
+    },
+    {
+      "solver": "quick",
+      "instance": "gfake0000-0000",
+      "score": 1.9523809523809523
+    },
+    {
+      "solver": "quick",
+      "instance": "gfake0001-0000",
+      "score": 1.96
+    },
+    {
+      "solver": "slow",
+      "instance": "gfake0000-0000",
+      "score": 1.0476190476190477
+    },
+    {
+      "solver": "slow",
+      "instance": "gfake0001-0000",
+      "score": 1.04
+    }
+  ]
+}""",
+}
+
+
+def test_report_files_and_report_output_are_pinned_byte_for_byte(tmp_path, capsys):
+    graded = fabricate_graded_archive(
+        tmp_path / "g",
+        "band",
+        [
+            {"status": "graded", "time": 20.5},
+            {"status": "too-easy-SAT", "time": 1.0},
+            {"status": "graded", "time": 100 / 3},
+            {"status": "generator-unsolved", "with_instance": False, "penalty": 1.0},
+            {"status": "too-difficult", "time": 1200.0},
+            {"status": "graded", "time": 41.0, "time_to_best": 7.0},
+            {"status": "too-easy-SAT", "time": 2.25},
+        ],
+        solver_kind="local_search",
+    )
+    dis = fabricate_graded_archive(
+        tmp_path / "d",
+        "fast",
+        [
+            {"status": "dis-found", "penalty": -4.0, "scores": [0.8, 0.2]},
+            {"status": "base-too-easy", "penalty": 0.0, "scores": [0.9, 0.1]},
+            {"status": "dis-found", "penalty": -1e6, "scores": [1.0, 0.0]},
+            {"status": "dis-found", "penalty": -2.5, "scores": [0.7142857142857143, 0.2857142857142857]},
+            {"status": "zero-scores", "penalty": 0.0, "scores": [0.0, 0.0]},
+        ],
+    )
+    meta = dis.meta
+    meta["campaign"] = "discriminating"
+    (dis.root / "config.json").write_text(json.dumps(meta))
+
+    for archive, pinned in ((graded, PINNED_GRADED), (dis, PINNED_DISCRIMINATING)):
+        write_reports(archive)
+        reports = archive.root / "reports"
+        assert sorted(p.name for p in reports.iterdir()) == sorted(pinned)
+        for name, text in pinned.items():
+            assert (reports / name).read_bytes() == text.encode(), name
+
+    assert main(["report", str(graded.root)]) == 0
+    assert main(["report", str(dis.root)]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path), "TMP") == (
+        "evaluations: 7\n"
+        "  generator-unsolved: 1 (14.3%)\n"
+        "  graded: 3 (42.9%)\n"
+        "  too-difficult: 1 (14.3%)\n"
+        "  too-easy-SAT: 2 (28.6%)\n"
+        "wrote TMP/g/reports/status_frequencies.csv\n"
+        "wrote TMP/g/reports/graded_times.csv\n"
+        "evaluations: 5\n"
+        "  base-too-easy: 1 (20.0%)\n"
+        "  dis-found: 3 (60.0%)\n"
+        "  zero-scores: 1 (20.0%)\n"
+        "discriminating instances: 3\n"
+        "favoured-score distribution: min 0.714, median 0.800, max 1.000\n"
+        "wrote TMP/d/reports/status_frequencies.csv\n"
+        "wrote TMP/d/reports/discrimination.csv\n"
+    )
+
+    two = fabricate_graded_archive(tmp_path / "t", "band", graded_rows(2))
+    combined = build_combined_set([two], k=2, seed=0)
+    solvers = [
+        SolverAdapter(name="quick", builtin="synthetic:capacity / 4"),
+        SolverAdapter(name="slow", builtin="synthetic:capacity * capacity"),
+        SolverAdapter(name="never", builtin="synthetic:10000"),
+    ]
+    out = tmp_path / "out"
+    evaluate_combined(combined, solvers, KNAPSACK, t_max=60.0, limits=NO_MEM, out_dir=out)
+    for name, text in PINNED_EVALUATION.items():
+        assert (out / name).read_bytes() == text.encode(), name

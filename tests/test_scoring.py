@@ -11,9 +11,8 @@ from benchgen.scoring import (
     is_better,
     minizinc_score,
     pair_rows,
-    read_score_csv,
-    write_score_csv,
 )
+from benchgen.report import TABLES, read_table, write_table
 
 
 # -- independent reference implementation (kept deliberately naive) -----------
@@ -251,12 +250,12 @@ def test_score_csv_roundtrip(tmp_path):
     }
     rows = pair_rows(records, solvers, instances)
     path = tmp_path / "scores.csv"
-    write_score_csv(path, rows)
-    assert read_score_csv(path) == rows
+    write_table(path, TABLES["pair_scores.csv"], rows)
+    assert read_table(path) == (TABLES["pair_scores.csv"], rows)
 
 
 def test_borda_json_roundtrip(tmp_path):
-    from benchgen.scoring import read_borda_json, write_borda_json
+    from benchgen.report import read_borda_json, write_borda_json
 
     records = {
         ("A", "i1"): ComparableRecord(True, True, 5, 3.0, "maximise"),
