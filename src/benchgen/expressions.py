@@ -5,18 +5,22 @@ comparisons, conjunction, set membership, cardinality (elementwise over
 arrays of sets), sums over integer arrays, and alldifferent. Values are
 integers, integer arrays, integer sets, or arrays of integer sets; arrays
 are 1-indexed.
+
+This module holds the syntax and its one compiled semantics. The
+generator search reads the compiled form under partial assignments
+(``ground``), and ``evaluate`` reads the same form on fixed values.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Collection, Mapping, Sequence, Union
 
 from .errors import EvalError, ParseError
 from .records import Record
 
-Value = Union[int, Fraction, list, set, bool]
+Value = Union[int, Fraction, list, set]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)"
@@ -264,106 +268,296 @@ def names_in(expr: Expr) -> set[str]:
     return out
 
 
-def _as_number(v: Any, context: str) -> int | Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise EvalError(f"{context}: expected an integer, got {type(v).__name__}")
-    return v
+# The semantics: an expression compiles to a reader of interval bounds over
+# an assignment vector. A name stands for a constant or for a reader of
+# decision slots (``ground``). Bounds are plain ints; a bound becomes a
+# Fraction only where a division is evaluated, so the verdicts stay exact
+# without paying for rationals elsewhere.
+
+Bound = int | Fraction
+Interval = tuple[Bound, Bound]
+# A set's bounds under a partial assignment: how many members are certain,
+# and every value that may still be a member.
+_SetBounds = tuple[int, Collection[int]]
+Reader = Callable[[Sequence[int | None]], Any]
 
 
-def _as_int_array(v: Any, context: str) -> list:
-    if not isinstance(v, list) or any(isinstance(e, (set, list)) for e in v):
-        raise EvalError(f"{context}: expected an integer array, got {type(v).__name__}")
-    return v
+class _GiveUp(Exception):
+    """Raised, with the reason, when a subexpression cannot be bounded."""
 
 
-def evaluate(expr: Expr, env: Mapping[str, Value]) -> Value:
-    """Evaluate under an environment mapping names to values.
+class _Term(Record, frozen=True):
+    """A compiled subexpression of a known shape.
 
-    Division is exact (Fraction), so ``sum(xs)/n = d`` compares rationals
-    rather than truncating. Raises EvalError on type mismatches, unknown
-    names, and out-of-range indices.
+    ``kind`` is "num" (``read`` gives an Interval), "set" (``read`` gives
+    _SetBounds), or "num[]"/"set[]" (``items`` reads each element). A
+    decision int array also has ``cells``: its slots and element bounds.
+    """
+
+    kind: str
+    read: Reader | None = None
+    items: tuple[Reader, ...] = ()
+    cells: tuple[range, int, int] | None = None
+
+
+# The term a name stands for; KeyError when it stands for none.
+Lookup = Callable[[str], _Term]
+_NOUNS = {"num": "a number", "set": "a set", "num[]": "an integer array", "set[]": "an array of sets"}
+
+
+def _constant(value: Any) -> _Term:
+    """The term of a fixed value: a number, a set, or an array of either."""
+    if isinstance(value, list):
+        elements = [_constant(v) for v in value]
+        kind = elements[0].kind if elements else "num"
+        if kind in ("num", "set") and all(e.kind == kind for e in elements):
+            return _Term(kind + "[]", items=tuple(e.read for e in elements))
+    elif isinstance(value, set):
+        return _Term("set", lambda x: (len(value), value))
+    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        interval = (value, value)
+        return _Term("num", lambda x: interval)
+    raise _GiveUp(f"a {type(value).__name__} value is not a number, a set or an array of either")
+
+
+def _scalar(term: _Term, kind: str) -> Reader:
+    if term.kind != kind:
+        raise _GiveUp(f"expected {_NOUNS[kind]}, got {_NOUNS[term.kind]}")
+    assert term.read is not None
+    return term.read
+
+
+def _items(term: _Term, kind: str) -> tuple[Reader, ...]:
+    """Element readers of an array whose elements are all ``kind`` (an
+    empty array qualifies)."""
+    if term.kind not in ("num[]", "set[]") or (term.items and term.kind != kind + "[]"):
+        raise _GiveUp(f"expected {_NOUNS[kind + '[]']}, got {_NOUNS[term.kind]}")
+    return term.items
+
+
+def _hull_num(values: list[Interval]) -> Interval:
+    return (min(v[0] for v in values), max(v[1] for v in values))
+
+
+def _hull_set(values: list[_SetBounds]) -> _SetBounds:
+    return 0, frozenset().union(*(possible for _, possible in values))
+
+
+def _compile(expr: Expr, lookup: Lookup) -> _Term:
+    """Interval reader of a subexpression.
+
+    Raises _GiveUp when the subexpression can never be bounded; a reader
+    raises _GiveUp when it cannot bound the subexpression under a given
+    partial assignment.
     """
     if isinstance(expr, IntLit):
-        return expr.value
+        return _constant(expr.value)
     if isinstance(expr, Name):
-        if expr.name not in env:
-            raise EvalError(f"unknown identifier {expr.name!r}")
-        return env[expr.name]
+        try:
+            return lookup(expr.name)
+        except KeyError:
+            raise _GiveUp(f"unknown identifier {expr.name!r}") from None
     if isinstance(expr, Index):
-        base = evaluate(expr.base, env)
-        idx = evaluate(expr.index, env)
-        if not isinstance(base, list):
-            raise EvalError("indexing a non-array value")
-        idx = _as_number(idx, "array index")
-        if idx != int(idx):
-            raise EvalError(f"array index must be integral, got {idx}")
-        i = int(idx)
-        if not (1 <= i <= len(base)):
-            raise EvalError(f"index {i} out of range 1..{len(base)}")
-        return base[i - 1]
+        base = _compile(expr.base, lookup)
+        if not base.items:
+            raise _GiveUp("only a non-empty array can be indexed")
+        items = base.items
+        index = _scalar(_compile(expr.index, lookup), "num")
+        hull = _hull_num if base.kind == "num[]" else _hull_set
+
+        def read_index(x: Sequence[int | None]) -> Any:
+            lo, hi = index(x)
+            if lo != hi:
+                return hull([r(x) for r in items])
+            if lo.denominator != 1 or not 1 <= lo <= len(items):
+                raise _GiveUp(f"index {lo} out of range 1..{len(items)}")
+            return items[int(lo) - 1](x)
+
+        return _Term(base.kind[:-2], read_index)
     if isinstance(expr, Card):
-        arg = evaluate(expr.arg, env)
-        if isinstance(arg, set):
-            return len(arg)
-        if isinstance(arg, list) and all(isinstance(e, set) for e in arg):
-            return [len(e) for e in arg]
-        raise EvalError("card() needs a set or an array of sets")
+        arg = _compile(expr.arg, lookup)
+
+        def card(r: Reader) -> Reader:
+            def read_card(x: Sequence[int | None]) -> Interval:
+                definite, possible = r(x)
+                return (definite, len(possible))
+
+            return read_card
+
+        if arg.kind == "set":
+            return _Term("num", card(arg.read))
+        return _Term("num[]", items=tuple(card(r) for r in _items(arg, "set")))
     if isinstance(expr, Sum):
-        arr = _as_int_array(evaluate(expr.arg, env), "sum()")
-        return sum(arr)
-    if isinstance(expr, MinOf):
-        arr = _as_int_array(evaluate(expr.arg, env), "min()")
-        if not arr:
-            raise EvalError("min() of an empty array")
-        return min(arr)
-    if isinstance(expr, MaxOf):
-        arr = _as_int_array(evaluate(expr.arg, env), "max()")
-        if not arr:
-            raise EvalError("max() of an empty array")
-        return max(arr)
+        arg = _compile(expr.arg, lookup)
+        items = _items(arg, "num")
+        if arg.cells is not None:
+            slots, lo0, hi0 = arg.cells
+
+            def read_sum(x: Sequence[int | None]) -> Interval:
+                lo = hi = 0
+                for i in slots:
+                    v = x[i]
+                    if v is None:
+                        lo += lo0
+                        hi += hi0
+                    else:
+                        lo += v
+                        hi += v
+                return (lo, hi)
+
+            return _Term("num", read_sum)
+
+        def read_sum_items(x: Sequence[int | None]) -> Interval:
+            values = [r(x) for r in items]
+            return (sum(v[0] for v in values), sum(v[1] for v in values))
+
+        return _Term("num", read_sum_items)
+    if isinstance(expr, (MinOf, MaxOf)):
+        items = _items(_compile(expr.arg, lookup), "num")
+        pick = min if isinstance(expr, MinOf) else max
+        if not items:
+            raise _GiveUp(f"{pick.__name__}() of an empty array")
+        return _Term("num", lambda x: _pick_bounds(pick, [r(x) for r in items]))
     if isinstance(expr, Neg):
-        return -_as_number(evaluate(expr.arg, env), "negation")
+        arg_read = _scalar(_compile(expr.arg, lookup), "num")
+
+        def read_neg(x: Sequence[int | None]) -> Interval:
+            lo, hi = arg_read(x)
+            return (-hi, -lo)
+
+        return _Term("num", read_neg)
     if isinstance(expr, BinOp):
-        left = _as_number(evaluate(expr.left, env), expr.op)
-        right = _as_number(evaluate(expr.right, env), expr.op)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0:
-            raise EvalError("division by zero")
-        return Fraction(left) / Fraction(right)
+        left = _scalar(_compile(expr.left, lookup), "num")
+        right = _scalar(_compile(expr.right, lookup), "num")
+        combine = _ARITHMETIC[expr.op]
+        return _Term("num", lambda x: combine(*left(x), *right(x)))
+    raise _GiveUp("a condition is not a value")
+
+
+def _pick_bounds(pick: Callable, values: list[Interval]) -> Interval:
+    return (pick(v[0] for v in values), pick(v[1] for v in values))
+
+
+def _divide(a: Bound, b: Bound, c: Bound, d: Bound) -> Interval:
+    if c <= 0 <= d:
+        raise _GiveUp("division by zero")
+    if a == b and c == d:
+        q = Fraction(a) / c
+        return (q, q)
+    quotients = (Fraction(a) / c, Fraction(a) / d, Fraction(b) / c, Fraction(b) / d)
+    return (min(quotients), max(quotients))
+
+
+def _multiply(a: Bound, b: Bound, c: Bound, d: Bound) -> Interval:
+    products = (a * c, a * d, b * c, b * d)
+    return (min(products), max(products))
+
+
+# [a, b] op [c, d] for each arithmetic operator.
+_ARITHMETIC: dict[str, Callable[[Bound, Bound, Bound, Bound], Interval]] = {
+    "+": lambda a, b, c, d: (a + c, b + d),
+    "-": lambda a, b, c, d: (a - d, b - c),
+    "*": _multiply,
+    "/": _divide,
+}
+
+# Whether [a, b] op [c, d] can no longer hold, for each comparison.
+_REFUTES: dict[str, Callable[[Bound, Bound, Bound, Bound], bool]] = {
+    "=": lambda a, b, c, d: b < c or d < a,
+    "!=": lambda a, b, c, d: a == b == c == d,
+    "<": lambda a, b, c, d: a >= d,
+    "<=": lambda a, b, c, d: a > d,
+    ">": lambda a, b, c, d: b <= c,
+    ">=": lambda a, b, c, d: b < c,
+}
+
+
+def _atom(expr: Expr, lookup: Lookup) -> Callable[[Sequence[int | None]], bool]:
     if isinstance(expr, Compare):
-        left = _as_number(evaluate(expr.left, env), expr.op)
-        right = _as_number(evaluate(expr.right, env), expr.op)
-        return {
-            "=": left == right,
-            "!=": left != right,
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-        }[expr.op]
+        left = _scalar(_compile(expr.left, lookup), "num")
+        right = _scalar(_compile(expr.right, lookup), "num")
+        refutes = _REFUTES[expr.op]
+        return lambda x: refutes(*left(x), *right(x))
     if isinstance(expr, InSet):
-        item = _as_number(evaluate(expr.item, env), "in")
-        container = evaluate(expr.container, env)
-        if not isinstance(container, set):
-            raise EvalError("right side of 'in' must be a set")
-        return item in container
+        item = _scalar(_compile(expr.item, lookup), "num")
+        container = _scalar(_compile(expr.container, lookup), "set")
+
+        def refutes_in(x: Sequence[int | None]) -> bool:
+            a, b = item(x)
+            _, possible = container(x)
+            if a == b:
+                return a.denominator != 1 or int(a) not in possible
+            return not any(a <= p <= b for p in possible)
+
+        return refutes_in
     if isinstance(expr, AllDifferent):
-        arr = _as_int_array(evaluate(expr.arg, env), "alldifferent()")
-        return len(set(arr)) == len(arr)
+        items = _items(_compile(expr.arg, lookup), "num")
+
+        def refutes_alldifferent(x: Sequence[int | None]) -> bool:
+            fixed = [lo for lo, hi in (r(x) for r in items) if lo == hi]
+            return len(set(fixed)) != len(fixed)
+
+        return refutes_alldifferent
+    # A bare value holds when it is a nonzero number, a non-empty set or a
+    # non-empty array.
+    value = _compile(expr, lookup)
+    read = value.read
+    if value.kind == "num":
+        return lambda x: read(x) == (0, 0)
+    if value.kind == "set":
+        return lambda x: not read(x)[1]
+    empty = not value.items
+    return lambda x: empty
+
+
+def _refuter(expr: Expr, lookup: Lookup, last: int | None) -> Callable[[Sequence[int | None]], bool]:
+    """Whether an assignment refutes the constraint, where ``last`` is the
+    last slot of its scope (None for an empty scope).
+
+    Until slot ``last`` is assigned a conjunct that cannot be bounded
+    refutes nothing; from then on it is violated, as evaluation would
+    reject it. Each conjunct is decided on its own.
+    """
+    if isinstance(expr, And):
+        left, right = _refuter(expr.left, lookup, last), _refuter(expr.right, lookup, last)
+        return lambda x: left(x) or right(x)
+
+    def complete(x: Sequence[int | None]) -> bool:
+        return last is None or x[last] is not None
+
+    try:
+        atom = _atom(expr, lookup)
+    except _GiveUp:
+        return complete
+
+    def refutes(x: Sequence[int | None]) -> bool:
+        try:
+            return atom(x)
+        except _GiveUp:
+            return complete(x)
+
+    return refutes
+
+
+def evaluate(expr: Expr, env: Mapping[str, Value]) -> int | Fraction | bool:
+    """The value of a numeric expression, otherwise whether it holds.
+
+    Names read their values in ``env``. Division is exact (Fraction), so
+    ``sum(xs)/n = d`` never truncates. Raises EvalError, with the reason,
+    on type mismatches, unknown names, out-of-range indices and division
+    by zero.
+    """
     if isinstance(expr, And):
         return bool(evaluate(expr.left, env)) and bool(evaluate(expr.right, env))
-    raise EvalError(f"unknown AST node {expr!r}")
 
+    def lookup(name: str) -> _Term:
+        return _constant(env[name])
 
-def evaluate_numeric(text_or_expr: str | Expr, env: Mapping[str, Value]) -> Fraction:
-    """Evaluate to a number; convenience for latency functions and bounds."""
-    expr = parse_expression(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
-    value = evaluate(expr, env)
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise EvalError("expected a numeric result")
-    return Fraction(value)
+    try:
+        if not isinstance(expr, (Compare, InSet, AllDifferent)):
+            value = _compile(expr, lookup)
+            if value.kind == "num":
+                return value.read(())[0]
+        return not _atom(expr, lookup)(())
+    except _GiveUp as err:
+        raise EvalError(str(err)) from None

@@ -16,7 +16,6 @@ model produces candidate-instance data. The text format is line based:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Any, Mapping
 
 from . import expressions as ex
@@ -117,13 +116,11 @@ def _eval_bound(expr: ex.Expr, env: Mapping[str, Any], what: str) -> int:
         value = ex.evaluate(expr, env)
     except EvalError as err:
         raise ModelError(f"{what}: {err}") from err
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if isinstance(value, bool):
         raise ModelError(f"{what}: bound is not a number")
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise ModelError(f"{what}: bound {value} is not an integer")
-        value = int(value)
-    return value
+    if value.denominator != 1:
+        raise ModelError(f"{what}: bound {value} is not an integer")
+    return int(value)
 
 
 def instantiate(model: GeneratorModel, config: GeneratorConfiguration) -> list[InstantiatedVar]:

@@ -25,7 +25,7 @@ from random import Random
 from typing import Any, Mapping
 
 from .errors import CheckError, EvalError, ParseError
-from .expressions import Expr, evaluate_numeric, parse_expression
+from .expressions import Expr, evaluate, parse_expression
 from .problems import KnapsackData, Problem, parse_knapsack
 from .runner import SolverRecord, Status
 
@@ -257,7 +257,10 @@ def solve_synthetic(
     try:
         scalars = {k: v for k, v in instance.items() if isinstance(v, int) and not isinstance(v, bool)}
         arrays = {k: v for k, v in instance.items() if isinstance(v, list) and all(isinstance(e, int) for e in v)}
-        latency = float(evaluate_numeric(_latency(latency_expr), {**scalars, **arrays}))
+        value = evaluate(_latency(latency_expr), {**scalars, **arrays})
+        if isinstance(value, bool):
+            raise EvalError("expected a numeric result")
+        latency = float(value)
     except (ParseError, EvalError) as err:
         return SolverRecord(Status.ERROR, 0.0, note=f"latency expression: {err}")
     if latency < 0:

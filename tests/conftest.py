@@ -1,14 +1,32 @@
 """Shared helpers: fabricated archives, naive scoring references and
 exhaustive enumerations used as test oracles."""
 
+from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 import pytest
 
 from benchgen.archive import CampaignArchive
 from benchgen.csp import GroundedCsp, Search, SolveStatus, backtrack_solve
-from benchgen.errors import ValidationError
+from benchgen.errors import EvalError, ValidationError
+from benchgen.expressions import (
+    AllDifferent,
+    And,
+    BinOp,
+    Card,
+    Compare,
+    Expr,
+    Index,
+    InSet,
+    IntLit,
+    MaxOf,
+    MinOf,
+    Name,
+    Neg,
+    Sum,
+    Value,
+)
 from benchgen.gensolve import CandidateInstance
 from benchgen.problems import KnapsackData
 from benchgen.space import GeneratorConfiguration, ParameterSpace
@@ -71,6 +89,146 @@ def iter_selections(data: KnapsackData) -> Iterator[list[int]]:
             i += 1
         else:
             return
+
+
+def _as_number(v: Any, context: str) -> int | Fraction:
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise EvalError(f"{context}: expected an integer, got {type(v).__name__}")
+    return v
+
+
+def _as_int_array(v: Any, context: str) -> list:
+    if not isinstance(v, list) or any(isinstance(e, (set, list)) for e in v):
+        raise EvalError(f"{context}: expected an integer array, got {type(v).__name__}")
+    return v
+
+
+def reference_evaluate(expr: Expr, env: Mapping[str, Value]) -> Any:
+    """Evaluate under an environment mapping names to values.
+
+    The reference definition of the model language: a tree walker that
+    shares no code with the compiled semantics of ``benchgen.expressions``,
+    so tests can compare the two.
+
+    Division is exact (Fraction), so ``sum(xs)/n = d`` compares rationals
+    rather than truncating. Raises EvalError on type mismatches, unknown
+    names, and out-of-range indices.
+    """
+    if isinstance(expr, IntLit):
+        return expr.value
+    if isinstance(expr, Name):
+        if expr.name not in env:
+            raise EvalError(f"unknown identifier {expr.name!r}")
+        return env[expr.name]
+    if isinstance(expr, Index):
+        base = reference_evaluate(expr.base, env)
+        idx = reference_evaluate(expr.index, env)
+        if not isinstance(base, list):
+            raise EvalError("indexing a non-array value")
+        idx = _as_number(idx, "array index")
+        if idx != int(idx):
+            raise EvalError(f"array index must be integral, got {idx}")
+        i = int(idx)
+        if not (1 <= i <= len(base)):
+            raise EvalError(f"index {i} out of range 1..{len(base)}")
+        return base[i - 1]
+    if isinstance(expr, Card):
+        arg = reference_evaluate(expr.arg, env)
+        if isinstance(arg, set):
+            return len(arg)
+        if isinstance(arg, list) and all(isinstance(e, set) for e in arg):
+            return [len(e) for e in arg]
+        raise EvalError("card() needs a set or an array of sets")
+    if isinstance(expr, Sum):
+        arr = _as_int_array(reference_evaluate(expr.arg, env), "sum()")
+        return sum(arr)
+    if isinstance(expr, MinOf):
+        arr = _as_int_array(reference_evaluate(expr.arg, env), "min()")
+        if not arr:
+            raise EvalError("min() of an empty array")
+        return min(arr)
+    if isinstance(expr, MaxOf):
+        arr = _as_int_array(reference_evaluate(expr.arg, env), "max()")
+        if not arr:
+            raise EvalError("max() of an empty array")
+        return max(arr)
+    if isinstance(expr, Neg):
+        return -_as_number(reference_evaluate(expr.arg, env), "negation")
+    if isinstance(expr, BinOp):
+        left = _as_number(reference_evaluate(expr.left, env), expr.op)
+        right = _as_number(reference_evaluate(expr.right, env), expr.op)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if right == 0:
+            raise EvalError("division by zero")
+        return Fraction(left) / Fraction(right)
+    if isinstance(expr, Compare):
+        left = _as_number(reference_evaluate(expr.left, env), expr.op)
+        right = _as_number(reference_evaluate(expr.right, env), expr.op)
+        return {
+            "=": left == right,
+            "!=": left != right,
+            "<": left < right,
+            "<=": left <= right,
+            ">": left > right,
+            ">=": left >= right,
+        }[expr.op]
+    if isinstance(expr, InSet):
+        item = _as_number(reference_evaluate(expr.item, env), "in")
+        container = reference_evaluate(expr.container, env)
+        if not isinstance(container, set):
+            raise EvalError("right side of 'in' must be a set")
+        return item in container
+    if isinstance(expr, AllDifferent):
+        arr = _as_int_array(reference_evaluate(expr.arg, env), "alldifferent()")
+        return len(set(arr)) == len(arr)
+    if isinstance(expr, And):
+        return bool(reference_evaluate(expr.left, env)) and bool(reference_evaluate(expr.right, env))
+    raise EvalError(f"unknown AST node {expr!r}")
+
+
+def reference_check(model, config, values: dict[str, Any]) -> bool:
+    """Whether every constraint holds under (config, values) by the
+    reference evaluator, a constraint it rejects counting as violated.
+    The values must be of their declared shapes and domains."""
+    env = {**config.assignment, **values}
+    try:
+        return all(bool(reference_evaluate(c, env)) for c in model.constraints)
+    except EvalError:
+        return False
+
+
+# Constraint templates over x (int), a[n] (int array) and s (set); {c} is a constant.
+CONSTRAINT_TEMPLATES = (
+    "sum(a) >= {c}",
+    "sum(a) <= {c}",
+    "alldifferent(a)",
+    "x in s",
+    "x + a[1] != {c}",
+    "|s| <= {c}",
+    "sum(a) / n = x",  # reaches the Fraction path of interval pruning
+    "x * 2 - k < {c}",
+    "max(a) >= x and min(a) <= {c}",
+)
+
+# Templates that evaluation rejects for some values (an index out of range
+# or not an integer, a division by zero, arithmetic on a comparison), bare
+# values, constraints over parameters alone, and t[n] (an array of sets).
+ERROR_TEMPLATES = (
+    "a[x] >= {c}",
+    "a[k / 2] = x",
+    "x / (x - {c}) >= 0",
+    "(x < 1) = 1",
+    "x",
+    "k - {c}",
+    "k >= {c}",
+    "card(t[1]) = {c}",
+    "x in t[x]",
+)
 
 
 def fabricate_graded_archive(

@@ -31,7 +31,14 @@ from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
 from benchgen.ground import ground
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import parse_space, sample_uniform
-from conftest import enumerate_solutions, exclusion_key, make_configuration
+from conftest import (
+    CONSTRAINT_TEMPLATES,
+    ERROR_TEMPLATES,
+    enumerate_solutions,
+    exclusion_key,
+    make_configuration,
+    reference_check,
+)
 
 
 def simple_csp(n_vars=2, domain=(1, 2), constraints=()):
@@ -255,35 +262,6 @@ def test_grounding_variable_order_is_declaration_order():
 # -- continued searches: however a search resumes, the sequence is the same --
 CURSOR_SPACE = parse_space("n: 1..2; k: 0..4")
 
-# Constraint templates over x (int), a[n] (int array) and s (set); {c} is a constant.
-CONSTRAINT_TEMPLATES = (
-    "sum(a) >= {c}",
-    "sum(a) <= {c}",
-    "alldifferent(a)",
-    "x in s",
-    "x + a[1] != {c}",
-    "|s| <= {c}",
-    "sum(a) / n = x",  # reaches the Fraction path of interval pruning
-    "x * 2 - k < {c}",
-    "max(a) >= x and min(a) <= {c}",
-)
-
-# Templates that evaluation rejects for some values (an index out of range
-# or not an integer, a division by zero, arithmetic on a comparison), bare
-# values, constraints over parameters alone, and t[n] (an array of sets).
-ERROR_TEMPLATES = (
-    "a[x] >= {c}",
-    "a[k / 2] = x",
-    "x / (x - {c}) >= 0",
-    "(x < 1) = 1",
-    "x",
-    "k - {c}",
-    "k >= {c}",
-    "card(t[1]) = {c}",
-    "x in t[x]",
-)
-
-
 @st.composite
 def cursor_models(draw, set_array=False, error_paths=False):
     x_lo = draw(st.integers(-1, 1))
@@ -337,7 +315,7 @@ def solution_sequence(model, config, history, mode="kept", stop=None):
 
 
 def brute_force_keys(model, config):
-    """Canonical keys of every assignment the exact checker accepts."""
+    """Canonical keys of every assignment the reference checker accepts."""
     names, options = [], []
     for iv in instantiate(model, config):
         universe = range(iv.lower, iv.upper + 1)
@@ -352,7 +330,7 @@ def brute_force_keys(model, config):
     keys = set()
     for combo in itertools.product(*options):
         values = dict(zip(names, combo))
-        if check_assignment(model, config, values):
+        if reference_check(model, config, values):
             keys.add(exclusion_key(values))
     return keys
 

@@ -123,6 +123,20 @@ def test_archive_commands_load_no_generator_stack(tuned, tmp_path):
     assert not GENERATOR_STACK & modules
 
 
+def test_evaluate_with_a_synthetic_solver_loads_the_expressions_but_no_generator_stack(tuned, tmp_path):
+    camp, _ = tuned
+    combined = tmp_path / "combined.json"
+    assert run_commands(["combine", str(camp), "--k", "3", "--out", str(combined)])["codes"] == [0]
+    result = run_commands(
+        ["evaluate", str(combined), "--solvers", "band", "--config", str(camp.parent / "campaign.ini"),
+         "--t-max", "5", "--mem-limit", "none"],
+    )
+    assert result["codes"] == [0]
+    modules = set(result["modules"])
+    assert "benchgen.expressions" in modules
+    assert not {f"benchgen.{name}" for name in ("ground", "csp", "gensolve", "model", "tuner")} & modules
+
+
 def test_no_command_loads_dataclasses_or_inspect(tuned, tmp_path):
     camp, tune_modules = tuned
     combined = tmp_path / "combined.json"

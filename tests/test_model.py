@@ -1,12 +1,30 @@
 """Generator-model parsing, evaluation semantics, and the assignment checker."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from benchgen.errors import EvalError, ModelError, ParseError, ValidationError
-from benchgen.expressions import evaluate, parse_expression
+from benchgen.expressions import (
+    AllDifferent,
+    And,
+    BinOp,
+    Card,
+    Compare,
+    Index,
+    InSet,
+    IntLit,
+    MaxOf,
+    MinOf,
+    Name,
+    Neg,
+    Sum,
+    evaluate,
+    parse_expression,
+)
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import parse_space
-from conftest import make_configuration
+from conftest import CONSTRAINT_TEMPLATES, ERROR_TEMPLATES, make_configuration, reference_evaluate
 
 SUCCESSORS_SPACE = parse_space("n_tasks_t: 1..60; s_density: 1..5")
 SUCCESSORS_MODEL = """
@@ -57,6 +75,22 @@ def test_instantiate_resolves_parameter_bounds():
     model = parse_model(space, "var xs[n] : int 1..n")
     (iv,) = instantiate(model, make_configuration(space, {"n": 4}))
     assert (iv.length, iv.lower, iv.upper) == (4, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "declaration, message",
+    [
+        ("var a[n / (n - n)] : int 1..2", "shape of a: division by zero"),
+        ("var a : int 1..n / 2", "upper bound of a: bound 3/2 is not an integer"),
+        ("var a : int (n < 3)..4", "lower bound of a: bound is not a number"),
+    ],
+)
+def test_instantiate_says_what_is_wrong_with_a_bound(declaration, message):
+    space = parse_space("n: 1..5")
+    model = parse_model(space, declaration)
+    with pytest.raises(ModelError) as caught:
+        instantiate(model, make_configuration(space, {"n": 3}))
+    assert str(caught.value) == message
 
 
 def test_check_assignment_paper_style_instance():
@@ -131,6 +165,99 @@ def test_expression_type_errors():
         evaluate(parse_expression("xs[9]"), {"xs": [1, 2]})
     with pytest.raises(EvalError):
         evaluate(parse_expression("a / 0"), {"a": 1})
+
+
+# Names of every kind of value: ints, an int array, the empty array, a set,
+# an array of sets, and one name left unbound.
+NAMES = ("x", "k", "n", "a", "e", "s", "t", "missing")
+INTS = st.integers(-2, 4)
+COMPARISONS = st.sampled_from(("=", "!=", "<", "<=", ">", ">="))
+SETS = st.sets(st.integers(0, 3), max_size=3)
+
+ENVIRONMENTS = st.fixed_dictionaries({
+    "x": INTS,
+    "k": INTS,
+    "n": st.integers(0, 2),
+    "a": st.lists(INTS, min_size=1, max_size=3),
+    "e": st.just([]),
+    "s": SETS,
+    "t": st.lists(SETS, min_size=1, max_size=2),
+})
+
+
+def _nodes(children):
+    return st.one_of(
+        st.builds(Index, children, children),
+        st.builds(Card, children),
+        st.builds(Sum, children),
+        st.builds(MinOf, children),
+        st.builds(MaxOf, children),
+        st.builds(Neg, children),
+        st.builds(AllDifferent, children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Compare, COMPARISONS, children, children),
+        st.builds(InSet, children, children),
+        st.builds(And, children, children),
+    )
+
+
+TREES = st.recursive(
+    st.one_of(st.integers(0, 4).map(IntLit), st.sampled_from(NAMES).map(Name)), _nodes, max_leaves=8
+)
+
+# Well-typed trees, which random trees seldom are: numbers, with more
+# divisions and more indices in range than chance gives, and conditions
+# over them.
+ARRAYS = st.sampled_from([Name("a"), Name("a"), Name("e"), Card(Name("t"))])
+NUMBERS = st.recursive(
+    st.one_of(
+        st.integers(0, 4).map(IntLit),
+        st.sampled_from([Name("x"), Name("k"), Name("n"), Card(Name("s"))]),
+        st.builds(lambda f, arg: f(arg), st.sampled_from([Sum, MinOf, MaxOf]), ARRAYS),
+    ),
+    lambda n: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), n, n),
+        st.builds(BinOp, st.just("/"), n, n),
+        st.builds(Neg, n),
+        st.builds(Index, ARRAYS, st.one_of(st.integers(1, 2).map(IntLit), n)),
+        st.builds(lambda i: Card(Index(Name("t"), i)), st.one_of(st.integers(1, 2).map(IntLit), n)),
+    ),
+    max_leaves=6,
+)
+CONDITIONS = st.recursive(
+    st.one_of(
+        st.builds(Compare, COMPARISONS, NUMBERS, NUMBERS),
+        st.builds(lambda op, side: Compare(op, side, side), COMPARISONS, NUMBERS),
+        st.builds(InSet, NUMBERS, st.one_of(st.just(Name("s")), st.builds(Index, st.just(Name("t")), NUMBERS))),
+        st.builds(AllDifferent, ARRAYS),
+    ),
+    lambda c: st.builds(And, c, c),
+    max_leaves=3,
+)
+TEMPLATES = st.builds(
+    lambda template, c: parse_expression(template.format(c=c)),
+    st.sampled_from(CONSTRAINT_TEMPLATES + ERROR_TEMPLATES),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(TREES, TEMPLATES, NUMBERS, CONDITIONS), st.lists(ENVIRONMENTS, min_size=4, max_size=4))
+@example(parse_expression("x / n in s"), [{"x": 3, "k": 0, "n": 2, "a": [1], "e": [], "s": {1}, "t": [set()]}])
+def test_evaluate_agrees_with_the_reference_tree_walker(expr, envs):
+    # The example: 3/2 is not a member of {1}, though int(3/2) is.
+    for env in envs:
+        try:
+            expected = reference_evaluate(expr, env)
+        except EvalError:
+            with pytest.raises(EvalError):
+                evaluate(expr, env)
+            continue
+        actual = evaluate(expr, env)
+        if isinstance(expected, (bool, set, list)):
+            assert actual is bool(expected)
+        else:
+            assert not isinstance(actual, bool) and actual == expected
 
 
 def test_expression_parse_errors():
