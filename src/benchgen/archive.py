@@ -27,6 +27,12 @@ campaign crashes. If a write fails, the writer stops there, so no later
 record lands, and the campaign gets an ``ArchiveError`` naming the path at
 its next write or at ``close_writer``. With no writer open, each call
 writes at once in the calling process.
+
+One campaign at a time writes an archive: it holds an exclusive ``flock``
+on the directory (``lock_archive``) until it returns, and its writer holds
+it until its last write, after a crash too. The lock adds no file. Every
+record of ``records/evals.jsonl`` carries its 1-based position as ``seq``,
+and ``evaluations``, the one reader of the stream, checks it.
 """
 
 from __future__ import annotations
@@ -48,6 +54,24 @@ if TYPE_CHECKING:
     import subprocess
 
     from .gensolve import CandidateInstance, SolutionHistory
+
+
+def lock_archive(root: str | Path) -> int:
+    """Create ``root`` if it is missing and lock it; returns the locked
+    descriptor. Raises ``ArchiveError`` if another campaign holds it."""
+    import fcntl
+
+    try:
+        Path(root).mkdir(parents=True, exist_ok=True)
+        fd = os.open(root, os.O_RDONLY)
+    except OSError as exc:
+        raise ArchiveError(f"cannot create a campaign archive at {root}: {exc}") from exc
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise ArchiveError(f"archive in use: another campaign is writing {root}") from None
+    return fd
 
 
 class CampaignArchive:
@@ -81,21 +105,23 @@ class CampaignArchive:
             raise ArchiveError(f"{root} is not a campaign archive (no config.json)")
         return archive
 
-    def open_writer(self) -> None:
+    def open_writer(self, lock: int) -> None:
         """Start the writer process; per-evaluation writes go to it until
         ``close_writer``.
 
         The writer keeps this process's stdout, so whoever reads that to its
-        end also waits until every write is applied, after a crash too.
+        end also waits until every write is applied, after a crash too. It
+        keeps ``lock`` (from ``lock_archive``) open until its last write.
         """
         import subprocess
 
         try:
             self._writer = subprocess.Popen(
-                [sys.executable, "-I", "-S", archivewriter.__file__, str(self.root)],
+                [sys.executable, "-I", "-S", archivewriter.__file__, str(self.root), str(lock)],
                 stdin=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 start_new_session=True,
+                pass_fds=(lock,),
             )
         except OSError as exc:
             raise ArchiveError(f"cannot start the archive writer for {self.root}: {exc}") from exc
@@ -190,12 +216,20 @@ class CampaignArchive:
         self._write("records/evals.jsonl", json.dumps(dict(entry)) + "\n", handover=True)
 
     def evaluations(self) -> Iterator[dict[str, Any]]:
+        """The records in order; ``ArchiveError`` at the first whose ``seq``
+        is not its position, as when two campaigns wrote the stream."""
         if not self._evals_path.exists():
             return
+        position = 0
         with open(self._evals_path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 if line.strip():
-                    yield json.loads(line)
+                    entry = json.loads(line)
+                    position += 1
+                    if entry.get("seq") != position:
+                        why = f"seq {entry.get('seq')!r} is not the record's position {position}"
+                        raise ArchiveError(f"{self._evals_path} line {number}: {why}")
+                    yield entry
 
     def drop_torn_record(self) -> None:
         """Cut an unterminated last line of evals.jsonl that does not parse.

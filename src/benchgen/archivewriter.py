@@ -8,13 +8,15 @@ carries out frames in order: it appends to ``records/evals.jsonl`` and
 in its own process when no writer is open; a campaign sends its frames to
 this module running as a child process:
 
-    python -I -S archivewriter.py ROOT        (frames on stdin until EOF)
+    python -I -S archivewriter.py ROOT LOCK_FD    (frames on stdin until EOF)
 
 The writer runs in a session of its own, out of reach of a Ctrl-C at the
 terminal, and drains its input, so every frame the campaign sent is applied
-even if the campaign dies. It stops at its first failed write, prints the
-reason to stderr and exits 1. It imports only modules that the interpreter
-loads at start-up anyway, so it starts as fast as a bare interpreter.
+even if the campaign dies. It holds the archive lock, inherited as LOCK_FD,
+until its last write, and closes it before its stdout. It stops at its
+first failed write, prints the reason to stderr and exits 1. It imports
+only modules that the interpreter loads at start-up anyway, so it starts as
+fast as a bare interpreter.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ def main() -> int:
     except OSError as exc:
         sys.stderr.write(failure(exc) + "\n")
         return 1
+    finally:
+        os.close(int(sys.argv[2]))
     return 0
 
 

@@ -8,12 +8,13 @@ interrupted campaign can be resumed by replaying the recorded evaluations.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
 from typing import Any
 
 # Re-exported: callers also import the two archive queries from here.
-from .archive import CampaignArchive, discriminating_entries, graded_instance_ids
+from .archive import CampaignArchive, discriminating_entries, graded_instance_ids, lock_archive
 from .errors import ArchiveError
 from .evaluate import (
     EvaluationLimits,
@@ -84,7 +85,8 @@ def run_campaign(
     limits: EvaluationLimits = EvaluationLimits(),
     resume: bool = False,
 ) -> CampaignResult:
-    """Run (or resume) a tuning campaign, archiving every evaluation."""
+    """Run (or resume) a tuning campaign, archiving every evaluation. Raises
+    ``ArchiveError``, writing nothing, if another campaign holds ``out_dir``."""
     space = parse_space(space_text)
     model = parse_model(space, model_text)
     out_dir = Path(out_dir)
@@ -103,47 +105,6 @@ def run_campaign(
         },
     }
 
-    replay: dict[tuple[str, int], dict[str, Any]] = {}
-    if resume and (out_dir / "config.json").exists():
-        archive = CampaignArchive.open(out_dir)
-        # Replay only reproduces the recorded prefix under the same inputs.
-        if archive.space_text != space_text:
-            raise ArchiveError(f"cannot resume {out_dir}: the space differs from its space.txt")
-        if archive.model_text != model_text:
-            raise ArchiveError(
-                f"cannot resume {out_dir}: the model differs from its generator.model"
-            )
-        recorded, wanted = archive.meta, json.loads(json.dumps(meta))
-        differs = "; ".join(
-            f"{key} {wanted.get(key)!r} differs from the recorded {recorded.get(key)!r}"
-            for key in sorted((recorded.keys() | wanted.keys()) - {"total_budget"})
-            if recorded.get(key) != wanted.get(key)
-        )
-        if differs:
-            raise ArchiveError(f"cannot resume {out_dir}: {differs} (only the budget may change)")
-        archive.drop_torn_record()
-        occurrence: dict[str, int] = {}
-        for entry in archive.evaluations():
-            cid = entry["config_id"]
-            replay[(cid, occurrence.get(cid, 0))] = entry
-            occurrence[cid] = occurrence.get(cid, 0) + 1
-        if tuner_config.total_budget < len(replay):
-            # A replay cut short would rewrite tuner.log and config.json
-            # without the records beyond the budget.
-            raise ArchiveError(
-                f"cannot resume {out_dir}: budget {tuner_config.total_budget} "
-                f"is below the {len(replay)} recorded evaluations"
-            )
-        history = archive.load_history()
-        archive.write_meta(meta)  # the new budget
-    else:
-        if (out_dir / "records" / "evals.jsonl").exists():
-            raise ArchiveError(
-                f"{out_dir} already holds campaign records; pass resume or pick a fresh directory"
-            )
-        archive = CampaignArchive.create(out_dir, meta, space_text, model_text)
-        history = SolutionHistory()
-
     # In-process solvers share the interpreter lock, so a pool only slows them
     # and inflates their recorded times; only external runs overlap.
     solvers = (
@@ -154,8 +115,8 @@ def run_campaign(
     if not all(s is None or s.command is not None for s in solvers):
         tuner_config = replace(tuner_config, workers=1)
 
+    # archive, replay, history and eval_seq are bound under the lock below.
     seen: dict[str, int] = {}
-    eval_seq = len(replay)
     seen_lock = threading.Lock()  # external runs evaluate on pool threads when workers > 1
 
     def evaluator(config: GeneratorConfiguration, block: int):
@@ -171,10 +132,6 @@ def run_campaign(
             model, config, history, policy, limits, seed=tuner_config.seed
         )
 
-    if resume:
-        # Replay regenerates the identical prefix, so start the log afresh.
-        (out_dir / "tuner.log").write_text("")
-
     def log_sink(entry: EvalLogEntry, result: EvaluationResult | _ReplayResult) -> None:
         """Archive one evaluation; the tuner calls this in evaluation order."""
         nonlocal eval_seq
@@ -188,7 +145,7 @@ def run_campaign(
         record: dict[str, Any] = {
             "seq": eval_seq,
             "block": entry.step - 1,
-            "config_id": entry.config_id,
+            "config_id": entry.config.id,
             "assignment": dict(entry.config.assignment),
             "instance_id": result.instance_id,
             "penalty": result.penalty,
@@ -206,11 +163,59 @@ def run_campaign(
             }
         archive.add_evaluation(record)
 
-    archive.open_writer()
+    lock = lock_archive(out_dir)  # held until this returns
     try:
-        report = run_tuning(space, evaluator, tuner_config, log=log_sink)
+        replay: dict[tuple[str, int], dict[str, Any]] = {}
+        if resume and (out_dir / "config.json").exists():
+            archive = CampaignArchive.open(out_dir)
+            # Replay only reproduces the recorded prefix under the same inputs.
+            if archive.space_text != space_text:
+                raise ArchiveError(f"cannot resume {out_dir}: the space differs from its space.txt")
+            if archive.model_text != model_text:
+                raise ArchiveError(
+                    f"cannot resume {out_dir}: the model differs from its generator.model"
+                )
+            recorded, wanted = archive.meta, json.loads(json.dumps(meta))
+            differs = "; ".join(
+                f"{key} {wanted.get(key)!r} differs from the recorded {recorded.get(key)!r}"
+                for key in sorted((recorded.keys() | wanted.keys()) - {"total_budget"})
+                if recorded.get(key) != wanted.get(key)
+            )
+            if differs:
+                raise ArchiveError(f"cannot resume {out_dir}: {differs} (only the budget may change)")
+            archive.drop_torn_record()
+            occurrence: dict[str, int] = {}
+            for entry in archive.evaluations():
+                cid = entry["config_id"]
+                replay[(cid, occurrence.get(cid, 0))] = entry
+                occurrence[cid] = occurrence.get(cid, 0) + 1
+            if tuner_config.total_budget < len(replay):
+                # A replay cut short would rewrite tuner.log and config.json
+                # without the records beyond the budget.
+                raise ArchiveError(
+                    f"cannot resume {out_dir}: budget {tuner_config.total_budget} "
+                    f"is below the {len(replay)} recorded evaluations"
+                )
+            history = archive.load_history()
+            archive.write_meta(meta)  # the new budget
+        elif (out_dir / "records" / "evals.jsonl").exists():
+            raise ArchiveError(
+                f"{out_dir} already holds campaign records; pass resume or pick a fresh directory"
+            )
+        else:
+            archive = CampaignArchive.create(out_dir, meta, space_text, model_text)
+            history = SolutionHistory()
+        eval_seq = len(replay)
+        if resume:
+            # Replay regenerates the identical prefix, so start the log afresh.
+            (out_dir / "tuner.log").write_text("")
+        archive.open_writer(lock)
+        try:
+            report = run_tuning(space, evaluator, tuner_config, log=log_sink)
+        finally:
+            archive.close_writer()
+        archive.save_history(history)
     finally:
-        archive.close_writer()
-    archive.save_history(history)
+        os.close(lock)
     return CampaignResult(archive=archive, report=report)
 

@@ -291,21 +291,11 @@ def _evaluate_discriminating(
     seed: int,
     outcome: GenOutcome,
 ) -> EvaluationResult:
-    favoured = _run_and_verify(
-        policy.favoured,
-        policy.problem,
-        instance,
-        policy.t_max,
-        limits,
-        derive_seed(seed, instance.id, policy.favoured.name),
-    )
-    base = _run_and_verify(
-        policy.base,
-        policy.problem,
-        instance,
-        policy.t_max,
-        limits,
-        derive_seed(seed, instance.id, policy.base.name),
+    favoured, base = (
+        _run_and_verify(
+            s, policy.problem, instance, policy.t_max, limits, derive_seed(seed, instance.id, s.name)
+        )
+        for s in (policy.favoured, policy.base)
     )
     scores = discriminating_scores(favoured, base, policy.problem.kind)
     status = _classify(policy, [favoured, base], scores)

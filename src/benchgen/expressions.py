@@ -312,7 +312,7 @@ def _constant(value: Any) -> _Term:
         kind = elements[0].kind if elements else "num"
         if kind in ("num", "set") and all(e.kind == kind for e in elements):
             return _Term(kind + "[]", items=tuple(e.read for e in elements))
-    elif isinstance(value, set):
+    elif isinstance(value, (set, frozenset)):
         return _Term("set", lambda x: (len(value), value))
     elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         interval = (value, value)

@@ -94,48 +94,38 @@ def _take_of(data: KnapsackData, solution: Mapping[str, Any]) -> list[int]:
 
 
 class KnapsackProblem(Problem):
-    name = "knapsack"
-    kind = "maximise"
+    """Kind ``maximise`` maximises total value; kind ``decision`` asks for a
+    selection of value at least the instance's ``target``."""
+
+    def __init__(self, name: str, kind: str):
+        self.name = name
+        self.kind = kind
 
     def check(self, instance: Mapping[str, Any], solution: Mapping[str, Any]) -> CheckOutcome:
         data = parse_knapsack(instance)
-        take = _take_of(data, solution)
-        if any(t < 0 or t > c for t, c in zip(take, data.copies)):
-            return CheckOutcome(False, None)
-        total_weight = sum(t * w for t, w in zip(take, data.weight))
-        objective = sum(t * v for t, v in zip(take, data.value))
-        if total_weight > data.capacity:
-            return CheckOutcome(False, None)
-        return CheckOutcome(True, objective)
-
-    def trivial_solution(self, instance: Mapping[str, Any]):
-        data = parse_knapsack(instance)
-        return {"take": [0] * data.n_items}, 0
-
-
-class KnapsackDecisionProblem(Problem):
-    """Is there a selection of total value at least ``target``?"""
-
-    name = "knapsack_decision"
-    kind = "decision"
-
-    def check(self, instance: Mapping[str, Any], solution: Mapping[str, Any]) -> CheckOutcome:
-        data = parse_knapsack(instance)
+        decision = self.kind == "decision"
         target = instance.get("target")
-        if not isinstance(target, int) or isinstance(target, bool):
+        if decision and (not isinstance(target, int) or isinstance(target, bool)):
             raise CheckError("decision instance needs an integer 'target'")
         take = _take_of(data, solution)
         if any(t < 0 or t > c for t, c in zip(take, data.copies)):
             return CheckOutcome(False, None)
         total_weight = sum(t * w for t, w in zip(take, data.weight))
         total_value = sum(t * v for t, v in zip(take, data.value))
-        if total_weight > data.capacity or total_value < target:
+        if total_weight > data.capacity or (decision and total_value < target):
             return CheckOutcome(False, None)
-        return CheckOutcome(True, None)
+        return CheckOutcome(True, None if decision else total_value)
+
+    def trivial_solution(self, instance: Mapping[str, Any]):
+        if self.kind == "decision":
+            return None  # taking nothing may fall short of the target
+        data = parse_knapsack(instance)
+        return {"take": [0] * data.n_items}, 0
 
 
 PROBLEMS: dict[str, Problem] = {
-    p.name: p for p in (KnapsackProblem(), KnapsackDecisionProblem())
+    p.name: p
+    for p in (KnapsackProblem("knapsack", "maximise"), KnapsackProblem("knapsack_decision", "decision"))
 }
 
 

@@ -26,7 +26,7 @@ from typing import Any, Mapping
 
 from .errors import CheckError, EvalError, ParseError
 from .expressions import Expr, evaluate, parse_expression
-from .problems import KnapsackData, Problem, parse_knapsack
+from .problems import PROBLEMS, KnapsackData, Problem, parse_knapsack
 from .runner import SolverRecord, Status
 
 _WORD = 64  # rough bytes per tracked allocation unit
@@ -36,7 +36,7 @@ LATENCY_CACHE_SIZE = 64
 
 
 def _knapsack_or_error(problem: Problem, instance: Mapping[str, Any]) -> KnapsackData | SolverRecord:
-    if problem.name not in ("knapsack", "knapsack_decision"):
+    if problem.name not in PROBLEMS:
         return SolverRecord(Status.ERROR, 0.0, note=f"unsupported problem {problem.name}")
     try:
         return parse_knapsack(instance)
@@ -285,9 +285,10 @@ def solve_buggy(
     instance: Mapping[str, Any],
     time_limit: float,
     seed: int = 0,
+    mem_limit: int | None = None,
 ) -> SolverRecord:
     """Always returns a wrong answer: infeasible payload or misreported objective."""
-    del time_limit, seed
+    del time_limit, seed, mem_limit
     start = time.monotonic()
     data = _knapsack_or_error(problem, instance)
     if isinstance(data, SolverRecord):
@@ -303,6 +304,10 @@ def solve_buggy(
     )
 
 
+# Builtin solvers by id, called as (problem, instance, time_limit, seed, mem_limit).
+BUILTIN_SOLVERS = {"exact": solve_exact, "hillclimb": solve_hillclimb, "buggy": solve_buggy}
+
+
 def run_builtin(
     solver_id: str,
     problem: Problem,
@@ -312,15 +317,12 @@ def run_builtin(
     mem_limit: int | None = None,
 ) -> SolverRecord:
     """Dispatch a builtin solver id, ``synthetic:EXPR`` carrying its latency."""
-    if solver_id == "exact":
-        return solve_exact(problem, instance, time_limit, seed, mem_limit)
-    if solver_id == "hillclimb":
-        return solve_hillclimb(problem, instance, time_limit, seed, mem_limit)
     if solver_id.startswith("synthetic:"):
         return solve_synthetic(solver_id.split(":", 1)[1], problem, instance, time_limit, seed)
-    if solver_id == "buggy":
-        return solve_buggy(problem, instance, time_limit, seed)
-    return SolverRecord(Status.ERROR, 0.0, note=f"unknown builtin solver {solver_id!r}")
+    solve = BUILTIN_SOLVERS.get(solver_id)
+    if solve is None:
+        return SolverRecord(Status.ERROR, 0.0, note=f"unknown builtin solver {solver_id!r}")
+    return solve(problem, instance, time_limit, seed, mem_limit)
 
 
 def builtin_exists(solver_id: str) -> bool:
@@ -329,4 +331,4 @@ def builtin_exists(solver_id: str) -> bool:
     if solver_id.startswith("synthetic:"):
         _latency(solver_id.split(":", 1)[1])
         return True
-    return solver_id in ("exact", "hillclimb", "buggy")
+    return solver_id in BUILTIN_SOLVERS

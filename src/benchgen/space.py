@@ -11,7 +11,7 @@ import hashlib
 import math
 import re
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 from .records import Record, field
@@ -76,16 +76,15 @@ class ParameterSpace(Record, frozen=True):
 class GeneratorConfiguration(Record, frozen=True):
     """One concrete assignment to every parameter of a space.
 
-    The id is a digest of the assignment, so configurations with identical
-    parameter values share an identity (and therefore a solution history).
+    Its ``id`` is not a field: ``__post_init__`` derives it from the
+    assignment, so configurations with identical parameter values share an
+    identity (and therefore a solution history).
     """
 
     assignment: Mapping[str, int]
-    id: str = ""
 
     def __post_init__(self) -> None:
-        if not self.id:
-            object.__setattr__(self, "id", config_id(self.assignment))
+        object.__setattr__(self, "id", config_id(self.assignment))
 
     def __getitem__(self, name: str) -> int:
         return self.assignment[name]
@@ -200,14 +199,3 @@ def update_sampling_model(
     centers = tuple(dict(e.assignment) for e in elites)
     return SamplingModel(centers=centers, spread=new_spread)
 
-
-def dedupe_configurations(
-    configs: Iterable[GeneratorConfiguration],
-) -> list[GeneratorConfiguration]:
-    seen: set[str] = set()
-    out: list[GeneratorConfiguration] = []
-    for c in configs:
-        if c.id not in seen:
-            seen.add(c.id)
-            out.append(c)
-    return out

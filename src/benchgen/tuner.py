@@ -3,10 +3,10 @@
 Each iteration races a candidate set: every alive configuration is
 evaluated once per block (a fresh instance each time, thanks to the
 solution history), infinite penalties drop a configuration immediately,
-and from ``first_test_after`` blocks onward a Friedman test at the fixed
+and from ``FIRST_TEST_AFTER`` blocks onward a Friedman test at the fixed
 level ``ELIMINATION_ALPHA`` eliminates configurations whose rank sums fall
 a critical difference behind the best. Survivors seed the sampling model
-for the next iteration.
+for the next iteration. The racing settings are constants, not options.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .space import (
     GeneratorConfiguration,
     ParameterSpace,
     SamplingModel,
-    dedupe_configurations,
     sample_from_model,
     sample_uniform,
     update_sampling_model,
@@ -31,17 +30,17 @@ from .space import (
 
 
 # Fixed racing settings: survivors kept per race (and elites passed on),
-# the Friedman test level, and the number of races the budget is split into.
+# the Friedman test level, the number of races the budget is split into,
+# and the blocks a race runs before its first test (irace's firstTest).
 MIN_SURVIVORS = 2
 ELIMINATION_ALPHA = 0.05
 RACE_SLICES = 5  # per-race budget = total_budget / RACE_SLICES
+FIRST_TEST_AFTER = 5
 
 
 class TunerConfig(Record, frozen=True):
     total_budget: int = 2000
-    first_race_size: int | None = None  # default: max(6, ceil(budget / 40))
     seed: int = 0
-    first_test_after: int = 5
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -52,8 +51,6 @@ class TunerConfig(Record, frozen=True):
 
     @property
     def race_size(self) -> int:
-        if self.first_race_size is not None:
-            return self.first_race_size
         return max(6, math.ceil(self.total_budget / 40))
 
 
@@ -190,12 +187,7 @@ def friedman_eliminate(matrix: Sequence[Sequence[float]]) -> FriedmanResult:
     rank_rows, rank_sums = _rank_sums(matrix)
     a_sq = sum(v * v for r in rank_rows for v in r)
 
-    tie_term = 0.0
-    for row in matrix:
-        seen: dict[float, int] = {}
-        for v in row:
-            seen[v] = seen.get(v, 0) + 1
-        tie_term += sum(t**3 - t for t in seen.values())
+    tie_term = sum(t**3 - t for row in matrix for t in Counter(row).values())
 
     center = n * (k + 1) / 2
     numerator = 12.0 * sum((rs - center) ** 2 for rs in rank_sums)
@@ -228,10 +220,6 @@ class RaceState(Record):
     blocks: int = 0
     log: list[EvalLogEntry] = field(default_factory=list)
 
-    @property
-    def evaluations_used(self) -> int:
-        return len(self.log)
-
     def penalty_matrix(self) -> list[list[float]]:
         """Penalties of the alive configurations, one row per block."""
         return [[self.penalties[c.id][b] for c in self.alive] for b in range(self.blocks)]
@@ -245,15 +233,11 @@ class EvalLogEntry(Record, frozen=True):
     status: RunStatus
     instance_id: str | None = None
 
-    @property
-    def config_id(self) -> str:
-        return self.config.id
-
     def format_line(self) -> str:
         pen = "inf" if math.isinf(self.penalty) else repr(self.penalty)
         inst = self.instance_id or "-"
         return (
-            f"iter={self.iteration} step={self.step} config={self.config_id} "
+            f"iter={self.iteration} step={self.step} config={self.config.id} "
             f"penalty={pen} status={self.status.value} instance={inst}"
         )
 
@@ -301,7 +285,7 @@ def race(
     state = RaceState(alive=list(configs), penalties={c.id: [] for c in configs})
 
     while state.alive:
-        if state.evaluations_used + len(state.alive) > race_budget:
+        if len(state.log) + len(state.alive) > race_budget:
             break
         block_index = state.blocks
         alive = list(state.alive)
@@ -327,7 +311,7 @@ def race(
         state.alive = survivors
         state.blocks += 1
 
-        if len(state.alive) > MIN_SURVIVORS and state.blocks >= max(config.first_test_after, 2):
+        if len(state.alive) > MIN_SURVIVORS and state.blocks >= FIRST_TEST_AFTER:
             result = friedman_eliminate(state.penalty_matrix())
             if result.eliminated:
                 ranked = sorted(
@@ -370,7 +354,8 @@ def run_tuning(
         iteration += 1
         budget_left = config.total_budget - len(log_entries)
 
-        candidates = list(elites)
+        candidates = list(elites)  # distinct: they survived one race
+        ids = {c.id for c in candidates}
         attempts = 0
         while len(candidates) < config.race_size and attempts < config.race_size * 20:
             attempts += 1
@@ -378,8 +363,9 @@ def run_tuning(
                 candidate = sample_uniform(space, rng)
             else:
                 candidate = sample_from_model(space, model, rng)
-            candidates.append(candidate)
-            candidates = dedupe_configurations(candidates)
+            if candidate.id not in ids:
+                ids.add(candidate.id)
+                candidates.append(candidate)
         if not candidates:
             break
         race_budget = min(max(per_race, len(candidates)), budget_left)

@@ -41,9 +41,9 @@ def values_to_jsonable(values: Mapping[str, Any] | None) -> dict[str, Any] | Non
         return None
     out: dict[str, Any] = {}
     for k, v in values.items():
-        if isinstance(v, set):
+        if isinstance(v, (set, frozenset)):
             out[k] = {"__set__": sorted(v)}
-        elif isinstance(v, list) and any(isinstance(e, set) for e in v):
+        elif isinstance(v, list) and any(isinstance(e, (set, frozenset)) for e in v):
             out[k] = {"__sets__": [sorted(e) for e in v]}
         else:
             out[k] = v

@@ -14,12 +14,12 @@ import pytest
 
 import benchgen
 from benchgen import archivewriter, campaign
-from benchgen.archive import CampaignArchive
+from benchgen.archive import CampaignArchive, lock_archive
 from benchgen.campaign import graded_instance_ids, policy_meta, run_campaign
 from benchgen.errors import ArchiveError
 from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
-from benchgen.records import replace
+from benchgen.records import field_names, replace
 from benchgen.runner import SolverAdapter
 from benchgen.tuner import TunerConfig
 from benchgen.valuetext import values_to_jsonable
@@ -52,7 +52,7 @@ def run(out, budget=30, seed=11, resume=False, model_text=None, space_text=SPACE
             "constraint capacity = cap_t\n"
         ),
         banded_policy(),
-        TunerConfig(total_budget=budget, first_race_size=6, seed=seed),
+        TunerConfig(total_budget=budget, seed=seed),
         FAST_LIMITS,
         resume=resume,
     )
@@ -255,13 +255,50 @@ def test_resume_crash_while_writing_config_keeps_the_old_one(
     assert CampaignArchive.open(out).meta["total_budget"] == 30
 
 
+def test_config_json_records_every_setting_that_can_change_an_archive(tmp_path, generator_model_text):
+    # A resume checks config.json; a setting it does not record could change
+    # the replayed prefix unseen. Only the worker count leaves archives alike.
+    archive = run(tmp_path / "camp", budget=12, model_text=generator_model_text).archive
+    assert set(field_names(TunerConfig)) - {"workers"} <= archive.meta.keys()
+
+
+def test_a_held_archive_is_refused_and_left_as_it_was(tmp_path, generator_model_text):
+    out, fresh = tmp_path / "camp", tmp_path / "fresh"
+    run(out, budget=18, model_text=generator_model_text)
+    before = archive_files(out)
+    held = [lock_archive(out), lock_archive(fresh)]
+    try:
+        for root, resume in ((out, True), (out, False), (fresh, False)):
+            with pytest.raises(ArchiveError, match="archive in use: .*" + re.escape(str(root))):
+                run(root, budget=30, resume=resume, model_text=generator_model_text)
+        assert archive_files(out) == before
+        assert list(fresh.iterdir()) == []
+    finally:
+        for fd in held:
+            os.close(fd)
+    run(out, budget=30, resume=True, model_text=generator_model_text)
+
+
+def test_the_writer_holds_the_lock_until_its_last_write(tmp_path):
+    archive = CampaignArchive.create(tmp_path / "camp", {}, SPACE_TEXT, "")
+    held = lock_archive(archive.root)
+    archive.open_writer(held)
+    os.close(held)  # as a campaign that was killed
+    with pytest.raises(ArchiveError, match="archive in use"):
+        lock_archive(archive.root)
+    archive.append_log("line")
+    archive.close_writer()
+    os.close(lock_archive(archive.root))
+    assert (archive.root / "tuner.log").read_text() == "line\n"
+
+
 def resume_with(out, model_text, policy=None, limits=FAST_LIMITS):
     return run_campaign(
         out,
         SPACE_TEXT,
         model_text,
         policy or banded_policy(),
-        TunerConfig(total_budget=30, first_race_size=6, seed=11),
+        TunerConfig(total_budget=30, seed=11),
         limits,
         resume=True,
     )

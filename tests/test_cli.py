@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -501,3 +502,71 @@ def test_quick_start_runs_without_scipy(workspace):
     )
     assert child.returncode == 0, child.stderr
     assert (workspace / "camp" / "reports" / "status_frequencies.csv").exists()
+
+
+HELD_RESUME = """
+import sys, time
+from pathlib import Path
+import benchgen.campaign, benchgen.cli
+
+evaluate, ws = benchgen.campaign.evaluate_configuration, Path(sys.argv[1])
+
+def held(*args, **kwargs):
+    # At its first new evaluation the campaign holds the archive: say so and
+    # wait until the test has run a second campaign on it.
+    if not (ws / "started").exists():
+        (ws / "started").touch()
+        while not (ws / "go").exists():
+            time.sleep(0.005)
+    return evaluate(*args, **kwargs)
+
+benchgen.campaign.evaluate_configuration = held
+sys.exit(benchgen.cli.main(sys.argv[2:]))
+"""
+
+
+def test_concurrent_resumes_leave_the_archive_of_one(workspace):
+    config = str(workspace / "campaign.ini")
+    single, shared = workspace / "single", workspace / "shared"
+    for out in (single, shared):
+        assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    assert main(["tune", config, "--out", str(single), "--budget", "40", "--resume"]) == 0
+    resume = ["tune", config, "--out", str(shared), "--budget", "40", "--resume"]
+    src = str(Path(benchgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+        [sys.executable, "-c", HELD_RESUME, str(workspace), *resume],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as first:
+        deadline = time.monotonic() + 60
+        while not (workspace / "started").exists():
+            assert first.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        second = subprocess.run(
+            [sys.executable, "-m", "benchgen.cli", *resume],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        (workspace / "go").touch()
+        _, first_err = first.communicate(timeout=120)
+    assert first.returncode == 0, first_err
+    assert second.returncode == 2
+    assert second.stderr == f"error: archive in use: another campaign is writing {shared}\n"
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert files(shared) == files(single)
+
+
+def test_a_duplicated_seq_is_rejected_by_every_reader(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    evals = out / "records" / "evals.jsonl"
+    lines = evals.read_text().splitlines(keepends=True)
+    evals.write_text("".join(lines[:5] + lines[4:]))  # record 5 twice, as two writers leave it
+    capsys.readouterr()
+    for command in (["tune", config, "--out", str(out), "--budget", "30", "--resume"],
+                    ["report", str(out)], ["check", str(out)]):
+        assert main(command) == 2, command
+        assert capsys.readouterr().err == f"error: {evals} line 6: seq 5 is not the record's position 6\n"

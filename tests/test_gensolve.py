@@ -391,8 +391,8 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
         while len(keys) < 48 and (result := solve_generator(model, config, history, 5.0, 5.0)).instance:
             instance = result.instance
             archive.add_instance(instance)
-            archive.add_evaluation({"config_id": config.id, "instance_id": instance.id})
             keys[instance.id] = exclusion_key(instance.decision_values)
+            archive.add_evaluation({"seq": len(keys), "config_id": config.id, "instance_id": instance.id})
         for iid, key in keys.items():
             decision = {k: v for k, v in archive.instance_values(iid).items()
                         if k not in CURSOR_SPACE.names}
@@ -433,13 +433,15 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
     for k in range(len(full)):
         archive = CampaignArchive.create(tmp_path / str(k), {}, "n: 1..2; k: 0..4", RESUME_MODEL_TEXT)
         history = SolutionHistory()
-        for _ in range(k):
+        for i in range(k):
             instance = solve_generator(model, config, history, 5.0, 5.0).instance
             archive.add_instance(instance)
-            archive.add_evaluation({"config_id": config.id, "instance_id": instance.id})
+            archive.add_evaluation({"seq": 3 * i + 1, "config_id": config.id, "instance_id": instance.id})
             # Records without an instance, and another configuration's, count nothing.
-            archive.add_evaluation({"config_id": config.id, "instance_id": None})
-            archive.add_evaluation({"config_id": other.id, "instance_id": f"{other.id}-0000"})
+            archive.add_evaluation({"seq": 3 * i + 2, "config_id": config.id, "instance_id": None})
+            archive.add_evaluation(
+                {"seq": 3 * i + 3, "config_id": other.id, "instance_id": f"{other.id}-0000"}
+            )
         loaded = archive.load_history()
         assert loaded.count(config.id) == k
         assert full[:k] + solution_sequence(model, config, loaded) == full

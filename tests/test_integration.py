@@ -3,15 +3,19 @@
 import json
 import math
 import threading
+from random import Random
 
 import pytest
 
 from benchgen import campaign
 from benchgen.campaign import graded_instance_ids, run_campaign
-from benchgen.evaluate import EvaluationLimits, GradedPolicy
+from benchgen.evaluate import EvaluationLimits, GradedPolicy, evaluate_configuration
+from benchgen.gensolve import SolutionHistory
+from benchgen.model import parse_model
 from benchgen.problems import get_problem
 from benchgen.report import report_tables
-from benchgen.runner import SolverAdapter, Status, run_solver
+from benchgen.runner import RunStatus, SolverAdapter, Status, run_solver
+from benchgen.space import parse_space, sample_uniform
 from benchgen.tuner import TunerConfig
 
 from conftest import tuner_log
@@ -41,7 +45,7 @@ def test_worker_pool_matches_single_threaded_run(tmp_path):
     def run(out, workers):
         return run_campaign(
             out, SPACE_TEXT, MODEL_TEXT, banded_policy(),
-            TunerConfig(total_budget=42, first_race_size=6, seed=8, workers=workers),
+            TunerConfig(total_budget=42, seed=8, workers=workers),
             FAST_LIMITS,
         )
 
@@ -76,7 +80,7 @@ def test_external_solver_campaign_runs_on_the_pool(tmp_path, monkeypatch):
         on_main_thread.clear()
         run_campaign(
             out, SPACE_TEXT, MODEL_TEXT, policy,
-            TunerConfig(total_budget=24, first_race_size=6, seed=8, workers=workers),
+            TunerConfig(total_budget=24, seed=8, workers=workers),
             FAST_LIMITS,
         )
         return set(on_main_thread)
@@ -88,23 +92,25 @@ def test_external_solver_campaign_runs_on_the_pool(tmp_path, monkeypatch):
     assert (tmp_path / "pooled" / "tuner.log").read_text() == log
 
 
-def test_half_unsat_generator_region(tmp_path):
-    # Constraint capacity <= 25 makes half of cap_t in 1..50 infeasible. A
-    # single uniform block (race size = budget) sees ~50% generator-unsolved.
-    result = run_campaign(
-        tmp_path / "camp", SPACE_TEXT, HALF_UNSAT_MODEL, banded_policy(),
-        TunerConfig(total_budget=60, first_race_size=60, seed=21),
-        FAST_LIMITS,
-    )
-    table = {s: (n, f) for s, n, f in report_tables(result.archive)["status_frequencies.csv"]}
-    count, fraction = table["generator-unsolved"]
+def test_half_unsat_generator_region():
+    # Constraint capacity <= 25 makes half of cap_t in 1..50 infeasible, so
+    # about half of the uniform draws that fill a first race are
+    # generator-unsolved.
+    space = parse_space(SPACE_TEXT)
+    model = parse_model(space, HALF_UNSAT_MODEL)
+    rng, history = Random(21), SolutionHistory()
+    statuses = [
+        evaluate_configuration(model, sample_uniform(space, rng), history, banded_policy(), FAST_LIMITS).status
+        for _ in range(60)
+    ]
+    fraction = statuses.count(RunStatus.GENERATOR_UNSOLVED) / len(statuses)
     assert abs(fraction - 0.5) <= 0.1, f"generator-unsolved fraction {fraction}"
 
 
 def test_infinite_penalty_roundtrips_through_archive(tmp_path):
     result = run_campaign(
         tmp_path / "camp", SPACE_TEXT, HALF_UNSAT_MODEL, banded_policy(),
-        TunerConfig(total_budget=30, first_race_size=6, seed=2),
+        TunerConfig(total_budget=30, seed=2),
         FAST_LIMITS,
     )
     entries = list(result.archive.evaluations())
@@ -116,7 +122,7 @@ def test_infinite_penalty_roundtrips_through_archive(tmp_path):
     # Resuming replays the infinities faithfully.
     resumed = run_campaign(
         tmp_path / "camp", SPACE_TEXT, HALF_UNSAT_MODEL, banded_policy(),
-        TunerConfig(total_budget=30, first_race_size=6, seed=2),
+        TunerConfig(total_budget=30, seed=2),
         FAST_LIMITS,
         resume=True,
     )
@@ -126,7 +132,7 @@ def test_infinite_penalty_roundtrips_through_archive(tmp_path):
 def test_graded_times_match_programmed_latency(tmp_path):
     result = run_campaign(
         tmp_path / "camp", SPACE_TEXT, MODEL_TEXT, banded_policy(),
-        TunerConfig(total_budget=60, first_race_size=6, seed=14),
+        TunerConfig(total_budget=60, seed=14),
         FAST_LIMITS,
     )
     times = [t for name, t in report_tables(result.archive).get("graded_times.csv", []) if name == "band"]
@@ -139,7 +145,6 @@ def test_graded_times_match_programmed_latency(tmp_path):
 def test_default_race_size_scales_with_budget():
     assert TunerConfig(total_budget=2000).race_size == 50
     assert TunerConfig(total_budget=100).race_size == 6
-    assert TunerConfig(total_budget=2000, first_race_size=12).race_size == 12
 
 
 def test_external_memory_limit_kills_process(tmp_path):
@@ -166,7 +171,7 @@ def test_oracle_graded_campaign_with_local_search(tmp_path):
     )
     result = run_campaign(
         tmp_path / "camp", SPACE_TEXT, MODEL_TEXT, policy,
-        TunerConfig(total_budget=6, first_race_size=6, seed=1),
+        TunerConfig(total_budget=6, seed=1),
         FAST_LIMITS,
     )
     assert result.report.evaluations_used == 6
@@ -206,7 +211,7 @@ def test_external_runs_leave_logs_in_campaign_dir(tmp_path):
     )
     result = run_campaign(
         tmp_path / "camp", SPACE_TEXT, MODEL_TEXT, policy,
-        TunerConfig(total_budget=6, first_race_size=6, seed=3),
+        TunerConfig(total_budget=6, seed=3),
         EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None),
     )
     runs = list((tmp_path / "camp" / "runs").glob("run_*/run.log"))
@@ -218,7 +223,7 @@ def test_external_runs_leave_logs_in_campaign_dir(tmp_path):
 def test_combined_evaluation_time_summaries(tmp_path):
     result = run_campaign(
         tmp_path / "camp", SPACE_TEXT, MODEL_TEXT, banded_policy(),
-        TunerConfig(total_budget=40, first_race_size=6, seed=19), FAST_LIMITS,
+        TunerConfig(total_budget=40, seed=19), FAST_LIMITS,
     )
     from benchgen.report import build_combined_set, evaluate_combined
 

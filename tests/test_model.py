@@ -100,6 +100,16 @@ def test_check_assignment_paper_style_instance():
     assert check_assignment(model, config, {"succ": succ}) is True
 
 
+def test_check_assignment_takes_a_frozenset_as_a_set():
+    space = parse_space("n: 1..2")
+    model = parse_model(space, "var s : set of 1..3\nvar t[2] : set of 1..3\nconstraint card(s) >= 1\n"
+                               "constraint card(t[2]) >= 1")
+    config = make_configuration(space, {"n": 1})
+    for kind in (set, frozenset):
+        assert check_assignment(model, config, {"s": kind({1}), "t": [kind(), kind({3})]}) is True
+        assert check_assignment(model, config, {"s": kind(), "t": [kind(), kind({3})]}) is False
+
+
 def test_check_assignment_all_empty_fails_density():
     model = successors_model()
     config = make_configuration(SUCCESSORS_SPACE, {"n_tasks_t": 6, "s_density": 2})

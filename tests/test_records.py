@@ -229,7 +229,7 @@ def test_replace_runs_post_init_again():
     with pytest.raises(ValidationError):
         replace(TunerConfig(), total_budget=-1)
     config = GeneratorConfiguration({"n": 2})
-    moved = replace(config, assignment={"n": 3}, id="")
+    moved = replace(config, assignment={"n": 3})
     assert moved.id == GeneratorConfiguration({"n": 3}).id != config.id
     with pytest.raises(TypeError):
         replace(config, not_a_field=1)

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from benchgen.errors import ParseError, ValidationError
+from benchgen.records import replace
 from benchgen.space import (
     GeneratorConfiguration,
     ParameterSpec,
@@ -200,3 +201,10 @@ def test_parameter_spec_invariants():
 def test_configuration_id_autofilled():
     config = GeneratorConfiguration(assignment={"a": 1})
     assert config.id.startswith("g") and len(config.id) == 11
+
+
+def test_replaced_assignment_gets_its_own_id():
+    moved = replace(GeneratorConfiguration({"n": 2}), assignment={"n": 3})
+    assert moved.id == GeneratorConfiguration({"n": 3}).id
+    with pytest.raises(TypeError):
+        GeneratorConfiguration({"n": 3}, id=moved.id)  # derived, never passed

@@ -191,7 +191,7 @@ def test_race_dominant_config_survives_and_ranks_first():
 
     survivors, state = race(
         configs, evaluator, race_budget=25,
-        config=TunerConfig(total_budget=25, first_test_after=2),
+        config=TunerConfig(total_budget=25),
     )
     assert survivors[0].id == winner
     assert any(c.id == winner for c in state.alive)
@@ -205,7 +205,7 @@ def test_race_identical_penalties_no_elimination():
 
     survivors, state = race(
         configs, evaluator, race_budget=40,
-        config=TunerConfig(total_budget=40, first_test_after=2),
+        config=TunerConfig(total_budget=40),
     )
     assert len(survivors) == 4  # statistic 0, nothing eliminated
 
@@ -220,7 +220,7 @@ def test_race_plus_infinity_discards_immediately():
 
     survivors, state = race(
         configs, evaluator, race_budget=12,
-        config=TunerConfig(total_budget=12, first_test_after=5),
+        config=TunerConfig(total_budget=12),
     )
     assert all(c.id != doomed for c in survivors)
     assert len(state.penalties[doomed]) == 1  # evaluated once, then dropped
@@ -235,7 +235,7 @@ def test_race_keeps_at_least_min_survivors():
 
     survivors, state = race(
         configs, evaluator, race_budget=120,
-        config=TunerConfig(total_budget=120, first_test_after=2),
+        config=TunerConfig(total_budget=120),
     )
     assert len(survivors) >= 2
     assert survivors[0].id == configs[0].id
@@ -265,7 +265,7 @@ def test_run_tuning_budget_respected():
     for budget in (7, 30, 61):
         report = run_tuning(
             space, landscape_evaluator(40),
-            TunerConfig(total_budget=budget, first_race_size=6, seed=2),
+            TunerConfig(total_budget=budget, seed=2),
         )
         assert 0 < report.evaluations_used <= budget
         assert len(report.log) == report.evaluations_used
@@ -276,7 +276,7 @@ def test_run_tuning_concentrates_near_optimum():
     p_star = 321
     report = run_tuning(
         space, landscape_evaluator(p_star),
-        TunerConfig(total_budget=30, first_race_size=6, seed=7),
+        TunerConfig(total_budget=30, seed=7),
     )
     per_iteration: dict[int, list[int]] = {}
     for entry in report.log:
@@ -294,7 +294,7 @@ def test_run_tuning_deterministic_logs():
     def run():
         report = run_tuning(
             space, landscape_evaluator(100),
-            TunerConfig(total_budget=40, first_race_size=6, seed=99),
+            TunerConfig(total_budget=40, seed=99),
         )
         return [entry.format_line() for entry in report.log]
 
@@ -305,6 +305,6 @@ def test_run_tuning_counts_statuses():
     space = parse_space("p: 1..100")
     report = run_tuning(
         space, landscape_evaluator(50),
-        TunerConfig(total_budget=24, first_race_size=6, seed=3),
+        TunerConfig(total_budget=24, seed=3),
     )
     assert sum(report.status_counts.values()) == report.evaluations_used

@@ -1,11 +1,12 @@
 """Canonical value-text format: determinism and round-trips."""
 
+import json
 from random import Random
 
 import pytest
 
 from benchgen.errors import ParseError
-from benchgen.valuetext import format_values, parse_values
+from benchgen.valuetext import format_values, parse_values, values_from_jsonable, values_to_jsonable
 
 
 def test_format_sorts_names_and_sets():
@@ -55,3 +56,10 @@ def test_parse_rejects_duplicates():
 
 def test_comments_and_blank_lines_ignored():
     assert parse_values("# header\n\nx = 3  # trailing\n") == {"x": 3}
+
+
+def test_a_frozenset_has_the_json_form_of_a_set():
+    frozen = {"s": frozenset({2, 1}), "t": [frozenset(), frozenset({3})]}
+    thawed = {"s": {2, 1}, "t": [set(), {3}]}
+    assert json.dumps(values_to_jsonable(frozen)) == json.dumps(values_to_jsonable(thawed))
+    assert values_from_jsonable(values_to_jsonable(frozen)) == thawed
