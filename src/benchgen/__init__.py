@@ -36,9 +36,7 @@ _EXPORTS = {
             "GradedPolicy",
             "LARGE_NEGATIVE",
             "PLUS_INFINITY",
-            "discriminating_penalty",
             "evaluate_configuration",
-            "graded_penalty",
         ),
         "evaluate",
     ),
@@ -62,7 +60,6 @@ _EXPORTS = {
             "SolverAdapter",
             "SolverRecord",
             "Status",
-            "classify_run",
             "measure_time_to_best",
             "oracle_optimum",
             "run_solver",

@@ -216,20 +216,27 @@ class CampaignArchive:
         self._write("records/evals.jsonl", json.dumps(dict(entry)) + "\n", handover=True)
 
     def evaluations(self) -> Iterator[dict[str, Any]]:
-        """The records in order; ``ArchiveError`` at the first whose ``seq``
-        is not its position, as when two campaigns wrote the stream."""
+        """The records in order; ``ArchiveError`` at the first line that is
+        not a JSON object or whose ``seq`` is not its position (as when two
+        campaigns wrote the stream)."""
         if not self._evals_path.exists():
             return
         position = 0
-        with open(self._evals_path) as fh:
+        with open(self._evals_path, "rb") as fh:  # bytes, so bad UTF-8 fails in json.loads
             for number, line in enumerate(fh, 1):
-                if line.strip():
+                if not line.strip():
+                    continue
+                try:
                     entry = json.loads(line)
-                    position += 1
-                    if entry.get("seq") != position:
-                        why = f"seq {entry.get('seq')!r} is not the record's position {position}"
-                        raise ArchiveError(f"{self._evals_path} line {number}: {why}")
-                    yield entry
+                except ValueError:
+                    entry = None
+                if not isinstance(entry, dict):
+                    raise ArchiveError(f"{self._evals_path} line {number}: not a JSON object")
+                position += 1
+                if entry.get("seq") != position:
+                    why = f"seq {entry.get('seq')!r} is not the record's position {position}"
+                    raise ArchiveError(f"{self._evals_path} line {number}: {why}")
+                yield entry
 
     def drop_torn_record(self) -> None:
         """Cut an unterminated last line of evals.jsonl that does not parse.

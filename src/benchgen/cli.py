@@ -148,6 +148,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
             what = "an integer" if kind is int else "a number"
             raise ValidationError(f"[campaign] {key} must be {what}, got {value!r}") from None
 
+    def given(name, kind, flag_value, key):
+        """``{name: value}`` when a flag or a [campaign] key sets it, else
+        nothing, so that the record's own default applies."""
+        if opt(flag_value, key, None) is None:
+            return {}
+        return {name: number(kind, flag_value, key, None)}
+
     kind = camp.get("kind", "graded")
     if args.favoured or args.base:
         kind = "discriminating"
@@ -187,14 +194,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise ValidationError(f"unknown campaign kind {kind!r}")
 
     tuner_config = TunerConfig(
-        total_budget=number(int, args.budget, "budget", 2000),
-        seed=number(int, args.seed, "seed", 0),
-        workers=number(int, args.workers, "workers", 1),
+        **given("total_budget", int, args.budget, "budget"),
+        **given("seed", int, args.seed, "seed"),
+        **given("workers", int, args.workers, "workers"),
     )
     limits = EvaluationLimits(
-        translate_limit=number(float, None, "translate_limit", 300.0),
-        solve_limit=number(float, None, "solve_limit", 600.0),
-        mem_limit=parse_mem_limit(opt(args.mem_limit, "mem_limit", "8G")),
+        **given("translate_limit", float, None, "translate_limit"),
+        **given("solve_limit", float, None, "solve_limit"),
+        **given("mem_limit", parse_mem_limit, args.mem_limit, "mem_limit"),
     )
 
     result = _cli.run_campaign(
@@ -256,7 +263,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         solvers,
         problem,
         t_max=args.t_max,
-        limits=EvaluationLimits(mem_limit=parse_mem_limit(args.mem_limit)),
+        limits=EvaluationLimits(
+            **({} if args.mem_limit is None else {"mem_limit": parse_mem_limit(args.mem_limit)})
+        ),
         seed=args.seed,
         out_dir=args.out,
     )
@@ -355,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--problem", default=None)
     evaluate.add_argument("--t-max", dest="t_max", type=float, default=1200.0)
     evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument("--mem-limit", dest="mem_limit", default="8G")
+    evaluate.add_argument("--mem-limit", dest="mem_limit", default=None, help="e.g. 8G")
     evaluate.add_argument("--out", default=None, help="directory for records and score tables")
     evaluate.set_defaults(func=cmd_evaluate)
 

@@ -1,13 +1,13 @@
-"""Penalty computation for one configuration evaluation.
+"""Classification and penalty of one configuration evaluation.
 
-Each evaluation is classified once, by ``runner.classify_run``; the
-penalty the tuner minimises is a function of that status alone (plus the
-pair scores and the generator outcome it names). Infeasible or
-untranslatable generator configurations score plus infinity (immediate
-discard), a generator search timeout scores 1, a graded instance -1, a
-discriminating instance the negated ratio of the pair scores (a fixed
-large-negative sentinel when the base solver scored zero), and every
-other status 0.
+An evaluation whose generator yields no instance is ``generator-unsolved``;
+otherwise its policy's ``classify`` gives the status. ``status_penalty``
+derives the penalty the tuner minimises from that status alone (plus the
+pair scores and the generator outcome): infeasible or untranslatable
+generator configurations score plus infinity (immediate discard), a
+generator search timeout 1, a graded instance -1, a discriminating instance
+the negated ratio of the pair scores (a fixed large-negative sentinel when
+the base solver scored zero), and every other status 0.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .runner import (
     SolverAdapter,
     SolverRecord,
     Status,
-    classify_run,
     derive_seed,
     measure_time_to_best,
     oracle_optimum,
@@ -42,9 +41,22 @@ GRADED_PENALTY = -1.0
 LARGE_NEGATIVE = -1e6
 
 
-def _check_band(t_min: float, t_max: float) -> None:
-    if not (0 < t_min < t_max):
-        raise ValidationError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
+def _check_policy(policy: Policy) -> None:
+    if not (0 < policy.t_min < policy.t_max):
+        raise ValidationError(f"need 0 < t_min < t_max, got {policy.t_min}, {policy.t_max}")
+    if not policy.types:
+        raise ValidationError("types must be non-empty")
+
+
+def instance_type(record: SolverRecord) -> str | None:
+    """SAT / UNSAT as witnessed by a record, None when undetermined."""
+    if record.status is Status.SAT or (
+        record.status is Status.TIMEOUT and record.solution is not None
+    ):
+        return "SAT"
+    if record.status is Status.UNSAT:
+        return "UNSAT"
+    return None
 
 
 class GradedPolicy(Record, frozen=True):
@@ -59,9 +71,7 @@ class GradedPolicy(Record, frozen=True):
     oracle_budget: float | None = None  # defaults to 3 * t_max
 
     def __post_init__(self) -> None:
-        _check_band(self.t_min, self.t_max)
-        if not self.types:
-            raise ValidationError("types must be non-empty")
+        _check_policy(self)
         if (
             self.solver.kind == "local_search"
             and self.problem.kind != "decision"
@@ -77,6 +87,21 @@ class GradedPolicy(Record, frozen=True):
     def effective_oracle_budget(self) -> float:
         return self.oracle_budget if self.oracle_budget is not None else 3 * self.t_max
 
+    def classify(self, record: SolverRecord) -> RunStatus:
+        """Status of an instance from its solver's record (for local search,
+        the effective record). The band needs only ``t_min``: a run that
+        reaches ``t_max`` is a timeout."""
+        if record.status is Status.ERROR or record.solution_ok is False:
+            return RunStatus.OTHERS
+        if record.status is Status.TIMEOUT:
+            return RunStatus.TOO_DIFFICULT
+        kind = instance_type(record)
+        if record.time < self.t_min:
+            return RunStatus.TOO_EASY_UNSAT if kind == "UNSAT" else RunStatus.TOO_EASY_SAT
+        if kind not in self.types:
+            return RunStatus.OTHERS
+        return RunStatus.GRADED
+
 
 class DiscriminatingPolicy(Record, frozen=True):
     """Favoured solver should excel where the base solver struggles."""
@@ -89,11 +114,21 @@ class DiscriminatingPolicy(Record, frozen=True):
     types: frozenset[str] = frozenset({"SAT", "UNSAT"})
 
     def __post_init__(self) -> None:
-        _check_band(self.t_min, self.t_max)
-        if not self.types:
-            raise ValidationError("types must be non-empty")
+        _check_policy(self)
         if self.favoured.name == self.base.name:
             raise ValidationError("favoured and base solvers must differ")
+
+    def classify(
+        self, favoured: SolverRecord, base: SolverRecord, scores: tuple[float, float]
+    ) -> RunStatus:
+        """Status of an instance from the pair's records and their scores."""
+        if favoured.status in (Status.TIMEOUT, Status.ERROR) or favoured.solution_ok is False:
+            return RunStatus.FAVOURED_TIMEOUT
+        if instance_type(favoured) not in self.types:
+            return RunStatus.WRONG_TYPE
+        if base.time < self.t_min:
+            return RunStatus.BASE_TOO_EASY
+        return RunStatus.DIS_FOUND if scores[0] > 0 else RunStatus.ZERO_SCORES
 
 
 Policy = GradedPolicy | DiscriminatingPolicy
@@ -111,20 +146,6 @@ class EvaluationResult(Record):
     @property
     def instance_id(self) -> str | None:
         return self.instance.id if self.instance is not None else None
-
-
-def generator_penalty(outcome: GenOutcome) -> float | None:
-    """Penalty owed to the tuner by the generator outcome alone.
-
-    Infeasible or untranslatable configurations are discarded immediately
-    (plus infinity), a search timeout scores 1, and a solution defers to
-    the policy (None).
-    """
-    if outcome in (GenOutcome.UNSAT, GenOutcome.TRANSLATE_TIMEOUT):
-        return PLUS_INFINITY
-    if outcome is GenOutcome.SOLVE_TIMEOUT:
-        return GENERATOR_TIMEOUT_PENALTY
-    return None
 
 
 def effective_graded_record(record: SolverRecord, oracle: OracleResult) -> SolverRecord:
@@ -158,12 +179,13 @@ def status_penalty(
     """The penalty owed for a classified evaluation.
 
     ``scores`` are the discriminating pair scores (needed for ``dis-found``)
-    and ``outcome`` the generator outcome (needed for ``generator-unsolved``).
+    and ``outcome`` the generator outcome (needed for ``generator-unsolved``):
+    an infeasible or untranslatable configuration is discarded, a search
+    timeout scores 1.
     """
     if status is RunStatus.GENERATOR_UNSOLVED:
-        penalty = generator_penalty(outcome)
-        assert penalty is not None, "generator-unsolved needs a failed generator outcome"
-        return penalty
+        assert outcome is not GenOutcome.SOLUTION, "generator-unsolved needs a failed generator outcome"
+        return GENERATOR_TIMEOUT_PENALTY if outcome is GenOutcome.SOLVE_TIMEOUT else PLUS_INFINITY
     if status is RunStatus.GRADED:
         return GRADED_PENALTY
     if status is RunStatus.DIS_FOUND:
@@ -171,25 +193,6 @@ def status_penalty(
         score_f, score_b = scores
         return LARGE_NEGATIVE if score_b == 0.0 else -score_f / score_b
     return 0.0
-
-
-def _classify(
-    policy: Policy, records: list[SolverRecord], scores: tuple[float, float] | None = None
-) -> RunStatus:
-    """Status of a generated instance from the policy's solver records."""
-    return classify_run(
-        GenOutcome.SOLUTION.value,
-        records,
-        campaign="graded" if isinstance(policy, GradedPolicy) else "discriminating",
-        t_min=policy.t_min,
-        types=policy.types,
-        scores=scores,
-    )
-
-
-def graded_penalty(record: SolverRecord, policy: GradedPolicy) -> float:
-    """Penalty of the (effective) record: -1 when graded, else 0."""
-    return status_penalty(_classify(policy, [record]))
 
 
 def discriminating_scores(
@@ -200,14 +203,6 @@ def discriminating_scores(
         comparable_from_record(base, problem_kind),
     )
     return pair.score_a, pair.score_b
-
-
-def discriminating_penalty(
-    favoured: SolverRecord, base: SolverRecord, policy: DiscriminatingPolicy
-) -> float:
-    """Penalty of the pair: the negated score ratio when dis-found, else 0."""
-    scores = discriminating_scores(favoured, base, policy.problem.kind)
-    return status_penalty(_classify(policy, [favoured, base], scores), scores)
 
 
 def evaluate_configuration(
@@ -229,12 +224,10 @@ def evaluate_configuration(
     if gen.outcome is not GenOutcome.SOLUTION:
         unsolved = RunStatus.GENERATOR_UNSOLVED
         return EvaluationResult(status_penalty(unsolved, outcome=gen.outcome), unsolved, gen.outcome)
-    instance = gen.instance
-    assert instance is not None
-
+    assert gen.instance is not None
     if isinstance(policy, GradedPolicy):
-        return _evaluate_graded(instance, policy, limits, seed, gen.outcome)
-    return _evaluate_discriminating(instance, policy, limits, seed, gen.outcome)
+        return _evaluate_graded(gen.instance, policy, limits, seed)
+    return _evaluate_discriminating(gen.instance, policy, limits, seed)
 
 
 def _run_and_verify(
@@ -254,7 +247,6 @@ def _evaluate_graded(
     policy: GradedPolicy,
     limits: EvaluationLimits,
     seed: int,
-    outcome: GenOutcome,
 ) -> EvaluationResult:
     run_seed = derive_seed(seed, instance.id, policy.solver.name)
     record = _run_and_verify(
@@ -273,11 +265,11 @@ def _evaluate_graded(
             derive_seed(seed, instance.id, "oracle"),
         )
         effective = effective_graded_record(record, oracle_result)
-    status = _classify(policy, [effective])
+    status = policy.classify(effective)
     return EvaluationResult(
         status_penalty(status),
         status,
-        outcome,
+        GenOutcome.SOLUTION,
         instance=instance,
         records={policy.solver.name: effective},
         oracle=oracle_result,
@@ -289,7 +281,6 @@ def _evaluate_discriminating(
     policy: DiscriminatingPolicy,
     limits: EvaluationLimits,
     seed: int,
-    outcome: GenOutcome,
 ) -> EvaluationResult:
     favoured, base = (
         _run_and_verify(
@@ -298,11 +289,11 @@ def _evaluate_discriminating(
         for s in (policy.favoured, policy.base)
     )
     scores = discriminating_scores(favoured, base, policy.problem.kind)
-    status = _classify(policy, [favoured, base], scores)
+    status = policy.classify(favoured, base, scores)
     return EvaluationResult(
         status_penalty(status, scores),
         status,
-        outcome,
+        GenOutcome.SOLUTION,
         instance=instance,
         records={policy.favoured.name: favoured, policy.base.name: base},
         scores=scores,

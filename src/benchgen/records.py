@@ -6,8 +6,10 @@ in order, each with an optional default. ``Record`` then gives it what
 keyword (calling ``__post_init__`` when the class defines one), value
 ``__eq__`` between instances of the same class, the same ``__repr__`` text,
 and, for ``class X(Record, frozen=True)``, ``__hash__`` and refusal of
-assignment. A record that is not frozen is unhashable. Every annotation in
-the class body is a field.
+assignment. As under a frozen dataclass, that hash is the fields' hash, so
+hashing a frozen record with an unhashable field (``GeneratorConfiguration``
+and its dict ``assignment``) raises ``TypeError``. A record that is not
+frozen is unhashable. Every annotation in the class body is a field.
 
 Nothing is compiled per class: the methods are the same functions for
 every record, driven by the field table built when the class is defined.

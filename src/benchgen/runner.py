@@ -1,4 +1,4 @@
-"""Running solvers on candidate instances and classifying the outcome.
+"""Running solvers on candidate instances, and the statuses of a run.
 
 A SolverAdapter names either a builtin toy solver or an external command
 template. Every run, the oracle's included, takes its memory cap, run
@@ -283,63 +283,3 @@ def measure_time_to_best(
         if objective == optimum:
             return stamp
     return None
-
-
-def instance_type(record: SolverRecord) -> str | None:
-    """SAT / UNSAT as witnessed by a record, None when undetermined."""
-    if record.status is Status.SAT or (
-        record.status is Status.TIMEOUT and record.solution is not None
-    ):
-        return "SAT"
-    if record.status is Status.UNSAT:
-        return "UNSAT"
-    return None
-
-
-def classify_run(
-    generator_outcome: str,
-    records: Sequence[SolverRecord],
-    *,
-    campaign: str,
-    t_min: float,
-    types: frozenset[str] | set[str] = frozenset(("SAT", "UNSAT")),
-    scores: tuple[float, float] | None = None,
-) -> RunStatus:
-    """Total, deterministic mapping of one evaluation to a RunStatus.
-
-    ``generator_outcome`` is the GenOutcome value string ("solution",
-    "unsat", "translate_timeout", "solve_timeout"). For graded campaigns
-    ``records`` holds the single solver record (already adjusted to its
-    effective time for local search); for discriminating campaigns it is
-    (favoured, base) and ``scores`` the already-computed pair scores. The
-    band needs only ``t_min``: a run that reaches ``t_max`` is a timeout.
-    """
-    if generator_outcome != "solution":
-        return RunStatus.GENERATOR_UNSOLVED
-
-    if campaign == "graded":
-        (record,) = records
-        kind = instance_type(record)
-        if record.status is Status.ERROR or record.solution_ok is False:
-            return RunStatus.OTHERS
-        if record.status is Status.TIMEOUT:
-            return RunStatus.TOO_DIFFICULT
-        if record.time < t_min:
-            return RunStatus.TOO_EASY_UNSAT if kind == "UNSAT" else RunStatus.TOO_EASY_SAT
-        if kind is None or kind not in types:
-            return RunStatus.OTHERS
-        return RunStatus.GRADED
-
-    favoured, base = records
-    if favoured.status in (Status.TIMEOUT, Status.ERROR) or favoured.solution_ok is False:
-        return RunStatus.FAVOURED_TIMEOUT
-    kind = instance_type(favoured)
-    if kind is None or kind not in types:
-        return RunStatus.WRONG_TYPE
-    if base.time < t_min:
-        return RunStatus.BASE_TOO_EASY
-    assert scores is not None, "discriminating classification needs the pair scores"
-    score_f, score_b = scores
-    if score_f > 0:
-        return RunStatus.DIS_FOUND
-    return RunStatus.ZERO_SCORES

@@ -10,6 +10,15 @@ import pytest
 from benchgen.archive import CampaignArchive
 from benchgen.csp import GroundedCsp, Search, SolveStatus, backtrack_solve
 from benchgen.errors import EvalError, ValidationError
+from benchgen.evaluate import (
+    EvaluationLimits,
+    EvaluationResult,
+    GradedPolicy,
+    Policy,
+    discriminating_scores,
+    evaluate_configuration,
+    status_penalty,
+)
 from benchgen.expressions import (
     AllDifferent,
     And,
@@ -27,9 +36,10 @@ from benchgen.expressions import (
     Sum,
     Value,
 )
-from benchgen.gensolve import CandidateInstance
+from benchgen.gensolve import CandidateInstance, GenOutcome, SolutionHistory
+from benchgen.model import parse_model
 from benchgen.problems import KnapsackData
-from benchgen.space import GeneratorConfiguration, ParameterSpace
+from benchgen.space import GeneratorConfiguration, ParameterSpace, parse_space
 from benchgen.valuetext import format_value
 
 
@@ -53,6 +63,31 @@ def make_configuration(space: ParameterSpace, assignment: dict[str, int]) -> Gen
                 f"parameter {spec.name}={v} outside [{spec.lower}, {spec.upper}]"
             )
     return GeneratorConfiguration(assignment=dict(assignment))
+
+
+def penalty_of(policy, *records) -> float:
+    """The penalty an evaluation derives from its solver records: the one
+    record of a graded policy, or the favoured then the base record."""
+    if isinstance(policy, GradedPolicy):
+        return status_penalty(policy.classify(*records))
+    scores = discriminating_scores(*records, policy.problem.kind)
+    return status_penalty(policy.classify(*records, scores), scores)
+
+
+def evaluate_generator(outcome: GenOutcome, policy: Policy) -> EvaluationResult:
+    """Evaluate a configuration whose generator search ends in ``outcome``:
+    an unsatisfiable model, a zero translate or solve limit, or a solution."""
+    space = parse_space("n: 1..1")
+    text = "var x : int 1..3" + ("\nconstraint x = 0" if outcome is GenOutcome.UNSAT else "")
+    limits = EvaluationLimits(
+        translate_limit=0.0 if outcome is GenOutcome.TRANSLATE_TIMEOUT else 5.0,
+        solve_limit=0.0 if outcome is GenOutcome.SOLVE_TIMEOUT else 5.0,
+        mem_limit=None,
+    )
+    config = GeneratorConfiguration({"n": 1})
+    result = evaluate_configuration(parse_model(space, text), config, SolutionHistory(), policy, limits)
+    assert result.generator_outcome is outcome
+    return result
 
 
 def tuner_log(archive: CampaignArchive) -> str:

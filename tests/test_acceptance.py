@@ -18,12 +18,10 @@ from benchgen.evaluate import (
     DiscriminatingPolicy,
     EvaluationLimits,
     GradedPolicy,
-    discriminating_penalty,
     discriminating_scores,
     effective_graded_record,
     evaluate_configuration,
-    generator_penalty,
-    graded_penalty,
+    status_penalty,
 )
 from benchgen.gensolve import GenOutcome, SolutionHistory
 from benchgen.model import parse_model
@@ -34,7 +32,6 @@ from benchgen.runner import (
     SolverAdapter,
     SolverRecord,
     Status,
-    classify_run,
     oracle_optimum,
     run_solver,
     verify_record,
@@ -43,7 +40,14 @@ from benchgen.scoring import ComparableRecord, borda_complete, comparable_from_r
 from benchgen.space import parse_space
 from benchgen.tuner import TunerConfig, friedman_eliminate
 
-from conftest import exclusion_key, make_configuration, naive_borda_totals, tuner_log
+from conftest import (
+    evaluate_generator,
+    exclusion_key,
+    make_configuration,
+    naive_borda_totals,
+    penalty_of,
+    tuner_log,
+)
 from test_tuner import reference_statistic
 
 KNAPSACK = get_problem("knapsack")
@@ -79,18 +83,25 @@ def test_acceptance_algorithm_truth_tables():
     checked = 0
 
     # Generator-outcome penalties: infeasible/untranslatable discard, search timeout scores 1.
+    in_band = GradedPolicy(
+        problem=KNAPSACK, solver=SolverAdapter(name="s", builtin="synthetic:20"),
+        t_min=10.0, t_max=100.0,
+    )
     for outcome, expected in [
         (GenOutcome.UNSAT, PLUS_INFINITY),
         (GenOutcome.TRANSLATE_TIMEOUT, PLUS_INFINITY),
         (GenOutcome.SOLVE_TIMEOUT, 1.0),
         (GenOutcome.SOLUTION, None),
     ]:
-        assert generator_penalty(outcome) == expected or (
-            expected is None and generator_penalty(outcome) is None
-        )
-        if expected is not None:
-            status = classify_run(outcome.value, [], campaign="graded", t_min=10)
-            assert status is RunStatus.GENERATOR_UNSOLVED
+        result = evaluate_generator(outcome, in_band)
+        if expected is None:
+            # A solution owes nothing for the generator: the policy's verdict decides.
+            assert result.status is RunStatus.GRADED
+            assert result.penalty == status_penalty(result.status, outcome=outcome) == -1.0
+        else:
+            assert status_penalty(RunStatus.GENERATOR_UNSOLVED, outcome=outcome) == expected
+            assert result.status is RunStatus.GENERATOR_UNSOLVED
+            assert result.penalty == expected
         checked += 1
 
     # Gradedness gates, t_min=10, t_max=100.
@@ -119,10 +130,8 @@ def test_acceptance_algorithm_truth_tables():
             t_max=100.0,
             types=types,
         )
-        assert graded_penalty(record, policy) == expected_penalty
-        status = classify_run(
-            "solution", [record], campaign="graded", t_min=10.0, types=types
-        )
+        assert penalty_of(policy, record) == expected_penalty
+        status = policy.classify(record)
         assert status is expected_status, (record.status, types)
         checked += 1
 
@@ -167,15 +176,11 @@ def test_acceptance_algorithm_truth_tables():
             t_max=100.0,
             types=types,
         )
-        penalty = discriminating_penalty(favoured, base, policy)
+        penalty = penalty_of(policy, favoured, base)
         assert penalty == pytest.approx(expected_penalty, abs=1e-12), (
             favoured.status, base.status, types,
         )
-        status = classify_run(
-            "solution", [favoured, base], campaign="discriminating",
-            t_min=10.0, types=types,
-            scores=discriminating_scores(favoured, base, KNAPSACK.kind),
-        )
+        status = policy.classify(favoured, base, discriminating_scores(favoured, base, KNAPSACK.kind))
         assert status is expected_status, (favoured.status, base.status, types)
         checked += 1
 
@@ -375,6 +380,9 @@ def test_acceptance_local_search_gradedness():
     hill = SolverAdapter(name="hc", builtin="hillclimb", kind="local_search")
     t_max = 1.0
     t_min = 1e-6
+    policy = GradedPolicy(
+        problem=KNAPSACK, solver=hill, t_min=t_min, t_max=t_max, oracle=oracle_adapter
+    )
     for trial in range(20):
         n = rng.randint(2, 6)
         instance = {
@@ -389,9 +397,7 @@ def test_acceptance_local_search_gradedness():
         effective = effective_graded_record(record, oracle)
         if effective.time_to_best is not None:
             assert effective.time_to_best <= record.time + 1e-6
-        status = classify_run(
-            "solution", [effective], campaign="graded", t_min=t_min
-        )
+        status = policy.classify(effective)
         if effective.status is Status.SAT:
             in_band = t_min <= effective.time
             assert status is (RunStatus.GRADED if in_band else RunStatus.TOO_EASY_SAT)

@@ -200,7 +200,7 @@ def test_resume_still_rejects_corrupt_middle_record(tmp_path, generator_model_te
     lines = evals.read_text().splitlines(keepends=True)
     lines[3] = lines[3][:25] + "\n"
     evals.write_text("".join(lines))
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ArchiveError, match="evals.jsonl line 4: not a JSON object"):
         run(tmp_path / "camp", budget=30, resume=True, model_text=generator_model_text)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -570,3 +571,80 @@ def test_a_duplicated_seq_is_rejected_by_every_reader(workspace, capsys):
                     ["report", str(out)], ["check", str(out)]):
         assert main(command) == 2, command
         assert capsys.readouterr().err == f"error: {evals} line 6: seq 5 is not the record's position 6\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b'{"seq": 4, "stat', b"[4]", b"null", b'{"seq": 4, "note": "\xff"}'],
+    ids=["not-json", "array", "null", "not-utf-8"],
+)
+def test_a_corrupt_record_line_is_reported_by_report_and_check(workspace, capsys, line):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    evals = out / "records" / "evals.jsonl"
+    lines = evals.read_bytes().splitlines(keepends=True)
+    lines[3] = line + b"\n"
+    evals.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    for command in (["report", str(out)], ["check", str(out)]):
+        assert main(command) == 2, command
+        assert capsys.readouterr().err == f"error: {evals} line 4: not a JSON object\n"
+
+
+DEFAULTS_INI = """
+[space]
+cap_t: 1..50
+
+[generator]
+model: knapsack.gen
+
+[campaign]
+kind = graded
+problem = knapsack
+solver = band
+t_min = 2
+t_max = 5
+
+[solver.band]
+builtin = synthetic:capacity / 10
+"""
+
+
+def test_tune_given_no_budget_seed_workers_or_limits_records_the_defaults(tmp_path, capsys):
+    (tmp_path / "knapsack.gen").write_text(GENERATOR_MODEL)
+    (tmp_path / "campaign.ini").write_text(DEFAULTS_INI)
+    out = tmp_path / "camp"
+    assert main(["tune", str(tmp_path / "campaign.ini"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "config.json").read_text()) == {
+        "campaign": "graded",
+        "problem": "knapsack",
+        "solver": {"name": "band", "kind": "complete", "builtin": "synthetic:capacity / 10", "command": None},
+        "t_min": 2.0,
+        "t_max": 5.0,
+        "types": ["SAT", "UNSAT"],
+        "oracle": None,
+        "oracle_budget": None,
+        "seed": 0,
+        "total_budget": 2000,
+        "limits": {"translate_limit": 300.0, "solve_limit": 600.0, "mem_limit": 8 * 1024**3},
+    }
+
+
+@pytest.mark.parametrize("flags, mem_limit", [([], 8 * 1024**3), (["--mem-limit", "none"], None),
+                                              (["--mem-limit", "512M"], 512 * 1024**2)])
+def test_evaluate_caps_memory_at_8g_unless_told(workspace, capsys, monkeypatch, flags, mem_limit):
+    graded = fabricate_graded_archive(workspace / "graded", "band", [{"status": "graded"}] * 3)
+    combined = workspace / "combined.json"
+    assert main(["combine", str(graded.root), "--k", "3", "--seed", "3", "--out", str(combined)]) == 0
+    seen = []
+
+    def evaluate_combined(combined, solvers, problem, **kwargs):
+        seen.append(kwargs["limits"])
+        return types.SimpleNamespace(ranking=lambda: [], flagged={})
+
+    monkeypatch.setattr(benchgen.cli, "evaluate_combined", evaluate_combined)
+    assert main(["evaluate", str(combined), "--solvers", "exact", *flags]) == 0
+    capsys.readouterr()
+    assert [limits.mem_limit for limits in seen] == [mem_limit]

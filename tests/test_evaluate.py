@@ -14,11 +14,9 @@ from benchgen.evaluate import (
     DiscriminatingPolicy,
     EvaluationLimits,
     GradedPolicy,
-    discriminating_penalty,
     discriminating_scores,
     effective_graded_record,
     evaluate_configuration,
-    graded_penalty,
 )
 from benchgen.gensolve import GenOutcome, SolutionHistory
 from benchgen.model import parse_model
@@ -26,7 +24,7 @@ from benchgen.problems import get_problem
 from benchgen.runner import OracleResult, RunStatus, SolverAdapter, SolverRecord, Status
 from benchgen.space import parse_space
 
-from conftest import exclusion_key, make_configuration
+from conftest import exclusion_key, make_configuration, penalty_of
 
 KNAPSACK = get_problem("knapsack")
 FAST_LIMITS = EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None)
@@ -87,20 +85,20 @@ def test_policy_invariants():
 
 def test_graded_penalty_gates():
     policy = graded_policy()
-    assert graded_penalty(record(Status.SAT, 5.0), policy) == 0.0
-    assert graded_penalty(record(Status.UNSAT, 60.0), graded_policy(types=frozenset({"SAT"}))) == 0.0
-    assert graded_penalty(record(Status.SAT, 60.0), policy) == -1.0
-    assert graded_penalty(record(Status.TIMEOUT, 1200.0), policy) == 0.0
-    assert graded_penalty(record(Status.ERROR, 0.5), policy) == 0.0
-    assert graded_penalty(record(Status.SAT, 60.0, solution_ok=False), policy) == 0.0
-    assert graded_penalty(record(Status.UNSAT, 60.0), policy) == -1.0
+    assert penalty_of(policy, record(Status.SAT, 5.0)) == 0.0
+    assert penalty_of(graded_policy(types=frozenset({"SAT"})), record(Status.UNSAT, 60.0)) == 0.0
+    assert penalty_of(policy, record(Status.SAT, 60.0)) == -1.0
+    assert penalty_of(policy, record(Status.TIMEOUT, 1200.0)) == 0.0
+    assert penalty_of(policy, record(Status.ERROR, 0.5)) == 0.0
+    assert penalty_of(policy, record(Status.SAT, 60.0, solution_ok=False)) == 0.0
+    assert penalty_of(policy, record(Status.UNSAT, 60.0)) == -1.0
 
 
 def test_discriminating_penalty_sentinel_on_base_shutout():
     policy = dis_policy()
     favoured = record(Status.SAT, 20.0, objective=5, optimal=True, solution={"take": [1]}, solution_ok=True)
     base = record(Status.TIMEOUT, 1200.0)
-    assert discriminating_penalty(favoured, base, policy) == LARGE_NEGATIVE
+    assert penalty_of(policy, favoured, base) == LARGE_NEGATIVE
 
 
 def test_discriminating_penalty_time_split_ratio():
@@ -108,23 +106,23 @@ def test_discriminating_penalty_time_split_ratio():
     favoured = record(Status.SAT, 10.0, objective=5, solution={"take": [1]}, solution_ok=True)
     base = record(Status.SAT, 30.0, objective=5, solution={"take": [1]}, solution_ok=True)
     # Scores (0.75, 0.25) by the time split, so the ratio penalty is -3.
-    assert discriminating_penalty(favoured, base, policy) == pytest.approx(-3.0)
+    assert penalty_of(policy, favoured, base) == pytest.approx(-3.0)
 
 
 def test_discriminating_penalty_base_too_easy():
     policy = dis_policy(t_min=10.0)
     favoured = record(Status.SAT, 20.0, objective=5, solution={"take": [1]}, solution_ok=True)
     base = record(Status.SAT, 4.0, objective=5, solution={"take": [1]}, solution_ok=True)
-    assert discriminating_penalty(favoured, base, policy) == 0.0
+    assert penalty_of(policy, favoured, base) == 0.0
 
 
 def test_discriminating_penalty_favoured_timeout_or_wrong_type():
     policy = dis_policy(types=frozenset({"UNSAT"}))
     favoured_sat = record(Status.SAT, 20.0, objective=5, solution={"take": [1]}, solution_ok=True)
     base = record(Status.SAT, 30.0, objective=5, solution={"take": [1]}, solution_ok=True)
-    assert discriminating_penalty(favoured_sat, base, policy) == 0.0  # wrong type
+    assert penalty_of(policy, favoured_sat, base) == 0.0  # wrong type
     favoured_to = record(Status.TIMEOUT, 1200.0)
-    assert discriminating_penalty(favoured_to, base, dis_policy()) == 0.0
+    assert penalty_of(dis_policy(), favoured_to, base) == 0.0
 
 
 def test_discriminating_monotone_in_base_time():
@@ -133,7 +131,7 @@ def test_discriminating_monotone_in_base_time():
     penalties = []
     for base_time in (12.0, 20.0, 50.0, 200.0, 1000.0):
         base = record(Status.SAT, base_time, objective=5, solution={"take": [1]}, solution_ok=True)
-        penalties.append(discriminating_penalty(favoured, base, policy))
+        penalties.append(penalty_of(policy, favoured, base))
     assert penalties == sorted(penalties, reverse=True)
 
 
@@ -349,9 +347,9 @@ def test_derived_penalties_match_the_gates_bit_for_bit():
     for types in VERDICT_TYPES:
         graded = graded_policy(t_min=10.0, t_max=100.0, types=types)
         for rec in records:
-            assert repr(graded_penalty(rec, graded)) == repr(_gated_graded_penalty(rec, graded)), rec
+            assert repr(penalty_of(graded, rec)) == repr(_gated_graded_penalty(rec, graded)), rec
         dis = dis_policy(t_min=10.0, t_max=100.0, types=types)
         for favoured, base in itertools.product(records, records):
-            got = discriminating_penalty(favoured, base, dis)
+            got = penalty_of(dis, favoured, base)
             want = _gated_discriminating_penalty(favoured, base, dis)
             assert repr(got) == repr(want), (favoured, base, types)

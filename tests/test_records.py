@@ -101,6 +101,8 @@ VALID = {
         "base": SolverAdapter(name="b", builtin="exact"), "types": frozenset({"SAT"}),
     },
     ComparableRecord: {"solved": True, "optimal": False, "quality": 3, "time": 0.5, "kind": "maximise"},
+    # Frozen but unhashable, as its twin is: the assignment is a dict.
+    GeneratorConfiguration: {"assignment": {"n": 1}},
 }
 
 

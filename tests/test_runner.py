@@ -11,6 +11,8 @@ import pytest
 
 import benchgen
 from benchgen.errors import ValidationError
+from benchgen.evaluate import PLUS_INFINITY, DiscriminatingPolicy, GradedPolicy
+from benchgen.gensolve import GenOutcome
 from benchgen.problems import get_problem
 from benchgen.runner import (
     EvaluationLimits,
@@ -18,13 +20,14 @@ from benchgen.runner import (
     SolverAdapter,
     SolverRecord,
     Status,
-    classify_run,
     measure_time_to_best,
     oracle_optimum,
     run_solver,
     verify_record,
 )
 from benchgen.scoring import comparable_from_record
+
+from conftest import evaluate_generator
 
 KNAPSACK = get_problem("knapsack")
 DECISION = get_problem("knapsack_decision")
@@ -212,26 +215,40 @@ def make_record(status, t, solution_ok=None, solution=None):
     return SolverRecord(status, t, solution=solution, solution_ok=solution_ok)
 
 
+def graded(t_min=10.0, types=frozenset({"SAT", "UNSAT"})):
+    return GradedPolicy(
+        problem=KNAPSACK, solver=SolverAdapter(name="one", builtin="synthetic:1"),
+        t_min=t_min, t_max=1200.0, types=types,
+    )
+
+
 def test_classify_generator_failures():
-    for outcome in ("unsat", "translate_timeout", "solve_timeout"):
-        status = classify_run(outcome, [], campaign="graded", t_min=10)
-        assert status is RunStatus.GENERATOR_UNSOLVED
+    # A generator that yields no instance is unsolved under either policy,
+    # discarded when infeasible or untranslatable, and scored 1 on a search timeout.
+    discriminating = DiscriminatingPolicy(
+        problem=KNAPSACK, favoured=SolverAdapter(name="f", builtin="synthetic:1"),
+        base=SolverAdapter(name="b", builtin="synthetic:2"), t_min=10.0, t_max=1200.0,
+    )
+    for outcome, penalty in (
+        (GenOutcome.UNSAT, PLUS_INFINITY),
+        (GenOutcome.TRANSLATE_TIMEOUT, PLUS_INFINITY),
+        (GenOutcome.SOLVE_TIMEOUT, 1.0),
+    ):
+        for policy in (graded(), discriminating):
+            result = evaluate_generator(outcome, policy)
+            assert result.status is RunStatus.GENERATOR_UNSOLVED, (outcome, policy)
+            assert result.penalty == penalty, (outcome, policy)
+            assert result.instance is None and result.records == {}
 
 
 def test_classify_graded_bands():
-    assert classify_run("solution", [make_record(Status.SAT, 3.0)],
-                        campaign="graded", t_min=10) is RunStatus.TOO_EASY_SAT
-    assert classify_run("solution", [make_record(Status.UNSAT, 3.0)],
-                        campaign="graded", t_min=10) is RunStatus.TOO_EASY_UNSAT
-    assert classify_run("solution", [make_record(Status.SAT, 120.0)],
-                        campaign="graded", t_min=10) is RunStatus.GRADED
-    assert classify_run("solution", [make_record(Status.TIMEOUT, 1200.0)],
-                        campaign="graded", t_min=10) is RunStatus.TOO_DIFFICULT
-    assert classify_run("solution", [make_record(Status.ERROR, 1.0)],
-                        campaign="graded", t_min=10) is RunStatus.OTHERS
+    assert graded().classify(make_record(Status.SAT, 3.0)) is RunStatus.TOO_EASY_SAT
+    assert graded().classify(make_record(Status.UNSAT, 3.0)) is RunStatus.TOO_EASY_UNSAT
+    assert graded().classify(make_record(Status.SAT, 120.0)) is RunStatus.GRADED
+    assert graded().classify(make_record(Status.TIMEOUT, 1200.0)) is RunStatus.TOO_DIFFICULT
+    assert graded().classify(make_record(Status.ERROR, 1.0)) is RunStatus.OTHERS
     mismatch = make_record(Status.SAT, 120.0, solution_ok=False)
-    assert classify_run("solution", [mismatch],
-                        campaign="graded", t_min=10) is RunStatus.OTHERS
+    assert graded().classify(mismatch) is RunStatus.OTHERS
 
 
 def test_classification_partitions_fuzzed_runs():
@@ -246,13 +263,14 @@ def test_classification_partitions_fuzzed_runs():
         make_record(Status.ERROR, 0.1),
         make_record(Status.SAT, 50.0, solution_ok=False),
     ]
-    for outcome in ("solution", "unsat", "solve_timeout"):
+    for types in (frozenset({"SAT"}), frozenset({"SAT", "UNSAT"})):
+        policy = graded(types=types)
+        for outcome in (GenOutcome.UNSAT, GenOutcome.SOLVE_TIMEOUT):
+            statuses.add(evaluate_generator(outcome, policy).status)
         for record in records:
-            for types in (frozenset({"SAT"}), frozenset({"SAT", "UNSAT"})):
-                status = classify_run(outcome, [record], campaign="graded",
-                                      t_min=10, types=types)
-                assert isinstance(status, RunStatus)
-                statuses.add(status)
+            status = policy.classify(record)
+            assert isinstance(status, RunStatus)
+            statuses.add(status)
     graded_statuses = {
         RunStatus.GENERATOR_UNSOLVED, RunStatus.GRADED, RunStatus.TOO_DIFFICULT,
         RunStatus.TOO_EASY_SAT, RunStatus.TOO_EASY_UNSAT, RunStatus.OTHERS,
