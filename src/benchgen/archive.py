@@ -301,8 +301,3 @@ def graded_instance_ids(archive: CampaignArchive) -> list[str]:
         if entry["status"] == RunStatus.GRADED.value and entry.get("instance_id"):
             out.append(entry["instance_id"])
     return out
-
-
-def discriminating_entries(archive: CampaignArchive) -> list[dict[str, Any]]:
-    """Evaluations classified dis-found (their penalty is negative)."""
-    return [e for e in archive.evaluations() if e["status"] == RunStatus.DIS_FOUND.value]

@@ -13,8 +13,8 @@ import threading
 from pathlib import Path
 from typing import Any
 
-# Re-exported: callers also import the two archive queries from here.
-from .archive import CampaignArchive, discriminating_entries, graded_instance_ids, lock_archive
+# Re-exported: callers also import graded_instance_ids from here.
+from .archive import CampaignArchive, graded_instance_ids, lock_archive
 from .errors import ArchiveError
 from .evaluate import (
     EvaluationLimits,

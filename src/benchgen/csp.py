@@ -1,5 +1,8 @@
 """Finite-domain CSP representation and chronological backtracking search.
 
+A CSP variable is a position of the assignment vector with an ascending
+domain; only the constraints and ``decode`` know what it stands for.
+
 The search contract is fixed: variables are assigned in declaration order,
 values ascending, and the first satisfying assignment is returned. Each
 constraint is one predicate that says whether an assignment refutes it,
@@ -24,7 +27,7 @@ import time
 from enum import Enum
 from typing import Any, Callable
 
-from .records import Record, field
+from .records import Record
 
 Assignment = list  # list[int | None], indexed by CSP variable position
 
@@ -35,11 +38,6 @@ class SolveStatus(Enum):
     TIMEOUT = "timeout"
 
 
-class CspVariable(Record, frozen=True):
-    name: str
-    domain: tuple[int, ...]  # ascending
-
-
 class CspConstraint(Record, frozen=True):
     scope: tuple[int, ...]  # CSP variable indices, ascending
     # True when the assignment refutes the constraint: exactly once the
@@ -48,10 +46,10 @@ class CspConstraint(Record, frozen=True):
 
 
 class GroundedCsp(Record):
-    variables: list[CspVariable]
+    domains: list[tuple[int, ...]]  # one per CSP variable, each ascending
     constraints: list[CspConstraint]
     # Rebuilds structured decision values from a full assignment vector.
-    decode: Callable[[Assignment], dict[str, Any]] = field(default=lambda a: {})
+    decode: Callable[[Assignment], dict[str, Any]]
 
 
 class Search:
@@ -59,15 +57,14 @@ class Search:
 
     ``assignment`` holds the values of levels ``0..depth``; ``tried[i]``
     counts the values of level i's domain tried so far, so the next one is
-    ``domains[i][tried[i]]``. ``depth`` is -1 once the tree is exhausted.
+    ``csp.domains[i][tried[i]]``. ``depth`` is -1 once the tree is exhausted.
     ``found`` counts the solutions returned. Only one thread may step a
     search at a time; the CSP itself holds no search state.
     """
 
     def __init__(self, csp: GroundedCsp):
-        n = len(csp.variables)
+        n = len(csp.domains)
         self.csp = csp
-        self.domains = [v.domain for v in csp.variables]
         # checks[i]: the predicates to ask once level i is assigned.
         self.checks: list[list[Callable[[Assignment], bool]]] = [[] for _ in range(n)]
         for c in csp.constraints:
@@ -99,7 +96,7 @@ def backtrack_solve(search: Search, time_limit: float) -> BacktrackResult:
     if time_limit <= 0:
         return BacktrackResult(SolveStatus.TIMEOUT, None, 0, monotonic() - start)
     deadline = start + time_limit
-    domains, checks = search.domains, search.checks
+    domains, checks = search.csp.domains, search.checks
     assignment, tried = search.assignment, search.tried
     n = len(domains)
     depth = search.depth

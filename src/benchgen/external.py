@@ -44,10 +44,27 @@ REQUIRED_PLACEHOLDERS = ("{model}", "{instance}", "{time_limit_ms}")
 MEM_LIMITER = "sh -c 'ulimit -v $(({mem_limit_bytes} / 1024)) 2>/dev/null; exec \"$@\"' sh"
 
 
+# What str.format and shlex.split raise on a malformed template or prefix:
+# an unknown {name}, a stray brace, a bad field or format spec, an open quote.
+_MALFORMED = (KeyError, IndexError, AttributeError, TypeError, ValueError)
+
+
+def _argv(template: str, model: str, instance: str, time_limit_ms: int, seed: int) -> list[str]:
+    return shlex.split(
+        template.format(model=model, instance=instance, time_limit_ms=time_limit_ms, seed=seed)
+    )
+
+
 def validate_command_template(template: str) -> None:
+    """Raise ValidationError unless the template has the required
+    placeholders, formats with sample values and splits as a command line."""
     missing = [p for p in REQUIRED_PLACEHOLDERS if p not in template]
     if missing:
         raise ValidationError(f"command template missing placeholders: {missing}")
+    try:
+        _argv(template, "problem.model", "instance.inst", 1000, 0)
+    except _MALFORMED as err:
+        raise ValidationError(f"bad command template {template!r}: {err!r}") from None
 
 
 def _parse_blocks(
@@ -114,23 +131,20 @@ def run_external_command(
     ``MEM_LIMITER`` when no prefix is set.
     """
     try:
-        command = template.format(
-            model=model_path,
-            instance=instance_path,
-            time_limit_ms=int(time_limit * 1000),
-            seed=seed,
-        )
-    except (KeyError, IndexError) as err:
+        argv = _argv(template, model_path, instance_path, int(time_limit * 1000), seed)
+    except _MALFORMED as err:
         return SolverRecord(Status.ERROR, 0.0, note=f"bad command template: {err!r}")
-    argv = shlex.split(command)
     if not limiter_prefix and mem_limit is not None:
         limiter_prefix = MEM_LIMITER
     if limiter_prefix:
-        prefix = limiter_prefix.format(
-            mem_limit_bytes=mem_limit or 0,
-            mem_limit_mb=(mem_limit or 0) // (1024 * 1024),
-        )
-        argv = shlex.split(prefix) + argv
+        try:
+            prefix = limiter_prefix.format(
+                mem_limit_bytes=mem_limit or 0,
+                mem_limit_mb=(mem_limit or 0) // (1024 * 1024),
+            )
+            argv = shlex.split(prefix) + argv
+        except _MALFORMED as err:
+            return SolverRecord(Status.ERROR, 0.0, note=f"bad limiter prefix: {err!r}")
 
     start = time.monotonic()
     timed_lines: list[tuple[float, str]] = []

@@ -1,30 +1,33 @@
 """Grounding of an instantiated generator model into a finite-domain CSP.
 
-Integer variables become one CSP variable each, arrays one per element,
-and sets one 0/1 membership variable per universe element (ascending, so
-value-order search tries the empty set first). Each model constraint is
-compiled (``expressions``), once per grounding, to one predicate over the
-assignment vector that says whether the assignment refutes it. Each name
-is resolved when the predicate is built (a parameter to a constant
-interval, a decision variable to a reader of its slots), so the search
-pays only for interval arithmetic. While the constraint's scope is
-incomplete the predicate is best effort: it refutes only what the
-interval bounds rule out, and a conjunct it cannot bound refutes
-nothing. Once the last slot of the scope is assigned every bound is a
-point and the verdict is exact: a conjunct that still cannot be bounded
-(an index out of range or not an integer, a division by zero, arithmetic
-on a comparison) counts as violated, as it does in ``check_assignment``.
+Each decision variable is declared once (``_declare``): it takes a run of
+slots of the assignment vector, with their domains, and a term that reads
+them. An integer takes one slot, an array one per element, and a set one
+0/1 membership slot per universe element (ascending, so value-order
+search tries the empty set first). Each model constraint is compiled
+(``expressions``), once per grounding, to one predicate over the
+assignment vector that says whether the assignment refutes it, with each
+name resolved when the predicate is built (a parameter to a constant
+interval, a decision variable to its term), so the search pays only for
+interval arithmetic. While the constraint's scope is incomplete the
+predicate is best effort: it refutes only what the interval bounds rule
+out, and a conjunct it cannot bound refutes nothing. Once the last slot
+of the scope is assigned every bound is a point and the verdict is exact:
+a conjunct that still cannot be bounded (an index out of range or not an
+integer, a division by zero, arithmetic on a comparison) counts as
+violated, as it does in ``check_assignment``. A solution is decoded
+through the same terms: on a full assignment an int cell reads ``(v, v)``
+and a set cell reads its members exactly.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
-from .csp import CspConstraint, CspVariable, GroundedCsp
+from .csp import CspConstraint, GroundedCsp
 from .expressions import Interval, Reader, _constant, _refuter, _SetBounds, _Term, names_in
 from .model import GeneratorModel, InstantiatedVar, instantiate
-from .records import Record
 from .space import GeneratorConfiguration
 
 
@@ -36,34 +39,6 @@ class TranslateTimeout(Exception):
 # treating them as a translation failure mirrors the discard-immediately
 # penalty for configurations too large to go through the pipeline.
 MAX_CSP_CELLS = 2_000_000
-
-
-class _Layout(Record, frozen=True):
-    iv: InstantiatedVar
-    start: int
-    count: int
-
-    @property
-    def universe(self) -> range:
-        return range(self.iv.lower, self.iv.upper + 1)
-
-
-def _value_env(layouts: Sequence[_Layout], assignment: Sequence[int | None]) -> dict[str, Any]:
-    """The decision values of a full assignment, by variable name."""
-    env: dict[str, Any] = {}
-    for lay in layouts:
-        iv = lay.iv
-        if iv.kind == "int":
-            cells = list(assignment[lay.start : lay.start + lay.count])
-        else:
-            width = len(lay.universe)
-            offsets = [lay.start + i * width for i in range(1 if iv.length is None else iv.length)]
-            cells = [
-                {u for u, bit in zip(lay.universe, assignment[o : o + width]) if bit == 1}
-                for o in offsets
-            ]
-        env[iv.name] = cells[0] if iv.length is None else cells
-    return env
 
 
 def _cell(index: int, lo: int, hi: int) -> Reader:
@@ -86,33 +61,23 @@ def _set_cell(offset: int, universe: range) -> Reader:
     return read
 
 
-def _terms(params: Mapping[str, int], layouts: Sequence[_Layout]) -> dict[str, _Term]:
-    """What each name reads: a parameter is a constant interval, a decision
-    variable reads its slots of the assignment vector."""
-    terms = {name: _constant(v) for name, v in params.items()}
-    for lay in layouts:
-        iv = lay.iv
-        if iv.kind == "int":
-            if iv.length is None:
-                terms[iv.name] = _Term("num", _cell(lay.start, iv.lower, iv.upper))
-            else:
-                slots = range(lay.start, lay.start + iv.length)
-                terms[iv.name] = _Term(
-                    "num[]",
-                    items=tuple(_cell(i, iv.lower, iv.upper) for i in slots),
-                    cells=(slots, iv.lower, iv.upper),
-                )
-        elif iv.length is None:
-            terms[iv.name] = _Term("set", _set_cell(lay.start, lay.universe))
-        else:
-            width = len(lay.universe)
-            terms[iv.name] = _Term(
-                "set[]",
-                items=tuple(
-                    _set_cell(lay.start + i * width, lay.universe) for i in range(iv.length)
-                ),
-            )
-    return terms
+def _declare(iv: InstantiatedVar, start: int) -> tuple[list[tuple[int, ...]], _Term]:
+    """The domains of one decision variable's slots, the first at ``start``,
+    and the term that reads them."""
+    universe = range(iv.lower, iv.upper + 1)
+    count = 1 if iv.length is None else iv.length
+    if iv.kind == "int":
+        items = tuple(_cell(start + i, iv.lower, iv.upper) for i in range(count))
+        domains = [tuple(universe)] * count
+        kind, cells = "num", (range(start, start + count), iv.lower, iv.upper)
+    else:
+        width = len(universe)
+        items = tuple(_set_cell(start + i * width, universe) for i in range(count))
+        domains = [(0, 1)] * (width * count)
+        kind, cells = "set", None
+    if iv.length is None:
+        return domains, _Term(kind, items[0])
+    return domains, _Term(kind + "[]", items=items, cells=cells)
 
 
 def ground(
@@ -133,7 +98,6 @@ def ground(
 
     check_deadline()
     instantiated = instantiate(model, config)
-    params = dict(config.assignment)
 
     total_cells = 0
     for iv in instantiated:
@@ -143,51 +107,35 @@ def ground(
         if total_cells > MAX_CSP_CELLS:
             raise TranslateTimeout
 
-    layouts: list[_Layout] = []
-    variables: list[CspVariable] = []
+    terms = {name: _constant(v) for name, v in config.assignment.items()}
+    slots: dict[str, range] = {}
+    domains: list[tuple[int, ...]] = []
     for iv in instantiated:
         check_deadline()
-        start = len(variables)
-        if iv.kind == "int":
-            domain = tuple(range(iv.lower, iv.upper + 1))
-            count = iv.length if iv.length is not None else 1
-            if iv.length is None:
-                variables.append(CspVariable(iv.name, domain))
-            else:
-                for i in range(iv.length):
-                    variables.append(CspVariable(f"{iv.name}[{i + 1}]", domain))
-        else:
-            universe = list(range(iv.lower, iv.upper + 1))
-            width = len(universe)
-            count = width * (iv.length if iv.length is not None else 1)
-            if iv.length is None:
-                for u in universe:
-                    variables.append(CspVariable(f"{iv.name}{{{u}}}", (0, 1)))
-            else:
-                for i in range(iv.length):
-                    for u in universe:
-                        variables.append(CspVariable(f"{iv.name}[{i + 1}]{{{u}}}", (0, 1)))
-        layouts.append(_Layout(iv, start, count))
-
-    by_name = {lay.iv.name: lay for lay in layouts}
-    lookup = _terms(params, layouts).__getitem__
+        declared, terms[iv.name] = _declare(iv, len(domains))
+        slots[iv.name] = range(len(domains), len(domains) + len(declared))
+        domains += declared
 
     constraints: list[CspConstraint] = []
     for cexpr in model.constraints:
         check_deadline()
-        referenced = [by_name[n] for n in sorted(names_in(cexpr)) if n in by_name]
-        scope = tuple(
-            sorted(idx for lay in referenced for idx in range(lay.start, lay.start + lay.count))
-        )
+        scope = tuple(sorted(i for name in names_in(cexpr) if name in slots for i in slots[name]))
         constraints.append(
-            CspConstraint(scope, _refuter(cexpr, lookup, scope[-1] if scope else None))
+            CspConstraint(scope, _refuter(cexpr, terms.__getitem__, scope[-1] if scope else None))
         )
 
-    def decode(assignment: Sequence[int | None]) -> dict[str, Any]:
-        return _value_env(layouts, assignment)
+    decisions = [(iv, terms[iv.name]) for iv in instantiated]
 
-    return GroundedCsp(
-        variables=variables,
-        constraints=constraints,
-        decode=decode,
-    )
+    def decode(x: Sequence[int | None]) -> dict[str, Any]:
+        def value(read: Reader, kind: str) -> Any:
+            bounds = read(x)
+            return bounds[0] if kind == "int" else set(bounds[1])
+
+        return {
+            iv.name: value(term.read, iv.kind)
+            if iv.length is None
+            else [value(r, iv.kind) for r in term.items]
+            for iv, term in decisions
+        }
+
+    return GroundedCsp(domains, constraints, decode)

@@ -46,12 +46,7 @@ class CombinedSet(Record):
     k: int
 
     def all_instance_ids(self) -> list[str]:
-        seen: list[str] = []
-        for label in self.selections:
-            for iid in self.selections[label]:
-                if iid not in seen:
-                    seen.append(iid)
-        return seen
+        return list(dict.fromkeys(iid for ids in self.selections.values() for iid in ids))
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -169,10 +164,11 @@ def evaluate_combined(
 
     Each solver is named once. Solutions are re-checked; answers failing
     verification are flagged and score as unsolved. Per-run failures
-    become error records and never abort the evaluation. With ``out_dir``
-    set, records and score tables are written there, and external runs
-    keep their files in its ``runs`` directory unless ``limits.workdir``
-    names another.
+    become error records and never abort the evaluation. Raises
+    ArchiveError when two sources hold different instances under one id.
+    With ``out_dir`` set, records and score tables are written there, and
+    external runs keep their files in its ``runs`` directory unless
+    ``limits.workdir`` names another.
     """
     if not t_max > 0:
         raise ValidationError(f"t_max must be positive, got {t_max}")
@@ -183,11 +179,19 @@ def evaluate_combined(
     if out_dir is not None and limits.workdir is None:
         limits = replace(limits, workdir=str(Path(out_dir) / "runs"))
     archives = {label: CampaignArchive.open(path) for label, path in combined.sources.items()}
+    # An instance id is unique within its campaign only: sources may share
+    # an id, and they must then share the instance.
     values_by_id: dict[str, dict[str, Any]] = {}
+    first_source: dict[str, str] = {}
     for label, ids in combined.selections.items():
         for iid in ids:
-            if iid not in values_by_id:
-                values_by_id[iid] = archives[label].instance_values(iid)
+            values = archives[label].instance_values(iid)
+            if values_by_id.setdefault(iid, values) != values:
+                raise ArchiveError(
+                    f"instance {iid} differs between {combined.sources[first_source[iid]]} "
+                    f"and {combined.sources[label]}"
+                )
+            first_source.setdefault(iid, label)
 
     instance_ids = combined.all_instance_ids()
     records: dict[tuple[str, str], SolverRecord] = {}

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from scipy import stats
 
-from benchgen.campaign import discriminating_entries, graded_instance_ids, run_campaign
+from benchgen.campaign import graded_instance_ids, run_campaign
 from benchgen.evaluate import (
     LARGE_NEGATIVE,
     PLUS_INFINITY,
@@ -357,7 +357,7 @@ def test_acceptance_closed_loop_discriminating(tmp_path):
             out, SPACE_TEXT, MODEL_TEXT, policy,
             TunerConfig(total_budget=300, seed=53), FAST_LIMITS,
         )
-        found = discriminating_entries(result.archive)
+        found = [e for e in result.archive.evaluations() if e["status"] == RunStatus.DIS_FOUND.value]
         assert len(found) >= 10, f"only {len(found)} discriminating instances"
         for entry in found:
             capacity = result.archive.instance_values(entry["instance_id"])["capacity"]

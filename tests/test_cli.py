@@ -276,6 +276,28 @@ def test_malformed_synthetic_latency_is_reported_before_the_campaign(workspace, 
     assert not (workspace / "camp").exists()
 
 
+@pytest.mark.parametrize(
+    "command, reason",
+    [
+        ("solve {model} {instance} {time_limit_ms} {", "Single '{'"),
+        ('solve "{model} {instance} {time_limit_ms}', "No closing quotation"),
+        ("solve {model} {instance} {time_limit_ms} {seeed}", "KeyError('seeed')"),
+    ],
+    ids=["stray-brace", "open-quote", "unknown-placeholder"],
+)
+def test_malformed_command_template_is_reported_before_the_campaign(workspace, capsys, command, reason):
+    config = workspace / "campaign.ini"
+    text = config.read_text()
+    assert "solver = band" in text
+    text = text.replace("solver = band", "solver = ext") + f"\n[solver.ext]\ncommand = {command}\n"
+    config.write_text(text)
+    assert main(["tune", str(config), "--out", str(workspace / "camp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad command template ") and reason in err
+    assert len(err.splitlines()) == 1
+    assert not (workspace / "camp").exists()
+
+
 @pytest.mark.parametrize("t_max", ["-1", "0", "nan"])
 def test_evaluate_with_a_t_max_that_is_not_positive_is_reported(workspace, capsys, t_max):
     combined = combined_set(workspace)

@@ -20,7 +20,6 @@ from benchgen import gensolve
 from benchgen.archive import CampaignArchive
 from benchgen.csp import (
     CspConstraint,
-    CspVariable,
     GroundedCsp,
     Search,
     SolveStatus,
@@ -42,9 +41,8 @@ from conftest import (
 
 
 def simple_csp(n_vars=2, domain=(1, 2), constraints=()):
-    variables = [CspVariable(f"v{i}", tuple(domain)) for i in range(n_vars)]
     return GroundedCsp(
-        variables=variables,
+        domains=[tuple(domain)] * n_vars,
         constraints=list(constraints),
         decode=lambda a: {f"v{i}": a[i] for i in range(n_vars)},
     )
@@ -74,7 +72,6 @@ def test_zero_time_limit_times_out():
 
 
 def queens_csp(n):
-    variables = [CspVariable(f"q{i}", tuple(range(n))) for i in range(n)]
     constraints = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -84,7 +81,7 @@ def queens_csp(n):
                 return refutes
             constraints.append(CspConstraint(scope=(i, j), refutes=make()))
     return GroundedCsp(
-        variables=variables,
+        domains=[tuple(range(n))] * n,
         constraints=constraints,
         decode=lambda a: {"q": list(a)},
     )
@@ -254,9 +251,54 @@ def test_canonical_text_deterministic():
 
 def test_grounding_variable_order_is_declaration_order():
     space = parse_space("n: 1..1")
-    model = parse_model(space, "var b : int 1..2\nvar a : int 1..2")
+    model = parse_model(space, "var b : int 1..2\nvar a : int 3..5")
     csp = ground(model, make_configuration(space, {"n": 1}))
-    assert [v.name for v in csp.variables] == ["b", "a"]
+    assert csp.domains == [(1, 2), (3, 4, 5)]
+
+
+def test_grounding_edge_shapes_decode_to_every_solution_in_lex_order():
+    # With n = 0, a and t are zero-length arrays; e is a set over an empty
+    # universe and u an array of sets.
+    space = parse_space("n: 0..1")
+    model = parse_model(space, "\n".join([
+        "var a[n] : int 1..2",
+        "var t[n] : set of 1..2",
+        "var e : set of 1..0",
+        "var u[2] : set of 1..2",
+        "var x : int 0..2",
+        "constraint x in u[1]",
+        "constraint |e| + sum(a) <= x",
+    ]))
+
+    def elements(iv):  # one element's values, in search order
+        if iv.kind == "int":
+            return list(range(iv.lower, iv.upper + 1))
+        universe = range(iv.lower, iv.upper + 1)
+        return [
+            {u for u, bit in zip(universe, bits) if bit}
+            for bits in itertools.product((0, 1), repeat=len(universe))
+        ]
+
+    def values(iv):
+        if iv.length is None:
+            return elements(iv)
+        return [list(p) for p in itertools.product(elements(iv), repeat=iv.length)]
+
+    for n in (0, 1):
+        config = make_configuration(space, {"n": n})
+        ivs = instantiate(model, config)
+        candidates = [
+            {iv.name: v for iv, v in zip(ivs, combo)}
+            for combo in itertools.product(*(values(iv) for iv in ivs))
+        ]
+        expected = [v for v in candidates if reference_check(model, config, v)]
+        solutions = enumerate_solutions(ground(model, config))
+        assert solutions == expected and solutions
+        for s in solutions:
+            assert type(s["e"]) is set and s["e"] == set()
+            assert len(s["u"]) == 2 and all(type(m) is set for m in s["u"])
+            if n == 0:
+                assert s["a"] == [] and s["t"] == []
 
 
 # -- continued searches: however a search resumes, the sequence is the same --

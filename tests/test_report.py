@@ -6,9 +6,10 @@ import tempfile
 
 import pytest
 
+from benchgen.campaign import run_campaign
 from benchgen.cli import main
 from benchgen.errors import ArchiveError
-from benchgen.evaluate import EvaluationLimits
+from benchgen.evaluate import EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
 from benchgen.report import (
     TABLES,
@@ -22,6 +23,7 @@ from benchgen.report import (
 )
 from benchgen.runner import SolverAdapter
 from benchgen.scoring import comparable_from_record
+from benchgen.tuner import TunerConfig
 
 from conftest import fabricate_graded_archive, naive_borda_totals
 
@@ -172,6 +174,36 @@ def test_evaluate_combined_matches_naive_reference(tmp_path):
     )
     for name, total in expected.items():
         assert result.borda.totals[name] == pytest.approx(total, abs=1e-12)
+
+
+def test_an_id_shared_by_two_sources_must_name_one_instance(tmp_path):
+    # An instance id is unique within its campaign only: two campaigns over
+    # one space share their ids, and with different models their instances.
+    limits = EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None)
+
+    def campaign(name, constraint):
+        model = (
+            "var capacity : int 1..50\nvar weight[2] : int 1..9\nvar value[2] : int 1..9\n"
+            f"constraint capacity = cap_t\nconstraint {constraint}\n"
+        )
+        solver = SolverAdapter(name=name, builtin="synthetic:3")
+        policy = GradedPolicy(problem=KNAPSACK, solver=solver, t_min=2.0, t_max=5.0)
+        return run_campaign(
+            tmp_path / name, "cap_t: 1..3", model, policy, TunerConfig(total_budget=12, seed=5), limits
+        ).archive
+
+    a, a2 = campaign("a", "weight[1] <= 1"), campaign("a2", "weight[1] <= 1")
+    b = campaign("b", "weight[1] >= 6")
+    solvers = [SolverAdapter(name="exact", builtin="exact")]
+    differing = build_combined_set([a, b], k=12, seed=1)
+    shared = set(differing.selections["a"]) & set(differing.selections["b"])
+    assert shared
+    with pytest.raises(ArchiveError, match=f"instance g[0-9a-f]+-[0-9]{{4}} differs between {a.root} and {b.root}"):
+        evaluate_combined(differing, solvers, KNAPSACK, t_max=5.0, limits=limits)
+    # Equal instances under one id stay one instance.
+    equal = build_combined_set([a, a2], k=12, seed=1)
+    result = evaluate_combined(equal, solvers, KNAPSACK, t_max=5.0, limits=limits)
+    assert len(equal.all_instance_ids()) == len(equal.selections["a"]) == len(result.records)
 
 
 def test_evaluate_combined_flags_buggy_solver(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 import benchgen
 from benchgen.errors import ValidationError
 from benchgen.evaluate import PLUS_INFINITY, DiscriminatingPolicy, GradedPolicy
+from benchgen.external import run_external_command
 from benchgen.gensolve import GenOutcome
 from benchgen.problems import get_problem
 from benchgen.runner import (
@@ -49,6 +50,40 @@ def test_adapter_validation():
         SolverAdapter(name="x", command="no placeholders at all")
     with pytest.raises(ValidationError):
         SolverAdapter(name="x", builtin="exact", kind="psychic")
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "solve {model} {instance} {time_limit_ms} {",
+        'solve "{model} {instance} {time_limit_ms}',
+        "solve {model} {instance} {time_limit_ms} {seeed}",
+        "solve {model} {instance} {time_limit_ms} {seed:s}",
+        "solve {model} {instance} {time_limit_ms} {seed.x}",
+    ],
+    ids=["stray-brace", "open-quote", "unknown-placeholder", "bad-format-spec", "bad-field"],
+)
+def test_malformed_command_template_is_refused_by_its_adapter(template):
+    with pytest.raises(ValidationError, match="bad command template"):
+        SolverAdapter(name="x", command=template)
+
+
+@pytest.mark.parametrize(
+    "template, prefix, note",
+    [
+        ("solve {model} {instance} {time_limit_ms} {", None, "bad command template"),
+        ('solve "{model} {instance} {time_limit_ms}', None, "bad command template"),
+        ("true {model} {instance} {time_limit_ms}", "env CAP={mem_limit_gb}", "bad limiter prefix"),
+        ("true {model} {instance} {time_limit_ms}", "sh -c 'ulimit", "bad limiter prefix"),
+    ],
+    ids=["stray-brace", "open-quote", "prefix-unknown-placeholder", "prefix-open-quote"],
+)
+def test_malformed_template_or_prefix_is_an_error_record_not_raised(tmp_path, template, prefix, note):
+    record = run_external_command(
+        template, str(tmp_path / "m"), str(tmp_path / "i"), 5.0, mem_limit=1 << 30, limiter_prefix=prefix
+    )
+    assert record.status is Status.ERROR
+    assert record.note.startswith(note)
 
 
 def test_builtin_trivial_instance_sat_quickly():
