@@ -25,42 +25,15 @@ from .evaluate import (
 )
 from .gensolve import SolutionHistory
 from .model import parse_model
-from .records import Record, replace
-from .runner import RunStatus, SolverAdapter
+from .records import Record, replace, to_jsonable
+from .runner import RunStatus
 from .space import GeneratorConfiguration, parse_space
 from .tuner import EvalLogEntry, TunerConfig, TunerReport, run_tuning
 
 
-def adapter_to_jsonable(adapter: SolverAdapter) -> dict[str, Any]:
-    return {
-        "name": adapter.name,
-        "kind": adapter.kind,
-        "builtin": adapter.builtin,
-        "command": adapter.command,
-    }
-
-
 def policy_meta(policy: Policy) -> dict[str, Any]:
-    if isinstance(policy, GradedPolicy):
-        return {
-            "campaign": "graded",
-            "problem": policy.problem.name,
-            "solver": adapter_to_jsonable(policy.solver),
-            "t_min": policy.t_min,
-            "t_max": policy.t_max,
-            "types": sorted(policy.types),
-            "oracle": adapter_to_jsonable(policy.oracle) if policy.oracle else None,
-            "oracle_budget": policy.oracle_budget,
-        }
-    return {
-        "campaign": "discriminating",
-        "problem": policy.problem.name,
-        "favoured": adapter_to_jsonable(policy.favoured),
-        "base": adapter_to_jsonable(policy.base),
-        "t_min": policy.t_min,
-        "t_max": policy.t_max,
-        "types": sorted(policy.types),
-    }
+    kind = "graded" if isinstance(policy, GradedPolicy) else "discriminating"
+    return {"campaign": kind, **to_jsonable(policy), "problem": policy.problem.name}
 
 
 class CampaignResult(Record):
@@ -155,12 +128,7 @@ def run_campaign(
             "scores": list(result.scores) if result.scores else None,
         }
         if result.oracle is not None:
-            record["oracle"] = {
-                "optimum": result.oracle.optimum,
-                "proved": result.oracle.proved,
-                "time": result.oracle.time,
-                "infeasible": result.oracle.infeasible,
-            }
+            record["oracle"] = to_jsonable(result.oracle)
         archive.add_evaluation(record)
 
     lock = lock_archive(out_dir)  # held until this returns

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable, Collection, Mapping, Sequence, Union
 
 from .errors import EvalError, ParseError
-from .records import Record
+from .records import Record, field_names
 
 Value = Union[int, Fraction, list, set]
 
@@ -243,28 +243,13 @@ def parse_expression(text: str) -> Expr:
 
 def names_in(expr: Expr) -> set[str]:
     """All identifiers referenced by the expression."""
+    if isinstance(expr, Name):
+        return {expr.name}
     out: set[str] = set()
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Name):
-            out.add(node.name)
-        elif isinstance(node, IntLit):
-            pass
-        elif isinstance(node, (Card, Sum, MinOf, MaxOf, Neg, AllDifferent)):
-            walk(node.arg)
-        elif isinstance(node, Index):
-            walk(node.base)
-            walk(node.index)
-        elif isinstance(node, (BinOp, Compare, And)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, InSet):
-            walk(node.item)
-            walk(node.container)
-        else:
-            raise EvalError(f"unknown AST node {node!r}")
-
-    walk(expr)
+    for name in field_names(expr):
+        child = getattr(expr, name)
+        if isinstance(child, Record):
+            out |= names_in(child)
     return out
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import shlex
 import signal
+import string
 import subprocess
 import tempfile
 import threading
@@ -36,7 +37,7 @@ UNSAT_MARK = "=====UNSATISFIABLE====="
 
 KILL_GRACE_SECONDS = 2.0
 
-REQUIRED_PLACEHOLDERS = ("{model}", "{instance}", "{time_limit_ms}")
+REQUIRED_PLACEHOLDERS = ("model", "instance", "time_limit_ms")
 
 # Limiter prefix used when none is configured: caps the address space
 # (RLIMIT_AS, in KB for ulimit) and execs the command. A cap the system
@@ -56,15 +57,16 @@ def _argv(template: str, model: str, instance: str, time_limit_ms: int, seed: in
 
 
 def validate_command_template(template: str) -> None:
-    """Raise ValidationError unless the template has the required
-    placeholders, formats with sample values and splits as a command line."""
-    missing = [p for p in REQUIRED_PLACEHOLDERS if p not in template]
-    if missing:
-        raise ValidationError(f"command template missing placeholders: {missing}")
+    """Raise ValidationError unless the template formats with sample values,
+    splits as a command line and has a field for each required placeholder."""
     try:
         _argv(template, "problem.model", "instance.inst", 1000, 0)
     except _MALFORMED as err:
         raise ValidationError(f"bad command template {template!r}: {err!r}") from None
+    fields = {name for _, name, _, _ in string.Formatter().parse(template)}
+    missing = ["{%s}" % name for name in REQUIRED_PLACEHOLDERS if name not in fields]
+    if missing:
+        raise ValidationError(f"command template missing placeholders: {missing}")
 
 
 def _parse_blocks(

@@ -14,12 +14,20 @@ frozen is unhashable. Every annotation in the class body is a field.
 Nothing is compiled per class: the methods are the same functions for
 every record, driven by the field table built when the class is defined.
 So defining a record costs microseconds, and importing this module loads
-nothing beyond ``operator``. ``replace`` and ``field_names`` stand in for
+nothing beyond ``operator`` and ``enum``. ``replace`` and ``field_names`` stand in for
 ``dataclasses.replace`` and ``dataclasses.fields``.
+
+A record's JSON form is its fields: ``to_jsonable`` makes a record an
+object of its fields in declaration order, an enum its value, a set or
+frozenset its sorted list, a tuple or list a list, and a dict a dict key
+by key; anything else passes through. The archive's policy block, solver
+records and combined sets are written this way, so adding a field to one
+of those records adds it to the archive.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, TypeVar
 
@@ -148,3 +156,18 @@ def replace(record: R, /, **changes: Any) -> R:
 def field_names(record: Record | type[Record]) -> tuple[str, ...]:
     """The field names of a record or record class, in order."""
     return record._fields
+
+
+def to_jsonable(value: Any) -> Any:
+    """The JSON form of a value, by the rule in the module docstring."""
+    if isinstance(value, Record):
+        return {name: to_jsonable(v) for name, v in zip(value._fields, value._key(value))}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_jsonable(v) for k, v in value.items()}
+    return value

@@ -22,7 +22,7 @@ from typing import Any, Iterable, Sequence
 from .archive import CampaignArchive, graded_instance_ids
 from .errors import ArchiveError, ValidationError
 from .problems import Problem
-from .records import Record, replace
+from .records import Record, replace, to_jsonable
 from .runner import (
     EvaluationLimits,
     RunStatus,
@@ -40,25 +40,17 @@ class EmptyArchive(Warning):
 
 
 class CombinedSet(Record):
-    selections: dict[str, list[str]]  # source label -> instance ids
-    sources: dict[str, str]  # source label -> archive path
     seed: int
     k: int
+    sources: dict[str, str]  # source label -> archive path
+    selections: dict[str, list[str]]  # source label -> instance ids
 
     def all_instance_ids(self) -> list[str]:
         return list(dict.fromkeys(iid for ids in self.selections.values() for iid in ids))
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "k": self.k,
-            "sources": self.sources,
-            "selections": self.selections,
-        }
-
     def save(self, path: str | Path) -> None:
         try:
-            Path(path).write_text(json.dumps(self.to_jsonable(), indent=2))
+            Path(path).write_text(json.dumps(to_jsonable(self), indent=2))
         except OSError as exc:
             raise ArchiveError(f"cannot write the combined set {path}: {exc}") from exc
 
@@ -88,7 +80,7 @@ class CombinedSet(Record):
         elif not all(type(data[key]) is int for key in ("seed", "k")):
             why = "seed and k must be integers"
         else:
-            return cls(selections, sources, data["seed"], data["k"])
+            return cls(data["seed"], data["k"], sources, selections)
         raise ArchiveError(f"{path} is not a combined set: {why}")
 
 
@@ -318,14 +310,8 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], list[tuple]]:
 
 
 def write_borda_json(path: str | Path, table: BordaTable) -> None:
-    data = {
-        "solvers": table.solvers,
-        "instances": table.instances,
-        "totals": table.totals,
-        "cells": [
-            {"solver": s, "instance": i, "score": v} for (s, i), v in sorted(table.cells.items())
-        ],
-    }
+    cells = [{"solver": s, "instance": i, "score": v} for (s, i), v in sorted(table.cells.items())]
+    data = {**to_jsonable(table), "cells": cells}
     Path(path).write_text(json.dumps(data, indent=2))
 
 

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 
 from .errors import CheckError, ParseError, ValidationError
 from .problems import Problem
-from .records import Record, field, replace
+from .records import Record, field, field_names, replace, to_jsonable
 from .valuetext import format_values, values_from_jsonable, values_to_jsonable
 
 
@@ -138,32 +138,15 @@ class SolverRecord(Record):
     note: str = ""
 
     def to_jsonable(self, solver: str) -> dict[str, Any]:
-        return {
-            "solver": solver,
-            "status": self.status.value,
-            "time": self.time,
-            "objective": self.objective,
-            "optimal_claimed": self.optimal_claimed,
-            "solution": values_to_jsonable(self.solution),
-            "time_to_best": self.time_to_best,
-            "trace": [[t, o] for t, o in self.trace],
-            "solution_ok": self.solution_ok,
-            "note": self.note,
-        }
+        return {"solver": solver, **to_jsonable(self), "solution": values_to_jsonable(self.solution)}
 
     @classmethod
     def from_jsonable(cls, data: Mapping[str, Any]) -> "SolverRecord":
-        return cls(
-            status=Status(data["status"]),
-            time=data["time"],
-            objective=data["objective"],
-            optimal_claimed=data["optimal_claimed"],
-            solution=values_from_jsonable(data["solution"]),
-            time_to_best=data["time_to_best"],
-            trace=[(t, o) for t, o in data["trace"]],
-            solution_ok=data["solution_ok"],
-            note=data.get("note", ""),
-        )
+        fields = {name: data[name] for name in field_names(cls) if name != "note"}
+        fields["status"] = Status(data["status"])
+        fields["solution"] = values_from_jsonable(data["solution"])
+        fields["trace"] = [(t, o) for t, o in data["trace"]]
+        return cls(**fields, note=data.get("note", ""))
 
 
 class OracleResult(Record, frozen=True):

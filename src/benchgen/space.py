@@ -40,10 +40,6 @@ class ParameterSpec(Record, frozen=True):
                 f"parameter {self.name}: lower bound {self.lower} exceeds upper {self.upper}"
             )
 
-    @property
-    def width(self) -> int:
-        return self.upper - self.lower + 1
-
 
 class ParameterSpace(Record, frozen=True):
     """Ordered, non-empty collection of parameter specs with unique names."""

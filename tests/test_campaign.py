@@ -122,6 +122,7 @@ def test_campaign_graded_instances_live_in_band(tmp_path, generator_model_text):
 def test_policy_meta_roundtrip():
     graded = banded_policy()
     meta = json.loads(json.dumps(policy_meta(graded)))
+    assert list(meta) == ["campaign", *field_names(graded)]
     assert meta["campaign"] == "graded" and meta["problem"] == "knapsack"
     assert meta["solver"]["builtin"] == graded.solver.builtin
     assert meta["t_min"] == graded.t_min
@@ -134,6 +135,7 @@ def test_policy_meta_roundtrip():
         t_max=4.0,
     )
     meta = json.loads(json.dumps(policy_meta(dis)))
+    assert list(meta) == ["campaign", *field_names(dis)]
     assert meta["campaign"] == "discriminating"
     assert meta["favoured"]["name"] == "f" and meta["base"]["name"] == "b"
 

@@ -238,6 +238,36 @@ def combined_set(workspace: Path) -> Path:
     return path
 
 
+PINNED_COMBINED = """{
+  "seed": 3,
+  "k": 3,
+  "sources": {
+    "band": "TMP/a",
+    "band#2": "TMP/b"
+  },
+  "selections": {
+    "band": [
+      "gfake0000-0000",
+      "gfake0001-0000",
+      "gfake0002-0000"
+    ],
+    "band#2": [
+      "gfake0000-0000",
+      "gfake0001-0000"
+    ]
+  }
+}"""
+
+
+def test_combine_writes_combined_json_pinned_byte_for_byte(tmp_path, capsys):
+    a = fabricate_graded_archive(tmp_path / "a", "band", [{"status": "graded"}] * 4)
+    b = fabricate_graded_archive(tmp_path / "b", "band", [{"status": "graded"}] * 2 + [{"status": "too-easy-SAT"}])
+    out = tmp_path / "combined.json"
+    assert main(["combine", str(a.root), str(b.root), "--k", "3", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text().replace(str(tmp_path), "TMP") == PINNED_COMBINED
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -639,7 +669,8 @@ def test_tune_given_no_budget_seed_workers_or_limits_records_the_defaults(tmp_pa
     out = tmp_path / "camp"
     assert main(["tune", str(tmp_path / "campaign.ini"), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert json.loads((out / "config.json").read_text()) == {
+    # As text, so the order of the keys is pinned too.
+    assert (out / "config.json").read_text() == json.dumps({
         "campaign": "graded",
         "problem": "knapsack",
         "solver": {"name": "band", "kind": "complete", "builtin": "synthetic:capacity / 10", "command": None},
@@ -651,7 +682,7 @@ def test_tune_given_no_budget_seed_workers_or_limits_records_the_defaults(tmp_pa
         "seed": 0,
         "total_budget": 2000,
         "limits": {"translate_limit": 300.0, "solve_limit": 600.0, "mem_limit": 8 * 1024**3},
-    }
+    }, indent=2)
 
 
 @pytest.mark.parametrize("flags, mem_limit", [([], 8 * 1024**3), (["--mem-limit", "none"], None),

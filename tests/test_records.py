@@ -10,6 +10,7 @@ same arguments, and must agree on everything ``@dataclass`` promised.
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import benchgen
 from benchgen.errors import ValidationError
 from benchgen.evaluate import DiscriminatingPolicy, GradedPolicy
 from benchgen.problems import get_problem
-from benchgen.records import Record, field, field_names, replace
-from benchgen.runner import SolverAdapter
+from benchgen.records import Record, field, field_names, replace, to_jsonable
+from benchgen.runner import SolverAdapter, Status
 from benchgen.scoring import ComparableRecord
 from benchgen.space import GeneratorConfiguration, ParameterSpace, ParameterSpec
 from benchgen.tuner import TunerConfig
@@ -255,3 +256,26 @@ def test_class_definition_is_checked_as_under_dataclass():
     assert field_names(Point) == ("x", "y", "seen")
     assert repr(Point(1)).endswith("<locals>.Point(x=1, y=0, seen=())")
     assert Point(1) == Point(1, 0, ()) != Point(1, 0, (5,)) and {Point(1): 1}[Point(1, seen=())] == 1
+
+
+def test_to_jsonable_gives_a_record_its_fields_in_declaration_order():
+    class Inner(Record, frozen=True):
+        status: Status
+        types: frozenset
+
+    class Outer(Record):
+        z: Inner
+        a: tuple
+        m: dict
+        none: object = None
+
+    outer = Outer(Inner(Status.SAT, frozenset({"UNSAT", "SAT"})), (1, (2, 3)), {"k": Inner(Status.ERROR, frozenset())})
+    form = to_jsonable(outer)
+    assert form == {
+        "z": {"status": "sat", "types": ["SAT", "UNSAT"]},
+        "a": [1, [2, 3]],
+        "m": {"k": {"status": "error", "types": []}},
+        "none": None,
+    }
+    assert list(form) == list(field_names(Outer)) and list(form["z"]) == list(field_names(Inner))
+    assert json.loads(json.dumps(form)) == form

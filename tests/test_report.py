@@ -79,7 +79,7 @@ def test_combined_set_deterministic_and_roundtrips(tmp_path):
     assert c1.selections == c2.selections
     path = tmp_path / "combined.json"
     c1.save(path)
-    assert CombinedSet.load(path).to_jsonable() == c1.to_jsonable()
+    assert CombinedSet.load(path) == c1
 
 
 def test_status_frequencies_fractions(tmp_path):

@@ -53,19 +53,29 @@ def test_adapter_validation():
 
 
 @pytest.mark.parametrize(
-    "template",
+    "template, message",
     [
-        "solve {model} {instance} {time_limit_ms} {",
-        'solve "{model} {instance} {time_limit_ms}',
-        "solve {model} {instance} {time_limit_ms} {seeed}",
-        "solve {model} {instance} {time_limit_ms} {seed:s}",
-        "solve {model} {instance} {time_limit_ms} {seed.x}",
+        ("solve {model} {instance} {time_limit_ms} {", "bad command template"),
+        ('solve "{model} {instance} {time_limit_ms}', "bad command template"),
+        ("solve {model} {instance} {time_limit_ms} {seeed}", "bad command template"),
+        ("solve {model} {instance} {time_limit_ms} {seed:s}", "bad command template"),
+        ("solve {model} {instance} {time_limit_ms} {seed.x}", "bad command template"),
+        ("solve {{model}} {instance} {time_limit_ms}", r"missing placeholders: \['\{model\}'\]"),
     ],
-    ids=["stray-brace", "open-quote", "unknown-placeholder", "bad-format-spec", "bad-field"],
+    ids=["stray-brace", "open-quote", "unknown-placeholder", "bad-format-spec", "bad-field", "escaped-brace"],
 )
-def test_malformed_command_template_is_refused_by_its_adapter(template):
-    with pytest.raises(ValidationError, match="bad command template"):
+def test_malformed_command_template_is_refused_by_its_adapter(template, message):
+    with pytest.raises(ValidationError, match=message):
         SolverAdapter(name="x", command=template)
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["solve {model} {instance} {time_limit_ms:d}", "solve {model!s} {instance} {time_limit_ms}"],
+    ids=["format-spec", "conversion"],
+)
+def test_placeholder_with_a_spec_or_conversion_is_accepted(template):
+    assert SolverAdapter(name="x", command=template).command == template
 
 
 @pytest.mark.parametrize(
