@@ -74,6 +74,15 @@ def lock_archive(root: str | Path) -> int:
     return fd
 
 
+def make_dir(path: Path) -> Path:
+    """Create directory ``path`` if it is missing; ``ArchiveError`` names it if that fails."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ArchiveError(f"cannot create {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 class CampaignArchive:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -160,7 +169,14 @@ class CampaignArchive:
 
     @property
     def meta(self) -> dict[str, Any]:
-        return json.loads((self.root / "config.json").read_text())
+        path = self.root / "config.json"
+        try:
+            meta = json.loads(path.read_bytes())
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ArchiveError(f"{path}: not a JSON object")
+        return meta
 
     def write_meta(self, meta: Mapping[str, Any]) -> None:
         """Replace config.json through a temporary file and a rename, so a
@@ -289,9 +305,7 @@ class CampaignArchive:
 
     @property
     def reports_dir(self) -> Path:
-        path = self.root / "reports"
-        path.mkdir(exist_ok=True)
-        return path
+        return make_dir(self.root / "reports")
 
 
 def graded_instance_ids(archive: CampaignArchive) -> list[str]:

@@ -12,6 +12,7 @@ Rendering is left to downstream tooling.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from collections import Counter
@@ -19,7 +20,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Sequence
 
-from .archive import CampaignArchive, graded_instance_ids
+from .archive import CampaignArchive, graded_instance_ids, make_dir
 from .errors import ArchiveError, ValidationError
 from .problems import Problem
 from .records import Record, replace, to_jsonable
@@ -186,6 +187,8 @@ def evaluate_combined(
             first_source.setdefault(iid, label)
 
     instance_ids = combined.all_instance_ids()
+    if out_dir is not None:
+        make_dir(Path(out_dir))  # before the first run, so a bad --out loses none
     records: dict[tuple[str, str], SolverRecord] = {}
     flagged: dict[str, int] = {s.name: 0 for s in solvers}
     answered: dict[str, int] = {s.name: 0 for s in solvers}
@@ -213,21 +216,14 @@ def evaluate_combined(
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "combined_evals.jsonl", "w") as fh:
-            for (sname, iid), record in sorted(records.items()):
-                fh.write(
-                    json.dumps(
-                        {"solver": sname, "instance": iid, "record": record.to_jsonable(sname)}
-                    )
-                    + "\n"
-                )
+        write_file(out / "combined_evals.jsonl", "".join(
+            json.dumps({"solver": sname, "instance": iid, "record": record.to_jsonable(sname)}) + "\n"
+            for (sname, iid), record in sorted(records.items())
+        ))
         rows = pair_rows(comparables, solver_names, instance_ids)
         write_table(out / "pair_scores.csv", TABLES["pair_scores.csv"], rows)
         write_borda_json(out / "borda.json", table)
-        (out / "flags.json").write_text(
-            json.dumps({"flagged": flagged, "answered": answered}, indent=2)
-        )
+        write_file(out / "flags.json", json.dumps({"flagged": flagged, "answered": answered}, indent=2))
     return result
 
 
@@ -291,12 +287,21 @@ COLUMN_TYPES = {
 }
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` as the whole file ``path``; ``ArchiveError`` names the path if that fails."""
+    try:
+        Path(path).write_bytes(text.encode())
+    except OSError as exc:
+        raise ArchiveError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """Write a header line and one CSV line per row; a float is written as its repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, text.getvalue())
 
 
 def read_table(path: str | Path) -> tuple[tuple[str, ...], list[tuple]]:
@@ -312,7 +317,7 @@ def read_table(path: str | Path) -> tuple[tuple[str, ...], list[tuple]]:
 def write_borda_json(path: str | Path, table: BordaTable) -> None:
     cells = [{"solver": s, "instance": i, "score": v} for (s, i), v in sorted(table.cells.items())]
     data = {**to_jsonable(table), "cells": cells}
-    Path(path).write_text(json.dumps(data, indent=2))
+    write_file(path, json.dumps(data, indent=2))
 
 
 def read_borda_json(path: str | Path) -> BordaTable:

@@ -380,6 +380,55 @@ def test_tune_into_a_regular_file_is_reported(workspace, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "below-a-file"])
+def test_evaluate_into_a_path_that_cannot_be_a_directory_runs_no_solver(workspace, capsys, monkeypatch, target):
+    combined = combined_set(workspace)
+    (workspace / "taken").write_text("not a directory\n")
+    runs, run_solver = [], benchgen.report.run_solver
+    monkeypatch.setattr(benchgen.report, "run_solver", lambda *args: runs.append(args) or run_solver(*args))
+    out = workspace / target
+    assert main(["evaluate", str(combined), "--solvers", "exact", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create {out}: ")
+    assert runs == []
+    assert (workspace / "taken").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name", ["combined_evals.jsonl", "pair_scores.csv", "borda.json", "flags.json"])
+def test_evaluate_output_that_cannot_be_written_is_reported(workspace, capsys, name):
+    combined = combined_set(workspace)
+    out = workspace / "eval"
+    (out / name).mkdir(parents=True)
+    assert main(["evaluate", str(combined), "--solvers", "exact", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / name}: ")
+
+
+def test_report_into_a_reports_file_is_reported(workspace, capsys):
+    graded = fabricate_graded_archive(workspace / "graded", "band", [{"status": "graded"}] * 3)
+    reports = graded.root / "reports"
+    reports.rmdir()
+    reports.write_text("not a directory\n")
+    assert main(["report", str(graded.root)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create {reports}: ")
+
+
+@pytest.mark.parametrize("command", ["report", "check", "combine", "resume"])
+def test_a_config_json_that_is_not_a_json_object_is_reported(workspace, capsys, command):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    meta = out / "config.json"
+    meta.write_text(meta.read_text()[:40])  # truncated
+    capsys.readouterr()
+    argv = {
+        "report": ["report", str(out)],
+        "check": ["check", str(out)],
+        "combine": ["combine", str(out), "--out", str(workspace / "combined.json")],
+        "resume": ["tune", config, "--out", str(out), "--budget", "24", "--resume"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {meta}: not a JSON object\n"
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [
