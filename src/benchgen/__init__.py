@@ -35,8 +35,10 @@ _EXPORTS = {
             "DiscriminatingPolicy",
             "GradedPolicy",
             "LARGE_NEGATIVE",
+            "OracleResult",
             "PLUS_INFINITY",
             "evaluate_configuration",
+            "oracle_optimum",
         ),
         "evaluate",
     ),
@@ -55,13 +57,10 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "EvaluationLimits",
-            "OracleResult",
             "RunStatus",
             "SolverAdapter",
             "SolverRecord",
             "Status",
-            "measure_time_to_best",
-            "oracle_optimum",
             "run_solver",
         ),
         "runner",

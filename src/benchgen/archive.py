@@ -25,8 +25,7 @@ are all on disk. The writer applies them in order, so an ``.inst`` is whole
 before its record, and it applies everything it was handed even if the
 campaign crashes. If a write fails, the writer stops there, so no later
 record lands, and the campaign gets an ``ArchiveError`` naming the path at
-its next write or at ``close_writer``. With no writer open, each call
-writes at once in the calling process.
+its next write or at ``close_writer``.
 
 One campaign at a time writes an archive: it holds an exclusive ``flock``
 on the directory (``lock_archive``) until it returns, and its writer holds
@@ -37,7 +36,6 @@ and ``evaluations``, the one reader of the stream, checks it.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import sys
@@ -46,7 +44,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from . import archivewriter
-from .errors import ArchiveError
+from .errors import ArchiveError, ParseError
 from .runner import RunStatus
 from .valuetext import parse_values
 
@@ -150,17 +148,11 @@ class CampaignArchive:
             raise ArchiveError(f"archive writer for {self.root} stopped: {reason}")
 
     def _write(self, name: str, text: str, handover: bool = False) -> None:
-        """Write ``text`` to ``name`` through the writer, or at once if none
-        is open. ``handover`` passes everything buffered on to the writer."""
-        data = archivewriter.frame(name, text.encode())
-        if self._writer is None:
-            try:
-                archivewriter.apply(str(self.root), io.BytesIO(data))
-            except OSError as exc:
-                raise ArchiveError(archivewriter.failure(exc)) from exc
-            return
+        """Write ``text`` to ``name`` through the writer that ``open_writer``
+        started. ``handover`` passes everything buffered on to the writer."""
+        assert self._writer is not None, "archive writes go through open_writer"
         try:
-            self._writer.stdin.write(data)
+            self._writer.stdin.write(archivewriter.frame(name, text.encode()))
             if handover:
                 self._writer.stdin.flush()
         except BrokenPipeError:
@@ -185,13 +177,19 @@ class CampaignArchive:
         tmp.write_text(json.dumps(dict(meta), indent=2))
         os.replace(tmp, self.root / "config.json")
 
+    def _read_text(self, path: Path) -> str:
+        try:
+            return path.read_text()
+        except OSError as exc:
+            raise ArchiveError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
     @property
     def space_text(self) -> str:
-        return (self.root / "space.txt").read_text()
+        return self._read_text(self.root / "space.txt")
 
     @property
     def model_text(self) -> str:
-        return (self.root / "generator.model").read_text()
+        return self._read_text(self.root / "generator.model")
 
     # -- instances ---------------------------------------------------------
 
@@ -215,10 +213,10 @@ class CampaignArchive:
         path = self.root / "instances" / f"{instance_id}.inst"
         if not path.exists():
             raise ArchiveError(f"unknown instance {instance_id}")
-        return parse_values(path.read_text())
-
-    def instance_ids(self) -> list[str]:
-        return sorted(p.stem for p in (self.root / "instances").glob("*.inst"))
+        try:
+            return parse_values(self._read_text(path))
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise ArchiveError(f"{path}: {exc}") from exc
 
     # -- evaluations -------------------------------------------------------
 

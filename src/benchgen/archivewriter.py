@@ -4,9 +4,8 @@ A write is a frame: a header line ``<name> <size>`` and then ``size`` bytes
 of data, where ``name`` is a path relative to the archive root. ``apply``
 carries out frames in order: it appends to ``records/evals.jsonl`` and
 ``tuner.log``, which it keeps open, and creates any other name (an
-``instances/<id>.inst``) whole. ``CampaignArchive`` applies a single frame
-in its own process when no writer is open; a campaign sends its frames to
-this module running as a child process:
+``instances/<id>.inst``) whole. A campaign sends its frames to this module
+running as a child process:
 
     python -I -S archivewriter.py ROOT LOCK_FD    (frames on stdin until EOF)
 
@@ -63,15 +62,11 @@ def apply(root: str, stream: io.BufferedIOBase) -> None:
             fh.close()
 
 
-def failure(exc: OSError) -> str:
-    return f"cannot write {exc.filename}: {exc.strerror}"
-
-
 def main() -> int:
     try:
         apply(sys.argv[1], sys.stdin.buffer)
     except OSError as exc:
-        sys.stderr.write(failure(exc) + "\n")
+        sys.stderr.write(f"cannot write {exc.filename}: {exc.strerror}\n")
         return 1
     finally:
         os.close(int(sys.argv[2]))

@@ -13,8 +13,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-# Re-exported: callers also import graded_instance_ids from here.
-from .archive import CampaignArchive, graded_instance_ids, lock_archive
+from .archive import CampaignArchive, lock_archive
 from .errors import ArchiveError
 from .evaluate import (
     EvaluationLimits,
@@ -167,9 +166,8 @@ def run_campaign(
             history = archive.load_history()
             archive.write_meta(meta)  # the new budget
         elif (out_dir / "records" / "evals.jsonl").exists():
-            raise ArchiveError(
-                f"{out_dir} already holds campaign records; pass resume or pick a fresh directory"
-            )
+            advice = "it has no config.json" if resume else "pass resume or pick a fresh directory"
+            raise ArchiveError(f"{out_dir} already holds campaign records; {advice}")
         else:
             archive = CampaignArchive.create(out_dir, meta, space_text, model_text)
             history = SolutionHistory()

@@ -8,11 +8,17 @@ generator configurations score plus infinity (immediate discard), a
 generator search timeout 1, a graded instance -1, a discriminating instance
 the negated ratio of the pair scores (a fixed large-negative sentinel when
 the base solver scored zero), and every other status 0.
+
+On an optimisation problem a local-search run's time is its time to reach
+the optimum that a complete solver, the oracle, proved.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from typing import Any, Mapping
+
 from .errors import ValidationError
 from .gensolve import CandidateInstance, GenOutcome, SolutionHistory, solve_generator
 from .model import GeneratorModel
@@ -20,14 +26,11 @@ from .problems import Problem
 from .records import Record, field, replace
 from .runner import (
     EvaluationLimits,
-    OracleResult,
     RunStatus,
     SolverAdapter,
     SolverRecord,
     Status,
     derive_seed,
-    measure_time_to_best,
-    oracle_optimum,
     run_solver,
     verify_record,
 )
@@ -148,27 +151,55 @@ class EvaluationResult(Record):
         return self.instance.id if self.instance is not None else None
 
 
+class OracleResult(Record, frozen=True):
+    """Optimum established by a long-budget complete solver run."""
+
+    optimum: int | None
+    proved: bool
+    time: float
+    infeasible: bool = False
+
+
+def oracle_optimum(
+    problem: Problem,
+    instance_values: Mapping[str, Any],
+    oracle: SolverAdapter,
+    budget: float,
+    limits: EvaluationLimits = EvaluationLimits(),
+    seed: int = 0,
+) -> OracleResult:
+    """Establish the true optimum with a long-budget complete solver run."""
+    if budget <= 0:
+        return OracleResult(None, False, 0.0)
+    start = time.monotonic()
+    record = run_solver(oracle, problem, instance_values, budget, limits, seed)
+    elapsed = time.monotonic() - start
+    if record.status is Status.UNSAT:
+        return OracleResult(None, True, elapsed, infeasible=True)
+    if record.status is Status.SAT and record.optimal_claimed:
+        record = verify_record(problem, instance_values, record)
+        if record.solution_ok is False:
+            return OracleResult(None, False, elapsed)
+        return OracleResult(record.objective, True, elapsed)
+    return OracleResult(record.objective, False, elapsed)
+
+
 def effective_graded_record(record: SolverRecord, oracle: OracleResult) -> SolverRecord:
-    """Rewrite a local-search record so its time is the time-to-optimum.
+    """Rewrite a local-search record so its time is the time-to-optimum:
+    the first trace stamp whose objective equals the proven optimum.
 
     Without a proven optimum (or when it was never reached) the run counts
     as a timeout: gradedness cannot be established for a solver that
     cannot prove completion.
     """
-    if record.status in (Status.ERROR,) or record.solution_ok is False:
+    if record.status is Status.ERROR or record.solution_ok is False:
         return record
     if not oracle.proved or oracle.infeasible:
         return replace(record, status=Status.TIMEOUT)
-    ttb = measure_time_to_best(record.trace, oracle.optimum)
+    ttb = next((stamp for stamp, objective in record.trace if objective == oracle.optimum), None)
     if ttb is None:
         return replace(record, status=Status.TIMEOUT)
-    return replace(
-        record,
-        status=Status.SAT,
-        time=ttb,
-        time_to_best=ttb,
-        objective=oracle.optimum,
-    )
+    return replace(record, status=Status.SAT, time=ttb, time_to_best=ttb, objective=oracle.optimum)
 
 
 def status_penalty(

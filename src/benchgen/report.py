@@ -231,14 +231,14 @@ def report_tables(archive: CampaignArchive) -> dict[str, list[tuple]]:
     """The rows of every report table that applies to this campaign, by file name.
 
     ``status_frequencies.csv`` counts each run status over the whole
-    evaluation log. ``graded_times.csv`` holds each solver's time on each
-    graded instance, grouped by solver in archive order (time-to-best for a
-    local-search solver that reports one). ``discrimination.csv`` has one
+    evaluation log. ``graded_times.csv`` holds each solver's recorded time on
+    each graded instance, grouped by solver in archive order; a local-search
+    record's time is already its time to the proven optimum
+    (``evaluate.effective_graded_record``). ``discrimination.csv`` has one
     row per dis-found evaluation of a discriminating campaign. The metadata
     and the records are each read once.
     """
-    meta = archive.meta
-    campaign = meta.get("campaign")
+    campaign = archive.meta.get("campaign")
     entries = list(archive.evaluations())
     counts = Counter(entry["status"] for entry in entries)
     tables = {
@@ -246,15 +246,12 @@ def report_tables(archive: CampaignArchive) -> dict[str, list[tuple]]:
             (status, n, n / len(entries)) for status, n in sorted(counts.items())
         ]
     }
-    local_search = None
-    if campaign == "graded" and meta["solver"].get("kind") == "local_search":
-        local_search = meta["solver"]["name"]
-    times = []
-    for entry in entries:
-        if entry["status"] == RunStatus.GRADED.value:
-            for name, raw in entry.get("records", {}).items():
-                best = raw.get("time_to_best") if name == local_search else None
-                times.append((name, raw["time"] if best is None else best))
+    times = [
+        (name, raw["time"])
+        for entry in entries
+        if entry["status"] == RunStatus.GRADED.value
+        for name, raw in entry.get("records", {}).items()
+    ]
     if times:
         tables["graded_times.csv"] = sorted(times, key=lambda row: row[0])
     if campaign == "discriminating":

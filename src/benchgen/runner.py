@@ -23,9 +23,8 @@ every run.
 from __future__ import annotations
 
 import sys
-import time
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .errors import CheckError, ParseError, ValidationError
 from .problems import Problem
@@ -149,15 +148,6 @@ class SolverRecord(Record):
         return cls(**fields, note=data.get("note", ""))
 
 
-class OracleResult(Record, frozen=True):
-    """Optimum established by a long-budget complete solver run."""
-
-    optimum: int | None
-    proved: bool
-    time: float
-    infeasible: bool = False
-
-
 def derive_seed(*parts: Any) -> int:
     """Stable 63-bit seed from arbitrary labelled parts."""
     import hashlib  # here, so commands that never derive a seed skip OpenSSL's set-up
@@ -231,38 +221,3 @@ def verify_record(
     objective = outcome.objective if problem.kind != "decision" else None
     return replace(record, solution_ok=True, objective=objective)
 
-
-def oracle_optimum(
-    problem: Problem,
-    instance_values: Mapping[str, Any],
-    oracle: SolverAdapter,
-    budget: float,
-    limits: EvaluationLimits = EvaluationLimits(),
-    seed: int = 0,
-) -> OracleResult:
-    """Establish the true optimum with a long-budget complete solver run."""
-    if budget <= 0:
-        return OracleResult(None, False, 0.0)
-    start = time.monotonic()
-    record = run_solver(oracle, problem, instance_values, budget, limits, seed)
-    elapsed = time.monotonic() - start
-    if record.status is Status.UNSAT:
-        return OracleResult(None, True, elapsed, infeasible=True)
-    if record.status is Status.SAT and record.optimal_claimed:
-        record = verify_record(problem, instance_values, record)
-        if record.solution_ok is False:
-            return OracleResult(None, False, elapsed)
-        return OracleResult(record.objective, True, elapsed)
-    return OracleResult(record.objective, False, elapsed)
-
-
-def measure_time_to_best(
-    trace: Sequence[tuple[float, int]], optimum: int | None
-) -> float | None:
-    """Earliest trace timestamp whose objective equals the oracle optimum."""
-    if optimum is None:
-        return None
-    for stamp, objective in trace:
-        if objective == optimum:
-            return stamp
-    return None

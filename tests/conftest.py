@@ -1,6 +1,7 @@
 """Shared helpers: fabricated archives, naive scoring references and
 exhaustive enumerations used as test oracles."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -266,6 +267,17 @@ ERROR_TEMPLATES = (
 )
 
 
+def write_instance(archive: CampaignArchive, instance: CandidateInstance) -> None:
+    """Write an instance's ``.inst`` as a campaign's writer does."""
+    (archive.root / "instances" / f"{instance.id}.inst").write_text(instance.canonical_text)
+
+
+def append_record(archive: CampaignArchive, entry: Mapping[str, Any]) -> None:
+    """Append one evaluation record to ``records/evals.jsonl`` as a campaign's writer does."""
+    with open(archive.root / "records" / "evals.jsonl", "a") as fh:
+        fh.write(json.dumps(dict(entry)) + "\n")
+
+
 def fabricate_graded_archive(
     root: Path,
     solver_name: str,
@@ -303,7 +315,7 @@ def fabricate_graded_archive(
                 config_id=f"gfake{i:04d}",
                 sequence=0,
             )
-            archive.add_instance(instance)
+            write_instance(archive, instance)
         record = {
             "solver": solver_name,
             "status": entry.get("record_status", "sat"),
@@ -316,7 +328,8 @@ def fabricate_graded_archive(
             "solution_ok": None,
             "note": "",
         }
-        archive.add_evaluation(
+        append_record(
+            archive,
             {
                 "seq": i + 1,
                 "block": i,

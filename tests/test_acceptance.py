@@ -11,7 +11,8 @@ from random import Random
 import pytest
 from scipy import stats
 
-from benchgen.campaign import graded_instance_ids, run_campaign
+from benchgen.archive import graded_instance_ids
+from benchgen.campaign import run_campaign
 from benchgen.evaluate import (
     LARGE_NEGATIVE,
     PLUS_INFINITY,
@@ -21,6 +22,7 @@ from benchgen.evaluate import (
     discriminating_scores,
     effective_graded_record,
     evaluate_configuration,
+    oracle_optimum,
     status_penalty,
 )
 from benchgen.gensolve import GenOutcome, SolutionHistory
@@ -32,7 +34,6 @@ from benchgen.runner import (
     SolverAdapter,
     SolverRecord,
     Status,
-    oracle_optimum,
     run_solver,
     verify_record,
 )

@@ -14,8 +14,8 @@ import pytest
 
 import benchgen
 from benchgen import archivewriter, campaign
-from benchgen.archive import CampaignArchive, lock_archive
-from benchgen.campaign import graded_instance_ids, policy_meta, run_campaign
+from benchgen.archive import CampaignArchive, graded_instance_ids, lock_archive
+from benchgen.campaign import policy_meta, run_campaign
 from benchgen.errors import ArchiveError
 from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
@@ -72,7 +72,7 @@ def test_campaign_writes_archive_layout(tmp_path, generator_model_text):
 def test_campaign_archives_instances_with_sidecars(tmp_path, generator_model_text):
     result = run(tmp_path / "camp", model_text=generator_model_text)
     archive = result.archive
-    ids = archive.instance_ids()
+    ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
     assert ids, "no instances archived"
     for iid in ids[:5]:
         values = archive.instance_values(iid)
@@ -425,13 +425,6 @@ def test_failed_write_stops_the_records_and_resume_completes(tmp_path, generator
     assert (out / EVALS).read_bytes() == (full / EVALS).read_bytes()
 
 
-def test_a_failed_write_without_a_writer_is_an_archive_error(tmp_path):
-    archive = CampaignArchive.create(tmp_path / "camp", {}, SPACE_TEXT, "")
-    (archive.root / "tuner.log").mkdir()
-    with pytest.raises(ArchiveError, match=re.escape(str(archive.root / "tuner.log"))):
-        archive.append_log("line")
-
-
 def test_writer_drops_a_torn_last_frame(tmp_path):
     (tmp_path / "records").mkdir()
     whole = archivewriter.frame("records/evals.jsonl", b'{"seq": 1}\n')
@@ -549,7 +542,7 @@ def test_campaign_calls_each_archive_write_once_per_evaluation(
     evaluations = list(archive.evaluations())
     assert archive_calls["add_evaluation"] == len(evaluations)
     assert archive_calls["append_log"] == len(evaluations)
-    assert archive_calls["add_instance"] == len(archive.instance_ids()) == sum(
+    assert archive_calls["add_instance"] == len(list((out / "instances").glob("*.inst"))) == sum(
         1 for e in evaluations if e["instance_id"]
     )
 

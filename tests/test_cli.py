@@ -197,6 +197,52 @@ def test_resume_needs_no_inst_but_check_reports_a_missing_one(workspace, capsys)
     assert capsys.readouterr().err.startswith(f"error: unknown instance {gone}")
 
 
+@pytest.mark.parametrize("name", ["space.txt", "generator.model", "config.json"])
+def test_resume_of_an_archive_without_one_of_its_files_is_reported_and_writes_nothing(workspace, capsys, name):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    (out / name).unlink()
+    before = files_of(out)
+    capsys.readouterr()
+    assert main(["tune", config, "--out", str(out), "--budget", "24", "--resume"]) == 2
+    assert capsys.readouterr().err == {
+        "space.txt": f"error: cannot read {out / 'space.txt'}: No such file or directory\n",
+        "generator.model": f"error: cannot read {out / 'generator.model'}: No such file or directory\n",
+        "config.json": f"error: {out} already holds campaign records; it has no config.json\n",
+    }[name]
+    assert files_of(out) == before
+
+
+@pytest.mark.parametrize("command", ["check", "evaluate"])
+@pytest.mark.parametrize("bad", ["directory", "unparsable"])
+def test_an_inst_that_cannot_be_read_is_reported_with_its_path(workspace, capsys, command, bad):
+    if command == "check":
+        camp = workspace / "camp"
+        assert main(["tune", str(workspace / "campaign.ini"), "--out", str(camp), "--budget", "24"]) == 0
+        entries = map(json.loads, (camp / "records" / "evals.jsonl").read_text().splitlines())
+        iid = next(e["instance_id"] for e in entries
+                   if e["instance_id"] and any(r.get("solution") is not None for r in e["records"].values()))
+        argv = ["check", str(camp)]
+    else:
+        combined = combined_set(workspace)
+        camp, iid = workspace / "graded", json.loads(combined.read_text())["selections"]["band"][0]
+        argv = ["evaluate", str(combined), "--solvers", "exact", "--out", str(workspace / "eval")]
+    inst = camp / "instances" / f"{iid}.inst"
+    inst.unlink()
+    if bad == "directory":
+        inst.mkdir()
+    else:
+        inst.write_text("garbage [\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == {
+        "directory": f"error: cannot read {inst}: Is a directory\n",
+        "unparsable": f"error: {inst}: expected 'name = value', got 'garbage ['\n",
+    }[bad]
+    assert not (workspace / "eval").exists()
+
+
 def test_missing_config_is_reported(tmp_path, capsys):
     code = main(["tune", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "x")])
     assert code == 2

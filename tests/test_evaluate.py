@@ -6,6 +6,8 @@ import sys
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from benchgen.errors import ValidationError
 from benchgen.evaluate import (
@@ -14,6 +16,7 @@ from benchgen.evaluate import (
     DiscriminatingPolicy,
     EvaluationLimits,
     GradedPolicy,
+    OracleResult,
     discriminating_scores,
     effective_graded_record,
     evaluate_configuration,
@@ -21,7 +24,8 @@ from benchgen.evaluate import (
 from benchgen.gensolve import GenOutcome, SolutionHistory
 from benchgen.model import parse_model
 from benchgen.problems import get_problem
-from benchgen.runner import OracleResult, RunStatus, SolverAdapter, SolverRecord, Status
+from benchgen.records import replace
+from benchgen.runner import RunStatus, SolverAdapter, SolverRecord, Status
 from benchgen.space import parse_space
 
 from conftest import exclusion_key, make_configuration, penalty_of
@@ -136,21 +140,45 @@ def test_discriminating_monotone_in_base_time():
 
 
 def test_effective_record_for_local_search():
-    base = record(Status.SAT, 100.0, objective=9,
-                  trace=[(1.0, 4), (12.0, 9)], solution={"take": [1]}, solution_ok=True)
+    def ls_record(trace):
+        return record(Status.SAT, 100.0, objective=9, trace=trace, solution={"take": [1]}, solution_ok=True)
+
     proved = OracleResult(optimum=9, proved=True, time=1.0)
-    eff = effective_graded_record(base, proved)
+    eff = effective_graded_record(ls_record([(1.0, 4), (12.0, 9)]), proved)
     assert eff.status is Status.SAT
-    assert eff.time == 12.0 and eff.time_to_best == 12.0
+    assert eff.time == 12.0 and eff.time_to_best == 12.0 and eff.objective == 9
+    # Two stamps reach the optimum: the first one is the time to it.
+    assert effective_graded_record(ls_record([(1.0, 10), (4.0, 9), (9.0, 9)]), proved).time == 4.0
 
-    never = OracleResult(optimum=11, proved=True, time=1.0)
-    assert effective_graded_record(base, never).status is Status.TIMEOUT
+    # Never reaching the optimum, an empty trace, or no proved optimum all count as a timeout.
+    reaches_9 = [(1.0, 4), (12.0, 9)]
+    for trace, oracle in [
+        ([(1.0, 10)], proved),
+        ([], proved),
+        (reaches_9, OracleResult(optimum=11, proved=True, time=1.0)),
+        (reaches_9, OracleResult(optimum=None, proved=False, time=1.0)),
+        (reaches_9, OracleResult(optimum=None, proved=True, time=1.0, infeasible=True)),
+    ]:
+        eff = effective_graded_record(ls_record(trace), oracle)
+        assert eff.status is Status.TIMEOUT and eff.time == 100.0 and eff.time_to_best is None
+    # A record whose answer failed its check is kept as it is.
+    failed = replace(ls_record(reaches_9), solution_ok=False)
+    assert effective_graded_record(failed, proved) == failed
 
-    unproved = OracleResult(optimum=None, proved=False, time=1.0)
-    assert effective_graded_record(base, unproved).status is Status.TIMEOUT
 
-    infeasible = OracleResult(optimum=None, proved=True, time=1.0, infeasible=True)
-    assert effective_graded_record(base, infeasible).status is Status.TIMEOUT
+@given(
+    trace=st.lists(st.tuples(st.floats(0, 100), st.integers(0, 12)), max_size=6),
+    optimum=st.one_of(st.none(), st.integers(0, 12)),
+    proved=st.booleans(),
+    infeasible=st.booleans(),
+)
+def test_a_set_time_to_best_is_the_records_time(trace, optimum, proved, infeasible):
+    oracle = OracleResult(optimum=optimum, proved=proved, time=1.0, infeasible=infeasible)
+    base = record(Status.SAT, 100.0, objective=3, trace=trace, solution={"take": [1]}, solution_ok=True)
+    eff = effective_graded_record(base, oracle)
+    if eff.time_to_best is not None:
+        assert eff.time == eff.time_to_best
+        assert (eff.time, optimum) in trace
 
 
 SPACE = parse_space("cap_t: 1..50")

@@ -33,10 +33,12 @@ from benchgen.space import parse_space, sample_uniform
 from conftest import (
     CONSTRAINT_TEMPLATES,
     ERROR_TEMPLATES,
+    append_record,
     enumerate_solutions,
     exclusion_key,
     make_configuration,
     reference_check,
+    write_instance,
 )
 
 
@@ -432,9 +434,9 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
         keys = {}
         while len(keys) < 48 and (result := solve_generator(model, config, history, 5.0, 5.0)).instance:
             instance = result.instance
-            archive.add_instance(instance)
+            write_instance(archive, instance)
             keys[instance.id] = exclusion_key(instance.decision_values)
-            archive.add_evaluation({"seq": len(keys), "config_id": config.id, "instance_id": instance.id})
+            append_record(archive, {"seq": len(keys), "config_id": config.id, "instance_id": instance.id})
         for iid, key in keys.items():
             decision = {k: v for k, v in archive.instance_values(iid).items()
                         if k not in CURSOR_SPACE.names}
@@ -477,12 +479,12 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
         history = SolutionHistory()
         for i in range(k):
             instance = solve_generator(model, config, history, 5.0, 5.0).instance
-            archive.add_instance(instance)
-            archive.add_evaluation({"seq": 3 * i + 1, "config_id": config.id, "instance_id": instance.id})
+            write_instance(archive, instance)
+            append_record(archive, {"seq": 3 * i + 1, "config_id": config.id, "instance_id": instance.id})
             # Records without an instance, and another configuration's, count nothing.
-            archive.add_evaluation({"seq": 3 * i + 2, "config_id": config.id, "instance_id": None})
-            archive.add_evaluation(
-                {"seq": 3 * i + 3, "config_id": other.id, "instance_id": f"{other.id}-0000"}
+            append_record(archive, {"seq": 3 * i + 2, "config_id": config.id, "instance_id": None})
+            append_record(
+                archive, {"seq": 3 * i + 3, "config_id": other.id, "instance_id": f"{other.id}-0000"}
             )
         loaded = archive.load_history()
         assert loaded.count(config.id) == k

@@ -8,7 +8,8 @@ from random import Random
 import pytest
 
 from benchgen import campaign
-from benchgen.campaign import graded_instance_ids, run_campaign
+from benchgen.archive import graded_instance_ids
+from benchgen.campaign import run_campaign
 from benchgen.evaluate import EvaluationLimits, GradedPolicy, evaluate_configuration
 from benchgen.gensolve import SolutionHistory
 from benchgen.model import parse_model

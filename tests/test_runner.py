@@ -11,7 +11,7 @@ import pytest
 
 import benchgen
 from benchgen.errors import ValidationError
-from benchgen.evaluate import PLUS_INFINITY, DiscriminatingPolicy, GradedPolicy
+from benchgen.evaluate import PLUS_INFINITY, DiscriminatingPolicy, GradedPolicy, oracle_optimum
 from benchgen.external import run_external_command
 from benchgen.gensolve import GenOutcome
 from benchgen.problems import get_problem
@@ -21,8 +21,6 @@ from benchgen.runner import (
     SolverAdapter,
     SolverRecord,
     Status,
-    measure_time_to_best,
-    oracle_optimum,
     run_solver,
     verify_record,
 )
@@ -247,13 +245,6 @@ def test_unmakeable_run_directory_is_an_error_record(tmp_path):
                         5.0, EvaluationLimits(mem_limit=None, workdir=not_a_dir))
     assert record.status is Status.ERROR
     assert record.note.startswith("run directory:") and str(not_a_dir) in record.note
-
-
-def test_measure_time_to_best():
-    assert measure_time_to_best([(1.0, 10), (4.0, 7), (9.0, 7)], 7) == 4.0
-    assert measure_time_to_best([(1.0, 10)], 7) is None
-    assert measure_time_to_best([], 7) is None
-    assert measure_time_to_best([(1.0, 10)], None) is None
 
 
 def make_record(status, t, solution_ok=None, solution=None):
