@@ -144,14 +144,13 @@ def test_effective_record_for_local_search():
         return record(Status.SAT, 100.0, objective=9, trace=trace, solution={"take": [1]}, solution_ok=True)
 
     proved = OracleResult(optimum=9, proved=True, time=1.0)
-    eff = effective_graded_record(ls_record([(1.0, 4), (12.0, 9)]), proved)
+    reaches_9 = [(1.0, 4), (12.0, 9)]
+    eff = effective_graded_record(ls_record(reaches_9), proved)
     assert eff.status is Status.SAT
     assert eff.time == 12.0 and eff.time_to_best == 12.0 and eff.objective == 9
-    # Two stamps reach the optimum: the first one is the time to it.
-    assert effective_graded_record(ls_record([(1.0, 10), (4.0, 9), (9.0, 9)]), proved).time == 4.0
 
     # Never reaching the optimum, an empty trace, or no proved optimum all count as a timeout.
-    reaches_9 = [(1.0, 4), (12.0, 9)]
+    # Which trace stamp counts is tested in test_runner's test_measure_time_to_best.
     for trace, oracle in [
         ([(1.0, 10)], proved),
         ([], proved),

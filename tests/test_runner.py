@@ -11,7 +11,14 @@ import pytest
 
 import benchgen
 from benchgen.errors import ValidationError
-from benchgen.evaluate import PLUS_INFINITY, DiscriminatingPolicy, GradedPolicy, oracle_optimum
+from benchgen.evaluate import (
+    PLUS_INFINITY,
+    DiscriminatingPolicy,
+    GradedPolicy,
+    OracleResult,
+    effective_graded_record,
+    oracle_optimum,
+)
 from benchgen.external import run_external_command
 from benchgen.gensolve import GenOutcome
 from benchgen.problems import get_problem
@@ -245,6 +252,20 @@ def test_unmakeable_run_directory_is_an_error_record(tmp_path):
                         5.0, EvaluationLimits(mem_limit=None, workdir=not_a_dir))
     assert record.status is Status.ERROR
     assert record.note.startswith("run directory:") and str(not_a_dir) in record.note
+
+
+def test_measure_time_to_best():
+    # A local-search run's time is its first trace stamp at the proven optimum.
+    proved = OracleResult(optimum=7, proved=True, time=1.0)
+
+    def time_to_best(trace, oracle=proved):
+        run = SolverRecord(Status.SAT, 100.0, objective=7, trace=trace, solution={"take": [1]}, solution_ok=True)
+        return effective_graded_record(run, oracle).time_to_best
+
+    assert time_to_best([(1.0, 10), (4.0, 7), (9.0, 7)]) == 4.0
+    assert time_to_best([(1.0, 10)]) is None
+    assert time_to_best([]) is None
+    assert time_to_best([(1.0, 10)], OracleResult(optimum=None, proved=False, time=1.0)) is None
 
 
 def make_record(status, t, solution_ok=None, solution=None):
