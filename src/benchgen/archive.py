@@ -163,7 +163,7 @@ class CampaignArchive:
     def meta(self) -> dict[str, Any]:
         path = self.root / "config.json"
         try:
-            meta = json.loads(path.read_bytes())
+            meta = json.loads(self._read_text(path))
         except ValueError:
             meta = None
         if not isinstance(meta, dict):
@@ -231,8 +231,9 @@ class CampaignArchive:
 
     def evaluations(self) -> Iterator[dict[str, Any]]:
         """The records in order; ``ArchiveError`` at the first line that is
-        not a JSON object or whose ``seq`` is not its position (as when two
-        campaigns wrote the stream)."""
+        not a JSON object, whose ``seq`` is not its position (as when two
+        campaigns wrote the stream), that lacks a ``config_id``, ``status``
+        or ``penalty``, or whose ``status`` is not a ``RunStatus`` value."""
         if not self._evals_path.exists():
             return
         position = 0
@@ -247,10 +248,17 @@ class CampaignArchive:
                 if not isinstance(entry, dict):
                     raise ArchiveError(f"{self._evals_path} line {number}: not a JSON object")
                 position += 1
+                missing = [key for key in ("config_id", "status", "penalty") if key not in entry]
                 if entry.get("seq") != position:
                     why = f"seq {entry.get('seq')!r} is not the record's position {position}"
-                    raise ArchiveError(f"{self._evals_path} line {number}: {why}")
-                yield entry
+                elif missing:
+                    why = f"no {missing[0]!r}"
+                elif entry["status"] not in [status.value for status in RunStatus]:  # a list: no hashing
+                    why = f"status {entry['status']!r} is not a run status"
+                else:
+                    yield entry
+                    continue
+                raise ArchiveError(f"{self._evals_path} line {number}: {why}")
 
     def drop_torn_record(self) -> None:
         """Cut an unterminated last line of evals.jsonl that does not parse.

@@ -15,13 +15,7 @@ from typing import Any
 
 from .archive import CampaignArchive, lock_archive
 from .errors import ArchiveError
-from .evaluate import (
-    EvaluationLimits,
-    EvaluationResult,
-    GradedPolicy,
-    Policy,
-    evaluate_configuration,
-)
+from .evaluate import EvaluationLimits, EvaluationResult, Policy, evaluate_configuration
 from .gensolve import SolutionHistory
 from .model import parse_model
 from .records import Record, replace, to_jsonable
@@ -31,8 +25,7 @@ from .tuner import EvalLogEntry, TunerConfig, TunerReport, run_tuning
 
 
 def policy_meta(policy: Policy) -> dict[str, Any]:
-    kind = "graded" if isinstance(policy, GradedPolicy) else "discriminating"
-    return {"campaign": kind, **to_jsonable(policy), "problem": policy.problem.name}
+    return {"campaign": policy.campaign, **to_jsonable(policy), "problem": policy.problem.name}
 
 
 class CampaignResult(Record):
@@ -79,12 +72,7 @@ def run_campaign(
 
     # In-process solvers share the interpreter lock, so a pool only slows them
     # and inflates their recorded times; only external runs overlap.
-    solvers = (
-        (policy.solver, policy.oracle)
-        if isinstance(policy, GradedPolicy)
-        else (policy.favoured, policy.base)
-    )
-    if not all(s is None or s.command is not None for s in solvers):
+    if not all(s.command is not None for s in policy.solvers):
         tuner_config = replace(tuner_config, workers=1)
 
     # archive, replay, history and eval_seq are bound under the lock below.

@@ -1,7 +1,8 @@
 """Classification and penalty of one configuration evaluation.
 
 An evaluation whose generator yields no instance is ``generator-unsolved``;
-otherwise its policy's ``classify`` gives the status. ``status_penalty``
+otherwise its policy's ``evaluate`` runs the policy's solvers on the
+instance and its ``classify`` gives the status. ``status_penalty``
 derives the penalty the tuner minimises from that status alone (plus the
 pair scores and the generator outcome): infeasible or untranslatable
 generator configurations score plus infinity (immediate discard), a
@@ -45,8 +46,8 @@ LARGE_NEGATIVE = -1e6
 
 
 def _check_policy(policy: Policy) -> None:
-    if not (0 < policy.t_min < policy.t_max):
-        raise ValidationError(f"need 0 < t_min < t_max, got {policy.t_min}, {policy.t_max}")
+    if not (0 < policy.t_min < policy.t_max < math.inf):
+        raise ValidationError(f"need 0 < t_min < t_max < inf, got {policy.t_min}, {policy.t_max}")
     if not policy.types:
         raise ValidationError("types must be non-empty")
 
@@ -64,6 +65,8 @@ def instance_type(record: SolverRecord) -> str | None:
 
 class GradedPolicy(Record, frozen=True):
     """Band-of-difficulty acceptance for a single solver."""
+
+    campaign = "graded"  # a class constant, not a field
 
     problem: Problem
     solver: SolverAdapter
@@ -85,10 +88,32 @@ class GradedPolicy(Record, frozen=True):
             )
         if self.oracle is not None and self.oracle.kind != "complete":
             raise ValidationError("the oracle must be a complete solver")
+        if self.oracle_budget is not None and not 0 < self.oracle_budget < math.inf:
+            raise ValidationError(f"oracle_budget must be positive and finite, got {self.oracle_budget}")
 
     @property
-    def effective_oracle_budget(self) -> float:
-        return self.oracle_budget if self.oracle_budget is not None else 3 * self.t_max
+    def solvers(self) -> tuple[SolverAdapter, ...]:
+        """The adapters that this policy's evaluations may run."""
+        return (self.solver,) if self.oracle is None else (self.solver, self.oracle)
+
+    def evaluate(self, instance: CandidateInstance, limits: EvaluationLimits, seed: int) -> EvaluationResult:
+        """Run the solver on ``instance``, and for local search on an
+        optimisation problem the oracle too, then classify the instance."""
+        record = _run_and_verify(self, self.solver, instance, limits, seed)
+        oracle: OracleResult | None = None
+        if self.solver.kind == "local_search" and self.problem.kind != "decision":
+            assert self.oracle is not None
+            oracle = oracle_optimum(
+                self.problem, instance.values, self.oracle,
+                3 * self.t_max if self.oracle_budget is None else self.oracle_budget,
+                limits, derive_seed(seed, instance.id, "oracle"),
+            )
+            record = effective_graded_record(record, oracle)
+        status = self.classify(record)
+        return EvaluationResult(
+            status_penalty(status), status, GenOutcome.SOLUTION, instance,
+            records={self.solver.name: record}, oracle=oracle,
+        )
 
     def classify(self, record: SolverRecord) -> RunStatus:
         """Status of an instance from its solver's record (for local search,
@@ -109,6 +134,8 @@ class GradedPolicy(Record, frozen=True):
 class DiscriminatingPolicy(Record, frozen=True):
     """Favoured solver should excel where the base solver struggles."""
 
+    campaign = "discriminating"  # a class constant, not a field
+
     problem: Problem
     favoured: SolverAdapter
     base: SolverAdapter
@@ -120,6 +147,22 @@ class DiscriminatingPolicy(Record, frozen=True):
         _check_policy(self)
         if self.favoured.name == self.base.name:
             raise ValidationError("favoured and base solvers must differ")
+
+    @property
+    def solvers(self) -> tuple[SolverAdapter, ...]:
+        """The adapters that this policy's evaluations run: favoured, then base."""
+        return (self.favoured, self.base)
+
+    def evaluate(self, instance: CandidateInstance, limits: EvaluationLimits, seed: int) -> EvaluationResult:
+        """Run the favoured and the base solver on ``instance``, score the
+        pair and classify the instance."""
+        favoured, base = (_run_and_verify(self, s, instance, limits, seed) for s in self.solvers)
+        scores = discriminating_scores(favoured, base, self.problem.kind)
+        status = self.classify(favoured, base, scores)
+        return EvaluationResult(
+            status_penalty(status, scores), status, GenOutcome.SOLUTION, instance,
+            records={self.favoured.name: favoured, self.base.name: base}, scores=scores,
+        )
 
     def classify(
         self, favoured: SolverRecord, base: SolverRecord, scores: tuple[float, float]
@@ -256,76 +299,14 @@ def evaluate_configuration(
         unsolved = RunStatus.GENERATOR_UNSOLVED
         return EvaluationResult(status_penalty(unsolved, outcome=gen.outcome), unsolved, gen.outcome)
     assert gen.instance is not None
-    if isinstance(policy, GradedPolicy):
-        return _evaluate_graded(gen.instance, policy, limits, seed)
-    return _evaluate_discriminating(gen.instance, policy, limits, seed)
+    return policy.evaluate(gen.instance, limits, seed)
 
 
 def _run_and_verify(
-    adapter: SolverAdapter,
-    problem: Problem,
-    instance: CandidateInstance,
-    time_limit: float,
-    limits: EvaluationLimits,
-    seed: int,
+    policy: Policy, adapter: SolverAdapter, instance: CandidateInstance, limits: EvaluationLimits, seed: int
 ) -> SolverRecord:
-    record = run_solver(adapter, problem, instance.values, time_limit, limits, seed)
-    return verify_record(problem, instance.values, record)
-
-
-def _evaluate_graded(
-    instance: CandidateInstance,
-    policy: GradedPolicy,
-    limits: EvaluationLimits,
-    seed: int,
-) -> EvaluationResult:
-    run_seed = derive_seed(seed, instance.id, policy.solver.name)
-    record = _run_and_verify(
-        policy.solver, policy.problem, instance, policy.t_max, limits, run_seed
-    )
-    oracle_result: OracleResult | None = None
-    effective = record
-    if policy.solver.kind == "local_search" and policy.problem.kind != "decision":
-        assert policy.oracle is not None
-        oracle_result = oracle_optimum(
-            policy.problem,
-            instance.values,
-            policy.oracle,
-            policy.effective_oracle_budget,
-            limits,
-            derive_seed(seed, instance.id, "oracle"),
-        )
-        effective = effective_graded_record(record, oracle_result)
-    status = policy.classify(effective)
-    return EvaluationResult(
-        status_penalty(status),
-        status,
-        GenOutcome.SOLUTION,
-        instance=instance,
-        records={policy.solver.name: effective},
-        oracle=oracle_result,
-    )
-
-
-def _evaluate_discriminating(
-    instance: CandidateInstance,
-    policy: DiscriminatingPolicy,
-    limits: EvaluationLimits,
-    seed: int,
-) -> EvaluationResult:
-    favoured, base = (
-        _run_and_verify(
-            s, policy.problem, instance, policy.t_max, limits, derive_seed(seed, instance.id, s.name)
-        )
-        for s in (policy.favoured, policy.base)
-    )
-    scores = discriminating_scores(favoured, base, policy.problem.kind)
-    status = policy.classify(favoured, base, scores)
-    return EvaluationResult(
-        status_penalty(status, scores),
-        status,
-        GenOutcome.SOLUTION,
-        instance=instance,
-        records={policy.favoured.name: favoured, policy.base.name: base},
-        scores=scores,
-    )
+    """One of ``policy``'s runs on ``instance``, under ``t_max`` and a seed of
+    its own drawn from ``seed``, verified."""
+    run_seed = derive_seed(seed, instance.id, adapter.name)
+    record = run_solver(adapter, policy.problem, instance.values, policy.t_max, limits, run_seed)
+    return verify_record(policy.problem, instance.values, record)

@@ -15,6 +15,7 @@ working directory, kept under a base directory or removed after the run.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import signal
@@ -132,6 +133,8 @@ def run_external_command(
     afterwards. ``mem_limit`` is applied by ``limiter_prefix``, or by
     ``MEM_LIMITER`` when no prefix is set.
     """
+    if not math.isfinite(time_limit):
+        return SolverRecord(Status.ERROR, 0.0, note=f"time limit {time_limit} s is not finite")
     try:
         argv = _argv(template, model_path, instance_path, int(time_limit * 1000), seed)
     except _MALFORMED as err:

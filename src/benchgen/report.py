@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -163,8 +164,8 @@ def evaluate_combined(
     external runs keep their files in its ``runs`` directory unless
     ``limits.workdir`` names another.
     """
-    if not t_max > 0:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"t_max must be {'finite' if t_max > 0 else 'positive'}, got {t_max}")
     solver_names = [s.name for s in solvers]
     twice = [name for name in solver_names if solver_names.count(name) > 1]
     if twice:

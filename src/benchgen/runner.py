@@ -22,6 +22,7 @@ every run.
 
 from __future__ import annotations
 
+import math
 import sys
 from enum import Enum
 from typing import Any, Mapping
@@ -85,6 +86,9 @@ class EvaluationLimits(Record, frozen=True):
     limiter_prefix: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("translate_limit", "solve_limit"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.mem_limit is not None and self.mem_limit <= 0:
             raise ValidationError(f"memory limit must be positive, got {self.mem_limit}")
 
@@ -137,7 +141,10 @@ class SolverRecord(Record):
     note: str = ""
 
     def to_jsonable(self, solver: str) -> dict[str, Any]:
-        return {"solver": solver, **to_jsonable(self), "solution": values_to_jsonable(self.solution)}
+        data: dict[str, Any] = {"solver": solver}
+        for name in field_names(self):
+            data[name] = (values_to_jsonable if name == "solution" else to_jsonable)(getattr(self, name))
+        return data
 
     @classmethod
     def from_jsonable(cls, data: Mapping[str, Any]) -> "SolverRecord":

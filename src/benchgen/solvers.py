@@ -9,11 +9,14 @@ Four kinds are registered:
   buggy          returns infeasible or misreported answers; exercises the
                  solution checker
 
-All run under a wall-clock deadline; the exact and hillclimb solvers also
-keep a rough allocation estimate and abort with an error once a memory cap
-is exceeded. Each returns the ``runner.SolverRecord`` of its run, not yet
-verified (``runner.verify_record`` sets ``solution_ok``); the record does
-not name its solver, its holders key it by that name.
+``exact``, ``hillclimb`` and ``buggy`` are knapsack searches in one frame,
+``_knapsack_solver``: it parses the instance and its decision ``target``,
+runs the search under a wall-clock deadline, reports a ``MemoryError``
+(the searches raise one when their step count passes the memory cap) as
+an error, and builds the ``runner.SolverRecord`` of the run from the best
+take, value, trace and proof the search returns. Records are not yet
+verified (``runner.verify_record`` sets ``solution_ok``) and do not name
+their solver; their holders key them by that name.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import CheckError, EvalError, ParseError
 from .expressions import Expr, evaluate, parse_expression
@@ -34,34 +37,70 @@ HILLCLIMB_MAX_ITERATIONS = 200_000
 # Distinct synthetic latency expressions kept parsed.
 LATENCY_CACHE_SIZE = 64
 
-
-def _knapsack_or_error(problem: Problem, instance: Mapping[str, Any]) -> KnapsackData | SolverRecord:
-    if problem.name not in PROBLEMS:
-        return SolverRecord(Status.ERROR, 0.0, note=f"unsupported problem {problem.name}")
-    try:
-        return parse_knapsack(instance)
-    except CheckError as err:
-        return SolverRecord(Status.ERROR, 0.0, note=str(err))
+# What a knapsack search returns: best take (None if it took no step), its
+# value, the (time, value) trace of improvements, and whether it proved them.
+Found = tuple[list[int] | None, int, list[tuple[float, int]], bool]
 
 
+def _knapsack_solver(*, complete: bool, reads_target: bool = True) -> Callable[..., Any]:
+    """Make ``search(data, target, start, deadline, seed, mem_limit) -> Found``
+    the solver ``solve(problem, instance, time_limit, seed=0, mem_limit=None)``.
+
+    ``target`` is None on an optimisation instance, and on every instance
+    when the solver does not ``reads_target``. A decision run that misses
+    its target is UNSAT when a ``complete`` search proved it, else a
+    timeout, which keeps the trace only when the search is not complete.
+    """
+
+    def frame(search: Callable[..., Found]) -> Callable[..., SolverRecord]:
+        def solve(
+            problem: Problem,
+            instance: Mapping[str, Any],
+            time_limit: float,
+            seed: int = 0,
+            mem_limit: int | None = None,
+        ) -> SolverRecord:
+            start = time.monotonic()
+            if problem.name not in PROBLEMS:
+                return SolverRecord(Status.ERROR, 0.0, note=f"unsupported problem {problem.name}")
+            try:
+                data = parse_knapsack(instance)
+            except CheckError as err:
+                return SolverRecord(Status.ERROR, 0.0, note=str(err))
+            decides = reads_target and problem.kind == "decision"
+            target = instance.get("target") if decides else None
+            if decides and not isinstance(target, int):
+                return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
+            try:
+                take, value, trace, proved = search(data, target, start, start + time_limit, seed, mem_limit)
+            except MemoryError:
+                return SolverRecord(Status.ERROR, time.monotonic() - start, note="memory cap exceeded")
+            elapsed = time.monotonic() - start
+            if take is None:  # the deadline passed before the first step
+                return SolverRecord(Status.TIMEOUT, elapsed)
+            if target is None:
+                return SolverRecord(
+                    Status.SAT, elapsed, objective=value, optimal_claimed=proved,
+                    solution={"take": take}, trace=trace,
+                )
+            if value >= target:
+                return SolverRecord(Status.SAT, elapsed, solution={"take": take}, trace=trace)
+            if complete:
+                return SolverRecord(Status.UNSAT if proved else Status.TIMEOUT, elapsed)
+            return SolverRecord(Status.TIMEOUT, elapsed, trace=trace)
+
+        solve.__name__ = solve.__qualname__ = search.__name__
+        solve.__doc__ = search.__doc__
+        return solve
+
+    return frame
+
+
+@_knapsack_solver(complete=True)
 def solve_exact(
-    problem: Problem,
-    instance: Mapping[str, Any],
-    time_limit: float,
-    seed: int = 0,
-    mem_limit: int | None = None,
-) -> SolverRecord:
+    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
+) -> Found:
     """Branch and bound over item counts, best-density order, fractional bound."""
-    del seed
-    start = time.monotonic()
-    deadline = start + time_limit
-    data = _knapsack_or_error(problem, instance)
-    if isinstance(data, SolverRecord):
-        return data
-    target = instance.get("target") if problem.kind == "decision" else None
-    if problem.kind == "decision" and not isinstance(target, int):
-        return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
-
     n = data.n_items
     order = sorted(
         range(n),
@@ -126,50 +165,15 @@ def solve_exact(
             take[i] = 0
         return False
 
-    try:
-        search(0, data.capacity, 0)
-    except MemoryError:
-        return SolverRecord(Status.ERROR, time.monotonic() - start, note="memory cap exceeded")
-    elapsed = time.monotonic() - start
-
-    if problem.kind == "decision":
-        assert target is not None
-        if best_take is not None and best_value >= target:
-            return SolverRecord(Status.SAT, elapsed, solution={"take": best_take}, trace=trace)
-        if timed_out:
-            return SolverRecord(Status.TIMEOUT, elapsed)
-        return SolverRecord(Status.UNSAT, elapsed)
-
-    if best_take is None:
-        # Zero take is always feasible, so this only happens on instant timeout.
-        return SolverRecord(Status.TIMEOUT, elapsed)
-    return SolverRecord(
-        Status.SAT,
-        elapsed,
-        objective=best_value,
-        optimal_claimed=not timed_out,
-        solution={"take": best_take},
-        trace=trace,
-    )
+    search(0, data.capacity, 0)
+    return best_take, best_value, trace, not timed_out
 
 
+@_knapsack_solver(complete=False)
 def solve_hillclimb(
-    problem: Problem,
-    instance: Mapping[str, Any],
-    time_limit: float,
-    seed: int = 0,
-    mem_limit: int | None = None,
-) -> SolverRecord:
+    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
+) -> Found:
     """Random restarts plus single-item moves, accepting strict improvements."""
-    start = time.monotonic()
-    deadline = start + time_limit
-    data = _knapsack_or_error(problem, instance)
-    if isinstance(data, SolverRecord):
-        return data
-    target = instance.get("target") if problem.kind == "decision" else None
-    if problem.kind == "decision" and not isinstance(target, int):
-        return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
-
     rng = Random(seed)
     n = data.n_items
     best_value = -1
@@ -198,7 +202,7 @@ def solve_hillclimb(
         if iterations % 64 == 0 and time.monotonic() >= deadline:
             break
         if mem_limit is not None and (iterations + len(trace)) * _WORD > mem_limit:
-            return SolverRecord(Status.ERROR, time.monotonic() - start, note="memory cap exceeded")
+            raise MemoryError
         if value > best_value:
             best_value = value
             best_take = list(take)
@@ -210,27 +214,16 @@ def solve_hillclimb(
         i = rng.randrange(n)
         delta = rng.choice((-1, 1))
         new_count = take[i] + delta
-        if new_count < 0 or new_count > data.copies[i]:
-            if rng.random() < 0.05:
-                take, weight, value = greedy_random_fill()
-            continue
         new_weight = weight + delta * data.weight[i]
         new_value = value + delta * data.value[i]
-        if new_weight > data.capacity or new_value < value:
+        if not 0 <= new_count <= data.copies[i] or new_weight > data.capacity or new_value < value:
             if rng.random() < 0.05:
                 take, weight, value = greedy_random_fill()
             continue
         take[i] = new_count
         weight, value = new_weight, new_value
 
-    elapsed = time.monotonic() - start
-    if problem.kind == "decision":
-        if best_take is not None and target is not None and best_value >= target:
-            return SolverRecord(Status.SAT, elapsed, solution={"take": best_take}, trace=trace)
-        return SolverRecord(Status.TIMEOUT, elapsed, trace=trace)
-    if best_take is None:
-        return SolverRecord(Status.TIMEOUT, elapsed)
-    return SolverRecord(Status.SAT, elapsed, objective=best_value, solution={"take": best_take}, trace=trace)
+    return best_take, best_value, trace, False
 
 
 @lru_cache(maxsize=LATENCY_CACHE_SIZE)
@@ -280,28 +273,17 @@ def solve_synthetic(
     )
 
 
+@_knapsack_solver(complete=True, reads_target=False)
 def solve_buggy(
-    problem: Problem,
-    instance: Mapping[str, Any],
-    time_limit: float,
-    seed: int = 0,
-    mem_limit: int | None = None,
-) -> SolverRecord:
+    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
+) -> Found:
     """Always returns a wrong answer: infeasible payload or misreported objective."""
-    del time_limit, seed, mem_limit
-    start = time.monotonic()
-    data = _knapsack_or_error(problem, instance)
-    if isinstance(data, SolverRecord):
-        return data
     take = list(data.copies)
     total_weight = sum(t * w for t, w in zip(take, data.weight))
     objective = sum(t * v for t, v in zip(take, data.value))
     if total_weight <= data.capacity:
         objective += 1  # feasible by luck: misreport the objective instead
-    return SolverRecord(
-        Status.SAT, time.monotonic() - start, objective=objective, optimal_claimed=True,
-        solution={"take": take},
-    )
+    return take, objective, [], True
 
 
 # Builtin solvers by id, called as (problem, instance, time_limit, seed, mem_limit).

@@ -77,12 +77,13 @@ def penalty_of(policy, *records) -> float:
 
 def evaluate_generator(outcome: GenOutcome, policy: Policy) -> EvaluationResult:
     """Evaluate a configuration whose generator search ends in ``outcome``:
-    an unsatisfiable model, a zero translate or solve limit, or a solution."""
+    an unsatisfiable model, a translate or solve limit of a nanosecond
+    (shorter than any step of either), or a solution."""
     space = parse_space("n: 1..1")
     text = "var x : int 1..3" + ("\nconstraint x = 0" if outcome is GenOutcome.UNSAT else "")
     limits = EvaluationLimits(
-        translate_limit=0.0 if outcome is GenOutcome.TRANSLATE_TIMEOUT else 5.0,
-        solve_limit=0.0 if outcome is GenOutcome.SOLVE_TIMEOUT else 5.0,
+        translate_limit=1e-9 if outcome is GenOutcome.TRANSLATE_TIMEOUT else 5.0,
+        solve_limit=1e-9 if outcome is GenOutcome.SOLVE_TIMEOUT else 5.0,
         mem_limit=None,
     )
     config = GeneratorConfiguration({"n": 1})

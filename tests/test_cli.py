@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -385,6 +386,36 @@ def test_evaluate_with_a_t_max_that_is_not_positive_is_reported(workspace, capsy
     assert not out.exists()
 
 
+def test_evaluate_with_an_infinite_t_max_is_reported(workspace, capsys):
+    combined = combined_set(workspace)
+    capsys.readouterr()
+    out = workspace / "eval"
+    argv = ["evaluate", str(combined), "--solvers", "exact", "--t-max=inf", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: t_max must be finite, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("translate_limit = -1", "translate_limit must be positive and finite, got -1.0"),
+        ("solve_limit = nan", "solve_limit must be positive and finite, got nan"),
+        ("t_max = inf", "need 0 < t_min < t_max < inf, got 2.0, inf"),
+        ("oracle_budget = inf", "oracle_budget must be positive and finite, got inf"),
+    ],
+)
+def test_a_campaign_limit_that_is_not_positive_and_finite_is_refused(workspace, capsys, line, message):
+    config = workspace / "campaign.ini"
+    key = line.split()[0]
+    text = re.sub(rf"(?m)^{key} = .*\n", "", config.read_text())
+    config.write_text(text.replace("[campaign]\n", f"[campaign]\n{line}\n"))
+    out = workspace / "camp"
+    assert main(["tune", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_evaluate_with_a_solver_named_twice_is_reported(workspace, capsys):
     combined = combined_set(workspace)
     capsys.readouterr()
@@ -473,6 +504,28 @@ def test_a_config_json_that_is_not_a_json_object_is_reported(workspace, capsys, 
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {meta}: not a JSON object\n"
+
+
+@pytest.mark.parametrize("command", ["report", "check", "combine", "evaluate", "resume"])
+def test_a_config_json_that_cannot_be_read_is_reported(workspace, capsys, command):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    combined = workspace / "combined.json"
+    assert main(["combine", str(out), "--out", str(combined)]) == 0
+    meta = out / "config.json"
+    meta.unlink()
+    meta.mkdir()
+    capsys.readouterr()
+    argv = {
+        "report": ["report", str(out)],
+        "check": ["check", str(out)],
+        "combine": ["combine", str(out), "--out", str(combined)],
+        "evaluate": ["evaluate", str(combined), "--solvers", "band", "--config", config],
+        "resume": ["tune", config, "--out", str(out), "--budget", "24", "--resume"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {meta}: ")
 
 
 @pytest.mark.parametrize(
@@ -796,3 +849,36 @@ def test_evaluate_caps_memory_at_8g_unless_told(workspace, capsys, monkeypatch, 
     assert main(["evaluate", str(combined), "--solvers", "exact", *flags]) == 0
     capsys.readouterr()
     assert [limits.mem_limit for limits in seen] == [mem_limit]
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [
+        ({"config_id": None}, "no 'config_id'"),
+        ({"status": None}, "no 'status'"),
+        ({"penalty": None}, "no 'penalty'"),
+        ({"status": "bogus"}, "status 'bogus' is not a run status"),
+        ({"status": ["graded"]}, "status ['graded'] is not a run status"),
+    ],
+    ids=["no-config_id", "no-status", "no-penalty", "unknown-status", "unhashable-status"],
+)
+def test_a_record_without_what_readers_need_is_rejected_by_every_reader(workspace, capsys, change, why):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    evals = out / "records" / "evals.jsonl"
+    lines = evals.read_text().splitlines(keepends=True)
+    entry = json.loads(lines[3])
+    for key, value in change.items():
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+    lines[3] = json.dumps(entry) + "\n"
+    evals.write_text("".join(lines))
+    capsys.readouterr()
+    for command in (["tune", config, "--out", str(out), "--budget", "30", "--resume"],
+                    ["report", str(out)], ["check", str(out)],
+                    ["combine", str(out), "--out", str(workspace / "combined.json")]):
+        assert main(command) == 2, command
+        assert capsys.readouterr().err == f"error: {evals} line 4: {why}\n"

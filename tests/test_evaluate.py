@@ -63,6 +63,23 @@ def dis_policy(t_min=10.0, t_max=1200.0, types=frozenset({"SAT", "UNSAT"})):
     )
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: graded_policy(t_max=math.inf),
+        lambda: dis_policy(t_max=math.inf),
+        lambda: replace(graded_policy(), oracle_budget=math.inf),
+        lambda: replace(graded_policy(), oracle_budget=math.nan),
+        lambda: replace(graded_policy(), oracle_budget=0.0),
+    ],
+    ids=["graded-t_max-inf", "discriminating-t_max-inf", "oracle_budget-inf", "oracle_budget-nan",
+         "oracle_budget-zero"],
+)
+def test_policy_time_limits_must_be_positive_and_finite(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 def test_policy_invariants():
     with pytest.raises(ValidationError):
         graded_policy(t_min=0.0)
@@ -214,7 +231,7 @@ def test_evaluate_configuration_generator_solve_timeout_gives_one():
     space = parse_space("n: 1..1")
     model = parse_model(space, "var x : int 1..3")
     config = make_configuration(space, {"n": 1})
-    limits = EvaluationLimits(translate_limit=5.0, solve_limit=0.0, mem_limit=None)
+    limits = EvaluationLimits(translate_limit=5.0, solve_limit=1e-9, mem_limit=None)  # below one search step
     result = evaluate_configuration(
         model, config, SolutionHistory(), make_graded_policy("1", 1, 2), limits
     )
@@ -380,3 +397,41 @@ def test_derived_penalties_match_the_gates_bit_for_bit():
             got = penalty_of(dis, favoured, base)
             want = _gated_discriminating_penalty(favoured, base, dis)
             assert repr(got) == repr(want), (favoured, base, types)
+
+
+def test_every_run_of_a_policy_evaluation_goes_through_the_traced_names(monkeypatch):
+    # perfbench times the runner layer by wrapping these two module globals.
+    import benchgen.evaluate as evaluate_module
+
+    runs, verified = [], []
+    run_solver, verify_record = evaluate_module.run_solver, evaluate_module.verify_record
+
+    def counted_run(adapter, *args):
+        runs.append(adapter.name)
+        return run_solver(adapter, *args)
+
+    def counted_verify(problem, values, rec):
+        verified.append(rec)
+        return verify_record(problem, values, rec)
+
+    monkeypatch.setattr(evaluate_module, "run_solver", counted_run)
+    monkeypatch.setattr(evaluate_module, "verify_record", counted_verify)
+    model = parse_model(SPACE, MODEL)
+    config = make_configuration(SPACE, {"cap_t": 30})
+    graded = GradedPolicy(
+        problem=KNAPSACK,
+        solver=SolverAdapter(name="ls", kind="local_search", builtin="exact"),
+        oracle=SolverAdapter(name="oracle", builtin="exact"),
+        t_min=1.0,
+        t_max=2.0,
+    )
+    result = evaluate_configuration(model, config, SolutionHistory(), graded, FAST_LIMITS)
+    assert result.oracle is not None and result.oracle.proved
+    assert runs == ["ls", "oracle"]
+    assert len(verified) == 2
+    runs.clear()
+    verified.clear()
+    result = evaluate_configuration(model, config, SolutionHistory(), dis_policy(1.0, 2.0), FAST_LIMITS)
+    assert set(result.records) == {"f", "b"}
+    assert runs == ["f", "b"]
+    assert len(verified) == 2

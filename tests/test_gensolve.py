@@ -416,6 +416,10 @@ def test_cursor_resume_matches_exclusion_scan_on_error_paths(case):
     test_cursor_resume_matches_exclusion_scan.hypothesis.inner_test(case)
 
 
+# The keys that every reader of an evaluation record requires, with legal values.
+RECORD_KEYS = {"status": "others", "penalty": 0.0}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cursor_models(set_array=True))
@@ -436,7 +440,9 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
             instance = result.instance
             write_instance(archive, instance)
             keys[instance.id] = exclusion_key(instance.decision_values)
-            append_record(archive, {"seq": len(keys), "config_id": config.id, "instance_id": instance.id})
+            append_record(
+                archive, {"seq": len(keys), "config_id": config.id, "instance_id": instance.id, **RECORD_KEYS}
+            )
         for iid, key in keys.items():
             decision = {k: v for k, v in archive.instance_values(iid).items()
                         if k not in CURSOR_SPACE.names}
@@ -480,11 +486,13 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
         for i in range(k):
             instance = solve_generator(model, config, history, 5.0, 5.0).instance
             write_instance(archive, instance)
-            append_record(archive, {"seq": 3 * i + 1, "config_id": config.id, "instance_id": instance.id})
-            # Records without an instance, and another configuration's, count nothing.
-            append_record(archive, {"seq": 3 * i + 2, "config_id": config.id, "instance_id": None})
             append_record(
-                archive, {"seq": 3 * i + 3, "config_id": other.id, "instance_id": f"{other.id}-0000"}
+                archive, {"seq": 3 * i + 1, "config_id": config.id, "instance_id": instance.id, **RECORD_KEYS}
+            )
+            # Records without an instance, and another configuration's, count nothing.
+            append_record(archive, {"seq": 3 * i + 2, "config_id": config.id, "instance_id": None, **RECORD_KEYS})
+            append_record(
+                archive, {"seq": 3 * i + 3, "config_id": other.id, "instance_id": f"{other.id}-0000", **RECORD_KEYS}
             )
         loaded = archive.load_history()
         assert loaded.count(config.id) == k

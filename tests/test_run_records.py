@@ -29,8 +29,8 @@ def archived_form(name, record):
     return record.to_jsonable(name)
 
 
-def run_and_archive(adapter, problem, instance, time_limit, seed, clocked, tmp_path):
-    limits = EvaluationLimits(mem_limit=None, workdir=str(tmp_path))
+def run_and_archive(adapter, problem, instance, time_limit, seed, clocked, tmp_path, mem_limit=None):
+    limits = EvaluationLimits(mem_limit=mem_limit, workdir=str(tmp_path))
     record = run_solver(adapter, problem, instance, time_limit, limits, seed)
     data = archived_form(adapter.name, verify_record(problem, instance, record))
     if clocked:
@@ -66,6 +66,14 @@ BUILTIN_CASES = {
         "exact", DECISION, {**INSTANCE, "target": 7}, 5.0, 0, True,
         expected("sat", CLOCK, None, False, {"take": [1, 1, 0]}, [0, 3, 7], True),
     ),
+    "exact-decision-unsat": (
+        "exact", DECISION, {**INSTANCE, "target": 100}, 5.0, 0, True,
+        expected("unsat", CLOCK),
+    ),
+    "exact-decision-missing-target": (
+        "exact", DECISION, INSTANCE, 5.0, 0, True,
+        expected("error", CLOCK, note="missing target"),
+    ),
     "hillclimb-seed-3": (
         "hillclimb", KNAPSACK, INSTANCE, 5.0, 3, True,
         expected("sat", CLOCK, 7, False, {"take": [1, 1, 0]}, [3, 7], True),
@@ -73,6 +81,10 @@ BUILTIN_CASES = {
     "hillclimb-decision-seed-3": (
         "hillclimb", DECISION, {**INSTANCE, "target": 7}, 5.0, 3, True,
         expected("sat", CLOCK, None, False, {"take": [1, 1, 0]}, [3, 7], True),
+    ),
+    "hillclimb-decision-missed-target-seed-3": (
+        "hillclimb", DECISION, {**INSTANCE, "target": 100}, 5.0, 3, True,
+        expected("timeout", CLOCK, trace=[3, 7]),
     ),
     "synthetic-within-limit": (
         "synthetic:capacity / 10", KNAPSACK, INSTANCE, 5.0, 0, False,
@@ -95,6 +107,16 @@ BUILTIN_CASES = {
         expected("sat", CLOCK, 12, True, {"take": [1, 1, 1]}, [], False,
                  note="infeasible solution returned"),
     ),
+    "buggy-decision": (
+        "buggy", DECISION, {**INSTANCE, "target": 7}, 5.0, 0, True,
+        expected("sat", CLOCK, 12, True, {"take": [1, 1, 1]}, [], False,
+                 note="infeasible solution returned"),
+    ),
+    "buggy-decision-missing-target": (
+        "buggy", DECISION, INSTANCE, 5.0, 0, True,
+        expected("sat", CLOCK, 12, True, {"take": [1, 1, 1]}, [], False,
+                 note="check failed: decision instance needs an integer 'target'"),
+    ),
     "unsupported-problem": (
         "exact", OtherProblem(), INSTANCE, 5.0, 0, False,
         expected("error", 0.0, note="unsupported problem other"),
@@ -116,6 +138,13 @@ def test_builtin_run_archives_as_pinned(case, tmp_path):
     adapter = SolverAdapter(name="x", builtin=builtin)
     data = run_and_archive(adapter, problem, instance, limit, seed, clocked, tmp_path)
     assert list(data.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("builtin", ["exact", "hillclimb"])
+def test_builtin_run_stopped_by_the_memory_cap_archives_as_pinned(builtin, tmp_path):
+    adapter = SolverAdapter(name="x", builtin=builtin)
+    data = run_and_archive(adapter, KNAPSACK, INSTANCE, 5.0, 0, True, tmp_path, mem_limit=64)
+    assert list(data.items()) == list(expected("error", CLOCK, note="memory cap exceeded").items())
 
 
 TRAIL = " {model} {instance} {time_limit_ms}"  # placeholders the scripts ignore

@@ -1,5 +1,6 @@
 """Solver adapters, external execution, classification, and the oracle path."""
 
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +56,22 @@ def test_adapter_validation():
         SolverAdapter(name="x", command="no placeholders at all")
     with pytest.raises(ValidationError):
         SolverAdapter(name="x", builtin="exact", kind="psychic")
+
+
+@pytest.mark.parametrize("name", ["translate_limit", "solve_limit"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+def test_generator_limits_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite, got {value}"):
+        EvaluationLimits(**{name: value})
+
+
+@pytest.mark.parametrize("limit", [math.inf, math.nan])
+def test_external_run_with_a_time_limit_that_is_not_finite_is_an_error_record(limit, tmp_path):
+    adapter = script_adapter("s", "print(1)")
+    instance = {"weight": [1], "value": [1], "capacity": 1}
+    record = run_solver(adapter, KNAPSACK, instance, limit, EvaluationLimits(mem_limit=None, workdir=tmp_path))
+    assert record.status is Status.ERROR
+    assert record.note == f"time limit {limit} s is not finite"
 
 
 @pytest.mark.parametrize(
