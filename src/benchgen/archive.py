@@ -2,7 +2,8 @@
 
 Layout of a campaign directory:
 
-    config.json          campaign metadata (kind, problem, solvers, limits, seed)
+    config.json          campaign settings, budget included, written once; a
+                       resume runs under them and never rewrites them
     space.txt          parameter-space text
     generator.model    generator model text
     instances/         <id>.inst canonical text, one file per instance
@@ -98,7 +99,7 @@ class CampaignArchive:
             (archive.root / "instances").mkdir(exist_ok=True)
             (archive.root / "records").mkdir(exist_ok=True)
             (archive.root / "reports").mkdir(exist_ok=True)
-            archive.write_meta(meta)
+            (archive.root / "config.json").write_text(json.dumps(dict(meta), indent=2))
             (archive.root / "space.txt").write_text(space_text)
             (archive.root / "generator.model").write_text(model_text)
         except OSError as exc:
@@ -170,13 +171,6 @@ class CampaignArchive:
             raise ArchiveError(f"{path}: not a JSON object")
         return meta
 
-    def write_meta(self, meta: Mapping[str, Any]) -> None:
-        """Replace config.json through a temporary file and a rename, so a
-        crash leaves either the old or the new metadata whole."""
-        tmp = self.root / "config.json.tmp"
-        tmp.write_text(json.dumps(dict(meta), indent=2))
-        os.replace(tmp, self.root / "config.json")
-
     def _read_text(self, path: Path) -> str:
         try:
             return path.read_text()
@@ -233,7 +227,8 @@ class CampaignArchive:
         """The records in order; ``ArchiveError`` at the first line that is
         not a JSON object, whose ``seq`` is not its position (as when two
         campaigns wrote the stream), that lacks a ``config_id``, ``status``
-        or ``penalty``, or whose ``status`` is not a ``RunStatus`` value."""
+        or ``penalty`` (or, when ``dis-found``, its ``scores``), or whose
+        ``status`` is not a ``RunStatus`` value."""
         if not self._evals_path.exists():
             return
         position = 0
@@ -248,7 +243,10 @@ class CampaignArchive:
                 if not isinstance(entry, dict):
                     raise ArchiveError(f"{self._evals_path} line {number}: not a JSON object")
                 position += 1
-                missing = [key for key in ("config_id", "status", "penalty") if key not in entry]
+                needed = ["config_id", "status", "penalty"]
+                if entry.get("status") == RunStatus.DIS_FOUND.value:
+                    needed.append("scores")  # the discrimination table reads them
+                missing = [key for key in needed if entry.get(key) is None]
                 if entry.get("seq") != position:
                     why = f"seq {entry.get('seq')!r} is not the record's position {position}"
                 elif missing:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-import threading
+from collections import deque
 from pathlib import Path
 from typing import Any
 
@@ -76,21 +76,12 @@ def run_campaign(
         tuner_config = replace(tuner_config, workers=1)
 
     # archive, replay, history and eval_seq are bound under the lock below.
-    seen: dict[str, int] = {}
-    seen_lock = threading.Lock()  # external runs evaluate on pool threads when workers > 1
-
     def evaluator(config: GeneratorConfiguration, block: int):
-        with seen_lock:
-            occ = seen.get(config.id, 0)
-            seen[config.id] = occ + 1
-        cached = replay.get((config.id, occ))
-        if cached is not None:
-            return _ReplayResult(
-                cached["penalty"], RunStatus(cached["status"]), cached.get("instance_id")
-            )
-        return evaluate_configuration(
-            model, config, history, policy, limits, seed=tuner_config.seed
-        )
+        # A block evaluates each configuration once, so no two pool threads
+        # pop the same queue.
+        if replay.get(config.id):
+            return replay[config.id].popleft()
+        return evaluate_configuration(model, config, history, policy, limits, seed=tuner_config.seed)
 
     def log_sink(entry: EvalLogEntry, result: EvaluationResult | _ReplayResult) -> None:
         """Archive one evaluation; the tuner calls this in evaluation order."""
@@ -120,10 +111,11 @@ def run_campaign(
 
     lock = lock_archive(out_dir)  # held until this returns
     try:
-        replay: dict[tuple[str, int], dict[str, Any]] = {}
+        replay: dict[str, deque[_ReplayResult]] = {}
         if resume and (out_dir / "config.json").exists():
             archive = CampaignArchive.open(out_dir)
-            # Replay only reproduces the recorded prefix under the same inputs.
+            # Replay only reproduces the recorded prefix under the same inputs,
+            # so a resume runs under the archive's own settings, budget included.
             if archive.space_text != space_text:
                 raise ArchiveError(f"cannot resume {out_dir}: the space differs from its space.txt")
             if archive.model_text != model_text:
@@ -133,33 +125,24 @@ def run_campaign(
             recorded, wanted = archive.meta, json.loads(json.dumps(meta))
             differs = "; ".join(
                 f"{key} {wanted.get(key)!r} differs from the recorded {recorded.get(key)!r}"
-                for key in sorted((recorded.keys() | wanted.keys()) - {"total_budget"})
+                for key in sorted(recorded.keys() | wanted.keys())
                 if recorded.get(key) != wanted.get(key)
             )
             if differs:
-                raise ArchiveError(f"cannot resume {out_dir}: {differs} (only the budget may change)")
+                raise ArchiveError(f"cannot resume {out_dir}: {differs}")
             archive.drop_torn_record()
-            occurrence: dict[str, int] = {}
             for entry in archive.evaluations():
-                cid = entry["config_id"]
-                replay[(cid, occurrence.get(cid, 0))] = entry
-                occurrence[cid] = occurrence.get(cid, 0) + 1
-            if tuner_config.total_budget < len(replay):
-                # A replay cut short would rewrite tuner.log and config.json
-                # without the records beyond the budget.
-                raise ArchiveError(
-                    f"cannot resume {out_dir}: budget {tuner_config.total_budget} "
-                    f"is below the {len(replay)} recorded evaluations"
+                replay.setdefault(entry["config_id"], deque()).append(
+                    _ReplayResult(entry["penalty"], RunStatus(entry["status"]), entry.get("instance_id"))
                 )
             history = archive.load_history()
-            archive.write_meta(meta)  # the new budget
         elif (out_dir / "records" / "evals.jsonl").exists():
             advice = "it has no config.json" if resume else "pass resume or pick a fresh directory"
             raise ArchiveError(f"{out_dir} already holds campaign records; {advice}")
         else:
             archive = CampaignArchive.create(out_dir, meta, space_text, model_text)
             history = SolutionHistory()
-        eval_seq = len(replay)
+        eval_seq = sum(map(len, replay.values()))  # the records read, before replay pops them
         if resume:
             # Replay regenerates the identical prefix, so start the log afresh.
             (out_dir / "tuner.log").write_text("")

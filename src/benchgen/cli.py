@@ -67,6 +67,16 @@ def parse_mem_limit(text: str) -> int | None:
     return limit
 
 
+# The keys read from each section of a campaign file ([solver.*] as "solver"). Any
+# other is refused: a misspelled key would leave its setting at the default.
+_KEYS = {
+    "generator": ("model",),
+    "campaign": ("kind", "problem", "solver", "oracle", "oracle_budget", "favoured", "base", "t_min",
+                 "t_max", "types", "budget", "seed", "workers", "translate_limit", "solve_limit", "mem_limit"),
+    "solver": ("kind", "builtin", "command"),
+}
+
+
 def _read_config(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keep parameter-name case
@@ -79,6 +89,11 @@ def _read_config(path: str | Path) -> configparser.ConfigParser:
         raise ValidationError(f"cannot parse config file {path}: {reason}") from None
     if not read:
         raise ValidationError(f"cannot read config file {path}")
+    for section in parser.sections():
+        keys = _KEYS.get(section.split(".")[0])
+        unknown = [key for key in parser[section] if keys is not None and key not in keys]
+        if unknown:
+            raise ValidationError(f"[{section}] has no key {unknown[0]!r}; it reads {', '.join(keys)}")
     return parser
 
 
@@ -87,13 +102,9 @@ def load_adapters(config: configparser.ConfigParser) -> dict[str, SolverAdapter]
 
     adapters: dict[str, SolverAdapter] = {}
     for section in config.sections():
-        if not section.startswith("solver."):
-            continue
-        name = section[len("solver."):]
-        kind = config.get(section, "kind", fallback="complete")
-        builtin = config.get(section, "builtin", fallback=None)
-        command = config.get(section, "command", fallback=None)
-        adapters[name] = SolverAdapter(name=name, kind=kind, builtin=builtin, command=command)
+        if section.startswith("solver."):  # its keys are the adapter's fields (see _KEYS)
+            name = section[len("solver."):]
+            adapters[name] = SolverAdapter(name=name, **config[section])
     return adapters
 
 

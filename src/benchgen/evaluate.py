@@ -52,17 +52,6 @@ def _check_policy(policy: Policy) -> None:
         raise ValidationError("types must be non-empty")
 
 
-def instance_type(record: SolverRecord) -> str | None:
-    """SAT / UNSAT as witnessed by a record, None when undetermined."""
-    if record.status is Status.SAT or (
-        record.status is Status.TIMEOUT and record.solution is not None
-    ):
-        return "SAT"
-    if record.status is Status.UNSAT:
-        return "UNSAT"
-    return None
-
-
 class GradedPolicy(Record, frozen=True):
     """Band-of-difficulty acceptance for a single solver."""
 
@@ -123,7 +112,7 @@ class GradedPolicy(Record, frozen=True):
             return RunStatus.OTHERS
         if record.status is Status.TIMEOUT:
             return RunStatus.TOO_DIFFICULT
-        kind = instance_type(record)
+        kind = record.status.name  # SAT or UNSAT: errors and timeouts returned above
         if record.time < self.t_min:
             return RunStatus.TOO_EASY_UNSAT if kind == "UNSAT" else RunStatus.TOO_EASY_SAT
         if kind not in self.types:
@@ -170,7 +159,7 @@ class DiscriminatingPolicy(Record, frozen=True):
         """Status of an instance from the pair's records and their scores."""
         if favoured.status in (Status.TIMEOUT, Status.ERROR) or favoured.solution_ok is False:
             return RunStatus.FAVOURED_TIMEOUT
-        if instance_type(favoured) not in self.types:
+        if favoured.status.name not in self.types:
             return RunStatus.WRONG_TYPE
         if base.time < self.t_min:
             return RunStatus.BASE_TOO_EASY

@@ -32,10 +32,13 @@ class KnapsackData(Record, frozen=True):
         return len(self.weight)
 
 
+def is_int(v: Any) -> bool:
+    """Whether ``v`` is an integer; a bool is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _as_int_list(v: Any, name: str) -> list[int]:
-    if not isinstance(v, list) or not all(
-        isinstance(e, int) and not isinstance(e, bool) for e in v
-    ):
+    if not isinstance(v, list) or not all(is_int(e) for e in v):
         raise CheckError(f"{name} must be an integer array")
     return v
 
@@ -47,7 +50,7 @@ def parse_knapsack(instance: Mapping[str, Any]) -> KnapsackData:
         capacity = instance["capacity"]
     except KeyError as err:
         raise CheckError(f"instance missing field {err.args[0]!r}") from err
-    if not isinstance(capacity, int) or isinstance(capacity, bool):
+    if not is_int(capacity):
         raise CheckError("capacity must be an integer")
     if len(weight) != len(value):
         raise CheckError("weight and value arrays differ in length")
@@ -105,7 +108,7 @@ class KnapsackProblem(Problem):
         data = parse_knapsack(instance)
         decision = self.kind == "decision"
         target = instance.get("target")
-        if decision and (not isinstance(target, int) or isinstance(target, bool)):
+        if decision and not is_int(target):
             raise CheckError("decision instance needs an integer 'target'")
         take = _take_of(data, solution)
         if any(t < 0 or t > c for t, c in zip(take, data.copies)):

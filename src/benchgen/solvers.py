@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping
 
 from .errors import CheckError, EvalError, ParseError
 from .expressions import Expr, evaluate, parse_expression
-from .problems import PROBLEMS, KnapsackData, Problem, parse_knapsack
+from .problems import PROBLEMS, KnapsackData, Problem, is_int, parse_knapsack
 from .runner import SolverRecord, Status
 
 _WORD = 64  # rough bytes per tracked allocation unit
@@ -69,7 +69,7 @@ def _knapsack_solver(*, complete: bool, reads_target: bool = True) -> Callable[.
                 return SolverRecord(Status.ERROR, 0.0, note=str(err))
             decides = reads_target and problem.kind == "decision"
             target = instance.get("target") if decides else None
-            if decides and not isinstance(target, int):
+            if decides and not is_int(target):
                 return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
             try:
                 take, value, trace, proved = search(data, target, start, start + time_limit, seed, mem_limit)
@@ -248,7 +248,7 @@ def solve_synthetic(
     """
     del seed
     try:
-        scalars = {k: v for k, v in instance.items() if isinstance(v, int) and not isinstance(v, bool)}
+        scalars = {k: v for k, v in instance.items() if is_int(v)}
         arrays = {k: v for k, v in instance.items() if isinstance(v, list) and all(isinstance(e, int) for e in v)}
         value = evaluate(_latency(latency_expr), {**scalars, **arrays})
         if isinstance(value, bool):

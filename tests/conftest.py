@@ -2,6 +2,7 @@
 exhaustive enumerations used as test oracles."""
 
 import json
+import shutil
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -94,6 +95,25 @@ def evaluate_generator(outcome: GenOutcome, policy: Policy) -> EvaluationResult:
 
 def tuner_log(archive: CampaignArchive) -> str:
     return (archive.root / "tuner.log").read_text()
+
+
+def killed_copy(full: Path, out: Path, k: int) -> Path:
+    """Copy the finished campaign archive ``full`` to ``out`` as a SIGKILL
+    after its k-th record leaves it: the first k records and ``tuner.log``
+    lines, only those records' ``.inst`` files, and no ``history.json``
+    (a campaign writes that when it ends)."""
+    shutil.copytree(full, out)
+    evals, log = out / "records" / "evals.jsonl", out / "tuner.log"
+    records = evals.read_bytes().splitlines(keepends=True)[:k]
+    assert len(records) == k, "the campaign recorded fewer than k evaluations"
+    evals.write_bytes(b"".join(records))
+    log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:k]))
+    kept = {f"{json.loads(line)['instance_id']}.inst" for line in records}
+    for inst in (out / "instances").glob("*.inst"):
+        if inst.name not in kept:
+            inst.unlink()
+    (out / "history.json").unlink()
+    return out
 
 
 def enumerate_solutions(

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from benchgen.runner import SolverAdapter
 from benchgen.tuner import TunerConfig
 from benchgen.valuetext import values_to_jsonable
 
-from conftest import tuner_log
+from conftest import killed_copy, tuner_log
+from test_archive_digests import QUICK_START_MODEL
 
 KNAPSACK = get_problem("knapsack")
 SPACE_TEXT = "cap_t: 1..50"
@@ -101,14 +103,27 @@ def test_campaign_deterministic_across_runs(tmp_path, generator_model_text):
 
 def test_campaign_resume_replays_then_continues(tmp_path, generator_model_text):
     fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
-    partial = run(tmp_path / "steps", budget=18, model_text=generator_model_text)
+    partial = CampaignArchive.open(killed_copy(tmp_path / "full", tmp_path / "steps", 18))
+    assert partial.evaluation_count() < fresh.report.evaluations_used
     resumed = run(tmp_path / "steps", budget=30, resume=True, model_text=generator_model_text)
     assert tuner_log(resumed.archive) == tuner_log(fresh.archive)
     assert resumed.report.evaluations_used == fresh.report.evaluations_used
-    assert partial.report.evaluations_used < fresh.report.evaluations_used
     assert graded_instance_ids(resumed.archive) == graded_instance_ids(fresh.archive)
     seqs = [e["seq"] for e in resumed.archive.evaluations()]
     assert seqs == list(range(1, len(seqs) + 1))
+
+
+def test_resume_at_the_quick_start_budget_reproduces_the_uninterrupted_run(tmp_path):
+    full, out = tmp_path / "full", tmp_path / "steps"
+    quick_start = dict(budget=300, seed=7, model_text=QUICK_START_MODEL, space_text="cap_t: 1..100")
+    run(full, **quick_start)
+    killed_copy(full, out, 150)
+    run(out, resume=True, **quick_start)
+    for name in ("tuner.log", "records/evals.jsonl"):
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+    assert sorted(p.name for p in (out / "instances").iterdir()) == sorted(
+        p.name for p in (full / "instances").iterdir()
+    )
 
 
 def test_campaign_graded_instances_live_in_band(tmp_path, generator_model_text):
@@ -158,16 +173,16 @@ def test_campaign_refuses_unintended_overwrite(tmp_path, generator_model_text):
 def test_resume_with_stale_history_keeps_instance_ids_unique(tmp_path, generator_model_text):
     # A crash between recording an evaluation and rewriting history.json
     # left the history one entry behind the records.
-    out = tmp_path / "camp"
-    run(out, budget=60, model_text=generator_model_text)
+    run(tmp_path / "full", budget=60, model_text=generator_model_text)
+    out = killed_copy(tmp_path / "full", tmp_path / "camp", 30)
     archive = CampaignArchive.open(out)
     last = [e for e in archive.evaluations() if e["instance_id"]][-1]
-    history = json.loads((out / "history.json").read_text())
+    history = Counter(e["config_id"] for e in archive.evaluations() if e["instance_id"])
     history[last["config_id"]] -= 1
     (out / "history.json").write_text(json.dumps(history))
     before = {p.name: p.stat().st_mtime_ns for p in (out / "instances").glob("*.inst")}
 
-    run(out, budget=200, resume=True, model_text=generator_model_text)
+    run(out, budget=60, resume=True, model_text=generator_model_text)
     ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
     assert len(ids) > len(before)
     assert len(set(ids)) == len(ids)
@@ -177,7 +192,7 @@ def test_resume_with_stale_history_keeps_instance_ids_unique(tmp_path, generator
 
 def test_resume_drops_torn_final_record(tmp_path, generator_model_text):
     fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
-    run(tmp_path / "steps", budget=18, model_text=generator_model_text)
+    killed_copy(tmp_path / "full", tmp_path / "steps", 18)
     evals = tmp_path / "steps" / "records" / "evals.jsonl"
     complete = evals.read_text()
     # A crash in the middle of appending a record.
@@ -189,7 +204,7 @@ def test_resume_drops_torn_final_record(tmp_path, generator_model_text):
 
 def test_resume_keeps_unterminated_whole_record(tmp_path, generator_model_text):
     fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
-    run(tmp_path / "steps", budget=18, model_text=generator_model_text)
+    killed_copy(tmp_path / "full", tmp_path / "steps", 18)
     evals = tmp_path / "steps" / "records" / "evals.jsonl"
     evals.write_text(evals.read_text().rstrip("\n"))
     run(tmp_path / "steps", budget=30, resume=True, model_text=generator_model_text)
@@ -197,7 +212,8 @@ def test_resume_keeps_unterminated_whole_record(tmp_path, generator_model_text):
 
 
 def test_resume_still_rejects_corrupt_middle_record(tmp_path, generator_model_text):
-    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    run(tmp_path / "full", budget=30, model_text=generator_model_text)
+    killed_copy(tmp_path / "full", tmp_path / "camp", 18)
     evals = tmp_path / "camp" / "records" / "evals.jsonl"
     lines = evals.read_text().splitlines(keepends=True)
     lines[3] = lines[3][:25] + "\n"
@@ -211,7 +227,7 @@ def archive_files(root):
 
 
 def test_resume_rejects_a_changed_space(tmp_path, generator_model_text):
-    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    run(tmp_path / "camp", model_text=generator_model_text)
     before = archive_files(tmp_path / "camp")
     with pytest.raises(ArchiveError, match="space"):
         run(tmp_path / "camp", resume=True, model_text=generator_model_text, space_text="cap_t: 20..29")
@@ -219,7 +235,7 @@ def test_resume_rejects_a_changed_space(tmp_path, generator_model_text):
 
 
 def test_resume_rejects_a_changed_model(tmp_path, generator_model_text):
-    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    run(tmp_path / "camp", model_text=generator_model_text)
     before = archive_files(tmp_path / "camp")
     heavier = generator_model_text.replace("weight[2] : int 1..9", "weight[2] : int 20..29")
     with pytest.raises(ArchiveError, match="model"):
@@ -228,33 +244,33 @@ def test_resume_rejects_a_changed_model(tmp_path, generator_model_text):
 
 
 def test_resume_rejects_a_changed_seed(tmp_path, generator_model_text):
-    run(tmp_path / "camp", budget=18, seed=11, model_text=generator_model_text)
+    run(tmp_path / "camp", seed=11, model_text=generator_model_text)
     before = archive_files(tmp_path / "camp")
     with pytest.raises(ArchiveError, match="seed"):
         run(tmp_path / "camp", seed=12, resume=True, model_text=generator_model_text)
     assert archive_files(tmp_path / "camp") == before
 
 
-def test_resume_crash_while_writing_config_keeps_the_old_one(
-    tmp_path, generator_model_text, monkeypatch
-):
-    out = tmp_path / "camp"
-    run(out, budget=18, model_text=generator_model_text)
-    old = (out / "config.json").read_text()
+def test_a_resume_writes_no_config_json(tmp_path, generator_model_text, monkeypatch):
+    run(tmp_path / "full", budget=30, model_text=generator_model_text)
+    out = killed_copy(tmp_path / "full", tmp_path / "camp", 18)
+    meta = out / "config.json"
+    before = meta.read_bytes(), meta.stat().st_ino, meta.stat().st_mtime_ns
+    written = []
+    write_text = Path.write_text
 
-    def torn_write(path, data, *args, **kwargs):
-        with open(path, "w") as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError("disk full")
+    def recorded(path, *args, **kwargs):
+        written.append(path.name)
+        return write_text(path, *args, **kwargs)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_text", torn_write)
-        with pytest.raises(OSError):
-            run(out, budget=30, resume=True, model_text=generator_model_text)
-    assert (out / "config.json").read_text() == old
-
-    run(out, budget=30, resume=True, model_text=generator_model_text)
-    assert CampaignArchive.open(out).meta["total_budget"] == 30
+    monkeypatch.setattr(Path, "write_text", recorded)
+    archive = run(out, budget=30, resume=True, model_text=generator_model_text).archive
+    assert archive.evaluation_count() > 18
+    assert (meta.read_bytes(), meta.stat().st_ino, meta.stat().st_mtime_ns) == before
+    assert "config.json" not in written
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == sorted(
+        p.name for p in (tmp_path / "full").iterdir() if p.is_file()
+    )
 
 
 def test_config_json_records_every_setting_that_can_change_an_archive(tmp_path, generator_model_text):
@@ -266,7 +282,8 @@ def test_config_json_records_every_setting_that_can_change_an_archive(tmp_path, 
 
 def test_a_held_archive_is_refused_and_left_as_it_was(tmp_path, generator_model_text):
     out, fresh = tmp_path / "camp", tmp_path / "fresh"
-    run(out, budget=18, model_text=generator_model_text)
+    run(tmp_path / "full", budget=30, model_text=generator_model_text)
+    killed_copy(tmp_path / "full", out, 18)
     before = archive_files(out)
     held = [lock_archive(out), lock_archive(fresh)]
     try:
@@ -307,7 +324,7 @@ def resume_with(out, model_text, policy=None, limits=FAST_LIMITS):
 
 
 def test_resume_rejects_a_changed_t_max(tmp_path, generator_model_text):
-    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    run(tmp_path / "camp", model_text=generator_model_text)
     before = archive_files(tmp_path / "camp")
     with pytest.raises(ArchiveError, match="t_max"):
         resume_with(tmp_path / "camp", generator_model_text, policy=replace(banded_policy(), t_max=3.0))
@@ -315,7 +332,7 @@ def test_resume_rejects_a_changed_t_max(tmp_path, generator_model_text):
 
 
 def test_resume_rejects_a_changed_solver(tmp_path, generator_model_text):
-    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    run(tmp_path / "camp", model_text=generator_model_text)
     before = archive_files(tmp_path / "camp")
     slower = SolverAdapter(name="band", builtin="synthetic:capacity / 5")
     with pytest.raises(ArchiveError, match="solver"):
@@ -324,7 +341,7 @@ def test_resume_rejects_a_changed_solver(tmp_path, generator_model_text):
 
 
 def test_resume_rejects_a_changed_solve_limit(tmp_path, generator_model_text):
-    run(tmp_path / "camp", budget=18, model_text=generator_model_text)
+    run(tmp_path / "camp", model_text=generator_model_text)
     before = archive_files(tmp_path / "camp")
     with pytest.raises(ArchiveError, match="limits"):
         resume_with(tmp_path / "camp", generator_model_text, limits=replace(FAST_LIMITS, solve_limit=6.0))
@@ -344,8 +361,8 @@ def test_instances_hold_one_inst_per_recorded_instance(tmp_path, generator_model
 
 def test_resume_ignores_sidecars_of_older_archives(tmp_path, generator_model_text):
     fresh = run(tmp_path / "full", budget=30, model_text=generator_model_text)
-    out = tmp_path / "steps"
-    archive = run(out, budget=18, model_text=generator_model_text).archive
+    out = killed_copy(tmp_path / "full", tmp_path / "steps", 18)
+    archive = CampaignArchive.open(out)
     # The per-instance .json that archives carried before they kept one file
     # per instance, annotated with the evaluation's penalty and status.
     for entry in archive.evaluations():
@@ -375,8 +392,7 @@ def test_resume_ignores_sidecars_of_older_archives(tmp_path, generator_model_tex
 
 def test_resume_rewrites_an_orphan_instance(tmp_path, generator_model_text):
     run(tmp_path / "full", budget=30, model_text=generator_model_text)
-    out = tmp_path / "steps"
-    run(out, budget=18, model_text=generator_model_text)
+    out = killed_copy(tmp_path / "full", tmp_path / "steps", 18)
     # A crash after add_instance and before add_evaluation: the last
     # instance's .inst is whole, but its record was never appended.
     evals = out / "records" / "evals.jsonl"
@@ -537,19 +553,21 @@ def test_evaluator_that_raises_leaves_its_evaluations_and_no_writer(
 def test_campaign_calls_each_archive_write_once_per_evaluation(
     tmp_path, generator_model_text, archive_calls
 ):
-    out = tmp_path / "camp"
-    archive = run(out, budget=30, model_text=generator_model_text).archive
+    full = tmp_path / "full"
+    archive = run(full, budget=60, model_text=generator_model_text).archive
     evaluations = list(archive.evaluations())
     assert archive_calls["add_evaluation"] == len(evaluations)
     assert archive_calls["append_log"] == len(evaluations)
-    assert archive_calls["add_instance"] == len(list((out / "instances").glob("*.inst"))) == sum(
+    assert archive_calls["add_instance"] == len(list((full / "instances").glob("*.inst"))) == sum(
         1 for e in evaluations if e["instance_id"]
     )
 
     # A resumed campaign archives only its new evaluations.
+    archive = CampaignArchive.open(killed_copy(full, tmp_path / "camp", 30))
+    evaluations = list(archive.evaluations())
     for name in ("add_instance", "add_evaluation", "append_log"):
         archive_calls[name] = 0
-    run(out, budget=60, resume=True, model_text=generator_model_text)
+    run(archive.root, budget=60, resume=True, model_text=generator_model_text)
     new = list(archive.evaluations())[len(evaluations):]
     assert new and archive_calls["add_evaluation"] == len(new)
     assert archive_calls["add_instance"] == sum(1 for e in new if e["instance_id"])

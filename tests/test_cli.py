@@ -15,7 +15,7 @@ import pytest
 import benchgen
 from benchgen.cli import main, parse_mem_limit
 
-from conftest import GENERATOR_MODEL, fabricate_graded_archive
+from conftest import GENERATOR_MODEL, fabricate_graded_archive, killed_copy
 
 
 @pytest.fixture
@@ -97,8 +97,9 @@ def test_tune_discriminating_via_flags(workspace, capsys):
 
 def test_tune_resume_flag(workspace, capsys):
     config = str(workspace / "campaign.ini")
-    out = workspace / "resume"
-    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    full = workspace / "full"
+    assert main(["tune", config, "--out", str(full), "--budget", "24"]) == 0
+    out = killed_copy(full, workspace / "resume", 12)
     capsys.readouterr()
     assert main(["tune", config, "--out", str(out), "--budget", "24", "--resume"]) == 0
     capsys.readouterr()
@@ -148,7 +149,7 @@ def test_tune_resume_with_another_seed_is_reported(workspace, capsys):
     out = workspace / "resume"
     assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
     capsys.readouterr()
-    assert main(["tune", config, "--out", str(out), "--budget", "24", "--seed", "12", "--resume"]) == 2
+    assert main(["tune", config, "--out", str(out), "--budget", "12", "--seed", "12", "--resume"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot resume")
     assert len((out / "tuner.log").read_text().splitlines()) == 12
 
@@ -158,7 +159,7 @@ def test_tune_resume_with_another_t_max_is_reported(workspace, capsys):
     out = workspace / "resume"
     assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
     capsys.readouterr()
-    assert main(["tune", config, "--out", str(out), "--budget", "24", "--t-max", "3", "--resume"]) == 2
+    assert main(["tune", config, "--out", str(out), "--budget", "12", "--t-max", "3", "--resume"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot resume")
     assert len((out / "tuner.log").read_text().splitlines()) == 12
 
@@ -167,7 +168,8 @@ def files_of(root: Path) -> dict:
     return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def test_resume_with_a_budget_below_the_records_is_reported_and_changes_nothing(workspace, capsys):
+@pytest.mark.parametrize("budget", [10, 60], ids=["below", "above"])
+def test_resume_with_another_budget_is_reported_and_changes_nothing(workspace, capsys, budget):
     config = str(workspace / "campaign.ini")
     out = workspace / "resume"
     assert main(["tune", config, "--out", str(out), "--budget", "30"]) == 0
@@ -175,17 +177,18 @@ def test_resume_with_a_budget_below_the_records_is_reported_and_changes_nothing(
     assert recorded == 30
     before = files_of(out)
     capsys.readouterr()
-    assert main(["tune", config, "--out", str(out), "--budget", "10", "--resume"]) == 2
+    assert main(["tune", config, "--out", str(out), "--budget", str(budget), "--resume"]) == 2
     assert capsys.readouterr().err == (
-        f"error: cannot resume {out}: budget 10 is below the 30 recorded evaluations\n"
+        f"error: cannot resume {out}: total_budget {budget} differs from the recorded 30\n"
     )
     assert files_of(out) == before
 
 
 def test_resume_needs_no_inst_but_check_reports_a_missing_one(workspace, capsys):
     config = str(workspace / "campaign.ini")
-    out = workspace / "camp"
-    assert main(["tune", config, "--out", str(out), "--budget", "24"]) == 0
+    full = workspace / "full"
+    assert main(["tune", config, "--out", str(full), "--budget", "36"]) == 0
+    out = killed_copy(full, workspace / "camp", 24)
     entries = [json.loads(line) for line in (out / "records" / "evals.jsonl").read_text().splitlines()]
     gone = next(e["instance_id"] for e in entries if e["instance_id"] and any(
         r.get("solution") is not None for r in e["records"].values()))
@@ -206,7 +209,7 @@ def test_resume_of_an_archive_without_one_of_its_files_is_reported_and_writes_no
     (out / name).unlink()
     before = files_of(out)
     capsys.readouterr()
-    assert main(["tune", config, "--out", str(out), "--budget", "24", "--resume"]) == 2
+    assert main(["tune", config, "--out", str(out), "--budget", "12", "--resume"]) == 2
     assert capsys.readouterr().err == {
         "space.txt": f"error: cannot read {out / 'space.txt'}: No such file or directory\n",
         "generator.model": f"error: cannot read {out / 'generator.model'}: No such file or directory\n",
@@ -275,6 +278,25 @@ def test_non_numeric_campaign_value_is_reported(workspace, capsys, line, bad, me
     config.write_text(config.read_text().replace(line, bad))
     assert main(["tune", str(config), "--out", str(workspace / "camp")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (workspace / "camp").exists()
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [("campaign", "budgte = 20"), ("campaign", "tmin = 2"), ("generator", "modle: knapsack.gen"),
+     ("solver.band", "bultin = exact")],
+    ids=["budgte", "tmin", "modle", "bultin"],
+)
+def test_a_campaign_file_key_that_nothing_reads_is_refused(workspace, capsys, section, line):
+    ini = workspace / "campaign.ini"
+    ini.write_text(ini.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    key = line.split()[0].rstrip(":")
+    combined = combined_set(workspace)
+    capsys.readouterr()
+    for argv in (["tune", str(ini), "--out", str(workspace / "camp")],
+                 ["evaluate", str(combined), "--solvers", "band", "--config", str(ini)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: [{section}] has no key {key!r}; it reads ")
     assert not (workspace / "camp").exists()
 
 
@@ -500,7 +522,7 @@ def test_a_config_json_that_is_not_a_json_object_is_reported(workspace, capsys, 
         "report": ["report", str(out)],
         "check": ["check", str(out)],
         "combine": ["combine", str(out), "--out", str(workspace / "combined.json")],
-        "resume": ["tune", config, "--out", str(out), "--budget", "24", "--resume"],
+        "resume": ["tune", config, "--out", str(out), "--budget", "12", "--resume"],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {meta}: not a JSON object\n"
@@ -522,7 +544,7 @@ def test_a_config_json_that_cannot_be_read_is_reported(workspace, capsys, comman
         "check": ["check", str(out)],
         "combine": ["combine", str(out), "--out", str(combined)],
         "evaluate": ["evaluate", str(combined), "--solvers", "band", "--config", config],
-        "resume": ["tune", config, "--out", str(out), "--budget", "24", "--resume"],
+        "resume": ["tune", config, "--out", str(out), "--budget", "12", "--resume"],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {meta}: ")
@@ -729,8 +751,9 @@ sys.exit(benchgen.cli.main(sys.argv[2:]))
 def test_concurrent_resumes_leave_the_archive_of_one(workspace):
     config = str(workspace / "campaign.ini")
     single, shared = workspace / "single", workspace / "shared"
+    assert main(["tune", config, "--out", str(workspace / "full"), "--budget", "40"]) == 0
     for out in (single, shared):
-        assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+        killed_copy(workspace / "full", out, 12)
     assert main(["tune", config, "--out", str(single), "--budget", "40", "--resume"]) == 0
     resume = ["tune", config, "--out", str(shared), "--budget", "40", "--resume"]
     src = str(Path(benchgen.__file__).resolve().parents[1])
@@ -767,7 +790,7 @@ def test_a_duplicated_seq_is_rejected_by_every_reader(workspace, capsys):
     lines = evals.read_text().splitlines(keepends=True)
     evals.write_text("".join(lines[:5] + lines[4:]))  # record 5 twice, as two writers leave it
     capsys.readouterr()
-    for command in (["tune", config, "--out", str(out), "--budget", "30", "--resume"],
+    for command in (["tune", config, "--out", str(out), "--budget", "12", "--resume"],
                     ["report", str(out)], ["check", str(out)]):
         assert main(command) == 2, command
         assert capsys.readouterr().err == f"error: {evals} line 6: seq 5 is not the record's position 6\n"
@@ -859,8 +882,10 @@ def test_evaluate_caps_memory_at_8g_unless_told(workspace, capsys, monkeypatch, 
         ({"penalty": None}, "no 'penalty'"),
         ({"status": "bogus"}, "status 'bogus' is not a run status"),
         ({"status": ["graded"]}, "status ['graded'] is not a run status"),
+        ({"status": "dis-found", "scores": None}, "no 'scores'"),
     ],
-    ids=["no-config_id", "no-status", "no-penalty", "unknown-status", "unhashable-status"],
+    ids=["no-config_id", "no-status", "no-penalty", "unknown-status", "unhashable-status",
+         "dis-found-no-scores"],
 )
 def test_a_record_without_what_readers_need_is_rejected_by_every_reader(workspace, capsys, change, why):
     config = str(workspace / "campaign.ini")
@@ -877,7 +902,7 @@ def test_a_record_without_what_readers_need_is_rejected_by_every_reader(workspac
     lines[3] = json.dumps(entry) + "\n"
     evals.write_text("".join(lines))
     capsys.readouterr()
-    for command in (["tune", config, "--out", str(out), "--budget", "30", "--resume"],
+    for command in (["tune", config, "--out", str(out), "--budget", "12", "--resume"],
                     ["report", str(out)], ["check", str(out)],
                     ["combine", str(out), "--out", str(workspace / "combined.json")]):
         assert main(command) == 2, command

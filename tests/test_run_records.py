@@ -74,6 +74,10 @@ BUILTIN_CASES = {
         "exact", DECISION, INSTANCE, 5.0, 0, True,
         expected("error", CLOCK, note="missing target"),
     ),
+    "exact-decision-boolean-target": (
+        "exact", DECISION, {**INSTANCE, "target": True}, 5.0, 0, True,
+        expected("error", CLOCK, note="missing target"),
+    ),
     "hillclimb-seed-3": (
         "hillclimb", KNAPSACK, INSTANCE, 5.0, 3, True,
         expected("sat", CLOCK, 7, False, {"take": [1, 1, 0]}, [3, 7], True),
