@@ -54,6 +54,9 @@ if TYPE_CHECKING:
 
     from .gensolve import CandidateInstance, SolutionHistory
 
+# A tuple, not a set: an unhashable status in a corrupt line is compared, not hashed.
+_RUN_STATUSES = tuple(status.value for status in RunStatus)
+
 
 def lock_archive(root: str | Path) -> int:
     """Create ``root`` if it is missing and lock it; returns the locked
@@ -251,7 +254,7 @@ class CampaignArchive:
                     why = f"seq {entry.get('seq')!r} is not the record's position {position}"
                 elif missing:
                     why = f"no {missing[0]!r}"
-                elif entry["status"] not in [status.value for status in RunStatus]:  # a list: no hashing
+                elif entry["status"] not in _RUN_STATUSES:
                     why = f"status {entry['status']!r} is not a run status"
                 else:
                     yield entry

@@ -323,10 +323,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     checked = 0
     failures = 0
     for entry in archive.evaluations():
+        values = None
         for name, raw in entry.get("records", {}).items():
             if raw.get("solution") is None or entry.get("instance_id") is None:
                 continue
-            values = archive.instance_values(entry["instance_id"])
+            if values is None:
+                values = archive.instance_values(entry["instance_id"])
             record = verify_record(problem, values, SolverRecord.from_jsonable(raw))
             checked += 1
             if not record.solution_ok:

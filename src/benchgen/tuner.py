@@ -256,14 +256,18 @@ class TunerReport(Record):
         return dict(Counter(entry.status.value for entry in self.log))
 
 
+def _best_first(rank_sums: Sequence[float]) -> list[int]:
+    """Positions of the alive configurations by rank sum, ties by position."""
+    return sorted(range(len(rank_sums)), key=lambda j: (rank_sums[j], j))
+
+
 def _rank_survivors(state: RaceState) -> list[GeneratorConfiguration]:
     """Order alive configurations by mean within-block rank (best first)."""
     alive = state.alive
     if state.blocks == 0 or len(alive) <= 1:
         return list(alive)
     _, sums = _rank_sums(state.penalty_matrix())
-    order = sorted(range(len(alive)), key=lambda j: (sums[j], j))
-    return [alive[j] for j in order]
+    return [alive[j] for j in _best_first(sums)]
 
 
 def race(
@@ -314,11 +318,7 @@ def race(
         if len(state.alive) > MIN_SURVIVORS and state.blocks >= FIRST_TEST_AFTER:
             result = friedman_eliminate(state.penalty_matrix())
             if result.eliminated:
-                ranked = sorted(
-                    range(len(state.alive)),
-                    key=lambda j: (result.rank_sums[j], j),
-                )
-                keep = set(ranked[:MIN_SURVIVORS])
+                keep = set(_best_first(result.rank_sums)[:MIN_SURVIVORS])
                 state.alive = [
                     c
                     for j, c in enumerate(state.alive)

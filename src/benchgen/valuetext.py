@@ -1,15 +1,16 @@
 """Canonical text format for instance data and solution payloads.
 
 One ``name = value`` line per entry, names sorted; values are integers,
-bracketed integer arrays, braced integer sets (ascending), or arrays of
-sets. The format is deterministic: equal values produce byte-identical
-text.
+bracketed arrays, which may nest (``[[1, 2], []]``), braced integer sets
+(ascending), or arrays of sets. Only blanks and tabs may separate the
+tokens of a value. The format is deterministic: equal values produce
+byte-identical text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -65,73 +66,36 @@ def values_from_jsonable(data: Mapping[str, Any] | None) -> dict[str, Any] | Non
     return out
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
-        self.pos += 1
-
-    def int_(self) -> int:
-        self.skip_ws()
-        m = re.match(r"-?\d+", self.text[self.pos:])
-        if not m:
-            raise ParseError(f"expected integer at position {self.pos} in {self.text!r}")
-        self.pos += m.end()
-        return int(m.group())
-
-    def value(self) -> Any:
-        ch = self.peek()
-        if ch == "[":
-            self.take("[")
-            items: list[Any] = []
-            if self.peek() == "]":
-                self.take("]")
-                return items
-            while True:
-                items.append(self.value())
-                if self.peek() == ",":
-                    self.take(",")
-                    continue
-                self.take("]")
-                return items
-        if ch == "{":
-            self.take("{")
-            items_set: set[int] = set()
-            if self.peek() == "}":
-                self.take("}")
-                return items_set
-            while True:
-                items_set.add(self.int_())
-                if self.peek() == ",":
-                    self.take(",")
-                    continue
-                self.take("}")
-                return items_set
-        return self.int_()
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+# An integer or any other single character, after blanks and tabs: any
+# other space inside a value is a token that no value accepts.
+_TOKEN = re.compile(r"[ \t]*(-?\d+|[^ \t])")
+_CLOSE = {"[": "]", "{": "}"}
 
 
-def parse_value(text: str) -> Any:
-    sc = _Scanner(text)
-    v = sc.value()
-    if not sc.done():
-        raise ParseError(f"trailing input in value: {text!r}")
-    return v
+def _int(tok: str, text: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # not an integer token, or too many digits to convert
+        raise ParseError(f"expected an integer, got {tok!r} in {text!r}") from None
+
+
+def _read(tokens: Iterator[str], tok: str, text: str) -> Any:
+    """The value that starts with ``tok``; the rest of it comes from ``tokens``."""
+    close = _CLOSE.get(tok)
+    if close is None:
+        return _int(tok, text)
+    items: list[Any] = []
+    tok = next(tokens, "")
+    if tok != close:
+        while True:
+            items.append(_read(tokens, tok, text) if close == "]" else _int(tok, text))
+            tok = next(tokens, "")
+            if tok != ",":
+                break
+            tok = next(tokens, "")
+        if tok != close:
+            raise ParseError(f"expected ',' or {close!r}, got {tok!r} in {text!r}")
+    return items if close == "]" else set(items)
 
 
 def parse_values(text: str) -> dict[str, Any]:
@@ -149,5 +113,12 @@ def parse_values(text: str) -> dict[str, Any]:
             raise ParseError(f"invalid name {name!r}")
         if name in values:
             raise ParseError(f"duplicate name {name!r}")
-        values[name] = parse_value(rhs.strip())
+        rhs = rhs.strip()
+        tokens = iter(_TOKEN.findall(rhs))
+        try:
+            values[name] = _read(tokens, next(tokens, ""), rhs)
+        except RecursionError:
+            raise ParseError(f"value of {name!r} is nested too deeply") from None
+        if next(tokens, None) is not None:
+            raise ParseError(f"trailing input in value: {rhs!r}")
     return values

@@ -645,6 +645,33 @@ def test_check_detects_planted_corruption(workspace, capsys):
     assert "FAILED re-verification" in capsys.readouterr().out
 
 
+def test_check_reads_each_instance_once(workspace, capsys, monkeypatch):
+    out = workspace / "dis"
+    assert main([
+        "tune", str(workspace / "campaign.ini"), "--out", str(out), "--budget", "30",
+        "--favoured", "falling", "--base", "rising", "--t-min", "2.5", "--t-max", "10",
+    ]) == 0
+    capsys.readouterr()
+    entries = [json.loads(l) for l in (out / "records" / "evals.jsonl").read_text().splitlines()]
+    solved = [
+        [raw for raw in e.get("records", {}).values() if raw.get("solution") is not None]
+        for e in entries if e.get("instance_id")
+    ]
+    assert any(len(records) > 1 for records in solved)  # the case a second read would serve
+
+    from benchgen.archive import CampaignArchive
+
+    reads = []
+    instance_values = CampaignArchive.instance_values
+    monkeypatch.setattr(
+        CampaignArchive, "instance_values", lambda self, i: reads.append(i) or instance_values(self, i)
+    )
+    assert main(["check", str(out)]) == 0
+    assert len(reads) == len(set(reads)) == sum(1 for records in solved if records)
+    checked = sum(len(records) for records in solved)
+    assert capsys.readouterr().out == f"re-checked {checked} archived solutions, 0 failures\n"
+
+
 def test_check_compares_the_objective_of_a_timed_out_answer(tmp_path, capsys):
     archive = fabricate_graded_archive(tmp_path / "camp", "band", [{"status": "too-difficult"}])
     evals_path = archive.root / "records" / "evals.jsonl"

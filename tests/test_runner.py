@@ -151,6 +151,14 @@ def test_external_solution_block_parsed(tmp_path):
     assert checked.solution_ok is True
 
 
+def test_an_unreadable_solution_value_is_an_error_record_not_raised(tmp_path):
+    adapter = script_adapter("deep", "print('take = ' + '[' * 5000 + ']' * 5000); print('-' * 10)")
+    record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
+    assert record.status is Status.ERROR
+    assert record.note.startswith("unparseable solution block")
+
+
 def test_external_improvement_trace_timestamps(tmp_path):
     body = (
         "import time; "

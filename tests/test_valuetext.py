@@ -4,6 +4,8 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchgen.errors import ParseError
 from benchgen.valuetext import format_values, parse_values, values_from_jsonable, values_to_jsonable
@@ -47,6 +49,38 @@ def test_parse_rejects_malformed():
     for text in ["novalue", "x = ", "x = [1, ", "x = {1", "x = 1 2", "1x = 3", "x = [1]]"]:
         with pytest.raises(ParseError):
             parse_values(text)
+    values = ["[1,,2]", "{[1]}", "{1,}", "[,]", "--1", "1a", "[1 2]", "{1 2}", "[1,\xa02]"]
+    for value in values:
+        with pytest.raises(ParseError):
+            parse_values(f"x = {value}")
+
+
+def test_parse_accepts_nested_arrays_tabs_and_minus_zero():
+    assert parse_values("x = [[1, 2], []]") == {"x": [[1, 2], []]}
+    assert parse_values("x =\t[\t1 ,\t{2,\t3}\t]\t") == {"x": [1, {2, 3}]}
+    assert parse_values("x = -0") == {"x": 0}
+
+
+@pytest.mark.parametrize(
+    "value", ["1" * 5000, "[" * 5000 + "]" * 5000], ids=["too-many-digits", "too-deep"]
+)
+def test_a_value_python_cannot_hold_is_a_parse_error(value):
+    with pytest.raises(ParseError):
+        parse_values(f"x = {value}")
+
+
+_ints = st.integers(-(10**6), 10**6)
+_arrays = st.recursive(
+    st.lists(_ints, max_size=4) | st.lists(st.sets(_ints, max_size=4), max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True)
+@given(st.dictionaries(st.sampled_from(["a", "b_2", "_c", "Dd"]), _ints | _arrays))
+def test_nested_values_round_trip(values):
+    assert parse_values(format_values(values)) == values
 
 
 def test_parse_rejects_duplicates():
