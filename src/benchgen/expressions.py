@@ -6,6 +6,11 @@ arrays of sets), sums over integer arrays, and alldifferent. Values are
 integers, integer arrays, integer sets, or arrays of integer sets; arrays
 are 1-indexed.
 
+Grammar, loosest binding first: ``and``; one comparison or ``in`` (they do
+not chain); ``+ -``; ``* /``; unary ``-``; postfix ``[index]``. Function
+arguments, indices and ``|...|`` take arithmetic only. A tree more than
+``MAX_DEPTH`` levels deep is a ParseError.
+
 This module holds the syntax and its one compiled semantics. The
 generator search reads the compiled form under partial assignments
 (``ground``), and ``evaluate`` reads the same form on fixed values.
@@ -21,37 +26,6 @@ from .errors import EvalError, ParseError
 from .records import Record, field_names
 
 Value = Union[int, Fraction, list, set]
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>==|!=|<=|>=|\.\.|[-+*/()\[\]{}|,<>=])"
-    r")"
-)
-
-_KEYWORDS = {"and", "in", "sum", "card", "alldifferent", "min", "max"}
-
-
-def tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"cannot tokenize near {rest[:20]!r}")
-        pos = m.end()
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int")))
-        elif m.group("ident") is not None:
-            word = m.group("ident")
-            tokens.append(("kw" if word in _KEYWORDS else "ident", word))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
-
 
 # AST nodes. Comparison operators keep their surface spelling; "=" and "=="
 # are the same operator.
@@ -121,123 +95,102 @@ Expr = Union[
 ]
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
+# Deepest tree a parse accepts: compiling and reading a tree take a stack
+# frame a level, so a much deeper one would exhaust the stack later.
+MAX_DEPTH = 500
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+# After whitespace: an integer, a word, a two-character comparison, or any
+# other single character.
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[=!<>]=|\S)")
+_FUNCTIONS = {"sum": Sum, "card": Card, "alldifferent": AllDifferent, "min": MinOf, "max": MaxOf}
+_RELATIONS = {"=": "=", "==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "in": "in"}
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-    def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
 
-    def expect(self, value: str) -> None:
-        tok = self.next()
-        if tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}")
+def _expect(tokens: list[str], want: str) -> None:
+    found = tokens.pop()
+    if found != want:
+        raise ParseError(f"expected {want!r}, found {found!r}" if found else "unexpected end of expression")
 
-    def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == value
 
-    # Grammar, loosest binding first: and, comparison/in, additive,
-    # multiplicative, unary, atom.
+def _operand(tokens: list[str]) -> Expr:
+    """A unary minus, or an atom and the indices after it."""
+    tok = tokens.pop()
+    if tok == "-":
+        return Neg(_operand(tokens))
+    if tok.isdecimal():
+        try:
+            node = IntLit(int(tok))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
+    elif tok in _FUNCTIONS:
+        _expect(tokens, "(")
+        node = _FUNCTIONS[tok](_arith(tokens))
+        _expect(tokens, ")")
+    elif tok == "(":
+        node = _condition(tokens)
+        _expect(tokens, ")")
+    elif tok == "|":
+        node = Card(_arith(tokens))
+        _expect(tokens, "|")
+    elif tok.isascii() and tok.isidentifier() and tok not in ("and", "in"):
+        node = Name(tok)
+    else:
+        raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of expression")
+    while tokens[-1] == "[":
+        tokens.pop()
+        node = Index(node, _arith(tokens))
+        _expect(tokens, "]")
+    return node
 
-    def parse_bool(self) -> Expr:
-        left = self.parse_relation()
-        while self.at("and"):
-            self.next()
-            left = And(left, self.parse_relation())
-        return left
 
-    def parse_relation(self) -> Expr:
-        left = self.parse_additive()
-        tok = self.peek()
-        if tok is not None and tok[1] in ("=", "==", "!=", "<", "<=", ">", ">="):
-            op = self.next()[1]
-            if op == "==":
-                op = "="
-            return Compare(op, left, self.parse_additive())
-        if tok is not None and tok[1] == "in":
-            self.next()
-            return InSet(left, self.parse_additive())
-        return left
+def _arith(tokens: list[str], floor: int = 1) -> Expr:
+    """Operands joined by left-associative operators binding at least ``floor``."""
+    node = _operand(tokens)
+    while _BINDING.get(tokens[-1], 0) >= floor:
+        op = tokens.pop()
+        node = BinOp(op, node, _arith(tokens, _BINDING[op] + 1))
+    return node
 
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[1] in ("+", "-"):
-                op = self.next()[1]
-                left = BinOp(op, left, self.parse_multiplicative())
-            else:
-                return left
 
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[1] in ("*", "/"):
-                op = self.next()[1]
-                left = BinOp(op, left, self.parse_unary())
-            else:
-                return left
+def _condition(tokens: list[str]) -> Expr:
+    """Relations joined by ``and``, each with at most one comparison or ``in``."""
+    node = None
+    while True:
+        relation = _arith(tokens)
+        op = _RELATIONS.get(tokens[-1])
+        if op is not None:
+            tokens.pop()
+            right = _arith(tokens)
+            relation = InSet(relation, right) if op == "in" else Compare(op, relation, right)
+        node = relation if node is None else And(node, relation)
+        if tokens[-1] != "and":
+            return node
+        tokens.pop()
 
-    def parse_unary(self) -> Expr:
-        if self.at("-"):
-            self.next()
-            return Neg(self.parse_unary())
-        return self.parse_postfix()
 
-    def parse_postfix(self) -> Expr:
-        node = self.parse_atom()
-        while self.at("["):
-            self.next()
-            index = self.parse_additive()
-            self.expect("]")
-            node = Index(node, index)
-        return node
-
-    def parse_atom(self) -> Expr:
-        tok = self.next()
-        kind, value = tok
-        if kind == "int":
-            return IntLit(int(value))
-        if kind == "ident":
-            return Name(value)
-        if kind == "kw" and value in ("sum", "card", "alldifferent", "min", "max"):
-            self.expect("(")
-            arg = self.parse_additive()
-            self.expect(")")
-            return {
-                "sum": Sum,
-                "card": Card,
-                "alldifferent": AllDifferent,
-                "min": MinOf,
-                "max": MaxOf,
-            }[value](arg)
-        if value == "(":
-            inner = self.parse_bool()
-            self.expect(")")
-            return inner
-        if value == "|":
-            inner = self.parse_additive()
-            self.expect("|")
-            return Card(inner)
-        raise ParseError(f"unexpected token {value!r}")
+def _depth(expr: Expr) -> int:
+    """The number of levels of the tree, counted without recursion."""
+    depth, level = 0, [expr]
+    while level:
+        depth += 1
+        children = (getattr(node, name) for node in level for name in field_names(node))
+        level = [child for child in children if isinstance(child, Record)]
+    return depth
 
 
 def parse_expression(text: str) -> Expr:
     """Parse a boolean or arithmetic expression; raises ParseError."""
-    parser = _Parser(tokenize(text))
-    expr = parser.parse_bool()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input after expression: {parser.peek()[1]!r}")
+    tokens = ["", *reversed(_TOKEN.findall(text))]  # "" marks the end
+    try:
+        expr = _condition(tokens)
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
+    if tokens[-1]:
+        raise ParseError(f"trailing input after expression: {tokens[-1]!r}")
+    depth = _depth(expr)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression tree is {depth} levels deep, more than {MAX_DEPTH}")
     return expr
 
 

@@ -21,6 +21,7 @@ their solver; their holders key them by that name.
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -241,10 +242,10 @@ def solve_synthetic(
 ) -> SolverRecord:
     """Report success after a programmed virtual latency (never sleeps).
 
-    Latency beyond the limit becomes a timeout with the limit as the
-    recorded time. On success the trivial solution is reported together
-    with its true objective and an optimality claim, modelling a complete
-    solver finishing its run.
+    Latency beyond the limit, however large, is a timeout with the limit as
+    the recorded time, and a negative one counts as zero. On success the
+    trivial solution is reported with its true objective and an optimality
+    claim, modelling a complete solver finishing its run.
     """
     del seed
     try:
@@ -253,11 +254,12 @@ def solve_synthetic(
         value = evaluate(_latency(latency_expr), {**scalars, **arrays})
         if isinstance(value, bool):
             raise EvalError("expected a numeric result")
-        latency = float(value)
     except (ParseError, EvalError) as err:
         return SolverRecord(Status.ERROR, 0.0, note=f"latency expression: {err}")
-    if latency < 0:
-        latency = 0.0
+    try:
+        latency = max(float(value), 0.0)
+    except OverflowError:  # too large for a float: beyond any time limit, or below zero
+        latency = math.inf if value > 0 else 0.0
     if latency > time_limit:
         return SolverRecord(Status.TIMEOUT, time_limit)
     try:

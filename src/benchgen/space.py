@@ -126,8 +126,11 @@ def parse_space(text: str) -> ParameterSpace:
             m = _ENTRY_RE.match(chunk)
             if not m:
                 raise ParseError(f"malformed parameter entry: {chunk.strip()!r}")
-            name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-            entries.append(ParameterSpec(name, lo, hi))
+            try:
+                lo, hi = int(m.group(2)), int(m.group(3))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"bound has too many digits: {chunk.strip()[:40]!r}") from None
+            entries.append(ParameterSpec(m.group(1), lo, hi))
     if not entries:
         raise ParseError("parameter space text declares no parameters")
     return ParameterSpace(params=tuple(entries))

@@ -14,6 +14,7 @@ import pytest
 
 import benchgen
 from benchgen.cli import main, parse_mem_limit
+from benchgen.expressions import MAX_DEPTH
 
 from conftest import GENERATOR_MODEL, fabricate_graded_archive, killed_copy
 
@@ -372,6 +373,28 @@ def test_malformed_synthetic_latency_is_reported_before_the_campaign(workspace, 
     assert capsys.readouterr().err == (
         "error: builtin solver 'synthetic:capacity /': latency expression: unexpected end of expression\n"
     )
+    assert not (workspace / "camp").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("constraint capacity = cap_t", "constraint capacity = " + "1" * 5000),
+        ("constraint capacity = cap_t", "constraint capacity = " + "(" * 3000 + "cap_t" + ")" * 3000),
+        ("constraint capacity = cap_t", "constraint capacity" + " + 0" * MAX_DEPTH + " = cap_t"),
+        ("cap_t: 1..50", "cap_t: 1.." + "1" * 5000),
+        ("synthetic:capacity / 10", "synthetic:" + "1" * 5000),
+    ],
+    ids=["model-digits", "model-parentheses", "model-depth", "space-digits", "latency-digits"],
+)
+def test_tune_reports_text_python_cannot_hold_as_an_error(workspace, capsys, old, new):
+    for name in ("knapsack.gen", "campaign.ini"):
+        path = workspace / name
+        path.write_text(path.read_text().replace(old, new, 1))
+    assert new in (workspace / "knapsack.gen").read_text() + (workspace / "campaign.ini").read_text()
+    assert main(["tune", str(workspace / "campaign.ini"), "--out", str(workspace / "camp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (workspace / "camp").exists()
 
 

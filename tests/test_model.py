@@ -14,6 +14,7 @@ from benchgen.expressions import (
     Index,
     InSet,
     IntLit,
+    MAX_DEPTH,
     MaxOf,
     MinOf,
     Name,
@@ -22,6 +23,7 @@ from benchgen.expressions import (
     evaluate,
     parse_expression,
 )
+from benchgen.gensolve import SolutionHistory, solve_generator
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import parse_space
 from conftest import CONSTRAINT_TEMPLATES, ERROR_TEMPLATES, make_configuration, reference_evaluate
@@ -271,6 +273,87 @@ def test_evaluate_agrees_with_the_reference_tree_walker(expr, envs):
 
 
 def test_expression_parse_errors():
-    for text in ["a +", "sum(", "a = = b", "[1,2]"]:
+    for text in ["a +", "sum(", "a = = b", "[1,2]", "1..2", "{1}", "a, b", "x = y = z", "a in s in t", "sum x", "and"]:
         with pytest.raises(ParseError):
             parse_expression(text)
+
+
+FUNCTION_NAMES = {Sum: "sum", Card: "card", MinOf: "min", MaxOf: "max", AllDifferent: "alldifferent"}
+
+
+def parenthesised(expr) -> str:
+    """The tree as text with every operand in parentheses, so that no
+    precedence rule takes part in reading it back."""
+    if isinstance(expr, IntLit):
+        return str(expr.value)
+    if isinstance(expr, Name):
+        return expr.name
+    if isinstance(expr, Index):
+        return f"({parenthesised(expr.base)})[({parenthesised(expr.index)})]"
+    if isinstance(expr, (BinOp, Compare)):
+        return f"({parenthesised(expr.left)}) {expr.op} ({parenthesised(expr.right)})"
+    if isinstance(expr, InSet):
+        return f"({parenthesised(expr.item)}) in ({parenthesised(expr.container)})"
+    if isinstance(expr, And):
+        return f"({parenthesised(expr.left)}) and ({parenthesised(expr.right)})"
+    if isinstance(expr, Neg):
+        return f"-({parenthesised(expr.arg)})"
+    return f"{FUNCTION_NAMES[type(expr)]}(({parenthesised(expr.arg)}))"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TREES)
+def test_a_parenthesised_tree_parses_back_to_itself(expr):
+    assert parse_expression(parenthesised(expr)) == expr
+
+
+A, B, C, D = Name("a"), Name("b"), Name("c"), Name("d")
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("a - b - c", BinOp("-", BinOp("-", A, B), C)),
+        ("a / b * c", BinOp("*", BinOp("/", A, B), C)),
+        ("-a[1]", Neg(Index(A, IntLit(1)))),
+        ("|x| + 1", BinOp("+", Card(Name("x")), IntLit(1))),
+        ("a + b = c and d", And(Compare("=", BinOp("+", A, B), C), D)),
+        ("(a = b) + 1", BinOp("+", Compare("=", A, B), IntLit(1))),
+    ],
+)
+def test_precedence_and_associativity(text, tree):
+    assert parse_expression(text) == tree
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000, "(" * 3000 + "a" + ")" * 3000, "-" * 3000 + "a"],
+    ids=["5000-digits", "3000-parentheses", "3000-minus-signs"],
+)
+def test_an_expression_python_cannot_hold_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_expression(text)
+
+
+def deep_constraint(depth: int) -> str:
+    """``x + 0 + ... + 0 = n``, a tree ``depth`` levels deep."""
+    return "x" + " + 0" * (depth - 2) + " = n"
+
+
+def test_a_tree_at_the_depth_bound_is_parsed_evaluated_and_solved():
+    space = parse_space("n: 1..3")
+    model = parse_model(space, f"var x : int 1..3\nconstraint {deep_constraint(MAX_DEPTH)}")
+    (constraint,) = model.constraints
+    assert evaluate(constraint, {"x": 2, "n": 2}) is True
+    assert evaluate(constraint, {"x": 1, "n": 2}) is False
+    config = make_configuration(space, {"n": 2})
+    assert check_assignment(model, config, {"x": 2}) is True
+    result = solve_generator(model, config, SolutionHistory(), 30.0, 30.0)
+    assert result.instance.decision_values == {"x": 2}
+
+
+def test_a_tree_deeper_than_the_bound_is_refused_with_its_depth():
+    with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep, more than {MAX_DEPTH}"):
+        parse_expression(deep_constraint(MAX_DEPTH + 1))
+    with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep"):
+        parse_expression("-" * MAX_DEPTH + "x")

@@ -119,6 +119,16 @@ def test_synthetic_latency_below_and_above_limit():
     assert slow.time >= 10.0
 
 
+def test_a_latency_too_large_for_a_float_is_a_timeout_or_zero():
+    instance = {"weight": [1], "value": [1], "capacity": 100}
+    huge = " * ".join(["capacity"] * 200)  # 100 ** 200, beyond any float
+    for text in (huge, f"{huge} / 3"):
+        outcome = run_builtin(f"synthetic:{text}", KNAPSACK, instance, 10.0)
+        assert (outcome.status, outcome.time) == (Status.TIMEOUT, 10.0)
+    below = run_builtin(f"synthetic:0 - {huge}", KNAPSACK, instance, 10.0)
+    assert (below.status, below.time) == (Status.SAT, 0.0)
+
+
 def test_synthetic_latency_monotone_in_parameter():
     times = []
     for cap in (2, 5, 9, 14):

@@ -52,7 +52,9 @@ def test_parse_space_duplicate_rejected():
         parse_space("p: 1..2; p: 1..3")
 
 
-@pytest.mark.parametrize("text", ["", "p 1..2", "p: 1...2", "p: x..2"])
+@pytest.mark.parametrize(
+    "text", ["", "p 1..2", "p: 1...2", "p: x..2", pytest.param("p: 1.." + "1" * 5000, id="p: 1..<5000 digits>")]
+)
 def test_parse_space_malformed(text):
     with pytest.raises(ParseError):
         parse_space(text)
