@@ -142,86 +142,65 @@ def cmd_tune(args: argparse.Namespace) -> int:
         model_text = model_path.read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read generator model {model_path}: {exc.strerror}") from None
-
-    camp = config["campaign"] if config.has_section("campaign") else {}
     adapters = load_adapters(config)
 
-    def opt(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return camp.get(key, fallback)
+    # Defaults that no record holds, then the [campaign] keys, then the tune flags (dest = key).
+    settings = {
+        "kind": "graded", "problem": "knapsack", "t_min": 10.0, "t_max": 1200.0,
+        **(config["campaign"] if config.has_section("campaign") else {}),
+        **{key: value for key, value in vars(args).items() if key in _KEYS["campaign"] and value is not None},
+    }
+    if args.favoured or args.base:
+        settings["kind"] = "discriminating"
 
-    def number(kind, flag_value, key, fallback):
-        value = opt(flag_value, key, fallback)
+    def read(kind, key):
         try:
-            return None if value is None else kind(value)
+            return kind(settings[key])
         except ValueError:
             what = "an integer" if kind is int else "a number"
-            raise ValidationError(f"[campaign] {key} must be {what}, got {value!r}") from None
+            raise ValidationError(f"[campaign] {key} must be {what}, got {settings[key][:40]!r}") from None
 
-    def given(name, kind, flag_value, key):
-        """``{name: value}`` when a flag or a [campaign] key sets it, else
-        nothing, so that the record's own default applies."""
-        if opt(flag_value, key, None) is None:
-            return {}
-        return {name: number(kind, flag_value, key, None)}
+    def given(kind, **fields: str) -> dict:
+        """The fields whose key is set, read as ``kind``; the rest keep their record's default."""
+        return {field: read(kind, key) for field, key in fields.items() if key in settings}
 
-    kind = camp.get("kind", "graded")
-    if args.favoured or args.base:
-        kind = "discriminating"
-    problem = get_problem(opt(None, "problem", "knapsack"))
-    t_min = number(float, args.t_min, "t_min", 10.0)
-    t_max = number(float, args.t_max, "t_max", 1200.0)
-    types = _types(opt(args.types, "types", "sat,unsat"))
-
+    kind = settings["kind"]
+    common = {
+        "problem": get_problem(settings["problem"]),
+        **given(float, t_min="t_min", t_max="t_max"),
+        **given(_types, types="types"),
+    }
     if kind == "graded":
-        solver_name = opt(args.solver, "solver", None)
-        if solver_name is None:
+        if "solver" not in settings:
             raise ValidationError("graded campaign needs a solver (config or --solver)")
-        oracle_name = camp.get("oracle")
+        oracle = settings.get("oracle")
         policy: GradedPolicy | DiscriminatingPolicy = GradedPolicy(
-            problem=problem,
-            solver=_adapter(adapters, solver_name),
-            t_min=t_min,
-            t_max=t_max,
-            types=types,
-            oracle=_adapter(adapters, oracle_name) if oracle_name else None,
-            oracle_budget=number(float, None, "oracle_budget", None),
+            solver=_adapter(adapters, settings["solver"]),
+            oracle=_adapter(adapters, oracle) if oracle else None,
+            **common,
+            **given(float, oracle_budget="oracle_budget"),
         )
     elif kind == "discriminating":
-        favoured = opt(args.favoured, "favoured", None)
-        base = opt(args.base, "base", None)
-        if favoured is None or base is None:
+        if "favoured" not in settings or "base" not in settings:
             raise ValidationError("discriminating campaign needs favoured and base solvers")
         policy = DiscriminatingPolicy(
-            problem=problem,
-            favoured=_adapter(adapters, favoured),
-            base=_adapter(adapters, base),
-            t_min=t_min,
-            t_max=t_max,
-            types=types,
+            favoured=_adapter(adapters, settings["favoured"]),
+            base=_adapter(adapters, settings["base"]),
+            **common,
         )
     else:
-        raise ValidationError(f"unknown campaign kind {kind!r}")
-
-    tuner_config = TunerConfig(
-        **given("total_budget", int, args.budget, "budget"),
-        **given("seed", int, args.seed, "seed"),
-        **given("workers", int, args.workers, "workers"),
-    )
-    limits = EvaluationLimits(
-        **given("translate_limit", float, None, "translate_limit"),
-        **given("solve_limit", float, None, "solve_limit"),
-        **given("mem_limit", parse_mem_limit, args.mem_limit, "mem_limit"),
-    )
+        raise ValidationError(f"unknown campaign kind {kind[:40]!r}")
 
     result = _cli.run_campaign(
         args.out,
         space_text,
         model_text,
         policy,
-        tuner_config,
-        limits,
+        TunerConfig(**given(int, total_budget="budget", seed="seed", workers="workers")),
+        EvaluationLimits(
+            **given(float, translate_limit="translate_limit", solve_limit="solve_limit"),
+            **given(parse_mem_limit, mem_limit="mem_limit"),
+        ),
         resume=args.resume,
     )
     report = result.report

@@ -5,7 +5,8 @@ otherwise its policy's ``evaluate`` runs the policy's solvers on the
 instance and its ``classify`` gives the status. ``status_penalty``
 derives the penalty the tuner minimises from that status alone (plus the
 pair scores and the generator outcome): infeasible or untranslatable
-generator configurations score plus infinity (immediate discard), a
+generator configurations, and those whose shapes or bounds the model
+leaves ill-defined, score plus infinity (immediate discard), a
 generator search timeout 1, a graded instance -1, a discriminating instance
 the negated ratio of the pair scores (a fixed large-negative sentinel when
 the base solver scored zero), and every other status 0.
@@ -20,8 +21,8 @@ import math
 import time
 from typing import Any, Mapping
 
-from .errors import ValidationError
-from .gensolve import CandidateInstance, GenOutcome, SolutionHistory, solve_generator
+from .errors import ModelError, ValidationError
+from .gensolve import CandidateInstance, GenOutcome, GeneratorSolveResult, SolutionHistory, solve_generator
 from .model import GeneratorModel
 from .problems import Problem
 from .records import Record, field, replace
@@ -243,8 +244,8 @@ def status_penalty(
 
     ``scores`` are the discriminating pair scores (needed for ``dis-found``)
     and ``outcome`` the generator outcome (needed for ``generator-unsolved``):
-    an infeasible or untranslatable configuration is discarded, a search
-    timeout scores 1.
+    an infeasible, untranslatable or ill-defined configuration is discarded,
+    a search timeout scores 1.
     """
     if status is RunStatus.GENERATOR_UNSOLVED:
         assert outcome is not GenOutcome.SOLUTION, "generator-unsolved needs a failed generator outcome"
@@ -278,12 +279,17 @@ def evaluate_configuration(
 ) -> EvaluationResult:
     """One full evaluation: generate an instance, run the policy, score it.
 
-    All failures map to penalties and statuses; nothing raises. The fresh
-    instance (when one exists) is in the history once ``solve_generator``
-    returns, before any solver runs, so a later evaluation of the same
-    configuration cannot regenerate it.
+    All failures map to penalties and statuses; nothing raises. A
+    configuration whose shapes or bounds the model leaves ill-defined (the
+    ``ModelError`` of ``solve_generator``) is ``generator-unsolved`` with
+    the outcome ``ill_defined``. The fresh instance (when one exists) is in
+    the history once ``solve_generator`` returns, before any solver runs, so
+    a later evaluation of the same configuration cannot regenerate it.
     """
-    gen = solve_generator(model, config, history, limits.translate_limit, limits.solve_limit)
+    try:
+        gen = solve_generator(model, config, history, limits.translate_limit, limits.solve_limit)
+    except ModelError:
+        gen = GeneratorSolveResult(GenOutcome.ILL_DEFINED, 0.0)
     if gen.outcome is not GenOutcome.SOLUTION:
         unsolved = RunStatus.GENERATOR_UNSOLVED
         return EvaluationResult(status_penalty(unsolved, outcome=gen.outcome), unsolved, gen.outcome)

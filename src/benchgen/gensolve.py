@@ -40,6 +40,7 @@ class GenOutcome(Enum):
     UNSAT = "unsat"
     TRANSLATE_TIMEOUT = "translate_timeout"
     SOLVE_TIMEOUT = "solve_timeout"
+    ILL_DEFINED = "ill_defined"  # a shape or bound undefined for the configuration
 
 
 class CandidateInstance(Record, frozen=True):

@@ -66,42 +66,37 @@ def parse_model(space: ParameterSpace, text: str) -> GeneratorModel:
     names = set(space.names)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("var "):
-            m = _VAR_RE.match(line)
-            if not m:
-                raise ParseError(f"line {lineno}: malformed variable declaration: {raw.strip()!r}")
-            name, shape_txt, kind_txt, lo_txt, hi_txt = m.groups()
-            if name in names:
-                raise ValidationError(f"line {lineno}: name {name!r} already declared")
-            kind = "set" if kind_txt.startswith("set") else "int"
-            shape = ex.parse_expression(shape_txt) if shape_txt else None
-            var = DecisionVar(
-                name=name,
-                kind=kind,
-                lower=ex.parse_expression(lo_txt),
-                upper=ex.parse_expression(hi_txt),
-                shape=shape,
-            )
-            for bound in (var.lower, var.upper) + ((var.shape,) if shape else ()):
-                unknown = ex.names_in(bound) - set(space.names)
-                if unknown:
-                    raise ValidationError(
-                        f"line {lineno}: bounds of {name!r} reference non-parameters: {sorted(unknown)}"
-                    )
-            decision_vars.append(var)
-            names.add(name)
-        elif line.startswith("constraint "):
-            expr = ex.parse_expression(line[len("constraint "):])
-            unknown = ex.names_in(expr) - names
-            if unknown:
-                raise ValidationError(
-                    f"line {lineno}: constraint references unknown identifiers: {sorted(unknown)}"
+        try:
+            if line.startswith("var "):
+                m = _VAR_RE.match(line)
+                if not m:
+                    raise ParseError(f"malformed variable declaration: {raw.strip()!r}")
+                name, shape_txt, kind_txt, lo_txt, hi_txt = m.groups()
+                if name in names:
+                    raise ValidationError(f"name {name!r} already declared")
+                var = DecisionVar(
+                    name=name,
+                    kind="set" if kind_txt.startswith("set") else "int",
+                    shape=ex.parse_expression(shape_txt) if shape_txt else None,
+                    lower=ex.parse_expression(lo_txt),
+                    upper=ex.parse_expression(hi_txt),
                 )
-            constraints.append(expr)
-        else:
-            raise ParseError(f"line {lineno}: expected 'var' or 'constraint', got {raw.strip()!r}")
+                for bound in (var.lower, var.upper) + ((var.shape,) if shape_txt else ()):
+                    unknown = sorted(ex.names_in(bound) - set(space.names))
+                    if unknown:
+                        raise ValidationError(f"bounds of {name!r} reference non-parameters: {unknown}")
+                decision_vars.append(var)
+                names.add(name)
+            elif line.startswith("constraint "):
+                expr = ex.parse_expression(line[len("constraint "):])
+                unknown = ex.names_in(expr) - names
+                if unknown:
+                    raise ValidationError(f"constraint references unknown identifiers: {sorted(unknown)}")
+                constraints.append(expr)
+            elif line:
+                raise ParseError(f"expected 'var' or 'constraint', got {raw.strip()!r}")
+        except (ParseError, ValidationError) as err:
+            raise type(err)(f"line {lineno}: {err}") from None
     if not decision_vars:
         raise ValidationError("generator model declares no decision variables")
     return GeneratorModel(

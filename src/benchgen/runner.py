@@ -112,9 +112,11 @@ class SolverAdapter(Record, frozen=True):
             try:
                 known = builtin_exists(self.builtin)
             except ParseError as err:
-                raise ValidationError(f"builtin solver {self.builtin!r}: latency expression: {err}") from None
+                raise ValidationError(
+                    f"builtin solver {self.builtin[:40]!r}: latency expression: {err}"
+                ) from None
             if not known:
-                raise ValidationError(f"unknown builtin solver {self.builtin!r}")
+                raise ValidationError(f"unknown builtin solver {self.builtin[:40]!r}")
         if self.command is not None:
             from .external import validate_command_template
 

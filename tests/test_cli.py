@@ -108,6 +108,40 @@ def test_tune_resume_flag(workspace, capsys):
     assert len(lines) == 24
 
 
+@pytest.fixture
+def ill_defined(workspace):
+    """The workspace with a parameter n whose values below 5 give weight a negative shape."""
+    ini, gen = workspace / "campaign.ini", workspace / "knapsack.gen"
+    ini.write_text(ini.read_text().replace("cap_t: 1..50\n", "cap_t: 1..100\nn: 1..10\n"))
+    gen.write_text(gen.read_text().replace("var weight[2]", "var weight[n - 5]"))
+    return workspace
+
+
+def test_an_ill_defined_configuration_is_discarded_and_the_campaign_goes_on(ill_defined, capsys):
+    out = ill_defined / "camp"
+    assert main(["tune", str(ill_defined / "campaign.ini"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in (out / "records" / "evals.jsonl").read_text().splitlines()]
+    assert len(records) == 30
+    ill = [r for r in records if r["generator_outcome"] == "ill_defined"]
+    assert ill == [r for r in records if r["assignment"]["n"] < 5] != []
+    for record in ill:
+        assert record["status"] == "generator-unsolved" and record["penalty"] == float("inf")
+        assert record["instance_id"] is None and record["records"] == {}
+
+
+def test_a_campaign_cut_after_an_ill_defined_record_resumes_byte_identical(ill_defined, capsys):
+    config, full = str(ill_defined / "campaign.ini"), ill_defined / "full"
+    assert main(["tune", config, "--out", str(full)]) == 0
+    records = (full / "records" / "evals.jsonl").read_text().splitlines()
+    cut = 1 + next(i for i, line in enumerate(records) if '"ill_defined"' in line)
+    out = killed_copy(full, ill_defined / "resume", cut)
+    assert main(["tune", config, "--out", str(out), "--resume"]) == 0
+    capsys.readouterr()
+    for name in ("tuner.log", "records/evals.jsonl", "history.json"):
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+
 DEEP_MODEL_CONFIG = """
 [space]
 n: 1100..1200
@@ -395,6 +429,27 @@ def test_tune_reports_text_python_cannot_hold_as_an_error(workspace, capsys, old
     assert main(["tune", str(workspace / "campaign.ini"), "--out", str(workspace / "camp")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (workspace / "camp").exists()
+
+
+def test_a_model_expression_that_does_not_parse_is_reported_with_its_line(workspace, capsys):
+    (workspace / "knapsack.gen").write_text("var capacity : int 1..50\nconstraint capacity /\n")
+    assert main(["tune", str(workspace / "campaign.ini"), "--out", str(workspace / "camp")]) == 2
+    assert capsys.readouterr().err == "error: line 2: unexpected end of expression\n"
+    assert not (workspace / "camp").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, flags",
+    [("budget = 30", "budget = " + "1" * 5000, []), ("", "", ["--solver", "synthetic:" + "1" * 5000])],
+    ids=["campaign-budget", "solver-flag"],
+)
+def test_a_long_value_is_cut_in_its_error(workspace, capsys, old, new, flags):
+    ini = workspace / "campaign.ini"
+    ini.write_text(ini.read_text().replace(old, new))
+    assert main(["tune", str(ini), "--out", str(workspace / "camp")] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 200
     assert not (workspace / "camp").exists()
 
 
@@ -904,6 +959,47 @@ def test_tune_given_no_budget_seed_workers_or_limits_records_the_defaults(tmp_pa
         "total_budget": 2000,
         "limits": {"translate_limit": 300.0, "solve_limit": 600.0, "mem_limit": 8 * 1024**3},
     }, indent=2)
+
+
+# Each tune flag: its value, the [campaign] keys set beside it (its own key with
+# another value), where run_campaign reads the setting, and what it reads there
+# with the flag and without it.
+DIS = {"kind": "discriminating", "favoured": "falling", "base": "rising"}
+TUNE_FLAGS = {
+    "--budget": ("7", {"budget": "30"}, lambda run: run["tuner_config"].total_budget, 7, 30),
+    "--t-min": ("3", {"t_min": "2"}, lambda run: run["policy"].t_min, 3.0, 2.0),
+    "--t-max": ("9", {"t_max": "5"}, lambda run: run["policy"].t_max, 9.0, 5.0),
+    "--types": ("sat", {"types": "unsat"}, lambda run: run["policy"].types, {"SAT"}, {"UNSAT"}),
+    "--solver": ("rising", {"solver": "band"}, lambda run: run["policy"].solver.name, "rising", "band"),
+    "--favoured": ("band", DIS, lambda run: run["policy"].favoured.name, "band", "falling"),
+    "--base": ("band", DIS, lambda run: run["policy"].base.name, "band", "rising"),
+    "--seed": ("5", {"seed": "11"}, lambda run: run["tuner_config"].seed, 5, 11),
+    "--workers": ("3", {"workers": "2"}, lambda run: run["tuner_config"].workers, 3, 2),
+    "--mem-limit": ("512M", {"mem_limit": "none"}, lambda run: run["limits"].mem_limit, 512 * 1024**2, None),
+}
+
+
+@pytest.mark.parametrize("flag_given", [True, False], ids=["flag", "key"])
+@pytest.mark.parametrize("flag", TUNE_FLAGS)
+def test_a_tune_flag_overrides_its_campaign_key(workspace, capsys, monkeypatch, flag, flag_given):
+    value, keys, setting, with_flag, with_key = TUNE_FLAGS[flag]
+    ini = workspace / "campaign.ini"
+    text = ini.read_text()
+    for key in keys:
+        text = re.sub(rf"(?m)^{key} = .*\n", "", text)
+    ini.write_text(text.replace("[campaign]\n", "[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())))
+    run = {}
+
+    def run_campaign(*args, **kwargs):
+        run.update(zip(["out", "space_text", "model_text", "policy", "tuner_config", "limits"], args))
+        report = types.SimpleNamespace(evaluations_used=0, iterations=0, status_counts={}, elites=[])
+        return types.SimpleNamespace(report=report, archive=types.SimpleNamespace(root=args[0]))
+
+    monkeypatch.setattr(benchgen.cli, "run_campaign", run_campaign)
+    argv = ["tune", str(ini), "--out", str(workspace / "camp")] + ([flag, value] if flag_given else [])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert setting(run) == (with_flag if flag_given else with_key)
 
 
 @pytest.mark.parametrize("flags, mem_limit", [([], 8 * 1024**3), (["--mem-limit", "none"], None),
