@@ -181,6 +181,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
             **given(float, oracle_budget="oracle_budget"),
         )
     elif kind == "discriminating":
+        if args.solver is not None:  # the flag only: a file's solver key may serve its graded runs
+            raise ValidationError("--solver applies to a graded campaign; this one is discriminating")
         if "favoured" not in settings or "base" not in settings:
             raise ValidationError("discriminating campaign needs favoured and base solvers")
         policy = DiscriminatingPolicy(
@@ -260,8 +262,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out_dir=args.out,
     )
     print("Borda ranking (complete scoring):")
+    flagged = result.flagged  # counted from the records on each access
     for name, total in result.ranking():
-        flags = result.flagged.get(name, 0)
+        flags = flagged.get(name, 0)
         note = f"  [flagged answers: {flags}]" if flags else ""
         print(f"  {name}: {total:.3f}{note}")
     if args.out:

@@ -211,9 +211,7 @@ def run_external_command(
         return SolverRecord(Status.UNSAT, elapsed)
     if solution is not None:
         return SolverRecord(Status.SAT, elapsed, objective, complete, solution, trace=trace)
-    if blocks:
-        return SolverRecord(Status.ERROR, elapsed, trace=trace, note=note or "bad block")
-    return SolverRecord(Status.ERROR, elapsed, note="no parseable solver output")
+    return SolverRecord(Status.ERROR, elapsed, trace=trace, note=note or "no parseable solver output")
 
 
 @contextmanager

@@ -136,10 +136,24 @@ def build_combined_set(
 
 
 class CombinedEvaluation(Record):
+    """The verified record of each (solver, instance) and their Borda table.
+
+    ``answered`` and ``flagged`` are counted from ``records`` in the table's
+    solver order: every output of an evaluation follows from its records.
+    """
+
     borda: BordaTable
     records: dict[tuple[str, str], SolverRecord]
-    flagged: dict[str, int]  # solver -> count of failed-verification answers
-    answered: dict[str, int]  # solver -> count of records carrying a payload
+
+    @property
+    def answered(self) -> dict[str, int]:  # solver -> count of records carrying a payload
+        counts = Counter(name for (name, _), record in self.records.items() if record.solution is not None)
+        return {solver: counts[solver] for solver in self.borda.solvers}
+
+    @property
+    def flagged(self) -> dict[str, int]:  # solver -> count of answers failing verification
+        counts = Counter(name for (name, _), record in self.records.items() if record.solution_ok is False)
+        return {solver: counts[solver] for solver in self.borda.solvers}
 
     def ranking(self) -> list[tuple[str, float]]:
         return self.borda.ranking()
@@ -160,8 +174,10 @@ def evaluate_combined(
     verification are flagged and score as unsolved. Per-run failures
     become error records and never abort the evaluation. Raises
     ArchiveError when two sources hold different instances under one id.
-    With ``out_dir`` set, records and score tables are written there, and
-    external runs keep their files in its ``runs`` directory unless
+    With ``out_dir`` set, the records are written there as
+    ``combined_evals.jsonl``, with ``pair_scores.csv``, ``borda.json`` and
+    ``flags.json``, which are computed from those records alone; external
+    runs keep their files in its ``runs`` directory unless
     ``limits.workdir`` names another.
     """
     if not 0 < t_max < math.inf:
@@ -175,45 +191,27 @@ def evaluate_combined(
     archives = {label: CampaignArchive.open(path) for label, path in combined.sources.items()}
     # An instance id is unique within its campaign only: sources may share
     # an id, and they must then share the instance.
-    values_by_id: dict[str, dict[str, Any]] = {}
-    first_source: dict[str, str] = {}
+    instances: dict[str, tuple[str, dict[str, Any]]] = {}  # id -> (first source, values)
     for label, ids in combined.selections.items():
         for iid in ids:
             values = archives[label].instance_values(iid)
-            if values_by_id.setdefault(iid, values) != values:
+            first, seen = instances.setdefault(iid, (label, values))
+            if seen != values:
                 raise ArchiveError(
-                    f"instance {iid} differs between {combined.sources[first_source[iid]]} "
-                    f"and {combined.sources[label]}"
+                    f"instance {iid} differs between {combined.sources[first]} and {combined.sources[label]}"
                 )
-            first_source.setdefault(iid, label)
 
     instance_ids = combined.all_instance_ids()
     if out_dir is not None:
         make_dir(Path(out_dir))  # before the first run, so a bad --out loses none
     records: dict[tuple[str, str], SolverRecord] = {}
-    flagged: dict[str, int] = {s.name: 0 for s in solvers}
-    answered: dict[str, int] = {s.name: 0 for s in solvers}
-    comparables = {}
     for adapter in solvers:
         for iid in instance_ids:
-            record = run_solver(
-                adapter, problem, values_by_id[iid], t_max, limits, derive_seed(seed, adapter.name, iid)
-            )
-            record = verify_record(problem, values_by_id[iid], record)
-            if record.solution is not None:
-                answered[adapter.name] += 1
-                if record.solution_ok is False:
-                    flagged[adapter.name] += 1
-            records[(adapter.name, iid)] = record
-            comparables[(adapter.name, iid)] = comparable_from_record(record, problem.kind)
-
-    table = borda_complete(comparables, solver_names, instance_ids)
-    result = CombinedEvaluation(
-        borda=table,
-        records=records,
-        flagged=flagged,
-        answered=answered,
-    )
+            _, values = instances[iid]
+            record = run_solver(adapter, problem, values, t_max, limits, derive_seed(seed, adapter.name, iid))
+            records[(adapter.name, iid)] = verify_record(problem, values, record)
+    comparables = {key: comparable_from_record(record, problem.kind) for key, record in records.items()}
+    result = CombinedEvaluation(borda_complete(comparables, solver_names, instance_ids), records)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -223,8 +221,8 @@ def evaluate_combined(
         ))
         rows = pair_rows(comparables, solver_names, instance_ids)
         write_table(out / "pair_scores.csv", TABLES["pair_scores.csv"], rows)
-        write_borda_json(out / "borda.json", table)
-        write_file(out / "flags.json", json.dumps({"flagged": flagged, "answered": answered}, indent=2))
+        write_borda_json(out / "borda.json", result.borda)
+        write_file(out / "flags.json", json.dumps({"flagged": result.flagged, "answered": result.answered}, indent=2))
     return result
 
 

@@ -2,7 +2,7 @@
 
 Each iteration races a candidate set: every alive configuration is
 evaluated once per block (a fresh instance each time, thanks to the
-solution history), infinite penalties drop a configuration immediately,
+solution history), a +inf penalty drops a configuration immediately,
 and from ``FIRST_TEST_AFTER`` blocks onward a Friedman test at the fixed
 level ``ELIMINATION_ALPHA`` eliminates configurations whose rank sums fall
 a critical difference behind the best. Survivors seed the sampling model
@@ -261,15 +261,6 @@ def _best_first(rank_sums: Sequence[float]) -> list[int]:
     return sorted(range(len(rank_sums)), key=lambda j: (rank_sums[j], j))
 
 
-def _rank_survivors(state: RaceState) -> list[GeneratorConfiguration]:
-    """Order alive configurations by mean within-block rank (best first)."""
-    alive = state.alive
-    if state.blocks == 0 or len(alive) <= 1:
-        return list(alive)
-    _, sums = _rank_sums(state.penalty_matrix())
-    return [alive[j] for j in _best_first(sums)]
-
-
 def race(
     configs: Sequence[GeneratorConfiguration],
     evaluator: Evaluator,
@@ -282,7 +273,7 @@ def race(
     """Race a candidate set until few survive or the race budget is spent.
 
     Returns the survivors ranked best-first together with the final state.
-    Infinite penalties remove a configuration before any statistical test;
+    A +inf penalty removes a configuration before any statistical test;
     Friedman elimination never cuts below ``MIN_SURVIVORS``. ``log`` is
     called with each log entry and its result, in evaluation order.
     """
@@ -292,16 +283,14 @@ def race(
         if len(state.log) + len(state.alive) > race_budget:
             break
         block_index = state.blocks
-        alive = list(state.alive)
         if config.workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(lambda c: evaluator(c, block_index), alive))
+                results = list(pool.map(lambda c: evaluator(c, block_index), state.alive))
         else:
-            results = [evaluator(c, block_index) for c in alive]
-        survivors: list[GeneratorConfiguration] = []
-        for cfg, result in zip(alive, results):
+            results = [evaluator(c, block_index) for c in state.alive]
+        for cfg, result in zip(state.alive, results):
             entry = EvalLogEntry(
                 iteration, block_index + 1, cfg, result.penalty, result.status, result.instance_id
             )
@@ -309,10 +298,8 @@ def race(
             if log is not None:
                 log(entry, result)
             state.penalties[cfg.id].append(result.penalty)
-            if math.isinf(result.penalty) and result.penalty > 0:
-                continue  # discarded immediately, before any test
-            survivors.append(cfg)
-        state.alive = survivors
+        # A +inf penalty discards its configuration at once, before any test; -inf does not.
+        state.alive = [cfg for cfg, result in zip(state.alive, results) if result.penalty != math.inf]
         state.blocks += 1
 
         if len(state.alive) > MIN_SURVIVORS and state.blocks >= FIRST_TEST_AFTER:
@@ -327,7 +314,10 @@ def race(
         if len(state.alive) <= MIN_SURVIVORS:
             break
 
-    return _rank_survivors(state), state
+    if state.blocks == 0:
+        return list(state.alive), state
+    _, sums = _rank_sums(state.penalty_matrix())
+    return [state.alive[j] for j in _best_first(sums)], state
 
 
 def run_tuning(
@@ -366,8 +356,6 @@ def run_tuning(
             if candidate.id not in ids:
                 ids.add(candidate.id)
                 candidates.append(candidate)
-        if not candidates:
-            break
         race_budget = min(max(per_race, len(candidates)), budget_left)
         if race_budget < len(candidates):
             # Not enough budget left for even one complete block.

@@ -1002,6 +1002,22 @@ def test_a_tune_flag_overrides_its_campaign_key(workspace, capsys, monkeypatch, 
     assert setting(run) == (with_flag if flag_given else with_key)
 
 
+@pytest.mark.parametrize(
+    "keys, flags",
+    [(DIS, []), ({"base": "rising"}, ["--favoured", "falling"]), ({"favoured": "falling"}, ["--base", "rising"])],
+    ids=["kind-key", "favoured-flag", "base-flag"],
+)
+def test_a_tune_flag_the_campaign_kind_does_not_read_stops_tune(workspace, capsys, keys, flags):
+    # The file keeps its graded solver key: one file may serve both kinds.
+    ini = workspace / "campaign.ini"
+    text = re.sub(r"(?m)^kind = .*\n", "", ini.read_text())
+    ini.write_text(text.replace("[campaign]\n", "[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())))
+    out = workspace / "camp"
+    assert main(["tune", str(ini), "--out", str(out), "--solver", "band", *flags]) == 2
+    assert capsys.readouterr().err == "error: --solver applies to a graded campaign; this one is discriminating\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, mem_limit", [([], 8 * 1024**3), (["--mem-limit", "none"], None),
                                               (["--mem-limit", "512M"], 512 * 1024**2)])
 def test_evaluate_caps_memory_at_8g_unless_told(workspace, capsys, monkeypatch, flags, mem_limit):

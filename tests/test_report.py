@@ -13,16 +13,18 @@ from benchgen.evaluate import EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
 from benchgen.report import (
     TABLES,
+    CombinedEvaluation,
     CombinedSet,
     EmptyArchive,
     build_combined_set,
     evaluate_combined,
+    read_borda_json,
     read_table,
     report_tables,
     write_reports,
 )
-from benchgen.runner import SolverAdapter
-from benchgen.scoring import comparable_from_record
+from benchgen.runner import SolverAdapter, SolverRecord
+from benchgen.scoring import borda_complete, comparable_from_record, pair_rows
 from benchgen.tuner import TunerConfig
 
 from conftest import fabricate_graded_archive, naive_borda_totals
@@ -213,6 +215,34 @@ def test_evaluate_combined_flags_buggy_solver(tmp_path):
     assert result.flagged["exact"] == 0
     assert (tmp_path / "out" / "borda.json").exists()
     assert (tmp_path / "out" / "pair_scores.csv").exists()
+
+
+def test_evaluate_outputs_are_computed_from_its_records_alone(tmp_path):
+    archive = fabricate_graded_archive(tmp_path / "a", "s1", graded_rows(4))
+    combined = build_combined_set([archive], k=4, seed=3)
+    # Not in sorted order, so flags.json must take the solvers' order from the table.
+    solvers = [
+        SolverAdapter(name="swift", builtin="synthetic:1"),
+        SolverAdapter(name="liar", builtin="buggy"),
+        SolverAdapter(name="exact", builtin="exact"),
+    ]
+    out = tmp_path / "out"
+    evaluate_combined(combined, solvers, KNAPSACK, t_max=30.0, limits=NO_MEM, out_dir=out)
+    lines = (out / "combined_evals.jsonl").read_text().splitlines()
+    records = {
+        (line["solver"], line["instance"]): SolverRecord.from_jsonable(line["record"])
+        for line in map(json.loads, lines)
+    }
+    names, instance_ids = [s.name for s in solvers], combined.all_instance_ids()
+    comparables = {key: comparable_from_record(record, KNAPSACK.kind) for key, record in records.items()}
+    rows = pair_rows(comparables, names, instance_ids)
+    assert read_table(out / "pair_scores.csv") == (TABLES["pair_scores.csv"], rows)
+    borda = borda_complete(comparables, names, instance_ids)
+    assert read_borda_json(out / "borda.json") == borda
+    rebuilt = CombinedEvaluation(borda, records)
+    assert rebuilt.flagged["liar"] > 0
+    flags = {"flagged": rebuilt.flagged, "answered": rebuilt.answered}
+    assert (out / "flags.json").read_text() == json.dumps(flags, indent=2)
 
 
 def test_evaluate_combined_keeps_external_runs_under_out_dir(tmp_path, monkeypatch):

@@ -222,6 +222,15 @@ def test_external_garbage_output_is_error(tmp_path):
     assert record.status is Status.ERROR
 
 
+def test_external_run_that_prints_nothing_is_an_error_record(tmp_path):
+    adapter = script_adapter("silent", "pass")
+    record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
+    assert record.status is Status.ERROR
+    assert record.note == "no parseable solver output"
+    assert record.trace == []
+
+
 def test_time_includes_process_startup(tmp_path):
     body = "print('take = [0]'); print('objective = 0'); print('-' * 10)"
     adapter = script_adapter("slowstart", body)

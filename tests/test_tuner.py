@@ -212,9 +212,11 @@ def test_race_identical_penalties_no_elimination():
 
 def test_race_plus_infinity_discards_immediately():
     space, configs = make_configs("p: 1..1000", 4, seed=1)
-    doomed = configs[0].id
+    doomed, blessed = configs[0].id, configs[-1].id  # blessed scores -inf, last by position
 
     def evaluator(config, block):
+        if config.id == blessed:
+            return StubResult(float("-inf"), RunStatus.GRADED)
         return StubResult(float("inf") if config.id == doomed else 0.0,
                           RunStatus.GENERATOR_UNSOLVED if config.id == doomed else RunStatus.GRADED)
 
@@ -224,6 +226,8 @@ def test_race_plus_infinity_discards_immediately():
     )
     assert all(c.id != doomed for c in survivors)
     assert len(state.penalties[doomed]) == 1  # evaluated once, then dropped
+    assert survivors[0].id == blessed  # -inf is not discarded: it ranks first
+    assert len(state.penalties[blessed]) == state.blocks == 3
 
 
 def test_race_keeps_at_least_min_survivors():
