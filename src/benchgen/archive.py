@@ -1,4 +1,7 @@
-"""On-disk campaign archive.
+"""On-disk campaign archive; no other module reads or writes its files.
+
+The commands write their outputs through ``write_file`` too. A file that
+cannot be read or written is an ``ArchiveError`` that names it.
 
 Layout of a campaign directory:
 
@@ -41,12 +44,14 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from . import archivewriter
 from .errors import ArchiveError, ParseError
-from .runner import RunStatus
+from .records import field_names
+from .runner import RunStatus, SolverRecord, Status
 from .valuetext import parse_values
 
 if TYPE_CHECKING:
@@ -54,8 +59,32 @@ if TYPE_CHECKING:
 
     from .gensolve import CandidateInstance, SolutionHistory
 
-# A tuple, not a set: an unhashable status in a corrupt line is compared, not hashed.
+# Tuples, not sets: an unhashable status in a corrupt line is compared, not hashed.
 _RUN_STATUSES = tuple(status.value for status in RunStatus)
+_SOLVER_STATUSES = tuple(status.value for status in Status)
+# The keys of a solver record that SolverRecord.from_jsonable reads.
+_SOLVER_KEYS = tuple(name for name in field_names(SolverRecord) if name != "note")
+
+
+@contextmanager
+def _naming(verb: str, path: str | Path) -> Iterator[None]:
+    """Turn an ``OSError`` inside into ``ArchiveError("cannot VERB PATH: reason")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ArchiveError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+
+
+def read_file(path: str | Path) -> str:
+    """The text of file ``path``."""
+    with _naming("read", path):
+        return Path(path).read_text()
+
+
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` as the whole file ``path``."""
+    with _naming("write", path):
+        Path(path).write_bytes(text.encode())
 
 
 def lock_archive(root: str | Path) -> int:
@@ -63,11 +92,9 @@ def lock_archive(root: str | Path) -> int:
     descriptor. Raises ``ArchiveError`` if another campaign holds it."""
     import fcntl
 
-    try:
+    with _naming("create a campaign archive at", root):
         Path(root).mkdir(parents=True, exist_ok=True)
         fd = os.open(root, os.O_RDONLY)
-    except OSError as exc:
-        raise ArchiveError(f"cannot create a campaign archive at {root}: {exc}") from exc
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except BlockingIOError:
@@ -78,11 +105,51 @@ def lock_archive(root: str | Path) -> int:
 
 def make_dir(path: Path) -> Path:
     """Create directory ``path`` if it is missing; ``ArchiveError`` names it if that fails."""
-    try:
+    with _naming("create", path):
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ArchiveError(f"cannot create {path}: {exc.strerror or exc}") from exc
     return path
+
+
+def _flaw(entry: dict[str, Any], position: int) -> str | None:
+    """Why ``entry`` cannot be the record at ``position`` of evals.jsonl, or None.
+
+    Its ``seq`` must be its position (it is not when two campaigns wrote the
+    stream). It needs a ``config_id``, a ``RunStatus`` value as ``status`` and
+    a ``penalty``; a ``dis-found`` record needs its ``scores``, two numbers,
+    which the discrimination table reads. Its ``records``, if any, are an
+    object of solver records, each holding every key that ``from_jsonable``
+    reads, a ``Status`` value as ``status`` and a null or object
+    ``solution``. Only keys and types are checked; nothing is parsed.
+    """
+    status, scores, records = entry.get("status"), entry.get("scores"), entry.get("records", {})
+    dis_found = status == RunStatus.DIS_FOUND.value
+    needed = ["config_id", "status", "penalty"]
+    if dis_found:
+        needed.append("scores")
+    missing = [key for key in needed if entry.get(key) is None]
+    if entry.get("seq") != position:
+        return f"seq {entry.get('seq')!r} is not the record's position {position}"
+    if missing:
+        return f"no {missing[0]!r}"
+    if status not in _RUN_STATUSES:
+        return f"status {status!r} is not a run status"
+    if dis_found and not (
+        type(scores) is list and len(scores) == 2 and all(type(s) in (int, float) for s in scores)
+    ):
+        return "scores is not a list of two numbers"
+    if type(records) is not dict:
+        return "records is not an object"
+    for name, record in records.items():
+        if type(record) is not dict:
+            return f"solver record {name!r} is not an object"
+        absent = [key for key in _SOLVER_KEYS if key not in record]
+        if absent:
+            return f"solver record {name!r} has no {absent[0]!r}"
+        if record["status"] not in _SOLVER_STATUSES:
+            return f"solver record {name!r}: status {record['status']!r} is not a solver status"
+        if record["solution"] is not None and type(record["solution"]) is not dict:
+            return f"solver record {name!r}: solution is neither null nor an object"
+    return None
 
 
 class CampaignArchive:
@@ -97,16 +164,14 @@ class CampaignArchive:
         cls, root: str | Path, meta: Mapping[str, Any], space_text: str, model_text: str
     ) -> "CampaignArchive":
         archive = cls(root)
-        try:
+        with _naming("create a campaign archive at", root):
             archive.root.mkdir(parents=True, exist_ok=True)
             (archive.root / "instances").mkdir(exist_ok=True)
             (archive.root / "records").mkdir(exist_ok=True)
             (archive.root / "reports").mkdir(exist_ok=True)
-            (archive.root / "config.json").write_text(json.dumps(dict(meta), indent=2))
-            (archive.root / "space.txt").write_text(space_text)
-            (archive.root / "generator.model").write_text(model_text)
-        except OSError as exc:
-            raise ArchiveError(f"cannot create a campaign archive at {root}: {exc}") from exc
+        write_file(archive.root / "config.json", json.dumps(dict(meta), indent=2))
+        write_file(archive.root / "space.txt", space_text)
+        write_file(archive.root / "generator.model", model_text)
         return archive
 
     @classmethod
@@ -126,7 +191,7 @@ class CampaignArchive:
         """
         import subprocess
 
-        try:
+        with _naming("start the archive writer for", self.root):
             self._writer = subprocess.Popen(
                 [sys.executable, "-I", "-S", archivewriter.__file__, str(self.root), str(lock)],
                 stdin=subprocess.PIPE,
@@ -134,8 +199,6 @@ class CampaignArchive:
                 start_new_session=True,
                 pass_fds=(lock,),
             )
-        except OSError as exc:
-            raise ArchiveError(f"cannot start the archive writer for {self.root}: {exc}") from exc
 
     def close_writer(self) -> None:
         """Wait until the writer has applied every write handed to it.
@@ -167,26 +230,20 @@ class CampaignArchive:
     def meta(self) -> dict[str, Any]:
         path = self.root / "config.json"
         try:
-            meta = json.loads(self._read_text(path))
+            meta = json.loads(read_file(path))
         except ValueError:
             meta = None
         if not isinstance(meta, dict):
             raise ArchiveError(f"{path}: not a JSON object")
         return meta
 
-    def _read_text(self, path: Path) -> str:
-        try:
-            return path.read_text()
-        except OSError as exc:
-            raise ArchiveError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
     @property
     def space_text(self) -> str:
-        return self._read_text(self.root / "space.txt")
+        return read_file(self.root / "space.txt")
 
     @property
     def model_text(self) -> str:
-        return self._read_text(self.root / "generator.model")
+        return read_file(self.root / "generator.model")
 
     # -- instances ---------------------------------------------------------
 
@@ -202,16 +259,16 @@ class CampaignArchive:
         path = self.root / "instances" / f"{instance_id}.json"
         if not path.exists():
             raise ArchiveError(f"unknown instance {instance_id}")
-        sidecar = json.loads(path.read_text())
+        sidecar = json.loads(read_file(path))
         sidecar.update(extra)
-        path.write_text(json.dumps(sidecar, indent=2))
+        write_file(path, json.dumps(sidecar, indent=2))
 
     def instance_values(self, instance_id: str) -> dict[str, Any]:
         path = self.root / "instances" / f"{instance_id}.inst"
         if not path.exists():
             raise ArchiveError(f"unknown instance {instance_id}")
         try:
-            return parse_values(self._read_text(path))
+            return parse_values(read_file(path))
         except (ParseError, UnicodeDecodeError) as exc:
             raise ArchiveError(f"{path}: {exc}") from exc
 
@@ -228,14 +285,13 @@ class CampaignArchive:
 
     def evaluations(self) -> Iterator[dict[str, Any]]:
         """The records in order; ``ArchiveError`` at the first line that is
-        not a JSON object, whose ``seq`` is not its position (as when two
-        campaigns wrote the stream), that lacks a ``config_id``, ``status``
-        or ``penalty`` (or, when ``dis-found``, its ``scores``), or whose
-        ``status`` is not a ``RunStatus`` value."""
+        not a JSON object or does not hold what the readers take from a
+        record (see ``_flaw``)."""
         if not self._evals_path.exists():
             return
         position = 0
-        with open(self._evals_path, "rb") as fh:  # bytes, so bad UTF-8 fails in json.loads
+        # Bytes, so bad UTF-8 fails in json.loads.
+        with _naming("read", self._evals_path), open(self._evals_path, "rb") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -246,20 +302,10 @@ class CampaignArchive:
                 if not isinstance(entry, dict):
                     raise ArchiveError(f"{self._evals_path} line {number}: not a JSON object")
                 position += 1
-                needed = ["config_id", "status", "penalty"]
-                if entry.get("status") == RunStatus.DIS_FOUND.value:
-                    needed.append("scores")  # the discrimination table reads them
-                missing = [key for key in needed if entry.get(key) is None]
-                if entry.get("seq") != position:
-                    why = f"seq {entry.get('seq')!r} is not the record's position {position}"
-                elif missing:
-                    why = f"no {missing[0]!r}"
-                elif entry["status"] not in _RUN_STATUSES:
-                    why = f"status {entry['status']!r} is not a run status"
-                else:
-                    yield entry
-                    continue
-                raise ArchiveError(f"{self._evals_path} line {number}: {why}")
+                why = _flaw(entry, position)
+                if why is not None:
+                    raise ArchiveError(f"{self._evals_path} line {number}: {why}")
+                yield entry
 
     def drop_torn_record(self) -> None:
         """Cut an unterminated last line of evals.jsonl that does not parse.
@@ -271,17 +317,18 @@ class CampaignArchive:
         """
         if not self._evals_path.exists():
             return
-        data = self._evals_path.read_bytes()
+        with _naming("read", self._evals_path):
+            data = self._evals_path.read_bytes()
         if not data or data.endswith(b"\n"):
             return
         cut = data.rfind(b"\n") + 1
         try:
             json.loads(data[cut:])
         except ValueError:
-            with open(self._evals_path, "r+b") as fh:
+            with _naming("write", self._evals_path), open(self._evals_path, "r+b") as fh:
                 fh.truncate(cut)
         else:
-            with open(self._evals_path, "ab") as fh:
+            with _naming("write", self._evals_path), open(self._evals_path, "ab") as fh:
                 fh.write(b"\n")
 
     def evaluation_count(self) -> int:
@@ -292,8 +339,11 @@ class CampaignArchive:
     def append_log(self, line: str) -> None:
         self._write("tuner.log", line + "\n")
 
+    def restart_log(self) -> None:
+        write_file(self.root / "tuner.log", "")  # a resume logs the replayed prefix again
+
     def save_history(self, history: SolutionHistory) -> None:
-        history.save(self.root / "history.json")
+        write_file(self.root / "history.json", json.dumps(history.to_jsonable(), indent=0, sort_keys=True))
 
     def load_history(self) -> SolutionHistory:
         """The solution history of the recorded evaluations: per

@@ -145,7 +145,7 @@ def run_campaign(
         eval_seq = sum(map(len, replay.values()))  # the records read, before replay pops them
         if resume:
             # Replay regenerates the identical prefix, so start the log afresh.
-            (out_dir / "tuner.log").write_text("")
+            archive.restart_log()
         archive.open_writer(lock)
         try:
             report = run_tuning(space, evaluator, tuner_config, log=log_sink)

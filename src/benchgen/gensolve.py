@@ -5,7 +5,7 @@ the configuration's solution set is exhausted. Solutions come out in lex
 order and distinct solutions decode to distinct instances, so a history
 needs only how many solutions each configuration has taken: the next
 instance is the search's next solution. ``solve_generator`` counts each
-solution it returns. Not saved, the history also keeps the suspended
+solution it returns. The history also keeps, in memory only, the suspended
 searches of the configurations solved last, in a bounded LRU, so a
 configuration evaluated again is neither grounded nor searched from the
 root again. A configuration without a kept search (new, pushed out, or
@@ -15,12 +15,10 @@ the counted solutions first.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict
 from enum import Enum
-from pathlib import Path
 from typing import Any, Mapping
 
 from .csp import Search, SolveStatus, backtrack_solve
@@ -72,8 +70,8 @@ class SolutionHistory:
     The count is how many solutions of the configuration have been taken.
     The history also keeps an LRU of searches, one per configuration id
     with the model it was grounded from, bounded by ``CSP_CACHE_SIZE``.
-    Only the counts are saved; a history built from counts starts without
-    searches.
+    ``to_jsonable`` gives the counts alone, which the archive saves; a
+    history built from counts starts without searches.
     """
 
     def __init__(self, counts: Mapping[str, int] | None = None):
@@ -109,9 +107,6 @@ class SolutionHistory:
     def to_jsonable(self) -> dict[str, int]:
         with self._lock:
             return dict(self._counts)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_jsonable(), indent=0, sort_keys=True))
 
 
 def solve_generator(

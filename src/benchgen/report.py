@@ -21,7 +21,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Sequence
 
-from .archive import CampaignArchive, graded_instance_ids, make_dir
+from .archive import CampaignArchive, graded_instance_ids, make_dir, read_file, write_file
 from .errors import ArchiveError, ValidationError
 from .problems import Problem
 from .records import Record, replace, to_jsonable
@@ -51,10 +51,7 @@ class CombinedSet(Record):
         return list(dict.fromkeys(iid for ids in self.selections.values() for iid in ids))
 
     def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(json.dumps(to_jsonable(self), indent=2))
-        except OSError as exc:
-            raise ArchiveError(f"cannot write the combined set {path}: {exc}") from exc
+        write_file(path, json.dumps(to_jsonable(self), indent=2))
 
     @classmethod
     def load(cls, path: str | Path) -> "CombinedSet":
@@ -283,14 +280,6 @@ COLUMN_TYPES = {
 }
 
 
-def write_file(path: str | Path, text: str) -> None:
-    """Write ``text`` as the whole file ``path``; ``ArchiveError`` names the path if that fails."""
-    try:
-        Path(path).write_bytes(text.encode())
-    except OSError as exc:
-        raise ArchiveError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """Write a header line and one CSV line per row; a float is written as its repr."""
     text = io.StringIO()
@@ -303,11 +292,10 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 def read_table(path: str | Path) -> tuple[tuple[str, ...], list[tuple]]:
     """A table as ``write_table`` wrote it: its header and its rows, each
     cell parsed by its column's type in ``COLUMN_TYPES`` (text otherwise)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        types = [COLUMN_TYPES.get(column, str) for column in header]
-        return header, [tuple(kind(cell) for kind, cell in zip(types, row)) for row in reader]
+    reader = csv.reader(io.StringIO(read_file(path)))
+    header = tuple(next(reader, ()))
+    types = [COLUMN_TYPES.get(column, str) for column in header]
+    return header, [tuple(kind(cell) for kind, cell in zip(types, row)) for row in reader]
 
 
 def write_borda_json(path: str | Path, table: BordaTable) -> None:
@@ -317,7 +305,7 @@ def write_borda_json(path: str | Path, table: BordaTable) -> None:
 
 
 def read_borda_json(path: str | Path) -> BordaTable:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(read_file(path))
     cells = {(c["solver"], c["instance"]): c["score"] for c in data["cells"]}
     return BordaTable(data["solvers"], data["instances"], data["totals"], cells)
 

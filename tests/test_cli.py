@@ -628,6 +628,51 @@ def test_a_config_json_that_cannot_be_read_is_reported(workspace, capsys, comman
     assert capsys.readouterr().err.startswith(f"error: cannot read {meta}: ")
 
 
+def test_a_history_json_that_cannot_be_written_is_reported_after_the_records(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    assert main(["tune", config, "--out", str(workspace / "reference"), "--budget", "12"]) == 0
+    out = workspace / "camp"
+    (out / "history.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / 'history.json'}: Is a directory\n"
+    for name in ("records/evals.jsonl", "tuner.log"):
+        assert (out / name).read_bytes() == (workspace / "reference" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["report", "check", "combine", "resume"])
+def test_an_evals_jsonl_that_cannot_be_read_is_reported(workspace, capsys, command):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    evals = out / "records" / "evals.jsonl"
+    evals.unlink()
+    evals.mkdir()
+    capsys.readouterr()
+    argv = {
+        "report": ["report", str(out)],
+        "check": ["check", str(out)],
+        "combine": ["combine", str(out), "--out", str(workspace / "combined.json")],
+        "resume": ["tune", config, "--out", str(out), "--budget", "12", "--resume"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot read {evals}: Is a directory\n"
+
+
+def test_a_resume_whose_tuner_log_cannot_be_written_is_reported_and_changes_nothing(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    log = out / "tuner.log"
+    log.unlink()
+    log.mkdir()
+    before = files_of(out)
+    capsys.readouterr()
+    assert main(["tune", config, "--out", str(out), "--budget", "12", "--resume"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {log}: Is a directory\n"
+    assert files_of(out) == before
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [
@@ -669,7 +714,7 @@ def test_combine_into_an_unwritable_path_is_reported(workspace, capsys):
     graded = fabricate_graded_archive(workspace / "graded", "band", [{"status": "graded"}] * 3)
     out = workspace / "absent" / "combined.json"
     assert main(["combine", str(graded.root), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write the combined set {out}")
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
     assert not out.parent.exists()
 
 
@@ -1069,3 +1114,47 @@ def test_a_record_without_what_readers_need_is_rejected_by_every_reader(workspac
                     ["combine", str(out), "--out", str(workspace / "combined.json")]):
         assert main(command) == 2, command
         assert capsys.readouterr().err == f"error: {evals} line 4: {why}\n"
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [
+        ({"records": [1, 2]}, "records is not an object"),
+        ({"records": {"band": 5}}, "solver record 'band' is not an object"),
+        ({"time": None}, "solver record 'band' has no 'time'"),
+        ({"trace": None}, "solver record 'band' has no 'trace'"),
+        ({"status": "bogus"}, "solver record 'band': status 'bogus' is not a solver status"),
+        ({"solution": [1]}, "solver record 'band': solution is neither null nor an object"),
+        ({"scores": [0.5]}, "scores is not a list of two numbers"),
+        ({"scores": ["0.5", 1.0]}, "scores is not a list of two numbers"),
+    ],
+    ids=["records-list", "record-not-object", "no-time", "no-trace", "unknown-status",
+         "solution-list", "one-score", "text-score"],
+)
+def test_a_solver_record_without_what_readers_need_is_rejected_by_every_reader(
+    workspace, capsys, change, why
+):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    evals = out / "records" / "evals.jsonl"
+    lines = evals.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["records"].get("band", {}).get("solution"))
+    entry = json.loads(lines[index])
+    for key, value in change.items():
+        if key == "records":
+            entry["records"] = value
+        elif key == "scores":  # a dis-found record, whose scores the discrimination table reads
+            entry.update(status="dis-found", scores=value)
+        elif value is None:
+            del entry["records"]["band"][key]
+        else:
+            entry["records"]["band"][key] = value
+    lines[index] = json.dumps(entry) + "\n"
+    evals.write_text("".join(lines))
+    capsys.readouterr()
+    for command in (["tune", config, "--out", str(out), "--budget", "12", "--resume"],
+                    ["report", str(out)], ["check", str(out)],
+                    ["combine", str(out), "--out", str(workspace / "combined.json")]):
+        assert main(command) == 2, command
+        assert capsys.readouterr().err == f"error: {evals} line {index + 1}: {why}\n"

@@ -163,7 +163,7 @@ def test_history_roundtrip_preserves_exclusions(tmp_path):
     config = make_configuration(space, {"n": 1})
     history = SolutionHistory()
     first = solve_generator(model, config, history, 5.0, 5.0)
-    history.save(tmp_path / "history.json")
+    CampaignArchive(tmp_path).save_history(history)
 
     reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
     assert reloaded.count(config.id) == history.count(config.id) == 1
@@ -461,7 +461,7 @@ def test_loaded_history_continues_the_same_sequence(tmp_path):
 
     history = SolutionHistory()
     head = solution_sequence(model, config, history, stop=4)
-    history.save(tmp_path / "history.json")
+    CampaignArchive(tmp_path).save_history(history)
     reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
     tail = solution_sequence(model, config, reloaded)
     assert head + tail == full
