@@ -35,7 +35,6 @@ _EXPORTS = {
             "DiscriminatingPolicy",
             "GradedPolicy",
             "LARGE_NEGATIVE",
-            "OracleResult",
             "PLUS_INFINITY",
             "evaluate_configuration",
             "oracle_optimum",
@@ -45,7 +44,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "CandidateInstance",
-            "GenOutcome",
             "GeneratorSolveResult",
             "SolutionHistory",
             "solve_generator",
@@ -57,6 +55,8 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "EvaluationLimits",
+            "GenOutcome",
+            "OracleResult",
             "RunStatus",
             "SolverAdapter",
             "SolverRecord",

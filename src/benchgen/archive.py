@@ -33,9 +33,10 @@ its next write or at ``close_writer``.
 
 One campaign at a time writes an archive: it holds an exclusive ``flock``
 on the directory (``lock_archive``) until it returns, and its writer holds
-it until its last write, after a crash too. The lock adds no file. Every
-record of ``records/evals.jsonl`` carries its 1-based position as ``seq``,
-and ``evaluations``, the one reader of the stream, checks it.
+it until its last write, after a crash too. The lock adds no file. A
+record's JSON form is its fields, and ``from_jsonable`` reads it back: each
+line of ``records/evals.jsonl`` is an ``Evaluation``, and ``evaluations``,
+the one reader of the stream, also checks that its ``seq`` is its position.
 """
 
 from __future__ import annotations
@@ -49,21 +50,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from . import archivewriter
-from .errors import ArchiveError, ParseError
-from .records import field_names
-from .runner import RunStatus, SolverRecord, Status
+from .errors import ArchiveError, ParseError, ValidationError
+from .records import Record, from_jsonable, to_jsonable
+from .runner import GenOutcome, OracleResult, RunStatus, SolverRecord
 from .valuetext import parse_values
 
 if TYPE_CHECKING:
     import subprocess
 
     from .gensolve import CandidateInstance, SolutionHistory
-
-# Tuples, not sets: an unhashable status in a corrupt line is compared, not hashed.
-_RUN_STATUSES = tuple(status.value for status in RunStatus)
-_SOLVER_STATUSES = tuple(status.value for status in Status)
-# The keys of a solver record that SolverRecord.from_jsonable reads.
-_SOLVER_KEYS = tuple(name for name in field_names(SolverRecord) if name != "note")
 
 
 @contextmanager
@@ -110,46 +105,25 @@ def make_dir(path: Path) -> Path:
     return path
 
 
-def _flaw(entry: dict[str, Any], position: int) -> str | None:
-    """Why ``entry`` cannot be the record at ``position`` of evals.jsonl, or None.
+class Evaluation(Record):
+    """A line of ``records/evals.jsonl``; a ``dis-found`` one has ``scores``."""
 
-    Its ``seq`` must be its position (it is not when two campaigns wrote the
-    stream). It needs a ``config_id``, a ``RunStatus`` value as ``status`` and
-    a ``penalty``; a ``dis-found`` record needs its ``scores``, two numbers,
-    which the discrimination table reads. Its ``records``, if any, are an
-    object of solver records, each holding every key that ``from_jsonable``
-    reads, a ``Status`` value as ``status`` and a null or object
-    ``solution``. Only keys and types are checked; nothing is parsed.
-    """
-    status, scores, records = entry.get("status"), entry.get("scores"), entry.get("records", {})
-    dis_found = status == RunStatus.DIS_FOUND.value
-    needed = ["config_id", "status", "penalty"]
-    if dis_found:
-        needed.append("scores")
-    missing = [key for key in needed if entry.get(key) is None]
-    if entry.get("seq") != position:
-        return f"seq {entry.get('seq')!r} is not the record's position {position}"
-    if missing:
-        return f"no {missing[0]!r}"
-    if status not in _RUN_STATUSES:
-        return f"status {status!r} is not a run status"
-    if dis_found and not (
-        type(scores) is list and len(scores) == 2 and all(type(s) in (int, float) for s in scores)
-    ):
-        return "scores is not a list of two numbers"
-    if type(records) is not dict:
-        return "records is not an object"
-    for name, record in records.items():
-        if type(record) is not dict:
-            return f"solver record {name!r} is not an object"
-        absent = [key for key in _SOLVER_KEYS if key not in record]
-        if absent:
-            return f"solver record {name!r} has no {absent[0]!r}"
-        if record["status"] not in _SOLVER_STATUSES:
-            return f"solver record {name!r}: status {record['status']!r} is not a solver status"
-        if record["solution"] is not None and type(record["solution"]) is not dict:
-            return f"solver record {name!r}: solution is neither null nor an object"
-    return None
+    seq: int
+    block: int
+    config_id: str
+    assignment: dict[str, Any]
+    instance_id: str | None
+    penalty: float
+    status: RunStatus
+    generator_outcome: GenOutcome
+    records: dict[str, SolverRecord]
+    scores: tuple[float, float] | None
+    oracle: OracleResult | None = None
+    _may_be_absent = ("oracle",)  # the key is written only when an oracle ran
+
+    def __post_init__(self) -> None:
+        if self.status is RunStatus.DIS_FOUND and self.scores is None:
+            raise ValidationError("no 'scores'")
 
 
 class CampaignArchive:
@@ -278,15 +252,20 @@ class CampaignArchive:
     def _evals_path(self) -> Path:
         return self.root / "records" / "evals.jsonl"
 
-    def add_evaluation(self, entry: Mapping[str, Any]) -> None:
-        """Append the record; it ends an evaluation's writes, so it hands
-        them over to the writer."""
-        self._write("records/evals.jsonl", json.dumps(dict(entry)) + "\n", handover=True)
+    def add_evaluation(self, record: Evaluation) -> None:
+        """Append the record, leaving out ``oracle`` when none ran; it ends an
+        evaluation's writes, so it hands them over to the writer."""
+        data = {
+            key: {name: r.to_jsonable(name) for name, r in v.items()} if key == "records" else to_jsonable(v)
+            for key, v in vars(record).items()  # its vars are its fields, in order
+            if key != "oracle" or v is not None
+        }
+        self._write("records/evals.jsonl", json.dumps(data) + "\n", handover=True)
 
-    def evaluations(self) -> Iterator[dict[str, Any]]:
+    def evaluations(self) -> Iterator[Evaluation]:
         """The records in order; ``ArchiveError`` at the first line that is
-        not a JSON object or does not hold what the readers take from a
-        record (see ``_flaw``)."""
+        not a JSON object, does not decode as an ``Evaluation``, or whose
+        ``seq`` is not its position."""
         if not self._evals_path.exists():
             return
         position = 0
@@ -302,10 +281,13 @@ class CampaignArchive:
                 if not isinstance(entry, dict):
                     raise ArchiveError(f"{self._evals_path} line {number}: not a JSON object")
                 position += 1
-                why = _flaw(entry, position)
-                if why is not None:
-                    raise ArchiveError(f"{self._evals_path} line {number}: {why}")
-                yield entry
+                try:
+                    record = from_jsonable(Evaluation, entry)
+                    if record.seq != position:
+                        raise ValidationError(f"seq {record.seq} is not the record's position {position}")
+                except ValidationError as why:
+                    raise ArchiveError(f"{self._evals_path} line {number}: {why}") from None
+                yield record
 
     def drop_torn_record(self) -> None:
         """Cut an unterminated last line of evals.jsonl that does not parse.
@@ -356,9 +338,7 @@ class CampaignArchive:
         """
         from .gensolve import SolutionHistory
 
-        return SolutionHistory(
-            Counter(e["config_id"] for e in self.evaluations() if e.get("instance_id"))
-        )
+        return SolutionHistory(Counter(e.config_id for e in self.evaluations() if e.instance_id))
 
     @property
     def reports_dir(self) -> Path:
@@ -367,8 +347,4 @@ class CampaignArchive:
 
 def graded_instance_ids(archive: CampaignArchive) -> list[str]:
     """Instance ids classified graded, in archive order."""
-    out = []
-    for entry in archive.evaluations():
-        if entry["status"] == RunStatus.GRADED.value and entry.get("instance_id"):
-            out.append(entry["instance_id"])
-    return out
+    return [e.instance_id for e in archive.evaluations() if e.status is RunStatus.GRADED and e.instance_id]

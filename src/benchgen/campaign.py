@@ -13,13 +13,12 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
-from .archive import CampaignArchive, lock_archive
+from .archive import CampaignArchive, Evaluation, lock_archive
 from .errors import ArchiveError
 from .evaluate import EvaluationLimits, EvaluationResult, Policy, evaluate_configuration
 from .gensolve import SolutionHistory
 from .model import parse_model
 from .records import Record, replace, to_jsonable
-from .runner import RunStatus
 from .space import GeneratorConfiguration, parse_space
 from .tuner import EvalLogEntry, TunerConfig, TunerReport, run_tuning
 
@@ -31,14 +30,6 @@ def policy_meta(policy: Policy) -> dict[str, Any]:
 class CampaignResult(Record):
     archive: CampaignArchive
     report: TunerReport
-
-
-class _ReplayResult(Record):
-    """Evaluation outcome reconstructed from the archive during resume."""
-
-    penalty: float
-    status: RunStatus
-    instance_id: str | None
 
 
 def run_campaign(
@@ -83,35 +74,24 @@ def run_campaign(
             return replay[config.id].popleft()
         return evaluate_configuration(model, config, history, policy, limits, seed=tuner_config.seed)
 
-    def log_sink(entry: EvalLogEntry, result: EvaluationResult | _ReplayResult) -> None:
+    def log_sink(entry: EvalLogEntry, result: EvaluationResult | Evaluation) -> None:
         """Archive one evaluation; the tuner calls this in evaluation order."""
         nonlocal eval_seq
         archive.append_log(entry.format_line())
-        if isinstance(result, _ReplayResult):
-            return  # already archived
+        if isinstance(result, Evaluation):
+            return  # replayed: already archived
         if result.instance is not None:
             # Before the record, so a recorded instance has its whole .inst.
             archive.add_instance(result.instance)
         eval_seq += 1
-        record: dict[str, Any] = {
-            "seq": eval_seq,
-            "block": entry.step - 1,
-            "config_id": entry.config.id,
-            "assignment": dict(entry.config.assignment),
-            "instance_id": result.instance_id,
-            "penalty": result.penalty,
-            "status": result.status.value,
-            "generator_outcome": result.generator_outcome.value,
-            "records": {name: rec.to_jsonable(name) for name, rec in result.records.items()},
-            "scores": list(result.scores) if result.scores else None,
-        }
-        if result.oracle is not None:
-            record["oracle"] = to_jsonable(result.oracle)
-        archive.add_evaluation(record)
+        archive.add_evaluation(Evaluation(
+            eval_seq, entry.step - 1, entry.config.id, dict(entry.config.assignment), result.instance_id,
+            result.penalty, result.status, result.generator_outcome, result.records, result.scores, result.oracle,
+        ))
 
     lock = lock_archive(out_dir)  # held until this returns
     try:
-        replay: dict[str, deque[_ReplayResult]] = {}
+        replay: dict[str, deque[Evaluation]] = {}
         if resume and (out_dir / "config.json").exists():
             archive = CampaignArchive.open(out_dir)
             # Replay only reproduces the recorded prefix under the same inputs,
@@ -131,10 +111,8 @@ def run_campaign(
             if differs:
                 raise ArchiveError(f"cannot resume {out_dir}: {differs}")
             archive.drop_torn_record()
-            for entry in archive.evaluations():
-                replay.setdefault(entry["config_id"], deque()).append(
-                    _ReplayResult(entry["penalty"], RunStatus(entry["status"]), entry.get("instance_id"))
-                )
+            for entry in archive.evaluations():  # the tuner reads no solver record: keep none
+                replay.setdefault(entry.config_id, deque()).append(replace(entry, records={}))
             history = archive.load_history()
         elif (out_dir / "records" / "evals.jsonl").exists():
             advice = "it has no config.json" if resume else "pass resume or pick a fresh directory"

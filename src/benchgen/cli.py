@@ -298,7 +298,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     from .archive import CampaignArchive
-    from .runner import SolverRecord, verify_record
+    from .runner import verify_record
 
     archive = CampaignArchive.open(args.archive)
     problem = get_problem(archive.meta["problem"])
@@ -306,16 +306,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     failures = 0
     for entry in archive.evaluations():
         values = None
-        for name, raw in entry.get("records", {}).items():
-            if raw.get("solution") is None or entry.get("instance_id") is None:
+        for name, record in entry.records.items():
+            if record.solution is None or entry.instance_id is None:
                 continue
             if values is None:
-                values = archive.instance_values(entry["instance_id"])
-            record = verify_record(problem, values, SolverRecord.from_jsonable(raw))
+                values = archive.instance_values(entry.instance_id)
+            record = verify_record(problem, values, record)
             checked += 1
             if not record.solution_ok:
                 failures += 1
-                print(f"{entry['instance_id']} {name}: FAILED re-verification ({record.note})")
+                print(f"{entry.instance_id} {name}: FAILED re-verification ({record.note})")
     print(f"re-checked {checked} archived solutions, {failures} failures")
     return 1 if failures else 0
 

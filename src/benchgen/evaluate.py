@@ -22,12 +22,14 @@ import time
 from typing import Any, Mapping
 
 from .errors import ModelError, ValidationError
-from .gensolve import CandidateInstance, GenOutcome, GeneratorSolveResult, SolutionHistory, solve_generator
+from .gensolve import CandidateInstance, GeneratorSolveResult, SolutionHistory, solve_generator
 from .model import GeneratorModel
 from .problems import Problem
 from .records import Record, field, replace
 from .runner import (
     EvaluationLimits,
+    GenOutcome,
+    OracleResult,
     RunStatus,
     SolverAdapter,
     SolverRecord,
@@ -182,15 +184,6 @@ class EvaluationResult(Record):
     @property
     def instance_id(self) -> str | None:
         return self.instance.id if self.instance is not None else None
-
-
-class OracleResult(Record, frozen=True):
-    """Optimum established by a long-budget complete solver run."""
-
-    optimum: int | None
-    proved: bool
-    time: float
-    infeasible: bool = False
 
 
 def oracle_optimum(

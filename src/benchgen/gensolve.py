@@ -18,27 +18,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from enum import Enum
 from typing import Any, Mapping
 
 from .csp import Search, SolveStatus, backtrack_solve
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
 from .records import Record
+from .runner import GenOutcome
 from .space import GeneratorConfiguration
 from .valuetext import format_values
 
 
 # How many suspended searches a history keeps, least recently used dropped first.
 CSP_CACHE_SIZE = 128
-
-
-class GenOutcome(Enum):
-    SOLUTION = "solution"
-    UNSAT = "unsat"
-    TRANSLATE_TIMEOUT = "translate_timeout"
-    SOLVE_TIMEOUT = "solve_timeout"
-    ILL_DEFINED = "ill_defined"  # a shape or bound undefined for the configuration
 
 
 class CandidateInstance(Record, frozen=True):

@@ -14,22 +14,29 @@ frozen is unhashable. Every annotation in the class body is a field.
 Nothing is compiled per class: the methods are the same functions for
 every record, driven by the field table built when the class is defined.
 So defining a record costs microseconds, and importing this module loads
-nothing beyond ``operator`` and ``enum``. ``replace`` and ``field_names`` stand in for
-``dataclasses.replace`` and ``dataclasses.fields``.
+only ``errors`` and standard modules. ``replace`` and ``field_names`` stand
+in for ``dataclasses.replace`` and ``dataclasses.fields``.
 
-A record's JSON form is its fields: ``to_jsonable`` makes a record an
-object of its fields in declaration order, an enum its value, a set or
-frozenset its sorted list, a tuple or list a list, and a dict a dict key
-by key; anything else passes through. The archive's policy block, solver
-records and combined sets are written this way, so adding a field to one
-of those records adds it to the archive.
+A record's JSON form is its fields, and ``from_jsonable`` reads it back.
+``to_jsonable`` makes a record an object of its fields in declaration
+order, an enum its value, a set or frozenset its sorted list, a tuple or
+list a list, and a dict a dict key by key; anything else passes through.
+``from_jsonable(cls, data)`` decodes each field by its annotation, needs
+its key unless ``_may_be_absent`` names it, and ignores other keys. A JSON
+int stays an int in a ``float`` field, a ``bool`` is no number, and
+``Annotated[X, f]`` passes the decoded ``X`` through ``f``, whose
+``TypeError`` or ``ValueError`` refuses the value.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from operator import attrgetter
-from typing import Any, Callable, TypeVar
+from types import UnionType
+from typing import Annotated, Any, Callable, TypeVar, Union, get_args, get_origin, get_type_hints
+
+from .errors import ValidationError
 
 _MISSING: Any = object()
 
@@ -171,3 +178,92 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: to_jsonable(v) for k, v in value.items()}
     return value
+
+
+def _unfit(value: Any, what: str, path: str) -> Any:
+    """Raise: ``value`` at ``path`` is not ``what``, or, if ``_MISSING``, its key is absent."""
+    path = path.lstrip(".")
+    raise ValidationError(f"no {path!r}" if value is _MISSING else f"{path} {value!r:.40} is not {what}".lstrip())
+
+
+# Annotations whose values are kept as they are, if their type is one listed.
+_KEPT = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+         bool: ((bool,), "a boolean"), Any: ((dict, list, str, int, float, bool, type(None)), "a JSON value")}
+
+
+def _plan(hint: Any) -> Callable[[Any, str], Any]:
+    """The decoder of a field annotated ``hint``: it takes a value and the path to it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _KEPT:
+        kinds, what = _KEPT[hint]
+        return lambda value, path: value if type(value) in kinds else _unfit(value, what, path)
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return _decoder(hint)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        # A value of another type than the members' (an unhashable one too) is not looked up.
+        members, kinds = {m.value: m for m in hint}, tuple({type(m.value) for m in hint})
+        what = "a" + "".join(f" {c.lower()}" if c.isupper() else c for c in hint.__name__)  # RunStatus: a run status
+        return lambda value, path: (
+            members[value] if type(value) in kinds and value in members else _unfit(value, what, path)
+        )
+    if origin is Annotated:
+        inner, codec = _plan(args[0]), args[1]
+
+        def decode(value: Any, path: str) -> Any:
+            try:
+                return codec(inner(value, path))
+            except (TypeError, ValueError) as exc:  # the codec's own refusal
+                return _unfit(value, f"decodable ({exc})", path)
+
+        return decode
+    if origin in (Union, UnionType) and args[1:] == (type(None),):
+        inner = _plan(args[0])
+        return lambda value, path: None if value is None else inner(value, path)
+    if origin is dict and args[0] is str:
+        each = _plan(args[1])
+        return lambda value, path: (
+            {k: each(v, f"{path}.{k}") for k, v in value.items()} if type(value) is dict
+            else _unfit(value, "an object", path)
+        )
+    if origin is list:
+        each = _plan(args[0])
+        return lambda value, path: (
+            [each(v, f"{path}[{i}]") for i, v in enumerate(value)] if type(value) is list
+            else _unfit(value, "a list", path)
+        )
+    if origin is tuple:
+        items, what = list(map(_plan, args)), f"a list of {len(args)} items"
+        return lambda value, path: (
+            tuple(each(v, f"{path}[{i}]") for i, (each, v) in enumerate(zip(items, value)))
+            if type(value) is list and len(value) == len(items) else _unfit(value, what, path)
+        )
+    raise TypeError(f"no JSON decoder for the annotation {hint!r}")
+
+
+@cache
+def _decoder(cls: type[Record]) -> Callable[[Any, str], Any]:
+    """The decoder of record class ``cls``, planned once from its field
+    annotations, each resolved in the module of the class that states it. An
+    absent key is its default if ``_may_be_absent`` names it, else ``_MISSING``."""
+    hints = get_type_hints(cls, include_extras=True)
+    defaults = {name: cls._template[name] for name in getattr(cls, "_may_be_absent", ())}
+    fields = [(name, _plan(hints[name]), defaults.get(name, _MISSING)) for name in cls._fields]
+
+    def decode(value: Any, path: str) -> Record:
+        if type(value) is not dict:
+            _unfit(value, "an object", path)
+        values = {name: each(value.get(name, default), f"{path}.{name}") for name, each, default in fields}
+        record = object.__new__(cls)  # as __init__ leaves it, given every field, but faster
+        object.__setattr__(record, "__dict__", values)
+        record.__post_init__()  # the class's cross-field rules raise their own ValidationError
+        return record
+
+    return decode
+
+
+def from_jsonable(cls: type[R], data: Any) -> R:
+    """The ``cls`` record whose JSON form is ``data`` (see the module docstring).
+    Raises ``ValidationError`` naming the path of the first field that does not
+    fit (``records.band.trace[0] 1 is not a list of 2 items``) or is absent
+    (``no 'records.band.time'``)."""
+    return _decoder(cls)(data, "")

@@ -24,7 +24,7 @@ from typing import Any, Iterable, Sequence
 from .archive import CampaignArchive, graded_instance_ids, make_dir, read_file, write_file
 from .errors import ArchiveError, ValidationError
 from .problems import Problem
-from .records import Record, replace, to_jsonable
+from .records import Record, from_jsonable, replace, to_jsonable
 from .runner import (
     EvaluationLimits,
     RunStatus,
@@ -47,6 +47,11 @@ class CombinedSet(Record):
     sources: dict[str, str]  # source label -> archive path
     selections: dict[str, list[str]]  # source label -> instance ids
 
+    def __post_init__(self) -> None:
+        unsourced = [label for label in self.selections if label not in self.sources]
+        if unsourced:
+            raise ValidationError(f"selection {unsourced[0]!r} has no source")
+
     def all_instance_ids(self) -> list[str]:
         return list(dict.fromkeys(iid for ids in self.selections.values() for iid in ids))
 
@@ -56,31 +61,11 @@ class CombinedSet(Record):
     @classmethod
     def load(cls, path: str | Path) -> "CombinedSet":
         try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ArchiveError(f"cannot read the combined set {path}: {exc}") from exc
+            return from_jsonable(cls, json.loads(read_file(path)))
         except ValueError as exc:
             raise ArchiveError(f"combined set {path} is not JSON: {exc}") from exc
-        keys = ("selections", "sources", "seed", "k")
-        if not isinstance(data, dict) or not all(key in data for key in keys):
-            raise ArchiveError(f"{path} is not a combined set: it needs {', '.join(keys)}")
-        selections, sources = data["selections"], data["sources"]
-        if not isinstance(selections, dict) or not all(
-            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-            for ids in selections.values()
-        ):
-            why = "selections must map each label to a list of instance ids"
-        elif not isinstance(sources, dict) or not all(
-            isinstance(source, str) for source in sources.values()
-        ):
-            why = "sources must map each label to an archive path"
-        elif unsourced := [label for label in selections if label not in sources]:
-            why = f"selection {unsourced[0]!r} has no source"
-        elif not all(type(data[key]) is int for key in ("seed", "k")):
-            why = "seed and k must be integers"
-        else:
-            return cls(data["seed"], data["k"], sources, selections)
-        raise ArchiveError(f"{path} is not a combined set: {why}")
+        except ValidationError as why:
+            raise ArchiveError(f"{path} is not a combined set: {why}") from None
 
 
 def build_combined_set(
@@ -236,25 +221,25 @@ def report_tables(archive: CampaignArchive) -> dict[str, list[tuple]]:
     """
     campaign = archive.meta.get("campaign")
     entries = list(archive.evaluations())
-    counts = Counter(entry["status"] for entry in entries)
+    counts = Counter(entry.status.value for entry in entries)
     tables = {
         "status_frequencies.csv": [
             (status, n, n / len(entries)) for status, n in sorted(counts.items())
         ]
     }
     times = [
-        (name, raw["time"])
+        (name, record.time)
         for entry in entries
-        if entry["status"] == RunStatus.GRADED.value
-        for name, raw in entry.get("records", {}).items()
+        if entry.status is RunStatus.GRADED
+        for name, record in entry.records.items()
     ]
     if times:
         tables["graded_times.csv"] = sorted(times, key=lambda row: row[0])
     if campaign == "discriminating":
         tables["discrimination.csv"] = [
-            (entry["instance_id"], entry["scores"][0], entry["penalty"])
+            (entry.instance_id, entry.scores[0], entry.penalty)
             for entry in entries
-            if entry["status"] == RunStatus.DIS_FOUND.value
+            if entry.status is RunStatus.DIS_FOUND
         ]
     return tables
 

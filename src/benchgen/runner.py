@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import Any, Mapping
+from typing import Annotated, Any, Mapping
 
 from .errors import CheckError, ParseError, ValidationError
 from .problems import Problem
-from .records import Record, field, field_names, replace, to_jsonable
+from .records import Record, field, replace, to_jsonable
 from .valuetext import format_values, values_from_jsonable, values_to_jsonable
 
 
@@ -68,6 +68,14 @@ class RunStatus(Enum):
     BASE_TOO_EASY = "base-too-easy"
     FAVOURED_TIMEOUT = "favoured-timeout"
     ZERO_SCORES = "zero-scores"
+
+
+class GenOutcome(Enum):
+    SOLUTION = "solution"
+    UNSAT = "unsat"
+    TRANSLATE_TIMEOUT = "translate_timeout"
+    SOLVE_TIMEOUT = "solve_timeout"
+    ILL_DEFINED = "ill_defined"  # a shape or bound undefined for the configuration
 
 
 class EvaluationLimits(Record, frozen=True):
@@ -129,32 +137,32 @@ class SolverRecord(Record):
     The builtin solvers and the external runner build it; ``verify_record``
     sets ``solution_ok``. It does not name its solver: its holders key it by
     that name, and ``to_jsonable`` writes the name into the archive form as
-    its first key, which ``from_jsonable`` does not read.
+    its first key, which ``records.from_jsonable`` ignores.
     """
 
     status: Status
     time: float
     objective: int | None = None
     optimal_claimed: bool = False
-    solution: dict[str, Any] | None = None
+    solution: Annotated[dict[str, Any], values_from_jsonable] | None = None
     time_to_best: float | None = None
     trace: list[tuple[float, int]] = field(default_factory=list)
     solution_ok: bool | None = None  # set by the checking step; None = unchecked
     note: str = ""
+    _may_be_absent = ("note",)  # archives written before there was a note
 
     def to_jsonable(self, solver: str) -> dict[str, Any]:
-        data: dict[str, Any] = {"solver": solver}
-        for name in field_names(self):
-            data[name] = (values_to_jsonable if name == "solution" else to_jsonable)(getattr(self, name))
-        return data
+        fields = {"solver": solver, **vars(self)}  # its vars are its fields, in order
+        return {k: values_to_jsonable(v) if k == "solution" else to_jsonable(v) for k, v in fields.items()}
 
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any]) -> "SolverRecord":
-        fields = {name: data[name] for name in field_names(cls) if name != "note"}
-        fields["status"] = Status(data["status"])
-        fields["solution"] = values_from_jsonable(data["solution"])
-        fields["trace"] = [(t, o) for t, o in data["trace"]]
-        return cls(**fields, note=data.get("note", ""))
+
+class OracleResult(Record, frozen=True):
+    """Optimum established by a long-budget complete solver run."""
+
+    optimum: int | None
+    proved: bool
+    time: float
+    infeasible: bool = False
 
 
 def derive_seed(*parts: Any) -> int:

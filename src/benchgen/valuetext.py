@@ -51,10 +51,8 @@ def values_to_jsonable(values: Mapping[str, Any] | None) -> dict[str, Any] | Non
     return out
 
 
-def values_from_jsonable(data: Mapping[str, Any] | None) -> dict[str, Any] | None:
-    """Inverse of ``values_to_jsonable``."""
-    if data is None:
-        return None
+def values_from_jsonable(data: Mapping[str, Any]) -> dict[str, Any]:
+    """Inverse of ``values_to_jsonable`` on a value map."""
     out: dict[str, Any] = {}
     for k, v in data.items():
         if isinstance(v, dict) and "__set__" in v:

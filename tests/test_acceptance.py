@@ -358,10 +358,10 @@ def test_acceptance_closed_loop_discriminating(tmp_path):
             out, SPACE_TEXT, MODEL_TEXT, policy,
             TunerConfig(total_budget=300, seed=53), FAST_LIMITS,
         )
-        found = [e for e in result.archive.evaluations() if e["status"] == RunStatus.DIS_FOUND.value]
+        found = [e for e in result.archive.evaluations() if e.status is RunStatus.DIS_FOUND]
         assert len(found) >= 10, f"only {len(found)} discriminating instances"
         for entry in found:
-            capacity = result.archive.instance_values(entry["instance_id"])["capacity"]
+            capacity = result.archive.instance_values(entry.instance_id)["capacity"]
             assert predicate(capacity), f"capacity {capacity} on the wrong side"
         return len(found)
 

@@ -74,7 +74,7 @@ def test_campaign_writes_archive_layout(tmp_path, generator_model_text):
 def test_campaign_archives_instances_with_sidecars(tmp_path, generator_model_text):
     result = run(tmp_path / "camp", model_text=generator_model_text)
     archive = result.archive
-    ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
+    ids = [e.instance_id for e in archive.evaluations() if e.instance_id]
     assert ids, "no instances archived"
     for iid in ids[:5]:
         values = archive.instance_values(iid)
@@ -84,21 +84,20 @@ def test_campaign_archives_instances_with_sidecars(tmp_path, generator_model_tex
 def test_campaign_penalties_match_statuses(tmp_path, generator_model_text):
     result = run(tmp_path / "camp", model_text=generator_model_text)
     for entry in result.archive.evaluations():
-        if entry["status"] == "graded":
-            assert entry["penalty"] == -1.0
-            record = next(iter(entry["records"].values()))
-            assert 2.0 <= record["time"] <= 5.0
-        elif entry["status"] in ("too-easy-SAT", "too-difficult"):
-            assert entry["penalty"] == 0.0
+        if entry.status.value == "graded":
+            assert entry.penalty == -1.0
+            record = next(iter(entry.records.values()))
+            assert 2.0 <= record.time <= 5.0
+        elif entry.status.value in ("too-easy-SAT", "too-difficult"):
+            assert entry.penalty == 0.0
 
 
 def test_campaign_deterministic_across_runs(tmp_path, generator_model_text):
     a = run(tmp_path / "a", model_text=generator_model_text)
     b = run(tmp_path / "b", model_text=generator_model_text)
     assert tuner_log(a.archive) == tuner_log(b.archive)
-    evals_a = [json.dumps(e) for e in a.archive.evaluations()]
-    evals_b = [json.dumps(e) for e in b.archive.evaluations()]
-    assert evals_a == evals_b
+    evals = Path("records") / "evals.jsonl"
+    assert (a.archive.root / evals).read_bytes() == (b.archive.root / evals).read_bytes()
 
 
 def test_campaign_resume_replays_then_continues(tmp_path, generator_model_text):
@@ -109,7 +108,7 @@ def test_campaign_resume_replays_then_continues(tmp_path, generator_model_text):
     assert tuner_log(resumed.archive) == tuner_log(fresh.archive)
     assert resumed.report.evaluations_used == fresh.report.evaluations_used
     assert graded_instance_ids(resumed.archive) == graded_instance_ids(fresh.archive)
-    seqs = [e["seq"] for e in resumed.archive.evaluations()]
+    seqs = [e.seq for e in resumed.archive.evaluations()]
     assert seqs == list(range(1, len(seqs) + 1))
 
 
@@ -176,14 +175,14 @@ def test_resume_with_stale_history_keeps_instance_ids_unique(tmp_path, generator
     run(tmp_path / "full", budget=60, model_text=generator_model_text)
     out = killed_copy(tmp_path / "full", tmp_path / "camp", 30)
     archive = CampaignArchive.open(out)
-    last = [e for e in archive.evaluations() if e["instance_id"]][-1]
-    history = Counter(e["config_id"] for e in archive.evaluations() if e["instance_id"])
-    history[last["config_id"]] -= 1
+    last = [e for e in archive.evaluations() if e.instance_id][-1]
+    history = Counter(e.config_id for e in archive.evaluations() if e.instance_id)
+    history[last.config_id] -= 1
     (out / "history.json").write_text(json.dumps(history))
     before = {p.name: p.stat().st_mtime_ns for p in (out / "instances").glob("*.inst")}
 
     run(out, budget=60, resume=True, model_text=generator_model_text)
-    ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
+    ids = [e.instance_id for e in archive.evaluations() if e.instance_id]
     assert len(ids) > len(before)
     assert len(set(ids)) == len(ids)
     after = {p.name: p.stat().st_mtime_ns for p in (out / "instances").glob("*.inst")}
@@ -351,9 +350,9 @@ def test_resume_rejects_a_changed_solve_limit(tmp_path, generator_model_text):
 def test_instances_hold_one_inst_per_recorded_instance(tmp_path, generator_model_text):
     out = tmp_path / "camp"
     archive = run(out, budget=60, model_text=generator_model_text).archive
-    recorded = [e for e in archive.evaluations() if e["instance_id"]]
+    recorded = [e for e in archive.evaluations() if e.instance_id]
     assert sorted(p.name for p in (out / "instances").iterdir()) == sorted(
-        f"{e['instance_id']}.inst" for e in recorded
+        f"{e.instance_id}.inst" for e in recorded
     )
     with pytest.raises(ArchiveError):
         archive.instance_values("nosuchconfig-0000")
@@ -366,8 +365,8 @@ def test_resume_ignores_sidecars_of_older_archives(tmp_path, generator_model_tex
     # The per-instance .json that archives carried before they kept one file
     # per instance, annotated with the evaluation's penalty and status.
     for entry in archive.evaluations():
-        if entry["instance_id"]:
-            iid, cid = entry["instance_id"], entry["config_id"]
+        if entry.instance_id:
+            iid, cid = entry.instance_id, entry.config_id
             values = archive.instance_values(iid)
             del values["cap_t"]
             sidecar = {
@@ -375,8 +374,8 @@ def test_resume_ignores_sidecars_of_older_archives(tmp_path, generator_model_tex
                 "config_id": cid,
                 "sequence": int(iid[len(cid) + 1:]),
                 "decision_values": values_to_jsonable(values),
-                "penalty": entry["penalty"],
-                "status": entry["status"],
+                "penalty": entry.penalty,
+                "status": entry.status.value,
             }
             (out / "instances" / f"{iid}.json").write_text(json.dumps(sidecar, indent=2))
     sidecars = {p.name: p.read_bytes() for p in (out / "instances").glob("*.json")}
@@ -407,7 +406,7 @@ def test_resume_rewrites_an_orphan_instance(tmp_path, generator_model_text):
     assert orphan_path.read_bytes() == orphan_text
     assert orphan_path.read_bytes() == (tmp_path / "full" / "instances" / f"{orphan}.inst").read_bytes()
     assert evals.read_bytes() == (tmp_path / "full" / "records" / "evals.jsonl").read_bytes()
-    ids = [e["instance_id"] for e in archive.evaluations() if e["instance_id"]]
+    ids = [e.instance_id for e in archive.evaluations() if e.instance_id]
     assert orphan in ids
     assert len(set(ids)) == len(ids)
 
@@ -559,7 +558,7 @@ def test_campaign_calls_each_archive_write_once_per_evaluation(
     assert archive_calls["add_evaluation"] == len(evaluations)
     assert archive_calls["append_log"] == len(evaluations)
     assert archive_calls["add_instance"] == len(list((full / "instances").glob("*.inst"))) == sum(
-        1 for e in evaluations if e["instance_id"]
+        1 for e in evaluations if e.instance_id
     )
 
     # A resumed campaign archives only its new evaluations.
@@ -570,6 +569,6 @@ def test_campaign_calls_each_archive_write_once_per_evaluation(
     run(archive.root, budget=60, resume=True, model_text=generator_model_text)
     new = list(archive.evaluations())[len(evaluations):]
     assert new and archive_calls["add_evaluation"] == len(new)
-    assert archive_calls["add_instance"] == sum(1 for e in new if e["instance_id"])
+    assert archive_calls["add_instance"] == sum(1 for e in new if e.instance_id)
     assert archive_calls["append_log"] == len(evaluations) + len(new)
     assert len(archive_calls["writers"]) == 2

@@ -676,13 +676,13 @@ def test_a_resume_whose_tuner_log_cannot_be_written_is_reported_and_changes_noth
 @pytest.mark.parametrize(
     "content, reason",
     [
-        (None, "cannot read the combined set {path}"),
+        (None, "cannot read {path}: No such file or directory"),
         ("{not json", "combined set {path} is not JSON"),
         ('{"selections": {}, "sources": {}, "seed": 0}', "{path} is not a combined set"),
         ('{"selections": {}, "sources": {}, "seed": 0, "k": 5}', "combined set {path} names no source"),
         (
             '{"selections": ["a"], "sources": {}, "seed": 0, "k": 5}',
-            "{path} is not a combined set: selections must map each label to a list",
+            "{path} is not a combined set: selections ['a'] is not an object",
         ),
         (
             '{"selections": {"a": ["i1"]}, "sources": {"b": "camp"}, "seed": 0, "k": 5}',
@@ -690,11 +690,11 @@ def test_a_resume_whose_tuner_log_cannot_be_written_is_reported_and_changes_noth
         ),
         (
             '{"selections": {"a": ["i1"]}, "sources": {"a": 1}, "seed": 0, "k": 5}',
-            "{path} is not a combined set: sources must map each label to an archive path",
+            "{path} is not a combined set: sources.a 1 is not a string",
         ),
         (
             '{"selections": {"a": ["i1"]}, "sources": {"a": "camp"}, "seed": 0, "k": "5"}',
-            "{path} is not a combined set: seed and k must be integers",
+            "{path} is not a combined set: k '5' is not an integer",
         ),
     ],
     ids=[
@@ -1090,9 +1090,11 @@ def test_evaluate_caps_memory_at_8g_unless_told(workspace, capsys, monkeypatch, 
         ({"status": "bogus"}, "status 'bogus' is not a run status"),
         ({"status": ["graded"]}, "status ['graded'] is not a run status"),
         ({"status": "dis-found", "scores": None}, "no 'scores'"),
+        ({"penalty": "x"}, "penalty 'x' is not a number"),
+        ({"instance_id": 5}, "instance_id 5 is not a string"),
     ],
     ids=["no-config_id", "no-status", "no-penalty", "unknown-status", "unhashable-status",
-         "dis-found-no-scores"],
+         "dis-found-no-scores", "text-penalty", "number-instance_id"],
 )
 def test_a_record_without_what_readers_need_is_rejected_by_every_reader(workspace, capsys, change, why):
     config = str(workspace / "campaign.ini")
@@ -1116,20 +1118,33 @@ def test_a_record_without_what_readers_need_is_rejected_by_every_reader(workspac
         assert capsys.readouterr().err == f"error: {evals} line 4: {why}\n"
 
 
+JSON_NULL = object()  # a change that sets a key to null; None removes the key
+
+
 @pytest.mark.parametrize(
     "change, why",
     [
-        ({"records": [1, 2]}, "records is not an object"),
-        ({"records": {"band": 5}}, "solver record 'band' is not an object"),
-        ({"time": None}, "solver record 'band' has no 'time'"),
-        ({"trace": None}, "solver record 'band' has no 'trace'"),
-        ({"status": "bogus"}, "solver record 'band': status 'bogus' is not a solver status"),
-        ({"solution": [1]}, "solver record 'band': solution is neither null nor an object"),
-        ({"scores": [0.5]}, "scores is not a list of two numbers"),
-        ({"scores": ["0.5", 1.0]}, "scores is not a list of two numbers"),
+        ({"records": [1, 2]}, "records [1, 2] is not an object"),
+        ({"records": {"band": 5}}, "records.band 5 is not an object"),
+        ({"time": None}, "no 'records.band.time'"),
+        ({"trace": None}, "no 'records.band.trace'"),
+        ({"status": "bogus"}, "records.band.status 'bogus' is not a status"),
+        ({"solution": [1]}, "records.band.solution [1] is not an object"),
+        ({"scores": [0.5]}, "scores [0.5] is not a list of 2 items"),
+        ({"scores": ["0.5", 1.0]}, "scores[0] '0.5' is not a number"),
+        ({"trace": 5}, "records.band.trace 5 is not a list"),
+        ({"trace": [1, 2]}, "records.band.trace[0] 1 is not a list of 2 items"),
+        ({"time": JSON_NULL}, "records.band.time None is not a number"),
+        ({"time": "x"}, "records.band.time 'x' is not a number"),
+        # Read as a failed re-verification (check exit 1) before records were decoded by type.
+        ({"objective": "7"}, "records.band.objective '7' is not an integer"),
+        # A set whose members are not a list: solution's codec refuses it.
+        ({"solution": {"take": {"__set__": 5}}},
+         "records.band.solution {'take': {'__set__': 5}} is not decodable ('int' object is not iterable)"),
     ],
     ids=["records-list", "record-not-object", "no-time", "no-trace", "unknown-status",
-         "solution-list", "one-score", "text-score"],
+         "solution-list", "one-score", "text-score", "number-trace", "number-pairs-trace",
+         "null-time", "text-time", "text-objective", "set-of-a-number"],
 )
 def test_a_solver_record_without_what_readers_need_is_rejected_by_every_reader(
     workspace, capsys, change, why
@@ -1149,7 +1164,7 @@ def test_a_solver_record_without_what_readers_need_is_rejected_by_every_reader(
         elif value is None:
             del entry["records"]["band"][key]
         else:
-            entry["records"]["band"][key] = value
+            entry["records"]["band"][key] = None if value is JSON_NULL else value
     lines[index] = json.dumps(entry) + "\n"
     evals.write_text("".join(lines))
     capsys.readouterr()
@@ -1158,3 +1173,20 @@ def test_a_solver_record_without_what_readers_need_is_rejected_by_every_reader(
                     ["combine", str(out), "--out", str(workspace / "combined.json")]):
         assert main(command) == 2, command
         assert capsys.readouterr().err == f"error: {evals} line {index + 1}: {why}\n"
+
+
+def test_solver_records_archived_before_they_had_a_note_are_read_by_every_reader(workspace, capsys):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    evals = out / "records" / "evals.jsonl"
+    entries = [json.loads(line) for line in evals.read_text().splitlines()]
+    for entry in entries:
+        for record in entry["records"].values():
+            del record["note"]
+    evals.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+    for command in (["report", str(out)], ["check", str(out)],
+                    ["combine", str(out), "--out", str(workspace / "combined.json")],
+                    ["tune", config, "--out", str(out), "--budget", "12", "--resume"]):
+        assert main(command) == 0, command
+    assert capsys.readouterr().err == ""

@@ -1,4 +1,4 @@
-"""The campaign, the generator stack and the scoring code touch no file.
+"""The campaign, the generator stack, the scoring and the report code touch no file.
 
 Every read and write of an archive's files goes through ``benchgen.archive``,
 so a file that cannot be read or written is reported the same way by every
@@ -33,7 +33,7 @@ def file_calls(module: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", ["campaign", "gensolve", "tuner", "evaluate", "csp", "ground", "scoring"])
+@pytest.mark.parametrize("module", ["campaign", "gensolve", "tuner", "evaluate", "csp", "ground", "scoring", "report"])
 def test_module_reads_and_writes_no_file(module):
     assert file_calls(module) == []
 

@@ -416,8 +416,10 @@ def test_cursor_resume_matches_exclusion_scan_on_error_paths(case):
     test_cursor_resume_matches_exclusion_scan.hypothesis.inner_test(case)
 
 
-# The keys that every reader of an evaluation record requires, with legal values.
-RECORD_KEYS = {"status": "others", "penalty": 0.0}
+# The keys besides seq, config_id and instance_id that every reader of an
+# evaluation record requires, with legal values.
+RECORD_KEYS = {"block": 0, "assignment": {}, "penalty": 0.0, "status": "others",
+               "generator_outcome": "solution", "records": {}, "scores": None}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

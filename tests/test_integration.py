@@ -115,11 +115,11 @@ def test_infinite_penalty_roundtrips_through_archive(tmp_path):
         FAST_LIMITS,
     )
     entries = list(result.archive.evaluations())
-    infinities = [e for e in entries if isinstance(e["penalty"], float) and math.isinf(e["penalty"])]
+    infinities = [e for e in entries if isinstance(e.penalty, float) and math.isinf(e.penalty)]
     assert infinities, "expected some infeasible configurations"
     for entry in infinities:
-        assert entry["status"] == "generator-unsolved"
-        assert entry["instance_id"] is None
+        assert entry.status.value == "generator-unsolved"
+        assert entry.instance_id is None
     # Resuming replays the infinities faithfully.
     resumed = run_campaign(
         tmp_path / "camp", SPACE_TEXT, HALF_UNSAT_MODEL, banded_policy(),
@@ -177,13 +177,13 @@ def test_oracle_graded_campaign_with_local_search(tmp_path):
     )
     assert result.report.evaluations_used == 6
     entries = list(result.archive.evaluations())
-    assert all("oracle" in e for e in entries if e["records"])
+    assert all(e.oracle is not None for e in entries if e.records)
     for entry in entries:
-        if entry["status"] == "graded":
-            record = entry["records"]["hc"]
-            assert record["time_to_best"] is not None
-            assert record["time_to_best"] == record["time"]
-            assert record["objective"] == entry["oracle"]["optimum"]
+        if entry.status.value == "graded":
+            record = entry.records["hc"]
+            assert record.time_to_best is not None
+            assert record.time_to_best == record.time
+            assert record.objective == entry.oracle.optimum
 
 
 def test_oversized_model_is_translate_failure():

@@ -12,6 +12,7 @@ import dataclasses
 import importlib
 import json
 import pkgutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import benchgen
+from benchgen.archive import CampaignArchive, Evaluation
 from benchgen.errors import ValidationError
 from benchgen.evaluate import DiscriminatingPolicy, GradedPolicy
 from benchgen.problems import get_problem
-from benchgen.records import Record, field, field_names, replace, to_jsonable
-from benchgen.runner import SolverAdapter, Status
+from benchgen.records import Record, field, field_names, from_jsonable, replace, to_jsonable
+from benchgen.report import CombinedSet
+from benchgen.runner import GenOutcome, OracleResult, RunStatus, SolverAdapter, SolverRecord, Status
 from benchgen.scoring import ComparableRecord
 from benchgen.space import GeneratorConfiguration, ParameterSpace, ParameterSpec
 from benchgen.tuner import TunerConfig
@@ -279,3 +282,123 @@ def test_to_jsonable_gives_a_record_its_fields_in_declaration_order():
     }
     assert list(form) == list(field_names(Outer)) and list(form["z"]) == list(field_names(Inner))
     assert json.loads(json.dumps(form)) == form
+
+
+# -- the JSON form read back ----------------------------------------------------
+
+# Every record class that the archive's files or a command's outputs are read into.
+DECODED = [Evaluation, SolverRecord, OracleResult, CombinedSet]
+
+
+@pytest.mark.parametrize("cls", DECODED, ids=[cls.__name__ for cls in DECODED])
+def test_the_decode_plan_of_every_record_class_read_from_json_builds(cls):
+    # Planning reads every annotation, nested records' included, so one the
+    # decoder cannot read fails here, not at the first archive read.
+    with pytest.raises(ValidationError, match="^None is not an object$"):
+        from_jsonable(cls, None)
+
+
+TEXT = st.text(max_size=4)
+# A JSON int in a float field stays an int (tuner.log writes a penalty's repr).
+NUMBERS = st.integers(-3, 3) | st.floats(allow_nan=False)
+SOLUTIONS = st.dictionaries(TEXT, st.one_of(
+    st.integers(-3, 3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.sets(st.integers(-3, 3), max_size=3),
+    st.lists(st.sets(st.integers(0, 3), max_size=2), min_size=1, max_size=3),
+), max_size=3)
+SOLVER_RECORDS = st.builds(
+    SolverRecord, st.sampled_from(Status), NUMBERS, st.none() | st.integers(), st.booleans(),
+    st.none() | SOLUTIONS, st.none() | NUMBERS, st.lists(st.tuples(NUMBERS, st.integers()), max_size=3),
+    st.none() | st.booleans(), TEXT,
+)
+
+
+@st.composite
+def evaluations(draw) -> Evaluation:
+    status = draw(st.sampled_from(RunStatus))
+    scores = st.tuples(NUMBERS, NUMBERS)
+    return Evaluation(
+        1, draw(st.integers(0, 9)), draw(TEXT), draw(st.dictionaries(TEXT, st.integers(), max_size=2)),
+        draw(st.none() | TEXT), draw(NUMBERS), status, draw(st.sampled_from(GenOutcome)),
+        draw(st.dictionaries(TEXT, SOLVER_RECORDS, max_size=2)),
+        draw(scores if status is RunStatus.DIS_FOUND else st.none() | scores),
+        draw(st.none() | st.builds(OracleResult, st.none() | st.integers(), st.booleans(), NUMBERS, st.booleans())),
+    )
+
+
+def combined_sets():
+    labels = st.lists(TEXT, min_size=0, max_size=3, unique=True)
+    return labels.flatmap(lambda names: st.builds(
+        CombinedSet, st.integers(), st.integers(0, 9), st.fixed_dictionaries({n: TEXT for n in names}),
+        st.fixed_dictionaries({n: st.lists(TEXT, max_size=2) for n in names}),
+    ))
+
+
+def through_json(form):
+    return json.loads(json.dumps(form))
+
+
+def same(a, b) -> bool:
+    """Equal, with every number of the same type (an int read back as a float differs)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Record):
+        a, b = to_jsonable(a), to_jsonable(b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(SOLVER_RECORDS)
+def test_a_solver_record_reads_back_from_its_archived_form(record):
+    back = from_jsonable(SolverRecord, through_json(record.to_jsonable("band")))
+    assert back == record and same(back, record)
+    assert same(back.solution, record.solution)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(evaluations())
+def test_an_evaluation_reads_back_from_its_archived_line(evaluation):
+    with tempfile.TemporaryDirectory() as root:
+        archive = CampaignArchive(root)
+        lines = []
+        archive._write = lambda name, text, handover=False: lines.append(text)
+        archive.add_evaluation(evaluation)
+        (Path(root) / "records").mkdir()
+        (Path(root) / "records" / "evals.jsonl").write_text("".join(lines))
+        (back,) = archive.evaluations()
+    assert back == evaluation and same(back, evaluation)
+    assert ("oracle" in json.loads(lines[0])) == (evaluation.oracle is not None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(combined_sets())
+def test_a_combined_set_reads_back_from_its_json_form(combined):
+    back = from_jsonable(CombinedSet, through_json(to_jsonable(combined)))
+    assert back == combined and same(back, combined)
+
+
+def test_the_json_form_keeps_ints_ignores_unknown_keys_and_refuses_booleans_as_numbers():
+    form = {**SolverRecord(Status.SAT, 3, 7).to_jsonable("band"), "unknown": [1]}
+    record = from_jsonable(SolverRecord, form)
+    assert type(record.time) is int and record.time == 3 and record.objective == 7
+    with pytest.raises(ValidationError, match="^time True is not a number$"):
+        from_jsonable(SolverRecord, {**form, "time": True})
+    with pytest.raises(ValidationError, match="^objective False is not an integer$"):
+        from_jsonable(SolverRecord, {**form, "objective": False})
+    with pytest.raises(ValidationError, match="^no 'trace'$"):
+        from_jsonable(SolverRecord, {key: value for key, value in form.items() if key != "trace"})
+    # Archives written before solver records had a note: an absent note reads as "".
+    noteless = {key: value for key, value in {**form, "note": "late"}.items() if key != "note"}
+    assert from_jsonable(SolverRecord, noteless) == SolverRecord(Status.SAT, 3, 7)
+
+
+def test_a_dis_found_evaluation_without_scores_is_refused_by_its_post_init():
+    form = to_jsonable(Evaluation(1, 0, "c", {}, None, 0.0, RunStatus.OTHERS, GenOutcome.SOLUTION, {}, None))
+    assert from_jsonable(Evaluation, form).scores is None
+    with pytest.raises(ValidationError, match="^no 'scores'$"):
+        from_jsonable(Evaluation, {**form, "status": "dis-found"})

@@ -11,6 +11,7 @@ from benchgen.cli import main
 from benchgen.errors import ArchiveError
 from benchgen.evaluate import EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
+from benchgen.records import from_jsonable
 from benchgen.report import (
     TABLES,
     CombinedEvaluation,
@@ -230,7 +231,7 @@ def test_evaluate_outputs_are_computed_from_its_records_alone(tmp_path):
     evaluate_combined(combined, solvers, KNAPSACK, t_max=30.0, limits=NO_MEM, out_dir=out)
     lines = (out / "combined_evals.jsonl").read_text().splitlines()
     records = {
-        (line["solver"], line["instance"]): SolverRecord.from_jsonable(line["record"])
+        (line["solver"], line["instance"]): from_jsonable(SolverRecord, line["record"])
         for line in map(json.loads, lines)
     }
     names, instance_ids = [s.name for s in solvers], combined.all_instance_ids()

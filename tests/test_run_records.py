@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from benchgen.problems import Problem, get_problem
+from benchgen.records import from_jsonable
 from benchgen.runner import EvaluationLimits, SolverAdapter, SolverRecord, run_solver, verify_record
 
 KNAPSACK = get_problem("knapsack")
@@ -198,6 +199,6 @@ EVALS_LINE = (
 def test_archived_evaluation_line_reads_back_byte_for_byte():
     entry = json.loads(EVALS_LINE)
     entry["records"] = {
-        name: archived_form(name, SolverRecord.from_jsonable(raw)) for name, raw in entry["records"].items()
+        name: archived_form(name, from_jsonable(SolverRecord, raw)) for name, raw in entry["records"].items()
     }
     assert json.dumps(entry) + "\n" == EVALS_LINE
