@@ -11,7 +11,8 @@ Layout of a campaign directory:
     generator.model    generator model text
     instances/         <id>.inst canonical text, one file per instance
     records/evals.jsonl  one JSON object per evaluation
-    tuner.log          one line per evaluation
+    tuner.log          one line per evaluation: the race iteration, then its
+                       record's fields, with step = block + 1
     history.json       solution count per configuration, written when the
                        campaign ends and never read; resume counts the
                        recorded instances in evals.jsonl instead
@@ -37,6 +38,7 @@ it until its last write, after a crash too. The lock adds no file. A
 record's JSON form is its fields, and ``from_jsonable`` reads it back: each
 line of ``records/evals.jsonl`` is an ``Evaluation``, and ``evaluations``,
 the one reader of the stream, also checks that its ``seq`` is its position.
+``append_log`` formats each ``tuner.log`` line from its ``Evaluation``.
 """
 
 from __future__ import annotations
@@ -126,6 +128,26 @@ class Evaluation(Record):
             raise ValidationError("no 'scores'")
 
 
+class _Named(Record):
+    name: str
+
+
+class Settings(Record):
+    """The keys of ``config.json`` that reading an archive needs; a graded
+    campaign's solver is read by name only, so no solver is loaded."""
+
+    campaign: str
+    problem: str
+    solver: _Named | None = None
+    _may_be_absent = ("solver",)  # a discriminating campaign names a favoured and a base solver
+
+    def __post_init__(self) -> None:
+        if self.campaign not in ("graded", "discriminating"):
+            raise ValidationError(f"campaign {self.campaign!r:.40} is not 'graded' or 'discriminating'")
+        if self.campaign == "graded" and self.solver is None:
+            raise ValidationError("no 'solver'")
+
+
 class CampaignArchive:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -210,6 +232,14 @@ class CampaignArchive:
         if not isinstance(meta, dict):
             raise ArchiveError(f"{path}: not a JSON object")
         return meta
+
+    @property
+    def settings(self) -> Settings:
+        """The ``Settings`` in ``config.json``; ``ArchiveError`` names a key that does not fit."""
+        try:
+            return from_jsonable(Settings, self.meta)
+        except ValidationError as why:
+            raise ArchiveError(f"{self.root / 'config.json'}: {why}") from None
 
     @property
     def space_text(self) -> str:
@@ -318,8 +348,12 @@ class CampaignArchive:
 
     # -- logs and history ----------------------------------------------------
 
-    def append_log(self, line: str) -> None:
-        self._write("tuner.log", line + "\n")
+    def append_log(self, iteration: int, record: Evaluation) -> None:
+        """Append the ``tuner.log`` line of ``record``, evaluated in race ``iteration``."""
+        self._write("tuner.log", (
+            f"iter={iteration} step={record.block + 1} config={record.config_id} penalty={record.penalty!r} "
+            f"status={record.status.value} instance={record.instance_id or '-'}\n"
+        ))
 
     def restart_log(self) -> None:
         write_file(self.root / "tuner.log", "")  # a resume logs the replayed prefix again

@@ -20,7 +20,7 @@ from .gensolve import SolutionHistory
 from .model import parse_model
 from .records import Record, replace, to_jsonable
 from .space import GeneratorConfiguration, parse_space
-from .tuner import EvalLogEntry, TunerConfig, TunerReport, run_tuning
+from .tuner import TunerConfig, TunerReport, run_tuning
 
 
 def policy_meta(policy: Policy) -> dict[str, Any]:
@@ -74,20 +74,24 @@ def run_campaign(
             return replay[config.id].popleft()
         return evaluate_configuration(model, config, history, policy, limits, seed=tuner_config.seed)
 
-    def log_sink(entry: EvalLogEntry, result: EvaluationResult | Evaluation) -> None:
+    def log_sink(
+        iteration: int, block: int, config: GeneratorConfiguration, result: EvaluationResult | Evaluation
+    ) -> None:
         """Archive one evaluation; the tuner calls this in evaluation order."""
         nonlocal eval_seq
-        archive.append_log(entry.format_line())
         if isinstance(result, Evaluation):
-            return  # replayed: already archived
+            archive.append_log(iteration, result)  # replayed: already recorded
+            return
+        eval_seq += 1
+        record = Evaluation(
+            eval_seq, block, config.id, dict(config.assignment), result.instance_id, result.penalty,
+            result.status, result.generator_outcome, result.records, result.scores, result.oracle,
+        )
+        archive.append_log(iteration, record)
         if result.instance is not None:
             # Before the record, so a recorded instance has its whole .inst.
             archive.add_instance(result.instance)
-        eval_seq += 1
-        archive.add_evaluation(Evaluation(
-            eval_seq, entry.step - 1, entry.config.id, dict(entry.config.assignment), result.instance_id,
-            result.penalty, result.status, result.generator_outcome, result.records, result.scores, result.oracle,
-        ))
+        archive.add_evaluation(record)
 
     lock = lock_archive(out_dir)  # held until this returns
     try:

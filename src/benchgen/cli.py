@@ -242,7 +242,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     solvers = [_adapter(adapters, name.strip()) for name in args.solvers.split(",")]
     problem_name = args.problem
     if problem_name is None:
-        problems = {CampaignArchive.open(p).meta["problem"] for p in combined.sources.values()}
+        problems = {CampaignArchive.open(p).settings.problem for p in combined.sources.values()}
         if len(problems) > 1:
             raise ArchiveError(
                 f"combined set {args.combined} mixes the problems {', '.join(sorted(problems))}"
@@ -301,7 +301,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .runner import verify_record
 
     archive = CampaignArchive.open(args.archive)
-    problem = get_problem(archive.meta["problem"])
+    problem = get_problem(archive.settings.problem)
     checked = 0
     failures = 0
     for entry in archive.evaluations():

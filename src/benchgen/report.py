@@ -86,17 +86,17 @@ def build_combined_set(
     sources: dict[str, str] = {}
     problems: dict[str, Path] = {}  # problem -> the first archive of it
     for archive in archives:
-        meta = archive.meta
-        if meta.get("campaign") != "graded":
+        settings = archive.settings
+        if settings.campaign != "graded":
             raise ArchiveError(f"{archive.root} is not a graded campaign archive")
-        problems.setdefault(meta["problem"], archive.root)
+        problems.setdefault(settings.problem, archive.root)
         if len(problems) > 1:
             (one, root), (other, _) = problems.items()
             raise ArchiveError(
                 f"cannot combine {root} ({one}) with {archive.root} ({other}): "
                 "a combined set holds instances of one problem"
             )
-        label = meta["solver"]["name"]
+        label = settings.solver.name
         suffix = 2
         base_label = label
         while label in selections:
@@ -219,7 +219,7 @@ def report_tables(archive: CampaignArchive) -> dict[str, list[tuple]]:
     row per dis-found evaluation of a discriminating campaign. The metadata
     and the records are each read once.
     """
-    campaign = archive.meta.get("campaign")
+    campaign = archive.settings.campaign
     entries = list(archive.evaluations())
     counts = Counter(entry.status.value for entry in entries)
     tables = {

@@ -57,7 +57,6 @@ class TunerConfig(Record, frozen=True):
 class EvaluationLike(Protocol):
     penalty: float
     status: RunStatus
-    instance_id: str | None
 
 
 class Evaluator(Protocol):
@@ -218,42 +217,21 @@ class RaceState(Record):
     alive: list[GeneratorConfiguration]
     penalties: dict[str, list[float]] = field(default_factory=dict)
     blocks: int = 0
-    log: list[EvalLogEntry] = field(default_factory=list)
+    status_counts: Counter[str] = field(default_factory=Counter)  # evaluations, by status
 
     def penalty_matrix(self) -> list[list[float]]:
         """Penalties of the alive configurations, one row per block."""
         return [[self.penalties[c.id][b] for c in self.alive] for b in range(self.blocks)]
 
 
-class EvalLogEntry(Record, frozen=True):
-    iteration: int
-    step: int
-    config: GeneratorConfiguration
-    penalty: float
-    status: RunStatus
-    instance_id: str | None = None
-
-    def format_line(self) -> str:
-        pen = "inf" if math.isinf(self.penalty) else repr(self.penalty)
-        inst = self.instance_id or "-"
-        return (
-            f"iter={self.iteration} step={self.step} config={self.config.id} "
-            f"penalty={pen} status={self.status.value} instance={inst}"
-        )
-
-
 class TunerReport(Record):
     elites: list[GeneratorConfiguration]
-    log: list[EvalLogEntry]
+    status_counts: dict[str, int]
     iterations: int
 
     @property
     def evaluations_used(self) -> int:
-        return len(self.log)
-
-    @property
-    def status_counts(self) -> dict[str, int]:
-        return dict(Counter(entry.status.value for entry in self.log))
+        return sum(self.status_counts.values())
 
 
 def _best_first(rank_sums: Sequence[float]) -> list[int]:
@@ -268,19 +246,20 @@ def race(
     *,
     config: TunerConfig = TunerConfig(),
     iteration: int = 1,
-    log: Callable[[EvalLogEntry, EvaluationLike], None] | None = None,
+    log: Callable[[int, int, GeneratorConfiguration, EvaluationLike], None] | None = None,
 ) -> tuple[list[GeneratorConfiguration], RaceState]:
     """Race a candidate set until few survive or the race budget is spent.
 
     Returns the survivors ranked best-first together with the final state.
     A +inf penalty removes a configuration before any statistical test;
     Friedman elimination never cuts below ``MIN_SURVIVORS``. ``log`` is
-    called with each log entry and its result, in evaluation order.
+    called with ``(iteration, block, config, result)`` of each evaluation,
+    in evaluation order.
     """
     state = RaceState(alive=list(configs), penalties={c.id: [] for c in configs})
 
     while state.alive:
-        if len(state.log) + len(state.alive) > race_budget:
+        if state.status_counts.total() + len(state.alive) > race_budget:
             break
         block_index = state.blocks
         if config.workers > 1:
@@ -291,13 +270,10 @@ def race(
         else:
             results = [evaluator(c, block_index) for c in state.alive]
         for cfg, result in zip(state.alive, results):
-            entry = EvalLogEntry(
-                iteration, block_index + 1, cfg, result.penalty, result.status, result.instance_id
-            )
-            state.log.append(entry)
             if log is not None:
-                log(entry, result)
+                log(iteration, block_index, cfg, result)
             state.penalties[cfg.id].append(result.penalty)
+            state.status_counts[result.status.value] += 1
         # A +inf penalty discards its configuration at once, before any test; -inf does not.
         state.alive = [cfg for cfg, result in zip(state.alive, results) if result.penalty != math.inf]
         state.blocks += 1
@@ -324,7 +300,7 @@ def run_tuning(
     space: ParameterSpace,
     evaluator: Evaluator,
     config: TunerConfig,
-    log: Callable[[EvalLogEntry, EvaluationLike], None] | None = None,
+    log: Callable[[int, int, GeneratorConfiguration, EvaluationLike], None] | None = None,
 ) -> TunerReport:
     """Iterate sample -> race -> model update until the budget is spent.
 
@@ -334,15 +310,15 @@ def run_tuning(
     every race.
     """
     rng = Random(config.seed)
-    log_entries: list[EvalLogEntry] = []
+    status_counts: Counter[str] = Counter()
     per_race = max(config.total_budget // RACE_SLICES, 1)
     iteration = 0
     elites: list[GeneratorConfiguration] = []
     model: SamplingModel | None = None
 
-    while len(log_entries) < config.total_budget:
+    while status_counts.total() < config.total_budget:
         iteration += 1
-        budget_left = config.total_budget - len(log_entries)
+        budget_left = config.total_budget - status_counts.total()
 
         candidates = list(elites)  # distinct: they survived one race
         ids = {c.id for c in candidates}
@@ -364,7 +340,7 @@ def run_tuning(
         survivors, state = race(
             candidates, evaluator, race_budget, config=config, iteration=iteration, log=log
         )
-        log_entries += state.log
+        status_counts += state.status_counts
         if survivors:
             elites = survivors[:MIN_SURVIVORS]
             model = update_sampling_model(model, elites, space=space)
@@ -372,4 +348,4 @@ def run_tuning(
             elites = []
             model = None
 
-    return TunerReport(elites=elites, log=log_entries, iterations=iteration)
+    return TunerReport(elites=elites, status_counts=dict(status_counts), iterations=iteration)

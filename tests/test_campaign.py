@@ -15,18 +15,18 @@ import pytest
 
 import benchgen
 from benchgen import archivewriter, campaign
-from benchgen.archive import CampaignArchive, graded_instance_ids, lock_archive
+from benchgen.archive import CampaignArchive, Evaluation, graded_instance_ids, lock_archive
 from benchgen.campaign import policy_meta, run_campaign
 from benchgen.errors import ArchiveError
 from benchgen.evaluate import DiscriminatingPolicy, EvaluationLimits, GradedPolicy
 from benchgen.problems import get_problem
 from benchgen.records import field_names, replace
-from benchgen.runner import SolverAdapter
+from benchgen.runner import GenOutcome, RunStatus, SolverAdapter
 from benchgen.tuner import TunerConfig
 from benchgen.valuetext import values_to_jsonable
 
 from conftest import killed_copy, tuner_log
-from test_archive_digests import QUICK_START_MODEL
+from test_archive_digests import QUICK_START_MODEL, tune
 
 KNAPSACK = get_problem("knapsack")
 SPACE_TEXT = "cap_t: 1..50"
@@ -123,6 +123,31 @@ def test_resume_at_the_quick_start_budget_reproduces_the_uninterrupted_run(tmp_p
     assert sorted(p.name for p in (out / "instances").iterdir()) == sorted(
         p.name for p in (full / "instances").iterdir()
     )
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--favoured", "fast", "--base", "band", "--t-min", "5", "--t-max", "12"], None],
+    ids=["graded", "discriminating", "resumed"],
+)
+def test_tuner_log_is_a_view_of_the_records(tmp_path, flags):
+    """Line i of tuner.log is record i's block, config, penalty, status and
+    instance, after the race iteration, which never decreases."""
+    camp = tune(tmp_path, "camp", *(flags or []))
+    if flags is None:
+        camp = killed_copy(camp, tmp_path / "resumed", 75)
+        tune(tmp_path, "resumed", "--resume")
+    lines = (camp / "tuner.log").read_text().splitlines()
+    records = [json.loads(line) for line in records_of(camp)]
+    assert len(lines) == len(records) == 150
+    iterations = []
+    for line, record in zip(lines, records):
+        iteration, rest = re.fullmatch(r"iter=(\d+) (.*)", line).groups()
+        assert rest == (
+            f"step={record['block'] + 1} config={record['config_id']} penalty={record['penalty']!r} "
+            f"status={record['status']} instance={record['instance_id'] or '-'}"
+        )
+        iterations.append(int(iteration))
+    assert iterations == sorted(iterations)
 
 
 def test_campaign_graded_instances_live_in_band(tmp_path, generator_model_text):
@@ -304,10 +329,11 @@ def test_the_writer_holds_the_lock_until_its_last_write(tmp_path):
     os.close(held)  # as a campaign that was killed
     with pytest.raises(ArchiveError, match="archive in use"):
         lock_archive(archive.root)
-    archive.append_log("line")
+    record = Evaluation(1, 0, "c1", {"cap_t": 1}, None, 1.0, RunStatus.OTHERS, GenOutcome.UNSAT, {}, None)
+    archive.append_log(1, record)
     archive.close_writer()
     os.close(lock_archive(archive.root))
-    assert (archive.root / "tuner.log").read_text() == "line\n"
+    assert (archive.root / "tuner.log").read_text() == "iter=1 step=1 config=c1 penalty=1.0 status=others instance=-\n"
 
 
 def resume_with(out, model_text, policy=None, limits=FAST_LIMITS):

@@ -628,6 +628,47 @@ def test_a_config_json_that_cannot_be_read_is_reported(workspace, capsys, comman
     assert capsys.readouterr().err.startswith(f"error: cannot read {meta}: ")
 
 
+DISCRIMINATING = ["--favoured", "falling", "--base", "rising", "--t-min", "2.5", "--t-max", "10"]
+
+
+@pytest.mark.parametrize(
+    "flags, change, command, why",
+    [
+        ([], lambda meta: meta.pop("problem"), "check", "no 'problem'"),
+        ([], lambda meta: meta.pop("problem"), "combine", "no 'problem'"),
+        ([], lambda meta: meta.pop("problem"), "evaluate", "no 'problem'"),
+        ([], lambda meta: meta.update(solver={}), "combine", "no 'solver.name'"),
+        (DISCRIMINATING, lambda meta: meta.pop("campaign"), "report", "no 'campaign'"),
+        (DISCRIMINATING, lambda meta: meta.update(campaign="Discriminating"), "report",
+         "campaign 'Discriminating' is not 'graded' or 'discriminating'"),
+    ],
+    ids=["check-no-problem", "combine-no-problem", "evaluate-no-problem", "combine-no-solver-name",
+         "report-no-campaign", "report-unknown-campaign"],
+)
+def test_a_config_json_key_that_a_command_reads_and_cannot_is_reported(
+    workspace, capsys, flags, change, command, why
+):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12", *flags]) == 0
+    combined = workspace / "combined.json"
+    if command == "evaluate":
+        assert main(["combine", str(out), "--out", str(combined)]) == 0
+    meta = out / "config.json"
+    data = json.loads(meta.read_text())
+    change(data)
+    meta.write_text(json.dumps(data))
+    capsys.readouterr()
+    argv = {
+        "report": ["report", str(out)],
+        "check": ["check", str(out)],
+        "combine": ["combine", str(out), "--out", str(combined)],
+        "evaluate": ["evaluate", str(combined), "--solvers", "band", "--config", config],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {meta}: {why}\n"
+
+
 def test_a_history_json_that_cannot_be_written_is_reported_after_the_records(workspace, capsys):
     config = str(workspace / "campaign.ini")
     assert main(["tune", config, "--out", str(workspace / "reference"), "--budget", "12"]) == 0

@@ -1,6 +1,7 @@
 """Friedman elimination, racing behaviour, and the tuning loop."""
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
@@ -256,35 +257,43 @@ def landscape_evaluator(p_star):
     return evaluator
 
 
+def tune_logged(space, evaluator, config):
+    """A tuning run's report, and the (iteration, block, config, result) of
+    each evaluation as its ``log`` callback received them."""
+    logged = []
+    report = run_tuning(space, evaluator, config, log=lambda *evaluation: logged.append(evaluation))
+    return report, logged
+
+
 def test_run_tuning_zero_budget_empty_report():
     space = parse_space("p: 1..100")
-    report = run_tuning(space, landscape_evaluator(40), TunerConfig(total_budget=0, seed=1))
+    report, logged = tune_logged(space, landscape_evaluator(40), TunerConfig(total_budget=0, seed=1))
     assert report.evaluations_used == 0
-    assert report.log == []
+    assert logged == []
     assert report.elites == []
 
 
 def test_run_tuning_budget_respected():
     space = parse_space("p: 1..100")
     for budget in (7, 30, 61):
-        report = run_tuning(
+        report, logged = tune_logged(
             space, landscape_evaluator(40),
             TunerConfig(total_budget=budget, seed=2),
         )
         assert 0 < report.evaluations_used <= budget
-        assert len(report.log) == report.evaluations_used
+        assert len(logged) == report.evaluations_used
 
 
 def test_run_tuning_concentrates_near_optimum():
     space = parse_space("p: 1..1000")
     p_star = 321
-    report = run_tuning(
+    report, logged = tune_logged(
         space, landscape_evaluator(p_star),
         TunerConfig(total_budget=30, seed=7),
     )
     per_iteration: dict[int, list[int]] = {}
-    for entry in report.log:
-        per_iteration.setdefault(entry.iteration, []).append(abs(entry.config["p"] - p_star))
+    for iteration, _, config, _ in logged:
+        per_iteration.setdefault(iteration, []).append(abs(config["p"] - p_star))
     iterations = sorted(per_iteration)
     assert len(iterations) >= 3
     means = [sum(per_iteration[i]) / len(per_iteration[i]) for i in iterations]
@@ -296,19 +305,20 @@ def test_run_tuning_deterministic_logs():
     space = parse_space("p: 1..500")
 
     def run():
-        report = run_tuning(
+        _, logged = tune_logged(
             space, landscape_evaluator(100),
             TunerConfig(total_budget=40, seed=99),
         )
-        return [entry.format_line() for entry in report.log]
+        return [(iteration, block, config.id, result) for iteration, block, config, result in logged]
 
     assert run() == run()
 
 
 def test_run_tuning_counts_statuses():
     space = parse_space("p: 1..100")
-    report = run_tuning(
+    report, logged = tune_logged(
         space, landscape_evaluator(50),
         TunerConfig(total_budget=24, seed=3),
     )
+    assert report.status_counts == Counter(result.status.value for *_, result in logged)
     assert sum(report.status_counts.values()) == report.evaluations_used
