@@ -24,7 +24,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -128,10 +128,11 @@ def run_external_command(
     Never raises: failures map to a record with ``Status.ERROR``. A run
     killed at the limit is a ``Status.TIMEOUT`` record that keeps the last
     block it printed, so that answer can still be verified and scored. The
-    clock starts at spawn, so translation overhead inside the command is
-    included. With ``log_path`` set, the timestamped stdout is written there
-    afterwards. ``mem_limit`` is applied by ``limiter_prefix``, or by
-    ``MEM_LIMITER`` when no prefix is set.
+    clock runs from spawn to the command's own exit, so translation overhead
+    inside the command is included; then every process left in the run's
+    process group is killed. With ``log_path`` set, the timestamped stdout
+    is written there afterwards. ``mem_limit`` is applied by
+    ``limiter_prefix``, or by ``MEM_LIMITER`` when no prefix is set.
     """
     if not math.isfinite(time_limit):
         return SolverRecord(Status.ERROR, 0.0, note=f"time limit {time_limit} s is not finite")
@@ -178,13 +179,12 @@ def run_external_command(
         proc.wait(timeout=time_limit)
     except subprocess.TimeoutExpired:
         killed = True
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            proc.kill()
+        proc.kill()
         proc.wait()
-    reader.join(timeout=KILL_GRACE_SECONDS)
     elapsed = time.monotonic() - start
+    with suppress(ProcessLookupError, PermissionError):  # nothing is left that this process may kill
+        os.killpg(proc.pid, signal.SIGKILL)  # the run ends with its solver, children and all
+    reader.join(timeout=KILL_GRACE_SECONDS)  # a grandchild in a session of its own may hold the pipe
 
     if log_path is not None:
         try:

@@ -1,6 +1,7 @@
 """Shared helpers: fabricated archives, naive scoring references and
 exhaustive enumerations used as test oracles."""
 
+import io
 import json
 import shutil
 from fractions import Fraction
@@ -9,6 +10,7 @@ from typing import Any, Iterator, Mapping
 
 import pytest
 
+from benchgen import archivewriter
 from benchgen.archive import CampaignArchive
 from benchgen.csp import GroundedCsp, Search, SolveStatus, backtrack_solve
 from benchgen.errors import EvalError, ValidationError
@@ -113,6 +115,39 @@ def killed_copy(full: Path, out: Path, k: int) -> Path:
         if inst.name not in kept:
             inst.unlink()
     (out / "history.json").unlink()
+    return out
+
+
+def capture_frames(monkeypatch) -> list[tuple[str, bytes]]:
+    """Collect, in order, the ``(name, data)`` frames that campaigns hand
+    their archive writer from now on; each is still written."""
+    frames: list[tuple[str, bytes]] = []
+    write = CampaignArchive._write
+
+    def capture(self, name: str, text: str, handover: bool = False) -> None:
+        frames.append((name, text.encode()))
+        write(self, name, text, handover)
+
+    monkeypatch.setattr(CampaignArchive, "_write", capture)
+    return frames
+
+
+def cut_at(frames: list[tuple[str, bytes]], i: int, torn: bool, full: Path, out: Path) -> Path:
+    """Build at ``out`` the archive that a crash leaves once the writer has
+    applied the first ``i`` of the campaign's ``frames``, and with ``torn``
+    the first half of frame i as well (half a log line, or half an
+    ``.inst``). The files that ``CampaignArchive.create`` writes come from
+    the finished archive ``full``; no ``history.json`` (a campaign writes
+    that when it ends)."""
+    for name in ("instances", "records", "reports"):
+        (out / name).mkdir(parents=True)
+    for name in ("config.json", "space.txt", "generator.model"):
+        shutil.copyfile(full / name, out / name)
+    applied = [archivewriter.frame(name, data) for name, data in frames[:i]]
+    if torn:
+        name, data = frames[i]
+        applied.append(archivewriter.frame(name, data[: len(data) // 2]))
+    archivewriter.apply(str(out), io.BytesIO(b"".join(applied)))
     return out
 
 

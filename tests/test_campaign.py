@@ -25,7 +25,7 @@ from benchgen.runner import GenOutcome, RunStatus, SolverAdapter
 from benchgen.tuner import TunerConfig
 from benchgen.valuetext import values_to_jsonable
 
-from conftest import killed_copy, tuner_log
+from conftest import capture_frames, cut_at, killed_copy, tuner_log
 from test_archive_digests import QUICK_START_MODEL, tune
 
 KNAPSACK = get_problem("knapsack")
@@ -123,6 +123,31 @@ def test_resume_at_the_quick_start_budget_reproduces_the_uninterrupted_run(tmp_p
     assert sorted(p.name for p in (out / "instances").iterdir()) == sorted(
         p.name for p in (full / "instances").iterdir()
     )
+
+
+def archive_files(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_a_crash_at_every_writer_frame_resumes_byte_identical(tmp_path, monkeypatch):
+    """A quick-start campaign is cut after each frame its writer applies,
+    and inside each frame, and every cut resumes to the uninterrupted
+    archive, ``history.json`` and every ``.inst`` included. The model keeps
+    every generator solve far inside ``solve_limit``: a solve that ran out
+    of time would make the resumed search differ from the kept one, and the
+    resumed archive with it, whatever the crash."""
+    quick_start = dict(budget=24, seed=7, model_text=QUICK_START_MODEL, space_text="cap_t: 1..100")
+    full = tmp_path / "full"
+    frames = capture_frames(monkeypatch)
+    run(full, **quick_start)
+    monkeypatch.undo()
+    assert {name.split("/")[0] for name, _ in frames} == {"tuner.log", "instances", "records"}
+    expected = archive_files(full)
+    cuts = [(i, False) for i in range(len(frames) + 1)] + [(i, True) for i in range(len(frames))]
+    for i, torn in cuts:
+        out = cut_at(frames, i, torn, full, tmp_path / f"cut{i}{'-torn' * torn}")
+        run(out, resume=True, **quick_start)
+        assert archive_files(out) == expected, (i, torn)
 
 
 @pytest.mark.parametrize(

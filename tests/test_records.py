@@ -10,6 +10,7 @@ same arguments, and must agree on everything ``@dataclass`` promised.
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import pkgutil
 import tempfile
@@ -217,6 +218,22 @@ def test_every_record_class_has_a_twin():
     # The 13 AST nodes and the compiler's _Term.
     expression_records = {cls for cls in records if cls.__module__ == "benchgen.expressions"}
     assert len(expression_records) == 14
+
+
+@pytest.mark.parametrize("cls, twin", PAIRS, ids=[cls.__name__ for cls, _ in PAIRS])
+def test_a_record_class_has_the_signature_of_its_dataclass_twin(cls, twin):
+    factories = {f.name for f in dataclasses.fields(twin) if f.default_factory is not dataclasses.MISSING}
+
+    def plain(signature: inspect.Signature) -> inspect.Signature:
+        """Without annotations, since a twin's are all ``object``, and with
+        one marker as the default of every default-factory field."""
+        return signature.replace(return_annotation=signature.empty, parameters=[
+            p.replace(annotation=p.empty, default="<factory>" if p.name in factories else p.default)
+            for p in signature.parameters.values()
+        ])
+
+    assert plain(inspect.signature(cls)) == plain(inspect.signature(twin))
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
 
 
 def test_records_of_different_classes_with_equal_fields_differ():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -206,6 +207,50 @@ def test_killed_run_keeps_the_block_it_printed(tmp_path):
     comparable = comparable_from_record(checked, KNAPSACK.kind)
     assert comparable.solved and not comparable.optimal
     assert comparable.quality == 7
+
+
+def running_in_group(pgid):
+    """The pids of group ``pgid`` that still run. ``os.killpg(pgid, 0)`` also
+    finds a killed process that its new parent has not reaped yet, a zombie,
+    so each member's state is read from ``/proc``."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return []
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, group = stat.read_text().rpartition(")")[2].split()[:3]
+        except OSError:
+            continue  # it ended meanwhile
+        if int(group) == pgid and state != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+@pytest.mark.parametrize(
+    "child", ["sleep 37 &", "sleep 38 >/dev/null 2>&1 &"], ids=["holding-stdout", "detached"]
+)
+def test_an_external_run_ends_with_its_solver_and_leaves_no_process(tmp_path, child):
+    """A solver that prints its answer and exits, leaving a child behind, is
+    timed to its own exit, and the child is killed with it: the child that
+    holds stdout no longer adds the 2 s grace to the record's time."""
+    pid_file = tmp_path / "pid"
+    script = f'echo $$ > {pid_file}; {child} echo "take = [1]"; echo {"-" * 10}'
+    record = run_external_command(f"sh -c '{script}' sh" + TRAIL, "m", "i", 10.0)
+    pgid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 1.0
+        while running_in_group(pgid) and time.monotonic() < deadline:
+            time.sleep(0.01)  # SIGKILL takes effect when each process is next scheduled
+        assert running_in_group(pgid) == []
+        assert record.status is Status.SAT and record.solution == {"take": [1]}
+        assert record.time < 1.0
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def test_external_nonzero_exit_is_error(tmp_path):
