@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import importlib
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -193,12 +194,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
     else:
         raise ValidationError(f"unknown campaign kind {kind[:40]!r}")
 
+    tuner_config = TunerConfig(**given(int, total_budget="budget", seed="seed", workers="workers"))
+    if all(s.command is not None for s in policy.solvers):  # only then do runs overlap
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        if tuner_config.workers > cpus:
+            raise ValidationError(
+                f"workers {tuner_config.workers} exceeds the {cpus} CPU(s) this process may use:"
+                " external runs that share a CPU record longer times"
+            )
     result = _cli.run_campaign(
         args.out,
         space_text,
         model_text,
         policy,
-        TunerConfig(**given(int, total_budget="budget", seed="seed", workers="workers")),
+        tuner_config,
         EvaluationLimits(
             **given(float, translate_limit="translate_limit", solve_limit="solve_limit"),
             **given(parse_mem_limit, mem_limit="mem_limit"),

@@ -21,8 +21,8 @@ import math
 import time
 from typing import Any, Mapping
 
-from .errors import ModelError, ValidationError
-from .gensolve import CandidateInstance, GeneratorSolveResult, SolutionHistory, solve_generator
+from .errors import ValidationError
+from .gensolve import CandidateInstance, SolutionHistory, solve_generator
 from .model import GeneratorModel
 from .problems import Problem
 from .records import Record, field, replace
@@ -273,16 +273,14 @@ def evaluate_configuration(
     """One full evaluation: generate an instance, run the policy, score it.
 
     All failures map to penalties and statuses; nothing raises. A
-    configuration whose shapes or bounds the model leaves ill-defined (the
-    ``ModelError`` of ``solve_generator``) is ``generator-unsolved`` with
-    the outcome ``ill_defined``. The fresh instance (when one exists) is in
-    the history once ``solve_generator`` returns, before any solver runs, so
-    a later evaluation of the same configuration cannot regenerate it.
+    configuration for which ``solve_generator`` yields no instance (say one
+    whose shapes or bounds the model leaves ill-defined) is
+    ``generator-unsolved`` with its outcome. The fresh instance (when one
+    exists) is in the history once ``solve_generator`` returns, before any
+    solver runs, so a later evaluation of the same configuration cannot
+    regenerate it.
     """
-    try:
-        gen = solve_generator(model, config, history, limits.translate_limit, limits.solve_limit)
-    except ModelError:
-        gen = GeneratorSolveResult(GenOutcome.ILL_DEFINED, 0.0)
+    gen = solve_generator(model, config, history, limits.translate_limit, limits.solve_limit)
     if gen.outcome is not GenOutcome.SOLUTION:
         unsolved = RunStatus.GENERATOR_UNSOLVED
         return EvaluationResult(status_penalty(unsolved, outcome=gen.outcome), unsolved, gen.outcome)

@@ -20,7 +20,8 @@ import time
 from collections import OrderedDict
 from typing import Any, Mapping
 
-from .csp import Search, SolveStatus, backtrack_solve
+from .csp import Search, backtrack_solve
+from .errors import ModelError
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
 from .records import Record
@@ -34,10 +35,12 @@ CSP_CACHE_SIZE = 128
 
 
 class CandidateInstance(Record, frozen=True):
-    """Concrete instance data: parameter values plus solved decision values."""
+    """Concrete instance data: parameter values plus solved decision values.
+
+    ``values`` minus the configuration's parameters are the decision values.
+    """
 
     values: dict[str, Any]
-    decision_values: dict[str, Any]
     config_id: str
     sequence: int
 
@@ -108,45 +111,40 @@ def solve_generator(
     translate_limit: float,
     solve_limit: float,
 ) -> GeneratorSolveResult:
-    """Produce the next candidate instance for a configuration.
+    """Produce the next candidate instance for a configuration, or the
+    outcome that stopped it. Never raises.
 
     Grounding runs under ``translate_limit``, search under ``solve_limit``;
     the two timeout outcomes are distinguished so the tuner can penalise
-    them differently. A configuration whose search from ``model`` the
-    history still keeps is not grounded again, so it cannot time out in
-    translation. The search continues until it has found one solution more
-    than the history has counted: a kept search returns its next solution,
-    a fresh one first steps past the counted ones. All of that shares
-    ``solve_limit``, which starts once the configuration is grounded. The
-    search is kept whatever the outcome, so a timeout keeps its place; the
-    solution returned is counted in the history.
+    them differently, and a configuration whose shapes or bounds the model
+    leaves ill-defined is ``ILL_DEFINED``. A configuration whose search
+    from ``model`` the history still keeps is not grounded again, so it
+    cannot fail in translation. The search continues until it has found
+    one solution more than the history has counted: a kept search returns
+    its next solution, a fresh one first steps past the counted ones. All
+    of that shares ``solve_limit``, which starts once the configuration is
+    grounded. The search is kept whatever the outcome, so a timeout keeps
+    its place; the solution returned is counted in the history.
     """
     start = time.monotonic()
     search = history.take_search(config.id, model)
     if search is None:
         try:
-            csp = ground(model, config, deadline=start + translate_limit)
+            search = Search(ground(model, config, deadline=start + translate_limit))
         except TranslateTimeout:
             return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT, time.monotonic() - start)
-        search = Search(csp)
+        except ModelError:
+            return GeneratorSolveResult(GenOutcome.ILL_DEFINED, time.monotonic() - start)
 
     deadline = time.monotonic() + solve_limit
     sequence = history.count(config.id)
-    result = backtrack_solve(search, deadline - time.monotonic())
-    while result.status is SolveStatus.SOLUTION and search.found <= sequence:
-        result = backtrack_solve(search, deadline - time.monotonic())
+    result = backtrack_solve(search, deadline)
+    while result.status is GenOutcome.SOLUTION and search.found <= sequence:
+        result = backtrack_solve(search, deadline)
     history.keep_search(config.id, model, search)
     elapsed = time.monotonic() - start
-    if result.status is SolveStatus.TIMEOUT:
-        return GeneratorSolveResult(GenOutcome.SOLVE_TIMEOUT, elapsed)
-    if result.status is SolveStatus.UNSAT:
-        return GeneratorSolveResult(GenOutcome.UNSAT, elapsed)
-    assert result.values is not None
+    if result.status is not GenOutcome.SOLUTION:
+        return GeneratorSolveResult(result.status, elapsed)
     history.add(config.id)
-    instance = CandidateInstance(
-        values={**dict(config.assignment), **result.values},
-        decision_values=dict(result.values),
-        config_id=config.id,
-        sequence=sequence,
-    )
+    instance = CandidateInstance({**config.assignment, **result.values}, config.id, sequence)
     return GeneratorSolveResult(GenOutcome.SOLUTION, elapsed, instance)

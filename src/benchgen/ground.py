@@ -9,7 +9,9 @@ search tries the empty set first). Each model constraint is compiled
 assignment vector that says whether the assignment refutes it, with each
 name resolved when the predicate is built (a parameter to a constant
 interval, a decision variable to its term), so the search pays only for
-interval arithmetic. While the constraint's scope is incomplete the
+interval arithmetic. The predicate is a check of each slot the constraint
+reads; a constraint that reads no slot is decided once, at the root
+(``GroundedCsp.refuted``). While the constraint's scope is incomplete the
 predicate is best effort: it refutes only what the interval bounds rule
 out, and a conjunct it cannot bound refutes nothing. Once the last slot
 of the scope is assigned every bound is a point and the verdict is exact:
@@ -25,7 +27,7 @@ from __future__ import annotations
 import time
 from typing import Any, Sequence
 
-from .csp import CspConstraint, GroundedCsp
+from .csp import GroundedCsp, Refuter
 from .expressions import Interval, Reader, _constant, _refuter, _SetBounds, _Term, names_in
 from .model import GeneratorModel, InstantiatedVar, instantiate
 from .space import GeneratorConfiguration
@@ -116,13 +118,15 @@ def ground(
         slots[iv.name] = range(len(domains), len(domains) + len(declared))
         domains += declared
 
-    constraints: list[CspConstraint] = []
+    checks: list[list[Refuter]] = [[] for _ in domains]
+    refuted = False
     for cexpr in model.constraints:
         check_deadline()
-        scope = tuple(sorted(i for name in names_in(cexpr) if name in slots for i in slots[name]))
-        constraints.append(
-            CspConstraint(scope, _refuter(cexpr, terms.__getitem__, scope[-1] if scope else None))
-        )
+        scope = sorted(i for name in names_in(cexpr) if name in slots for i in slots[name])
+        refutes = _refuter(cexpr, terms.__getitem__, scope[-1] if scope else None)
+        for i in scope:
+            checks[i].append(refutes)
+        refuted = refuted or (not scope and refutes([None] * len(domains)))
 
     decisions = [(iv, terms[iv.name]) for iv in instantiated]
 
@@ -138,4 +142,4 @@ def ground(
             for iv, term in decisions
         }
 
-    return GroundedCsp(domains, constraints, decode)
+    return GroundedCsp(domains, checks, refuted, decode)

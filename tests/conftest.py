@@ -4,6 +4,7 @@ exhaustive enumerations used as test oracles."""
 import io
 import json
 import shutil
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -12,7 +13,7 @@ import pytest
 
 from benchgen import archivewriter
 from benchgen.archive import CampaignArchive
-from benchgen.csp import GroundedCsp, Search, SolveStatus, backtrack_solve
+from benchgen.csp import GroundedCsp, Search, backtrack_solve
 from benchgen.errors import EvalError, ValidationError
 from benchgen.evaluate import (
     EvaluationLimits,
@@ -143,12 +144,24 @@ def cut_at(frames: list[tuple[str, bytes]], i: int, torn: bool, full: Path, out:
         (out / name).mkdir(parents=True)
     for name in ("config.json", "space.txt", "generator.model"):
         shutil.copyfile(full / name, out / name)
+    return crash_after(frames, i, torn, out)
+
+
+def crash_after(frames: list[tuple[str, bytes]], i: int, torn: bool, out: Path) -> Path:
+    """Apply to the archive at ``out`` the first ``i`` of ``frames``, and
+    with ``torn`` the first half of frame i as well, as a writer does that
+    dies there."""
     applied = [archivewriter.frame(name, data) for name, data in frames[:i]]
     if torn:
         name, data = frames[i]
         applied.append(archivewriter.frame(name, data[: len(data) // 2]))
     archivewriter.apply(str(out), io.BytesIO(b"".join(applied)))
     return out
+
+
+def decision_values(instance: CandidateInstance, config: GeneratorConfiguration) -> dict[str, Any]:
+    """An instance's decision values: its values minus the configuration's parameters."""
+    return {k: v for k, v in instance.values.items() if k not in config.assignment}
 
 
 def enumerate_solutions(
@@ -158,8 +171,8 @@ def enumerate_solutions(
     found: list[dict[str, Any]] = []
     search = Search(csp)
     while len(found) < limit:
-        res = backtrack_solve(search, time_limit)
-        if res.status is not SolveStatus.SOLUTION:
+        res = backtrack_solve(search, time.monotonic() + time_limit)
+        if res.status is not GenOutcome.SOLUTION:
             break
         assert res.values is not None
         found.append(res.values)
@@ -367,7 +380,6 @@ def fabricate_graded_archive(
                     "weight": [2, 3 + (i % 4), 4],
                     "value": [3, 4, 5 + (i % 3)],
                 },
-                decision_values={"capacity": 5 + (i % 17)},
                 config_id=f"gfake{i:04d}",
                 sequence=0,
             )

@@ -42,6 +42,7 @@ from benchgen.space import parse_space
 from benchgen.tuner import TunerConfig, friedman_eliminate
 
 from conftest import (
+    decision_values,
     evaluate_generator,
     exclusion_key,
     make_configuration,
@@ -279,7 +280,7 @@ def test_acceptance_generator_exhaustion():
     for _ in range(total):
         result = evaluate_configuration(model, config, history, policy, FAST_LIMITS)
         assert result.instance is not None
-        seen.add(exclusion_key(result.instance.decision_values))
+        seen.add(exclusion_key(decision_values(result.instance, config)))
     assert len(seen) == total
     final = evaluate_configuration(model, config, history, policy, FAST_LIMITS)
     assert final.penalty == PLUS_INFINITY

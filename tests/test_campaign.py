@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import benchgen
-from benchgen import archivewriter, campaign
+from benchgen import archivewriter, campaign, cli
 from benchgen.archive import CampaignArchive, Evaluation, graded_instance_ids, lock_archive
 from benchgen.campaign import policy_meta, run_campaign
 from benchgen.errors import ArchiveError
@@ -25,7 +25,7 @@ from benchgen.runner import GenOutcome, RunStatus, SolverAdapter
 from benchgen.tuner import TunerConfig
 from benchgen.valuetext import values_to_jsonable
 
-from conftest import capture_frames, cut_at, killed_copy, tuner_log
+from conftest import capture_frames, crash_after, cut_at, killed_copy, tuner_log
 from test_archive_digests import QUICK_START_MODEL, tune
 
 KNAPSACK = get_problem("knapsack")
@@ -148,6 +148,72 @@ def test_a_crash_at_every_writer_frame_resumes_byte_identical(tmp_path, monkeypa
         out = cut_at(frames, i, torn, full, tmp_path / f"cut{i}{'-torn' * torn}")
         run(out, resume=True, **quick_start)
         assert archive_files(out) == expected, (i, torn)
+
+
+CRASH_QUICK_START = dict(budget=24, seed=7, model_text=QUICK_START_MODEL, space_text="cap_t: 1..100")
+
+
+@pytest.mark.filterwarnings("ignore::benchgen.report.EmptyArchive")
+def test_every_crash_cut_is_read_by_report_check_and_combine(tmp_path, monkeypatch, capsys):
+    """``report``, ``check`` and ``combine`` on the archive that a crash
+    leaves after each writer frame of a quick-start campaign, and inside
+    each frame, either succeed or exit 2 with one ``error:`` line; none
+    ends in a traceback."""
+    full = tmp_path / "full"
+    frames = capture_frames(monkeypatch)
+    run(full, **CRASH_QUICK_START)
+    monkeypatch.undo()
+    capsys.readouterr()
+    cuts = [(i, False) for i in range(len(frames) + 1)] + [(i, True) for i in range(len(frames))]
+    assert len(cuts) == 145
+    for i, torn in cuts:
+        out = str(cut_at(frames, i, torn, full, tmp_path / f"cut{i}{'-torn' * torn}"))
+        # Only half a record is an error: the reader names the line, and a resume drops it.
+        torn_record = torn and frames[i][0] == "records/evals.jsonl"
+        for command in (["report", out], ["check", out], ["combine", out, "--out", out + ".json"]):
+            code = cli.main(command)  # a traceback fails the test here
+            err = capsys.readouterr().err
+            if torn_record:
+                assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (command, err)
+                assert "evals.jsonl line" in err
+            else:
+                assert (code, err) == (0, ""), (command, err)
+
+
+# (i, j, torn): cut the campaign after its frame i, resume that cut, and
+# cut the resume after its frame j, inside frame j when torn. Cut i holds
+# r = i // 3 records, so the resume's first r frames replay their tuner.log
+# lines: j < r cuts the replay, j >= r the evaluations after it.
+RESUME_CUTS = [(6, 1, False), (6, 4, True), (30, 4, False), (30, 12, True),
+               (31, 10, False), (47, 9, True), (47, 30, False), (71, 24, True)]
+
+
+def test_a_crash_inside_a_resume_resumes_byte_identical(tmp_path, monkeypatch):
+    """A resume of a crashed campaign that crashes itself, in its replay or
+    after it, resumes once more to the uninterrupted archive. A resume
+    starts from the cut with ``tuner.log`` emptied (``restart_log``) and
+    writes the replayed lines again. Every generator solve stays far
+    inside ``solve_limit``: a solve that ran out of time would leave the
+    resumed search's place, and with it the archive, differing from the
+    uninterrupted run's."""
+    full = tmp_path / "full"
+    frames = capture_frames(monkeypatch)
+    run(full, **CRASH_QUICK_START)
+    monkeypatch.undo()
+    expected = archive_files(full)
+    assert {j < i // 3 for i, j, _ in RESUME_CUTS} == {True, False}
+    for n, (i, j, torn) in enumerate(RESUME_CUTS):
+        first = cut_at(frames, i, False, full, tmp_path / f"{n}-first")
+        second = cut_at(frames, i, False, full, tmp_path / f"{n}-second")
+        resumed = capture_frames(monkeypatch)
+        run(first, resume=True, **CRASH_QUICK_START)
+        monkeypatch.undo()
+        assert archive_files(first) == expected, (i, j)
+        assert sum(name == "tuner.log" for name, _ in resumed[: i // 3]) == i // 3
+        (second / "tuner.log").write_bytes(b"")
+        crash_after(resumed, j, torn, second)
+        run(second, resume=True, **CRASH_QUICK_START)
+        assert archive_files(second) == expected, (i, j, torn)
 
 
 @pytest.mark.parametrize(

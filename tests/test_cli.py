@@ -475,6 +475,28 @@ def test_malformed_command_template_is_reported_before_the_campaign(workspace, c
     assert not (workspace / "camp").exists()
 
 
+def test_tune_refuses_more_workers_than_usable_cpus_when_every_solver_is_external(
+    workspace, capsys, monkeypatch
+):
+    script = workspace / "unsat.sh"
+    script.write_text("echo =====UNSATISFIABLE=====\n")
+    config = workspace / "campaign.ini"
+    text = config.read_text()
+    assert "solver = band" in text
+    command = f"sh {script} {{model}} {{instance}} {{time_limit_ms}}"
+    config.write_text(text.replace("solver = band", "solver = ext") + f"\n[solver.ext]\ncommand = {command}\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    tune = ["tune", str(config), "--budget", "12"]
+    assert main(tune + ["--out", str(workspace / "two"), "--workers", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: workers 2 exceeds the 1 CPU(s) this process may use:"
+        " external runs that share a CPU record longer times\n"
+    )
+    assert not (workspace / "two").exists()
+    assert main(tune + ["--out", str(workspace / "one"), "--workers", "1"]) == 0
+    assert "evaluations: 12" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("t_max", ["-1", "0", "nan"])
 def test_evaluate_with_a_t_max_that_is_not_positive_is_reported(workspace, capsys, t_max):
     combined = combined_set(workspace)

@@ -28,7 +28,7 @@ from benchgen.records import replace
 from benchgen.runner import RunStatus, SolverAdapter, SolverRecord, Status
 from benchgen.space import parse_space
 
-from conftest import exclusion_key, make_configuration, penalty_of
+from conftest import decision_values, exclusion_key, make_configuration, penalty_of
 
 KNAPSACK = get_problem("knapsack")
 FAST_LIMITS = EvaluationLimits(translate_limit=5.0, solve_limit=5.0, mem_limit=None)
@@ -287,8 +287,8 @@ def test_evaluate_configuration_never_regenerates_instances():
     for _ in range(6):
         result = evaluate_configuration(model, config, history, policy, FAST_LIMITS)
         assert result.instance is not None
-        assert exclusion_key(result.instance.decision_values) not in seen
-        seen.add(exclusion_key(result.instance.decision_values))
+        assert exclusion_key(decision_values(result.instance, config)) not in seen
+        seen.add(exclusion_key(decision_values(result.instance, config)))
 
 
 def test_evaluate_configuration_discriminating_scores_and_status():

@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 from benchgen import csp as csp_module
 from benchgen import gensolve
 from benchgen.archive import CampaignArchive
-from benchgen.csp import (
-    CspConstraint,
-    GroundedCsp,
-    Search,
-    SolveStatus,
-    backtrack_solve,
-)
+from benchgen.csp import GroundedCsp, Search, backtrack_solve
 from benchgen.errors import ModelError
 from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
 from benchgen.ground import ground
@@ -34,6 +28,7 @@ from conftest import (
     CONSTRAINT_TEMPLATES,
     ERROR_TEMPLATES,
     append_record,
+    decision_values,
     enumerate_solutions,
     exclusion_key,
     make_configuration,
@@ -42,17 +37,22 @@ from conftest import (
 )
 
 
-def simple_csp(n_vars=2, domain=(1, 2), constraints=()):
+def simple_csp(n_vars=2, domain=(1, 2)):
     return GroundedCsp(
         domains=[tuple(domain)] * n_vars,
-        constraints=list(constraints),
+        checks=[[] for _ in range(n_vars)],
+        refuted=False,
         decode=lambda a: {f"v{i}": a[i] for i in range(n_vars)},
     )
 
 
+def in_seconds(seconds):
+    return time.monotonic() + seconds
+
+
 def test_first_solution_ordering_contract():
-    result = backtrack_solve(Search(simple_csp()), 10.0)
-    assert result.status is SolveStatus.SOLUTION
+    result = backtrack_solve(Search(simple_csp()), in_seconds(10.0))
+    assert result.status is GenOutcome.SOLUTION
     assert result.values == {"v0": 1, "v1": 1}
 
 
@@ -60,8 +60,8 @@ def test_exclusion_advances_in_lex_order():
     search = Search(simple_csp())
     seen = []
     for _ in range(5):
-        result = backtrack_solve(search, 10.0)
-        if result.status is not SolveStatus.SOLUTION:
+        result = backtrack_solve(search, in_seconds(10.0))
+        if result.status is not GenOutcome.SOLUTION:
             seen.append("unsat")
             break
         seen.append((result.values["v0"], result.values["v1"]))
@@ -69,22 +69,25 @@ def test_exclusion_advances_in_lex_order():
 
 
 def test_zero_time_limit_times_out():
-    result = backtrack_solve(Search(simple_csp()), 0.0)
-    assert result.status is SolveStatus.TIMEOUT
+    result = backtrack_solve(Search(simple_csp()), in_seconds(0.0))
+    assert result.status is GenOutcome.SOLVE_TIMEOUT
 
 
 def queens_csp(n):
-    constraints = []
+    checks = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             def make(i=i, j=j):
                 def refutes(a):
                     return a[j] is not None and (a[i] == a[j] or abs(a[i] - a[j]) == j - i)
                 return refutes
-            constraints.append(CspConstraint(scope=(i, j), refutes=make()))
+            refutes = make()
+            checks[i].append(refutes)
+            checks[j].append(refutes)
     return GroundedCsp(
         domains=[tuple(range(n))] * n,
-        constraints=constraints,
+        checks=checks,
+        refuted=False,
         decode=lambda a: {"q": list(a)},
     )
 
@@ -113,8 +116,8 @@ def test_search_that_times_out_mid_tree_continues_where_it_stopped(monkeypatch):
     for limit in (3, 4, 10):
         search = Search(queens_csp(6))
         solutions, timeouts = [], 0
-        while (result := backtrack_solve(search, limit)).status is not SolveStatus.UNSAT:
-            if result.status is SolveStatus.SOLUTION:
+        while (result := backtrack_solve(search, next(ticks) + limit)).status is not GenOutcome.UNSAT:
+            if result.status is GenOutcome.SOLUTION:
                 solutions.append(result.values)
             else:
                 timeouts += 1
@@ -130,7 +133,7 @@ def test_search_deeper_than_the_recursion_limit():
     model = parse_model(space, "var s : set of 1..1500\nconstraint |s| >= 1")
     config = make_configuration(space, {"n": 1})
     history = SolutionHistory()
-    got = [solve_generator(model, config, history, 30.0, 30.0).instance.decision_values
+    got = [decision_values(solve_generator(model, config, history, 30.0, 30.0).instance, config)
            for _ in range(3)]
     assert got == [{"s": {1500}}, {"s": {1499}}, {"s": {1499, 1500}}]
 
@@ -152,7 +155,7 @@ def test_history_exhausts_two_solution_model():
     for expected in ({"x": 1}, {"x": 2}):
         result = solve_generator(model, config, history, 5.0, 5.0)
         assert result.outcome is GenOutcome.SOLUTION
-        assert result.instance.decision_values == expected
+        assert decision_values(result.instance, config) == expected
     result = solve_generator(model, config, history, 5.0, 5.0)
     assert result.outcome is GenOutcome.UNSAT
 
@@ -168,7 +171,7 @@ def test_history_roundtrip_preserves_exclusions(tmp_path):
     reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
     assert reloaded.count(config.id) == history.count(config.id) == 1
     again = solve_generator(model, config, reloaded, 5.0, 5.0)
-    assert again.instance.decision_values != first.instance.decision_values
+    assert decision_values(again.instance, config) != decision_values(first.instance, config)
 
 
 def test_translate_timeout_distinct_from_solve_timeout():
@@ -181,12 +184,88 @@ def test_translate_timeout_distinct_from_solve_timeout():
     assert result.outcome is GenOutcome.SOLVE_TIMEOUT
 
 
-def test_model_error_propagates_for_ill_defined_shape():
+def test_an_ill_defined_shape_is_an_outcome_not_an_error():
     space = parse_space("n: 1..3")
     model = parse_model(space, "var a[n - 5] : int 1..2")
     config = make_configuration(space, {"n": 2})
     with pytest.raises(ModelError):
-        solve_generator(model, config, SolutionHistory(), 5.0, 5.0)
+        instantiate(model, config)
+    result = solve_generator(model, config, SolutionHistory(), 5.0, 5.0)
+    assert (result.outcome, result.instance) == (GenOutcome.ILL_DEFINED, None)
+
+
+# Shapes and bounds that some configurations leave negative, fractional,
+# undefined (a division by zero) or not a number at all.
+SHAPES = ("n", "n - 2", "k / 2", "n / k")
+BOUNDS = ("2", "n + 1", "0", "-1", "k / 2", "(n < k)", "2 / (k - 2)")
+CONTRACT_SPACE = parse_space("n: 0..3; k: 0..4")
+
+
+@st.composite
+def contract_cases(draw):
+    bound = st.sampled_from(BOUNDS)
+    lines = [
+        f"var x : int {draw(bound)}..{draw(bound)}",
+        f"var a[{draw(st.sampled_from(SHAPES))}] : int 0..{draw(bound)}",
+        "var s : set of 1..2",
+        f"var t[{draw(st.sampled_from(SHAPES))}] : set of 1..{draw(bound)}",
+    ]
+    templates = draw(st.lists(st.sampled_from(CONSTRAINT_TEMPLATES + ERROR_TEMPLATES), max_size=3))
+    lines += ["constraint " + template.format(c=draw(st.integers(0, 4))) for template in templates]
+    config = {"n": draw(st.integers(0, 3)), "k": draw(st.integers(0, 4))}
+    limits = draw(st.sampled_from(((5.0, 5.0), (5.0, 0.0), (0.0, 5.0))))
+    return "\n".join(lines), config, limits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(contract_cases())
+def test_solve_generator_returns_an_outcome_and_never_raises(case):
+    model_text, values, (translate_limit, solve_limit) = case
+    model = parse_model(CONTRACT_SPACE, model_text)
+    config = make_configuration(CONTRACT_SPACE, values)
+    try:
+        instantiate(model, config)
+        ill_defined = False
+    except ModelError:
+        ill_defined = True
+    history = SolutionHistory()
+    for _ in range(3):
+        result = solve_generator(model, config, history, translate_limit, solve_limit)
+        assert isinstance(result, gensolve.GeneratorSolveResult)
+        assert (result.outcome is GenOutcome.SOLUTION) == (result.instance is not None)
+        if translate_limit == 0.0:
+            assert result.outcome is GenOutcome.TRANSLATE_TIMEOUT
+        elif ill_defined:
+            assert result.outcome is GenOutcome.ILL_DEFINED
+        elif solve_limit == 0.0:
+            assert result.outcome is GenOutcome.SOLVE_TIMEOUT
+        else:
+            assert result.outcome in (GenOutcome.SOLUTION, GenOutcome.UNSAT)
+        if result.instance is not None:
+            assert check_assignment(model, config, decision_values(result.instance, config))
+
+
+ROOT_SPACE = parse_space("cap_t: 1..10")
+
+
+@pytest.mark.parametrize("constraint", ["cap_t > 5", "1 / 0 = 1"], ids=["fails", "undefined"])
+def test_a_constraint_that_reads_no_slot_and_fails_refutes_the_root(constraint):
+    model = parse_model(ROOT_SPACE, f"var x : int 1..3\nconstraint {constraint}")
+    config = make_configuration(ROOT_SPACE, {"cap_t": 3})
+    csp = ground(model, config)
+    assert csp.refuted and csp.checks == [[]]
+    result = backtrack_solve(Search(csp), in_seconds(5.0))
+    assert (result.status, result.nodes) == (GenOutcome.UNSAT, 0)
+    assert solve_generator(model, config, SolutionHistory(), 5.0, 5.0).outcome is GenOutcome.UNSAT
+
+
+def test_a_constraint_that_reads_no_slot_and_holds_blocks_nothing():
+    model = parse_model(ROOT_SPACE, "var x : int 1..3\nconstraint cap_t > 5")
+    config = make_configuration(ROOT_SPACE, {"cap_t": 7})
+    csp = ground(model, config)
+    assert not csp.refuted and csp.checks == [[]]
+    assert enumerate_solutions(csp) == [{"x": 1}, {"x": 2}, {"x": 3}]
 
 
 def test_paper_style_successor_model_solves_to_density():
@@ -199,9 +278,9 @@ def test_paper_style_successor_model_solves_to_density():
     config = make_configuration(space, {"n_tasks_t": 6, "s_density": 2})
     result = solve_generator(model, config, SolutionHistory(), 10.0, 10.0)
     assert result.outcome is GenOutcome.SOLUTION
-    succ = result.instance.decision_values["succ"]
+    succ = decision_values(result.instance, config)["succ"]
     assert sum(len(s) for s in succ) == 12  # density 2 x 6 tasks
-    assert check_assignment(model, config, result.instance.decision_values)
+    assert check_assignment(model, config, decision_values(result.instance, config))
 
 
 def test_solutions_satisfy_checker_fuzz():
@@ -222,7 +301,7 @@ def test_solutions_satisfy_checker_fuzz():
             result = solve_generator(model, config, history, 5.0, 5.0)
             if result.outcome is not GenOutcome.SOLUTION:
                 break
-            assert check_assignment(model, config, result.instance.decision_values)
+            assert check_assignment(model, config, decision_values(result.instance, config))
 
 
 def test_small_model_exhaustion_yields_all_distinct():
@@ -235,7 +314,7 @@ def test_small_model_exhaustion_yields_all_distinct():
     for _ in range(total):
         result = solve_generator(model, config, history, 5.0, 5.0)
         assert result.outcome is GenOutcome.SOLUTION
-        seen.add(exclusion_key(result.instance.decision_values))
+        seen.add(exclusion_key(decision_values(result.instance, config)))
     assert len(seen) == total
     assert solve_generator(model, config, history, 5.0, 5.0).outcome is GenOutcome.UNSAT
 
@@ -350,7 +429,7 @@ def outcomes(model, config, history, mode="kept"):
             yield result.outcome
             return
         instance = result.instance
-        yield (instance.sequence, exclusion_key(instance.decision_values))
+        yield (instance.sequence, exclusion_key(decision_values(instance, config)))
 
 
 def solution_sequence(model, config, history, mode="kept", stop=None):
@@ -441,7 +520,7 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
         while len(keys) < 48 and (result := solve_generator(model, config, history, 5.0, 5.0)).instance:
             instance = result.instance
             write_instance(archive, instance)
-            keys[instance.id] = exclusion_key(instance.decision_values)
+            keys[instance.id] = exclusion_key(decision_values(instance, config))
             append_record(
                 archive, {"seq": len(keys), "config_id": config.id, "instance_id": instance.id, **RECORD_KEYS}
             )
@@ -509,20 +588,21 @@ def test_catch_up_that_times_out_records_nothing():
     assert solve_generator(model, config, history, 5.0, 0.0).outcome is GenOutcome.SOLVE_TIMEOUT
     assert history.count(config.id) == 3
     result = solve_generator(model, config, history, 5.0, 5.0)
-    assert (result.instance.sequence, exclusion_key(result.instance.decision_values)) == full[3]
+    assert (result.instance.sequence, exclusion_key(decision_values(result.instance, config))) == full[3]
 
 
 def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
     real_ground, real_solve = gensolve.ground, gensolve.backtrack_solve
-    limits = []
+    limits, deadlines = [], []
 
     def slow_ground(model, config, deadline=None):
         time.sleep(0.3)
         return real_ground(model, config, deadline)
 
-    def recording(search, time_limit):
-        limits.append(time_limit)
-        return real_solve(search, time_limit)
+    def recording(search, deadline):
+        limits.append(deadline - time.monotonic())
+        deadlines.append(deadline)
+        return real_solve(search, deadline)
 
     monkeypatch.setattr(gensolve, "ground", slow_ground)
     monkeypatch.setattr(gensolve, "backtrack_solve", recording)
@@ -532,7 +612,7 @@ def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
     result = solve_generator(model, config, history, 5.0, 1.0)
     assert result.outcome is GenOutcome.SOLUTION and result.instance.sequence == 3
     # The first search and the three catch-up steps share one deadline.
-    assert len(limits) == 4
+    assert len(limits) == 4 and len(set(deadlines)) == 1
     assert 0.9 < limits[0] <= 1.0
     assert limits == sorted(limits, reverse=True)
 
@@ -571,15 +651,15 @@ def test_zero_length_array_has_one_empty_solution():
     config = make_configuration(space, {"n": 0})
     first = solve_generator(model, config, SolutionHistory(), 5.0, 5.0)
     assert first.outcome is GenOutcome.SOLUTION
-    assert first.instance.decision_values == {"w": []}
+    assert decision_values(first.instance, config) == {"w": []}
     for mode in ("counts", "kept"):
         sequence = solution_sequence(model, config, SolutionHistory(), mode)
-        assert sequence == [(0, exclusion_key(first.instance.decision_values)), GenOutcome.UNSAT]
+        assert sequence == [(0, exclusion_key(decision_values(first.instance, config))), GenOutcome.UNSAT]
     search = Search(ground(model, config))
-    found = backtrack_solve(search, 5.0)
-    assert (found.status, search.assignment, found.nodes) == (SolveStatus.SOLUTION, [], 0)
-    resumed = backtrack_solve(search, 5.0)
-    assert (resumed.status, resumed.nodes) == (SolveStatus.UNSAT, 0)
+    found = backtrack_solve(search, in_seconds(5.0))
+    assert (found.status, search.assignment, found.nodes) == (GenOutcome.SOLUTION, [], 0)
+    resumed = backtrack_solve(search, in_seconds(5.0))
+    assert (resumed.status, resumed.nodes) == (GenOutcome.UNSAT, 0)
 
 
 # -- the generator's work: pruning and grounding ------------------------------
@@ -665,7 +745,7 @@ def test_pruning_refutes_what_it_did_on_the_benchmark_model(monkeypatch, cap_t, 
         if result.instance is None:
             keys.append(result.outcome.value)
             break
-        keys.append(exclusion_key(result.instance.decision_values))
+        keys.append(exclusion_key(decision_values(result.instance, config)))
     first, digest, expected_nodes = SYNTH_SEQUENCES[(cap_t, n)]
     assert keys[0] == first
     assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest

@@ -26,7 +26,13 @@ from benchgen.expressions import (
 from benchgen.gensolve import SolutionHistory, solve_generator
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import parse_space
-from conftest import CONSTRAINT_TEMPLATES, ERROR_TEMPLATES, make_configuration, reference_evaluate
+from conftest import (
+    CONSTRAINT_TEMPLATES,
+    ERROR_TEMPLATES,
+    decision_values,
+    make_configuration,
+    reference_evaluate,
+)
 
 SUCCESSORS_SPACE = parse_space("n_tasks_t: 1..60; s_density: 1..5")
 SUCCESSORS_MODEL = """
@@ -349,7 +355,7 @@ def test_a_tree_at_the_depth_bound_is_parsed_evaluated_and_solved():
     config = make_configuration(space, {"n": 2})
     assert check_assignment(model, config, {"x": 2}) is True
     result = solve_generator(model, config, SolutionHistory(), 30.0, 30.0)
-    assert result.instance.decision_values == {"x": 2}
+    assert decision_values(result.instance, config) == {"x": 2}
 
 
 def test_a_tree_deeper_than_the_bound_is_refused_with_its_depth():
