@@ -65,11 +65,12 @@ if TYPE_CHECKING:
 
 @contextmanager
 def _naming(verb: str, path: str | Path) -> Iterator[None]:
-    """Turn an ``OSError`` inside into ``ArchiveError("cannot VERB PATH: reason")``."""
+    """Turn an ``OSError`` or a text that is not UTF-8 inside into
+    ``ArchiveError("cannot VERB PATH: reason")``."""
     try:
         yield
-    except OSError as exc:
-        raise ArchiveError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArchiveError(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def read_file(path: str | Path) -> str:
@@ -273,7 +274,7 @@ class CampaignArchive:
             raise ArchiveError(f"unknown instance {instance_id}")
         try:
             return parse_values(read_file(path))
-        except (ParseError, UnicodeDecodeError) as exc:
+        except ParseError as exc:
             raise ArchiveError(f"{path}: {exc}") from exc
 
     # -- evaluations -------------------------------------------------------

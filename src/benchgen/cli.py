@@ -127,6 +127,7 @@ def _types(text: str) -> frozenset[str]:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    from .archive import read_file
     from .evaluate import DiscriminatingPolicy, GradedPolicy
     from .runner import EvaluationLimits
     from .tuner import TunerConfig
@@ -138,11 +139,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     model_rel = config.get("generator", "model", fallback=None)
     if model_rel is None:
         raise ValidationError("config needs [generator] model = <path>")
-    model_path = Path(args.config).parent / model_rel
-    try:
-        model_text = model_path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read generator model {model_path}: {exc.strerror}") from None
+    model_text = read_file(Path(args.config).parent / model_rel)
     adapters = load_adapters(config)
 
     # Defaults that no record holds, then the [campaign] keys, then the tune flags (dest = key).

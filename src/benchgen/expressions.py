@@ -14,16 +14,20 @@ arguments, indices and ``|...|`` take arithmetic only. A tree more than
 This module holds the syntax and its one compiled semantics. The
 generator search reads the compiled form under partial assignments
 (``ground``), and ``evaluate`` reads the same form on fixed values.
+``-a`` compiles as ``0 - a``. ``sum``, ``min`` and ``max`` bound their
+elements through one fold (``_fold``); only ``sum`` over a decision array
+reads the array's slots directly (``read_sum``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Callable, Collection, Mapping, Sequence, Union
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, Union
 
 from .errors import EvalError, ParseError
-from .records import Record, field_names
+from .records import Record
+from .valuetext import NAME, is_int
 
 Value = Union[int, Fraction, list, set]
 
@@ -101,7 +105,8 @@ MAX_DEPTH = 500
 
 # After whitespace: an integer, a word, a two-character comparison, or any
 # other single character.
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[=!<>]=|\S)")
+_TOKEN = re.compile(rf"\s*(\d+|{NAME}|[=!<>]=|\S)")
+_NAME_RE = re.compile(NAME)
 _FUNCTIONS = {"sum": Sum, "card": Card, "alldifferent": AllDifferent, "min": MinOf, "max": MaxOf}
 _RELATIONS = {"=": "=", "==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "in": "in"}
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -133,7 +138,7 @@ def _operand(tokens: list[str]) -> Expr:
     elif tok == "|":
         node = Card(_arith(tokens))
         _expect(tokens, "|")
-    elif tok.isascii() and tok.isidentifier() and tok not in ("and", "in"):
+    elif _NAME_RE.fullmatch(tok) and tok not in ("and", "in"):
         node = Name(tok)
     else:
         raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of expression")
@@ -169,14 +174,12 @@ def _condition(tokens: list[str]) -> Expr:
         tokens.pop()
 
 
-def _depth(expr: Expr) -> int:
-    """The number of levels of the tree, counted without recursion."""
-    depth, level = 0, [expr]
+def _levels(expr: Expr) -> Iterator[list[Expr]]:
+    """The nodes of the tree, one level at a time from the root, without recursion."""
+    level = [expr]
     while level:
-        depth += 1
-        children = (getattr(node, name) for node in level for name in field_names(node))
-        level = [child for child in children if isinstance(child, Record)]
-    return depth
+        yield level
+        level = [child for node in level for child in vars(node).values() if isinstance(child, Record)]
 
 
 def parse_expression(text: str) -> Expr:
@@ -188,7 +191,7 @@ def parse_expression(text: str) -> Expr:
         raise ParseError("expression is nested too deeply") from None
     if tokens[-1]:
         raise ParseError(f"trailing input after expression: {tokens[-1]!r}")
-    depth = _depth(expr)
+    depth = sum(1 for _ in _levels(expr))
     if depth > MAX_DEPTH:
         raise ParseError(f"expression tree is {depth} levels deep, more than {MAX_DEPTH}")
     return expr
@@ -196,14 +199,7 @@ def parse_expression(text: str) -> Expr:
 
 def names_in(expr: Expr) -> set[str]:
     """All identifiers referenced by the expression."""
-    if isinstance(expr, Name):
-        return {expr.name}
-    out: set[str] = set()
-    for name in field_names(expr):
-        child = getattr(expr, name)
-        if isinstance(child, Record):
-            out |= names_in(child)
-    return out
+    return {node.name for level in _levels(expr) for node in level if isinstance(node, Name)}
 
 
 # The semantics: an expression compiles to a reader of interval bounds over
@@ -252,7 +248,7 @@ def _constant(value: Any) -> _Term:
             return _Term(kind + "[]", items=tuple(e.read for e in elements))
     elif isinstance(value, (set, frozenset)):
         return _Term("set", lambda x: (len(value), value))
-    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    elif is_int(value) or isinstance(value, Fraction):
         interval = (value, value)
         return _Term("num", lambda x: interval)
     raise _GiveUp(f"a {type(value).__name__} value is not a number, a set or an array of either")
@@ -325,10 +321,10 @@ def _compile(expr: Expr, lookup: Lookup) -> _Term:
         if arg.kind == "set":
             return _Term("num", card(arg.read))
         return _Term("num[]", items=tuple(card(r) for r in _items(arg, "set")))
-    if isinstance(expr, Sum):
+    if isinstance(expr, (Sum, MinOf, MaxOf)):
         arg = _compile(expr.arg, lookup)
         items = _items(arg, "num")
-        if arg.cells is not None:
+        if isinstance(expr, Sum) and arg.cells is not None:
             slots, lo0, hi0 = arg.cells
 
             def read_sum(x: Sequence[int | None]) -> Interval:
@@ -344,26 +340,12 @@ def _compile(expr: Expr, lookup: Lookup) -> _Term:
                 return (lo, hi)
 
             return _Term("num", read_sum)
-
-        def read_sum_items(x: Sequence[int | None]) -> Interval:
-            values = [r(x) for r in items]
-            return (sum(v[0] for v in values), sum(v[1] for v in values))
-
-        return _Term("num", read_sum_items)
-    if isinstance(expr, (MinOf, MaxOf)):
-        items = _items(_compile(expr.arg, lookup), "num")
-        pick = min if isinstance(expr, MinOf) else max
-        if not items:
-            raise _GiveUp(f"{pick.__name__}() of an empty array")
-        return _Term("num", lambda x: _pick_bounds(pick, [r(x) for r in items]))
+        fold = sum if isinstance(expr, Sum) else min if isinstance(expr, MinOf) else max
+        if not items and fold is not sum:
+            raise _GiveUp(f"{fold.__name__}() of an empty array")
+        return _Term("num", lambda x: _fold(fold, [r(x) for r in items]))
     if isinstance(expr, Neg):
-        arg_read = _scalar(_compile(expr.arg, lookup), "num")
-
-        def read_neg(x: Sequence[int | None]) -> Interval:
-            lo, hi = arg_read(x)
-            return (-hi, -lo)
-
-        return _Term("num", read_neg)
+        expr = BinOp("-", IntLit(0), expr.arg)
     if isinstance(expr, BinOp):
         left = _scalar(_compile(expr.left, lookup), "num")
         right = _scalar(_compile(expr.right, lookup), "num")
@@ -372,8 +354,9 @@ def _compile(expr: Expr, lookup: Lookup) -> _Term:
     raise _GiveUp("a condition is not a value")
 
 
-def _pick_bounds(pick: Callable, values: list[Interval]) -> Interval:
-    return (pick(v[0] for v in values), pick(v[1] for v in values))
+def _fold(fold: Callable, bounds: list[Interval]) -> Interval:
+    """The bounds of ``sum``, ``min`` or ``max`` over elements with these bounds."""
+    return (fold(b[0] for b in bounds), fold(b[1] for b in bounds))
 
 
 def _divide(a: Bound, b: Bound, c: Bound, d: Bound) -> Interval:

@@ -101,19 +101,16 @@ def ground(
     check_deadline()
     instantiated = instantiate(model, config)
 
-    total_cells = 0
-    for iv in instantiated:
-        width = max(iv.upper - iv.lower + 1, 0)
-        count = iv.length if iv.length is not None else 1
-        total_cells += (width if iv.kind == "int" else 2 * width) * count
-        if total_cells > MAX_CSP_CELLS:
-            raise TranslateTimeout
-
     terms = {name: _constant(v) for name, v in config.assignment.items()}
     slots: dict[str, range] = {}
     domains: list[tuple[int, ...]] = []
+    cells = 0
     for iv in instantiated:
         check_deadline()
+        width = max(iv.upper - iv.lower + 1, 0)
+        cells += (width if iv.kind == "int" else 2 * width) * (1 if iv.length is None else iv.length)
+        if cells > MAX_CSP_CELLS:  # checked before this variable's domains are built
+            raise TranslateTimeout
         declared, terms[iv.name] = _declare(iv, len(domains))
         slots[iv.name] = range(len(domains), len(domains) + len(declared))
         domains += declared

@@ -22,11 +22,9 @@ from . import expressions as ex
 from .errors import EvalError, ModelError, ParseError, ValidationError
 from .records import Record
 from .space import GeneratorConfiguration, ParameterSpace
+from .valuetext import NAME, is_int
 
-_VAR_RE = re.compile(
-    r"^var\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[([^\]]+)\])?\s*:\s*"
-    r"(int|set\s+of)\s+(.+?)\s*\.\.\s*(.+?)\s*$"
-)
+_VAR_RE = re.compile(rf"var\s+({NAME})\s*(?:\[([^\]]+)\])?\s*:\s*(int|set\s+of)\s+(.+?)\s*\.\.\s*(.+?)\s*")
 
 
 class DecisionVar(Record, frozen=True):
@@ -68,7 +66,7 @@ def parse_model(space: ParameterSpace, text: str) -> GeneratorModel:
         line = raw.split("#", 1)[0].strip()
         try:
             if line.startswith("var "):
-                m = _VAR_RE.match(line)
+                m = _VAR_RE.fullmatch(line)
                 if not m:
                     raise ParseError(f"malformed variable declaration: {raw.strip()!r}")
                 name, shape_txt, kind_txt, lo_txt, hi_txt = m.groups()
@@ -140,18 +138,14 @@ def instantiate(model: GeneratorModel, config: GeneratorConfiguration) -> list[I
 
 def _conforms(iv: InstantiatedVar, value: Any) -> bool:
     def ok_int(v: Any) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool) and iv.lower <= v <= iv.upper
+        return is_int(v) and iv.lower <= v <= iv.upper
 
-    def ok_set(v: Any) -> bool:
-        return isinstance(v, (set, frozenset)) and all(
-            isinstance(e, int) and iv.lower <= e <= iv.upper for e in v
-        )
+    def ok(v: Any) -> bool:
+        return ok_int(v) if iv.kind == "int" else isinstance(v, (set, frozenset)) and all(map(ok_int, v))
 
     if iv.length is None:
-        return ok_int(value) if iv.kind == "int" else ok_set(value)
-    if not isinstance(value, list) or len(value) != iv.length:
-        return False
-    return all(ok_int(v) for v in value) if iv.kind == "int" else all(ok_set(v) for v in value)
+        return ok(value)
+    return isinstance(value, list) and len(value) == iv.length and all(map(ok, value))
 
 
 def check_assignment(

@@ -12,6 +12,7 @@ from typing import Any, Mapping
 
 from .errors import CheckError
 from .records import Record
+from .valuetext import is_int
 
 MAX_ITEMS = 20
 
@@ -30,11 +31,6 @@ class KnapsackData(Record, frozen=True):
     @property
     def n_items(self) -> int:
         return len(self.weight)
-
-
-def is_int(v: Any) -> bool:
-    """Whether ``v`` is an integer; a bool is not one."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _as_int_list(v: Any, name: str) -> list[int]:

@@ -30,8 +30,9 @@ from typing import Any, Callable, Mapping
 
 from .errors import CheckError, EvalError, ParseError
 from .expressions import Expr, evaluate, parse_expression
-from .problems import PROBLEMS, KnapsackData, Problem, is_int, parse_knapsack
+from .problems import PROBLEMS, KnapsackData, Problem, parse_knapsack
 from .runner import SolverRecord, Status
+from .valuetext import is_int
 
 _WORD = 64  # rough bytes per tracked allocation unit
 HILLCLIMB_MAX_ITERATIONS = 200_000
@@ -250,7 +251,7 @@ def solve_synthetic(
     del seed
     try:
         scalars = {k: v for k, v in instance.items() if is_int(v)}
-        arrays = {k: v for k, v in instance.items() if isinstance(v, list) and all(isinstance(e, int) for e in v)}
+        arrays = {k: v for k, v in instance.items() if isinstance(v, list) and all(map(is_int, v))}
         value = evaluate(_latency(latency_expr), {**scalars, **arrays})
         if isinstance(value, bool):
             raise EvalError("expected a numeric result")

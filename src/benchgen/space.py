@@ -15,9 +15,10 @@ from typing import Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 from .records import Record, field
+from .valuetext import NAME
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_ENTRY_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*$")
+_IDENT_RE = re.compile(NAME)
+_ENTRY_RE = re.compile(rf"\s*({NAME})\s*:\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*")
 
 # Spread schedule for the sampling model: multiplied in once per tuning
 # iteration, never below one parameter unit.
@@ -33,7 +34,7 @@ class ParameterSpec(Record, frozen=True):
     upper: int
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
+        if not _IDENT_RE.fullmatch(self.name):
             raise ValidationError(f"invalid parameter name: {self.name!r}")
         if self.lower > self.upper:
             raise ValidationError(
@@ -123,7 +124,7 @@ def parse_space(text: str) -> ParameterSpace:
         for chunk in line.split(";"):
             if not chunk.strip():
                 continue
-            m = _ENTRY_RE.match(chunk)
+            m = _ENTRY_RE.fullmatch(chunk)
             if not m:
                 raise ParseError(f"malformed parameter entry: {chunk.strip()!r}")
             try:

@@ -5,6 +5,10 @@ bracketed arrays, which may nest (``[[1, 2], []]``), braced integer sets
 (ascending), or arrays of sets. Only blanks and tabs may separate the
 tokens of a value. The format is deterministic: equal values produce
 byte-identical text.
+
+This module also states the two rules the other text formats share:
+``NAME`` is what a parameter, a decision variable and a value-map entry
+may be called, and ``is_int`` is what counts as an integer value.
 """
 
 from __future__ import annotations
@@ -14,14 +18,20 @@ from typing import Any, Iterator, Mapping
 
 from .errors import ParseError
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(NAME)
+
+
+def is_int(v: Any) -> bool:
+    """Whether ``v`` is an integer; a bool is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def format_value(value: Any) -> str:
+    if is_int(value):
+        return str(value)
     if isinstance(value, bool):
         raise ParseError("boolean values are not part of the instance format")
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, (set, frozenset)):
         return "{" + ", ".join(str(int(v)) for v in sorted(value)) + "}"
     if isinstance(value, (list, tuple)):
@@ -107,7 +117,7 @@ def parse_values(text: str) -> dict[str, Any]:
             raise ParseError(f"expected 'name = value', got {raw!r}")
         name, _, rhs = line.partition("=")
         name = name.strip()
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ParseError(f"invalid name {name!r}")
         if name in values:
             raise ParseError(f"duplicate name {name!r}")

@@ -253,8 +253,23 @@ def test_resume_of_an_archive_without_one_of_its_files_is_reported_and_writes_no
     assert files_of(out) == before
 
 
+@pytest.mark.parametrize("name", ["space.txt", "generator.model"])
+def test_resume_of_an_archive_with_a_file_that_is_not_utf8_is_reported_and_writes_nothing(workspace, capsys, name):
+    config = str(workspace / "campaign.ini")
+    out = workspace / "camp"
+    assert main(["tune", config, "--out", str(out), "--budget", "12"]) == 0
+    (out / name).write_bytes(b"\xff" + (out / name).read_bytes())
+    before = files_of(out)
+    capsys.readouterr()
+    assert main(["tune", config, "--out", str(out), "--budget", "12", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {out / name}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert files_of(out) == before
+
+
 @pytest.mark.parametrize("command", ["check", "evaluate"])
-@pytest.mark.parametrize("bad", ["directory", "unparsable"])
+@pytest.mark.parametrize("bad", ["directory", "unparsable", "not-utf-8"])
 def test_an_inst_that_cannot_be_read_is_reported_with_its_path(workspace, capsys, command, bad):
     if command == "check":
         camp = workspace / "camp"
@@ -271,13 +286,17 @@ def test_an_inst_that_cannot_be_read_is_reported_with_its_path(workspace, capsys
     inst.unlink()
     if bad == "directory":
         inst.mkdir()
-    else:
+    elif bad == "unparsable":
         inst.write_text("garbage [\n")
+    else:
+        inst.write_bytes(b"x = \xff\n")
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == {
         "directory": f"error: cannot read {inst}: Is a directory\n",
         "unparsable": f"error: {inst}: expected 'name = value', got 'garbage ['\n",
+        "not-utf-8": f"error: cannot read {inst}: 'utf-8' codec can't decode byte 0xff in position 4: "
+                     "invalid start byte\n",
     }[bad]
     assert not (workspace / "eval").exists()
 
@@ -293,8 +312,18 @@ def test_missing_generator_model_is_reported(workspace, capsys):
     config.write_text(config.read_text().replace("model: knapsack.gen", "model: absent.gen"))
     assert main(["tune", str(config), "--out", str(workspace / "camp")]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: cannot read generator model {workspace / 'absent.gen'}"
+        f"error: cannot read {workspace / 'absent.gen'}: "
     )
+    assert not (workspace / "camp").exists()
+
+
+def test_a_generator_model_that_is_not_utf8_is_reported(workspace, capsys):
+    model = workspace / "knapsack.gen"
+    model.write_bytes(b"\xff\xfe" + model.read_bytes())
+    assert main(["tune", str(workspace / "campaign.ini"), "--out", str(workspace / "camp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {model}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
     assert not (workspace / "camp").exists()
 
 

@@ -21,10 +21,12 @@ from benchgen.expressions import (
     Neg,
     Sum,
     evaluate,
+    names_in,
     parse_expression,
 )
 from benchgen.gensolve import SolutionHistory, solve_generator
 from benchgen.model import check_assignment, instantiate, parse_model
+from benchgen.records import Record
 from benchgen.space import parse_space
 from conftest import (
     CONSTRAINT_TEMPLATES,
@@ -116,6 +118,17 @@ def test_check_assignment_takes_a_frozenset_as_a_set():
     for kind in (set, frozenset):
         assert check_assignment(model, config, {"s": kind({1}), "t": [kind(), kind({3})]}) is True
         assert check_assignment(model, config, {"s": kind(), "t": [kind(), kind({3})]}) is False
+
+
+def test_check_assignment_refuses_a_bool_wherever_it_takes_an_integer():
+    space = parse_space("n: 1..2")
+    model = parse_model(space, "var x : int 0..3\nvar a[2] : int 0..3\nvar s : set of 1..3\n"
+                               "var t[2] : set of 1..3")
+    config = make_configuration(space, {"n": 1})
+    values = {"x": 1, "a": [1, 1], "s": {1}, "t": [{1}, set()]}
+    assert check_assignment(model, config, values) is True
+    for name, value in [("x", True), ("a", [True, 1]), ("s", {True}), ("t", [{True}, set()])]:
+        assert check_assignment(model, config, {**values, name: value}) is False, name
 
 
 def test_check_assignment_all_empty_fails_density():
@@ -278,6 +291,48 @@ def test_evaluate_agrees_with_the_reference_tree_walker(expr, envs):
             assert not isinstance(actual, bool) and actual == expected
 
 
+def reference_names(expr) -> set[str]:
+    """The names in a tree, by recursion over its record-valued fields."""
+    if isinstance(expr, Name):
+        return {expr.name}
+    return set().union(*(reference_names(v) for v in vars(expr).values() if isinstance(v, Record)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(TREES, TEMPLATES, NUMBERS, CONDITIONS))
+def test_names_in_agrees_with_a_recursive_walk(expr):
+    assert names_in(expr) == reference_names(expr)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(TREES, NUMBERS), st.lists(ENVIRONMENTS, min_size=4, max_size=4))
+def test_negation_evaluates_as_subtraction_from_zero(expr, envs):
+    for env in envs:
+        outcomes = []
+        for tree in (Neg(expr), BinOp("-", IntLit(0), expr)):
+            try:
+                value = evaluate(tree, env)
+                outcomes.append((type(value), value))
+            except EvalError as err:
+                outcomes.append((EvalError, str(err)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_an_empty_array_sums_to_zero_and_has_no_minimum_or_maximum():
+    assert evaluate(parse_expression("sum(e)"), {"e": []}) == 0
+    for fold in ("min", "max"):
+        with pytest.raises(EvalError, match=rf"^{fold}\(\) of an empty array$"):
+            evaluate(parse_expression(f"{fold}(e)"), {"e": []})
+    space = parse_space("n: 0..0")
+    model = parse_model(space, "var a[n] : int 1..3\nconstraint sum(a) = 0")
+    config = make_configuration(space, {"n": 0})
+    result = solve_generator(model, config, SolutionHistory(), 30.0, 30.0)
+    assert decision_values(result.instance, config) == {"a": []}
+    for fold in ("min", "max"):
+        model = parse_model(space, f"var a[n] : int 1..3\nconstraint {fold}(a) = 0")
+        assert check_assignment(model, config, {"a": []}) is False
+
+
 def test_expression_parse_errors():
     for text in ["a +", "sum(", "a = = b", "[1,2]", "1..2", "{1}", "a, b", "x = y = z", "a in s in t", "sum x", "and"]:
         with pytest.raises(ParseError):
@@ -363,3 +418,31 @@ def test_a_tree_deeper_than_the_bound_is_refused_with_its_depth():
         parse_expression(deep_constraint(MAX_DEPTH + 1))
     with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep"):
         parse_expression("-" * MAX_DEPTH + "x")
+
+
+# Each form the compiler takes apart, as a constraint on x that holds at
+# x = n; a builder takes the depth of the tree it builds.
+DEEP_FORMS = {
+    "negation": lambda depth: "-" * (depth - 2) + "x = " + "-" * (depth % 2) + "n",
+    "product": lambda depth: "x" + " * 1" * (depth - 2) + " = n",
+    "quotient": lambda depth: "x" + " / 1" * (depth - 2) + " = n",
+    "conjunction": lambda depth: "x = n" + " and x = n" * (depth - 2),
+}
+
+
+@pytest.mark.parametrize("form", DEEP_FORMS)
+def test_every_rewritten_form_at_the_depth_bound_is_parsed_evaluated_and_solved(form):
+    build = DEEP_FORMS[form]
+    with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep"):
+        parse_expression(build(MAX_DEPTH + 1))
+    space = parse_space("n: 1..3")
+    model = parse_model(space, f"var x : int 1..3\nconstraint {build(MAX_DEPTH)}")
+    (constraint,) = model.constraints
+    assert names_in(constraint) == {"x", "n"}
+    assert evaluate(constraint, {"x": 2, "n": 2}) is True
+    assert evaluate(constraint, {"x": 1, "n": 2}) is False
+    config = make_configuration(space, {"n": 2})
+    assert check_assignment(model, config, {"x": 2}) is True
+    assert check_assignment(model, config, {"x": 3}) is False
+    result = solve_generator(model, config, SolutionHistory(), 30.0, 30.0)
+    assert decision_values(result.instance, config) == {"x": 2}

@@ -1,6 +1,7 @@
 """Combined sets, frequency/time tables, cross-solver evaluation, exports."""
 
 import json
+import re
 import sys
 import tempfile
 
@@ -280,6 +281,13 @@ def test_export_roundtrips(tmp_path):
     assert [path.name for path in written] == ["status_frequencies.csv", "discrimination.csv"]
     for path, rows in written.items():
         assert read_table(path) == (TABLES[path.name], rows)
+
+
+def test_a_table_that_is_not_utf8_is_refused_with_its_path(tmp_path):
+    path = tmp_path / "status_frequencies.csv"
+    path.write_bytes(b"status,count,fraction\r\n\xff,1,1.0\r\n")
+    with pytest.raises(ArchiveError, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec can't decode"):
+        read_table(path)
 
 
 PINNED_GRADED = {

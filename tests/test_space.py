@@ -196,6 +196,8 @@ def test_sampling_respects_bounds_fuzz():
 def test_parameter_spec_invariants():
     with pytest.raises(ValidationError):
         ParameterSpec("bad name", 1, 2)
+    with pytest.raises(ValidationError):  # format_values would write a line parse_values refuses
+        ParameterSpec("x\n", 1, 3)
     with pytest.raises(ValidationError):
         ParameterSpec("x", 2, 1)
 

@@ -4,10 +4,12 @@ import json
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from benchgen.errors import ParseError
+from benchgen.errors import ParseError, ValidationError
+from benchgen.model import parse_model
+from benchgen.space import parse_space
 from benchgen.valuetext import format_values, parse_values, values_from_jsonable, values_to_jsonable
 
 
@@ -97,3 +99,26 @@ def test_a_frozenset_has_the_json_form_of_a_set():
     thawed = {"s": {2, 1}, "t": [set(), {3}]}
     assert json.dumps(values_to_jsonable(frozen)) == json.dumps(values_to_jsonable(thawed))
     assert values_from_jsonable(values_to_jsonable(frozen)) == thawed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="aZ_09éß\n", min_size=1, max_size=4))
+@example("x_1")
+@example("1x")
+@example("é")
+@example("x\n")
+def test_every_text_format_accepts_the_same_names(name):
+    """A parameter, a decision variable and a value-map entry may have the same names."""
+    space = parse_space("p: 1..3")
+    readers = {
+        "space": lambda: parse_space(f"{name}: 1..3").names,
+        "model": lambda: tuple(v.name for v in parse_model(space, f"var {name} : int 1..3").decision_vars),
+        "values": lambda: tuple(parse_values(f"{name} = 1")),
+    }
+    accepted = {}
+    for fmt, read in readers.items():
+        try:
+            accepted[fmt] = read() == (name,)
+        except (ParseError, ValidationError):
+            accepted[fmt] = False
+    assert len(set(accepted.values())) == 1, accepted
