@@ -8,8 +8,8 @@ are 1-indexed.
 
 Grammar, loosest binding first: ``and``; one comparison or ``in`` (they do
 not chain); ``+ -``; ``* /``; unary ``-``; postfix ``[index]``. Function
-arguments, indices and ``|...|`` take arithmetic only. A tree more than
-``MAX_DEPTH`` levels deep is a ParseError.
+arguments, indices and ``|...|`` take arithmetic only. A tree, or text
+nested by brackets and unary minus, deeper than ``MAX_DEPTH`` is a ParseError.
 
 This module holds the syntax and its one compiled semantics. The
 generator search reads the compiled form under partial assignments
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Collection, Generator, Iterator, Mapping, Sequence, Union
 
 from .errors import EvalError, ParseError
 from .records import Record
-from .valuetext import NAME, is_int
+from .valuetext import MAX_DEPTH, NAME, descend, is_int
 
 Value = Union[int, Fraction, list, set]
 
@@ -99,10 +99,6 @@ Expr = Union[
 ]
 
 
-# Deepest tree a parse accepts: compiling and reading a tree take a stack
-# frame a level, so a much deeper one would exhaust the stack later.
-MAX_DEPTH = 500
-
 # After whitespace: an integer, a word, a two-character comparison, or any
 # other single character.
 _TOKEN = re.compile(rf"\s*(\d+|{NAME}|[=!<>]=|\S)")
@@ -118,11 +114,13 @@ def _expect(tokens: list[str], want: str) -> None:
         raise ParseError(f"expected {want!r}, found {found!r}" if found else "unexpected end of expression")
 
 
-def _operand(tokens: list[str]) -> Expr:
+def _operand(tokens: list[str], level: int) -> Generator:
     """A unary minus, or an atom and the indices after it."""
+    if level > MAX_DEPTH:
+        raise ParseError(f"expression is nested {level} levels deep, more than {MAX_DEPTH}")
     tok = tokens.pop()
     if tok == "-":
-        return Neg(_operand(tokens))
+        return Neg((yield _operand(tokens, level + 1)))
     if tok.isdecimal():
         try:
             node = IntLit(int(tok))
@@ -130,13 +128,13 @@ def _operand(tokens: list[str]) -> Expr:
             raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
     elif tok in _FUNCTIONS:
         _expect(tokens, "(")
-        node = _FUNCTIONS[tok](_arith(tokens))
+        node = _FUNCTIONS[tok]((yield _arith(tokens, level + 1)))
         _expect(tokens, ")")
     elif tok == "(":
-        node = _condition(tokens)
+        node = yield _condition(tokens, level + 1)
         _expect(tokens, ")")
     elif tok == "|":
-        node = Card(_arith(tokens))
+        node = Card((yield _arith(tokens, level + 1)))
         _expect(tokens, "|")
     elif _NAME_RE.fullmatch(tok) and tok not in ("and", "in"):
         node = Name(tok)
@@ -144,29 +142,29 @@ def _operand(tokens: list[str]) -> Expr:
         raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of expression")
     while tokens[-1] == "[":
         tokens.pop()
-        node = Index(node, _arith(tokens))
+        node = Index(node, (yield _arith(tokens, level + 1)))
         _expect(tokens, "]")
     return node
 
 
-def _arith(tokens: list[str], floor: int = 1) -> Expr:
+def _arith(tokens: list[str], level: int, floor: int = 1) -> Generator:
     """Operands joined by left-associative operators binding at least ``floor``."""
-    node = _operand(tokens)
+    node = yield _operand(tokens, level)
     while _BINDING.get(tokens[-1], 0) >= floor:
         op = tokens.pop()
-        node = BinOp(op, node, _arith(tokens, _BINDING[op] + 1))
+        node = BinOp(op, node, (yield _arith(tokens, level, _BINDING[op] + 1)))
     return node
 
 
-def _condition(tokens: list[str]) -> Expr:
+def _condition(tokens: list[str], level: int) -> Generator:
     """Relations joined by ``and``, each with at most one comparison or ``in``."""
     node = None
     while True:
-        relation = _arith(tokens)
+        relation = yield _arith(tokens, level)
         op = _RELATIONS.get(tokens[-1])
         if op is not None:
             tokens.pop()
-            right = _arith(tokens)
+            right = yield _arith(tokens, level)
             relation = InSet(relation, right) if op == "in" else Compare(op, relation, right)
         node = relation if node is None else And(node, relation)
         if tokens[-1] != "and":
@@ -185,10 +183,7 @@ def _levels(expr: Expr) -> Iterator[list[Expr]]:
 def parse_expression(text: str) -> Expr:
     """Parse a boolean or arithmetic expression; raises ParseError."""
     tokens = ["", *reversed(_TOKEN.findall(text))]  # "" marks the end
-    try:
-        expr = _condition(tokens)
-    except RecursionError:
-        raise ParseError("expression is nested too deeply") from None
+    expr = descend(_condition(tokens, 1))
     if tokens[-1]:
         raise ParseError(f"trailing input after expression: {tokens[-1]!r}")
     depth = sum(1 for _ in _levels(expr))

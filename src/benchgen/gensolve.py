@@ -55,7 +55,6 @@ class CandidateInstance(Record, frozen=True):
 
 class GeneratorSolveResult(Record, frozen=True):
     outcome: GenOutcome
-    elapsed: float
     instance: CandidateInstance | None = None
 
 
@@ -126,15 +125,14 @@ def solve_generator(
     grounded. The search is kept whatever the outcome, so a timeout keeps
     its place; the solution returned is counted in the history.
     """
-    start = time.monotonic()
     search = history.take_search(config.id, model)
     if search is None:
         try:
-            search = Search(ground(model, config, deadline=start + translate_limit))
+            search = Search(ground(model, config, deadline=time.monotonic() + translate_limit))
         except TranslateTimeout:
-            return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT, time.monotonic() - start)
+            return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT)
         except ModelError:
-            return GeneratorSolveResult(GenOutcome.ILL_DEFINED, time.monotonic() - start)
+            return GeneratorSolveResult(GenOutcome.ILL_DEFINED)
 
     deadline = time.monotonic() + solve_limit
     sequence = history.count(config.id)
@@ -142,9 +140,8 @@ def solve_generator(
     while result.status is GenOutcome.SOLUTION and search.found <= sequence:
         result = backtrack_solve(search, deadline)
     history.keep_search(config.id, model, search)
-    elapsed = time.monotonic() - start
     if result.status is not GenOutcome.SOLUTION:
-        return GeneratorSolveResult(result.status, elapsed)
+        return GeneratorSolveResult(result.status)
     history.add(config.id)
     instance = CandidateInstance({**config.assignment, **result.values}, config.id, sequence)
-    return GeneratorSolveResult(GenOutcome.SOLUTION, elapsed, instance)
+    return GeneratorSolveResult(GenOutcome.SOLUTION, instance)

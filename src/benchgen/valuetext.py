@@ -1,20 +1,21 @@
 """Canonical text format for instance data and solution payloads.
 
 One ``name = value`` line per entry, names sorted; values are integers,
-bracketed arrays, which may nest (``[[1, 2], []]``), braced integer sets
-(ascending), or arrays of sets. Only blanks and tabs may separate the
-tokens of a value. The format is deterministic: equal values produce
-byte-identical text.
+bracketed arrays, nested up to ``MAX_DEPTH`` levels (``[[1, 2], []]``),
+braced integer sets (ascending), or arrays of sets. Only blanks and tabs
+may separate the tokens of a value. The format is deterministic: equal
+values produce byte-identical text.
 
-This module also states the two rules the other text formats share:
-``NAME`` is what a parameter, a decision variable and a value-map entry
-may be called, and ``is_int`` is what counts as an integer value.
+This module also states the rules the other text formats share: ``NAME``
+is what a parameter, a decision variable and a value-map entry may be
+called, ``is_int`` what counts as an integer value, ``MAX_DEPTH`` how
+deep a text may nest, and ``descend`` how a nested reader runs.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator, Mapping
+from typing import Any, Generator, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -27,16 +28,33 @@ def is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# Deepest nesting of an expression's tree or text, or of a value's arrays;
+# compiling a tree takes a stack frame a level.
+MAX_DEPTH = 500
+
+
+def descend(read: Generator) -> Any:
+    """What ``read`` returns. A reader yields each nested reader and is sent its
+    value back, so nesting takes a list entry here, not a stack frame."""
+    stack, value = [read], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
 def format_value(value: Any) -> str:
     if is_int(value):
         return str(value)
-    if isinstance(value, bool):
-        raise ParseError("boolean values are not part of the instance format")
-    if isinstance(value, (set, frozenset)):
-        return "{" + ", ".join(str(int(v)) for v in sorted(value)) + "}"
+    if isinstance(value, (set, frozenset)) and all(map(is_int, value)):
+        return "{" + ", ".join(map(str, sorted(value))) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(format_value(v) for v in value) + "]"
-    raise ParseError(f"unsupported value type {type(value).__name__}")
+    raise ParseError(f"value {value!r:.40} is not an integer, an integer set or an array")
 
 
 def format_values(values: Mapping[str, Any]) -> str:
@@ -84,25 +102,26 @@ def _int(tok: str, text: str) -> int:
     try:
         return int(tok)
     except ValueError:  # not an integer token, or too many digits to convert
-        raise ParseError(f"expected an integer, got {tok!r} in {text!r}") from None
+        raise ParseError(f"expected an integer, got {tok[:40]!r} in {text[:40]!r}") from None
 
 
-def _read(tokens: Iterator[str], tok: str, text: str) -> Any:
-    """The value that starts with ``tok``; the rest of it comes from ``tokens``."""
-    close = _CLOSE.get(tok)
-    if close is None:
-        return _int(tok, text)
+def _read(tokens: Iterator[str], tok: str, text: str, level: int) -> Generator:
+    """The array or set that ``tok`` opens, ``level`` deep; the rest comes from ``tokens``."""
+    if level > MAX_DEPTH:
+        raise ParseError(f"value is nested {level} levels deep, more than {MAX_DEPTH}")
+    close = _CLOSE[tok]
     items: list[Any] = []
     tok = next(tokens, "")
     if tok != close:
         while True:
-            items.append(_read(tokens, tok, text) if close == "]" else _int(tok, text))
+            nested = tok in _CLOSE and close == "]"
+            items.append((yield _read(tokens, tok, text, level + 1)) if nested else _int(tok, text))
             tok = next(tokens, "")
             if tok != ",":
                 break
             tok = next(tokens, "")
         if tok != close:
-            raise ParseError(f"expected ',' or {close!r}, got {tok!r} in {text!r}")
+            raise ParseError(f"expected ',' or {close!r}, got {tok[:40]!r} in {text[:40]!r}")
     return items if close == "]" else set(items)
 
 
@@ -114,19 +133,17 @@ def parse_values(text: str) -> dict[str, Any]:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"expected 'name = value', got {raw!r}")
+            raise ParseError(f"expected 'name = value', got {raw[:40]!r}")
         name, _, rhs = line.partition("=")
         name = name.strip()
         if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"invalid name {name!r}")
+            raise ParseError(f"invalid name {name[:40]!r}")
         if name in values:
-            raise ParseError(f"duplicate name {name!r}")
+            raise ParseError(f"duplicate name {name[:40]!r}")
         rhs = rhs.strip()
         tokens = iter(_TOKEN.findall(rhs))
-        try:
-            values[name] = _read(tokens, next(tokens, ""), rhs)
-        except RecursionError:
-            raise ParseError(f"value of {name!r} is nested too deeply") from None
+        tok = next(tokens, "")
+        values[name] = descend(_read(tokens, tok, rhs, 1)) if tok in _CLOSE else _int(tok, rhs)
         if next(tokens, None) is not None:
-            raise ParseError(f"trailing input in value: {rhs!r}")
+            raise ParseError(f"trailing input in value: {rhs[:40]!r}")
     return values

@@ -3,18 +3,19 @@ exhaustive enumerations used as test oracles."""
 
 import io
 import json
+import re
 import shutil
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import pytest
 
 from benchgen import archivewriter
 from benchgen.archive import CampaignArchive
 from benchgen.csp import GroundedCsp, Search, backtrack_solve
-from benchgen.errors import EvalError, ValidationError
+from benchgen.errors import EvalError, ParseError, ValidationError
 from benchgen.evaluate import (
     EvaluationLimits,
     EvaluationResult,
@@ -45,7 +46,7 @@ from benchgen.gensolve import CandidateInstance, GenOutcome, SolutionHistory
 from benchgen.model import parse_model
 from benchgen.problems import KnapsackData
 from benchgen.space import GeneratorConfiguration, ParameterSpace, parse_space
-from benchgen.valuetext import format_value
+from benchgen.valuetext import NAME, format_value
 
 
 def exclusion_key(values: dict[str, Any]) -> str:
@@ -305,6 +306,90 @@ def reference_check(model, config, values: dict[str, Any]) -> bool:
         return all(bool(reference_evaluate(c, env)) for c in model.constraints)
     except EvalError:
         return False
+
+
+# The recursive-descent reading of the model language: the parser as it
+# was before it ran on an explicit stack, kept as the oracle for tree shape
+# and error text. It has no depth limit of its own other than Python's
+# recursion limit, so it is for expressions well below ``MAX_DEPTH``.
+_REFERENCE_TOKEN = re.compile(rf"\s*(\d+|{NAME}|[=!<>]=|\S)")
+_REFERENCE_FUNCTIONS = {"sum": Sum, "card": Card, "alldifferent": AllDifferent, "min": MinOf, "max": MaxOf}
+_REFERENCE_RELATIONS = {"=": "=", "==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "in": "in"}
+_REFERENCE_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _reference_expect(tokens: list[str], want: str) -> None:
+    found = tokens.pop()
+    if found != want:
+        raise ParseError(f"expected {want!r}, found {found!r}" if found else "unexpected end of expression")
+
+
+def _reference_operand(tokens: list[str]) -> Expr:
+    tok = tokens.pop()
+    if tok == "-":
+        return Neg(_reference_operand(tokens))
+    if tok.isdecimal():
+        try:
+            node = IntLit(int(tok))
+        except ValueError:
+            raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
+    elif tok in _REFERENCE_FUNCTIONS:
+        _reference_expect(tokens, "(")
+        node = _REFERENCE_FUNCTIONS[tok](_reference_arith(tokens))
+        _reference_expect(tokens, ")")
+    elif tok == "(":
+        node = _reference_condition(tokens)
+        _reference_expect(tokens, ")")
+    elif tok == "|":
+        node = Card(_reference_arith(tokens))
+        _reference_expect(tokens, "|")
+    elif re.fullmatch(NAME, tok) and tok not in ("and", "in"):
+        node = Name(tok)
+    else:
+        raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of expression")
+    while tokens[-1] == "[":
+        tokens.pop()
+        node = Index(node, _reference_arith(tokens))
+        _reference_expect(tokens, "]")
+    return node
+
+
+def _reference_arith(tokens: list[str], floor: int = 1) -> Expr:
+    node = _reference_operand(tokens)
+    while _REFERENCE_BINDING.get(tokens[-1], 0) >= floor:
+        op = tokens.pop()
+        node = BinOp(op, node, _reference_arith(tokens, _REFERENCE_BINDING[op] + 1))
+    return node
+
+
+def _reference_condition(tokens: list[str]) -> Expr:
+    node = None
+    while True:
+        relation = _reference_arith(tokens)
+        op = _REFERENCE_RELATIONS.get(tokens[-1])
+        if op is not None:
+            tokens.pop()
+            right = _reference_arith(tokens)
+            relation = InSet(relation, right) if op == "in" else Compare(op, relation, right)
+        node = relation if node is None else And(node, relation)
+        if tokens[-1] != "and":
+            return node
+        tokens.pop()
+
+
+def reference_parse(text: str) -> Expr:
+    """The tree of ``text`` by recursive descent; raises ParseError."""
+    tokens = ["", *reversed(_REFERENCE_TOKEN.findall(text))]  # "" marks the end
+    expr = _reference_condition(tokens)
+    if tokens[-1]:
+        raise ParseError(f"trailing input after expression: {tokens[-1]!r}")
+    return expr
+
+
+def from_deep_stack(call: Callable[[], Any], frames: int = 400) -> Any:
+    """What ``call()`` returns when called ``frames`` frames deeper than here,
+    as a caller that has used much of the stack would call it."""
+    return call() if frames == 0 else from_deep_stack(call, frames - 1)
 
 
 # Constraint templates over x (int), a[n] (int array) and s (set); {c} is a constant.

@@ -1,5 +1,7 @@
 """Generator-model parsing, evaluation semantics, and the assignment checker."""
 
+from random import Random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,8 +34,10 @@ from conftest import (
     CONSTRAINT_TEMPLATES,
     ERROR_TEMPLATES,
     decision_values,
+    from_deep_stack,
     make_configuration,
     reference_evaluate,
+    reference_parse,
 )
 
 SUCCESSORS_SPACE = parse_space("n_tasks_t: 1..60; s_density: 1..5")
@@ -418,6 +422,73 @@ def test_a_tree_deeper_than_the_bound_is_refused_with_its_depth():
         parse_expression(deep_constraint(MAX_DEPTH + 1))
     with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep"):
         parse_expression("-" * MAX_DEPTH + "x")
+
+
+# Each form that nests the text, as a builder of an expression ``depth``
+# levels deep: by its tree, or by its brackets and minus signs.
+NESTED_FORMS = {
+    "sum": lambda depth: "0 + (" * (depth - 1) + "x" + ")" * (depth - 1),
+    "difference": lambda depth: "0 - (" * (depth - 1) + "x" + ")" * (depth - 1),
+    "product": lambda depth: "1 * (" * (depth - 1) + "x" + ")" * (depth - 1),
+    "quotient": lambda depth: "1 / (" * (depth - 1) + "x" + ")" * (depth - 1),
+    "conjunction": lambda depth: "x = n and (" * (depth - 2) + "x = n" + ")" * (depth - 2),
+    "parentheses": lambda depth: "(" * (depth - 1) + "x" + ")" * (depth - 1),
+    "index": lambda depth: "a[" * (depth - 1) + "x" + "]" * (depth - 1),
+    "call": lambda depth: "sum(" * (depth - 1) + "x" + ")" * (depth - 1),
+    "cardinality": lambda depth: "|" * (depth - 1) + "x" + "|" * (depth - 1),
+    "negation": lambda depth: "-" * (depth - 1) + "x",
+}
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_each_nested_form_is_bounded_by_max_depth_alone_on_a_deep_stack(form):
+    build = NESTED_FORMS[form]
+    assert "x" in names_in(from_deep_stack(lambda: parse_expression(build(MAX_DEPTH))))
+    with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep, more than {MAX_DEPTH}$"):
+        from_deep_stack(lambda: parse_expression(build(MAX_DEPTH + 1)))
+
+
+# Pieces of the grammar, each an operand; X is the deeper operand and Y a
+# shallow one. A relation or conjunction is an operand inside parentheses.
+GRAMMAR_FORMS = [
+    form.split()
+    for form in [
+        *(f"{left} {op} {right}" for op in "+-*/" for left, right in ["XY", "YX"]),
+        *(f"( X {op} Y )" for op in ["=", "==", "!=", "<", "<=", ">", ">=", "in", "and"]),
+        "( Y and X )", "( Y < X )", "( X )", "- X", "| X |", "X [ Y ]", "Y [ X ]",
+        *(f"{f} ( X )" for f in ["sum", "card", "min", "max", "alldifferent"]),
+    ]
+]
+GRAMMAR_TOKENS = sorted({tok for form in GRAMMAR_FORMS for tok in form} - {"X", "Y"}) + [
+    "a", "s", "0", "7", ",", "{", "}", "]", "..", "1" * 5000
+]
+
+
+def grammar_tokens(rng: Random, depth: int) -> list[str]:
+    """The tokens of a random expression of ``depth`` nested grammar forms."""
+    if depth <= 1:
+        return [rng.choice(["a", "b", "s", "0", "7"])]
+    deep, shallow = grammar_tokens(rng, depth - 1), grammar_tokens(rng, rng.randint(1, min(depth - 1, 3)))
+    return [t for tok in rng.choice(GRAMMAR_FORMS) for t in {"X": deep, "Y": shallow}.get(tok, [tok])]
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return f"ParseError: {err}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 100), st.integers(0, 2))
+def test_the_parser_reads_grammar_and_mutated_text_as_recursive_descent_does(seed, depth, mutations):
+    rng = Random(seed)
+    tokens = grammar_tokens(rng, depth)
+    for _ in range(mutations):
+        i = rng.randrange(len(tokens) + 1)
+        tokens[i:i + rng.randint(0, 1)] = rng.choice([[], [rng.choice(GRAMMAR_TOKENS)]])
+    text = " ".join(tokens)
+    assert outcome(parse_expression, text) == outcome(reference_parse, text)
 
 
 # Each form the compiler takes apart, as a constraint on x that holds at

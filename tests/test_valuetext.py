@@ -1,6 +1,7 @@
 """Canonical value-text format: determinism and round-trips."""
 
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from benchgen.errors import ParseError, ValidationError
 from benchgen.model import parse_model
 from benchgen.space import parse_space
-from benchgen.valuetext import format_values, parse_values, values_from_jsonable, values_to_jsonable
+from benchgen.valuetext import MAX_DEPTH, format_values, parse_values, values_from_jsonable, values_to_jsonable
+
+from conftest import from_deep_stack
 
 
 def test_format_sorts_names_and_sets():
@@ -69,6 +72,44 @@ def test_parse_accepts_nested_arrays_tabs_and_minus_zero():
 def test_a_value_python_cannot_hold_is_a_parse_error(value):
     with pytest.raises(ParseError):
         parse_values(f"x = {value}")
+
+
+@pytest.mark.parametrize(
+    "value, token",
+    [("1" * 5000, "1" * 40), ("[" + ", ".join(["1"] * 2000) + " x]", "x")],
+    ids=["5000-digits", "after-2000-elements"],
+)
+def test_a_parse_error_quotes_at_most_40_characters_of_the_value(value, token):
+    with pytest.raises(ParseError) as refused:
+        parse_values(f"x = {value}")
+    assert len(str(refused.value)) < 200 and repr(token) in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "value", [[True, 2], [2.5], [Fraction(7, 2)], {True, 2}, {2.5}, {Fraction(7, 2)}, {(1, 2)}], ids=repr
+)
+def test_format_refuses_a_member_that_is_not_an_integer_in_an_array_or_a_set(value):
+    with pytest.raises(ParseError, match="is not an integer, an integer set or an array$"):
+        format_values({"s": value})
+
+
+# Each way a value nests, as a builder of a value ``depth`` levels deep and
+# of what it reads as.
+NESTED_VALUES = {
+    "arrays": (lambda depth: "[" * depth + "]" * depth, []),
+    "set-in-arrays": (lambda depth: "[" * (depth - 1) + "{1}" + "]" * (depth - 1), {1}),
+}
+
+
+@pytest.mark.parametrize("form", NESTED_VALUES)
+def test_value_text_is_bounded_by_max_depth_alone_on_a_deep_stack(form):
+    build, innermost = NESTED_VALUES[form]
+    value = from_deep_stack(lambda: parse_values(f"x = {build(MAX_DEPTH)}"))["x"]
+    for _ in range(MAX_DEPTH - 1):
+        (value,) = value
+    assert value == innermost
+    with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep, more than {MAX_DEPTH}$"):
+        from_deep_stack(lambda: parse_values(f"x = {build(MAX_DEPTH + 1)}"))
 
 
 _ints = st.integers(-(10**6), 10**6)
