@@ -26,7 +26,7 @@ import threading
 import time
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 from .errors import ParseError, ValidationError
 from .runner import SolverRecord, Status
@@ -72,45 +72,34 @@ def validate_command_template(template: str) -> None:
 
 def _parse_blocks(
     lines: list[tuple[float, str]]
-) -> tuple[list[tuple[float, int | None, dict[str, Any] | None, str | None]], bool, bool]:
-    """Split timed output lines into solution blocks and end markers."""
-    blocks: list[tuple[float, int | None, dict[str, Any] | None, str | None]] = []
-    complete = False
-    unsat = False
+) -> tuple[list[tuple[float, int]], tuple[int | None, str] | None, bool, bool]:
+    """Split timed output lines into the ``(stamp, objective)`` trace of the
+    solution blocks, the last block's objective and payload text (None if
+    no block ended), and whether the completion and the infeasibility
+    markers were printed."""
+    trace: list[tuple[float, int]] = []
+    last: tuple[int | None, str] | None = None
+    marks: set[str] = set()
     current: list[str] = []
     objective: int | None = None
     for stamp, raw in lines:
         line = raw.rstrip("\n")
         stripped = line.strip()
-        if stripped == UNSAT_MARK:
-            unsat = True
-            continue
-        if stripped == COMPLETE_MARK:
-            complete = True
-            continue
-        if stripped == SOLUTION_SEP:
-            payload: dict[str, Any] | None
-            note: str | None = None
+        name, eq, rhs = stripped.partition("=")
+        if stripped in (COMPLETE_MARK, UNSAT_MARK):
+            marks.add(stripped)
+        elif stripped == SOLUTION_SEP:
+            if objective is not None:
+                trace.append((stamp, objective))
+            last, current, objective = (objective, "\n".join(current)), [], None
+        elif eq and name.strip() == "objective":
             try:
-                payload = parse_values("\n".join(current)) if current else {}
-            except ParseError as err:
-                payload = None
-                note = f"unparseable solution block: {err}"
-            blocks.append((stamp, objective, payload, note))
-            current = []
-            objective = None
-            continue
-        if stripped.startswith("objective") and "=" in stripped:
-            name, _, rhs = stripped.partition("=")
-            if name.strip() == "objective":
-                try:
-                    objective = int(rhs.strip())
-                    continue
-                except ValueError:
-                    pass
-        if stripped and not stripped.startswith("%"):
+                objective = int(rhs)
+            except ValueError:  # not an objective: a payload line
+                current.append(line)
+        elif stripped and not stripped.startswith("%"):
             current.append(line)
-    return blocks, complete, unsat
+    return trace, last, COMPLETE_MARK in marks, UNSAT_MARK in marks
 
 
 def run_external_command(
@@ -196,14 +185,18 @@ def run_external_command(
         except OSError:
             pass
 
-    blocks, complete, unsat = _parse_blocks(timed_lines)
-    trace = [(stamp, obj) for stamp, obj, _, _ in blocks if obj is not None]
-    # The last block is the run's answer; its payload is None if unparseable.
-    _, objective, solution, note = blocks[-1] if blocks else (None, None, None, None)
+    trace, last, complete, unsat = _parse_blocks(timed_lines)
+    # The last block is the run's answer; its solution is None if unparseable.
+    objective, payload = last or (None, None)
+    solution, note = None, ""
+    try:
+        solution = None if payload is None else parse_values(payload)
+    except ParseError as err:
+        note = f"unparseable solution block: {err}"
 
     if killed:
         return SolverRecord(
-            Status.TIMEOUT, elapsed, objective, solution=solution, trace=trace, note=note or ""
+            Status.TIMEOUT, elapsed, objective, solution=solution, trace=trace, note=note
         )
     if proc.returncode != 0:
         return SolverRecord(Status.ERROR, elapsed, trace=trace, note=f"exit code {proc.returncode}")

@@ -9,14 +9,15 @@ Four kinds are registered:
   buggy          returns infeasible or misreported answers; exercises the
                  solution checker
 
-``exact``, ``hillclimb`` and ``buggy`` are knapsack searches in one frame,
-``_knapsack_solver``: it parses the instance and its decision ``target``,
-runs the search under a wall-clock deadline, reports a ``MemoryError``
-(the searches raise one when their step count passes the memory cap) as
-an error, and builds the ``runner.SolverRecord`` of the run from the best
-take, value, trace and proof the search returns. Records are not yet
-verified (``runner.verify_record`` sets ``solution_ok``) and do not name
-their solver; their holders key them by that name.
+``exact``, ``hillclimb`` and ``buggy`` are knapsack searches
+``search(data, run, seed)`` in one frame, ``_knapsack_solver``, which
+parses the instance and its decision target. A search states only its
+moves, calling ``run.visit(take, value)`` at each node or move: its
+``_Run`` keeps the deadline, the memory cap, the target and the incumbent
+with its trace, and ends the search by raising. The frame alone turns how
+a search ended into the ``runner.SolverRecord`` of the run. Records are
+not yet verified (``runner.verify_record`` sets ``solution_ok``) and do
+not name their solver; their holders key them by that name.
 """
 
 from __future__ import annotations
@@ -39,22 +40,54 @@ HILLCLIMB_MAX_ITERATIONS = 200_000
 # Distinct synthetic latency expressions kept parsed.
 LATENCY_CACHE_SIZE = 64
 
-# What a knapsack search returns: best take (None if it took no step), its
-# value, the (time, value) trace of improvements, and whether it proved them.
-Found = tuple[list[int] | None, int, list[tuple[float, int]], bool]
+
+class _Stop(Exception):
+    """Ends a search: its deadline has passed or its incumbent met the target."""
+
+
+class _Run:
+    """The run of one search: its deadline, memory cap and target, and the
+    incumbent ``take`` of ``value`` with its ``(time, value)`` trace. The
+    cap counts visits plus trace entries, one ``_WORD`` each. The clock is
+    read on the first visit and every 64th after, so a search may overrun
+    its deadline by fewer than 64 visits; ``cut`` is then set."""
+
+    def __init__(self, start: float, deadline: float, mem_limit: int | None, target: int | None):
+        self.start, self.deadline, self.mem_limit, self.target = start, deadline, mem_limit, target
+        self.take: list[int] | None = None
+        self.value = -1
+        self.trace: list[tuple[float, int]] = []
+        self.visits = 0
+        self.cut = False
+
+    def visit(self, take: list[int], value: int) -> None:
+        """Count a node or move at ``take`` of ``value``, the incumbent if it
+        improves; raise MemoryError past the cap, ``_Stop`` past the deadline
+        or once the incumbent meets the target."""
+        self.visits += 1
+        if self.mem_limit is not None and (self.visits + len(self.trace)) * _WORD > self.mem_limit:
+            raise MemoryError
+        if self.visits % 64 == 1 and time.monotonic() >= self.deadline:
+            self.cut = True
+            raise _Stop
+        if value > self.value:
+            self.take, self.value = list(take), value
+            self.trace.append((time.monotonic() - self.start, value))
+            if self.target is not None and value >= self.target:
+                raise _Stop
 
 
 def _knapsack_solver(*, complete: bool, reads_target: bool = True) -> Callable[..., Any]:
-    """Make ``search(data, target, start, deadline, seed, mem_limit) -> Found``
-    the solver ``solve(problem, instance, time_limit, seed=0, mem_limit=None)``.
+    """Make ``search(data, run, seed)`` the solver
+    ``solve(problem, instance, time_limit, seed=0, mem_limit=None)``.
 
-    ``target`` is None on an optimisation instance, and on every instance
-    when the solver does not ``reads_target``. A decision run that misses
-    its target is UNSAT when a ``complete`` search proved it, else a
-    timeout, which keeps the trace only when the search is not complete.
+    The target is None on an optimisation instance, and on every instance
+    when the solver does not ``reads_target``. A ``complete`` search that
+    returns has proved its answer; cut by its deadline, it is a timeout
+    that keeps its incumbent, as a killed external run keeps its last one.
     """
 
-    def frame(search: Callable[..., Found]) -> Callable[..., SolverRecord]:
+    def frame(search: Callable[[KnapsackData, _Run, int], None]) -> Callable[..., SolverRecord]:
         def solve(
             problem: Problem,
             instance: Mapping[str, Any],
@@ -73,23 +106,26 @@ def _knapsack_solver(*, complete: bool, reads_target: bool = True) -> Callable[.
             target = instance.get("target") if decides else None
             if decides and not is_int(target):
                 return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
+            run = _Run(start, start + time_limit, mem_limit, target)
             try:
-                take, value, trace, proved = search(data, target, start, start + time_limit, seed, mem_limit)
+                search(data, run, seed)
+            except _Stop:
+                pass
             except MemoryError:
                 return SolverRecord(Status.ERROR, time.monotonic() - start, note="memory cap exceeded")
             elapsed = time.monotonic() - start
-            if take is None:  # the deadline passed before the first step
+            if run.take is None:  # the deadline passed before the first visit
                 return SolverRecord(Status.TIMEOUT, elapsed)
+            found = {"take": run.take}
+            if target is None and complete and run.cut:
+                return SolverRecord(Status.TIMEOUT, elapsed, run.value, solution=found, trace=run.trace)
             if target is None:
-                return SolverRecord(
-                    Status.SAT, elapsed, objective=value, optimal_claimed=proved,
-                    solution={"take": take}, trace=trace,
-                )
-            if value >= target:
-                return SolverRecord(Status.SAT, elapsed, solution={"take": take}, trace=trace)
+                return SolverRecord(Status.SAT, elapsed, run.value, complete, found, trace=run.trace)
+            if run.value >= target:
+                return SolverRecord(Status.SAT, elapsed, solution=found, trace=run.trace)
             if complete:
-                return SolverRecord(Status.UNSAT if proved else Status.TIMEOUT, elapsed)
-            return SolverRecord(Status.TIMEOUT, elapsed, trace=trace)
+                return SolverRecord(Status.TIMEOUT if run.cut else Status.UNSAT, elapsed)
+            return SolverRecord(Status.TIMEOUT, elapsed, trace=run.trace)
 
         solve.__name__ = solve.__qualname__ = search.__name__
         solve.__doc__ = search.__doc__
@@ -99,9 +135,7 @@ def _knapsack_solver(*, complete: bool, reads_target: bool = True) -> Callable[.
 
 
 @_knapsack_solver(complete=True)
-def solve_exact(
-    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
-) -> Found:
+def solve_exact(data: KnapsackData, run: _Run, seed: int) -> None:
     """Branch and bound over item counts, best-density order, fractional bound."""
     n = data.n_items
     order = sorted(
@@ -109,11 +143,6 @@ def solve_exact(
         key=lambda i: (Fraction(data.value[i], data.weight[i]) if data.weight[i] else Fraction(10**9)),
         reverse=True,
     )
-    best_value = -1
-    best_take: list[int] | None = None
-    trace: list[tuple[float, int]] = []
-    timed_out = False
-    mem_units = 0
 
     def bound(level: int, cap_left: int, value_so_far: int) -> Fraction:
         total = Fraction(value_so_far)
@@ -133,27 +162,13 @@ def solve_exact(
 
     take = [0] * n
 
-    def search(level: int, cap_left: int, value_so_far: int) -> bool:
-        """Returns True to stop the whole search (deadline, cap, or target met)."""
-        nonlocal best_value, best_take, timed_out, mem_units
-        mem_units += 1
-        if mem_limit is not None and mem_units * _WORD > mem_limit:
-            raise MemoryError
-        if time.monotonic() >= deadline:
-            timed_out = True
-            return True
-        if value_so_far > best_value:
-            best_value = value_so_far
-            best_take = list(take)
-            trace.append((time.monotonic() - start, best_value))
-            if target is not None and best_value >= target:
-                return True
+    def search(level: int, cap_left: int, value_so_far: int) -> None:
+        run.visit(take, value_so_far)
         if level == n:
-            return False
-        if target is None and bound(level, cap_left, value_so_far) <= best_value:
-            return False
-        if target is not None and bound(level, cap_left, value_so_far) < target:
-            return False
+            return
+        most = bound(level, cap_left, value_so_far)
+        if (most <= run.value) if run.target is None else (most < run.target):
+            return
         i = order[level]
         if data.weight[i] == 0:
             max_fit = data.copies[i]
@@ -161,26 +176,16 @@ def solve_exact(
             max_fit = min(data.copies[i], cap_left // data.weight[i])
         for count in range(max_fit, -1, -1):
             take[i] = count
-            if search(level + 1, cap_left - count * data.weight[i], value_so_far + count * data.value[i]):
-                take[i] = 0
-                return True
-            take[i] = 0
-        return False
+            search(level + 1, cap_left - count * data.weight[i], value_so_far + count * data.value[i])
 
     search(0, data.capacity, 0)
-    return best_take, best_value, trace, not timed_out
 
 
 @_knapsack_solver(complete=False)
-def solve_hillclimb(
-    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
-) -> Found:
+def solve_hillclimb(data: KnapsackData, run: _Run, seed: int) -> None:
     """Random restarts plus single-item moves, accepting strict improvements."""
     rng = Random(seed)
     n = data.n_items
-    best_value = -1
-    best_take: list[int] | None = None
-    trace: list[tuple[float, int]] = []
 
     def greedy_random_fill() -> tuple[list[int], int, int]:
         take = [0] * n
@@ -198,21 +203,10 @@ def solve_hillclimb(
         return take, weight, value
 
     take, weight, value = greedy_random_fill()
-    iterations = 0
-    while iterations < HILLCLIMB_MAX_ITERATIONS:
-        iterations += 1
-        if iterations % 64 == 0 and time.monotonic() >= deadline:
-            break
-        if mem_limit is not None and (iterations + len(trace)) * _WORD > mem_limit:
-            raise MemoryError
-        if value > best_value:
-            best_value = value
-            best_take = list(take)
-            trace.append((time.monotonic() - start, best_value))
-            if target is not None and best_value >= target:
-                break
+    for _ in range(HILLCLIMB_MAX_ITERATIONS):
+        run.visit(take, value)
         if n == 0:
-            break
+            return
         i = rng.randrange(n)
         delta = rng.choice((-1, 1))
         new_count = take[i] + delta
@@ -224,8 +218,6 @@ def solve_hillclimb(
             continue
         take[i] = new_count
         weight, value = new_weight, new_value
-
-    return best_take, best_value, trace, False
 
 
 @lru_cache(maxsize=LATENCY_CACHE_SIZE)
@@ -277,16 +269,12 @@ def solve_synthetic(
 
 
 @_knapsack_solver(complete=True, reads_target=False)
-def solve_buggy(
-    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
-) -> Found:
+def solve_buggy(data: KnapsackData, run: _Run, seed: int) -> None:
     """Always returns a wrong answer: infeasible payload or misreported objective."""
-    take = list(data.copies)
-    total_weight = sum(t * w for t, w in zip(take, data.weight))
-    objective = sum(t * v for t, v in zip(take, data.value))
-    if total_weight <= data.capacity:
-        objective += 1  # feasible by luck: misreport the objective instead
-    return take, objective, [], True
+    run.take = list(data.copies)
+    run.value = sum(t * v for t, v in zip(run.take, data.value))
+    if sum(t * w for t, w in zip(run.take, data.weight)) <= data.capacity:
+        run.value += 1  # feasible by luck: misreport the objective instead
 
 
 # Builtin solvers by id, called as (problem, instance, time_limit, seed, mem_limit).

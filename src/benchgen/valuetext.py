@@ -9,7 +9,7 @@ values produce byte-identical text.
 This module also states the rules the other text formats share: ``NAME``
 is what a parameter, a decision variable and a value-map entry may be
 called, ``is_int`` what counts as an integer value, ``MAX_DEPTH`` how
-deep a text may nest, and ``descend`` how a nested reader runs.
+deep a text may nest, and ``descend`` how a nested reader or writer runs.
 """
 
 from __future__ import annotations
@@ -47,14 +47,20 @@ def descend(read: Generator) -> Any:
     return value
 
 
-def format_value(value: Any) -> str:
-    if is_int(value):
-        return str(value)
+def _write(value: Any) -> Generator:
+    """The text of ``value``, not an integer; yields each nested writer (see ``descend``)."""
     if isinstance(value, (set, frozenset)) and all(map(is_int, value)):
         return "{" + ", ".join(map(str, sorted(value))) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(format_value(v) for v in value) + "]"
+        items = []
+        for v in value:
+            items.append(str(v) if is_int(v) else (yield _write(v)))
+        return "[" + ", ".join(items) + "]"
     raise ParseError(f"value {value!r:.40} is not an integer, an integer set or an array")
+
+
+def format_value(value: Any) -> str:
+    return str(value) if is_int(value) else descend(_write(value))
 
 
 def format_values(values: Mapping[str, Any]) -> str:

@@ -1,5 +1,6 @@
-"""Shared helpers: fabricated archives, naive scoring references and
-exhaustive enumerations used as test oracles."""
+"""Shared helpers: fabricated archives, naive scoring references, the
+earlier parser and knapsack searches, and exhaustive enumerations used as
+test oracles."""
 
 import io
 import json
@@ -8,14 +9,15 @@ import shutil
 import time
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 from typing import Any, Callable, Iterator, Mapping
 
 import pytest
 
-from benchgen import archivewriter
+from benchgen import archivewriter, solvers
 from benchgen.archive import CampaignArchive
 from benchgen.csp import GroundedCsp, Search, backtrack_solve
-from benchgen.errors import EvalError, ParseError, ValidationError
+from benchgen.errors import CheckError, EvalError, ParseError, ValidationError
 from benchgen.evaluate import (
     EvaluationLimits,
     EvaluationResult,
@@ -44,9 +46,10 @@ from benchgen.expressions import (
 )
 from benchgen.gensolve import CandidateInstance, GenOutcome, SolutionHistory
 from benchgen.model import parse_model
-from benchgen.problems import KnapsackData
+from benchgen.problems import PROBLEMS, KnapsackData, Problem, parse_knapsack
+from benchgen.runner import SolverRecord, Status
 from benchgen.space import GeneratorConfiguration, ParameterSpace, parse_space
-from benchgen.valuetext import NAME, format_value
+from benchgen.valuetext import NAME, format_value, is_int
 
 
 def exclusion_key(values: dict[str, Any]) -> str:
@@ -384,6 +387,214 @@ def reference_parse(text: str) -> Expr:
     if tokens[-1]:
         raise ParseError(f"trailing input after expression: {tokens[-1]!r}")
     return expr
+
+
+# The knapsack searches as they were before their runs kept the clock, the
+# memory cap, the target and the incumbent: each search keeps its own, and
+# the frame maps what it returns to a record. Kept as the oracle for the
+# records of runs that neither a deadline nor the memory cap stops; the
+# iteration cap of the hill climber is read from ``benchgen.solvers``.
+_Found = tuple[list[int] | None, int, list[tuple[float, int]], bool]
+
+
+def _reference_knapsack_solver(*, complete: bool, reads_target: bool = True) -> Callable[..., Any]:
+    """Make ``search(data, target, start, deadline, seed, mem_limit) -> _Found``
+    the solver ``solve(problem, instance, time_limit, seed=0, mem_limit=None)``.
+
+    ``target`` is None on an optimisation instance, and on every instance
+    when the solver does not ``reads_target``. A decision run that misses
+    its target is UNSAT when a ``complete`` search proved it, else a
+    timeout, which keeps the trace only when the search is not complete.
+    """
+
+    def frame(search: Callable[..., _Found]) -> Callable[..., SolverRecord]:
+        def solve(
+            problem: Problem,
+            instance: Mapping[str, Any],
+            time_limit: float,
+            seed: int = 0,
+            mem_limit: int | None = None,
+        ) -> SolverRecord:
+            start = time.monotonic()
+            if problem.name not in PROBLEMS:
+                return SolverRecord(Status.ERROR, 0.0, note=f"unsupported problem {problem.name}")
+            try:
+                data = parse_knapsack(instance)
+            except CheckError as err:
+                return SolverRecord(Status.ERROR, 0.0, note=str(err))
+            decides = reads_target and problem.kind == "decision"
+            target = instance.get("target") if decides else None
+            if decides and not is_int(target):
+                return SolverRecord(Status.ERROR, time.monotonic() - start, note="missing target")
+            try:
+                take, value, trace, proved = search(data, target, start, start + time_limit, seed, mem_limit)
+            except MemoryError:
+                return SolverRecord(Status.ERROR, time.monotonic() - start, note="memory cap exceeded")
+            elapsed = time.monotonic() - start
+            if take is None:  # the deadline passed before the first step
+                return SolverRecord(Status.TIMEOUT, elapsed)
+            if target is None:
+                return SolverRecord(
+                    Status.SAT, elapsed, objective=value, optimal_claimed=proved,
+                    solution={"take": take}, trace=trace,
+                )
+            if value >= target:
+                return SolverRecord(Status.SAT, elapsed, solution={"take": take}, trace=trace)
+            if complete:
+                return SolverRecord(Status.UNSAT if proved else Status.TIMEOUT, elapsed)
+            return SolverRecord(Status.TIMEOUT, elapsed, trace=trace)
+
+        solve.__name__ = solve.__qualname__ = search.__name__
+        solve.__doc__ = search.__doc__
+        return solve
+
+    return frame
+
+
+@_reference_knapsack_solver(complete=True)
+def reference_exact(
+    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
+) -> _Found:
+    """Branch and bound over item counts, best-density order, fractional bound."""
+    n = data.n_items
+    order = sorted(
+        range(n),
+        key=lambda i: (Fraction(data.value[i], data.weight[i]) if data.weight[i] else Fraction(10**9)),
+        reverse=True,
+    )
+    best_value = -1
+    best_take: list[int] | None = None
+    trace: list[tuple[float, int]] = []
+    timed_out = False
+    mem_units = 0
+
+    def bound(level: int, cap_left: int, value_so_far: int) -> Fraction:
+        total = Fraction(value_so_far)
+        cap = cap_left
+        for k in range(level, n):
+            i = order[k]
+            if data.weight[i] == 0:
+                total += data.value[i] * data.copies[i]
+                continue
+            fit = min(data.copies[i], cap // data.weight[i])
+            total += fit * data.value[i]
+            cap -= fit * data.weight[i]
+            if fit < data.copies[i] and cap > 0:
+                total += Fraction(data.value[i] * cap, data.weight[i])
+                break
+        return total
+
+    take = [0] * n
+
+    def search(level: int, cap_left: int, value_so_far: int) -> bool:
+        """Returns True to stop the whole search (deadline, cap, or target met)."""
+        nonlocal best_value, best_take, timed_out, mem_units
+        mem_units += 1
+        if mem_limit is not None and mem_units * solvers._WORD > mem_limit:
+            raise MemoryError
+        if time.monotonic() >= deadline:
+            timed_out = True
+            return True
+        if value_so_far > best_value:
+            best_value = value_so_far
+            best_take = list(take)
+            trace.append((time.monotonic() - start, best_value))
+            if target is not None and best_value >= target:
+                return True
+        if level == n:
+            return False
+        if target is None and bound(level, cap_left, value_so_far) <= best_value:
+            return False
+        if target is not None and bound(level, cap_left, value_so_far) < target:
+            return False
+        i = order[level]
+        if data.weight[i] == 0:
+            max_fit = data.copies[i]
+        else:
+            max_fit = min(data.copies[i], cap_left // data.weight[i])
+        for count in range(max_fit, -1, -1):
+            take[i] = count
+            if search(level + 1, cap_left - count * data.weight[i], value_so_far + count * data.value[i]):
+                take[i] = 0
+                return True
+            take[i] = 0
+        return False
+
+    search(0, data.capacity, 0)
+    return best_take, best_value, trace, not timed_out
+
+
+@_reference_knapsack_solver(complete=False)
+def reference_hillclimb(
+    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
+) -> _Found:
+    """Random restarts plus single-item moves, accepting strict improvements."""
+    rng = Random(seed)
+    n = data.n_items
+    best_value = -1
+    best_take: list[int] | None = None
+    trace: list[tuple[float, int]] = []
+
+    def greedy_random_fill() -> tuple[list[int], int, int]:
+        take = [0] * n
+        weight = 0
+        value = 0
+        for i in rng.sample(range(n), n):
+            if data.weight[i] == 0:
+                fit = data.copies[i]
+            else:
+                fit = min(data.copies[i], (data.capacity - weight) // data.weight[i])
+            count = rng.randint(0, fit) if fit > 0 else 0
+            take[i] = count
+            weight += count * data.weight[i]
+            value += count * data.value[i]
+        return take, weight, value
+
+    take, weight, value = greedy_random_fill()
+    iterations = 0
+    while iterations < solvers.HILLCLIMB_MAX_ITERATIONS:
+        iterations += 1
+        if iterations % 64 == 0 and time.monotonic() >= deadline:
+            break
+        if mem_limit is not None and (iterations + len(trace)) * solvers._WORD > mem_limit:
+            raise MemoryError
+        if value > best_value:
+            best_value = value
+            best_take = list(take)
+            trace.append((time.monotonic() - start, best_value))
+            if target is not None and best_value >= target:
+                break
+        if n == 0:
+            break
+        i = rng.randrange(n)
+        delta = rng.choice((-1, 1))
+        new_count = take[i] + delta
+        new_weight = weight + delta * data.weight[i]
+        new_value = value + delta * data.value[i]
+        if not 0 <= new_count <= data.copies[i] or new_weight > data.capacity or new_value < value:
+            if rng.random() < 0.05:
+                take, weight, value = greedy_random_fill()
+            continue
+        take[i] = new_count
+        weight, value = new_weight, new_value
+
+    return best_take, best_value, trace, False
+
+
+@_reference_knapsack_solver(complete=True, reads_target=False)
+def reference_buggy(
+    data: KnapsackData, target: int | None, start: float, deadline: float, seed: int, mem_limit: int | None
+) -> _Found:
+    """Always returns a wrong answer: infeasible payload or misreported objective."""
+    take = list(data.copies)
+    total_weight = sum(t * w for t, w in zip(take, data.weight))
+    objective = sum(t * v for t, v in zip(take, data.value))
+    if total_weight <= data.capacity:
+        objective += 1  # feasible by luck: misreport the objective instead
+    return take, objective, [], True
+
+
+REFERENCE_SOLVERS = {"exact": reference_exact, "hillclimb": reference_hillclimb, "buggy": reference_buggy}
 
 
 def from_deep_stack(call: Callable[[], Any], frames: int = 400) -> Any:

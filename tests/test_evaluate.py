@@ -21,7 +21,7 @@ from benchgen.evaluate import (
     effective_graded_record,
     evaluate_configuration,
 )
-from benchgen.gensolve import GenOutcome, SolutionHistory
+from benchgen.gensolve import CandidateInstance, GenOutcome, SolutionHistory
 from benchgen.model import parse_model
 from benchgen.problems import get_problem
 from benchgen.records import replace
@@ -195,6 +195,33 @@ def test_a_set_time_to_best_is_the_records_time(trace, optimum, proved, infeasib
     if eff.time_to_best is not None:
         assert eff.time == eff.time_to_best
         assert (eff.time, optimum) in trace
+
+
+# Twenty items of almost equal density, with room for many copies: ``exact``
+# proves nothing within seconds, so its run under a t_max of 0.05 s is cut.
+_WEIGHTS = [Random(1).randint(1000, 2000) for _ in range(20)]
+UNPROVABLE = {
+    "weight": _WEIGHTS, "value": [w + 100 for w in _WEIGHTS], "copies": [20] * 20, "capacity": 7 * sum(_WEIGHTS) + 1,
+}
+
+
+@pytest.mark.parametrize(
+    "policy, verdict",
+    [
+        (GradedPolicy(problem=KNAPSACK, solver=SolverAdapter(name="exact", builtin="exact"), t_min=0.001, t_max=0.05),
+         RunStatus.TOO_DIFFICULT),
+        (DiscriminatingPolicy(problem=KNAPSACK, favoured=SolverAdapter(name="exact", builtin="exact"),
+                              base=SolverAdapter(name="base", builtin="synthetic:1 / 100"), t_min=0.001, t_max=0.05),
+         RunStatus.FAVOURED_TIMEOUT),
+    ],
+    ids=["graded", "discriminating"],
+)
+def test_a_complete_search_cut_by_its_deadline_is_a_timeout_that_keeps_its_answer(policy, verdict):
+    result = policy.evaluate(CandidateInstance(values=UNPROVABLE, config_id="cut", sequence=0), FAST_LIMITS, 0)
+    cut = result.records["exact"]
+    assert cut.status is Status.TIMEOUT and cut.time >= 0.05 and not cut.optimal_claimed
+    assert cut.solution_ok is True and cut.objective > 0 and cut.trace[-1][1] == cut.objective
+    assert result.status is verdict
 
 
 SPACE = parse_space("cap_t: 1..50")

@@ -21,6 +21,7 @@ from benchgen.evaluate import (
     effective_graded_record,
     oracle_optimum,
 )
+from benchgen import external
 from benchgen.external import run_external_command
 from benchgen.gensolve import GenOutcome
 from benchgen.problems import get_problem
@@ -34,6 +35,7 @@ from benchgen.runner import (
     verify_record,
 )
 from benchgen.scoring import comparable_from_record
+from benchgen.valuetext import parse_values
 
 from conftest import evaluate_generator
 
@@ -175,6 +177,23 @@ def test_external_improvement_trace_timestamps(tmp_path):
     assert record.trace[1][0] >= record.trace[0][0] + 0.15
 
 
+def test_an_external_run_parses_only_the_block_it_records(tmp_path, monkeypatch):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_values(text)
+
+    monkeypatch.setattr(external, "parse_values", counted)
+    script = 'i=0; while [ $i -lt 50 ]; do i=$((i + 1)); echo "take = [1]"; echo objective = $i; echo ----------; done'
+    adapter = SolverAdapter(name="sh", command=f"sh -c '{script}' sh" + TRAIL)
+    record = run_solver(adapter, KNAPSACK, {"weight": [1], "value": [1], "capacity": 1},
+                        5.0, EvaluationLimits(mem_limit=None, workdir=tmp_path))
+    assert record.status is Status.SAT and record.objective == 50
+    assert [o for _, o in record.trace] == list(range(1, 51))
+    assert parsed == ["take = [1]"]
+
+
 def test_external_sleeper_killed_within_grace(tmp_path):
     adapter = script_adapter("sleeper", "import time; time.sleep(30)")
     start = time.monotonic()
@@ -291,6 +310,13 @@ def test_oracle_proves_optimum_against_enumeration():
     assert result.proved and not result.infeasible
     # Exhaustive oracle: all 8 subsets by hand -> best value 9 (items 1 and 3).
     assert result.optimum == 9
+
+
+def test_the_oracles_time_is_its_runs_own_time():
+    oracle = SolverAdapter(name="latency", builtin="synthetic:capacity / 10")
+    result = oracle_optimum(KNAPSACK, {"weight": [1], "value": [1], "capacity": 5}, oracle, budget=10.0)
+    assert result.proved and result.optimum == 0
+    assert result.time == 0.5
 
 
 def test_oracle_zero_budget_not_proved():

@@ -2,9 +2,14 @@
 
 from random import Random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from benchgen import solvers
 from benchgen.expressions import parse_expression
 from benchgen.problems import get_problem, parse_knapsack
+from benchgen.records import replace
 from benchgen.runner import Status
 from benchgen.solvers import (
     run_builtin,
@@ -13,7 +18,7 @@ from benchgen.solvers import (
     solve_hillclimb,
     solve_synthetic,
 )
-from conftest import iter_selections
+from conftest import REFERENCE_SOLVERS, iter_selections
 
 KNAPSACK = get_problem("knapsack")
 DECISION = get_problem("knapsack_decision")
@@ -174,3 +179,30 @@ def test_buggy_solver_always_fails_verification():
         check = KNAPSACK.check(instance, outcome.solution)
         wrong = (not check.feasible) or check.objective != outcome.objective
         assert wrong, "buggy solver produced a verifiable answer"
+
+
+def _instance(n):
+    items = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    return st.fixed_dictionaries({
+        "weight": items, "value": items, "copies": st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        "capacity": st.integers(0, 25), "target": st.integers(-1, 40),
+    })
+
+
+def clock_masked(record):
+    return replace(record, time=0.0, trace=[(0.0, value) for _, value in record.trace])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    solver=st.sampled_from(sorted(REFERENCE_SOLVERS)),
+    problem=st.sampled_from([KNAPSACK, DECISION]),
+    instance=st.integers(0, 6).flatmap(_instance),
+    seed=st.integers(0, 2**32),
+)
+def test_each_search_records_what_its_reference_records(solver, problem, instance, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "HILLCLIMB_MAX_ITERATIONS", 300)
+        record = solvers.BUILTIN_SOLVERS[solver](problem, instance, 60.0, seed)
+        reference = REFERENCE_SOLVERS[solver](problem, instance, 60.0, seed)
+    assert clock_masked(record) == clock_masked(reference)

@@ -112,6 +112,12 @@ def test_value_text_is_bounded_by_max_depth_alone_on_a_deep_stack(form):
         from_deep_stack(lambda: parse_values(f"x = {build(MAX_DEPTH + 1)}"))
 
 
+@pytest.mark.parametrize("form", NESTED_VALUES)
+def test_a_value_max_depth_deep_round_trips_on_a_deep_stack(form):
+    text = f"x = {NESTED_VALUES[form][0](MAX_DEPTH)}\n"
+    assert from_deep_stack(lambda: format_values(parse_values(text))) == text
+
+
 _ints = st.integers(-(10**6), 10**6)
 _arrays = st.recursive(
     st.lists(_ints, max_size=4) | st.lists(st.sets(_ints, max_size=4), max_size=4),
