@@ -21,11 +21,13 @@ import configparser
 import importlib
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ArchiveError, BenchgenError, ValidationError
 from .problems import get_problem
+from .valuetext import quoted
 
 if TYPE_CHECKING:
     from .runner import SolverAdapter
@@ -64,7 +66,7 @@ def parse_mem_limit(text: str) -> int | None:
     except (ValueError, OverflowError):
         limit = 0  # malformed: rejected below with the non-positive ones
     if limit <= 0:
-        raise ValidationError(f"bad memory limit {text!r}; use e.g. 8G, 512M or none")
+        raise ValidationError(f"bad memory limit {quoted(text)}; use e.g. 8G, 512M or none")
     return limit
 
 
@@ -94,7 +96,7 @@ def _read_config(path: str | Path) -> configparser.ConfigParser:
         keys = _KEYS.get(section.split(".")[0])
         unknown = [key for key in parser[section] if keys is not None and key not in keys]
         if unknown:
-            raise ValidationError(f"[{section}] has no key {unknown[0]!r}; it reads {', '.join(keys)}")
+            raise ValidationError(f"[{section}] has no key {quoted(unknown[0])}; it reads {', '.join(keys)}")
     return parser
 
 
@@ -156,7 +158,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             return kind(settings[key])
         except ValueError:
             what = "an integer" if kind is int else "a number"
-            raise ValidationError(f"[campaign] {key} must be {what}, got {settings[key][:40]!r}") from None
+            raise ValidationError(f"[campaign] {key} must be {what}, got {quoted(settings[key])}") from None
 
     def given(kind, **fields: str) -> dict:
         """The fields whose key is set, read as ``kind``; the rest keep their record's default."""
@@ -189,7 +191,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             **common,
         )
     else:
-        raise ValidationError(f"unknown campaign kind {kind[:40]!r}")
+        raise ValidationError(f"unknown campaign kind {quoted(kind)}")
 
     tuner_config = TunerConfig(**given(int, total_budget="budget", seed="seed", workers="workers"))
     if all(s.command is not None for s in policy.solvers):  # only then do runs overlap
@@ -226,7 +228,10 @@ def cmd_combine(args: argparse.Namespace) -> int:
     from .archive import CampaignArchive
 
     archives = [CampaignArchive.open(p) for p in args.archives]
-    combined = _cli.build_combined_set(archives, args.k, args.seed)
+    with warnings.catch_warnings(record=True) as caught:  # each as one line, not Python's two
+        combined = _cli.build_combined_set(archives, args.k, args.seed)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     combined.save(args.out)
     for label, ids in combined.selections.items():
         print(f"{label}: {len(ids)} instances")

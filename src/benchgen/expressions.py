@@ -11,12 +11,17 @@ not chain); ``+ -``; ``* /``; unary ``-``; postfix ``[index]``. Function
 arguments, indices and ``|...|`` take arithmetic only. A tree, or text
 nested by brackets and unary minus, deeper than ``MAX_DEPTH`` is a ParseError.
 
+A tree has five node types: ``IntLit``, ``Name``, ``Index``, ``Call``
+(``sum``, ``min``, ``max``, ``card`` and ``alldifferent``) and ``BinOp``
+(arithmetic, comparisons, ``in`` and ``and``); ``-a`` parses as ``0 - a``.
+
 This module holds the syntax and its one compiled semantics. The
 generator search reads the compiled form under partial assignments
-(``ground``), and ``evaluate`` reads the same form on fixed values.
-``-a`` compiles as ``0 - a``. ``sum``, ``min`` and ``max`` bound their
-elements through one fold (``_fold``); only ``sum`` over a decision array
-reads the array's slots directly (``read_sum``).
+(``ground``), and ``evaluate`` reads the same form on fixed values. Each
+operator means a row of ``_ARITHMETIC`` or ``_REFUTES``, and ``sum``,
+``min`` and ``max`` bound their elements through one fold (``_FOLDS``);
+only ``sum`` over a decision array reads the array's slots directly
+(``read_sum``).
 """
 
 from __future__ import annotations
@@ -27,12 +32,11 @@ from typing import Any, Callable, Collection, Generator, Iterator, Mapping, Sequ
 
 from .errors import EvalError, ParseError
 from .records import Record
-from .valuetext import MAX_DEPTH, NAME, descend, is_int
+from .valuetext import MAX_DEPTH, NAME, descend, is_int, quoted
 
 Value = Union[int, Fraction, list, set]
 
-# AST nodes. Comparison operators keep their surface spelling; "=" and "=="
-# are the same operator.
+# Syntax tree nodes. The comparison "==" is the operator "=".
 
 
 class IntLit(Record, frozen=True):
@@ -48,62 +52,25 @@ class Index(Record, frozen=True):
     index: "Expr"
 
 
-class Card(Record, frozen=True):
-    arg: "Expr"
-
-
-class Sum(Record, frozen=True):
-    arg: "Expr"
-
-
-class MinOf(Record, frozen=True):
-    arg: "Expr"
-
-
-class MaxOf(Record, frozen=True):
-    arg: "Expr"
-
-
-class Neg(Record, frozen=True):
+class Call(Record, frozen=True):
+    fn: str  # sum min max card alldifferent
     arg: "Expr"
 
 
 class BinOp(Record, frozen=True):
-    op: str  # + - * /
+    op: str  # + - * / = != < <= > >= in and
     left: "Expr"
     right: "Expr"
 
 
-class Compare(Record, frozen=True):
-    op: str  # = != < <= > >=
-    left: "Expr"
-    right: "Expr"
-
-
-class InSet(Record, frozen=True):
-    item: "Expr"
-    container: "Expr"
-
-
-class AllDifferent(Record, frozen=True):
-    arg: "Expr"
-
-
-class And(Record, frozen=True):
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Union[
-    IntLit, Name, Index, Card, Sum, MinOf, MaxOf, Neg, BinOp, Compare, InSet, AllDifferent, And
-]
+Expr = Union[IntLit, Name, Index, Call, BinOp]
 
 
 # After whitespace: an integer, a word, a two-character comparison, or any
 # other single character.
 _TOKEN = re.compile(rf"\s*(\d+|{NAME}|[=!<>]=|\S)")
 _NAME_RE = re.compile(NAME)
-_FUNCTIONS = {"sum": Sum, "card": Card, "alldifferent": AllDifferent, "min": MinOf, "max": MaxOf}
+_FUNCTIONS = ("sum", "min", "max", "card", "alldifferent")
 _RELATIONS = {"=": "=", "==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "in": "in"}
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
@@ -111,7 +78,7 @@ _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 def _expect(tokens: list[str], want: str) -> None:
     found = tokens.pop()
     if found != want:
-        raise ParseError(f"expected {want!r}, found {found!r}" if found else "unexpected end of expression")
+        raise ParseError(f"expected {want!r}, found {quoted(found)}" if found else "unexpected end of expression")
 
 
 def _operand(tokens: list[str], level: int) -> Generator:
@@ -120,7 +87,7 @@ def _operand(tokens: list[str], level: int) -> Generator:
         raise ParseError(f"expression is nested {level} levels deep, more than {MAX_DEPTH}")
     tok = tokens.pop()
     if tok == "-":
-        return Neg((yield _operand(tokens, level + 1)))
+        return BinOp("-", IntLit(0), (yield _operand(tokens, level + 1)))
     if tok.isdecimal():
         try:
             node = IntLit(int(tok))
@@ -128,18 +95,18 @@ def _operand(tokens: list[str], level: int) -> Generator:
             raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
     elif tok in _FUNCTIONS:
         _expect(tokens, "(")
-        node = _FUNCTIONS[tok]((yield _arith(tokens, level + 1)))
+        node = Call(tok, (yield _arith(tokens, level + 1)))
         _expect(tokens, ")")
     elif tok == "(":
         node = yield _condition(tokens, level + 1)
         _expect(tokens, ")")
     elif tok == "|":
-        node = Card((yield _arith(tokens, level + 1)))
+        node = Call("card", (yield _arith(tokens, level + 1)))
         _expect(tokens, "|")
     elif _NAME_RE.fullmatch(tok) and tok not in ("and", "in"):
         node = Name(tok)
     else:
-        raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of expression")
+        raise ParseError(f"unexpected {quoted(tok)}" if tok else "unexpected end of expression")
     while tokens[-1] == "[":
         tokens.pop()
         node = Index(node, (yield _arith(tokens, level + 1)))
@@ -164,9 +131,8 @@ def _condition(tokens: list[str], level: int) -> Generator:
         op = _RELATIONS.get(tokens[-1])
         if op is not None:
             tokens.pop()
-            right = yield _arith(tokens, level)
-            relation = InSet(relation, right) if op == "in" else Compare(op, relation, right)
-        node = relation if node is None else And(node, relation)
+            relation = BinOp(op, relation, (yield _arith(tokens, level)))
+        node = relation if node is None else BinOp("and", node, relation)
         if tokens[-1] != "and":
             return node
         tokens.pop()
@@ -185,7 +151,7 @@ def parse_expression(text: str) -> Expr:
     tokens = ["", *reversed(_TOKEN.findall(text))]  # "" marks the end
     expr = descend(_condition(tokens, 1))
     if tokens[-1]:
-        raise ParseError(f"trailing input after expression: {tokens[-1]!r}")
+        raise ParseError(f"trailing input after expression: {quoted(tokens[-1])}")
     depth = sum(1 for _ in _levels(expr))
     if depth > MAX_DEPTH:
         raise ParseError(f"expression tree is {depth} levels deep, more than {MAX_DEPTH}")
@@ -285,7 +251,7 @@ def _compile(expr: Expr, lookup: Lookup) -> _Term:
         try:
             return lookup(expr.name)
         except KeyError:
-            raise _GiveUp(f"unknown identifier {expr.name!r}") from None
+            raise _GiveUp(f"unknown identifier {quoted(expr.name)}") from None
     if isinstance(expr, Index):
         base = _compile(expr.base, lookup)
         if not base.items:
@@ -303,8 +269,15 @@ def _compile(expr: Expr, lookup: Lookup) -> _Term:
             return items[int(lo) - 1](x)
 
         return _Term(base.kind[:-2], read_index)
-    if isinstance(expr, Card):
-        arg = _compile(expr.arg, lookup)
+    if _is_condition(expr):
+        raise _GiveUp("a condition is not a value")
+    if isinstance(expr, BinOp):
+        left = _scalar(_compile(expr.left, lookup), "num")
+        right = _scalar(_compile(expr.right, lookup), "num")
+        combine = _ARITHMETIC[expr.op]
+        return _Term("num", lambda x: combine(*left(x), *right(x)))
+    arg = _compile(expr.arg, lookup)
+    if expr.fn == "card":
 
         def card(r: Reader) -> Reader:
             def read_card(x: Sequence[int | None]) -> Interval:
@@ -316,37 +289,39 @@ def _compile(expr: Expr, lookup: Lookup) -> _Term:
         if arg.kind == "set":
             return _Term("num", card(arg.read))
         return _Term("num[]", items=tuple(card(r) for r in _items(arg, "set")))
-    if isinstance(expr, (Sum, MinOf, MaxOf)):
-        arg = _compile(expr.arg, lookup)
-        items = _items(arg, "num")
-        if isinstance(expr, Sum) and arg.cells is not None:
-            slots, lo0, hi0 = arg.cells
+    items = _items(arg, "num")
+    if expr.fn == "sum" and arg.cells is not None:
+        slots, lo0, hi0 = arg.cells
 
-            def read_sum(x: Sequence[int | None]) -> Interval:
-                lo = hi = 0
-                for i in slots:
-                    v = x[i]
-                    if v is None:
-                        lo += lo0
-                        hi += hi0
-                    else:
-                        lo += v
-                        hi += v
-                return (lo, hi)
+        def read_sum(x: Sequence[int | None]) -> Interval:
+            lo = hi = 0
+            for i in slots:
+                v = x[i]
+                if v is None:
+                    lo += lo0
+                    hi += hi0
+                else:
+                    lo += v
+                    hi += v
+            return (lo, hi)
 
-            return _Term("num", read_sum)
-        fold = sum if isinstance(expr, Sum) else min if isinstance(expr, MinOf) else max
-        if not items and fold is not sum:
-            raise _GiveUp(f"{fold.__name__}() of an empty array")
-        return _Term("num", lambda x: _fold(fold, [r(x) for r in items]))
-    if isinstance(expr, Neg):
-        expr = BinOp("-", IntLit(0), expr.arg)
+        return _Term("num", read_sum)
+    if not items and expr.fn != "sum":
+        raise _GiveUp(f"{expr.fn}() of an empty array")
+    fold = _FOLDS[expr.fn]
+    return _Term("num", lambda x: _fold(fold, [r(x) for r in items]))
+
+
+def _is_condition(expr: Expr) -> bool:
+    """Whether ``expr`` holds or fails and has no value: a comparison,
+    ``in``, ``and`` or ``alldifferent``."""
     if isinstance(expr, BinOp):
-        left = _scalar(_compile(expr.left, lookup), "num")
-        right = _scalar(_compile(expr.right, lookup), "num")
-        combine = _ARITHMETIC[expr.op]
-        return _Term("num", lambda x: combine(*left(x), *right(x)))
-    raise _GiveUp("a condition is not a value")
+        return expr.op not in _ARITHMETIC
+    return isinstance(expr, Call) and expr.fn == "alldifferent"
+
+
+# What ``sum``, ``min`` and ``max`` fold their elements' bounds by.
+_FOLDS: dict[str, Callable] = {"sum": sum, "min": min, "max": max}
 
 
 def _fold(fold: Callable, bounds: list[Interval]) -> Interval:
@@ -389,14 +364,14 @@ _REFUTES: dict[str, Callable[[Bound, Bound, Bound, Bound], bool]] = {
 
 
 def _atom(expr: Expr, lookup: Lookup) -> Callable[[Sequence[int | None]], bool]:
-    if isinstance(expr, Compare):
+    if isinstance(expr, BinOp) and expr.op in _REFUTES:
         left = _scalar(_compile(expr.left, lookup), "num")
         right = _scalar(_compile(expr.right, lookup), "num")
         refutes = _REFUTES[expr.op]
         return lambda x: refutes(*left(x), *right(x))
-    if isinstance(expr, InSet):
-        item = _scalar(_compile(expr.item, lookup), "num")
-        container = _scalar(_compile(expr.container, lookup), "set")
+    if isinstance(expr, BinOp) and expr.op == "in":
+        item = _scalar(_compile(expr.left, lookup), "num")
+        container = _scalar(_compile(expr.right, lookup), "set")
 
         def refutes_in(x: Sequence[int | None]) -> bool:
             a, b = item(x)
@@ -406,7 +381,7 @@ def _atom(expr: Expr, lookup: Lookup) -> Callable[[Sequence[int | None]], bool]:
             return not any(a <= p <= b for p in possible)
 
         return refutes_in
-    if isinstance(expr, AllDifferent):
+    if isinstance(expr, Call) and expr.fn == "alldifferent":
         items = _items(_compile(expr.arg, lookup), "num")
 
         def refutes_alldifferent(x: Sequence[int | None]) -> bool:
@@ -434,7 +409,7 @@ def _refuter(expr: Expr, lookup: Lookup, last: int | None) -> Callable[[Sequence
     refutes nothing; from then on it is violated, as evaluation would
     reject it. Each conjunct is decided on its own.
     """
-    if isinstance(expr, And):
+    if isinstance(expr, BinOp) and expr.op == "and":
         left, right = _refuter(expr.left, lookup, last), _refuter(expr.right, lookup, last)
         return lambda x: left(x) or right(x)
 
@@ -463,14 +438,14 @@ def evaluate(expr: Expr, env: Mapping[str, Value]) -> int | Fraction | bool:
     on type mismatches, unknown names, out-of-range indices and division
     by zero.
     """
-    if isinstance(expr, And):
+    if isinstance(expr, BinOp) and expr.op == "and":
         return bool(evaluate(expr.left, env)) and bool(evaluate(expr.right, env))
 
     def lookup(name: str) -> _Term:
         return _constant(env[name])
 
     try:
-        if not isinstance(expr, (Compare, InSet, AllDifferent)):
+        if not _is_condition(expr):
             value = _compile(expr, lookup)
             if value.kind == "num":
                 return value.read(())[0]

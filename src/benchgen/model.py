@@ -22,7 +22,7 @@ from . import expressions as ex
 from .errors import EvalError, ModelError, ParseError, ValidationError
 from .records import Record
 from .space import GeneratorConfiguration, ParameterSpace
-from .valuetext import NAME, is_int
+from .valuetext import NAME, is_int, quoted
 
 _VAR_RE = re.compile(rf"var\s+({NAME})\s*(?:\[([^\]]+)\])?\s*:\s*(int|set\s+of)\s+(.+?)\s*\.\.\s*(.+?)\s*")
 
@@ -68,10 +68,10 @@ def parse_model(space: ParameterSpace, text: str) -> GeneratorModel:
             if line.startswith("var "):
                 m = _VAR_RE.fullmatch(line)
                 if not m:
-                    raise ParseError(f"malformed variable declaration: {raw.strip()!r}")
+                    raise ParseError(f"malformed variable declaration: {quoted(raw.strip())}")
                 name, shape_txt, kind_txt, lo_txt, hi_txt = m.groups()
                 if name in names:
-                    raise ValidationError(f"name {name!r} already declared")
+                    raise ValidationError(f"name {quoted(name)} already declared")
                 var = DecisionVar(
                     name=name,
                     kind="set" if kind_txt.startswith("set") else "int",
@@ -80,19 +80,19 @@ def parse_model(space: ParameterSpace, text: str) -> GeneratorModel:
                     upper=ex.parse_expression(hi_txt),
                 )
                 for bound in (var.lower, var.upper) + ((var.shape,) if shape_txt else ()):
-                    unknown = sorted(ex.names_in(bound) - set(space.names))
+                    unknown = ", ".join(sorted(ex.names_in(bound) - set(space.names)))
                     if unknown:
-                        raise ValidationError(f"bounds of {name!r} reference non-parameters: {unknown}")
+                        raise ValidationError(f"bounds of {quoted(name)} reference non-parameters: {quoted(unknown)}")
                 decision_vars.append(var)
                 names.add(name)
             elif line.startswith("constraint "):
                 expr = ex.parse_expression(line[len("constraint "):])
-                unknown = ex.names_in(expr) - names
+                unknown = ", ".join(sorted(ex.names_in(expr) - names))
                 if unknown:
-                    raise ValidationError(f"constraint references unknown identifiers: {sorted(unknown)}")
+                    raise ValidationError(f"constraint references unknown identifiers: {quoted(unknown)}")
                 constraints.append(expr)
             elif line:
-                raise ParseError(f"expected 'var' or 'constraint', got {raw.strip()!r}")
+                raise ParseError(f"expected 'var' or 'constraint', got {quoted(raw.strip())}")
         except (ParseError, ValidationError) as err:
             raise type(err)(f"line {lineno}: {err}") from None
     if not decision_vars:

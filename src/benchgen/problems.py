@@ -12,7 +12,7 @@ from typing import Any, Mapping
 
 from .errors import CheckError
 from .records import Record
-from .valuetext import is_int
+from .valuetext import is_int, quoted
 
 MAX_ITEMS = 20
 
@@ -132,4 +132,4 @@ def get_problem(name: str) -> Problem:
     try:
         return PROBLEMS[name]
     except KeyError:
-        raise CheckError(f"unknown problem {name!r}; known: {sorted(PROBLEMS)}") from None
+        raise CheckError(f"unknown problem {quoted(name)}; known: {sorted(PROBLEMS)}") from None

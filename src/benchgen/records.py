@@ -14,7 +14,7 @@ frozen is unhashable. Every annotation in the class body is a field.
 Only ``__init__`` is generated per class, from the field table built when
 the class is defined: its signature is the fields, so Python binds the
 arguments and raises its own ``TypeError`` for a bad call. Generating one
-costs about 70 µs, some 3.5 ms for benchgen's 48 record classes at
+costs about 70 µs, some 2.7 ms for benchgen's 39 record classes at
 import. The other methods are shared by every record. ``replace`` and
 ``from_jsonable`` build records through ``__init__`` too; ``replace`` and
 ``field_names`` stand in for ``dataclasses.replace`` and ``dataclasses.fields``.

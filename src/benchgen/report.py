@@ -290,9 +290,16 @@ def write_borda_json(path: str | Path, table: BordaTable) -> None:
 
 
 def read_borda_json(path: str | Path) -> BordaTable:
-    data = json.loads(read_file(path))
-    cells = {(c["solver"], c["instance"]): c["score"] for c in data["cells"]}
-    return BordaTable(data["solvers"], data["instances"], data["totals"], cells)
+    try:
+        data = json.loads(read_file(path))
+        cells = {(c["solver"], c["instance"]): c["score"] for c in data["cells"]}
+        return BordaTable(data["solvers"], data["instances"], data["totals"], cells)
+    except ValueError as exc:
+        raise ArchiveError(f"Borda table {path} is not JSON: {exc}") from exc
+    except KeyError as key:
+        raise ArchiveError(f"{path} is not a Borda table: it has no key {key}") from None
+    except TypeError as why:
+        raise ArchiveError(f"{path} is not a Borda table: {why}") from None
 
 
 def write_reports(archive: CampaignArchive) -> dict[Path, list[tuple]]:

@@ -30,7 +30,7 @@ from typing import Annotated, Any, Mapping
 from .errors import CheckError, ParseError, ValidationError
 from .problems import Problem
 from .records import Record, field, replace, to_jsonable
-from .valuetext import format_values, values_from_jsonable, values_to_jsonable
+from .valuetext import format_values, quoted, values_from_jsonable, values_to_jsonable
 
 
 def __getattr__(name: str):
@@ -121,10 +121,10 @@ class SolverAdapter(Record, frozen=True):
                 known = builtin_exists(self.builtin)
             except ParseError as err:
                 raise ValidationError(
-                    f"builtin solver {self.builtin[:40]!r}: latency expression: {err}"
+                    f"builtin solver {quoted(self.builtin)}: latency expression: {err}"
                 ) from None
             if not known:
-                raise ValidationError(f"unknown builtin solver {self.builtin[:40]!r}")
+                raise ValidationError(f"unknown builtin solver {quoted(self.builtin)}")
         if self.command is not None:
             from .external import validate_command_template
 

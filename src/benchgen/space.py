@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 from .records import Record, field
-from .valuetext import NAME
+from .valuetext import NAME, quoted
 
 _IDENT_RE = re.compile(NAME)
 _ENTRY_RE = re.compile(rf"\s*({NAME})\s*:\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*")
@@ -35,10 +35,10 @@ class ParameterSpec(Record, frozen=True):
 
     def __post_init__(self) -> None:
         if not _IDENT_RE.fullmatch(self.name):
-            raise ValidationError(f"invalid parameter name: {self.name!r}")
+            raise ValidationError(f"invalid parameter name: {quoted(self.name)}")
         if self.lower > self.upper:
             raise ValidationError(
-                f"parameter {self.name}: lower bound {self.lower} exceeds upper {self.upper}"
+                f"parameter {quoted(self.name)}: lower bound {self.lower} exceeds upper {self.upper}"
             )
 
 
@@ -53,7 +53,7 @@ class ParameterSpace(Record, frozen=True):
         seen: set[str] = set()
         for spec in self.params:
             if spec.name in seen:
-                raise ValidationError(f"duplicate parameter name: {spec.name}")
+                raise ValidationError(f"duplicate parameter name: {quoted(spec.name)}")
             seen.add(spec.name)
 
     @property
@@ -126,11 +126,11 @@ def parse_space(text: str) -> ParameterSpace:
                 continue
             m = _ENTRY_RE.fullmatch(chunk)
             if not m:
-                raise ParseError(f"malformed parameter entry: {chunk.strip()!r}")
+                raise ParseError(f"malformed parameter entry: {quoted(chunk.strip())}")
             try:
                 lo, hi = int(m.group(2)), int(m.group(3))
             except ValueError:  # more digits than int() converts
-                raise ParseError(f"bound has too many digits: {chunk.strip()[:40]!r}") from None
+                raise ParseError(f"bound has too many digits: {quoted(chunk.strip())}") from None
             entries.append(ParameterSpec(m.group(1), lo, hi))
     if not entries:
         raise ParseError("parameter space text declares no parameters")

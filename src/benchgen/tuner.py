@@ -317,7 +317,6 @@ def run_tuning(
     model: SamplingModel | None = None
 
     while status_counts.total() < config.total_budget:
-        iteration += 1
         budget_left = config.total_budget - status_counts.total()
 
         candidates = list(elites)  # distinct: they survived one race
@@ -337,6 +336,7 @@ def run_tuning(
             # Not enough budget left for even one complete block.
             break
 
+        iteration += 1
         survivors, state = race(
             candidates, evaluator, race_budget, config=config, iteration=iteration, log=log
         )

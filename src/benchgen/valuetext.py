@@ -8,8 +8,9 @@ values produce byte-identical text.
 
 This module also states the rules the other text formats share: ``NAME``
 is what a parameter, a decision variable and a value-map entry may be
-called, ``is_int`` what counts as an integer value, ``MAX_DEPTH`` how
-deep a text may nest, and ``descend`` how a nested reader or writer runs.
+called, ``is_int`` what counts as an integer value, ``quoted`` how much
+of its input an error message quotes, ``MAX_DEPTH`` how deep a text may
+nest, and ``descend`` how a nested reader or writer runs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ _NAME_RE = re.compile(NAME)
 def is_int(v: Any) -> bool:
     """Whether ``v`` is an integer; a bool is not one."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def quoted(text: str) -> str:
+    """``text`` as an error message quotes it: at most its first 40 characters."""
+    return repr(text[:40])
 
 
 # Deepest nesting of an expression's tree or text, or of a value's arrays;
@@ -108,7 +114,7 @@ def _int(tok: str, text: str) -> int:
     try:
         return int(tok)
     except ValueError:  # not an integer token, or too many digits to convert
-        raise ParseError(f"expected an integer, got {tok[:40]!r} in {text[:40]!r}") from None
+        raise ParseError(f"expected an integer, got {quoted(tok)} in {quoted(text)}") from None
 
 
 def _read(tokens: Iterator[str], tok: str, text: str, level: int) -> Generator:
@@ -127,7 +133,7 @@ def _read(tokens: Iterator[str], tok: str, text: str, level: int) -> Generator:
                 break
             tok = next(tokens, "")
         if tok != close:
-            raise ParseError(f"expected ',' or {close!r}, got {tok[:40]!r} in {text[:40]!r}")
+            raise ParseError(f"expected ',' or {close!r}, got {quoted(tok)} in {quoted(text)}")
     return items if close == "]" else set(items)
 
 
@@ -139,17 +145,17 @@ def parse_values(text: str) -> dict[str, Any]:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"expected 'name = value', got {raw[:40]!r}")
+            raise ParseError(f"expected 'name = value', got {quoted(raw)}")
         name, _, rhs = line.partition("=")
         name = name.strip()
         if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"invalid name {name[:40]!r}")
+            raise ParseError(f"invalid name {quoted(name)}")
         if name in values:
-            raise ParseError(f"duplicate name {name[:40]!r}")
+            raise ParseError(f"duplicate name {quoted(name)}")
         rhs = rhs.strip()
         tokens = iter(_TOKEN.findall(rhs))
         tok = next(tokens, "")
         values[name] = descend(_read(tokens, tok, rhs, 1)) if tok in _CLOSE else _int(tok, rhs)
         if next(tokens, None) is not None:
-            raise ParseError(f"trailing input in value: {rhs[:40]!r}")
+            raise ParseError(f"trailing input in value: {quoted(rhs)}")
     return values

@@ -27,23 +27,7 @@ from benchgen.evaluate import (
     evaluate_configuration,
     status_penalty,
 )
-from benchgen.expressions import (
-    AllDifferent,
-    And,
-    BinOp,
-    Card,
-    Compare,
-    Expr,
-    Index,
-    InSet,
-    IntLit,
-    MaxOf,
-    MinOf,
-    Name,
-    Neg,
-    Sum,
-    Value,
-)
+from benchgen.expressions import BinOp, Call, Expr, Index, IntLit, Name, Value
 from benchgen.gensolve import CandidateInstance, GenOutcome, SolutionHistory
 from benchgen.model import parse_model
 from benchgen.problems import PROBLEMS, KnapsackData, Problem, parse_knapsack
@@ -241,44 +225,41 @@ def reference_evaluate(expr: Expr, env: Mapping[str, Value]) -> Any:
         if not (1 <= i <= len(base)):
             raise EvalError(f"index {i} out of range 1..{len(base)}")
         return base[i - 1]
-    if isinstance(expr, Card):
+    if isinstance(expr, Call) and expr.fn == "card":
         arg = reference_evaluate(expr.arg, env)
         if isinstance(arg, set):
             return len(arg)
         if isinstance(arg, list) and all(isinstance(e, set) for e in arg):
             return [len(e) for e in arg]
         raise EvalError("card() needs a set or an array of sets")
-    if isinstance(expr, Sum):
-        arr = _as_int_array(reference_evaluate(expr.arg, env), "sum()")
-        return sum(arr)
-    if isinstance(expr, MinOf):
-        arr = _as_int_array(reference_evaluate(expr.arg, env), "min()")
+    if isinstance(expr, Call):
+        arr = _as_int_array(reference_evaluate(expr.arg, env), f"{expr.fn}()")
+        if expr.fn == "sum":
+            return sum(arr)
+        if expr.fn == "alldifferent":
+            return len(set(arr)) == len(arr)
         if not arr:
-            raise EvalError("min() of an empty array")
-        return min(arr)
-    if isinstance(expr, MaxOf):
-        arr = _as_int_array(reference_evaluate(expr.arg, env), "max()")
-        if not arr:
-            raise EvalError("max() of an empty array")
-        return max(arr)
-    if isinstance(expr, Neg):
-        return -_as_number(reference_evaluate(expr.arg, env), "negation")
+            raise EvalError(f"{expr.fn}() of an empty array")
+        return min(arr) if expr.fn == "min" else max(arr)
+    if isinstance(expr, BinOp) and expr.op == "and":
+        return bool(reference_evaluate(expr.left, env)) and bool(reference_evaluate(expr.right, env))
+    if isinstance(expr, BinOp) and expr.op == "in":
+        item = _as_number(reference_evaluate(expr.left, env), "in")
+        container = reference_evaluate(expr.right, env)
+        if not isinstance(container, set):
+            raise EvalError("right side of 'in' must be a set")
+        return item in container
     if isinstance(expr, BinOp):
         left = _as_number(reference_evaluate(expr.left, env), expr.op)
         right = _as_number(reference_evaluate(expr.right, env), expr.op)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0:
-            raise EvalError("division by zero")
-        return Fraction(left) / Fraction(right)
-    if isinstance(expr, Compare):
-        left = _as_number(reference_evaluate(expr.left, env), expr.op)
-        right = _as_number(reference_evaluate(expr.right, env), expr.op)
+        if expr.op == "/":
+            if right == 0:
+                raise EvalError("division by zero")
+            return Fraction(left) / Fraction(right)
         return {
+            "+": left + right,
+            "-": left - right,
+            "*": left * right,
             "=": left == right,
             "!=": left != right,
             "<": left < right,
@@ -286,17 +267,6 @@ def reference_evaluate(expr: Expr, env: Mapping[str, Value]) -> Any:
             ">": left > right,
             ">=": left >= right,
         }[expr.op]
-    if isinstance(expr, InSet):
-        item = _as_number(reference_evaluate(expr.item, env), "in")
-        container = reference_evaluate(expr.container, env)
-        if not isinstance(container, set):
-            raise EvalError("right side of 'in' must be a set")
-        return item in container
-    if isinstance(expr, AllDifferent):
-        arr = _as_int_array(reference_evaluate(expr.arg, env), "alldifferent()")
-        return len(set(arr)) == len(arr)
-    if isinstance(expr, And):
-        return bool(reference_evaluate(expr.left, env)) and bool(reference_evaluate(expr.right, env))
     raise EvalError(f"unknown AST node {expr!r}")
 
 
@@ -316,7 +286,7 @@ def reference_check(model, config, values: dict[str, Any]) -> bool:
 # and error text. It has no depth limit of its own other than Python's
 # recursion limit, so it is for expressions well below ``MAX_DEPTH``.
 _REFERENCE_TOKEN = re.compile(rf"\s*(\d+|{NAME}|[=!<>]=|\S)")
-_REFERENCE_FUNCTIONS = {"sum": Sum, "card": Card, "alldifferent": AllDifferent, "min": MinOf, "max": MaxOf}
+_REFERENCE_FUNCTIONS = ("sum", "card", "alldifferent", "min", "max")
 _REFERENCE_RELATIONS = {"=": "=", "==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "in": "in"}
 _REFERENCE_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
@@ -324,13 +294,13 @@ _REFERENCE_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 def _reference_expect(tokens: list[str], want: str) -> None:
     found = tokens.pop()
     if found != want:
-        raise ParseError(f"expected {want!r}, found {found!r}" if found else "unexpected end of expression")
+        raise ParseError(f"expected {want!r}, found {found[:40]!r}" if found else "unexpected end of expression")
 
 
 def _reference_operand(tokens: list[str]) -> Expr:
     tok = tokens.pop()
     if tok == "-":
-        return Neg(_reference_operand(tokens))
+        return BinOp("-", IntLit(0), _reference_operand(tokens))
     if tok.isdecimal():
         try:
             node = IntLit(int(tok))
@@ -338,18 +308,18 @@ def _reference_operand(tokens: list[str]) -> Expr:
             raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
     elif tok in _REFERENCE_FUNCTIONS:
         _reference_expect(tokens, "(")
-        node = _REFERENCE_FUNCTIONS[tok](_reference_arith(tokens))
+        node = Call(tok, _reference_arith(tokens))
         _reference_expect(tokens, ")")
     elif tok == "(":
         node = _reference_condition(tokens)
         _reference_expect(tokens, ")")
     elif tok == "|":
-        node = Card(_reference_arith(tokens))
+        node = Call("card", _reference_arith(tokens))
         _reference_expect(tokens, "|")
     elif re.fullmatch(NAME, tok) and tok not in ("and", "in"):
         node = Name(tok)
     else:
-        raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of expression")
+        raise ParseError(f"unexpected {tok[:40]!r}" if tok else "unexpected end of expression")
     while tokens[-1] == "[":
         tokens.pop()
         node = Index(node, _reference_arith(tokens))
@@ -373,8 +343,8 @@ def _reference_condition(tokens: list[str]) -> Expr:
         if op is not None:
             tokens.pop()
             right = _reference_arith(tokens)
-            relation = InSet(relation, right) if op == "in" else Compare(op, relation, right)
-        node = relation if node is None else And(node, relation)
+            relation = BinOp(op, relation, right)
+        node = relation if node is None else BinOp("and", node, relation)
         if tokens[-1] != "and":
             return node
         tokens.pop()
@@ -385,7 +355,7 @@ def reference_parse(text: str) -> Expr:
     tokens = ["", *reversed(_REFERENCE_TOKEN.findall(text))]  # "" marks the end
     expr = _reference_condition(tokens)
     if tokens[-1]:
-        raise ParseError(f"trailing input after expression: {tokens[-1]!r}")
+        raise ParseError(f"trailing input after expression: {tokens[-1][:40]!r}")
     return expr
 
 

@@ -8,20 +8,12 @@ from hypothesis import strategies as st
 
 from benchgen.errors import EvalError, ModelError, ParseError, ValidationError
 from benchgen.expressions import (
-    AllDifferent,
-    And,
     BinOp,
-    Card,
-    Compare,
+    Call,
     Index,
-    InSet,
     IntLit,
     MAX_DEPTH,
-    MaxOf,
-    MinOf,
     Name,
-    Neg,
-    Sum,
     evaluate,
     names_in,
     parse_expression,
@@ -220,19 +212,25 @@ ENVIRONMENTS = st.fixed_dictionaries({
 })
 
 
+def negation(expr):
+    """The tree of ``-expr``."""
+    return BinOp("-", IntLit(0), expr)
+
+
+def card(expr):
+    return Call("card", expr)
+
+
 def _nodes(children):
     return st.one_of(
         st.builds(Index, children, children),
-        st.builds(Card, children),
-        st.builds(Sum, children),
-        st.builds(MinOf, children),
-        st.builds(MaxOf, children),
-        st.builds(Neg, children),
-        st.builds(AllDifferent, children),
+        *(st.builds(Call, st.just(fn), children) for fn in ("card", "sum", "min", "max")),
+        st.builds(negation, children),
+        st.builds(Call, st.just("alldifferent"), children),
         st.builds(BinOp, st.sampled_from("+-*/"), children, children),
-        st.builds(Compare, COMPARISONS, children, children),
-        st.builds(InSet, children, children),
-        st.builds(And, children, children),
+        st.builds(BinOp, COMPARISONS, children, children),
+        st.builds(BinOp, st.just("in"), children, children),
+        st.builds(BinOp, st.just("and"), children, children),
     )
 
 
@@ -243,30 +241,32 @@ TREES = st.recursive(
 # Well-typed trees, which random trees seldom are: numbers, with more
 # divisions and more indices in range than chance gives, and conditions
 # over them.
-ARRAYS = st.sampled_from([Name("a"), Name("a"), Name("e"), Card(Name("t"))])
+ARRAYS = st.sampled_from([Name("a"), Name("a"), Name("e"), card(Name("t"))])
 NUMBERS = st.recursive(
     st.one_of(
         st.integers(0, 4).map(IntLit),
-        st.sampled_from([Name("x"), Name("k"), Name("n"), Card(Name("s"))]),
-        st.builds(lambda f, arg: f(arg), st.sampled_from([Sum, MinOf, MaxOf]), ARRAYS),
+        st.sampled_from([Name("x"), Name("k"), Name("n"), card(Name("s"))]),
+        st.builds(Call, st.sampled_from(["sum", "min", "max"]), ARRAYS),
     ),
     lambda n: st.one_of(
         st.builds(BinOp, st.sampled_from("+-*/"), n, n),
         st.builds(BinOp, st.just("/"), n, n),
-        st.builds(Neg, n),
+        st.builds(negation, n),
         st.builds(Index, ARRAYS, st.one_of(st.integers(1, 2).map(IntLit), n)),
-        st.builds(lambda i: Card(Index(Name("t"), i)), st.one_of(st.integers(1, 2).map(IntLit), n)),
+        st.builds(lambda i: card(Index(Name("t"), i)), st.one_of(st.integers(1, 2).map(IntLit), n)),
     ),
     max_leaves=6,
 )
 CONDITIONS = st.recursive(
     st.one_of(
-        st.builds(Compare, COMPARISONS, NUMBERS, NUMBERS),
-        st.builds(lambda op, side: Compare(op, side, side), COMPARISONS, NUMBERS),
-        st.builds(InSet, NUMBERS, st.one_of(st.just(Name("s")), st.builds(Index, st.just(Name("t")), NUMBERS))),
-        st.builds(AllDifferent, ARRAYS),
+        st.builds(BinOp, COMPARISONS, NUMBERS, NUMBERS),
+        st.builds(lambda op, side: BinOp(op, side, side), COMPARISONS, NUMBERS),
+        st.builds(
+            BinOp, st.just("in"), NUMBERS, st.one_of(st.just(Name("s")), st.builds(Index, st.just(Name("t")), NUMBERS))
+        ),
+        st.builds(Call, st.just("alldifferent"), ARRAYS),
     ),
-    lambda c: st.builds(And, c, c),
+    lambda c: st.builds(BinOp, st.just("and"), c, c),
     max_leaves=3,
 )
 TEMPLATES = st.builds(
@@ -311,15 +311,18 @@ def test_names_in_agrees_with_a_recursive_walk(expr):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(TREES, NUMBERS), st.lists(ENVIRONMENTS, min_size=4, max_size=4))
 def test_negation_evaluates_as_subtraction_from_zero(expr, envs):
+    assert parse_expression(f"-({parenthesised(expr)})") == negation(expr)
     for env in envs:
-        outcomes = []
-        for tree in (Neg(expr), BinOp("-", IntLit(0), expr)):
-            try:
-                value = evaluate(tree, env)
-                outcomes.append((type(value), value))
-            except EvalError as err:
-                outcomes.append((EvalError, str(err)))
-        assert outcomes[0] == outcomes[1]
+        try:
+            value = evaluate(expr, env)
+        except EvalError:
+            value = None
+        if value is None or isinstance(value, bool):
+            with pytest.raises(EvalError):
+                evaluate(negation(expr), env)
+        else:
+            negated = evaluate(negation(expr), env)
+            assert type(negated) is type(value) and negated == -value
 
 
 def test_an_empty_array_sums_to_zero_and_has_no_minimum_or_maximum():
@@ -343,9 +346,6 @@ def test_expression_parse_errors():
             parse_expression(text)
 
 
-FUNCTION_NAMES = {Sum: "sum", Card: "card", MinOf: "min", MaxOf: "max", AllDifferent: "alldifferent"}
-
-
 def parenthesised(expr) -> str:
     """The tree as text with every operand in parentheses, so that no
     precedence rule takes part in reading it back."""
@@ -355,15 +355,9 @@ def parenthesised(expr) -> str:
         return expr.name
     if isinstance(expr, Index):
         return f"({parenthesised(expr.base)})[({parenthesised(expr.index)})]"
-    if isinstance(expr, (BinOp, Compare)):
+    if isinstance(expr, BinOp):
         return f"({parenthesised(expr.left)}) {expr.op} ({parenthesised(expr.right)})"
-    if isinstance(expr, InSet):
-        return f"({parenthesised(expr.item)}) in ({parenthesised(expr.container)})"
-    if isinstance(expr, And):
-        return f"({parenthesised(expr.left)}) and ({parenthesised(expr.right)})"
-    if isinstance(expr, Neg):
-        return f"-({parenthesised(expr.arg)})"
-    return f"{FUNCTION_NAMES[type(expr)]}(({parenthesised(expr.arg)}))"
+    return f"{expr.fn}(({parenthesised(expr.arg)}))"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -380,10 +374,10 @@ A, B, C, D = Name("a"), Name("b"), Name("c"), Name("d")
     [
         ("a - b - c", BinOp("-", BinOp("-", A, B), C)),
         ("a / b * c", BinOp("*", BinOp("/", A, B), C)),
-        ("-a[1]", Neg(Index(A, IntLit(1)))),
-        ("|x| + 1", BinOp("+", Card(Name("x")), IntLit(1))),
-        ("a + b = c and d", And(Compare("=", BinOp("+", A, B), C), D)),
-        ("(a = b) + 1", BinOp("+", Compare("=", A, B), IntLit(1))),
+        ("-a[1]", negation(Index(A, IntLit(1)))),
+        ("|x| + 1", BinOp("+", card(Name("x")), IntLit(1))),
+        ("a + b = c and d", BinOp("and", BinOp("=", BinOp("+", A, B), C), D)),
+        ("(a = b) + 1", BinOp("+", BinOp("=", A, B), IntLit(1))),
     ],
 )
 def test_precedence_and_associativity(text, tree):

@@ -24,6 +24,7 @@ import benchgen
 from benchgen.archive import CampaignArchive, Evaluation
 from benchgen.errors import ValidationError
 from benchgen.evaluate import DiscriminatingPolicy, GradedPolicy
+from benchgen.expressions import IntLit, parse_expression
 from benchgen.problems import get_problem
 from benchgen.records import Record, field, field_names, from_jsonable, replace, to_jsonable
 from benchgen.report import CombinedSet
@@ -76,6 +77,28 @@ def _records_and_twins() -> list[tuple[type, type]]:
 
 PAIRS = _records_and_twins()
 
+# The node forms the parser emits for what were once node classes of their
+# own, by the former class's name: a source text and the fields that mark
+# its form. A form case drives the form's record class (``Call`` or
+# ``BinOp``) with those fields held, beside the parsed tree itself.
+FORMS = {
+    "Neg": ("-x", {"op": "-", "left": IntLit(0)}),
+    "Card": ("|x|", {"fn": "card"}),
+    "Sum": ("sum(x)", {"fn": "sum"}),
+    "MinOf": ("min(x)", {"fn": "min"}),
+    "MaxOf": ("max(x)", {"fn": "max"}),
+    "AllDifferent": ("alldifferent(x)", {"fn": "alldifferent"}),
+    "Compare": ("x <= y", {"op": "<="}),
+    "InSet": ("x in s", {"op": "in"}),
+    "And": ("x = 1 and y = 2", {"op": "and"}),
+}
+_TWINS = dict(PAIRS)
+CASES = [(cls, twin, None) for cls, twin in PAIRS] + [
+    (type(parse_expression(text)), _TWINS[type(parse_expression(text))], (text, pins))
+    for text, pins in FORMS.values()
+]
+CASE_IDS = [cls.__name__ for cls, _ in PAIRS] + list(FORMS)
+
 VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -119,12 +142,14 @@ def outcome(cls: type, args: tuple, kwargs: dict):
 
 
 @st.composite
-def calls(draw, cls: type, names: tuple[str, ...]):
+def calls(draw, cls: type, names: tuple[str, ...], pins: dict | None = None):
     """Arguments for a record: some positional, some by keyword, some
-    omitted, and now and then one too many, repeated or unknown."""
-    valid = VALID.get(cls, {})
+    omitted, and now and then one too many, repeated or unknown. A pinned
+    field always takes its pinned value."""
+    valid = {**VALID.get(cls, {}), **(pins or {})}
     values = {
-        name: valid[name] if name in valid and draw(st.integers(0, 9)) else draw(VALUES) for name in names
+        name: valid[name] if name in valid and (name in (pins or {}) or draw(st.integers(0, 9))) else draw(VALUES)
+        for name in names
     }
     npos = draw(st.integers(0, len(names)))
     args = tuple(values[name] for name in names[:npos])
@@ -155,13 +180,18 @@ def agree(record, twin) -> None:
         assert hash(record) == expected
 
 
-@pytest.mark.parametrize("cls, twin", PAIRS, ids=[cls.__name__ for cls, _ in PAIRS])
+@pytest.mark.parametrize("cls, twin, form", CASES, ids=CASE_IDS)
 @settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_record_behaves_as_its_dataclass_twin(cls, twin, data):
+def test_record_behaves_as_its_dataclass_twin(cls, twin, form, data):
     names = tuple(f.name for f in dataclasses.fields(twin))
     assert field_names(cls) == names
-    args, kwargs = data.draw(calls(cls, names))
+    pins = None
+    if form is not None:
+        text, pins = form
+        node = parse_expression(text)
+        agree(node, twin(**{name: getattr(node, name) for name in names}))
+    args, kwargs = data.draw(calls(cls, names, pins))
     record, expected = outcome(cls, args, kwargs), outcome(twin, args, kwargs)
     agree(record, expected)
     if isinstance(expected, Exception):
@@ -215,13 +245,17 @@ def test_record_behaves_as_its_dataclass_twin(cls, twin, data):
 def test_every_record_class_has_a_twin():
     records = {cls for cls, _ in PAIRS}
     assert {GeneratorConfiguration, TunerConfig} <= records
-    # The 13 AST nodes and the compiler's _Term.
+    # The five AST nodes and the compiler's _Term.
     expression_records = {cls for cls in records if cls.__module__ == "benchgen.expressions"}
-    assert len(expression_records) == 14
+    assert len(expression_records) == 6
 
 
-@pytest.mark.parametrize("cls, twin", PAIRS, ids=[cls.__name__ for cls, _ in PAIRS])
-def test_a_record_class_has_the_signature_of_its_dataclass_twin(cls, twin):
+@pytest.mark.parametrize("cls, twin, form", CASES, ids=CASE_IDS)
+def test_a_record_class_has_the_signature_of_its_dataclass_twin(cls, twin, form):
+    if form is not None:
+        text, pins = form
+        node = parse_expression(text)
+        assert type(node) is cls and {name: getattr(node, name) for name in pins} == pins
     factories = {f.name for f in dataclasses.fields(twin) if f.default_factory is not dataclasses.MISSING}
 
     def plain(signature: inspect.Signature) -> inspect.Signature:
@@ -237,14 +271,18 @@ def test_a_record_class_has_the_signature_of_its_dataclass_twin(cls, twin):
 
 
 def test_records_of_different_classes_with_equal_fields_differ():
-    from benchgen.expressions import AllDifferent, Card, IntLit, MaxOf, MinOf, Neg, Sum
+    class Left(Record, frozen=True):
+        arg: int
 
-    nodes = [kind(IntLit(1)) for kind in (Sum, MinOf, MaxOf, Neg, Card, AllDifferent)]
+    class Right(Record, frozen=True):
+        arg: int
+
+    nodes = [kind(1) for kind in (Left, Right)]
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes):
             assert (a == b) == (i == j)
             assert (a != b) == (i != j)
-    assert Sum(IntLit(1)) == Sum(IntLit(1)) and hash(Sum(IntLit(1))) == hash(Sum(IntLit(1)))
+    assert Left(1) == Left(1) and hash(Left(1)) == hash(Left(1))
 
 
 def test_replace_runs_post_init_again():

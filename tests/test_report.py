@@ -290,6 +290,32 @@ def test_a_table_that_is_not_utf8_is_refused_with_its_path(tmp_path):
         read_table(path)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{not json", "Borda table {path} is not JSON: "),
+        ('{"solvers": [], "instances": [], "totals": {}}', "{path} is not a Borda table: it has no key 'cells'"),
+        (
+            '{"solvers": [], "instances": [], "totals": {}, "cells": [{"solver": "a", "score": 1}]}',
+            "{path} is not a Borda table: it has no key 'instance'",
+        ),
+        ("[]", "{path} is not a Borda table: "),
+    ],
+    ids=["not-json", "no-cells", "cell-without-instance", "not-an-object"],
+)
+def test_a_borda_table_that_cannot_be_read_is_refused_with_its_path(tmp_path, text, reason):
+    path = tmp_path / "borda.json"
+    path.write_text(text)
+    with pytest.raises(ArchiveError, match="^" + re.escape(reason.format(path=path))):
+        read_borda_json(path)
+
+
+def test_combine_reports_a_source_without_graded_instances_as_one_warning_line(tmp_path, capsys):
+    fabricate_graded_archive(tmp_path / "c0", "s1", graded_rows(0, n_other=5))
+    assert main(["combine", str(tmp_path / "c0"), "--out", str(tmp_path / "combined.json")]) == 0
+    assert capsys.readouterr().err == f"warning: campaign {tmp_path / 'c0'} has no graded instances\n"
+
+
 PINNED_GRADED = {
     "status_frequencies.csv": (
         "status,count,fraction\r\n"

@@ -284,6 +284,13 @@ def test_run_tuning_budget_respected():
         assert len(logged) == report.evaluations_used
 
 
+@pytest.mark.parametrize("budget", (0, 3, 7, 30, 61, 1000))
+def test_run_tuning_counts_only_the_races_that_ran(budget):
+    space = parse_space("p: 1..100")
+    report, logged = tune_logged(space, landscape_evaluator(40), TunerConfig(total_budget=budget, seed=2))
+    assert report.iterations == max((iteration for iteration, *_ in logged), default=0)
+
+
 def test_run_tuning_concentrates_near_optimum():
     space = parse_space("p: 1..1000")
     p_star = 321

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from benchgen.errors import ParseError, ValidationError
+from benchgen.errors import EvalError, ParseError, ValidationError
+from benchgen.expressions import evaluate, parse_expression
 from benchgen.model import parse_model
 from benchgen.space import parse_space
 from benchgen.valuetext import MAX_DEPTH, format_values, parse_values, values_from_jsonable, values_to_jsonable
@@ -83,6 +84,50 @@ def test_a_parse_error_quotes_at_most_40_characters_of_the_value(value, token):
     with pytest.raises(ParseError) as refused:
         parse_values(f"x = {value}")
     assert len(str(refused.value)) < 200 and repr(token) in str(refused.value)
+
+
+LONG = "y" * 5000
+SPACE = parse_space("n: 1..3")
+
+
+def model_line(line: str):
+    return parse_model(SPACE, f"var x : int 1..3\n{line}")
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (parse_expression, f"x {LONG}"),
+        (parse_expression, f"(x {LONG}"),
+        (parse_expression, f"sum {LONG}"),
+        (lambda text: evaluate(parse_expression(text), {}), LONG),
+        (parse_space, LONG),
+        (parse_space, f"{LONG}: 1..2; {LONG}: 1..2"),
+        (parse_space, f"{LONG}: 2..1"),
+        (parse_space, f"n: 1..{'1' * 5000}"),
+        (model_line, f"var {LONG}"),
+        (model_line, f"var {LONG} : int 1..{LONG}"),
+        (model_line, f"var z : int 1..{LONG}"),
+        (model_line, LONG),
+        (model_line, f"constraint x = {LONG}"),
+        (model_line, f"constraint x {LONG}"),
+        (parse_values, LONG),
+        (parse_values, f"{LONG}! = 1"),
+        (parse_values, f"x = 1 {LONG}"),
+    ],
+    ids=[
+        "expression-trailing-input", "expression-expected-parenthesis", "expression-expected-call",
+        "expression-unknown-identifier", "space-malformed-entry",
+        "space-duplicate-name", "space-inverted-bounds", "space-too-many-digits",
+        "model-malformed-declaration", "model-bounds-of-a-long-name", "model-non-parameters",
+        "model-neither-var-nor-constraint", "model-unknown-identifiers", "model-trailing-input",
+        "values-no-equals", "values-invalid-name", "values-trailing-input",
+    ],
+)
+def test_every_reader_quotes_at_most_40_characters_of_a_long_token_or_line(read, text):
+    with pytest.raises((ParseError, ValidationError, EvalError)) as refused:
+        read(text)
+    assert len(str(refused.value)) < 200, str(refused.value)[:300]
 
 
 @pytest.mark.parametrize(
