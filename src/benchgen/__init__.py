@@ -65,17 +65,7 @@ _EXPORTS = {
         ),
         "runner",
     ),
-    **dict.fromkeys(
-        (
-            "BordaTable",
-            "ComparableRecord",
-            "PairScore",
-            "borda_complete",
-            "is_better",
-            "minizinc_score",
-        ),
-        "scoring",
-    ),
+    **dict.fromkeys(("BordaTable", "borda_complete", "pair_score"), "scoring"),
     **dict.fromkeys(
         (
             "GeneratorConfiguration",

@@ -37,7 +37,7 @@ from .runner import (
     run_solver,
     verify_record,
 )
-from .scoring import comparable_from_record, minizinc_score
+from .scoring import pair_score
 from .space import GeneratorConfiguration
 
 PLUS_INFINITY = math.inf
@@ -148,7 +148,7 @@ class DiscriminatingPolicy(Record, frozen=True):
         """Run the favoured and the base solver on ``instance``, score the
         pair and classify the instance."""
         favoured, base = (_run_and_verify(self, s, instance, limits, seed) for s in self.solvers)
-        scores = discriminating_scores(favoured, base, self.problem.kind)
+        scores = pair_score(favoured, base, self.problem.kind)
         status = self.classify(favoured, base, scores)
         return EvaluationResult(
             status_penalty(status, scores), status, GenOutcome.SOLUTION, instance,
@@ -248,16 +248,6 @@ def status_penalty(
         score_f, score_b = scores
         return LARGE_NEGATIVE if score_b == 0.0 else -score_f / score_b
     return 0.0
-
-
-def discriminating_scores(
-    favoured: SolverRecord, base: SolverRecord, problem_kind: str
-) -> tuple[float, float]:
-    pair = minizinc_score(
-        comparable_from_record(favoured, problem_kind),
-        comparable_from_record(base, problem_kind),
-    )
-    return pair.score_a, pair.score_b
 
 
 def evaluate_configuration(

@@ -117,11 +117,14 @@ def run_external_command(
     Never raises: failures map to a record with ``Status.ERROR``. A run
     killed at the limit is a ``Status.TIMEOUT`` record that keeps the last
     block it printed, so that answer can still be verified and scored. The
-    clock runs from spawn to the command's own exit, so translation overhead
-    inside the command is included; then every process left in the run's
-    process group is killed. With ``log_path`` set, the timestamped stdout
-    is written there afterwards. ``mem_limit`` is applied by
-    ``limiter_prefix``, or by ``MEM_LIMITER`` when no prefix is set.
+    clock runs from spawn until the command's own exit is reaped, so
+    translation overhead inside the command is included; then every process
+    left in the run's process group is killed. Output that is not UTF-8 is
+    decoded with replacement characters. With ``log_path`` set, the
+    timestamped stdout is written there afterwards, closed by a line with
+    the exit code, the wall time and the command's user plus system CPU
+    seconds. ``mem_limit`` is applied by ``limiter_prefix``, or by
+    ``MEM_LIMITER`` when no prefix is set.
     """
     if not math.isfinite(time_limit):
         return SolverRecord(Status.ERROR, 0.0, note=f"time limit {time_limit} s is not finite")
@@ -148,7 +151,8 @@ def run_external_command(
             argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
+            encoding="utf-8",
+            errors="replace",  # a stray byte must not end the reader
             start_new_session=True,
         )
     except OSError as err:
@@ -160,19 +164,21 @@ def run_external_command(
             for line in proc.stdout:
                 timed_lines.append((time.monotonic() - start, line))
 
+    def kill_group() -> None:
+        with suppress(ProcessLookupError, PermissionError):  # nothing is left that this process may kill
+            os.killpg(proc.pid, signal.SIGKILL)  # the run ends with its solver, children and all
+
     reader = threading.Thread(target=pump, daemon=True)
     reader.start()
-
-    killed = False
-    try:
-        proc.wait(timeout=time_limit)
-    except subprocess.TimeoutExpired:
-        killed = True
-        proc.kill()
-        proc.wait()
+    deadline = threading.Timer(time_limit, kill_group)
+    deadline.start()
+    # A blocking wait returns as the command exits; Popen.wait polls.
+    _, wait_status, usage = os.wait4(proc.pid, 0)
     elapsed = time.monotonic() - start
-    with suppress(ProcessLookupError, PermissionError):  # nothing is left that this process may kill
-        os.killpg(proc.pid, signal.SIGKILL)  # the run ends with its solver, children and all
+    deadline.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(wait_status)
+    killed = proc.returncode == -signal.SIGKILL and elapsed >= time_limit  # by the deadline
+    kill_group()
     reader.join(timeout=KILL_GRACE_SECONDS)  # a grandchild in a session of its own may hold the pipe
 
     if log_path is not None:
@@ -181,7 +187,10 @@ def run_external_command(
                 fh.write(f"# {' '.join(argv)}\n")
                 for stamp, line in timed_lines:
                     fh.write(f"[{stamp:9.3f}] {line.rstrip()}" + "\n")
-                fh.write(f"# exit={proc.returncode} killed={killed} elapsed={elapsed:.3f}\n")
+                fh.write(
+                    f"# exit={proc.returncode} killed={killed} elapsed={elapsed:.3f} "
+                    f"cpu={usage.ru_utime + usage.ru_stime:.3f}\n"
+                )
         except OSError:
             pass
 

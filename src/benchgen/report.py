@@ -34,7 +34,7 @@ from .runner import (
     run_solver,
     verify_record,
 )
-from .scoring import BordaTable, borda_complete, comparable_from_record, pair_rows
+from .scoring import BordaTable, borda_complete
 
 
 class EmptyArchive(Warning):
@@ -192,8 +192,8 @@ def evaluate_combined(
             _, values = instances[iid]
             record = run_solver(adapter, problem, values, t_max, limits, derive_seed(seed, adapter.name, iid))
             records[(adapter.name, iid)] = verify_record(problem, values, record)
-    comparables = {key: comparable_from_record(record, problem.kind) for key, record in records.items()}
-    result = CombinedEvaluation(borda_complete(comparables, solver_names, instance_ids), records)
+    borda, rows = borda_complete(records, problem.kind, solver_names, instance_ids)
+    result = CombinedEvaluation(borda, records)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -201,7 +201,6 @@ def evaluate_combined(
             json.dumps({"solver": sname, "instance": iid, "record": record.to_jsonable(sname)}) + "\n"
             for (sname, iid), record in sorted(records.items())
         ))
-        rows = pair_rows(comparables, solver_names, instance_ids)
         write_table(out / "pair_scores.csv", TABLES["pair_scores.csv"], rows)
         write_borda_json(out / "borda.json", result.borda)
         write_file(out / "flags.json", json.dumps({"flagged": result.flagged, "answered": result.answered}, indent=2))

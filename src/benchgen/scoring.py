@@ -1,10 +1,12 @@
 """Pairwise solver comparison and Borda aggregation.
 
-``is_better`` decides strict superiority from solved/optimal/quality
-facts; ``minizinc_score`` turns a pair of records into a (0..1, 0..1)
-score whose components sum to one when anybody scored, and to zero when
-both failed; ``pair_rows`` lists the score of every ordered solver pair on
-every instance, and ``borda_complete`` accumulates them. This module is
+``pair_score`` is MiniZinc Challenge complete scoring of two solver records
+on one instance. It decides in tiers: solved or not, then (on an
+optimisation problem) the optimality claim, then the objective; a tie
+between two solved records is split by time. The two scores sum to one
+when anybody solved, and to zero when both failed. ``pair_rows`` lists the
+score of every ordered solver pair on every instance, and
+``borda_complete`` folds those rows into a ``BordaTable``. This module is
 arithmetic only: ``report`` writes its rows and tables to files.
 """
 
@@ -12,34 +14,11 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import MissingRecord, ValidationError
+from .errors import MissingRecord
 from .records import Record
 from .runner import SolverRecord, Status
 
-KINDS = ("decision", "minimise", "maximise")
-
-
-class ComparableRecord(Record, frozen=True):
-    """The four facts scoring needs about one solver-on-instance run."""
-
-    solved: bool
-    optimal: bool
-    quality: int | None
-    time: float
-    kind: str = "minimise"
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown problem kind {self.kind!r}")
-        if self.optimal and not self.solved:
-            raise ValidationError("optimal implies solved")
-        if self.kind == "decision" and self.quality is not None:
-            raise ValidationError("decision records carry no quality")
-
-
-class PairScore(Record, frozen=True):
-    score_a: float
-    score_b: float
+PairRow = tuple[str, str, str, float]  # (solver, instance, opponent, score)
 
 
 class BordaTable(Record):
@@ -52,106 +31,79 @@ class BordaTable(Record):
         return sorted(self.totals.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def comparable_from_record(record: SolverRecord, kind: str) -> ComparableRecord:
-    """Project a runner record onto the scoring facts.
-
-    A correct unsatisfiability claim counts as solved. A timeout still
-    counts as solved if a verified solution was produced before the limit
-    (its quality then enters the comparison); a record whose payload
-    failed verification never counts.
-    """
-    has_solution = record.solution is not None and record.solution_ok is not False
+def _solved(record: SolverRecord) -> bool:
+    """An unsatisfiability claim, or a SAT or timeout answer that did not
+    fail verification (a timeout keeps the block it printed)."""
     if record.status is Status.UNSAT:
-        return ComparableRecord(True, False, None, record.time, kind)
-    if record.status in (Status.SAT, Status.TIMEOUT) and has_solution:
-        quality = None if kind == "decision" else record.objective
-        return ComparableRecord(
-            True,
-            record.optimal_claimed and record.status is Status.SAT,
-            quality,
-            record.time,
-            kind,
-        )
-    return ComparableRecord(False, False, None, record.time, kind)
+        return True
+    answered = record.solution is not None and record.solution_ok is not False
+    return answered and record.status in (Status.SAT, Status.TIMEOUT)
 
 
-def _quality_better(a: ComparableRecord, b: ComparableRecord) -> bool:
-    if a.quality is None or b.quality is None:
-        return False
-    if a.kind == "minimise":
-        return a.quality < b.quality
-    return a.quality > b.quality
+def pair_score(a: SolverRecord, b: SolverRecord, kind: str) -> tuple[float, float]:
+    """Complete-scoring comparison of A and B on one instance of a problem
+    of ``kind`` (``decision``, ``minimise`` or ``maximise``).
 
-
-def is_better(a: ComparableRecord, b: ComparableRecord) -> bool:
-    """Is A strictly better than B on this instance?
-
-    Criteria apply in tiers: solved status, then optimality, then solution
-    quality. Each tier decides as soon as the two records differ on it,
-    which keeps the comparison antisymmetric even for mutually
-    inconsistent records (a wrong optimality claim against a strictly
-    better objective); on consistent records the tiers coincide with the
-    plain disjunction of the three clauses.
+    Each tier decides as soon as the two records differ on it, so the
+    comparison stays antisymmetric even for inconsistent records (a wrong
+    optimality claim against a strictly better objective). Only a SAT
+    answer claims optimality, and an UNSAT claim has no objective. Two
+    solved records that tie split by normalised time (two zero times split
+    evenly); both unsolved score (0, 0).
     """
-    if a.kind != b.kind:
-        raise ValidationError("cannot compare records of different problem kinds")
-    if a.kind == "decision":
-        return a.solved and not b.solved
-    if a.solved != b.solved:
-        return a.solved
-    if a.optimal != b.optimal:
-        return a.optimal
-    return _quality_better(a, b)
+    solved_a, solved_b = _solved(a), _solved(b)
+    if solved_a != solved_b:
+        return (1.0, 0.0) if solved_a else (0.0, 1.0)
+    if not solved_a:
+        return 0.0, 0.0
+    if kind != "decision":
+        optimal_a, optimal_b = (r.optimal_claimed and r.status is Status.SAT for r in (a, b))
+        if optimal_a != optimal_b:
+            return (1.0, 0.0) if optimal_a else (0.0, 1.0)
+        quality_a, quality_b = (None if r.status is Status.UNSAT else r.objective for r in (a, b))
+        if quality_a is not None and quality_b is not None and quality_a != quality_b:
+            return (1.0, 0.0) if (quality_a < quality_b) == (kind == "minimise") else (0.0, 1.0)
+    total = a.time + b.time
+    if total <= 0:
+        return 0.5, 0.5
+    score_a = b.time / total
+    return score_a, 1.0 - score_a
 
 
-def minizinc_score(a: ComparableRecord, b: ComparableRecord) -> PairScore:
-    """Complete-scoring comparison of two records on one instance.
-
-    Both-failed pairs score (0, 0); equal-quality solved pairs split by
-    normalised solving time (two zero times split evenly).
-    """
-    if is_better(a, b):
-        return PairScore(1.0, 0.0)
-    if is_better(b, a):
-        return PairScore(0.0, 1.0)
-    if a.solved and b.solved:
-        total = a.time + b.time
-        if total <= 0:
-            return PairScore(0.5, 0.5)
-        score_a = b.time / total
-        return PairScore(score_a, 1.0 - score_a)
-    return PairScore(0.0, 0.0)
-
-
-def borda_complete(
-    records: Mapping[tuple[str, str], ComparableRecord],
+def pair_rows(
+    records: Mapping[tuple[str, str], SolverRecord],
+    kind: str,
     solvers: Sequence[str],
     instances: Sequence[str],
-) -> BordaTable:
-    """Accumulate pairwise scores over all ordered solver pairs and instances."""
+) -> list[PairRow]:
+    """One (solver, instance, opponent, score) row per ordered solver pair on
+    each instance: the rows of ``pair_scores.csv``. Raises MissingRecord
+    when a (solver, instance) record is absent."""
     for s in solvers:
         for i in instances:
             if (s, i) not in records:
                 raise MissingRecord(f"no record for solver {s!r} on instance {i!r}")
-    totals = {s: 0.0 for s in solvers}
-    cells = {(s, i): 0.0 for s in solvers for i in instances}
-    for solver, instance, _, score in pair_rows(records, solvers, instances):
-        totals[solver] += score
-        cells[(solver, instance)] += score
-    return BordaTable(list(solvers), list(instances), totals, cells)
-
-
-def pair_rows(
-    records: Mapping[tuple[str, str], ComparableRecord],
-    solvers: Sequence[str],
-    instances: Sequence[str],
-) -> list[tuple[str, str, str, float]]:
-    """One (solver, instance, opponent, score) row per ordered solver pair on
-    each instance: the rows of ``pair_scores.csv``."""
     return [
-        (s, i, t, minizinc_score(records[(s, i)], records[(t, i)]).score_a)
+        (s, i, t, pair_score(records[(s, i)], records[(t, i)], kind)[0])
         for i in instances
         for s in solvers
         for t in solvers
         if s != t
     ]
+
+
+def borda_complete(
+    records: Mapping[tuple[str, str], SolverRecord],
+    kind: str,
+    solvers: Sequence[str],
+    instances: Sequence[str],
+) -> tuple[BordaTable, list[PairRow]]:
+    """The Borda table over all ordered solver pairs and instances, and the
+    pair rows it sums, in their order."""
+    rows = pair_rows(records, kind, solvers, instances)
+    totals = {s: 0.0 for s in solvers}
+    cells = {(s, i): 0.0 for s in solvers for i in instances}
+    for solver, instance, _, score in rows:
+        totals[solver] += score
+        cells[(solver, instance)] += score
+    return BordaTable(list(solvers), list(instances), totals, cells), rows

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import pytest
 
@@ -23,7 +23,6 @@ from benchgen.evaluate import (
     EvaluationResult,
     GradedPolicy,
     Policy,
-    discriminating_scores,
     evaluate_configuration,
     status_penalty,
 )
@@ -32,6 +31,7 @@ from benchgen.gensolve import CandidateInstance, GenOutcome, SolutionHistory
 from benchgen.model import parse_model
 from benchgen.problems import PROBLEMS, KnapsackData, Problem, parse_knapsack
 from benchgen.runner import SolverRecord, Status
+from benchgen.scoring import pair_score
 from benchgen.space import GeneratorConfiguration, ParameterSpace, parse_space
 from benchgen.valuetext import NAME, format_value, is_int
 
@@ -63,7 +63,7 @@ def penalty_of(policy, *records) -> float:
     record of a graded policy, or the favoured then the base record."""
     if isinstance(policy, GradedPolicy):
         return status_penalty(policy.classify(*records))
-    scores = discriminating_scores(*records, policy.problem.kind)
+    scores = pair_score(*records, policy.problem.kind)
     return status_penalty(policy.classify(*records, scores), scores)
 
 
@@ -678,6 +678,76 @@ def fabricate_graded_archive(
             }
         )
     return archive
+
+
+class Comparable(NamedTuple):
+    """The facts that scoring once read off a solver record, with the problem kind."""
+
+    solved: bool
+    optimal: bool
+    quality: int | None
+    time: float
+    kind: str
+
+
+def comparable_from_record(record: SolverRecord, kind: str) -> Comparable:
+    """The earlier projection of a runner record onto the scoring facts."""
+    has_solution = record.solution is not None and record.solution_ok is not False
+    if record.status is Status.UNSAT:
+        return Comparable(True, False, None, record.time, kind)
+    if record.status in (Status.SAT, Status.TIMEOUT) and has_solution:
+        quality = None if kind == "decision" else record.objective
+        return Comparable(
+            True,
+            record.optimal_claimed and record.status is Status.SAT,
+            quality,
+            record.time,
+            kind,
+        )
+    return Comparable(False, False, None, record.time, kind)
+
+
+def _quality_better(a: Comparable, b: Comparable) -> bool:
+    if a.quality is None or b.quality is None:
+        return False
+    if a.kind == "minimise":
+        return a.quality < b.quality
+    return a.quality > b.quality
+
+
+def is_better(a: Comparable, b: Comparable) -> bool:
+    """The earlier tiered comparison: solved, then optimal, then quality."""
+    if a.kind == "decision":
+        return a.solved and not b.solved
+    if a.solved != b.solved:
+        return a.solved
+    if a.optimal != b.optimal:
+        return a.optimal
+    return _quality_better(a, b)
+
+
+def minizinc_score(a: Comparable, b: Comparable) -> tuple[float, float]:
+    """The earlier complete-scoring comparison of two projected records."""
+    if is_better(a, b):
+        return 1.0, 0.0
+    if is_better(b, a):
+        return 0.0, 1.0
+    if a.solved and b.solved:
+        total = a.time + b.time
+        if total <= 0:
+            return 0.5, 0.5
+        score_a = b.time / total
+        return score_a, 1.0 - score_a
+    return 0.0, 0.0
+
+
+def scoring_record(solved: bool, optimal: bool = False, quality: int | None = None, time: float = 1.0) -> SolverRecord:
+    """A solver record with these scoring facts: a SAT answer that claims
+    optimality if ``optimal`` and has ``quality`` as its objective, or else
+    an error run."""
+    if not solved:
+        return SolverRecord(Status.ERROR, time)
+    return SolverRecord(Status.SAT, time, quality, optimal, solution={})
 
 
 def naive_borda_totals(records, solvers, instances):

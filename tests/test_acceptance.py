@@ -19,7 +19,6 @@ from benchgen.evaluate import (
     DiscriminatingPolicy,
     EvaluationLimits,
     GradedPolicy,
-    discriminating_scores,
     effective_graded_record,
     evaluate_configuration,
     oracle_optimum,
@@ -37,17 +36,19 @@ from benchgen.runner import (
     run_solver,
     verify_record,
 )
-from benchgen.scoring import ComparableRecord, borda_complete, comparable_from_record, minizinc_score
+from benchgen.scoring import borda_complete, pair_score
 from benchgen.space import parse_space
 from benchgen.tuner import TunerConfig, friedman_eliminate
 
 from conftest import (
+    comparable_from_record,
     decision_values,
     evaluate_generator,
     exclusion_key,
     make_configuration,
     naive_borda_totals,
     penalty_of,
+    scoring_record,
     tuner_log,
 )
 from test_tuner import reference_statistic
@@ -182,7 +183,7 @@ def test_acceptance_algorithm_truth_tables():
         assert penalty == pytest.approx(expected_penalty, abs=1e-12), (
             favoured.status, base.status, types,
         )
-        status = policy.classify(favoured, base, discriminating_scores(favoured, base, KNAPSACK.kind))
+        status = policy.classify(favoured, base, pair_score(favoured, base, KNAPSACK.kind))
         assert status is expected_status, (favoured.status, base.status, types)
         checked += 1
 
@@ -203,21 +204,22 @@ def test_acceptance_scoring_oracle():
         solved = rng.random() < 0.7
         optimal = solved and rng.random() < 0.4
         quality = rng.randint(0, 15) if (kind != "decision" and solved and rng.random() < 0.9) else None
-        return ComparableRecord(solved, optimal, quality, rng.choice([0.0, rng.uniform(0.1, 60.0)]), kind)
+        return scoring_record(solved, optimal, quality, rng.choice([0.0, rng.uniform(0.1, 60.0)]))
 
     for trial in range(1000):
         kind = ("decision", "minimise", "maximise")[trial % 3]
         solvers = [f"s{i}" for i in range(rng.randint(3, 5))]
         instances = [f"i{i}" for i in range(rng.randint(5, 20))]
         records = {(s, i): random_record(kind) for s in solvers for i in instances}
-        table = borda_complete(records, solvers, instances)
-        reference = naive_borda_totals(records, solvers, instances)
+        table, _ = borda_complete(records, kind, solvers, instances)
+        comparables = {key: comparable_from_record(record, kind) for key, record in records.items()}
+        reference = naive_borda_totals(comparables, solvers, instances)
         for s in solvers:
             assert abs(table.totals[s] - reference[s]) <= 1e-12
         a, b = records[(solvers[0], instances[0])], records[(solvers[1], instances[0])]
-        pair = minizinc_score(a, b)
-        swap = minizinc_score(b, a)
-        assert abs(pair.score_a - swap.score_b) <= 1e-12
+        pair = pair_score(a, b, kind)
+        swap = pair_score(b, a, kind)
+        assert abs(pair[0] - swap[1]) <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"scoring oracle took {elapsed:.2f}s"
     ok(f"scoring oracle (1000 record sets, {elapsed:.2f}s)")
@@ -449,7 +451,7 @@ def test_acceptance_combined_evaluation(tmp_path):
     reference = naive_borda_totals(comparables, names, instance_ids)
     for name in names:
         assert result.borda.totals[name] == pytest.approx(reference[name], abs=1e-12)
-    table = borda_complete(comparables, names, instance_ids)
+    table, _ = borda_complete(result.records, KNAPSACK.kind, names, instance_ids)
     assert table.totals == result.borda.totals
 
     assert result.answered["liar"] == len(instance_ids)

@@ -17,7 +17,6 @@ from benchgen.evaluate import (
     EvaluationLimits,
     GradedPolicy,
     OracleResult,
-    discriminating_scores,
     effective_graded_record,
     evaluate_configuration,
 )
@@ -26,6 +25,7 @@ from benchgen.model import parse_model
 from benchgen.problems import get_problem
 from benchgen.records import replace
 from benchgen.runner import RunStatus, SolverAdapter, SolverRecord, Status
+from benchgen.scoring import pair_score
 from benchgen.space import parse_space
 
 from conftest import decision_values, exclusion_key, make_configuration, penalty_of
@@ -383,7 +383,7 @@ def _gated_discriminating_penalty(favoured, base, policy):
         return 0.0
     if base.time < policy.t_min:
         return 0.0
-    score_f, score_b = discriminating_scores(favoured, base, policy.problem.kind)
+    score_f, score_b = pair_score(favoured, base, policy.problem.kind)
     if score_f == 0.0:
         return 0.0
     if score_b == 0.0:

@@ -29,7 +29,6 @@ from benchgen.problems import get_problem
 from benchgen.records import Record, field, field_names, from_jsonable, replace, to_jsonable
 from benchgen.report import CombinedSet
 from benchgen.runner import GenOutcome, OracleResult, RunStatus, SolverAdapter, SolverRecord, Status
-from benchgen.scoring import ComparableRecord
 from benchgen.space import GeneratorConfiguration, ParameterSpace, ParameterSpec
 from benchgen.tuner import TunerConfig
 
@@ -128,7 +127,6 @@ VALID = {
         "problem": get_problem("knapsack"), "favoured": _ADAPTER, "t_min": 1.0, "t_max": 2.0,
         "base": SolverAdapter(name="b", builtin="exact"), "types": frozenset({"SAT"}),
     },
-    ComparableRecord: {"solved": True, "optimal": False, "quality": 3, "time": 0.5, "kind": "maximise"},
     # Frozen but unhashable, as its twin is: the assignment is a dict.
     GeneratorConfiguration: {"assignment": {"n": 1}},
 }

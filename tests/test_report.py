@@ -26,10 +26,10 @@ from benchgen.report import (
     write_reports,
 )
 from benchgen.runner import SolverAdapter, SolverRecord
-from benchgen.scoring import borda_complete, comparable_from_record, pair_rows
+from benchgen.scoring import borda_complete
 from benchgen.tuner import TunerConfig
 
-from conftest import fabricate_graded_archive, naive_borda_totals
+from conftest import comparable_from_record, fabricate_graded_archive, naive_borda_totals
 
 KNAPSACK = get_problem("knapsack")
 NO_MEM = EvaluationLimits(mem_limit=None)
@@ -236,10 +236,8 @@ def test_evaluate_outputs_are_computed_from_its_records_alone(tmp_path):
         for line in map(json.loads, lines)
     }
     names, instance_ids = [s.name for s in solvers], combined.all_instance_ids()
-    comparables = {key: comparable_from_record(record, KNAPSACK.kind) for key, record in records.items()}
-    rows = pair_rows(comparables, names, instance_ids)
+    borda, rows = borda_complete(records, KNAPSACK.kind, names, instance_ids)
     assert read_table(out / "pair_scores.csv") == (TABLES["pair_scores.csv"], rows)
-    borda = borda_complete(comparables, names, instance_ids)
     assert read_borda_json(out / "borda.json") == borda
     rebuilt = CombinedEvaluation(borda, records)
     assert rebuilt.flagged["liar"] > 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from benchgen.runner import (
     run_solver,
     verify_record,
 )
-from benchgen.scoring import comparable_from_record
+from benchgen.scoring import pair_score
 from benchgen.valuetext import parse_values
 
 from conftest import evaluate_generator
@@ -223,9 +224,9 @@ def test_killed_run_keeps_the_block_it_printed(tmp_path):
     checked = verify_record(KNAPSACK, instance, record)
     assert checked.solution_ok is True
     assert checked.objective == 7
-    comparable = comparable_from_record(checked, KNAPSACK.kind)
-    assert comparable.solved and not comparable.optimal
-    assert comparable.quality == 7
+    # Scored as a solved answer of objective 7 that claims no optimum.
+    same = SolverRecord(Status.SAT, checked.time, 7, solution=checked.solution)
+    assert pair_score(checked, same, KNAPSACK.kind) == (0.5, 0.5)
 
 
 def running_in_group(pgid):
@@ -270,6 +271,35 @@ def test_an_external_run_ends_with_its_solver_and_leaves_no_process(tmp_path, ch
             os.killpg(pgid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+def test_an_external_runs_time_ends_when_its_solver_exits():
+    """The clock stops as the solver is reaped. Waiting by polling, with its
+    backoff of up to 50 ms, recorded this 0.07 s solver at about 0.115 s."""
+    times = [run_external_command("sh -c 'sleep 0.07' sh" + TRAIL, "m", "i", 5.0).time for _ in range(3)]
+    assert sorted(times)[1] < 0.09, times
+
+
+@pytest.mark.parametrize(
+    "script, limit, ending",
+    [("sleep 0.05", 5.0, "# exit=0 killed=False "), ("sleep 30", 0.3, "# exit=-9 killed=True ")],
+    ids=["exited", "killed"],
+)
+def test_run_log_ends_with_the_solvers_cpu_seconds(tmp_path, script, limit, ending):
+    run_external_command(f"sh -c '{script}' sh" + TRAIL, "m", "i", limit, log_path=tmp_path / "run.log")
+    tail = (tmp_path / "run.log").read_text().splitlines()[-1]
+    assert tail.startswith(ending), tail
+    assert re.fullmatch(r"# exit=\S+ killed=\S+ elapsed=\d+\.\d{3} cpu=\d+\.\d{3}", tail), tail
+
+
+def test_output_that_is_not_utf8_is_read_to_its_end():
+    """A stray byte neither ends the reader nor loses the block before it."""
+    lines = ["take = [1]", "-" * 10, r"\377", "=" * 10]
+    script = "printf '" + r"\n".join(lines) + r"\n'"
+    record = run_external_command(f"sh -c \"{script}\" sh" + TRAIL, "m", "i", 5.0)
+    assert record.status is Status.SAT
+    assert record.solution == {"take": [1]}
+    assert record.optimal_claimed
 
 
 def test_external_nonzero_exit_is_error(tmp_path):

@@ -1,25 +1,30 @@
 """Pairwise scoring and Borda aggregation against a naive reference."""
 
 from random import Random
+from typing import NamedTuple
 
 import pytest
 
-from benchgen.errors import MissingRecord, ValidationError
-from benchgen.scoring import (
-    ComparableRecord,
-    borda_complete,
-    is_better,
-    minizinc_score,
-    pair_rows,
-)
+from benchgen.errors import MissingRecord
+from benchgen.runner import SolverRecord, Status
+from benchgen.scoring import borda_complete, pair_rows, pair_score
 from benchgen.report import TABLES, read_table, write_table
+
+from conftest import comparable_from_record, minizinc_score, scoring_record
 
 
 # -- independent reference implementation (kept deliberately naive) -----------
 
 
-def ref_is_better(a, b):
-    if a.kind == "decision":
+class Facts(NamedTuple):
+    solved: bool
+    optimal: bool
+    quality: int | None
+    time: float
+
+
+def ref_is_better(a, b, kind):
+    if kind == "decision":
         return a.solved and (not b.solved)
     if a.solved and not b.solved:
         return True
@@ -30,17 +35,17 @@ def ref_is_better(a, b):
     if b.optimal and not a.optimal:
         return False
     if a.quality is not None and b.quality is not None:
-        if a.kind == "minimise" and a.quality < b.quality:
+        if kind == "minimise" and a.quality < b.quality:
             return True
-        if a.kind == "maximise" and a.quality > b.quality:
+        if kind == "maximise" and a.quality > b.quality:
             return True
     return False
 
 
-def ref_score(a, b):
-    if ref_is_better(a, b):
+def ref_score(a, b, kind):
+    if ref_is_better(a, b, kind):
         return 1.0, 0.0
-    if ref_is_better(b, a):
+    if ref_is_better(b, a, kind):
         return 0.0, 1.0
     if a.solved and b.solved:
         if a.time + b.time == 0:
@@ -49,13 +54,13 @@ def ref_score(a, b):
     return 0.0, 0.0
 
 
-def ref_borda_totals(records, solvers, instances):
+def ref_borda_totals(facts, kind, solvers, instances):
     totals = {s: 0.0 for s in solvers}
     for i in instances:
         for s in solvers:
             for t in solvers:
                 if s != t:
-                    totals[s] += ref_score(records[(s, i)], records[(t, i)])[0]
+                    totals[s] += ref_score(facts[(s, i)], facts[(t, i)], kind)[0]
     return totals
 
 
@@ -66,89 +71,105 @@ def random_record(rng, kind):
     if kind != "decision" and solved and rng.random() < 0.9:
         quality = rng.randint(0, 20)
     time = rng.choice([0.0, rng.uniform(0.1, 100.0)])
-    return ComparableRecord(solved=solved, optimal=optimal, quality=quality, time=time, kind=kind)
+    return Facts(solved, optimal, quality, time)
+
+
+def score(a, b, kind):
+    """``pair_score`` of the records with the facts ``a`` and ``b``."""
+    return pair_score(scoring_record(*a), scoring_record(*b), kind)
 
 
 # -- examples -----------------------------------------------------------------
 
 
 def test_is_better_decision_solved_vs_unsolved():
-    a = ComparableRecord(True, False, None, 5.0, "decision")
-    b = ComparableRecord(False, False, None, 5.0, "decision")
-    assert is_better(a, b) is True
-    assert is_better(b, a) is False
+    a = scoring_record(True, False, None, 5.0)
+    b = scoring_record(False, False, None, 5.0)
+    assert pair_score(a, b, "decision") == (1.0, 0.0)
+    assert pair_score(b, a, "decision") == (0.0, 1.0)
 
 
 def test_is_better_optimality_breaks_quality_tie():
-    a = ComparableRecord(True, True, 8, 10.0, "minimise")
-    b = ComparableRecord(True, False, 8, 10.0, "minimise")
-    assert is_better(a, b) is True
-    assert is_better(b, a) is False
+    a = scoring_record(True, True, 8, 10.0)
+    b = scoring_record(True, False, 8, 10.0)
+    assert pair_score(a, b, "minimise") == (1.0, 0.0)
+    assert pair_score(b, a, "minimise") == (0.0, 1.0)
 
 
 def test_is_better_irreflexive_on_equal_records():
-    a = ComparableRecord(True, False, 8, 10.0, "minimise")
-    b = ComparableRecord(True, False, 8, 10.0, "minimise")
-    assert not is_better(a, b) and not is_better(b, a)
-
-
-def test_is_better_rejects_mixed_kinds():
-    a = ComparableRecord(True, False, None, 1.0, "decision")
-    b = ComparableRecord(True, False, 8, 1.0, "minimise")
-    with pytest.raises(ValidationError):
-        is_better(a, b)
+    a = scoring_record(True, False, 8, 10.0)
+    b = scoring_record(True, False, 8, 10.0)
+    assert pair_score(a, b, "minimise") == pair_score(b, a, "minimise") == (0.5, 0.5)
 
 
 def test_score_time_split():
-    a = ComparableRecord(True, False, 8, 10.0, "minimise")
-    b = ComparableRecord(True, False, 8, 30.0, "minimise")
-    pair = minizinc_score(a, b)
-    assert (pair.score_a, pair.score_b) == (0.75, 0.25)
+    a = scoring_record(True, False, 8, 10.0)
+    b = scoring_record(True, False, 8, 30.0)
+    assert pair_score(a, b, "minimise") == (0.75, 0.25)
 
 
 def test_score_equal_times_split_evenly():
-    a = ComparableRecord(True, False, None, 12.0, "decision")
-    b = ComparableRecord(True, False, None, 12.0, "decision")
-    pair = minizinc_score(a, b)
-    assert (pair.score_a, pair.score_b) == (0.5, 0.5)
+    a = scoring_record(True, False, None, 12.0)
+    b = scoring_record(True, False, None, 12.0)
+    assert pair_score(a, b, "decision") == (0.5, 0.5)
 
 
 def test_score_both_failed_is_zero_zero():
-    a = ComparableRecord(False, False, None, 100.0, "minimise")
-    b = ComparableRecord(False, False, None, 100.0, "minimise")
-    pair = minizinc_score(a, b)
-    assert (pair.score_a, pair.score_b) == (0.0, 0.0)
+    a = scoring_record(False, False, None, 100.0)
+    b = scoring_record(False, False, None, 100.0)
+    assert pair_score(a, b, "minimise") == (0.0, 0.0)
 
 
 def test_score_zero_times_split_evenly():
-    a = ComparableRecord(True, False, None, 0.0, "decision")
-    b = ComparableRecord(True, False, None, 0.0, "decision")
-    assert minizinc_score(a, b) == minizinc_score(b, a)
-    assert minizinc_score(a, b).score_a == 0.5
+    a = scoring_record(True, False, None, 0.0)
+    b = scoring_record(True, False, None, 0.0)
+    assert pair_score(a, b, "decision") == pair_score(b, a, "decision")
+    assert pair_score(a, b, "decision")[0] == 0.5
 
 
 def test_borda_single_pair():
     records = {
-        ("A", "i"): ComparableRecord(True, False, None, 5.0, "decision"),
-        ("B", "i"): ComparableRecord(False, False, None, 5.0, "decision"),
+        ("A", "i"): scoring_record(True, False, None, 5.0),
+        ("B", "i"): scoring_record(False, False, None, 5.0),
     }
-    table = borda_complete(records, ["A", "B"], ["i"])
+    table, _ = borda_complete(records, "decision", ["A", "B"], ["i"])
     assert table.totals == {"A": 1.0, "B": 0.0}
 
 
 def test_borda_all_failed():
-    records = {
-        (s, "i"): ComparableRecord(False, False, None, 1.0, "minimise")
-        for s in "ABC"
-    }
-    table = borda_complete(records, ["A", "B", "C"], ["i"])
+    records = {(s, "i"): scoring_record(False, False, None, 1.0) for s in "ABC"}
+    table, _ = borda_complete(records, "minimise", ["A", "B", "C"], ["i"])
     assert set(table.totals.values()) == {0.0}
 
 
 def test_borda_missing_record_raises():
-    records = {("A", "i"): ComparableRecord(True, False, None, 1.0, "decision")}
+    records = {("A", "i"): scoring_record(True, False, None, 1.0)}
     with pytest.raises(MissingRecord):
-        borda_complete(records, ["A", "B"], ["i"])
+        borda_complete(records, "decision", ["A", "B"], ["i"])
+
+
+# -- bit-for-bit agreement with the earlier scoring ---------------------------
+
+
+def test_pair_score_matches_the_earlier_scoring_bit_for_bit():
+    """Every pair of a grid of solver records, under each problem kind, scores
+    as the earlier projection onto comparable facts and its score did, to the
+    last bit: the tie split's score_b is ``1.0 - score_a``, which the
+    discriminating penalty archives."""
+    records = [
+        SolverRecord(status, time, objective, optimal, solution, solution_ok=ok)
+        for status in Status
+        for solution in (None, {"take": [1]})
+        for ok in (None, True, False)
+        for optimal in (False, True)
+        for objective in (None, 3, 5)
+        for time in (0.0, 0.1, 0.2)
+    ]
+    for kind in ("decision", "minimise", "maximise"):
+        facts = [comparable_from_record(r, kind) for r in records]
+        for a, fa in zip(records, facts):
+            for b, fb in zip(records, facts):
+                assert repr(pair_score(a, b, kind)) == repr(minizinc_score(fa, fb)), (a, b, kind)
 
 
 # -- randomised agreement with the reference ----------------------------------
@@ -159,10 +180,10 @@ def test_scores_match_reference_on_randomised_sets():
     for _ in range(300):
         kind = rng.choice(["decision", "minimise", "maximise"])
         a, b = random_record(rng, kind), random_record(rng, kind)
-        pair = minizinc_score(a, b)
-        expect = ref_score(a, b)
-        assert abs(pair.score_a - expect[0]) <= 1e-12
-        assert abs(pair.score_b - expect[1]) <= 1e-12
+        pair = score(a, b, kind)
+        expect = ref_score(a, b, kind)
+        assert abs(pair[0] - expect[0]) <= 1e-12
+        assert abs(pair[1] - expect[1]) <= 1e-12
 
 
 def test_borda_matches_reference_on_randomised_sets():
@@ -171,11 +192,10 @@ def test_borda_matches_reference_on_randomised_sets():
         kind = rng.choice(["decision", "minimise", "maximise"])
         solvers = [f"s{i}" for i in range(rng.randint(3, 5))]
         instances = [f"i{i}" for i in range(rng.randint(5, 20))]
-        records = {
-            (s, i): random_record(rng, kind) for s in solvers for i in instances
-        }
-        table = borda_complete(records, solvers, instances)
-        expect = ref_borda_totals(records, solvers, instances)
+        facts = {(s, i): random_record(rng, kind) for s in solvers for i in instances}
+        records = {key: scoring_record(*f) for key, f in facts.items()}
+        table, _ = borda_complete(records, kind, solvers, instances)
+        expect = ref_borda_totals(facts, kind, solvers, instances)
         for s in solvers:
             assert abs(table.totals[s] - expect[s]) <= 1e-12
         for s in solvers:
@@ -191,7 +211,7 @@ def test_antisymmetry_fuzz():
     for _ in range(500):
         kind = rng.choice(["decision", "minimise", "maximise"])
         a, b = random_record(rng, kind), random_record(rng, kind)
-        assert not (is_better(a, b) and is_better(b, a))
+        assert not (score(a, b, kind) == (1.0, 0.0) and score(b, a, kind) == (1.0, 0.0))
 
 
 def test_score_components_bounded_and_summing():
@@ -199,11 +219,9 @@ def test_score_components_bounded_and_summing():
     for _ in range(500):
         kind = rng.choice(["decision", "minimise", "maximise"])
         a, b = random_record(rng, kind), random_record(rng, kind)
-        pair = minizinc_score(a, b)
-        assert 0.0 <= pair.score_a <= 1.0 and 0.0 <= pair.score_b <= 1.0
-        assert pair.score_a + pair.score_b in (0.0, 1.0) or abs(
-            pair.score_a + pair.score_b - 1.0
-        ) < 1e-12
+        score_a, score_b = score(a, b, kind)
+        assert 0.0 <= score_a <= 1.0 and 0.0 <= score_b <= 1.0
+        assert score_a + score_b in (0.0, 1.0) or abs(score_a + score_b - 1.0) < 1e-12
 
 
 def test_time_scaling_leaves_split_unchanged():
@@ -211,12 +229,10 @@ def test_time_scaling_leaves_split_unchanged():
     for _ in range(200):
         t_a, t_b = rng.uniform(0.1, 50), rng.uniform(0.1, 50)
         scale = rng.uniform(0.01, 100)
-        a = ComparableRecord(True, False, 5, t_a, "minimise")
-        b = ComparableRecord(True, False, 5, t_b, "minimise")
-        a2 = ComparableRecord(True, False, 5, t_a * scale, "minimise")
-        b2 = ComparableRecord(True, False, 5, t_b * scale, "minimise")
-        p1, p2 = minizinc_score(a, b), minizinc_score(a2, b2)
-        assert abs(p1.score_a - p2.score_a) < 1e-9
+        a, b = Facts(True, False, 5, t_a), Facts(True, False, 5, t_b)
+        a2, b2 = Facts(True, False, 5, t_a * scale), Facts(True, False, 5, t_b * scale)
+        p1, p2 = score(a, b, "minimise"), score(a2, b2, "minimise")
+        assert abs(p1[0] - p2[0]) < 1e-9
 
 
 def test_swap_symmetry():
@@ -224,9 +240,9 @@ def test_swap_symmetry():
     for _ in range(300):
         kind = rng.choice(["decision", "minimise", "maximise"])
         a, b = random_record(rng, kind), random_record(rng, kind)
-        ab, ba = minizinc_score(a, b), minizinc_score(b, a)
-        assert abs(ab.score_a - ba.score_b) < 1e-12
-        assert abs(ab.score_b - ba.score_a) < 1e-12
+        ab, ba = score(a, b, kind), score(b, a, kind)
+        assert abs(ab[0] - ba[1]) < 1e-12
+        assert abs(ab[1] - ba[0]) < 1e-12
 
 
 def test_borda_invariant_under_solver_permutation():
@@ -234,10 +250,10 @@ def test_borda_invariant_under_solver_permutation():
     solvers = ["x", "y", "z"]
     instances = ["i1", "i2"]
     records = {
-        (s, i): random_record(rng, "maximise") for s in solvers for i in instances
+        (s, i): scoring_record(*random_record(rng, "maximise")) for s in solvers for i in instances
     }
-    t1 = borda_complete(records, solvers, instances)
-    t2 = borda_complete(records, list(reversed(solvers)), instances)
+    t1, _ = borda_complete(records, "maximise", solvers, instances)
+    t2, _ = borda_complete(records, "maximise", list(reversed(solvers)), instances)
     assert t1.totals == t2.totals
 
 
@@ -246,9 +262,9 @@ def test_score_csv_roundtrip(tmp_path):
     solvers = ["a", "b", "c"]
     instances = ["i1", "i2", "i3"]
     records = {
-        (s, i): random_record(rng, "minimise") for s in solvers for i in instances
+        (s, i): scoring_record(*random_record(rng, "minimise")) for s in solvers for i in instances
     }
-    rows = pair_rows(records, solvers, instances)
+    rows = pair_rows(records, "minimise", solvers, instances)
     path = tmp_path / "scores.csv"
     write_table(path, TABLES["pair_scores.csv"], rows)
     assert read_table(path) == (TABLES["pair_scores.csv"], rows)
@@ -258,12 +274,12 @@ def test_borda_json_roundtrip(tmp_path):
     from benchgen.report import read_borda_json, write_borda_json
 
     records = {
-        ("A", "i1"): ComparableRecord(True, True, 5, 3.0, "maximise"),
-        ("B", "i1"): ComparableRecord(True, False, 4, 2.0, "maximise"),
-        ("A", "i2"): ComparableRecord(False, False, None, 9.0, "maximise"),
-        ("B", "i2"): ComparableRecord(True, False, 1, 1.0, "maximise"),
+        ("A", "i1"): scoring_record(True, True, 5, 3.0),
+        ("B", "i1"): scoring_record(True, False, 4, 2.0),
+        ("A", "i2"): scoring_record(False, False, None, 9.0),
+        ("B", "i2"): scoring_record(True, False, 1, 1.0),
     }
-    table = borda_complete(records, ["A", "B"], ["i1", "i2"])
+    table, _ = borda_complete(records, "maximise", ["A", "B"], ["i1", "i2"])
     path = tmp_path / "borda.json"
     write_borda_json(path, table)
     back = read_borda_json(path)
