@@ -14,8 +14,8 @@ Layout of a campaign directory:
     tuner.log          one line per evaluation: the race iteration, then its
                        record's fields, with step = block + 1
     history.json       solution count per configuration, written when the
-                       campaign ends and never read; resume counts the
-                       recorded instances in evals.jsonl instead
+                       campaign ends and never read; resume reads each
+                       configuration's last .inst instead
     reports/           outputs of the report subcommand
 
 An instance's decision values are its .inst values minus the parameter
@@ -61,6 +61,7 @@ if TYPE_CHECKING:
     import subprocess
 
     from .gensolve import CandidateInstance, SolutionHistory
+    from .model import GeneratorModel
 
 
 @contextmanager
@@ -362,18 +363,27 @@ class CampaignArchive:
     def save_history(self, history: SolutionHistory) -> None:
         write_file(self.root / "history.json", json.dumps(history.to_jsonable(), indent=0, sort_keys=True))
 
-    def load_history(self) -> SolutionHistory:
-        """The solution history of the recorded evaluations: per
-        configuration, how many of its records name an instance.
-
-        ``history.json`` is not read: it is only written when a campaign
-        ends, so after a crash it lags the records. The history keeps no
-        searches, so each configuration's next solve starts a fresh search
-        that steps past its counted solutions first.
+    def load_history(self, model: GeneratorModel) -> SolutionHistory:
+        """The solution history of the recorded evaluations: each
+        configuration's last recorded instance, read from its ``.inst``,
+        numbered by how many of its records name an instance, and grounded
+        from ``model``. ``history.json`` is not read: after a crash it lags
+        the records. ``ArchiveError`` names a last ``.inst`` that is missing,
+        does not parse, or does not encode into its configuration's grounding.
         """
-        from .gensolve import SolutionHistory
+        from .gensolve import CandidateInstance, SolutionHistory
+        from .space import GeneratorConfiguration
 
-        return SolutionHistory(Counter(e.config_id for e in self.evaluations() if e.instance_id))
+        recorded = [e for e in self.evaluations() if e.instance_id]
+        counts, history = Counter(e.config_id for e in recorded), SolutionHistory()
+        for e in {e.config_id: e for e in recorded}.values():
+            history.add(CandidateInstance(self.instance_values(e.instance_id), e.config_id, counts[e.config_id] - 1))
+            try:
+                history.search(model, GeneratorConfiguration(e.assignment), float("inf"))
+            except (LookupError, TypeError, ValueError) as why:
+                path = self.root / "instances" / f"{e.instance_id}.inst"
+                raise ArchiveError(f"{path}: its values do not fit the generator model ({why!r})") from None
+        return history
 
     @property
     def reports_dir(self) -> Path:

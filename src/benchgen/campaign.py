@@ -16,7 +16,6 @@ from typing import Any
 from .archive import CampaignArchive, Evaluation, lock_archive
 from .errors import ArchiveError
 from .evaluate import EvaluationLimits, EvaluationResult, Policy, evaluate_configuration
-from .gensolve import SolutionHistory
 from .model import parse_model
 from .records import Record, replace, to_jsonable
 from .space import GeneratorConfiguration, parse_space
@@ -117,13 +116,12 @@ def run_campaign(
             archive.drop_torn_record()
             for entry in archive.evaluations():  # the tuner reads no solver record: keep none
                 replay.setdefault(entry.config_id, deque()).append(replace(entry, records={}))
-            history = archive.load_history()
         elif (out_dir / "records" / "evals.jsonl").exists():
             advice = "it has no config.json" if resume else "pass resume or pick a fresh directory"
             raise ArchiveError(f"{out_dir} already holds campaign records; {advice}")
         else:
             archive = CampaignArchive.create(out_dir, meta, space_text, model_text)
-            history = SolutionHistory()
+        history = archive.load_history(model)
         eval_seq = sum(map(len, replay.values()))  # the records read, before replay pops them
         if resume:
             # Replay regenerates the identical prefix, so start the log afresh.

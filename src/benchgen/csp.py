@@ -15,19 +15,19 @@ there. A constraint that reads no slot is decided once, at the root.
 
 Solutions therefore come out in lex order of the assignment vector
 (declaration order, ascending values). A ``Search`` is one depth-first
-walk of the tree, suspended between calls: each ``backtrack_solve`` on it
-continues where the last one stopped, at a solution or at its deadline,
-so successive calls return every solution, each exactly once. A call
-reports the ``GenOutcome`` it reached: ``SOLUTION``, ``UNSAT`` once the
-tree is exhausted, or ``SOLVE_TIMEOUT`` at its deadline. The walk is a
-loop over explicit per-level state (Knuth, TAOCP 4B, 7.2.2, Algorithm
-B), so its depth is not bounded by the interpreter's recursion limit.
+walk of the tree: each ``backtrack_solve`` on it continues where the last
+one stopped, at a solution or at its deadline, so successive calls return
+every solution, each exactly once. A call reports the ``GenOutcome`` it
+reached: ``SOLUTION``, ``UNSAT`` once the tree is exhausted, or
+``SOLVE_TIMEOUT`` at its deadline. The walk is a loop over explicit
+per-level state (Knuth, TAOCP 4B, 7.2.2, Algorithm B), so its depth is not
+bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from .records import Record
 from .runner import GenOutcome
@@ -44,25 +44,27 @@ class GroundedCsp(Record):
     refuted: bool  # the root verdict of the constraints that read no slot
     # Rebuilds structured decision values from a full assignment vector.
     decode: Callable[[Assignment], dict[str, Any]]
+    encode: Callable[[Mapping[str, Any]], Assignment]  # its inverse; raises on values it cannot encode
 
 
 class Search:
-    """One depth-first search of ``csp``, kept between solves.
+    """One depth-first search of ``csp``, from the root or, as the order is
+    fixed, from the state in which it stops at the solution ``after`` (a
+    full assignment vector; a value outside its domain is a ``ValueError``).
 
     ``assignment`` holds the values of levels ``0..depth``; ``tried[i]``
     counts the values of level i's domain tried so far, so the next one is
     ``csp.domains[i][tried[i]]``. ``depth`` is -1 once the tree is exhausted.
-    ``found`` counts the solutions returned. Only one thread may step a
-    search at a time; the CSP itself holds no search state.
+    Only one thread may step a search at a time; the CSP itself holds no
+    search state.
     """
 
-    def __init__(self, csp: GroundedCsp):
+    def __init__(self, csp: GroundedCsp, after: Assignment | None = None):
         n = len(csp.domains)
         self.csp = csp
-        self.assignment: Assignment = [None] * n
-        self.tried = [0] * n
-        self.depth = -1 if csp.refuted else 0
-        self.found = 0
+        self.assignment: Assignment = [None] * n if after is None else list(after)
+        self.tried = [0] * n if after is None else [d.index(v) + 1 for d, v in zip(csp.domains, after)]
+        self.depth = -1 if csp.refuted else 0 if after is None else n - 1
 
 
 class BacktrackResult(Record, frozen=True):
@@ -110,5 +112,4 @@ def backtrack_solve(search: Search, deadline: float) -> BacktrackResult:
         return BacktrackResult(GenOutcome.UNSAT, None, nodes)
     # A solution: suspend at the last level, whose next value comes next.
     search.depth = n - 1
-    search.found += 1
     return BacktrackResult(GenOutcome.SOLUTION, search.csp.decode(assignment), nodes)

@@ -3,14 +3,10 @@
 Re-evaluating a configuration must yield a fresh candidate instance, until
 the configuration's solution set is exhausted. Solutions come out in lex
 order and distinct solutions decode to distinct instances, so a history
-needs only how many solutions each configuration has taken: the next
-instance is the search's next solution. ``solve_generator`` counts each
-solution it returns. The history also keeps, in memory only, the suspended
-searches of the configurations solved last, in a bounded LRU, so a
-configuration evaluated again is neither grounded nor searched from the
-root again. A configuration without a kept search (new, pushed out, or
-rebuilt from the records on resume) gets a fresh one, which steps past
-the counted solutions first.
+needs only each configuration's last solution: ``solve_generator`` runs
+one search that starts just after it, whether the configuration was solved
+a moment ago, its grounding was pushed out of the history's LRU, or the
+history was rebuilt from the archive on resume.
 """
 
 from __future__ import annotations
@@ -18,9 +14,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Mapping
+from typing import Any
 
-from .csp import Search, backtrack_solve
+from .csp import GroundedCsp, Search, backtrack_solve
 from .errors import ModelError
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
@@ -30,7 +26,7 @@ from .space import GeneratorConfiguration
 from .valuetext import format_values
 
 
-# How many suspended searches a history keeps, least recently used dropped first.
+# How many groundings a history keeps, least recently used dropped first.
 CSP_CACHE_SIZE = 128
 
 
@@ -59,48 +55,48 @@ class GeneratorSolveResult(Record, frozen=True):
 
 
 class SolutionHistory:
-    """Solution counts and suspended searches, one per configuration id.
+    """The last solution and the grounding of each configuration id.
 
-    The count is how many solutions of the configuration have been taken.
-    The history also keeps an LRU of searches, one per configuration id
-    with the model it was grounded from, bounded by ``CSP_CACHE_SIZE``.
-    ``to_jsonable`` gives the counts alone, which the archive saves; a
-    history built from counts starts without searches.
+    A configuration's last solution is the last instance taken from it, so
+    its count of solutions taken is that instance's ``sequence + 1``; the
+    archive saves the counts (``to_jsonable``). The groundings, one per
+    configuration id with the model it was grounded from, hold no search
+    state and are an LRU bounded by ``CSP_CACHE_SIZE``.
     """
 
-    def __init__(self, counts: Mapping[str, int] | None = None):
-        self._counts: dict[str, int] = dict(counts or {})
-        self._searches: OrderedDict[str, tuple[GeneratorModel, Search]] = OrderedDict()
+    def __init__(self) -> None:
+        self._last: dict[str, CandidateInstance] = {}
+        self._groundings: OrderedDict[str, tuple[GeneratorModel | None, GroundedCsp]] = OrderedDict()
         self._lock = threading.Lock()
 
     def count(self, config_id: str) -> int:
         with self._lock:
-            return self._counts.get(config_id, 0)
+            return self._last[config_id].sequence + 1 if config_id in self._last else 0
 
-    def take_search(self, config_id: str, model: GeneratorModel) -> Search | None:
-        """The kept search of ``config_id``, if it was grounded from ``model``.
-
-        The search leaves the history until ``keep_search`` puts it back, so
-        no two threads step it at once.
-        """
+    def search(self, model: GeneratorModel, config: GeneratorConfiguration, translate_limit: float) -> Search:
+        """A search of ``config`` grounded from ``model``, just after its last
+        solution or at the root. A grounding the history does not keep may
+        raise ``TranslateTimeout`` or ``ModelError``, a restore what
+        ``GroundedCsp.encode`` and ``Search`` raise."""
         with self._lock:
-            kept = self._searches.pop(config_id, None)
-            return kept[1] if kept is not None and kept[0] is model else None
-
-    def keep_search(self, config_id: str, model: GeneratorModel, search: Search) -> None:
+            kept = self._groundings.pop(config.id, (None, None))
+            last = self._last.get(config.id)
+        if kept[0] is not model:
+            kept = model, ground(model, config, deadline=time.monotonic() + translate_limit)
         with self._lock:
-            self._searches[config_id] = (model, search)
-            if len(self._searches) > CSP_CACHE_SIZE:
-                self._searches.popitem(last=False)
+            self._groundings[config.id] = kept
+            if len(self._groundings) > CSP_CACHE_SIZE:
+                self._groundings.popitem(last=False)
+        return Search(kept[1], None if last is None else kept[1].encode(last.values))
 
-    def add(self, config_id: str) -> None:
-        """Count one solution of ``config_id``."""
+    def add(self, instance: CandidateInstance) -> None:
+        """Take ``instance`` as its configuration's last solution."""
         with self._lock:
-            self._counts[config_id] = self._counts.get(config_id, 0) + 1
+            self._last[instance.config_id] = instance
 
     def to_jsonable(self) -> dict[str, int]:
         with self._lock:
-            return dict(self._counts)
+            return {config_id: last.sequence + 1 for config_id, last in self._last.items()}
 
 
 def solve_generator(
@@ -116,32 +112,24 @@ def solve_generator(
     Grounding runs under ``translate_limit``, search under ``solve_limit``;
     the two timeout outcomes are distinguished so the tuner can penalise
     them differently, and a configuration whose shapes or bounds the model
-    leaves ill-defined is ``ILL_DEFINED``. A configuration whose search
+    leaves ill-defined is ``ILL_DEFINED``. A configuration whose grounding
     from ``model`` the history still keeps is not grounded again, so it
-    cannot fail in translation. The search continues until it has found
-    one solution more than the history has counted: a kept search returns
-    its next solution, a fresh one first steps past the counted ones. All
-    of that shares ``solve_limit``, which starts once the configuration is
-    grounded. The search is kept whatever the outcome, so a timeout keeps
-    its place; the solution returned is counted in the history.
+    cannot fail in translation. The one search starts just after the
+    configuration's last solution, or at the root, and ``solve_limit``
+    starts once the configuration is grounded. A timeout keeps nothing: the
+    next solve starts again after the last solution. The solution returned
+    is the history's last one for the configuration.
     """
-    search = history.take_search(config.id, model)
-    if search is None:
-        try:
-            search = Search(ground(model, config, deadline=time.monotonic() + translate_limit))
-        except TranslateTimeout:
-            return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT)
-        except ModelError:
-            return GeneratorSolveResult(GenOutcome.ILL_DEFINED)
+    try:
+        search = history.search(model, config, translate_limit)
+    except TranslateTimeout:
+        return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT)
+    except ModelError:
+        return GeneratorSolveResult(GenOutcome.ILL_DEFINED)
 
-    deadline = time.monotonic() + solve_limit
-    sequence = history.count(config.id)
-    result = backtrack_solve(search, deadline)
-    while result.status is GenOutcome.SOLUTION and search.found <= sequence:
-        result = backtrack_solve(search, deadline)
-    history.keep_search(config.id, model, search)
+    result = backtrack_solve(search, time.monotonic() + solve_limit)
     if result.status is not GenOutcome.SOLUTION:
         return GeneratorSolveResult(result.status)
-    history.add(config.id)
-    instance = CandidateInstance({**config.assignment, **result.values}, config.id, sequence)
+    instance = CandidateInstance({**config.assignment, **result.values}, config.id, history.count(config.id))
+    history.add(instance)
     return GeneratorSolveResult(GenOutcome.SOLUTION, instance)

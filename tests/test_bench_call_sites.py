@@ -5,7 +5,9 @@ name. A refactor that renames such a function, or stops calling it through
 that name, would leave its layer untraced; this test fails instead. In the
 same way, a TunerConfig field that perfbench/worker.py sets, and a
 BacktrackResult field that the traced search reads, must not be cut, and
-a traced campaign must still call the tuner's hooks once per evaluation.
+a traced campaign must still call the tuner's hooks once per evaluation,
+and search once per generator solve, so nodes per solution stay nodes per
+solve.
 These tests read perfbench/ and change nothing there.
 """
 
@@ -74,12 +76,14 @@ def test_traced_search_reads_only_backtrack_result_fields():
 
 # One traced round of a 12-evaluation graded campaign, run in a child
 # interpreter because tracing.install patches benchgen for good. The child
-# executes tracing.py (argv[1]) from source, as call_sites() does.
+# executes tracing.py (argv[1]) from source, as call_sites() does. It keeps
+# one grounding, so each configuration's second solve grounds it again.
 TRACED_ROUND = r"""
 import json, sys
 namespace = {"__name__": "perfbench_tracing"}
 exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), namespace)
-import benchgen.campaign
+import benchgen.campaign, benchgen.gensolve
+benchgen.gensolve.CSP_CACHE_SIZE = 1
 from benchgen import EvaluationLimits, GradedPolicy, SolverAdapter, TunerConfig, get_problem
 
 tracer = namespace["Tracer"]()
@@ -109,3 +113,8 @@ def test_a_traced_round_spans_each_tuner_hook_once_per_evaluation(tmp_path):
     lines = [span for span in spans.values() if span["name"] == "archive.append_log"]
     assert traced["evals"] == len(sinks) == len(lines) == 12
     assert all(spans[span["parent"]]["name"] == "campaign.log_sink" for span in lines)
+    # Every configuration of the model grounds, so every generator solve
+    # reaches search, and it searches once.
+    solves = [sid for sid, span in spans.items() if span["name"] == "gensolve.solve_generator"]
+    searches = [span["parent"] for span in spans.values() if span["name"] == "csp.backtrack_solve"]
+    assert len(solves) == 12 and sorted(searches) == sorted(solves)

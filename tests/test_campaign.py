@@ -1,6 +1,7 @@
 """End-to-end campaign runs: archiving, determinism, resume-by-replay."""
 
 import io
+import itertools
 import json
 import os
 import re
@@ -10,11 +11,12 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import benchgen
-from benchgen import archivewriter, campaign, cli
+from benchgen import archivewriter, campaign, cli, csp, evaluate, gensolve, ground
 from benchgen.archive import CampaignArchive, Evaluation, graded_instance_ids, lock_archive
 from benchgen.campaign import policy_meta, run_campaign
 from benchgen.errors import ArchiveError
@@ -689,3 +691,84 @@ def test_campaign_calls_each_archive_write_once_per_evaluation(
     assert archive_calls["add_instance"] == sum(1 for e in new if e.instance_id)
     assert archive_calls["append_log"] == len(evaluations) + len(new)
     assert len(archive_calls["writers"]) == 2
+
+
+# -- a configuration's search restarts at its last solution --------------------
+
+
+def test_a_race_wider_than_the_kept_groundings_searches_once_per_solve(tmp_path, monkeypatch):
+    # Two groundings kept, races of five: most configurations come back after
+    # theirs was pushed out, and their search restarts at the last solution.
+    unpatched = run(tmp_path / "wide", budget=200).archive.root
+    solves, searches = [], []
+    solve_generator, backtrack_solve = evaluate.solve_generator, gensolve.backtrack_solve
+
+    def counting_solve_generator(*args):
+        result = solve_generator(*args)
+        if result.outcome not in (GenOutcome.TRANSLATE_TIMEOUT, GenOutcome.ILL_DEFINED):
+            solves.append(args[1].id)
+        return result
+
+    monkeypatch.setattr(gensolve, "CSP_CACHE_SIZE", 2)
+    monkeypatch.setattr(gensolve, "backtrack_solve", lambda *args: searches.append(1) or backtrack_solve(*args))
+    monkeypatch.setattr(evaluate, "solve_generator", counting_solve_generator)
+    patched = run(tmp_path / "narrow", budget=200).archive.root
+    assert len(set(solves)) > 2 and len(solves) > len(set(solves))
+    assert len(searches) == len(solves)
+    for name in ("tuner.log", "records/evals.jsonl"):
+        assert (patched / name).read_bytes() == (unpatched / name).read_bytes(), name
+
+
+# Each next solution of a configuration costs about 200 search nodes: pad
+# runs from 101 to 200, y moves on, and pad runs from 1 to 100 again.
+PAD_MODEL = (
+    "var capacity : int 1..50\n"
+    "var y : int 1..40\n"
+    "var pad : int 1..200\n"
+    "constraint capacity = cap_t\n"
+    "constraint pad = 100\n"
+)
+
+
+@pytest.mark.parametrize("k", [60, 100])
+def test_a_search_heavy_campaign_resumes_byte_identical(tmp_path, monkeypatch, k):
+    # A clock that ticks once per reading makes solve_limit a node budget of
+    # five solutions' worth: enough for every solve of a configuration that
+    # starts at its last solution, too little to step past a few counted ones.
+    ticks = itertools.count()
+    for module in (csp, gensolve, ground):
+        monkeypatch.setattr(module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    limits = EvaluationLimits(translate_limit=1000.0, solve_limit=1000.0, mem_limit=None)
+
+    def pad_campaign(out, resume=False):
+        run_campaign(out, SPACE_TEXT, PAD_MODEL, banded_policy(), TunerConfig(total_budget=120, seed=11),
+                     limits, resume=resume)
+
+    full, out = tmp_path / "full", tmp_path / "cut"
+    pad_campaign(full)
+    outcomes = Counter(e.generator_outcome for e in CampaignArchive.open(full).evaluations())
+    assert GenOutcome.SOLVE_TIMEOUT not in outcomes and outcomes[GenOutcome.SOLUTION] > k
+    killed_copy(full, out, k)
+    pad_campaign(out, resume=True)
+    for name in ("tuner.log", "records/evals.jsonl"):
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("damage", ["missing", "out of domain"])
+def test_a_bad_last_instance_stops_the_resume_and_writes_nothing(tmp_path, capsys, damage):
+    full = tune(tmp_path, "full")
+    out = killed_copy(full, tmp_path / "camp", 60)
+    last = [e for e in CampaignArchive.open(out).evaluations() if e.instance_id][-1]
+    inst = out / "instances" / f"{last.instance_id}.inst"
+    if damage == "missing":
+        inst.unlink()
+    else:
+        inst.write_text(re.sub(r"(?m)^capacity = \d+$", "capacity = 101", inst.read_text()))
+        assert "capacity = 101" in inst.read_text()
+    before = archive_files(out)
+    capsys.readouterr()
+    assert cli.main(["tune", str(tmp_path / "campaign.ini"), "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert last.instance_id in err
+    assert archive_files(out) == before

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import json
 import sys
 import tempfile
 import threading
@@ -43,6 +42,7 @@ def simple_csp(n_vars=2, domain=(1, 2)):
         checks=[[] for _ in range(n_vars)],
         refuted=False,
         decode=lambda a: {f"v{i}": a[i] for i in range(n_vars)},
+        encode=lambda values: [values[f"v{i}"] for i in range(n_vars)],
     )
 
 
@@ -89,6 +89,7 @@ def queens_csp(n):
         checks=checks,
         refuted=False,
         decode=lambda a: {"q": list(a)},
+        encode=lambda values: list(values["q"]),
     )
 
 
@@ -123,7 +124,6 @@ def test_search_that_times_out_mid_tree_continues_where_it_stopped(monkeypatch):
                 timeouts += 1
         assert solutions == expected
         assert timeouts > 10
-        assert search.found == len(expected)
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -166,9 +166,10 @@ def test_history_roundtrip_preserves_exclusions(tmp_path):
     config = make_configuration(space, {"n": 1})
     history = SolutionHistory()
     first = solve_generator(model, config, history, 5.0, 5.0)
-    CampaignArchive(tmp_path).save_history(history)
+    archive = CampaignArchive.create(tmp_path, {}, "n: 1..1", "var x : int 1..3")
+    record_instance(archive, 1, config, first.instance)
 
-    reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
+    reloaded = archive.load_history(model)
     assert reloaded.count(config.id) == history.count(config.id) == 1
     again = solve_generator(model, config, reloaded, 5.0, 5.0)
     assert decision_values(again.instance, config) != decision_values(first.instance, config)
@@ -414,11 +415,15 @@ def cursor_models(draw, set_array=False, error_paths=False):
 
 def outcomes(model, config, history, mode="kept"):
     """Solve until UNSAT, yielding each outcome. In mode "counts" each solve
-    starts from a history of the counts alone; in mode "timeouts" each one
-    follows a zero-limit solve, which times out and counts nothing."""
+    starts from a history rebuilt from the last instance alone, as a resume
+    rebuilds it; in mode "timeouts" each one follows a zero-limit solve,
+    which times out and counts nothing."""
+    last = None
     while True:
         if mode == "counts":
-            history = SolutionHistory({config.id: history.count(config.id)})
+            history = SolutionHistory()
+            if last is not None:
+                history.add(last)
         elif mode == "timeouts":
             count = history.count(config.id)
             timed_out = solve_generator(model, config, history, 5.0, 0.0)
@@ -428,8 +433,8 @@ def outcomes(model, config, history, mode="kept"):
         if result.outcome is not GenOutcome.SOLUTION:
             yield result.outcome
             return
-        instance = result.instance
-        yield (instance.sequence, exclusion_key(decision_values(instance, config)))
+        last = result.instance
+        yield (last.sequence, exclusion_key(decision_values(last, config)))
 
 
 def solution_sequence(model, config, history, mode="kept", stop=None):
@@ -501,6 +506,13 @@ RECORD_KEYS = {"block": 0, "assignment": {}, "penalty": 0.0, "status": "others",
                "generator_outcome": "solution", "records": {}, "scores": None}
 
 
+def record_instance(archive, seq, config, instance):
+    """Write the ``.inst`` of ``config``'s ``instance`` and its record ``seq``, as a campaign does."""
+    write_instance(archive, instance)
+    append_record(archive, {**RECORD_KEYS, "seq": seq, "config_id": config.id,
+                            "assignment": dict(config.assignment), "instance_id": instance.id})
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cursor_models(set_array=True))
@@ -508,8 +520,9 @@ RECORD_KEYS = {"block": 0, "assignment": {}, "penalty": 0.0, "status": "others",
           {"n": 1, "k": 0}))
 def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
     # An archived .inst holds the decision values: its values minus the
-    # parameter names. Resume counts the recorded instances. The first 48
-    # solutions of each case (lex order: empty sets come first).
+    # parameter names. Resume reads the last one and counts the recorded
+    # instances. The first 48 solutions of each case (lex order: empty sets
+    # come first).
     model_text, values = case
     model = parse_model(CURSOR_SPACE, model_text)
     config = make_configuration(CURSOR_SPACE, values)
@@ -519,32 +532,32 @@ def test_key_rebuilt_from_the_archived_inst_is_the_exclusion_key(case):
         keys = {}
         while len(keys) < 48 and (result := solve_generator(model, config, history, 5.0, 5.0)).instance:
             instance = result.instance
-            write_instance(archive, instance)
             keys[instance.id] = exclusion_key(decision_values(instance, config))
-            append_record(
-                archive, {"seq": len(keys), "config_id": config.id, "instance_id": instance.id, **RECORD_KEYS}
-            )
+            record_instance(archive, len(keys), config, instance)
         for iid, key in keys.items():
             decision = {k: v for k, v in archive.instance_values(iid).items()
                         if k not in CURSOR_SPACE.names}
             assert exclusion_key(decision) == key
-        assert archive.load_history().count(config.id) == len(keys)
+        assert archive.load_history(model).count(config.id) == len(keys)
 
 
 def test_loaded_history_continues_the_same_sequence(tmp_path):
-    model = parse_model(
-        CURSOR_SPACE,
+    model_text = (
         "var x : int 0..2\nvar a[n] : int 0..2\nvar s : set of 1..2\n"
-        "constraint sum(a) / n = x\nconstraint x in s",
+        "constraint sum(a) / n = x\nconstraint x in s"
     )
+    model = parse_model(CURSOR_SPACE, model_text)
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
     full = solution_sequence(model, config, SolutionHistory())
 
     history = SolutionHistory()
-    head = solution_sequence(model, config, history, stop=4)
-    CampaignArchive(tmp_path).save_history(history)
-    reloaded = SolutionHistory(json.loads((tmp_path / "history.json").read_text()))
-    tail = solution_sequence(model, config, reloaded)
+    archive = CampaignArchive.create(tmp_path, {}, "n: 1..2; k: 0..4", model_text)
+    head = []
+    for seq in range(1, 5):
+        instance = solve_generator(model, config, history, 5.0, 5.0).instance
+        record_instance(archive, seq, config, instance)
+        head.append((instance.sequence, exclusion_key(decision_values(instance, config))))
+    tail = solution_sequence(model, config, archive.load_history(model))
     assert head + tail == full
     assert len(full) > 5 and full[-1] is GenOutcome.UNSAT
 
@@ -560,31 +573,38 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
     other = make_configuration(CURSOR_SPACE, {"n": 1, "k": 0})
     full = solution_sequence(model, config, SolutionHistory())
+    other_first = solve_generator(model, other, SolutionHistory(), 5.0, 5.0).instance
     assert len(full) > 5
     for k in range(len(full)):
         archive = CampaignArchive.create(tmp_path / str(k), {}, "n: 1..2; k: 0..4", RESUME_MODEL_TEXT)
         history = SolutionHistory()
         for i in range(k):
             instance = solve_generator(model, config, history, 5.0, 5.0).instance
-            write_instance(archive, instance)
-            append_record(
-                archive, {"seq": 3 * i + 1, "config_id": config.id, "instance_id": instance.id, **RECORD_KEYS}
-            )
+            record_instance(archive, 3 * i + 1, config, instance)
             # Records without an instance, and another configuration's, count nothing.
             append_record(archive, {"seq": 3 * i + 2, "config_id": config.id, "instance_id": None, **RECORD_KEYS})
-            append_record(
-                archive, {"seq": 3 * i + 3, "config_id": other.id, "instance_id": f"{other.id}-0000", **RECORD_KEYS}
-            )
-        loaded = archive.load_history()
+            record_instance(archive, 3 * i + 3, other, other_first)
+        loaded = archive.load_history(model)
         assert loaded.count(config.id) == k
         assert full[:k] + solution_sequence(model, config, loaded) == full
 
 
-def test_catch_up_that_times_out_records_nothing():
+def restored_history(model, config, k):
+    """A history that holds only the k-th instance of ``config``, as a resume
+    rebuilds it: no grounding is kept."""
+    kept = SolutionHistory()
+    for _ in range(k):
+        instance = solve_generator(model, config, kept, 5.0, 5.0).instance
+    history = SolutionHistory()
+    history.add(instance)
+    return history
+
+
+def test_a_restored_solve_that_times_out_records_nothing():
     model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
     full = solution_sequence(model, config, SolutionHistory())
-    history = SolutionHistory({config.id: 3})
+    history = restored_history(model, config, 3)
     assert solve_generator(model, config, history, 5.0, 0.0).outcome is GenOutcome.SOLVE_TIMEOUT
     assert history.count(config.id) == 3
     result = solve_generator(model, config, history, 5.0, 5.0)
@@ -604,15 +624,15 @@ def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
         deadlines.append(deadline)
         return real_solve(search, deadline)
 
-    monkeypatch.setattr(gensolve, "ground", slow_ground)
-    monkeypatch.setattr(gensolve, "backtrack_solve", recording)
     model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
-    history = SolutionHistory({config.id: 3})
+    history = restored_history(model, config, 3)
+    monkeypatch.setattr(gensolve, "ground", slow_ground)
+    monkeypatch.setattr(gensolve, "backtrack_solve", recording)
     result = solve_generator(model, config, history, 5.0, 1.0)
     assert result.outcome is GenOutcome.SOLUTION and result.instance.sequence == 3
-    # The first search and the three catch-up steps share one deadline.
-    assert len(limits) == 4 and len(set(deadlines)) == 1
+    # One search, restored after the last solution, gets the whole limit.
+    assert len(limits) == 1 and len(set(deadlines)) == 1
     assert 0.9 < limits[0] <= 1.0
     assert limits == sorted(limits, reverse=True)
 
