@@ -46,13 +46,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from . import archivewriter
-from .errors import ArchiveError, ParseError, ValidationError
+from .errors import ArchiveError, EvalError, ModelError, ParseError, ValidationError
 from .records import Record, from_jsonable, to_jsonable
 from .runner import GenOutcome, OracleResult, RunStatus, SolverRecord
 from .valuetext import parse_values
@@ -365,24 +364,36 @@ class CampaignArchive:
 
     def load_history(self, model: GeneratorModel) -> SolutionHistory:
         """The solution history of the recorded evaluations: each
-        configuration's last recorded instance, read from its ``.inst``,
-        numbered by how many of its records name an instance, and grounded
-        from ``model``. ``history.json`` is not read: after a crash it lags
-        the records. ``ArchiveError`` names a last ``.inst`` that is missing,
-        does not parse, or does not encode into its configuration's grounding.
+        configuration's last recorded instance, read from its ``.inst``.
+        ``history.json`` is not read: after a crash it lags the records.
+        ``ArchiveError`` names the first record whose instance id is not
+        ``<config_id>-<k:04d>`` for its configuration's k-th instance, from 0,
+        and a last ``.inst`` that is missing, does not parse, or that
+        ``check_assignment`` refuses under ``model``. Nothing is grounded.
         """
         from .gensolve import CandidateInstance, SolutionHistory
+        from .model import check_assignment
         from .space import GeneratorConfiguration
 
-        recorded = [e for e in self.evaluations() if e.instance_id]
-        counts, history = Counter(e.config_id for e in recorded), SolutionHistory()
-        for e in {e.config_id: e for e in recorded}.values():
-            history.add(CandidateInstance(self.instance_values(e.instance_id), e.config_id, counts[e.config_id] - 1))
+        last: dict[str, tuple[Evaluation, int]] = {}  # config id -> (record, sequence) of its last instance
+        for e in self.evaluations():
+            if e.instance_id:
+                sequence = last[e.config_id][1] + 1 if e.config_id in last else 0
+                expected = f"{e.config_id}-{sequence:04d}"
+                if e.instance_id != expected:
+                    raise ArchiveError(f"{self._evals_path}: seq {e.seq} names {e.instance_id}, not {expected}")
+                last[e.config_id] = e, sequence
+        history = SolutionHistory()
+        for e, sequence in last.values():
+            instance = CandidateInstance(self.instance_values(e.instance_id), e.config_id, sequence)
             try:
-                history.search(model, GeneratorConfiguration(e.assignment), float("inf"))
-            except (LookupError, TypeError, ValueError) as why:
+                fits = check_assignment(model, GeneratorConfiguration(e.assignment), instance.values)
+            except (EvalError, ModelError):  # a decision variable is missing, or a shape is ill-defined
+                fits = False
+            if not fits:
                 path = self.root / "instances" / f"{e.instance_id}.inst"
-                raise ArchiveError(f"{path}: its values do not fit the generator model ({why!r})") from None
+                raise ArchiveError(f"{path}: its values do not fit the generator model")
+            history.add(instance)
         return history
 
     @property

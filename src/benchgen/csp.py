@@ -14,14 +14,12 @@ changes which solution is found first, only how fast the search gets
 there. A constraint that reads no slot is decided once, at the root.
 
 Solutions therefore come out in lex order of the assignment vector
-(declaration order, ascending values). A ``Search`` is one depth-first
-walk of the tree: each ``backtrack_solve`` on it continues where the last
-one stopped, at a solution or at its deadline, so successive calls return
-every solution, each exactly once. A call reports the ``GenOutcome`` it
-reached: ``SOLUTION``, ``UNSAT`` once the tree is exhausted, or
-``SOLVE_TIMEOUT`` at its deadline. The walk is a loop over explicit
-per-level state (Knuth, TAOCP 4B, 7.2.2, Algorithm B), so its depth is not
-bounded by the interpreter's recursion limit.
+(declaration order, ascending values), so walks that each start just after
+the last one's solution return every solution, each exactly once. A walk
+reports the ``GenOutcome`` it reached: ``SOLUTION``, ``UNSAT`` once the
+tree is exhausted, or ``SOLVE_TIMEOUT`` at its deadline. It is a loop over
+explicit per-level state (Knuth, TAOCP 4B, 7.2.2, Algorithm B), so its
+depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -44,27 +42,7 @@ class GroundedCsp(Record):
     refuted: bool  # the root verdict of the constraints that read no slot
     # Rebuilds structured decision values from a full assignment vector.
     decode: Callable[[Assignment], dict[str, Any]]
-    encode: Callable[[Mapping[str, Any]], Assignment]  # its inverse; raises on values it cannot encode
-
-
-class Search:
-    """One depth-first search of ``csp``, from the root or, as the order is
-    fixed, from the state in which it stops at the solution ``after`` (a
-    full assignment vector; a value outside its domain is a ``ValueError``).
-
-    ``assignment`` holds the values of levels ``0..depth``; ``tried[i]``
-    counts the values of level i's domain tried so far, so the next one is
-    ``csp.domains[i][tried[i]]``. ``depth`` is -1 once the tree is exhausted.
-    Only one thread may step a search at a time; the CSP itself holds no
-    search state.
-    """
-
-    def __init__(self, csp: GroundedCsp, after: Assignment | None = None):
-        n = len(csp.domains)
-        self.csp = csp
-        self.assignment: Assignment = [None] * n if after is None else list(after)
-        self.tried = [0] * n if after is None else [d.index(v) + 1 for d, v in zip(csp.domains, after)]
-        self.depth = -1 if csp.refuted else 0 if after is None else n - 1
+    encode: Callable[[Mapping[str, Any]], Assignment]  # its inverse on values check_assignment accepts
 
 
 class BacktrackResult(Record, frozen=True):
@@ -73,27 +51,29 @@ class BacktrackResult(Record, frozen=True):
     nodes: int = 0
 
 
-def backtrack_solve(search: Search, deadline: float) -> BacktrackResult:
-    """Continue ``search`` to its next solution, until the monotonic ``deadline``.
+def backtrack_solve(csp: GroundedCsp, after: Assignment | None, deadline: float) -> BacktrackResult:
+    """Walk ``csp`` to its next solution, from the root or from just after
+    the full assignment vector ``after``, until the monotonic ``deadline``.
 
     Returns UNSAT when the tree is exhausted and SOLVE_TIMEOUT when the
-    deadline passes (one already passed times out at once). Either way the
-    search keeps its place: the next call continues from there.
+    deadline passes (one already passed times out at once). Keeps nothing.
     """
     monotonic = time.monotonic
     if monotonic() >= deadline:
         return BacktrackResult(GenOutcome.SOLVE_TIMEOUT)
-    domains, checks = search.csp.domains, search.csp.checks
-    assignment, tried = search.assignment, search.tried
+    domains, checks = csp.domains, csp.checks
     n = len(domains)
-    depth = search.depth
+    # assignment holds the values of levels 0..depth; tried[i] counts the
+    # values of level i's domain tried so far, so the next is domains[i][tried[i]].
+    assignment = [None] * n if after is None else list(after)
+    tried = [0] * n if after is None else [d.index(v) + 1 for d, v in zip(domains, after)]
+    depth = -1 if csp.refuted else 0 if after is None else n - 1
     nodes = 0
     while 0 <= depth < n:
         domain, level_checks = domains[depth], checks[depth]
         for k in range(tried[depth], len(domain)):
             nodes += 1
             if monotonic() >= deadline:
-                tried[depth], search.depth = k, depth
                 return BacktrackResult(GenOutcome.SOLVE_TIMEOUT, None, nodes)
             assignment[depth] = domain[k]
             for refutes in level_checks:
@@ -108,8 +88,5 @@ def backtrack_solve(search: Search, deadline: float) -> BacktrackResult:
             assignment[depth] = None
             depth -= 1
     if depth < 0:
-        search.depth = -1
         return BacktrackResult(GenOutcome.UNSAT, None, nodes)
-    # A solution: suspend at the last level, whose next value comes next.
-    search.depth = n - 1
-    return BacktrackResult(GenOutcome.SOLUTION, search.csp.decode(assignment), nodes)
+    return BacktrackResult(GenOutcome.SOLUTION, csp.decode(assignment), nodes)

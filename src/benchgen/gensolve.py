@@ -4,7 +4,7 @@ Re-evaluating a configuration must yield a fresh candidate instance, until
 the configuration's solution set is exhausted. Solutions come out in lex
 order and distinct solutions decode to distinct instances, so a history
 needs only each configuration's last solution: ``solve_generator`` runs
-one search that starts just after it, whether the configuration was solved
+one walk that starts just after it, whether the configuration was solved
 a moment ago, its grounding was pushed out of the history's LRU, or the
 history was rebuilt from the archive on resume.
 """
@@ -16,7 +16,7 @@ import time
 from collections import OrderedDict
 from typing import Any
 
-from .csp import GroundedCsp, Search, backtrack_solve
+from .csp import GroundedCsp, backtrack_solve
 from .errors import ModelError
 from .ground import TranslateTimeout, ground
 from .model import GeneratorModel
@@ -60,8 +60,8 @@ class SolutionHistory:
     A configuration's last solution is the last instance taken from it, so
     its count of solutions taken is that instance's ``sequence + 1``; the
     archive saves the counts (``to_jsonable``). The groundings, one per
-    configuration id with the model it was grounded from, hold no search
-    state and are an LRU bounded by ``CSP_CACHE_SIZE``.
+    configuration id with the model it was grounded from, are an LRU
+    bounded by ``CSP_CACHE_SIZE``.
     """
 
     def __init__(self) -> None:
@@ -73,11 +73,12 @@ class SolutionHistory:
         with self._lock:
             return self._last[config_id].sequence + 1 if config_id in self._last else 0
 
-    def search(self, model: GeneratorModel, config: GeneratorConfiguration, translate_limit: float) -> Search:
-        """A search of ``config`` grounded from ``model``, just after its last
-        solution or at the root. A grounding the history does not keep may
-        raise ``TranslateTimeout`` or ``ModelError``, a restore what
-        ``GroundedCsp.encode`` and ``Search`` raise."""
+    def grounding(
+        self, model: GeneratorModel, config: GeneratorConfiguration, translate_limit: float
+    ) -> tuple[GroundedCsp, CandidateInstance | None]:
+        """``config`` grounded from ``model``, and its last solution or None.
+        A grounding the history does not keep may raise ``TranslateTimeout``
+        or ``ModelError``."""
         with self._lock:
             kept = self._groundings.pop(config.id, (None, None))
             last = self._last.get(config.id)
@@ -87,7 +88,7 @@ class SolutionHistory:
             self._groundings[config.id] = kept
             if len(self._groundings) > CSP_CACHE_SIZE:
                 self._groundings.popitem(last=False)
-        return Search(kept[1], None if last is None else kept[1].encode(last.values))
+        return kept[1], last
 
     def add(self, instance: CandidateInstance) -> None:
         """Take ``instance`` as its configuration's last solution."""
@@ -114,20 +115,22 @@ def solve_generator(
     them differently, and a configuration whose shapes or bounds the model
     leaves ill-defined is ``ILL_DEFINED``. A configuration whose grounding
     from ``model`` the history still keeps is not grounded again, so it
-    cannot fail in translation. The one search starts just after the
-    configuration's last solution, or at the root, and ``solve_limit``
-    starts once the configuration is grounded. A timeout keeps nothing: the
-    next solve starts again after the last solution. The solution returned
-    is the history's last one for the configuration.
+    cannot fail in translation. The one walk starts just after the
+    configuration's last solution (found by a walk, or checked on resume)
+    or at the root, and ``solve_limit`` starts once it is grounded. A
+    timeout keeps nothing: the next solve starts again after the last
+    solution. The solution returned is the history's last one for the
+    configuration.
     """
     try:
-        search = history.search(model, config, translate_limit)
+        csp, last = history.grounding(model, config, translate_limit)
     except TranslateTimeout:
         return GeneratorSolveResult(GenOutcome.TRANSLATE_TIMEOUT)
     except ModelError:
         return GeneratorSolveResult(GenOutcome.ILL_DEFINED)
 
-    result = backtrack_solve(search, time.monotonic() + solve_limit)
+    after = None if last is None else csp.encode(last.values)
+    result = backtrack_solve(csp, after, time.monotonic() + solve_limit)
     if result.status is not GenOutcome.SOLUTION:
         return GeneratorSolveResult(result.status)
     instance = CandidateInstance({**config.assignment, **result.values}, config.id, history.count(config.id))

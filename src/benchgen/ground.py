@@ -19,7 +19,8 @@ a conjunct that still cannot be bounded (an index out of range or not an
 integer, a division by zero, arithmetic on a comparison) counts as
 violated, as it does in ``check_assignment``. A solution is decoded
 through the same terms: on a full assignment an int cell reads ``(v, v)``
-and a set cell reads its members exactly; ``encode`` is its inverse.
+and a set cell reads its members exactly. ``encode`` is its inverse on the
+values that ``check_assignment`` accepts, and checks nothing itself.
 """
 
 from __future__ import annotations
@@ -144,8 +145,6 @@ def ground(
         for iv in instantiated:
             cells = [values[iv.name]] if iv.length is None else values[iv.name]
             x += cells if iv.kind == "int" else [int(u in c) for c in cells for u in range(iv.lower, iv.upper + 1)]
-        if decode(x) != {iv.name: values[iv.name] for iv in instantiated}:
-            raise ValueError("the values do not fit the shapes of the decision variables")
         return x
 
     return GroundedCsp(domains, checks, refuted, decode, encode)

@@ -16,7 +16,7 @@ import pytest
 
 from benchgen import archivewriter, solvers
 from benchgen.archive import CampaignArchive
-from benchgen.csp import GroundedCsp, Search, backtrack_solve
+from benchgen.csp import GroundedCsp, backtrack_solve
 from benchgen.errors import CheckError, EvalError, ParseError, ValidationError
 from benchgen.evaluate import (
     EvaluationLimits,
@@ -155,11 +155,11 @@ def decision_values(instance: CandidateInstance, config: GeneratorConfiguration)
 def enumerate_solutions(
     csp: GroundedCsp, limit: int = 1_000_000, time_limit: float = 60.0
 ) -> list[dict[str, Any]]:
-    """Exhaust the search tree by stepping one search from solution to solution."""
+    """Exhaust the search tree by walking from each solution to the next."""
     found: list[dict[str, Any]] = []
-    search = Search(csp)
     while len(found) < limit:
-        res = backtrack_solve(search, time.monotonic() + time_limit)
+        after = csp.encode(found[-1]) if found else None
+        res = backtrack_solve(csp, after, time.monotonic() + time_limit)
         if res.status is not GenOutcome.SOLUTION:
             break
         assert res.values is not None

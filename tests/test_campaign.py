@@ -754,7 +754,7 @@ def test_a_search_heavy_campaign_resumes_byte_identical(tmp_path, monkeypatch, k
         assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("damage", ["missing", "out of domain"])
+@pytest.mark.parametrize("damage", ["missing", "out of domain", "violates a constraint", "renumbered"])
 def test_a_bad_last_instance_stops_the_resume_and_writes_nothing(tmp_path, capsys, damage):
     full = tune(tmp_path, "full")
     out = killed_copy(full, tmp_path / "camp", 60)
@@ -762,13 +762,27 @@ def test_a_bad_last_instance_stops_the_resume_and_writes_nothing(tmp_path, capsy
     inst = out / "instances" / f"{last.instance_id}.inst"
     if damage == "missing":
         inst.unlink()
+    elif damage == "renumbered":
+        # <config>-<k> renamed <config>-<k + 2>, in its file and its record: a
+        # resume that counted records would later write <config>-<k + 2>.inst over it.
+        config_id, k = last.instance_id.rsplit("-", 1)
+        renamed = f"{config_id}-{int(k) + 2:04d}"
+        inst.rename(inst.with_name(f"{renamed}.inst"))
+        evals = out / "records" / "evals.jsonl"
+        text = evals.read_text().replace(f'"instance_id": "{last.instance_id}"', f'"instance_id": "{renamed}"')
+        evals.write_text(text)
+        assert [e.instance_id for e in CampaignArchive.open(out).evaluations()][last.seq - 1] == renamed
     else:
-        inst.write_text(re.sub(r"(?m)^capacity = \d+$", "capacity = 101", inst.read_text()))
-        assert "capacity = 101" in inst.read_text()
+        # 101 is outside capacity's domain 1..100; the other value is inside it, but not the record's cap_t.
+        capacity = 101 if damage == "out of domain" else last.assignment["cap_t"] % 100 + 1
+        inst.write_text(re.sub(r"(?m)^capacity = \d+$", f"capacity = {capacity}", inst.read_text()))
+        assert f"capacity = {capacity}" in inst.read_text()
     before = archive_files(out)
     capsys.readouterr()
     assert cli.main(["tune", str(tmp_path / "campaign.ini"), "--out", str(out), "--resume"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert last.instance_id in err
+    if damage == "renumbered":
+        assert f"seq {last.seq} " in err
     assert archive_files(out) == before

@@ -7,19 +7,17 @@ import tempfile
 import threading
 import time
 from random import Random
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from benchgen import csp as csp_module
 from benchgen import gensolve
 from benchgen.archive import CampaignArchive
-from benchgen.csp import GroundedCsp, Search, backtrack_solve
+from benchgen.csp import GroundedCsp, backtrack_solve
 from benchgen.errors import ModelError
-from benchgen.gensolve import GenOutcome, SolutionHistory, solve_generator
+from benchgen.gensolve import CandidateInstance, GenOutcome, SolutionHistory, solve_generator
 from benchgen.ground import ground
 from benchgen.model import check_assignment, instantiate, parse_model
 from benchgen.space import parse_space, sample_uniform
@@ -51,25 +49,26 @@ def in_seconds(seconds):
 
 
 def test_first_solution_ordering_contract():
-    result = backtrack_solve(Search(simple_csp()), in_seconds(10.0))
+    result = backtrack_solve(simple_csp(), None, in_seconds(10.0))
     assert result.status is GenOutcome.SOLUTION
     assert result.values == {"v0": 1, "v1": 1}
 
 
 def test_exclusion_advances_in_lex_order():
-    search = Search(simple_csp())
+    csp, after = simple_csp(), None
     seen = []
     for _ in range(5):
-        result = backtrack_solve(search, in_seconds(10.0))
+        result = backtrack_solve(csp, after, in_seconds(10.0))
         if result.status is not GenOutcome.SOLUTION:
             seen.append("unsat")
             break
         seen.append((result.values["v0"], result.values["v1"]))
+        after = csp.encode(result.values)
     assert seen == [(1, 1), (1, 2), (2, 1), (2, 2), "unsat"]
 
 
 def test_zero_time_limit_times_out():
-    result = backtrack_solve(Search(simple_csp()), in_seconds(0.0))
+    result = backtrack_solve(simple_csp(), None, in_seconds(0.0))
     assert result.status is GenOutcome.SOLVE_TIMEOUT
 
 
@@ -105,25 +104,6 @@ def test_six_queens_has_four_solutions():
     brute = [list(p) for p in itertools.permutations(range(n)) if brute_ok(p)]
     assert len(brute) == 4
     assert sorted(s["q"] for s in solutions) == sorted(brute)
-
-
-def test_search_that_times_out_mid_tree_continues_where_it_stopped(monkeypatch):
-    # A clock that ticks once per reading times each solve out after a few
-    # nodes, anywhere in the tree; continued, the search returns the same
-    # solutions in the same order.
-    expected = enumerate_solutions(queens_csp(6))
-    ticks = itertools.count()
-    monkeypatch.setattr(csp_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    for limit in (3, 4, 10):
-        search = Search(queens_csp(6))
-        solutions, timeouts = [], 0
-        while (result := backtrack_solve(search, next(ticks) + limit)).status is not GenOutcome.UNSAT:
-            if result.status is GenOutcome.SOLUTION:
-                solutions.append(result.values)
-            else:
-                timeouts += 1
-        assert solutions == expected
-        assert timeouts > 10
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -256,7 +236,7 @@ def test_a_constraint_that_reads_no_slot_and_fails_refutes_the_root(constraint):
     config = make_configuration(ROOT_SPACE, {"cap_t": 3})
     csp = ground(model, config)
     assert csp.refuted and csp.checks == [[]]
-    result = backtrack_solve(Search(csp), in_seconds(5.0))
+    result = backtrack_solve(csp, None, in_seconds(5.0))
     assert (result.status, result.nodes) == (GenOutcome.UNSAT, 0)
     assert solve_generator(model, config, SolutionHistory(), 5.0, 5.0).outcome is GenOutcome.UNSAT
 
@@ -583,7 +563,7 @@ def test_history_loaded_from_the_records_continues_at_every_split(tmp_path):
             record_instance(archive, 3 * i + 1, config, instance)
             # Records without an instance, and another configuration's, count nothing.
             append_record(archive, {"seq": 3 * i + 2, "config_id": config.id, "instance_id": None, **RECORD_KEYS})
-            record_instance(archive, 3 * i + 3, other, other_first)
+            record_instance(archive, 3 * i + 3, other, CandidateInstance(other_first.values, other.id, i))
         loaded = archive.load_history(model)
         assert loaded.count(config.id) == k
         assert full[:k] + solution_sequence(model, config, loaded) == full
@@ -619,10 +599,10 @@ def test_search_gets_the_whole_solve_limit_after_a_slow_grounding(monkeypatch):
         time.sleep(0.3)
         return real_ground(model, config, deadline)
 
-    def recording(search, deadline):
+    def recording(csp, after, deadline):
         limits.append(deadline - time.monotonic())
         deadlines.append(deadline)
-        return real_solve(search, deadline)
+        return real_solve(csp, after, deadline)
 
     model = parse_model(CURSOR_SPACE, RESUME_MODEL_TEXT)
     config = make_configuration(CURSOR_SPACE, {"n": 2, "k": 0})
@@ -675,10 +655,10 @@ def test_zero_length_array_has_one_empty_solution():
     for mode in ("counts", "kept"):
         sequence = solution_sequence(model, config, SolutionHistory(), mode)
         assert sequence == [(0, exclusion_key(decision_values(first.instance, config))), GenOutcome.UNSAT]
-    search = Search(ground(model, config))
-    found = backtrack_solve(search, in_seconds(5.0))
-    assert (found.status, search.assignment, found.nodes) == (GenOutcome.SOLUTION, [], 0)
-    resumed = backtrack_solve(search, in_seconds(5.0))
+    csp = ground(model, config)
+    found = backtrack_solve(csp, None, in_seconds(5.0))
+    assert (found.status, csp.encode(found.values), found.nodes) == (GenOutcome.SOLUTION, [], 0)
+    resumed = backtrack_solve(csp, csp.encode(found.values), in_seconds(5.0))
     assert (resumed.status, resumed.nodes) == (GenOutcome.UNSAT, 0)
 
 
